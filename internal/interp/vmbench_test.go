@@ -3,6 +3,7 @@ package interp
 import (
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/obl/ir"
 )
 
@@ -56,6 +57,72 @@ func BenchmarkEngineLockFastPath(b *testing.B) {
 	benchEngines(b, c.Parallel, Options{Procs: 4, Policy: "original"})
 }
 
+// fusionCoverage weighs a program's specialized module by the profile
+// that produced it. total is the number of instructions the profiled run
+// dispatched in the functions name selects (all when empty), covered the
+// part of them that the specialized module executes inside fused groups,
+// and saved the dispatches those groups remove (Len-1 per execution). The
+// program must have completed its first VM run. Every source instruction
+// is counted once, in its own function's body: inlined copies carry the
+// same groups and share the callee's counters.
+func fusionCoverage(tb testing.TB, prog *ir.Program, name string) (covered, total, saved int64) {
+	tb.Helper()
+	e := vmModuleFor(prog)
+	if e.err != nil {
+		tb.Fatal(e.err)
+	}
+	spec, prof := e.spec.Load(), e.lastProf.Load()
+	if spec == nil || prof == nil {
+		tb.Fatal("first run did not specialize the module")
+	}
+	for _, fc := range spec.Funcs {
+		if name != "" && fc.Name != name {
+			continue
+		}
+		for pc := range fc.Code {
+			src := &fc.Plain[pc]
+			if int(src.SrcFn) != fc.ID {
+				continue
+			}
+			n := prof.Counts[fc.ID][src.OrigPC]
+			total += n
+			if l := int64(fc.Code[pc].Len); l > 1 {
+				covered += n * l
+				saved += n * (l - 1)
+			}
+		}
+	}
+	if total == 0 {
+		tb.Fatal("empty profile")
+	}
+	return covered, total, saved
+}
+
+// TestFusionCoverageBarnesHut pins what the superinstruction overlay buys
+// on the workload it was shaped on, as exact counts from the profiling
+// run: most of the tree descent executes inside fused groups, and the
+// specialized module needs a quarter fewer dispatches than the baseline.
+func TestFusionCoverageBarnesHut(t *testing.T) {
+	c, err := apps.Compile(apps.NameBarnesHut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]int64{"nbodies": 64, "listlen": 16, "interwork": 500, "npasses": 1, "serialwork": 500}
+	if _, err := Run(c.Parallel, Options{Procs: 1, Policy: "aggressive", Params: params}); err != nil {
+		t.Fatal(err)
+	}
+	covered, total, _ := fusionCoverage(t, c.Parallel, "Body::walk@original")
+	if covered*10 < total*6 {
+		t.Errorf("Body::walk: %d of %d profiled instructions run fused (%.2f), want >= 0.6",
+			covered, total, float64(covered)/float64(total))
+	}
+	_, total, saved := fusionCoverage(t, c.Parallel, "")
+	if saved*4 < total {
+		t.Errorf("specialized module: %d dispatches against %d unspecialized (-%.0f%%), want a drop of 25%% or more",
+			total-saved, total, 100*float64(saved)/float64(total))
+	}
+}
+
 // BenchmarkVMSuperinstructionHitRate times the specialized dispatch loop
 // on the branch-heavy program and reports what fraction of the profiled
 // instruction stream executes inside fused superinstructions — the
@@ -65,27 +132,7 @@ func BenchmarkVMSuperinstructionHitRate(b *testing.B) {
 	if _, err := Run(c.Serial, Options{Procs: 1}); err != nil {
 		b.Fatal(err)
 	}
-	e := vmModuleFor(c.Serial)
-	if e.err != nil {
-		b.Fatal(e.err)
-	}
-	spec, prof := e.spec.Load(), e.lastProf.Load()
-	if spec == nil || prof == nil {
-		b.Fatal("first run did not specialize the module")
-	}
-	var covered, total int64
-	for _, fc := range spec.Funcs {
-		for pc := range fc.Code {
-			n := prof.Counts[fc.ID][pc]
-			total += n
-			if l := fc.Code[pc].Len; l > 1 {
-				covered += n * int64(l)
-			}
-		}
-	}
-	if total == 0 {
-		b.Fatal("empty profile")
-	}
+	covered, total, _ := fusionCoverage(b, c.Serial, "")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(c.Serial, Options{Procs: 1}); err != nil {

@@ -17,644 +17,675 @@ import (
 // instructions yield first whenever prior work exists in the dispatch,
 // and tail-call collapse replays the folded returns one charge at a time.
 //
+// The loop is two-level so that the dispatch state stays in registers.
+// The outer loop runs once per activation: it loads the frame, its code
+// and its three bank windows. Inside the inner loop those are invariant
+// and only pc, executed and acc are carried from one dispatch to the
+// next; anything that changes the current frame (call, return) writes its
+// state back and continues the outer loop instead of reassigning them.
+// Every exit path writes pc/executed/acc back before returning.
+//
 //dfvet:noalloc
 func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 	rt := t.rt
 	race := rt.race != nil && t.sr != nil
 	dyn := rt.opts.Policy == PolicyDynamic
-
-	// The frame state lives in locals for the whole dispatch: the loop
-	// below reads them every instruction, and they only change at frame
-	// boundaries (call, return) where they are reloaded explicitly. Every
-	// exit path writes pc/executed/acc back before returning.
+	profiling := t.prof != nil
 	executed := t.executed
 	acc := t.acc
-	fr := &t.frames[len(t.frames)-1]
-	code, plain := fr.fc.Code, fr.fc.Plain
-	pc := fr.pc
-	ints, floats, refs := fr.ints, fr.floats, fr.refs
-	var counts []int64
-	if t.prof != nil {
-		counts = t.prof.Counts[fr.fc.ID]
-	}
 
-	for executed < stepBudget {
-		if uint(pc) >= uint(len(code)) {
-			rt.fail("%s: fell off end of code", fr.fc.Name)
-		}
-		in := &code[pc]
-		if in.Len > 1 && executed > stepBudget-int(in.Len) {
-			// Not enough budget for the whole fused group: execute the
-			// plain instructions so the dispatch boundary lands exactly
-			// where the interpreter's per-instruction count puts it.
-			in = &plain[pc]
-		}
-		if counts != nil {
-			counts[pc]++
-		}
+frames:
+	for {
+		fr := &t.frames[len(t.frames)-1]
+		code := fr.fc.Code
+		pc := fr.pc
+		ints, floats, refs := fr.ints, fr.floats, fr.refs
 
-		if in.Op >= vm.OpSyncStart {
-			if in.Op == vm.OpParallel {
-				if !t.isMain || t.sr != nil {
-					rt.fail("%s: nested parallel section", fr.fc.Name)
-				}
-				t.acc = acc
-				t.executed = executed
-				t.flush(p)
-				if executed > 0 {
-					fr.pc = pc
+		for executed < stepBudget {
+			if uint(pc) >= uint(len(code)) {
+				rt.fail("%s: fell off end of code", fr.fc.Name)
+			}
+			in := &code[pc]
+			if in.Len > 1 && executed > stepBudget-int(in.Len) {
+				// Not enough budget for the whole fused group: execute the
+				// plain instructions so the dispatch boundary lands exactly
+				// where the interpreter's per-instruction count puts it.
+				in = &fr.fc.Plain[pc]
+			}
+			if profiling {
+				t.prof.Counts[fr.fc.ID][pc]++
+			}
+
+			if in.Op >= vm.OpSyncStart {
+				if in.Op == vm.OpParallel {
+					if !t.isMain || t.sr != nil {
+						rt.fail("%s: nested parallel section", fr.fc.Name)
+					}
+					t.acc = acc
+					t.executed = executed
+					t.flush(p)
+					if executed > 0 {
+						fr.pc = pc
+						return simmach.Ready, false
+					}
+					fr.pc = pc + 1
+					t.enterSection(p, fr, in)
 					return simmach.Ready, false
 				}
-				fr.pc = pc + 1
-				t.enterSection(p, fr, in)
-				return simmach.Ready, false
-			}
-			// Acquire/release family.
-			isAcq := in.Op == vm.OpAcquire || in.Op == vm.OpAcquireEn ||
-				in.Op == vm.OpAcquireIf || in.Op == vm.OpAcquireU
-			isCond := in.Op == vm.OpAcquireEn || in.Op == vm.OpReleaseEn ||
-				in.Op == vm.OpAcquireIf || in.Op == vm.OpReleaseIf
-			if in.Op == vm.OpAcquireIf || in.Op == vm.OpReleaseIf {
-				flags := t.flags
-				if flags == nil {
-					flags = rt.baseFlags
-				}
-				if flags == nil || int(in.Imm) >= len(flags) {
-					rt.fail("%s: pc %d: conditional sync without flag context", t.fname(in), in.OrigPC)
-				}
-				if !flags[in.Imm] {
-					acc += ir.CostFlagTest
-					executed++
-					pc++
-					continue
-				}
-			}
-			if executed > 0 {
-				fr.pc = pc
-				t.executed = executed
-				t.acc = acc
-				t.flush(p)
-				return simmach.Ready, false
-			}
-			obj := refs[in.A]
-			if obj == nil {
-				rt.fail("%s: pc %d: nil dereference", t.fname(in), in.OrigPC)
-			}
-			var lock *simmach.Lock
-			if in.Op == vm.OpAcquireU || in.Op == vm.OpReleaseU {
-				s := &t.sites[in.B]
-				if s.obj == obj {
-					lock = s.lock
-				} else {
-					lock = obj.Lock(rt.m)
-					s.obj, s.lock = obj, lock
-				}
-			} else {
-				lock = obj.Lock(rt.m)
-			}
-			t.acc = acc
-			t.flush(p)
-			acc = 0
-			if isCond {
-				p.Advance(ir.CostFlagTest)
-			}
-			if dyn {
-				p.Advance(rt.opts.InstrumentationCost)
-			}
-			pc++
-			executed++
-			if !isAcq {
-				if rt.race != nil {
-					t.unhold(lock)
-				}
-				p.Release(lock)
-				continue
-			}
-			if rt.race != nil {
-				t.held = append(t.held, lock) //dfvet:allow noalloc race-detection mode only; detection is documented to allocate tracking state
-			}
-			if !p.Acquire(lock) {
-				if t.prof != nil {
-					t.prof.Blocked[fr.fc.ID][pc-1]++
-				}
-				fr.pc = pc
-				t.executed = executed
-				t.acc = acc
-				return simmach.Blocked, false
-			}
-			continue
-		}
-
-		acc += simmach.Time(in.Cost)
-		executed += int(in.Len)
-		pc += int(in.Len)
-
-		switch in.Op {
-		case vm.OpNop:
-		case vm.OpConstI:
-			ints[in.Dst] = in.Imm
-		case vm.OpConstF:
-			floats[in.Dst] = in.F()
-		case vm.OpConstNil:
-			refs[in.Dst] = nil
-		case vm.OpMovI:
-			ints[in.Dst] = ints[in.A]
-		case vm.OpMovF:
-			floats[in.Dst] = floats[in.A]
-		case vm.OpMovR:
-			refs[in.Dst] = refs[in.A]
-		case vm.OpLoadParam:
-			ints[in.Dst] = rt.paramVals[in.Imm]
-
-		case vm.OpAddI:
-			ints[in.Dst] = ints[in.A] + ints[in.B]
-		case vm.OpSubI:
-			ints[in.Dst] = ints[in.A] - ints[in.B]
-		case vm.OpMulI:
-			ints[in.Dst] = ints[in.A] * ints[in.B]
-		case vm.OpDivI:
-			if ints[in.B] == 0 {
-				rt.fail("%s: integer division by zero", t.fname(in))
-			}
-			ints[in.Dst] = ints[in.A] / ints[in.B]
-		case vm.OpModI:
-			if ints[in.B] == 0 {
-				rt.fail("%s: integer modulo by zero", t.fname(in))
-			}
-			ints[in.Dst] = ints[in.A] % ints[in.B]
-		case vm.OpNegI:
-			ints[in.Dst] = -ints[in.A]
-		case vm.OpAddF:
-			floats[in.Dst] = floats[in.A] + floats[in.B]
-		case vm.OpSubF:
-			floats[in.Dst] = floats[in.A] - floats[in.B]
-		case vm.OpMulF:
-			floats[in.Dst] = floats[in.A] * floats[in.B]
-		case vm.OpDivF:
-			floats[in.Dst] = floats[in.A] / floats[in.B]
-		case vm.OpNegF:
-			floats[in.Dst] = -floats[in.A]
-		case vm.OpI2F:
-			floats[in.Dst] = float64(ints[in.A])
-		case vm.OpF2I:
-			ints[in.Dst] = int64(floats[in.A])
-
-		case vm.OpEqI:
-			ints[in.Dst] = b2w(ints[in.A] == ints[in.B])
-		case vm.OpNeI:
-			ints[in.Dst] = b2w(ints[in.A] != ints[in.B])
-		case vm.OpEqF:
-			ints[in.Dst] = b2w(floats[in.A] == floats[in.B])
-		case vm.OpNeF:
-			ints[in.Dst] = b2w(floats[in.A] != floats[in.B])
-		case vm.OpEqR:
-			ints[in.Dst] = b2w(refs[in.A] == refs[in.B])
-		case vm.OpNeR:
-			ints[in.Dst] = b2w(refs[in.A] != refs[in.B])
-		case vm.OpLtI:
-			ints[in.Dst] = b2w(ints[in.A] < ints[in.B])
-		case vm.OpLeI:
-			ints[in.Dst] = b2w(ints[in.A] <= ints[in.B])
-		case vm.OpGtI:
-			ints[in.Dst] = b2w(ints[in.A] > ints[in.B])
-		case vm.OpGeI:
-			ints[in.Dst] = b2w(ints[in.A] >= ints[in.B])
-		case vm.OpLtF:
-			ints[in.Dst] = b2w(floats[in.A] < floats[in.B])
-		case vm.OpLeF:
-			ints[in.Dst] = b2w(floats[in.A] <= floats[in.B])
-		case vm.OpGtF:
-			ints[in.Dst] = b2w(floats[in.A] > floats[in.B])
-		case vm.OpGeF:
-			ints[in.Dst] = b2w(floats[in.A] >= floats[in.B])
-		case vm.OpNot:
-			ints[in.Dst] = b2w(ints[in.A] == 0)
-
-		case vm.OpJump:
-			pc = int(in.Imm)
-		case vm.OpBrFalse:
-			if ints[in.A] == 0 {
-				pc = int(in.Imm)
-			}
-
-		case vm.OpCall:
-			if len(t.frames)+int(t.collapsed) > 10000 {
-				rt.fail("%s: call stack overflow", fr.fc.Name)
-			}
-			// Caller windows stay valid across the push (arena growth
-			// copies), but fr does not: the frames slice may reallocate.
-			fr.pc = pc
-			t.push(int(in.Imm), in.Dst, uint8(in.C))
-			nf := &t.frames[len(t.frames)-1]
-			for _, mv := range in.Args {
-				switch mv.Bank {
-				case vm.BankFloat:
-					nf.floats[mv.Dst] = floats[mv.Src]
-				case vm.BankRef:
-					nf.refs[mv.Dst] = refs[mv.Src]
-				default:
-					nf.ints[mv.Dst] = ints[mv.Src]
-				}
-			}
-			fr = nf
-			code, plain = fr.fc.Code, fr.fc.Plain
-			pc = 0
-			ints, floats, refs = fr.ints, fr.floats, fr.refs
-			if t.prof != nil {
-				counts = t.prof.Counts[fr.fc.ID]
-			}
-
-		case vm.OpTailCall:
-			if len(t.frames)+int(t.collapsed) > 10000 {
-				rt.fail("%s: call stack overflow", fr.fc.Name)
-			}
-			fc := fr.fc
-			// Read argument sources before clearing anything: they may
-			// live in the local region or in the parameter slots.
-			if cap(t.scrI) < len(in.Args) {
-				t.scrI = make([]int64, len(in.Args))   //dfvet:allow noalloc grows the reusable scratch buffers once to peak call arity
-				t.scrF = make([]float64, len(in.Args)) //dfvet:allow noalloc grows the reusable scratch buffers once to peak call arity
-				t.scrR = make([]*Object, len(in.Args)) //dfvet:allow noalloc grows the reusable scratch buffers once to peak call arity
-			}
-			for i, mv := range in.Args {
-				switch mv.Bank {
-				case vm.BankFloat:
-					t.scrF[i] = floats[mv.Src]
-				case vm.BankRef:
-					t.scrR[i] = refs[mv.Src]
-				default:
-					t.scrI[i] = ints[mv.Src]
-				}
-			}
-			clear(ints[fc.PInts:fc.NInts])
-			clear(floats[fc.PFloats:fc.NFloats])
-			clear(refs[fc.PRefs:fc.NRefs])
-			for i, mv := range in.Args {
-				switch mv.Bank {
-				case vm.BankFloat:
-					floats[mv.Dst] = t.scrF[i]
-				case vm.BankRef:
-					refs[mv.Dst] = t.scrR[i]
-				default:
-					ints[mv.Dst] = t.scrI[i]
-				}
-			}
-			fr.collapsed++
-			t.collapsed++
-			pc = 0
-
-		case vm.OpCallExtI, vm.OpCallExtF:
-			fn := rt.prep.extFns[in.Imm]
-			args := t.extArgs[:0]
-			for _, mv := range in.Args {
-				switch mv.Bank {
-				case vm.BankFloat:
-					args = append(args, Value{Kind: KindFloat, F: floats[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
-				case vm.BankRef:
-					args = append(args, Value{Kind: KindRef, Ref: refs[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
-				default:
-					args = append(args, Value{Kind: KindInt, I: ints[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
-				}
-			}
-			t.extArgs = args[:0]
-			v, extra := fn(args)
-			acc += extra
-			if in.Dst >= 0 {
-				if in.Op == vm.OpCallExtF {
-					floats[in.Dst] = v.F
-				} else {
-					ints[in.Dst] = v.I
-				}
-			}
-
-		case vm.OpRetI, vm.OpRetF, vm.OpRetR, vm.OpRetVoid:
-			if fr.collapsed > 0 {
-				// Replay one collapsed tail-call return: the interpreter
-				// unwinds these as separate instructions, so each charge
-				// is its own budget step.
-				fr.collapsed--
-				t.collapsed--
-				pc--
-				continue
-			}
-			retSlot, retBank := fr.retSlot, fr.retBank
-			var vI int64
-			var vF float64
-			var vR *Object
-			switch in.Op {
-			case vm.OpRetI:
-				vI = ints[in.A]
-			case vm.OpRetF:
-				vF = floats[in.A]
-			case vm.OpRetR:
-				vR = refs[in.A]
-			}
-			t.popFrame()
-			if len(t.frames) == t.baseFrames {
-				t.executed = executed
-				t.acc = acc
-				t.flush(p)
-				return 0, true
-			}
-			fr = &t.frames[len(t.frames)-1]
-			code, plain = fr.fc.Code, fr.fc.Plain
-			pc = fr.pc
-			ints, floats, refs = fr.ints, fr.floats, fr.refs
-			if t.prof != nil {
-				counts = t.prof.Counts[fr.fc.ID]
-			}
-			if retSlot >= 0 {
-				switch in.Op {
-				case vm.OpRetI:
-					ints[retSlot] = vI
-				case vm.OpRetF:
-					floats[retSlot] = vF
-				case vm.OpRetR:
-					refs[retSlot] = vR
-				default:
-					// Void return into a live destination: the interpreter
-					// writes Value{}, which reads back as zero in any kind.
-					switch retBank {
-					case vm.BankFloat:
-						floats[retSlot] = 0
-					case vm.BankRef:
-						refs[retSlot] = nil
-					default:
-						ints[retSlot] = 0
+				// Acquire/release family.
+				isAcq := in.Op == vm.OpAcquire || in.Op == vm.OpAcquireEn ||
+					in.Op == vm.OpAcquireIf || in.Op == vm.OpAcquireU
+				isCond := in.Op == vm.OpAcquireEn || in.Op == vm.OpReleaseEn ||
+					in.Op == vm.OpAcquireIf || in.Op == vm.OpReleaseIf
+				if in.Op == vm.OpAcquireIf || in.Op == vm.OpReleaseIf {
+					flags := t.flags
+					if flags == nil {
+						flags = rt.baseFlags
+					}
+					if flags == nil || int(in.Imm) >= len(flags) {
+						rt.fail("%s: pc %d: conditional sync without flag context", t.fname(in), in.OrigPC)
+					}
+					if !flags[in.Imm] {
+						acc += ir.CostFlagTest
+						executed++
+						pc++
+						continue
 					}
 				}
-			}
-
-		case vm.OpNew:
-			cls := rt.prog.Classes[in.Imm]
-			fields := make([]Value, len(cls.Fields)) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
-			for i, k := range cls.FieldKinds {
-				fields[i] = zeroOf(k)
-			}
-			refs[in.Dst] = &Object{Class: cls, Fields: fields} //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
-		case vm.OpNewArr:
-			n := ints[in.A]
-			if n < 0 {
-				rt.fail("%s: negative array length %d", t.fname(in), n)
-			}
-			acc += simmach.Time(n) * ir.CostPerElem
-			elems := make([]Value, n) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
-			if z := zeroOf(ir.ElemKind(in.Imm)); z.Kind != KindNil {
-				for i := range elems {
-					elems[i] = z
+				if executed > 0 {
+					fr.pc = pc
+					t.executed = executed
+					t.acc = acc
+					t.flush(p)
+					return simmach.Ready, false
 				}
-			}
-			refs[in.Dst] = &Object{Elems: elems} //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
-
-		case vm.OpLoadFieldI:
-			obj := t.vref(in, refs)
-			if race {
-				rt.race.access(t.held, p, obj, int(in.Imm), false, false)
-			}
-			ints[in.Dst] = obj.Fields[in.Imm].I
-		case vm.OpLoadFieldF:
-			obj := t.vref(in, refs)
-			if race {
-				rt.race.access(t.held, p, obj, int(in.Imm), false, false)
-			}
-			floats[in.Dst] = obj.Fields[in.Imm].F
-		case vm.OpLoadFieldR:
-			obj := t.vref(in, refs)
-			if race {
-				rt.race.access(t.held, p, obj, int(in.Imm), false, false)
-			}
-			refs[in.Dst] = obj.Fields[in.Imm].Ref
-		case vm.OpStoreFieldI, vm.OpStoreFieldB, vm.OpStoreFieldF, vm.OpStoreFieldR:
-			obj := t.vref(in, refs)
-			if race {
-				rt.race.access(t.held, p, obj, int(in.Imm), false, true)
-			}
-			switch in.Op {
-			case vm.OpStoreFieldI:
-				obj.Fields[in.Imm] = Value{Kind: KindInt, I: ints[in.B]}
-			case vm.OpStoreFieldB:
-				obj.Fields[in.Imm] = Value{Kind: KindBool, I: ints[in.B]}
-			case vm.OpStoreFieldF:
-				obj.Fields[in.Imm] = Value{Kind: KindFloat, F: floats[in.B]}
-			default:
-				if r := refs[in.B]; r != nil {
-					obj.Fields[in.Imm] = Value{Kind: KindRef, Ref: r}
+				obj := refs[in.A]
+				if obj == nil {
+					rt.fail("%s: pc %d: nil dereference", t.fname(in), in.OrigPC)
+				}
+				var lock *simmach.Lock
+				if in.Op == vm.OpAcquireU || in.Op == vm.OpReleaseU {
+					s := &t.sites[in.B]
+					if s.obj == obj {
+						lock = s.lock
+					} else {
+						lock = obj.Lock(rt.m)
+						s.obj, s.lock = obj, lock
+					}
 				} else {
-					obj.Fields[in.Imm] = Value{}
+					lock = obj.Lock(rt.m)
 				}
+				t.acc = acc
+				t.flush(p)
+				acc = 0
+				if isCond {
+					p.Advance(ir.CostFlagTest)
+				}
+				if dyn {
+					p.Advance(rt.opts.InstrumentationCost)
+				}
+				pc++
+				executed++
+				if !isAcq {
+					if rt.race != nil {
+						t.unhold(lock)
+					}
+					p.Release(lock)
+					continue
+				}
+				if rt.race != nil {
+					t.held = append(t.held, lock) //dfvet:allow noalloc race-detection mode only; detection is documented to allocate tracking state
+				}
+				if !p.Acquire(lock) {
+					if t.prof != nil {
+						t.prof.Blocked[fr.fc.ID][pc-1]++
+					}
+					fr.pc = pc
+					t.executed = executed
+					t.acc = acc
+					return simmach.Blocked, false
+				}
+				continue
 			}
 
-		case vm.OpLoadIndexI, vm.OpLoadIndexF, vm.OpLoadIndexR:
-			obj := t.vref(in, refs)
-			i := ints[in.B]
-			if i < 0 || i >= int64(len(obj.Elems)) {
-				rt.fail("%s: index %d out of range [0,%d)", t.fname(in), i, len(obj.Elems))
-			}
-			if race {
-				rt.race.access(t.held, p, obj, int(i), true, false)
-			}
+			acc += simmach.Time(in.Cost)
+			executed += int(in.Len)
+			pc += int(in.Len)
+
 			switch in.Op {
-			case vm.OpLoadIndexI:
-				ints[in.Dst] = obj.Elems[i].I
-			case vm.OpLoadIndexF:
-				floats[in.Dst] = obj.Elems[i].F
-			default:
-				refs[in.Dst] = obj.Elems[i].Ref
-			}
-		case vm.OpStoreIndexI, vm.OpStoreIndexB, vm.OpStoreIndexF, vm.OpStoreIndexR:
-			obj := t.vref(in, refs)
-			i := ints[in.B]
-			if i < 0 || i >= int64(len(obj.Elems)) {
-				rt.fail("%s: index %d out of range [0,%d)", t.fname(in), i, len(obj.Elems))
-			}
-			if race {
-				rt.race.access(t.held, p, obj, int(i), true, true)
-			}
-			switch in.Op {
-			case vm.OpStoreIndexI:
-				obj.Elems[i] = Value{Kind: KindInt, I: ints[in.C]}
-			case vm.OpStoreIndexB:
-				obj.Elems[i] = Value{Kind: KindBool, I: ints[in.C]}
-			case vm.OpStoreIndexF:
-				obj.Elems[i] = Value{Kind: KindFloat, F: floats[in.C]}
-			default:
-				if r := refs[in.C]; r != nil {
-					obj.Elems[i] = Value{Kind: KindRef, Ref: r}
-				} else {
-					obj.Elems[i] = Value{}
+			case vm.OpNop:
+			case vm.OpConstI:
+				ints[in.Dst] = in.Imm
+			case vm.OpConstF:
+				floats[in.Dst] = in.F()
+			case vm.OpConstNil:
+				refs[in.Dst] = nil
+			case vm.OpMovI:
+				ints[in.Dst] = ints[in.A]
+			case vm.OpMovF:
+				floats[in.Dst] = floats[in.A]
+			case vm.OpMovR:
+				refs[in.Dst] = refs[in.A]
+			case vm.OpLoadParam:
+				ints[in.Dst] = rt.paramVals[in.Imm]
+
+			case vm.OpAddI:
+				ints[in.Dst] = ints[in.A] + ints[in.B]
+			case vm.OpSubI:
+				ints[in.Dst] = ints[in.A] - ints[in.B]
+			case vm.OpMulI:
+				ints[in.Dst] = ints[in.A] * ints[in.B]
+			case vm.OpDivI:
+				if ints[in.B] == 0 {
+					rt.fail("%s: integer division by zero", t.fname(in))
 				}
-			}
-		case vm.OpLen:
-			obj := t.vref(in, refs)
-			ints[in.Dst] = int64(len(obj.Elems))
+				ints[in.Dst] = ints[in.A] / ints[in.B]
+			case vm.OpModI:
+				if ints[in.B] == 0 {
+					rt.fail("%s: integer modulo by zero", t.fname(in))
+				}
+				ints[in.Dst] = ints[in.A] % ints[in.B]
+			case vm.OpNegI:
+				ints[in.Dst] = -ints[in.A]
+			case vm.OpAddF:
+				floats[in.Dst] = floats[in.A] + floats[in.B]
+			case vm.OpSubF:
+				floats[in.Dst] = floats[in.A] - floats[in.B]
+			case vm.OpMulF:
+				floats[in.Dst] = floats[in.A] * floats[in.B]
+			case vm.OpDivF:
+				floats[in.Dst] = floats[in.A] / floats[in.B]
+			case vm.OpNegF:
+				floats[in.Dst] = -floats[in.A]
+			case vm.OpI2F:
+				floats[in.Dst] = float64(ints[in.A])
+			case vm.OpF2I:
+				ints[in.Dst] = int64(floats[in.A])
 
-		case vm.OpPrintI:
-			rt.output = append(rt.output, strconv.FormatInt(ints[in.A], 10)) //dfvet:allow noalloc program output accumulation, once per print statement
-		case vm.OpPrintB:
-			rt.output = append(rt.output, strconv.FormatBool(ints[in.A] != 0)) //dfvet:allow noalloc program output accumulation, once per print statement
-		case vm.OpPrintF:
-			rt.output = append(rt.output, strconv.FormatFloat(floats[in.A], 'g', -1, 64)) //dfvet:allow noalloc program output accumulation, once per print statement
-		case vm.OpPrintR:
-			r := refs[in.A]
-			switch {
-			case r == nil:
-				rt.output = append(rt.output, "nil") //dfvet:allow noalloc program output accumulation, once per print statement
-			case r.Class != nil:
-				rt.output = append(rt.output, fmt.Sprintf("%s@%p", r.Class.Name, r)) //dfvet:allow noalloc program output accumulation, once per print statement
-			default:
-				rt.output = append(rt.output, fmt.Sprintf("array[%d]", len(r.Elems))) //dfvet:allow noalloc program output accumulation, once per print statement
-			}
+			case vm.OpEqI:
+				ints[in.Dst] = b2w(ints[in.A] == ints[in.B])
+			case vm.OpNeI:
+				ints[in.Dst] = b2w(ints[in.A] != ints[in.B])
+			case vm.OpEqF:
+				ints[in.Dst] = b2w(floats[in.A] == floats[in.B])
+			case vm.OpNeF:
+				ints[in.Dst] = b2w(floats[in.A] != floats[in.B])
+			case vm.OpEqR:
+				ints[in.Dst] = b2w(refs[in.A] == refs[in.B])
+			case vm.OpNeR:
+				ints[in.Dst] = b2w(refs[in.A] != refs[in.B])
+			case vm.OpLtI:
+				ints[in.Dst] = b2w(ints[in.A] < ints[in.B])
+			case vm.OpLeI:
+				ints[in.Dst] = b2w(ints[in.A] <= ints[in.B])
+			case vm.OpGtI:
+				ints[in.Dst] = b2w(ints[in.A] > ints[in.B])
+			case vm.OpGeI:
+				ints[in.Dst] = b2w(ints[in.A] >= ints[in.B])
+			case vm.OpLtF:
+				ints[in.Dst] = b2w(floats[in.A] < floats[in.B])
+			case vm.OpLeF:
+				ints[in.Dst] = b2w(floats[in.A] <= floats[in.B])
+			case vm.OpGtF:
+				ints[in.Dst] = b2w(floats[in.A] > floats[in.B])
+			case vm.OpGeF:
+				ints[in.Dst] = b2w(floats[in.A] >= floats[in.B])
+			case vm.OpNot:
+				ints[in.Dst] = b2w(ints[in.A] == 0)
 
-		case vm.OpFlagSkip:
-			// All cost (the residual flag test) is in in.Cost; nothing to do.
+			case vm.OpJump:
+				pc = int(in.Imm)
+			case vm.OpBrFalse:
+				if ints[in.A] == 0 {
+					pc = int(in.Imm)
+				}
 
-		case vm.OpCallEnter:
-			// Open an inlined callee: zero its register ranges, then run
-			// the argument moves. The linkage charge is in in.Cost. The
-			// depth check mirrors the call this splice replaced.
-			if len(t.frames)+int(t.collapsed) > 10000 {
-				rt.fail("%s: call stack overflow", fr.fc.Name)
-			}
-			clear(ints[in.A:in.B])
-			clear(floats[in.C:in.Dst])
-			clear(refs[in.Imm>>32 : in.Imm&0xffffffff])
-			for _, mv := range in.Args {
-				switch mv.Bank {
-				case vm.BankFloat:
-					floats[mv.Dst] = floats[mv.Src]
-				case vm.BankRef:
-					refs[mv.Dst] = refs[mv.Src]
+			case vm.OpCall:
+				if len(t.frames)+int(t.collapsed) > 10000 {
+					rt.fail("%s: call stack overflow", fr.fc.Name)
+				}
+				// Caller windows stay valid across the push (arena growth
+				// copies), but fr does not: the frames slice may reallocate.
+				fr.pc = pc
+				t.push(int(in.Imm), in.Dst, uint8(in.C))
+				nf := &t.frames[len(t.frames)-1]
+				for _, mv := range in.Args {
+					switch mv.Bank {
+					case vm.BankFloat:
+						nf.floats[mv.Dst] = floats[mv.Src]
+					case vm.BankRef:
+						nf.refs[mv.Dst] = refs[mv.Src]
+					default:
+						nf.ints[mv.Dst] = ints[mv.Src]
+					}
+				}
+				continue frames
+
+			case vm.OpTailCall:
+				if len(t.frames)+int(t.collapsed) > 10000 {
+					rt.fail("%s: call stack overflow", fr.fc.Name)
+				}
+				// The argument plan is sequenced at compile time
+				// (vm.sequenceMoves): in-order copies within the frame.
+				for _, mv := range in.Args {
+					switch mv.Bank {
+					case vm.BankFloat:
+						floats[mv.Dst] = floats[mv.Src]
+					case vm.BankRef:
+						refs[mv.Dst] = refs[mv.Src]
+					default:
+						ints[mv.Dst] = ints[mv.Src]
+					}
+				}
+				if fc := fr.fc; fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs {
+					clear(ints[fc.PInts:fc.NInts])
+					clear(floats[fc.PFloats:fc.NFloats])
+					clear(refs[fc.PRefs:fc.NRefs])
+				}
+				fr.collapsed++
+				t.collapsed++
+				pc = 0
+
+			case vm.OpCallExtI, vm.OpCallExtF:
+				fn := rt.prep.extFns[in.Imm]
+				args := t.extArgs[:0]
+				for _, mv := range in.Args {
+					switch mv.Bank {
+					case vm.BankFloat:
+						args = append(args, Value{Kind: KindFloat, F: floats[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
+					case vm.BankRef:
+						args = append(args, Value{Kind: KindRef, Ref: refs[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
+					default:
+						args = append(args, Value{Kind: KindInt, I: ints[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
+					}
+				}
+				t.extArgs = args[:0]
+				v, extra := fn(args)
+				acc += extra
+				if in.Dst >= 0 {
+					if in.Op == vm.OpCallExtF {
+						floats[in.Dst] = v.F
+					} else {
+						ints[in.Dst] = v.I
+					}
+				}
+
+			case vm.OpRetI, vm.OpRetF, vm.OpRetR, vm.OpRetVoid:
+				if fr.collapsed > 0 {
+					// Replay one collapsed tail-call return: the interpreter
+					// unwinds these as separate instructions, so each charge
+					// is its own budget step.
+					fr.collapsed--
+					t.collapsed--
+					pc--
+					continue
+				}
+				// Deliver the value through the caller's frame, then re-enter
+				// the outer loop on it.
+				retSlot, retBank := fr.retSlot, fr.retBank
+				var vI int64
+				var vF float64
+				var vR *Object
+				switch in.Op {
+				case vm.OpRetI:
+					vI, retBank = ints[in.A], vm.BankInt
+				case vm.OpRetF:
+					vF, retBank = floats[in.A], vm.BankFloat
+				case vm.OpRetR:
+					vR, retBank = refs[in.A], vm.BankRef
+				}
+				t.popFrame()
+				if len(t.frames) == t.baseFrames {
+					t.executed = executed
+					t.acc = acc
+					t.flush(p)
+					return 0, true
+				}
+				if retSlot >= 0 {
+					// A void return into a live destination writes the zero of
+					// the destination's bank: the interpreter writes Value{},
+					// which reads back as zero in any kind.
+					caller := &t.frames[len(t.frames)-1]
+					switch retBank {
+					case vm.BankFloat:
+						caller.floats[retSlot] = vF
+					case vm.BankRef:
+						caller.refs[retSlot] = vR
+					default:
+						caller.ints[retSlot] = vI
+					}
+				}
+				continue frames
+
+			case vm.OpNew:
+				cls := rt.prog.Classes[in.Imm]
+				fields := make([]Value, len(cls.Fields)) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
+				for i, k := range cls.FieldKinds {
+					fields[i] = zeroOf(k)
+				}
+				refs[in.Dst] = &Object{Class: cls, Fields: fields} //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
+			case vm.OpNewArr:
+				n := ints[in.A]
+				if n < 0 {
+					rt.fail("%s: negative array length %d", t.fname(in), n)
+				}
+				acc += simmach.Time(n) * ir.CostPerElem
+				elems := make([]Value, n) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
+				if z := zeroOf(ir.ElemKind(in.Imm)); z.Kind != KindNil {
+					for i := range elems {
+						elems[i] = z
+					}
+				}
+				refs[in.Dst] = &Object{Elems: elems} //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
+
+			case vm.OpLoadFieldI:
+				obj := t.vref(in, refs)
+				if race {
+					rt.race.access(t.held, p, obj, int(in.Imm), false, false)
+				}
+				ints[in.Dst] = obj.Fields[in.Imm].I
+			case vm.OpLoadFieldF:
+				obj := t.vref(in, refs)
+				if race {
+					rt.race.access(t.held, p, obj, int(in.Imm), false, false)
+				}
+				floats[in.Dst] = obj.Fields[in.Imm].F
+			case vm.OpLoadFieldR:
+				obj := t.vref(in, refs)
+				if race {
+					rt.race.access(t.held, p, obj, int(in.Imm), false, false)
+				}
+				refs[in.Dst] = obj.Fields[in.Imm].Ref
+			case vm.OpStoreFieldI, vm.OpStoreFieldB, vm.OpStoreFieldF, vm.OpStoreFieldR:
+				obj := t.vref(in, refs)
+				if race {
+					rt.race.access(t.held, p, obj, int(in.Imm), false, true)
+				}
+				switch in.Op {
+				case vm.OpStoreFieldI:
+					obj.Fields[in.Imm] = Value{Kind: KindInt, I: ints[in.B]}
+				case vm.OpStoreFieldB:
+					obj.Fields[in.Imm] = Value{Kind: KindBool, I: ints[in.B]}
+				case vm.OpStoreFieldF:
+					obj.Fields[in.Imm] = Value{Kind: KindFloat, F: floats[in.B]}
 				default:
-					ints[mv.Dst] = ints[mv.Src]
+					if r := refs[in.B]; r != nil {
+						obj.Fields[in.Imm] = Value{Kind: KindRef, Ref: r}
+					} else {
+						obj.Fields[in.Imm] = Value{}
+					}
 				}
-			}
-		case vm.OpIRetI:
-			ints[in.Dst] = ints[in.A]
-			pc = int(in.Imm)
-		case vm.OpIRetF:
-			floats[in.Dst] = floats[in.A]
-			pc = int(in.Imm)
-		case vm.OpIRetR:
-			refs[in.Dst] = refs[in.A]
-			pc = int(in.Imm)
-		case vm.OpIRetVoid:
-			if in.Dst >= 0 {
-				switch in.B {
-				case vm.BankFloat:
-					floats[in.Dst] = 0
-				case vm.BankRef:
-					refs[in.Dst] = nil
+
+			case vm.OpLoadIndexI, vm.OpLoadIndexF, vm.OpLoadIndexR:
+				obj := t.vref(in, refs)
+				i := ints[in.B]
+				if i < 0 || i >= int64(len(obj.Elems)) {
+					rt.fail("%s: index %d out of range [0,%d)", t.fname(in), i, len(obj.Elems))
+				}
+				if race {
+					rt.race.access(t.held, p, obj, int(i), true, false)
+				}
+				switch in.Op {
+				case vm.OpLoadIndexI:
+					ints[in.Dst] = obj.Elems[i].I
+				case vm.OpLoadIndexF:
+					floats[in.Dst] = obj.Elems[i].F
 				default:
-					ints[in.Dst] = 0
+					refs[in.Dst] = obj.Elems[i].Ref
 				}
-			}
-			pc = int(in.Imm)
+			case vm.OpStoreIndexI, vm.OpStoreIndexB, vm.OpStoreIndexF, vm.OpStoreIndexR:
+				obj := t.vref(in, refs)
+				i := ints[in.B]
+				if i < 0 || i >= int64(len(obj.Elems)) {
+					rt.fail("%s: index %d out of range [0,%d)", t.fname(in), i, len(obj.Elems))
+				}
+				if race {
+					rt.race.access(t.held, p, obj, int(i), true, true)
+				}
+				switch in.Op {
+				case vm.OpStoreIndexI:
+					obj.Elems[i] = Value{Kind: KindInt, I: ints[in.C]}
+				case vm.OpStoreIndexB:
+					obj.Elems[i] = Value{Kind: KindBool, I: ints[in.C]}
+				case vm.OpStoreIndexF:
+					obj.Elems[i] = Value{Kind: KindFloat, F: floats[in.C]}
+				default:
+					if r := refs[in.C]; r != nil {
+						obj.Elems[i] = Value{Kind: KindRef, Ref: r}
+					} else {
+						obj.Elems[i] = Value{}
+					}
+				}
+			case vm.OpLen:
+				obj := t.vref(in, refs)
+				ints[in.Dst] = int64(len(obj.Elems))
 
-		case vm.OpEqIBr:
-			c := ints[in.A] == ints[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpNeIBr:
-			c := ints[in.A] != ints[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpEqFBr:
-			c := floats[in.A] == floats[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpNeFBr:
-			c := floats[in.A] != floats[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpEqRBr:
-			c := refs[in.A] == refs[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpNeRBr:
-			c := refs[in.A] != refs[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpLtIBr:
-			c := ints[in.A] < ints[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpLeIBr:
-			c := ints[in.A] <= ints[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpGtIBr:
-			c := ints[in.A] > ints[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpGeIBr:
-			c := ints[in.A] >= ints[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpLtFBr:
-			c := floats[in.A] < floats[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpLeFBr:
-			c := floats[in.A] <= floats[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpGtFBr:
-			c := floats[in.A] > floats[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpGeFBr:
-			c := floats[in.A] >= floats[in.B]
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpNotBr:
-			// not Dst, A; brfalse Dst: branch taken when A is true.
-			c := ints[in.A] == 0
-			ints[in.Dst] = b2w(c)
-			if !c {
-				pc = int(in.Imm)
-			}
-		case vm.OpInc1Jump:
-			ints[in.Dst] = 1
-			ints[in.A]++
-			pc = int(in.Imm)
+			case vm.OpPrintI:
+				rt.output = append(rt.output, strconv.FormatInt(ints[in.A], 10)) //dfvet:allow noalloc program output accumulation, once per print statement
+			case vm.OpPrintB:
+				rt.output = append(rt.output, strconv.FormatBool(ints[in.A] != 0)) //dfvet:allow noalloc program output accumulation, once per print statement
+			case vm.OpPrintF:
+				rt.output = append(rt.output, strconv.FormatFloat(floats[in.A], 'g', -1, 64)) //dfvet:allow noalloc program output accumulation, once per print statement
+			case vm.OpPrintR:
+				r := refs[in.A]
+				switch {
+				case r == nil:
+					rt.output = append(rt.output, "nil") //dfvet:allow noalloc program output accumulation, once per print statement
+				case r.Class != nil:
+					rt.output = append(rt.output, fmt.Sprintf("%s@%p", r.Class.Name, r)) //dfvet:allow noalloc program output accumulation, once per print statement
+				default:
+					rt.output = append(rt.output, fmt.Sprintf("array[%d]", len(r.Elems))) //dfvet:allow noalloc program output accumulation, once per print statement
+				}
 
-		default:
-			rt.fail("%s: bad opcode %v", fr.fc.Name, in.Op)
+			case vm.OpFlagSkip:
+				// All cost (the residual flag test) is in in.Cost; nothing to do.
+
+			case vm.OpCallEnter:
+				// Open an inlined callee: zero its register ranges, then run
+				// the argument moves. The linkage charge is in in.Cost. The
+				// depth check mirrors the call this splice replaced.
+				if len(t.frames)+int(t.collapsed) > 10000 {
+					rt.fail("%s: call stack overflow", fr.fc.Name)
+				}
+				clear(ints[in.A:in.B])
+				clear(floats[in.C:in.Dst])
+				clear(refs[in.Imm>>32 : in.Imm&0xffffffff])
+				for _, mv := range in.Args {
+					switch mv.Bank {
+					case vm.BankFloat:
+						floats[mv.Dst] = floats[mv.Src]
+					case vm.BankRef:
+						refs[mv.Dst] = refs[mv.Src]
+					default:
+						ints[mv.Dst] = ints[mv.Src]
+					}
+				}
+			case vm.OpIRetI:
+				ints[in.Dst] = ints[in.A]
+				pc = int(in.Imm)
+			case vm.OpIRetF:
+				floats[in.Dst] = floats[in.A]
+				pc = int(in.Imm)
+			case vm.OpIRetR:
+				refs[in.Dst] = refs[in.A]
+				pc = int(in.Imm)
+			case vm.OpIRetVoid:
+				if in.Dst >= 0 {
+					switch in.B {
+					case vm.BankFloat:
+						floats[in.Dst] = 0
+					case vm.BankRef:
+						refs[in.Dst] = nil
+					default:
+						ints[in.Dst] = 0
+					}
+				}
+				pc = int(in.Imm)
+
+			case vm.OpEqIBr:
+				c := ints[in.A] == ints[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpNeIBr:
+				c := ints[in.A] != ints[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpEqFBr:
+				c := floats[in.A] == floats[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpNeFBr:
+				c := floats[in.A] != floats[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpEqRBr:
+				c := refs[in.A] == refs[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpNeRBr:
+				c := refs[in.A] != refs[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpLtIBr:
+				c := ints[in.A] < ints[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpLeIBr:
+				c := ints[in.A] <= ints[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpGtIBr:
+				c := ints[in.A] > ints[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpGeIBr:
+				c := ints[in.A] >= ints[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpLtFBr:
+				c := floats[in.A] < floats[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpLeFBr:
+				c := floats[in.A] <= floats[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpGtFBr:
+				c := floats[in.A] > floats[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpGeFBr:
+				c := floats[in.A] >= floats[in.B]
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpNotBr:
+				// not Dst, A; brfalse Dst: branch taken when A is true.
+				c := ints[in.A] == 0
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.Imm)
+				}
+			case vm.OpInc1Jump:
+				ints[in.Dst] = 1
+				ints[in.A]++
+				pc = int(in.Imm)
+
+			case vm.OpAddIK:
+				ints[in.B] = in.Imm
+				ints[in.Dst] = ints[in.A] + in.Imm
+			case vm.OpSubIK:
+				ints[in.B] = in.Imm
+				ints[in.Dst] = ints[in.A] - in.Imm
+			case vm.OpMulIK:
+				ints[in.B] = in.Imm
+				ints[in.Dst] = ints[in.A] * in.Imm
+			case vm.OpDivIK: // Imm != 0: fuse never folds a zero divisor
+				ints[in.B] = in.Imm
+				ints[in.Dst] = ints[in.A] / in.Imm
+			case vm.OpModIK:
+				ints[in.B] = in.Imm
+				ints[in.Dst] = ints[in.A] % in.Imm
+			case vm.OpEqIKBr:
+				ints[in.B] = in.Imm
+				c := ints[in.A] == in.Imm
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.C)
+				}
+			case vm.OpNeIKBr:
+				ints[in.B] = in.Imm
+				c := ints[in.A] != in.Imm
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.C)
+				}
+			case vm.OpLtIKBr:
+				ints[in.B] = in.Imm
+				c := ints[in.A] < in.Imm
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.C)
+				}
+			case vm.OpLeIKBr:
+				ints[in.B] = in.Imm
+				c := ints[in.A] <= in.Imm
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.C)
+				}
+			case vm.OpGtIKBr:
+				ints[in.B] = in.Imm
+				c := ints[in.A] > in.Imm
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.C)
+				}
+			case vm.OpGeIKBr:
+				ints[in.B] = in.Imm
+				c := ints[in.A] >= in.Imm
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.C)
+				}
+
+			default:
+				rt.fail("%s: bad opcode %v", fr.fc.Name, in.Op)
+			}
 		}
+		fr.pc = pc
+		t.executed = executed
+		t.acc = acc
+		t.flush(p)
+		return simmach.Ready, false
 	}
-	fr.pc = pc
-	t.executed = executed
-	t.acc = acc
-	t.flush(p)
-	return simmach.Ready, false
 }
 
 // vref fetches a non-nil object from the instruction's A ref slot. The

@@ -122,11 +122,6 @@ type vmTask struct {
 	// collapsed sums the collapsed counters of every live frame, so the
 	// call-depth check sees the same stack height the interpreter would.
 	collapsed int64
-	// Tail-call argument scratch: parameter sources are read out before
-	// the frame's parameter slots are overwritten.
-	scrI []int64
-	scrF []float64
-	scrR []*Object
 }
 
 func (t *vmTask) flush(p *simmach.Proc) {
@@ -136,9 +131,11 @@ func (t *vmTask) flush(p *simmach.Proc) {
 	}
 }
 
-// push opens a zeroed activation record. Only the original register
-// region of each bank is cleared; ranges appended by inline expansion are
-// zeroed lazily by OpCallEnter before use.
+// push opens an activation record. The original register region of a
+// bank is cleared only when the function can read one of its registers
+// before writing it (vm.FuncCode.ZeroInts etc.); the caller then writes
+// every parameter slot. Ranges appended by inline expansion are zeroed
+// lazily by OpCallEnter before use.
 func (t *vmTask) push(funcID int, retSlot int32, retBank uint8) {
 	fc := t.mod.Funcs[funcID]
 	ib, fb, rb := len(t.intStack), len(t.floatStack), len(t.refStack)
@@ -161,9 +158,15 @@ func (t *vmTask) push(funcID int, retSlot int32, retBank uint8) {
 	ints := t.intStack[ib:ti:ti]
 	floats := t.floatStack[fb:tf:tf]
 	refs := t.refStack[rb:tr:tr]
-	clear(ints[:fc.NInts])
-	clear(floats[:fc.NFloats])
-	clear(refs[:fc.NRefs])
+	if fc.ZeroInts {
+		clear(ints[:fc.NInts])
+	}
+	if fc.ZeroFloats {
+		clear(floats[:fc.NFloats])
+	}
+	if fc.ZeroRefs {
+		clear(refs[:fc.NRefs])
+	}
 	t.frames = append(t.frames, vmFrame{
 		fc: fc, ibase: ib, fbase: fb, rbase: rb,
 		ints: ints, floats: floats, refs: refs,

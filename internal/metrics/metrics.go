@@ -2,9 +2,10 @@
 // Prometheus text-format (exposition format 0.0.4) scrape handler.
 //
 // It supports exactly what the serving tier needs: counters (optionally
-// labeled), gauges computed at scrape time, and cumulative histograms —
-// enough for requests, run latencies, section switches, store sync lag,
-// and warm-start hits, without pulling a client library into the build.
+// labeled), counters and gauges computed at scrape time, and cumulative
+// histograms — enough for requests, run latencies, section switches,
+// store sync lag, and warm-start hits, without pulling a client library
+// into the build.
 // Metric families render sorted by name, and series within a family
 // sorted by label value, so scrapes are deterministic and diffable.
 package metrics
@@ -133,7 +134,17 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(family{name: name, help: help, typ: "gauge", collect: func() []series {
+	r.funcFamily(name, help, "gauge", fn)
+}
+
+// CounterFunc registers a counter whose value is read at scrape time from
+// a count the caller already maintains; fn must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.funcFamily(name, help, "counter", fn)
+}
+
+func (r *Registry) funcFamily(name, help, typ string, fn func() float64) {
+	r.register(family{name: name, help: help, typ: typ, collect: func() []series {
 		return []series{{value: fn()}}
 	}})
 }

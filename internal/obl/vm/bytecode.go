@@ -71,6 +71,12 @@ type FuncCode struct {
 	// zeroes lazily instead.
 	NInts, NFloats, NRefs             int32
 	FrameInts, FrameFloats, FrameRefs int32
+	// ZeroInts/ZeroFloats/ZeroRefs say whether a fresh activation must
+	// zero the bank's original region: true when some register of the bank
+	// can be read before it is written (see needsZeroing). Most compiled
+	// functions initialize every local, and their frames are opened over
+	// whatever the arena last held.
+	ZeroInts, ZeroFloats, ZeroRefs bool
 	// PInts/PFloats/PRefs bound the parameter region of each bank:
 	// parameters are the first registers, so their slots are each bank's
 	// prefix. A tail call re-zeroes only the suffixes.

@@ -29,11 +29,21 @@ func Compile(p *ir.Program) (*Module, error) {
 			return nil, err
 		}
 	}
+	if p.Funcs[p.MainID].NParams != 0 {
+		m.Funcs[p.MainID].zeroAll() // main is entered with no arguments
+	}
+	var scratch []uint64
 	for _, fc := range m.Funcs {
 		markTailCalls(fc)
+		scratch = fc.markZeroing(scratch)
 	}
 	return m, nil
 }
+
+// zeroAll keeps full frame zeroing for a function some activation site
+// enters without writing every parameter slot: its parameters then read
+// as zero, exactly as the interpreter's fresh frame makes them.
+func (fc *FuncCode) zeroAll() { fc.ZeroInts, fc.ZeroFloats, fc.ZeroRefs = true, true, true }
 
 // layout assigns each register a (bank, slot) in register order, so
 // parameters — the first NParams registers — occupy each bank's prefix.
@@ -113,6 +123,15 @@ func flagStatics(p *ir.Program) []int8 {
 	return st
 }
 
+// binaryOps maps the IR's kind-specific binary opcodes to their bytecode
+// counterparts.
+var binaryOps = map[ir.Op]Op{
+	ir.OpAddI: OpAddI, ir.OpSubI: OpSubI, ir.OpMulI: OpMulI, ir.OpDivI: OpDivI, ir.OpModI: OpModI,
+	ir.OpAddF: OpAddF, ir.OpSubF: OpSubF, ir.OpMulF: OpMulF, ir.OpDivF: OpDivF,
+	ir.OpLtI: OpLtI, ir.OpLeI: OpLeI, ir.OpGtI: OpGtI, ir.OpGeI: OpGeI,
+	ir.OpLtF: OpLtF, ir.OpLeF: OpLeF, ir.OpGtF: OpGtF, ir.OpGeF: OpGeF,
+}
+
 // translate compiles one function body 1:1 (bytecode pcs equal IR pcs).
 func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 	p := m.Prog
@@ -184,10 +203,7 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 			}
 
 		case ir.OpAddI, ir.OpSubI, ir.OpMulI, ir.OpDivI, ir.OpModI:
-			o.Op = map[ir.Op]Op{
-				ir.OpAddI: OpAddI, ir.OpSubI: OpSubI, ir.OpMulI: OpMulI,
-				ir.OpDivI: OpDivI, ir.OpModI: OpModI,
-			}[in.Op]
+			o.Op = binaryOps[in.Op]
 			o.Dst, o.A, o.B = slot(in.Dst), slot(in.A), slot(in.B)
 			for _, r := range []ir.Reg{in.Dst, in.A, in.B} {
 				if err := wantWord(pc, r); err != nil {
@@ -203,9 +219,7 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 				return err
 			}
 		case ir.OpAddF, ir.OpSubF, ir.OpMulF, ir.OpDivF:
-			o.Op = map[ir.Op]Op{
-				ir.OpAddF: OpAddF, ir.OpSubF: OpSubF, ir.OpMulF: OpMulF, ir.OpDivF: OpDivF,
-			}[in.Op]
+			o.Op = binaryOps[in.Op]
 			o.Dst, o.A, o.B = slot(in.Dst), slot(in.A), slot(in.B)
 			for _, r := range []ir.Reg{in.Dst, in.A, in.B} {
 				if err := want(pc, r, ir.ElemFloat); err != nil {
@@ -266,9 +280,7 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 				o.Op++ // Ne variants directly follow their Eq counterparts
 			}
 		case ir.OpLtI, ir.OpLeI, ir.OpGtI, ir.OpGeI:
-			o.Op = map[ir.Op]Op{
-				ir.OpLtI: OpLtI, ir.OpLeI: OpLeI, ir.OpGtI: OpGtI, ir.OpGeI: OpGeI,
-			}[in.Op]
+			o.Op = binaryOps[in.Op]
 			o.Dst, o.A, o.B = slot(in.Dst), slot(in.A), slot(in.B)
 			if err := want(pc, in.Dst, ir.ElemBool); err != nil {
 				return err
@@ -280,9 +292,7 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 				return err
 			}
 		case ir.OpLtF, ir.OpLeF, ir.OpGtF, ir.OpGeF:
-			o.Op = map[ir.Op]Op{
-				ir.OpLtF: OpLtF, ir.OpLeF: OpLeF, ir.OpGtF: OpGtF, ir.OpGeF: OpGeF,
-			}[in.Op]
+			o.Op = binaryOps[in.Op]
 			o.Dst, o.A, o.B = slot(in.Dst), slot(in.A), slot(in.B)
 			if err := want(pc, in.Dst, ir.ElemBool); err != nil {
 				return err
@@ -320,6 +330,9 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 						callee.Name, i, kind(r), cf.RegKinds[i])
 				}
 				moves[i] = ArgMove{Bank: callee.RegBank[i], Src: slot(r), Dst: callee.RegSlot[i]}
+			}
+			if len(moves) != cf.NParams {
+				callee.zeroAll()
 			}
 			o.Op, o.Imm, o.Args = OpCall, in.Imm, moves
 			o.Dst = -1
@@ -511,6 +524,13 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 			for i, r := range in.Args {
 				moves[i] = ArgMove{Bank: fc.RegBank[r], Src: slot(r), Dst: int32(i)}
 			}
+			// A worker's frame receives the captured arguments plus the
+			// iteration index (sectionStep's fill).
+			for _, v := range p.Sections[in.Imm].Versions {
+				if p.Funcs[v.FuncID].NParams != len(moves)+1 {
+					m.Funcs[v.FuncID].zeroAll()
+				}
+			}
 			o.Op, o.Imm, o.Args = OpParallel, in.Imm, moves
 			o.A, o.B = slot(in.A), slot(in.B)
 			o.Cost = 0
@@ -578,6 +598,148 @@ func markTailCalls(fc *FuncCode) {
 		default:
 			continue
 		}
-		in.Op = OpTailCall
+		if seq, ok := sequenceMoves(fc, in.Args); ok {
+			in.Op, in.Args = OpTailCall, seq
+		}
 	}
+}
+
+// sequenceMoves turns a tail call's parallel argument move into a list the
+// engine can run as plain in-order copies within the frame: identity moves
+// are dropped, a move is emitted once no pending move still reads its
+// destination, and a cycle is broken by parking one value in a local the
+// move set does not read (every local is dead across the restart). It
+// fails — the site stays an ordinary call — only when a cycle's bank has
+// no such local.
+func sequenceMoves(fc *FuncCode, par []ArgMove) ([]ArgMove, bool) {
+	var pending, out []ArgMove
+	for _, mv := range par {
+		if mv.Src != mv.Dst {
+			pending = append(pending, mv)
+		}
+	}
+	reads := func(moves []ArgMove, bank uint8, slot int32) bool {
+		for _, mv := range moves {
+			if mv.Bank == bank && mv.Src == slot {
+				return true
+			}
+		}
+		return false
+	}
+	for len(pending) > 0 {
+		rest := pending[:0:0]
+		for i, mv := range pending {
+			if reads(pending[:i], mv.Bank, mv.Dst) || reads(pending[i+1:], mv.Bank, mv.Dst) {
+				rest = append(rest, mv)
+			} else {
+				out = append(out, mv)
+			}
+		}
+		if len(rest) < len(pending) {
+			pending = rest
+			continue
+		}
+		// Only cycles remain.
+		mv := pending[0]
+		lo, hi := fc.PInts, fc.NInts
+		switch mv.Bank {
+		case BankFloat:
+			lo, hi = fc.PFloats, fc.NFloats
+		case BankRef:
+			lo, hi = fc.PRefs, fc.NRefs
+		}
+		tmp := lo
+		for tmp < hi && reads(par, mv.Bank, tmp) {
+			tmp++
+		}
+		if tmp == hi {
+			return nil, false
+		}
+		out = append(out, ArgMove{Bank: mv.Bank, Src: mv.Dst, Dst: tmp})
+		for i := range pending {
+			if pending[i].Bank == mv.Bank && pending[i].Src == mv.Dst {
+				pending[i].Src = tmp
+			}
+		}
+	}
+	return out, true
+}
+
+// markZeroing decides, per bank, whether an activation of fc must start
+// from zeroed registers: a bank needs it when one of its registers can be
+// read before it is written. That is a forward definitely-written
+// analysis over the (plain, 1:1) code: one sweep carries the set of
+// registers written on every path so far, meeting it into jump targets;
+// a backward jump that narrows an already-visited target — irreducible
+// hand-built code; a loop's back edge never does, sets only grow along a
+// path — asks for another sweep. Parameters start written: every
+// activation site passes them all (zeroAll covers the functions where it
+// does not). A self tail call restarts at pc 0 over the old registers
+// with fresh parameters, which is the same entry condition.
+// scratch is reused between functions and returned, possibly grown.
+func (fc *FuncCode) markZeroing(scratch []uint64) []uint64 {
+	n := len(fc.Code)
+	off := [4]int32{0, 0, fc.NInts, fc.NInts + fc.NFloats} // bank+1 -> first bit
+	w := (int(fc.NInts+fc.NFloats+fc.NRefs) + 63) / 64
+	if need := (n + 2) * w; cap(scratch) < need {
+		scratch = make([]uint64, need)
+	}
+	at := scratch[:(n+1)*w] // per pc: written on every jump into it; all ones until one arrives
+	cur := scratch[(n+1)*w : (n+2)*w]
+	for i := range at {
+		at[i] = ^uint64(0)
+	}
+	var zero [4]bool
+	read := func(x uint8, slot int32) {
+		if b := off[x] + slot; x != 0 && cur[b>>6]>>(b&63)&1 == 0 {
+			zero[x] = true
+		}
+	}
+	for again := true; again; {
+		again = false
+		clear(cur)
+		for x, p := range [4]int32{0, fc.PInts, fc.PFloats, fc.PRefs} {
+			for b := off[x]; b < off[x]+p; b++ {
+				cur[b>>6] |= 1 << (b & 63)
+			}
+		}
+		for pc := range fc.Code {
+			for i, x := range at[pc*w : pc*w+w] {
+				cur[i] &= x
+			}
+			in := &fc.Code[pc]
+			r := opRegs[in.Op]
+			read(r.a, in.A)
+			read(r.b, in.B)
+			read(r.c, in.C)
+			for _, mv := range in.Args {
+				read(mv.Bank+1, mv.Src)
+			}
+			if in.Op == OpCall {
+				r.dst = uint8(in.C) + 1
+			}
+			if r.dst != 0 && in.Dst >= 0 {
+				b := off[r.dst] + in.Dst
+				cur[b>>6] |= 1 << (b & 63)
+			}
+			if t := int(in.Imm); (in.Op == OpJump || in.Op == OpBrFalse) && t >= 0 && t <= n {
+				for i, x := range at[t*w : t*w+w] {
+					if m := x & cur[i]; m != x {
+						at[t*w+i] = m
+						again = again || t <= pc
+					}
+				}
+			}
+			switch in.Op {
+			case OpJump, OpRetI, OpRetF, OpRetR, OpRetVoid, OpTailCall:
+				for i := range cur { // nothing falls through: top
+					cur[i] = ^uint64(0)
+				}
+			}
+		}
+	}
+	fc.ZeroInts = fc.ZeroInts || zero[xI]
+	fc.ZeroFloats = fc.ZeroFloats || zero[xF]
+	fc.ZeroRefs = fc.ZeroRefs || zero[xR]
+	return scratch
 }

@@ -14,13 +14,19 @@
 //     and element accesses, typed prints), so no Value tags are consulted.
 //   - Every instruction carries its folded virtual cost (extern calls
 //     include the extern's declared cost), call sites carry resolved
-//     argument-move plans, and self tail calls reuse the frame.
+//     argument-move plans, and self tail calls reuse the frame through a
+//     move plan sequenced here into plain in-order copies.
+//   - Each function records which register banks a fresh frame must zero
+//     (FuncCode.ZeroInts etc.): only those in which a register can be
+//     read before it is written, which lowered code never does.
 //
 // Profile-guided specialization (specialize.go) then rewrites hot code
 // using counters collected by the VM's first pass over a program:
-// superinstructions for the hottest compare+branch and loop-increment
-// sequences, inline expansion of hot small callees, and monomorphic
-// lock-site caches for uncontended acquire/release sites.
+// superinstructions for the hottest compare+branch, constant-operand
+// (const.i K folded into the integer op or compare+branch that consumes
+// it) and loop-increment sequences, inline expansion of hot small
+// callees, and monomorphic lock-site caches for uncontended
+// acquire/release sites.
 //
 // The contract with the execution engine (interp's vm task) is strict
 // bit-for-bit equivalence with the interpreter: identical virtual times,
@@ -129,17 +135,20 @@ const (
 	OpFlagSkip
 
 	// OpTailCall is a self-recursive call in tail position: the frame is
-	// reused (arguments shuffled through scratch, locals re-zeroed) and a
-	// collapse counter is incremented so the eventual OpRet replays the
-	// intermediate returns' charges one instruction at a time — dispatch
-	// boundaries land exactly where the interpreter's unwind puts them.
+	// reused (Args is a sequenced move plan, run as in-order copies within
+	// the frame; locals are re-zeroed only if the function needs zeroed
+	// registers) and a collapse counter is incremented so the eventual
+	// OpRet replays the intermediate returns' charges one instruction at
+	// a time — dispatch boundaries land exactly where the interpreter's
+	// unwind puts them.
 	OpTailCall
 
 	// Inline expansion. OpCallEnter opens an inlined callee: it charges
 	// the call linkage cost and zeroes the callee's register ranges
-	// (A..B ints, C..Dst floats, Imm packs the ref range) before the
-	// argument moves. OpIRet* are the callee's returns: they write the
-	// caller's result slot (Dst; bank implied) and jump to the splice end.
+	// (A..B ints, C..Dst floats, Imm packs the ref range; empty for a bank
+	// the callee needs no zeroing of) before the argument moves. OpIRet*
+	// are the callee's returns: they write the caller's result slot (Dst;
+	// bank implied) and jump to the splice end.
 	OpCallEnter
 	OpIRetI // caller slot Dst = ints[A]; pc = Imm
 	OpIRetF
@@ -165,6 +174,25 @@ const (
 	OpGeFBr
 	OpNotBr
 	OpInc1Jump // ints[Dst] = 1; ints[A] += 1; pc = Imm
+
+	// Immediate-operand groups: a const.i K feeding the integer op that
+	// consumes it as its B operand. The dead constant write is kept
+	// (ints[B] = Imm) so the register file matches the unfused stream.
+	// Arithmetic groups are Len 2; OpDivIK/OpModIK are only emitted for
+	// K != 0, so the plain instruction reports a zero divisor.
+	OpAddIK // ints[B] = Imm; ints[Dst] = ints[A] + Imm
+	OpSubIK
+	OpMulIK
+	OpDivIK
+	OpModIK
+	// Compare-immediate-and-branch groups are Len 3 (const, compare,
+	// brfalse): ints[B] = Imm; ints[Dst] = ints[A] <op> Imm; if false pc = C.
+	OpEqIKBr
+	OpNeIKBr
+	OpLtIKBr
+	OpLeIKBr
+	OpGtIKBr
+	OpGeIKBr
 
 	// Synchronization and section entry. These are kept in one contiguous
 	// range so the dispatch loop recognizes the yield-first instructions
@@ -218,11 +246,59 @@ var opNames = [...]string{
 	OpLtIBr: "lt.i+br", OpLeIBr: "le.i+br", OpGtIBr: "gt.i+br", OpGeIBr: "ge.i+br",
 	OpLtFBr: "lt.f+br", OpLeFBr: "le.f+br", OpGtFBr: "gt.f+br", OpGeFBr: "ge.f+br",
 	OpNotBr: "not+br", OpInc1Jump: "inc1+jump",
+	OpAddIK: "add.ik", OpSubIK: "sub.ik", OpMulIK: "mul.ik", OpDivIK: "div.ik", OpModIK: "mod.ik",
+	OpEqIKBr: "eq.ik+br", OpNeIKBr: "ne.ik+br",
+	OpLtIKBr: "lt.ik+br", OpLeIKBr: "le.ik+br", OpGtIKBr: "gt.ik+br", OpGeIKBr: "ge.ik+br",
 	OpAcquire: "acquire", OpRelease: "release",
 	OpAcquireEn: "acquire.en", OpReleaseEn: "release.en",
 	OpAcquireIf: "acquire.if", OpReleaseIf: "release.if",
 	OpAcquireU: "acquire.u", OpReleaseU: "release.u",
 	OpParallel: "parallel",
+}
+
+// Operand banks of an opcode's register fields: bank+1, with 0 for a field
+// that is not a register slot (immediates, jump targets, site indices).
+const (
+	xI = BankInt + 1
+	xF = BankFloat + 1
+	xR = BankRef + 1
+)
+
+// opRegs says which fields of a plain instruction are register slots and
+// in which bank: Dst is written, A/B/C are read. It is what inline
+// expansion rebases and what the liveness pass walks. Call-like opcodes
+// carry further operands in Args (and OpCall's Dst bank is in C); fused
+// and inline-expansion opcodes never occur in the plain baseline stream
+// the table is applied to.
+var opRegs = [opCount]struct{ dst, a, b, c uint8 }{
+	OpConstI: {dst: xI}, OpLoadParam: {dst: xI}, OpConstF: {dst: xF}, OpConstNil: {dst: xR},
+	OpMovI: {xI, xI, 0, 0}, OpNegI: {xI, xI, 0, 0}, OpNot: {xI, xI, 0, 0},
+	OpMovF: {xF, xF, 0, 0}, OpNegF: {xF, xF, 0, 0}, OpMovR: {xR, xR, 0, 0},
+	OpAddI: {xI, xI, xI, 0}, OpSubI: {xI, xI, xI, 0}, OpMulI: {xI, xI, xI, 0},
+	OpDivI: {xI, xI, xI, 0}, OpModI: {xI, xI, xI, 0},
+	OpEqI: {xI, xI, xI, 0}, OpNeI: {xI, xI, xI, 0},
+	OpLtI: {xI, xI, xI, 0}, OpLeI: {xI, xI, xI, 0}, OpGtI: {xI, xI, xI, 0}, OpGeI: {xI, xI, xI, 0},
+	OpAddF: {xF, xF, xF, 0}, OpSubF: {xF, xF, xF, 0}, OpMulF: {xF, xF, xF, 0}, OpDivF: {xF, xF, xF, 0},
+	OpEqF: {xI, xF, xF, 0}, OpNeF: {xI, xF, xF, 0},
+	OpLtF: {xI, xF, xF, 0}, OpLeF: {xI, xF, xF, 0}, OpGtF: {xI, xF, xF, 0}, OpGeF: {xI, xF, xF, 0},
+	OpEqR: {xI, xR, xR, 0}, OpNeR: {xI, xR, xR, 0},
+	OpI2F: {xF, xI, 0, 0}, OpF2I: {xI, xF, 0, 0},
+	OpBrFalse:  {a: xI},
+	OpCallExtI: {dst: xI}, OpCallExtF: {dst: xF},
+	OpRetI: {a: xI}, OpRetF: {a: xF}, OpRetR: {a: xR},
+	OpNew: {dst: xR}, OpNewArr: {xR, xI, 0, 0},
+	OpLoadFieldI: {xI, xR, 0, 0}, OpLoadFieldF: {xF, xR, 0, 0}, OpLoadFieldR: {xR, xR, 0, 0},
+	OpStoreFieldI: {0, xR, xI, 0}, OpStoreFieldB: {0, xR, xI, 0},
+	OpStoreFieldF: {0, xR, xF, 0}, OpStoreFieldR: {0, xR, xR, 0},
+	OpLoadIndexI: {xI, xR, xI, 0}, OpLoadIndexF: {xF, xR, xI, 0}, OpLoadIndexR: {xR, xR, xI, 0},
+	OpStoreIndexI: {0, xR, xI, xI}, OpStoreIndexB: {0, xR, xI, xI},
+	OpStoreIndexF: {0, xR, xI, xF}, OpStoreIndexR: {0, xR, xI, xR},
+	OpLen:    {xI, xR, 0, 0},
+	OpPrintI: {a: xI}, OpPrintB: {a: xI}, OpPrintF: {a: xF}, OpPrintR: {a: xR},
+	// Sync sites: B is the lock-site index, shared with the out-of-line body.
+	OpAcquire: {a: xR}, OpRelease: {a: xR}, OpAcquireEn: {a: xR}, OpReleaseEn: {a: xR},
+	OpAcquireIf: {a: xR}, OpReleaseIf: {a: xR}, OpAcquireU: {a: xR}, OpReleaseU: {a: xR},
+	OpParallel: {a: xI, b: xI},
 }
 
 func (o Op) String() string {

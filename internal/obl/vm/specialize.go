@@ -15,11 +15,12 @@ package vm
 //     OpReleaseU, which memoize the site's object→lock resolution in a
 //     per-task monomorphic cache. The cache is guarded, so a site that
 //     turns polymorphic or contended later is still exact.
-//   - Superinstruction fusion: the hottest compare+branch pairs and the
-//     three-instruction serial-loop latch (const 1; add; jump) collapse
-//     into single dispatches. The per-slot Plain stream keeps the
-//     unfused instructions so jumps into a group and step-budget
-//     boundaries behave exactly as unspecialized code.
+//   - Superinstruction fusion: the hottest compare+branch pairs, integer
+//     constants folded into the arithmetic or compare+branch that
+//     consumes them, and the three-instruction serial-loop latch (const
+//     1; add; jump) collapse into single dispatches. The per-slot Plain
+//     stream keeps the unfused instructions so jumps into a group and
+//     step-budget boundaries behave exactly as unspecialized code.
 //
 // None of this changes observable behaviour; it only reduces dispatches
 // and memory traffic per simulated instruction.
@@ -55,6 +56,7 @@ func specializeFunc(base *Module, id int, prof *Profile) *FuncCode {
 	nf := &FuncCode{
 		Name: fc.Name, ID: fc.ID, NParams: fc.NParams,
 		NInts: fc.NInts, NFloats: fc.NFloats, NRefs: fc.NRefs,
+		ZeroInts: fc.ZeroInts, ZeroFloats: fc.ZeroFloats, ZeroRefs: fc.ZeroRefs,
 		FrameInts: fc.FrameInts, FrameFloats: fc.FrameFloats, FrameRefs: fc.FrameRefs,
 		PInts: fc.PInts, PFloats: fc.PFloats, PRefs: fc.PRefs,
 		RegBank: fc.RegBank, RegSlot: fc.RegSlot,
@@ -164,23 +166,27 @@ func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]In
 		nf.FrameInts += callee.NInts
 		nf.FrameFloats += callee.NFloats
 		nf.FrameRefs += callee.NRefs
+		base := [4]int32{0, ib, fb, rb} // indexed by bank+1, as opRegs is
 		moves := make([]ArgMove, len(in.Args))
 		for i, mv := range in.Args {
-			d := mv.Dst
-			switch mv.Bank {
-			case BankFloat:
-				d += fb
-			case BankRef:
-				d += rb
-			default:
-				d += ib
-			}
-			moves[i] = ArgMove{Bank: mv.Bank, Src: mv.Src, Dst: d}
+			moves[i] = ArgMove{Bank: mv.Bank, Src: mv.Src, Dst: mv.Dst + base[mv.Bank+1]}
+		}
+		// The zeroing ranges are empty for banks the callee never reads
+		// before writing (see FuncCode.ZeroInts).
+		var zi, zf, zr int32
+		if callee.ZeroInts {
+			zi = callee.NInts
+		}
+		if callee.ZeroFloats {
+			zf = callee.NFloats
+		}
+		if callee.ZeroRefs {
+			zr = callee.NRefs
 		}
 		out = append(out, Instr{
 			Op: OpCallEnter, Len: 1, Cost: in.Cost, OrigPC: in.OrigPC, SrcFn: in.SrcFn,
-			A: ib, B: ib + callee.NInts, C: fb, Dst: fb + callee.NFloats,
-			Imm:  int64(rb)<<32 | int64(rb+callee.NRefs),
+			A: ib, B: ib + zi, C: fb, Dst: fb + zf,
+			Imm:  int64(rb)<<32 | int64(rb+zr),
 			Args: moves,
 		})
 		nc = append(nc, counts[pc])
@@ -193,18 +199,9 @@ func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]In
 			cin := callee.Code[t]
 			switch cin.Op {
 			case OpRetI, OpRetF, OpRetR:
-				o := Instr{Len: 1, Cost: cin.Cost, OrigPC: cin.OrigPC, SrcFn: cin.SrcFn, Imm: end}
-				switch cin.Op {
-				case OpRetF:
-					o.A = cin.A + fb
-					o.Op = OpIRetF
-				case OpRetR:
-					o.A = cin.A + rb
-					o.Op = OpIRetR
-				default:
-					o.A = cin.A + ib
-					o.Op = OpIRetI
-				}
+				// OpIRetI/F/R are declared in the order of OpRetI/F/R.
+				o := Instr{Op: OpIRetI + cin.Op - OpRetI, Len: 1, Cost: cin.Cost, OrigPC: cin.OrigPC,
+					SrcFn: cin.SrcFn, A: cin.A + base[opRegs[cin.Op].a], Imm: end}
 				if in.Dst < 0 {
 					// Result discarded at the call site.
 					o.Op, o.Dst = OpIRetVoid, -1
@@ -218,23 +215,14 @@ func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]In
 					Dst: in.Dst, B: in.C, Imm: end,
 				})
 			default:
-				remapSlots(&cin, ib, fb, rb)
+				remapSlots(&cin, &base)
 				if cin.Op == OpJump || cin.Op == OpBrFalse {
 					cin.Imm += int64(bodyStart)
 				}
 				if len(cin.Args) > 0 {
 					amoves := make([]ArgMove, len(cin.Args))
 					for i, mv := range cin.Args {
-						s := mv.Src
-						switch mv.Bank {
-						case BankFloat:
-							s += fb
-						case BankRef:
-							s += rb
-						default:
-							s += ib
-						}
-						amoves[i] = ArgMove{Bank: mv.Bank, Src: s, Dst: mv.Dst}
+						amoves[i] = ArgMove{Bank: mv.Bank, Src: mv.Src + base[mv.Bank+1], Dst: mv.Dst}
 					}
 					cin.Args = amoves
 				}
@@ -251,164 +239,80 @@ func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]In
 	return out, nc, nb
 }
 
-// remapSlots adds a splice's bank bases to every register-slot field of
-// an inlined instruction. Which fields are slots — and in which bank —
-// is a property of the opcode; immediates, jump targets, lock-site and
-// flag-site indices are left alone.
-func remapSlots(o *Instr, ib, fb, rb int32) {
-	switch o.Op {
-	case OpNop, OpFlagSkip, OpJump:
-	case OpConstI, OpLoadParam:
-		o.Dst += ib
-	case OpConstF:
-		o.Dst += fb
-	case OpConstNil:
-		o.Dst += rb
-	case OpMovI, OpNegI, OpNot:
-		o.Dst += ib
-		o.A += ib
-	case OpMovF, OpNegF:
-		o.Dst += fb
-		o.A += fb
-	case OpMovR:
-		o.Dst += rb
-		o.A += rb
-	case OpAddI, OpSubI, OpMulI, OpDivI, OpModI,
-		OpEqI, OpNeI, OpLtI, OpLeI, OpGtI, OpGeI:
-		o.Dst += ib
-		o.A += ib
-		o.B += ib
-	case OpAddF, OpSubF, OpMulF, OpDivF:
-		o.Dst += fb
-		o.A += fb
-		o.B += fb
-	case OpEqF, OpNeF, OpLtF, OpLeF, OpGtF, OpGeF:
-		o.Dst += ib
-		o.A += fb
-		o.B += fb
-	case OpEqR, OpNeR:
-		o.Dst += ib
-		o.A += rb
-		o.B += rb
-	case OpI2F:
-		o.Dst += fb
-		o.A += ib
-	case OpF2I:
-		o.Dst += ib
-		o.A += fb
-	case OpBrFalse:
-		o.A += ib
-	case OpCallExtI:
-		if o.Dst >= 0 {
-			o.Dst += ib
-		}
-	case OpCallExtF:
-		if o.Dst >= 0 {
-			o.Dst += fb
-		}
-	case OpNew:
-		o.Dst += rb
-	case OpNewArr:
-		o.Dst += rb
-		o.A += ib
-	case OpLoadFieldI:
-		o.Dst += ib
-		o.A += rb
-	case OpLoadFieldF:
-		o.Dst += fb
-		o.A += rb
-	case OpLoadFieldR:
-		o.Dst += rb
-		o.A += rb
-	case OpStoreFieldI, OpStoreFieldB:
-		o.A += rb
-		o.B += ib
-	case OpStoreFieldF:
-		o.A += rb
-		o.B += fb
-	case OpStoreFieldR:
-		o.A += rb
-		o.B += rb
-	case OpLoadIndexI:
-		o.Dst += ib
-		o.A += rb
-		o.B += ib
-	case OpLoadIndexF:
-		o.Dst += fb
-		o.A += rb
-		o.B += ib
-	case OpLoadIndexR:
-		o.Dst += rb
-		o.A += rb
-		o.B += ib
-	case OpStoreIndexI, OpStoreIndexB:
-		o.A += rb
-		o.B += ib
-		o.C += ib
-	case OpStoreIndexF:
-		o.A += rb
-		o.B += ib
-		o.C += fb
-	case OpStoreIndexR:
-		o.A += rb
-		o.B += ib
-		o.C += rb
-	case OpLen:
-		o.Dst += ib
-		o.A += rb
-	case OpPrintI, OpPrintB:
-		o.A += ib
-	case OpPrintF:
-		o.A += fb
-	case OpPrintR:
-		o.A += rb
-	case OpAcquire, OpRelease, OpAcquireEn, OpReleaseEn,
-		OpAcquireIf, OpReleaseIf, OpAcquireU, OpReleaseU:
-		o.A += rb // B stays: it is the lock-site index, shared with the out-of-line body
+// remapSlots adds a splice's bank bases (indexed by bank+1; base[0] is 0)
+// to every register-slot field of an inlined instruction, as opRegs
+// describes them.
+func remapSlots(o *Instr, base *[4]int32) {
+	r := opRegs[o.Op]
+	if o.Dst >= 0 { // extern results may be discarded (-1)
+		o.Dst += base[r.dst]
 	}
+	o.A += base[r.a]
+	o.B += base[r.b]
+	o.C += base[r.c]
 }
 
 // fuse rewrites hot superinstruction patterns in code, leaving plain as
 // the per-slot unfused stream. Group tails keep their plain copies in
 // code too, so jumps that land inside a group execute unfused.
 func fuse(code, plain []Instr, counts []int64) {
-	cmpBr := map[Op]Op{
+	for pc := 0; pc+1 < len(code); pc++ {
+		if counts[pc] < hotThreshold {
+			continue
+		}
+		if g, ok := fuseAt(plain[pc:]); ok {
+			code[pc] = g
+			pc += int(g.Len) - 1
+		}
+	}
+}
+
+var (
+	cmpBr = map[Op]Op{
 		OpEqI: OpEqIBr, OpNeI: OpNeIBr, OpEqF: OpEqFBr, OpNeF: OpNeFBr,
 		OpEqR: OpEqRBr, OpNeR: OpNeRBr,
 		OpLtI: OpLtIBr, OpLeI: OpLeIBr, OpGtI: OpGtIBr, OpGeI: OpGeIBr,
 		OpLtF: OpLtFBr, OpLeF: OpLeFBr, OpGtF: OpGtFBr, OpGeF: OpGeFBr,
 		OpNot: OpNotBr,
 	}
-	for pc := 0; pc+1 < len(code); pc++ {
-		in := &plain[pc]
-		if counts[pc] < hotThreshold {
-			continue
-		}
-		// Serial-loop latch: const.i c,1 ; add.i a,a,c ; jump t.
-		if pc+2 < len(code) && in.Op == OpConstI && in.Imm == 1 {
-			add, jmp := &plain[pc+1], &plain[pc+2]
-			if add.Op == OpAddI && jmp.Op == OpJump &&
-				add.Dst == add.A && add.B == in.Dst && add.Dst != in.Dst {
-				code[pc] = Instr{
-					Op: OpInc1Jump, Len: 3, Dst: in.Dst, A: add.Dst, Imm: jmp.Imm,
-					Cost: in.Cost + add.Cost + jmp.Cost, OrigPC: in.OrigPC, SrcFn: in.SrcFn,
-				}
-				pc += 2
-				continue
-			}
-		}
-		fop, ok := cmpBr[in.Op]
-		if !ok {
-			continue
-		}
-		br := &plain[pc+1]
-		if br.Op != OpBrFalse || br.A != in.Dst {
-			continue
-		}
-		code[pc] = Instr{
-			Op: fop, Len: 2, Dst: in.Dst, A: in.A, B: in.B, Imm: br.Imm,
-			Cost: in.Cost + br.Cost, OrigPC: in.OrigPC, SrcFn: in.SrcFn,
-		}
-		pc++
+	cmpKBr = map[Op]Op{
+		OpEqI: OpEqIKBr, OpNeI: OpNeIKBr,
+		OpLtI: OpLtIKBr, OpLeI: OpLeIKBr, OpGtI: OpGtIKBr, OpGeI: OpGeIKBr,
 	}
+	arithK = map[Op]Op{
+		OpAddI: OpAddIK, OpSubI: OpSubIK, OpMulI: OpMulIK, OpDivI: OpDivIK, OpModI: OpModIK,
+	}
+)
+
+// fuseAt matches the longest superinstruction pattern at the head of a
+// plain stream (at least two slots long). Every group performs all the
+// register writes of the slots it covers and sums their costs.
+func fuseAt(p []Instr) (Instr, bool) {
+	in, next := &p[0], &p[1]
+	g := Instr{Dst: next.Dst, A: next.A, B: next.B, OrigPC: in.OrigPC, SrcFn: in.SrcFn}
+	isBr := func(i int, cond int32) bool {
+		return i < len(p) && p[i].Op == OpBrFalse && p[i].A == cond
+	}
+	switch {
+	case in.Op == OpConstI && in.Imm == 1 && next.Op == OpAddI && len(p) > 2 && p[2].Op == OpJump &&
+		next.Dst == next.A && next.B == in.Dst && next.Dst != in.Dst:
+		// Serial-loop latch: const.i c,1 ; add.i a,a,c ; jump t.
+		g.Op, g.Len, g.Dst, g.Imm = OpInc1Jump, 3, in.Dst, p[2].Imm
+	case in.Op == OpConstI && next.B == in.Dst && cmpKBr[next.Op] != 0 && isBr(2, next.Dst):
+		g.Op, g.Len, g.Imm, g.C = cmpKBr[next.Op], 3, in.Imm, int32(p[2].Imm)
+	case in.Op == OpConstI && next.B == in.Dst && arithK[next.Op] != 0:
+		if (next.Op == OpDivI || next.Op == OpModI) && in.Imm == 0 {
+			return g, false // the fault must come from the plain instruction
+		}
+		g.Op, g.Len, g.Imm = arithK[next.Op], 2, in.Imm
+	case cmpBr[in.Op] != 0 && isBr(1, in.Dst):
+		g = Instr{Op: cmpBr[in.Op], Len: 2, Dst: in.Dst, A: in.A, B: in.B, Imm: next.Imm,
+			OrigPC: in.OrigPC, SrcFn: in.SrcFn}
+	default:
+		return g, false
+	}
+	for i := 0; i < int(g.Len); i++ {
+		g.Cost += p[i].Cost
+	}
+	return g, true
 }

@@ -57,6 +57,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(body, "build_info{") {
 		t.Error("no build_info in scrape")
 	}
+	for _, name := range []string{"dfserved_requests_total", "dfserved_runs_ok_total",
+		"dfserved_runs_err_total", "dfserved_warm_start_hits_total"} {
+		if !strings.Contains(body, "# TYPE "+name+" counter\n") {
+			t.Errorf("%s is not exposed as a counter", name)
+		}
+	}
 	if metricValue(t, body, "dfserved_runs_ok_total") != "0" {
 		t.Error("runs counter nonzero before any run")
 	}

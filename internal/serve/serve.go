@@ -261,13 +261,13 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) registerMetrics() {
 	s.reg = metrics.NewRegistry()
 	s.reg.BuildInfo()
-	s.reg.GaugeFunc("dfserved_requests_total",
+	s.reg.CounterFunc("dfserved_requests_total",
 		"HTTP requests received.", func() float64 { return float64(s.requests.Load()) })
-	s.reg.GaugeFunc("dfserved_runs_ok_total",
+	s.reg.CounterFunc("dfserved_runs_ok_total",
 		"Workload runs completed successfully.", func() float64 { return float64(s.runsOK.Load()) })
-	s.reg.GaugeFunc("dfserved_runs_err_total",
+	s.reg.CounterFunc("dfserved_runs_err_total",
 		"Workload runs rejected or failed.", func() float64 { return float64(s.runsErr.Load()) })
-	s.reg.GaugeFunc("dfserved_warm_start_hits_total",
+	s.reg.CounterFunc("dfserved_warm_start_hits_total",
 		"Sections seeded from a store record (at boot or live from the fleet).",
 		func() float64 { return float64(s.warmHits.Load()) })
 	s.reg.GaugeFunc("dfserved_uptime_seconds",
