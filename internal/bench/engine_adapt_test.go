@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/perturb"
 	"repro/internal/simmach"
@@ -14,13 +17,15 @@ import (
 // application, schedule, params, and controller tuning — so the engine
 // parity test can reach the raw results (and their Switches) behind the
 // rendered report.
-var adaptParityCells = []struct {
+type adaptParityCell struct {
 	id     string
 	app    string
 	sched  *perturb.Schedule
 	params map[string]int64
 	tune   func(*interp.Options)
-}{
+}
+
+var adaptParityCells = []adaptParityCell{
 	{"adapt-crossover", apps.NameWater, perturb.Crossover(), adaptWaterParams(48, 24),
 		func(o *interp.Options) { o.OrderByHistory = true }},
 	{"adapt-ramp", apps.NameWater, perturb.Ramp(), adaptWaterParams(48, 24),
@@ -32,46 +37,89 @@ var adaptParityCells = []struct {
 		func(o *interp.Options) { o.OrderByHistory = true }},
 }
 
+// adaptCrossoverUCBGolden is the adapt-crossover render under the UCB
+// selector followed by every production entry behind it, captured from the
+// separate bandit controller that preceded the single phase machine: the
+// one tier-1 cell that drives core.KindUCB end to end. Regenerate with
+// BENCH_REGEN_GOLDEN=1, as for the quick-suite golden.
+const adaptCrossoverUCBGolden = "testdata/adapt_crossover_ucb.golden"
+
 // TestAdaptExperimentsEngineParity runs every adaptivity experiment once
 // per execution engine: the rendered reports (BENCH rows included) must be
 // byte-identical, and each policy's section switch histories must match
-// exactly.
+// exactly. The crossover cell runs a second time under the UCB selector,
+// whose render and switch histories must also match the committed golden.
 func TestAdaptExperimentsEngineParity(t *testing.T) {
 	for _, cell := range adaptParityCells {
-		e, ok := ExperimentByID(cell.id)
-		if !ok {
-			t.Fatalf("unknown experiment %s", cell.id)
+		kinds := []string{core.KindRoundRobin}
+		if cell.id == "adapt-crossover" {
+			kinds = append(kinds, core.KindUCB)
 		}
-		var formats []string
-		var switches [][][]interp.SwitchStat
-		for _, engine := range []string{interp.EngineInterp, interp.EngineVM} {
-			s := NewSuite(SuiteConfig{Parallelism: 1, Engine: engine})
-			rep, err := e.Run(s)
-			if err != nil {
-				t.Fatalf("%s under %s: %v", cell.id, engine, err)
+		for _, kind := range kinds {
+			render, switches := adaptEngineParity(t, cell, kind)
+			if kind != core.KindUCB {
+				continue
 			}
-			formats = append(formats, rep.Format())
-			// Same suite, same options as the experiment: the scenario
-			// results come from the suite's memo, so the switch histories
-			// are the ones behind the rows just rendered.
-			results, err := runScenario(s, cell.app, cell.sched, cell.params, cell.tune)
-			if err != nil {
-				t.Fatalf("%s under %s: %v", cell.id, engine, err)
-			}
-			var sw [][]interp.SwitchStat
-			for _, res := range results {
-				for _, sec := range res.Sections {
-					sw = append(sw, sec.Switches)
+			for i, sw := range switches {
+				for _, s := range sw {
+					render += fmt.Sprintf("section run %d: switch round %d version %d (%s) at %d\n", i, s.Round, s.Version, s.Label, s.At)
 				}
 			}
-			switches = append(switches, sw)
-		}
-		if formats[0] != formats[1] {
-			t.Errorf("%s: BENCH rows differ between engines:\n--- interp ---\n%s\n--- vm ---\n%s",
-				cell.id, formats[0], formats[1])
-		}
-		if !reflect.DeepEqual(switches[0], switches[1]) {
-			t.Errorf("%s: switch histories differ between engines", cell.id)
+			if os.Getenv("BENCH_REGEN_GOLDEN") != "" {
+				if err := os.WriteFile(adaptCrossoverUCBGolden, []byte(render), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(adaptCrossoverUCBGolden)
+			if err != nil {
+				t.Fatalf("missing golden (regenerate with BENCH_REGEN_GOLDEN=1): %v", err)
+			}
+			diffLines(t, string(want), render, "golden", "ucb render")
 		}
 	}
+}
+
+// adaptEngineParity runs one adaptivity experiment under both engines with
+// the given controller kind, checks renders and switch histories agree, and
+// returns both.
+func adaptEngineParity(t *testing.T, cell adaptParityCell, kind string) (string, [][]interp.SwitchStat) {
+	t.Helper()
+	id := cell.id
+	e, ok := ExperimentByID(id)
+	if !ok {
+		t.Fatalf("unknown experiment %s", id)
+	}
+	var formats []string
+	var switches [][][]interp.SwitchStat
+	for _, engine := range []string{interp.EngineInterp, interp.EngineVM} {
+		s := NewSuite(SuiteConfig{Parallelism: 1, Engine: engine, Controller: kind})
+		rep, err := e.Run(s)
+		if err != nil {
+			t.Fatalf("%s/%s under %s: %v", id, kind, engine, err)
+		}
+		formats = append(formats, rep.Format())
+		// Same suite, same options as the experiment: the scenario
+		// results come from the suite's memo, so the switch histories
+		// are the ones behind the rows just rendered.
+		results, err := runScenario(s, cell.app, cell.sched, cell.params, cell.tune)
+		if err != nil {
+			t.Fatalf("%s/%s under %s: %v", id, kind, engine, err)
+		}
+		var sw [][]interp.SwitchStat
+		for _, res := range results {
+			for _, sec := range res.Sections {
+				sw = append(sw, sec.Switches)
+			}
+		}
+		switches = append(switches, sw)
+	}
+	if formats[0] != formats[1] {
+		t.Errorf("%s/%s: BENCH rows differ between engines:\n--- interp ---\n%s\n--- vm ---\n%s",
+			id, kind, formats[0], formats[1])
+	}
+	if !reflect.DeepEqual(switches[0], switches[1]) {
+		t.Errorf("%s/%s: switch histories differ between engines", id, kind)
+	}
+	return formats[0], switches[0]
 }
