@@ -205,7 +205,7 @@ type Section struct {
 	cfg      Config
 	variants []Variant
 	names    []string // resolved variant names, in declaration order
-	ctl      core.Ctl
+	ctl      *core.Controller
 	epoch    time.Time
 	pairCost time.Duration
 	fp       store.Fingerprint

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 
@@ -65,17 +64,7 @@ func TestAdaptExperimentsEngineParity(t *testing.T) {
 					render += fmt.Sprintf("section run %d: switch round %d version %d (%s) at %d\n", i, s.Round, s.Version, s.Label, s.At)
 				}
 			}
-			if os.Getenv("BENCH_REGEN_GOLDEN") != "" {
-				if err := os.WriteFile(adaptCrossoverUCBGolden, []byte(render), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			want, err := os.ReadFile(adaptCrossoverUCBGolden)
-			if err != nil {
-				t.Fatalf("missing golden (regenerate with BENCH_REGEN_GOLDEN=1): %v", err)
-			}
-			diffLines(t, string(want), render, "golden", "ucb render")
+			matchGolden(t, adaptCrossoverUCBGolden, render, "ucb render")
 		}
 	}
 }
@@ -85,10 +74,9 @@ func TestAdaptExperimentsEngineParity(t *testing.T) {
 // returns both.
 func adaptEngineParity(t *testing.T, cell adaptParityCell, kind string) (string, [][]interp.SwitchStat) {
 	t.Helper()
-	id := cell.id
-	e, ok := ExperimentByID(id)
+	e, ok := ExperimentByID(cell.id)
 	if !ok {
-		t.Fatalf("unknown experiment %s", id)
+		t.Fatalf("unknown experiment %s", cell.id)
 	}
 	var formats []string
 	var switches [][][]interp.SwitchStat
@@ -96,7 +84,7 @@ func adaptEngineParity(t *testing.T, cell adaptParityCell, kind string) (string,
 		s := NewSuite(SuiteConfig{Parallelism: 1, Engine: engine, Controller: kind})
 		rep, err := e.Run(s)
 		if err != nil {
-			t.Fatalf("%s/%s under %s: %v", id, kind, engine, err)
+			t.Fatalf("%s/%s under %s: %v", cell.id, kind, engine, err)
 		}
 		formats = append(formats, rep.Format())
 		// Same suite, same options as the experiment: the scenario
@@ -104,7 +92,7 @@ func adaptEngineParity(t *testing.T, cell adaptParityCell, kind string) (string,
 		// are the ones behind the rows just rendered.
 		results, err := runScenario(s, cell.app, cell.sched, cell.params, cell.tune)
 		if err != nil {
-			t.Fatalf("%s/%s under %s: %v", id, kind, engine, err)
+			t.Fatalf("%s/%s under %s: %v", cell.id, kind, engine, err)
 		}
 		var sw [][]interp.SwitchStat
 		for _, res := range results {
@@ -116,10 +104,10 @@ func adaptEngineParity(t *testing.T, cell adaptParityCell, kind string) (string,
 	}
 	if formats[0] != formats[1] {
 		t.Errorf("%s/%s: BENCH rows differ between engines:\n--- interp ---\n%s\n--- vm ---\n%s",
-			id, kind, formats[0], formats[1])
+			cell.id, kind, formats[0], formats[1])
 	}
 	if !reflect.DeepEqual(switches[0], switches[1]) {
-		t.Errorf("%s/%s: switch histories differ between engines", id, kind)
+		t.Errorf("%s/%s: switch histories differ between engines", cell.id, kind)
 	}
 	return formats[0], switches[0]
 }

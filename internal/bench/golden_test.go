@@ -26,22 +26,28 @@ func TestQuickSuiteMatchesGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("quick-suite render is an order of magnitude slower under the race detector")
 	}
-	got := renderSuite(t, 1)
+	matchGolden(t, goldenPath, renderSuite(t, 1), "current engine")
+}
+
+// matchGolden compares got byte for byte against the committed golden at
+// path — or, with BENCH_REGEN_GOLDEN set, rewrites the golden from it.
+func matchGolden(t *testing.T, path, got, gotName string) {
+	t.Helper()
 	if os.Getenv("BENCH_REGEN_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("regenerated %s (%d bytes)", goldenPath, len(got))
+		t.Logf("regenerated %s (%d bytes)", path, len(got))
 		return
 	}
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden (regenerate with BENCH_REGEN_GOLDEN=1): %v", err)
 	}
-	diffLines(t, string(want), got, "golden", "current engine")
+	diffLines(t, string(want), got, "golden", gotName)
 }
 
 // diffLines fails with the first differing line of two suite renders.

@@ -27,6 +27,10 @@
 // early cut-off and policy-ordering optimizations (§4.5), and the
 // "intervals spanning multiple executions of the parallel section"
 // extension the paper proposes in §4.4.
+//
+// There is one Controller. Which version a sampling round tries next is
+// the only part with two answers — the paper's round-robin, or the
+// confidence-bound bandit of ucb.go — and NewCtl's kind picks between them.
 package core
 
 import (
@@ -253,18 +257,20 @@ func (s PolicyStats) MeanOverhead() float64 {
 }
 
 // Controller is the dynamic feedback state machine for one parallel
-// section. It is not safe for concurrent use; runtimes must call it from a
+// section: the sampling → production → resampling phase machine, with the
+// choice of which version to sample next delegated to its selector (see
+// NewCtl). It is not safe for concurrent use; runtimes must call it from a
 // single goroutine or under a lock (the paper's generated code switches
 // policies under a barrier, which serializes these calls naturally).
 type Controller struct {
 	cfg   Config
+	sel   selector
 	phase Phase
 
-	current   int   // index of the policy now executing
-	order     []int // sampling order for the current round
-	orderPos  int   // next position in order to sample
-	round     int   // completed sampling rounds
-	roundOver []float64
+	current   int       // index of the policy now executing
+	order     []int     // policies sampled this round, in sampling order
+	roundOver []float64 // overhead each measured this round (NaN if not yet); set by startRound
+	round     int       // completed sampling rounds
 
 	phaseElapsed Nanos // elapsed in current phase across executions (span mode)
 	segStart     Nanos // start of the current in-execution segment
@@ -292,45 +298,6 @@ type Switch struct {
 	Round  int
 	Policy int
 	At     Nanos
-}
-
-// NewController validates cfg, applies defaults, and returns a controller.
-func NewController(cfg Config) (*Controller, error) {
-	if len(cfg.Policies) == 0 {
-		return nil, fmt.Errorf("core: config needs at least one policy")
-	}
-	if cfg.TargetSampling <= 0 {
-		cfg.TargetSampling = DefaultTargetSampling
-	}
-	if cfg.TargetProduction <= 0 {
-		cfg.TargetProduction = DefaultTargetProduction
-	}
-	if cfg.CutoffThreshold <= 0 {
-		cfg.CutoffThreshold = DefaultCutoffThreshold
-	}
-	if cfg.HistoryMargin <= 0 {
-		cfg.HistoryMargin = DefaultHistoryMargin
-	}
-	c := &Controller{
-		cfg:       cfg,
-		phase:     Idle,
-		roundOver: make([]float64, len(cfg.Policies)),
-		stats:     make([]PolicyStats, len(cfg.Policies)),
-	}
-	for i := range c.roundOver {
-		c.roundOver[i] = math.NaN()
-	}
-	return c, nil
-}
-
-// MustNewController is NewController that panics on error; for use with
-// static configurations.
-func MustNewController(cfg Config) *Controller {
-	c, err := NewController(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // Config returns the controller's (defaulted) configuration.
@@ -408,34 +375,26 @@ func (c *Controller) BeginExecution(now Nanos) {
 }
 
 func (c *Controller) startRound(now Nanos) {
-	c.order = c.samplingOrder()
-	c.orderPos = 0
+	c.order = c.order[:0]
 	for i := range c.roundOver {
 		c.roundOver[i] = math.NaN()
 	}
 	c.phase = Sampling
-	c.current = c.order[0]
-	c.orderPos = 1
+	c.sample(c.sel.first(c), now)
+}
+
+// sample makes policy the round's next sampling target.
+func (c *Controller) sample(policy int, now Nanos) {
+	c.order = append(c.order, policy)
+	c.open(policy, now)
+}
+
+// open makes policy the executing version and starts its interval at now.
+func (c *Controller) open(policy int, now Nanos) {
+	c.current = policy
 	c.segStart = now
 	c.phaseElapsed = 0
 	c.acc = Measurement{}
-}
-
-// samplingOrder returns the policy order for a round: by default the
-// declaration order; with OrderByHistory, the previous winner first.
-func (c *Controller) samplingOrder() []int {
-	n := len(c.cfg.Policies)
-	order := make([]int, 0, n)
-	if c.cfg.OrderByHistory && c.lastWinnerOK {
-		order = append(order, c.lastWinner)
-	}
-	for i := 0; i < n; i++ {
-		if len(order) > 0 && i == order[0] {
-			continue
-		}
-		order = append(order, i)
-	}
-	return order
 }
 
 // CompletePhase finishes the current phase at instant now with the phase's
@@ -448,42 +407,29 @@ func (c *Controller) CompletePhase(now Nanos, m Measurement) int {
 		panic("core: CompletePhase while idle")
 	}
 	total := c.acc.Add(m)
-	start := c.segStart - c.phaseElapsed
-	over := total.Overhead()
-	switch c.phase {
-	case Sampling:
-		c.record(Sample{Kind: SampleSampling, Policy: c.current, Start: start, End: now, Meas: total, Overhead: over})
-		st := &c.stats[c.current]
-		st.TimesSampled++
-		st.LastOverhead = over
-		st.TotalOverhead += over
-		c.roundOver[c.current] = over
-		if c.shouldCutOff(total) {
-			c.enterProduction(now, c.current)
-			break
-		}
-		if c.cfg.OrderByHistory && c.lastWinnerOK && c.orderPos == 1 &&
-			c.current == c.lastWinner && over <= c.lastWinOver+c.cfg.HistoryMargin {
-			// The previous winner still performs acceptably: skip the rest
-			// of the sampling phase (§4.5).
-			c.enterProduction(now, c.current)
-			break
-		}
-		if c.orderPos < len(c.order) {
-			c.current = c.order[c.orderPos]
-			c.orderPos++
-			c.segStart = now
-			c.phaseElapsed = 0
-			c.acc = Measurement{}
-			break
-		}
-		c.enterProduction(now, c.bestSampled())
-	case Production:
-		c.record(Sample{Kind: SampleProduction, Policy: c.current, Start: start, End: now, Meas: total, Overhead: over})
+	if c.phase == Production {
+		c.record(SampleProduction, now, total)
 		// Periodic resampling: start a new round to adapt to changes in the
 		// environment.
 		c.round++
 		c.startRound(now)
+		return c.current
+	}
+	over := c.record(SampleSampling, now, total)
+	switch {
+	case c.shouldCutOff(total):
+		c.enterProduction(now, c.current)
+	case c.cfg.OrderByHistory && c.lastWinnerOK && len(c.order) == 1 &&
+		c.current == c.lastWinner && over <= c.lastWinOver+c.cfg.HistoryMargin:
+		// The previous winner, sampled first, still performs acceptably:
+		// skip the rest of the sampling phase (§4.5).
+		c.enterProduction(now, c.current)
+	default:
+		if next, ok := c.sel.next(c); ok {
+			c.sample(next, now)
+		} else {
+			c.enterProduction(now, c.sel.winner(c))
+		}
 	}
 	return c.current
 }
@@ -502,34 +448,25 @@ func (c *Controller) shouldCutOff(m Measurement) bool {
 	}
 }
 
-// bestSampled returns the sampled policy with the lowest overhead in the
-// current round; ties resolve to the earlier sampling position, matching
-// the paper's arbitrary selection among equals (§5).
+// bestSampled returns the policy with the lowest overhead measured in the
+// current round, or -1 if none has been measured; ties resolve to the
+// earlier sampled, matching the paper's arbitrary selection among equals
+// (§5).
 func (c *Controller) bestSampled() int {
 	best := -1
-	bestOver := math.Inf(1)
 	for _, p := range c.order {
-		o := c.roundOver[p]
-		if math.IsNaN(o) {
-			continue
-		}
-		if o < bestOver {
-			bestOver = o
+		if o := c.roundOver[p]; !math.IsNaN(o) && (best < 0 || o < c.roundOver[best]) {
 			best = p
 		}
-	}
-	if best < 0 {
-		return c.current
 	}
 	return best
 }
 
+// enterProduction starts a production phase running policy, which this
+// round has measured.
 func (c *Controller) enterProduction(now Nanos, policy int) {
 	c.phase = Production
-	c.current = policy
-	c.segStart = now
-	c.phaseElapsed = 0
-	c.acc = Measurement{}
+	c.open(policy, now)
 	c.stats[policy].TimesChosen++
 	c.switches = append(c.switches, Switch{Round: c.round, Policy: policy, At: now})
 	if c.cfg.AutoTuneProduction {
@@ -540,9 +477,6 @@ func (c *Controller) enterProduction(now Nanos, policy int) {
 	c.lastWinner = policy
 	c.lastWinnerOK = true
 	c.lastWinOver = c.roundOver[policy]
-	if math.IsNaN(c.lastWinOver) {
-		c.lastWinOver = 0
-	}
 }
 
 // EndExecution notes that the parallel section finished at instant now,
@@ -560,27 +494,32 @@ func (c *Controller) EndExecution(now Nanos, m Measurement) {
 		c.segStart = now
 		return
 	}
-	total := c.acc.Add(m)
-	start := c.segStart - c.phaseElapsed
-	over := total.Overhead()
-	if total.ExecTime > 0 {
-		c.record(Sample{Kind: SamplePartial, Policy: c.current, Start: start, End: now, Meas: total, Overhead: over})
-	}
-	if c.phase == Sampling && total.ExecTime > 0 {
-		// A cut-short sampling interval still informs history and ordering.
-		st := &c.stats[c.current]
-		st.TimesSampled++
-		st.LastOverhead = over
-		st.TotalOverhead += over
-		c.roundOver[c.current] = over
+	if total := c.acc.Add(m); total.ExecTime > 0 {
+		c.record(SamplePartial, now, total)
 	}
 	c.phase = Idle
 	c.acc = Measurement{}
 	c.phaseElapsed = 0
 }
 
-func (c *Controller) record(s Sample) {
-	c.samples = append(c.samples, s)
+// record appends the interval ending at now to the history and returns its
+// overhead. A sampling interval — completed, or cut short by the end of
+// the section — also informs the per-policy stats, the round and the
+// selector.
+func (c *Controller) record(kind SampleKind, now Nanos, total Measurement) float64 {
+	over := total.Overhead()
+	c.samples = append(c.samples, Sample{
+		Kind: kind, Policy: c.current, Start: c.segStart - c.phaseElapsed, End: now, Meas: total, Overhead: over,
+	})
+	if c.phase == Sampling {
+		st := &c.stats[c.current]
+		st.TimesSampled++
+		st.LastOverhead = over
+		st.TotalOverhead += over
+		c.roundOver[c.current] = over
+		c.sel.observe(c.current, over)
+	}
+	return over
 }
 
 // LastWinner returns the policy most recently selected for a production
@@ -622,23 +561,7 @@ func (c *Controller) SeedHistory(seed Seed) error {
 	if c.phase != Idle {
 		return fmt.Errorf("core: SeedHistory on a running controller (phase %v)", c.phase)
 	}
-	if seed.Winner < 0 || seed.Winner >= len(c.cfg.Policies) {
-		return fmt.Errorf("core: seed winner %d out of range [0,%d)", seed.Winner, len(c.cfg.Policies))
-	}
-	if o := seed.WinnerOverhead; math.IsNaN(o) || o < 0 || o > 1 {
-		return fmt.Errorf("core: seed winner overhead %v outside [0,1]", o)
-	}
-	if seed.Stats != nil {
-		if len(seed.Stats) != len(c.stats) {
-			return fmt.Errorf("core: seed has %d policy stats, controller has %d policies",
-				len(seed.Stats), len(c.stats))
-		}
-		copy(c.stats, seed.Stats)
-	}
-	c.lastWinner = seed.Winner
-	c.lastWinnerOK = true
-	c.lastWinOver = seed.WinnerOverhead
-	return nil
+	return c.seed(seed)
 }
 
 // LateSeed primes a controller that may already be executing, provided it
@@ -656,9 +579,14 @@ func (c *Controller) LateSeed(seed Seed) error {
 	if c.lastWinnerOK {
 		return fmt.Errorf("core: LateSeed on a controller that already has a winner")
 	}
-	if c.phase == Idle {
-		return c.SeedHistory(seed)
-	}
+	return c.seed(seed)
+}
+
+// seed validates and applies a seed. An idle controller takes the stats
+// wholesale and lets the selector learn from them; a running one only
+// fills in policies it has not sampled itself, and its selector keeps to
+// what it has measured.
+func (c *Controller) seed(seed Seed) error {
 	if seed.Winner < 0 || seed.Winner >= len(c.cfg.Policies) {
 		return fmt.Errorf("core: seed winner %d out of range [0,%d)", seed.Winner, len(c.cfg.Policies))
 	}
@@ -670,9 +598,14 @@ func (c *Controller) LateSeed(seed Seed) error {
 			return fmt.Errorf("core: seed has %d policy stats, controller has %d policies",
 				len(seed.Stats), len(c.stats))
 		}
-		for i, st := range seed.Stats {
-			if c.stats[i].TimesSampled == 0 {
-				c.stats[i] = st
+		if c.phase == Idle {
+			copy(c.stats, seed.Stats)
+			c.sel.seed(seed.Stats)
+		} else {
+			for i, st := range seed.Stats {
+				if c.stats[i].TimesSampled == 0 {
+					c.stats[i] = st
+				}
 			}
 		}
 	}
@@ -686,10 +619,8 @@ func (c *Controller) LateSeed(seed Seed) error {
 // production given everything sampled so far in the current round, falling
 // back to the historical winner and then to policy 0.
 func (c *Controller) BestKnownPolicy() int {
-	for _, o := range c.roundOver {
-		if !math.IsNaN(o) {
-			return c.bestSampled()
-		}
+	if best := c.bestSampled(); best >= 0 {
+		return best
 	}
 	if c.lastWinnerOK {
 		return c.lastWinner

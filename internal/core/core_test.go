@@ -56,11 +56,36 @@ func TestQuickOverheadBounds(t *testing.T) {
 	}
 }
 
-func TestNewControllerValidation(t *testing.T) {
-	if _, err := NewController(Config{}); err == nil {
-		t.Error("NewController with no policies: want error")
+// kinds are the controller kinds; tests of the phase machine the kinds
+// share run once under each.
+var kinds = []string{KindRoundRobin, KindUCB}
+
+// forKinds runs f as one subtest per controller kind.
+func forKinds(t *testing.T, f func(t *testing.T, kind string)) {
+	for _, kind := range kinds {
+		t.Run(kind, func(t *testing.T) { f(t, kind) })
 	}
-	c := MustNewController(Config{Policies: threePolicies()})
+}
+
+// newCtl returns a controller of the given kind; the configuration must be
+// valid.
+func newCtl(t testing.TB, kind string, cfg Config) *Controller {
+	t.Helper()
+	c, err := NewCtl(kind, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestNewControllerValidation(t *testing.T) {
+	if _, err := NewCtl(KindRoundRobin, Config{}); err == nil {
+		t.Error("NewCtl with no policies: want error")
+	}
+	if _, err := NewCtl("thompson", Config{Policies: threePolicies()}); err == nil {
+		t.Error("NewCtl with an unknown kind: want error")
+	}
+	c := newCtl(t, "", Config{Policies: threePolicies()})
 	if c.Config().TargetSampling != DefaultTargetSampling {
 		t.Errorf("TargetSampling default = %v", c.Config().TargetSampling)
 	}
@@ -93,7 +118,7 @@ func drive(t *testing.T, c *Controller, overheads []float64) int {
 }
 
 func TestSamplesAllPoliciesThenPicksBest(t *testing.T) {
-	c := MustNewController(Config{Policies: threePolicies()})
+	c := newCtl(t, KindRoundRobin, Config{Policies: threePolicies()})
 	got := drive(t, c, []float64{0.5, 0.2, 0.7})
 	if got != 1 {
 		t.Errorf("production policy = %d (%s), want 1 (Bounded)", got, c.PolicyName(got))
@@ -114,7 +139,7 @@ func TestTieBreaksToEarlierSampled(t *testing.T) {
 	// The worst case in §5 is multiple policies with the same lowest
 	// overhead; the algorithm arbitrarily (here: deterministically) selects
 	// one of them.
-	c := MustNewController(Config{Policies: threePolicies()})
+	c := newCtl(t, KindRoundRobin, Config{Policies: threePolicies()})
 	got := drive(t, c, []float64{0.3, 0.3, 0.3})
 	if got != 0 {
 		t.Errorf("tie production policy = %d, want 0 (first sampled)", got)
@@ -122,33 +147,35 @@ func TestTieBreaksToEarlierSampled(t *testing.T) {
 }
 
 func TestExpired(t *testing.T) {
-	c := MustNewController(Config{Policies: threePolicies(), TargetSampling: 100, TargetProduction: 1000})
-	if c.Expired(1e9) {
-		t.Error("Expired while idle = true")
-	}
-	c.BeginExecution(50)
-	if c.Expired(149) {
-		t.Error("Expired before target")
-	}
-	if !c.Expired(150) {
-		t.Error("not Expired at target")
-	}
-	c.CompletePhase(150, meas(1, 0, 100))
-	c.CompletePhase(250, meas(1, 0, 100))
-	c.CompletePhase(350, meas(1, 0, 100))
-	if c.Phase() != Production {
-		t.Fatalf("phase = %v", c.Phase())
-	}
-	if c.Expired(1349) {
-		t.Error("production Expired early")
-	}
-	if !c.Expired(1350) {
-		t.Error("production not Expired at target")
-	}
+	forKinds(t, func(t *testing.T, kind string) {
+		c := newCtl(t, kind, Config{Policies: threePolicies(), TargetSampling: 100, TargetProduction: 1000})
+		if c.Expired(1e9) {
+			t.Error("Expired while idle = true")
+		}
+		c.BeginExecution(50)
+		if c.Expired(149) {
+			t.Error("Expired before target")
+		}
+		if !c.Expired(150) {
+			t.Error("not Expired at target")
+		}
+		c.CompletePhase(150, meas(1, 0, 100))
+		c.CompletePhase(250, meas(1, 0, 100))
+		c.CompletePhase(350, meas(1, 0, 100))
+		if c.Phase() != Production {
+			t.Fatalf("phase = %v", c.Phase())
+		}
+		if c.Expired(1349) {
+			t.Error("production Expired early")
+		}
+		if !c.Expired(1350) {
+			t.Error("production not Expired at target")
+		}
+	})
 }
 
 func TestResamplingAfterProduction(t *testing.T) {
-	c := MustNewController(Config{Policies: threePolicies(), TargetSampling: 100, TargetProduction: 1000})
+	c := newCtl(t, KindRoundRobin, Config{Policies: threePolicies(), TargetSampling: 100, TargetProduction: 1000})
 	now := Nanos(0)
 	c.BeginExecution(now)
 	// Round 1: policy 2 is best.
@@ -189,7 +216,7 @@ func TestEarlyCutoffWaiting(t *testing.T) {
 		{Name: "Bounded"},
 		{Name: "Original", Cutoff: CutoffLocking},
 	}
-	c := MustNewController(Config{Policies: policies, EarlyCutoff: true, TargetSampling: 100})
+	c := newCtl(t, KindRoundRobin, Config{Policies: policies, EarlyCutoff: true, TargetSampling: 100})
 	c.BeginExecution(0)
 	if c.CurrentPolicy() != 0 {
 		t.Fatalf("first sampled = %d, want 0", c.CurrentPolicy())
@@ -212,7 +239,7 @@ func TestEarlyCutoffNotTriggeredWhenComponentHigh(t *testing.T) {
 		{Name: "Aggressive", Cutoff: CutoffWaiting},
 		{Name: "Original", Cutoff: CutoffLocking},
 	}
-	c := MustNewController(Config{Policies: policies, EarlyCutoff: true, TargetSampling: 100})
+	c := newCtl(t, KindRoundRobin, Config{Policies: policies, EarlyCutoff: true, TargetSampling: 100})
 	c.BeginExecution(0)
 	// Substantial waiting overhead: must keep sampling.
 	c.CompletePhase(100, meas(0, 5000, 10000))
@@ -222,7 +249,7 @@ func TestEarlyCutoffNotTriggeredWhenComponentHigh(t *testing.T) {
 }
 
 func TestOrderByHistory(t *testing.T) {
-	c := MustNewController(Config{
+	c := newCtl(t, KindRoundRobin, Config{
 		Policies: threePolicies(), OrderByHistory: true,
 		TargetSampling: 100, TargetProduction: 1000,
 	})
@@ -252,7 +279,7 @@ func TestOrderByHistory(t *testing.T) {
 }
 
 func TestOrderByHistoryDegraded(t *testing.T) {
-	c := MustNewController(Config{
+	c := newCtl(t, KindRoundRobin, Config{
 		Policies: threePolicies(), OrderByHistory: true,
 		TargetSampling: 100, TargetProduction: 1000,
 	})
@@ -284,59 +311,66 @@ func TestOrderByHistoryDegraded(t *testing.T) {
 }
 
 func TestEndExecutionDefaultModeResamples(t *testing.T) {
-	// Default mode: every section execution starts with a sampling phase
-	// (§4.4), and a cut-short phase is recorded as partial.
-	c := MustNewController(Config{Policies: threePolicies(), TargetSampling: 100})
-	c.BeginExecution(0)
-	c.CompletePhase(100, meas(10, 0, 1000))
-	c.EndExecution(150, meas(5, 0, 500))
-	if c.Phase() != Idle {
-		t.Fatalf("phase = %v, want idle", c.Phase())
-	}
-	n := len(c.Samples())
-	if n != 2 || c.Samples()[1].Kind != SamplePartial {
-		t.Fatalf("samples = %+v", c.Samples())
-	}
-	c.BeginExecution(200)
-	if c.Phase() != Sampling || c.CurrentPolicy() != 0 {
-		t.Errorf("new execution: phase %v policy %d, want sampling 0", c.Phase(), c.CurrentPolicy())
-	}
+	forKinds(t, func(t *testing.T, kind string) {
+		// Default mode: every section execution starts with a sampling phase
+		// (§4.4), and a cut-short phase is recorded as partial.
+		c := newCtl(t, kind, Config{Policies: threePolicies(), TargetSampling: 100})
+		c.BeginExecution(0)
+		c.CompletePhase(100, meas(10, 0, 1000))
+		c.EndExecution(150, meas(5, 0, 500))
+		if c.Phase() != Idle {
+			t.Fatalf("phase = %v, want idle", c.Phase())
+		}
+		n := len(c.Samples())
+		if n != 2 || c.Samples()[1].Kind != SamplePartial {
+			t.Fatalf("samples = %+v", c.Samples())
+		}
+		c.BeginExecution(200)
+		// Round-robin restarts at the first policy; the bandit opens with the
+		// one policy it has no evidence on at all.
+		want := map[string]int{KindRoundRobin: 0, KindUCB: 2}[kind]
+		if c.Phase() != Sampling || c.CurrentPolicy() != want {
+			t.Errorf("new execution: phase %v policy %d, want sampling %d", c.Phase(), c.CurrentPolicy(), want)
+		}
+	})
 }
 
 func TestSpanExecutions(t *testing.T) {
-	// With the §4.4 extension, a phase continues across executions and the
-	// idle gap between executions does not count toward the interval.
-	c := MustNewController(Config{
-		Policies: threePolicies(), TargetSampling: 100, SpanExecutions: true,
+	forKinds(t, func(t *testing.T, kind string) {
+		// With the §4.4 extension, a phase continues across executions and the
+		// idle gap between executions does not count toward the interval.
+		c := newCtl(t, kind, Config{
+			Policies: threePolicies(), TargetSampling: 100, SpanExecutions: true,
+		})
+		c.BeginExecution(0)
+		c.EndExecution(60, meas(6, 0, 600)) // 60 elapsed in-phase
+		c.BeginExecution(1000)              // long idle gap
+		if c.Phase() != Sampling || c.CurrentPolicy() != 0 {
+			t.Fatalf("resume: phase %v policy %d", c.Phase(), c.CurrentPolicy())
+		}
+		if c.Expired(1030) {
+			t.Error("expired at 90 elapsed, want not expired")
+		}
+		if !c.Expired(1040) {
+			t.Error("not expired at 100 elapsed")
+		}
+		c.CompletePhase(1040, meas(4, 0, 400))
+		s := c.Samples()
+		if len(s) != 1 {
+			t.Fatalf("samples = %d, want 1", len(s))
+		}
+		// The accumulated measurement must combine both segments.
+		if s[0].Meas.ExecTime != 1000 || s[0].Meas.LockTime != 10 {
+			t.Errorf("accumulated meas = %+v", s[0].Meas)
+		}
+		if c.CurrentPolicy() != 1 {
+			t.Errorf("next sampled = %d, want 1", c.CurrentPolicy())
+		}
 	})
-	c.BeginExecution(0)
-	c.EndExecution(60, meas(6, 0, 600)) // 60 elapsed in-phase
-	c.BeginExecution(1000)              // long idle gap
-	if c.Phase() != Sampling || c.CurrentPolicy() != 0 {
-		t.Fatalf("resume: phase %v policy %d", c.Phase(), c.CurrentPolicy())
-	}
-	if c.Expired(1030) {
-		t.Error("expired at 90 elapsed, want not expired")
-	}
-	if !c.Expired(1040) {
-		t.Error("not expired at 100 elapsed")
-	}
-	c.CompletePhase(1040, meas(4, 0, 400))
-	s := c.Samples()
-	if len(s) != 1 {
-		t.Fatalf("samples = %d, want 1", len(s))
-	}
-	// The accumulated measurement must combine both segments.
-	if s[0].Meas.ExecTime != 1000 || s[0].Meas.LockTime != 10 {
-		t.Errorf("accumulated meas = %+v", s[0].Meas)
-	}
-	if c.CurrentPolicy() != 1 {
-		t.Errorf("next sampled = %d, want 1", c.CurrentPolicy())
-	}
 }
 
 func TestPolicyStats(t *testing.T) {
-	c := MustNewController(Config{Policies: threePolicies(), TargetSampling: 100})
+	c := newCtl(t, KindRoundRobin, Config{Policies: threePolicies(), TargetSampling: 100})
 	drive(t, c, []float64{0.5, 0.2, 0.7})
 	st := c.Stats()
 	if st[1].TimesChosen != 1 || st[0].TimesChosen != 0 {
@@ -356,7 +390,7 @@ func TestPolicyStats(t *testing.T) {
 }
 
 func TestBestKnownPolicy(t *testing.T) {
-	c := MustNewController(Config{Policies: threePolicies(), TargetSampling: 100})
+	c := newCtl(t, KindRoundRobin, Config{Policies: threePolicies(), TargetSampling: 100})
 	if c.BestKnownPolicy() != 0 {
 		t.Errorf("fresh BestKnownPolicy = %d, want 0", c.BestKnownPolicy())
 	}
@@ -369,13 +403,15 @@ func TestBestKnownPolicy(t *testing.T) {
 }
 
 func TestCompletePhaseWhileIdlePanics(t *testing.T) {
-	c := MustNewController(Config{Policies: threePolicies()})
-	defer func() {
-		if recover() == nil {
-			t.Error("CompletePhase while idle did not panic")
-		}
-	}()
-	c.CompletePhase(0, Measurement{})
+	forKinds(t, func(t *testing.T, kind string) {
+		c := newCtl(t, kind, Config{Policies: threePolicies()})
+		defer func() {
+			if recover() == nil {
+				t.Error("CompletePhase while idle did not panic")
+			}
+		}()
+		c.CompletePhase(0, Measurement{})
+	})
 }
 
 // TestQuickControllerPicksMin: for random overhead vectors, the controller
@@ -390,7 +426,7 @@ func TestQuickControllerPicksMin(t *testing.T) {
 			policies[i] = PolicyInfo{Name: string(rune('A' + i))}
 			over[i] = float64(rng.Intn(1000)) / 1000
 		}
-		c := MustNewController(Config{Policies: policies, TargetSampling: 100})
+		c := newCtl(t, KindRoundRobin, Config{Policies: policies, TargetSampling: 100})
 		now := Nanos(0)
 		c.BeginExecution(now)
 		for c.Phase() == Sampling {
@@ -416,7 +452,7 @@ func TestQuickControllerPicksMin(t *testing.T) {
 func TestQuickSampleSpansContiguous(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := MustNewController(Config{Policies: threePolicies(), TargetSampling: 100, TargetProduction: 500})
+		c := newCtl(t, KindRoundRobin, Config{Policies: threePolicies(), TargetSampling: 100, TargetProduction: 500})
 		now := Nanos(0)
 		c.BeginExecution(now)
 		for i := 0; i < 40; i++ {

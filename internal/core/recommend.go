@@ -26,10 +26,6 @@ const minLambda = 1e-4 // 1/s: a drift time constant of ~3 hours
 // the change, so the worst observed drift is the right summary. The second
 // result is false until at least one policy has two samples.
 func (c *Controller) EstimateDecayRate() (float64, bool) {
-	return estimateDecayRate(c.samples)
-}
-
-func estimateDecayRate(samples []Sample) (float64, bool) {
 	type point struct {
 		t Nanos
 		o float64
@@ -37,7 +33,7 @@ func estimateDecayRate(samples []Sample) (float64, bool) {
 	last := map[int]point{}
 	rate := 0.0
 	seen := false
-	for _, s := range samples {
+	for _, s := range c.samples {
 		if s.Kind != SampleSampling {
 			continue
 		}
@@ -69,13 +65,9 @@ func estimateDecayRate(samples []Sample) (float64, bool) {
 // interval). The second result is false before any sampling interval has
 // completed.
 func (c *Controller) MeanEffectiveSampling() (Nanos, bool) {
-	return meanEffectiveSampling(c.samples)
-}
-
-func meanEffectiveSampling(samples []Sample) (Nanos, bool) {
 	var total Nanos
 	n := 0
-	for _, s := range samples {
+	for _, s := range c.samples {
 		if s.Kind != SampleSampling {
 			continue
 		}
@@ -97,21 +89,17 @@ const maxRecommendedProduction = Nanos(1000e9) // 1000s
 // of policies, λ from EstimateDecayRate, and P from eq. 9 (P_opt). The
 // second result is false while the history is too thin to estimate.
 func (c *Controller) RecommendProduction() (Nanos, bool) {
-	return recommendProduction(c.samples, c.cfg)
-}
-
-func recommendProduction(samples []Sample, cfg Config) (Nanos, bool) {
-	lambda, ok := estimateDecayRate(samples)
+	lambda, ok := c.EstimateDecayRate()
 	if !ok {
 		return 0, false
 	}
-	s, ok := meanEffectiveSampling(samples)
+	s, ok := c.MeanEffectiveSampling()
 	if !ok || s <= 0 {
 		return 0, false
 	}
 	p := theory.Params{
 		S:      float64(s) / 1e9,
-		N:      len(cfg.Policies),
+		N:      len(c.cfg.Policies),
 		Lambda: lambda,
 	}
 	popt, err := p.POpt()
@@ -122,8 +110,8 @@ func recommendProduction(samples []Sample, cfg Config) (Nanos, bool) {
 	if rec > maxRecommendedProduction {
 		rec = maxRecommendedProduction
 	}
-	if rec < cfg.TargetSampling {
-		rec = cfg.TargetSampling
+	if rec < c.cfg.TargetSampling {
+		rec = c.cfg.TargetSampling
 	}
 	return rec, true
 }

@@ -9,7 +9,7 @@ import (
 // fabricated one, and callers fall back to the configured interval.
 
 func TestRecommendPathEmptyHistory(t *testing.T) {
-	c := MustNewController(Config{
+	c := newCtl(t, KindRoundRobin, Config{
 		Policies:         threePolicies(),
 		TargetSampling:   Nanos(10e6),
 		TargetProduction: Nanos(100e6),
@@ -26,7 +26,7 @@ func TestRecommendPathEmptyHistory(t *testing.T) {
 }
 
 func TestRecommendPathSingleSample(t *testing.T) {
-	c := MustNewController(Config{
+	c := newCtl(t, KindRoundRobin, Config{
 		Policies:         threePolicies(),
 		TargetSampling:   Nanos(10e6),
 		TargetProduction: Nanos(100e6),
@@ -47,7 +47,7 @@ func TestRecommendPathSingleSample(t *testing.T) {
 }
 
 func TestRecommendPathOneSamplePerPolicy(t *testing.T) {
-	c := MustNewController(Config{
+	c := newCtl(t, KindRoundRobin, Config{
 		Policies:         threePolicies(),
 		TargetSampling:   Nanos(10e6),
 		TargetProduction: Nanos(100e6),
@@ -69,7 +69,7 @@ func TestRecommendPathOneSamplePerPolicy(t *testing.T) {
 }
 
 func TestRecommendPathPartialSamplesCarryNoDrift(t *testing.T) {
-	c := MustNewController(Config{
+	c := newCtl(t, KindRoundRobin, Config{
 		Policies:         threePolicies(),
 		TargetSampling:   Nanos(10e6),
 		TargetProduction: Nanos(100e6),
@@ -89,7 +89,7 @@ func TestRecommendPathPartialSamplesCarryNoDrift(t *testing.T) {
 }
 
 func TestRecommendProductionNonDecaying(t *testing.T) {
-	c := MustNewController(Config{
+	c := newCtl(t, KindRoundRobin, Config{
 		Policies:         threePolicies(),
 		TargetSampling:   Nanos(10e6),
 		TargetProduction: Nanos(100e6),

@@ -24,7 +24,7 @@ func driveSamples(c *Controller, rounds int, overheadAt func(policy int, now Nan
 }
 
 func TestEstimateDecayRateStable(t *testing.T) {
-	c := MustNewController(Config{
+	c := newCtl(t, KindRoundRobin, Config{
 		Policies:         threePolicies(),
 		TargetSampling:   Nanos(10e6),
 		TargetProduction: Nanos(100e6),
@@ -45,7 +45,7 @@ func TestEstimateDecayRateStable(t *testing.T) {
 }
 
 func TestEstimateDecayRateDrifting(t *testing.T) {
-	c := MustNewController(Config{
+	c := newCtl(t, KindRoundRobin, Config{
 		Policies:         threePolicies(),
 		TargetSampling:   Nanos(10e6),
 		TargetProduction: Nanos(100e6),
@@ -68,7 +68,7 @@ func TestEstimateDecayRateDrifting(t *testing.T) {
 }
 
 func TestMeanEffectiveSampling(t *testing.T) {
-	c := MustNewController(Config{
+	c := newCtl(t, KindRoundRobin, Config{
 		Policies:         threePolicies(),
 		TargetSampling:   Nanos(10e6),
 		TargetProduction: Nanos(100e6),
@@ -84,7 +84,7 @@ func TestMeanEffectiveSampling(t *testing.T) {
 }
 
 func TestRecommendProduction(t *testing.T) {
-	c := MustNewController(Config{
+	c := newCtl(t, KindRoundRobin, Config{
 		Policies:         threePolicies(),
 		TargetSampling:   Nanos(10e6),
 		TargetProduction: Nanos(100e6),
@@ -101,7 +101,7 @@ func TestRecommendProduction(t *testing.T) {
 		t.Fatal("no recommendation")
 	}
 	// Fast-drifting environment: the recommendation must shrink.
-	c2 := MustNewController(Config{
+	c2 := newCtl(t, KindRoundRobin, Config{
 		Policies:         threePolicies(),
 		TargetSampling:   Nanos(10e6),
 		TargetProduction: Nanos(100e6),
@@ -126,38 +126,40 @@ func TestRecommendProduction(t *testing.T) {
 }
 
 func TestAutoTuneProduction(t *testing.T) {
-	mk := func(auto bool) *Controller {
-		return MustNewController(Config{
-			Policies:           threePolicies(),
-			TargetSampling:     Nanos(10e6),
-			TargetProduction:   Nanos(500e9), // deliberately enormous
-			AutoTuneProduction: auto,
-		})
-	}
-	drift := func(p int, now Nanos) float64 {
-		tSec := float64(now) / 1e9
-		return 0.5 + 0.4*math.Sin(5*tSec+float64(p))
-	}
-	tuned := mk(true)
-	driveSamples(tuned, 3, drift)
-	fixed := mk(false)
-	driveSamples(fixed, 3, drift)
-	// After a couple of rounds the tuned controller's production target
-	// must have shrunk far below the configured 500s; the fixed one keeps
-	// its setting.
-	for tuned.Phase() == Sampling {
-		tuned.CompletePhase(0, Measurement{LockTime: 1, ExecTime: 1e9, Acquires: 1})
-	}
-	for fixed.Phase() == Sampling {
-		fixed.CompletePhase(0, Measurement{LockTime: 1, ExecTime: 1e9, Acquires: 1})
-	}
-	if got := fixed.TargetInterval(); got != Nanos(500e9) {
-		t.Errorf("fixed production target = %v, want 500e9", got)
-	}
-	if got := tuned.TargetInterval(); got >= Nanos(500e9) {
-		t.Errorf("tuned production target = %v, want far below 500e9", got)
-	}
-	if got := tuned.TargetInterval(); got < tuned.Config().TargetSampling {
-		t.Errorf("tuned target %v below sampling interval", got)
-	}
+	forKinds(t, func(t *testing.T, kind string) {
+		mk := func(auto bool) *Controller {
+			return newCtl(t, kind, Config{
+				Policies:           threePolicies(),
+				TargetSampling:     Nanos(10e6),
+				TargetProduction:   Nanos(500e9), // deliberately enormous
+				AutoTuneProduction: auto,
+			})
+		}
+		drift := func(p int, now Nanos) float64 {
+			tSec := float64(now) / 1e9
+			return 0.5 + 0.4*math.Sin(5*tSec+float64(p))
+		}
+		tuned := mk(true)
+		driveSamples(tuned, 3, drift)
+		fixed := mk(false)
+		driveSamples(fixed, 3, drift)
+		// After a couple of rounds the tuned controller's production target
+		// must have shrunk far below the configured 500s; the fixed one keeps
+		// its setting.
+		for tuned.Phase() == Sampling {
+			tuned.CompletePhase(0, Measurement{LockTime: 1, ExecTime: 1e9, Acquires: 1})
+		}
+		for fixed.Phase() == Sampling {
+			fixed.CompletePhase(0, Measurement{LockTime: 1, ExecTime: 1e9, Acquires: 1})
+		}
+		if got := fixed.TargetInterval(); got != Nanos(500e9) {
+			t.Errorf("fixed production target = %v, want 500e9", got)
+		}
+		if got := tuned.TargetInterval(); got >= Nanos(500e9) {
+			t.Errorf("tuned production target = %v, want far below 500e9", got)
+		}
+		if got := tuned.TargetInterval(); got < tuned.Config().TargetSampling {
+			t.Errorf("tuned target %v below sampling interval", got)
+		}
+	})
 }

@@ -1,24 +1,22 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file implements a bandit alternative to the paper's round-robin
-// sampling controller. The paper's controller pays N sampling intervals per
-// round (minus the §4.5 cut-offs); with a generated policy space of a dozen
-// or more versions that price dominates the adaptation latency bound
-// P + N·S (§5). The bandit controller treats each sampling interval as one
-// pull of a stochastic arm and skips arms whose history proves they cannot
-// win: an arm is sampled only while its lower confidence bound on overhead
-// is below the best overhead measured this round. Per-arm statistics decay
-// geometrically between rounds, so after an environment change a formerly
-// bad arm's bound widens within a few rounds and it is re-examined — the
-// same periodic re-sampling guarantee the paper's controller has, at a
-// fraction of the sampled intervals once the space is large.
+// sampling. Round-robin pays N sampling intervals per round (minus the §4.5
+// cut-offs); with a generated policy space of a dozen or more versions that
+// price dominates the adaptation latency bound P + N·S (§5). The bandit
+// selector treats each sampling interval as one pull of a stochastic arm
+// and skips arms whose history proves they cannot win: an arm is sampled
+// only while its lower confidence bound on overhead is below the best
+// overhead measured this round. Per-arm statistics decay geometrically
+// between rounds, so after an environment change a formerly bad arm's bound
+// widens within a few rounds and it is re-examined — the same periodic
+// re-sampling guarantee round-robin has, at a fraction of the sampled
+// intervals once the space is large. Each arm is pulled at most once per
+// round, so a round never samples more intervals than round-robin's.
 //
-// The controller is deterministic: no randomization enters arm selection
+// The selector is deterministic: no randomization enters arm selection
 // (ties break to the lowest policy index), so simulated-machine runs stay
 // byte-identical across engines and repetitions.
 
@@ -36,331 +34,80 @@ const (
 	ucbDiscount = 0.5
 )
 
-// ControllerUCB is a dynamic feedback controller that selects sampling
-// targets by confidence bounds over the measured overhead history. It
-// drives the same phase machine as Controller — sampling intervals, then a
-// production interval running the best-known policy, then re-sampling —
-// and honours the same Config options (early cut-off, history ordering,
-// span mode, auto-tuned production). It never samples more intervals per
-// round than the round-robin controller: each policy is pulled at most
-// once per round, and the round ends as soon as no unsampled policy could
-// plausibly beat the best already measured.
-type ControllerUCB struct {
-	cfg   Config
-	phase Phase
-
-	current int
-	round   int
-
-	// Round state: which arms were pulled this round, in pull order, and
-	// the overhead each measured (NaN if not pulled).
-	order     []int
-	pulled    []bool
-	roundOver []float64
-
-	// Discounted bandit statistics across rounds.
+// ucb is the bandit selector: discounted per-arm overhead statistics and
+// the confidence bounds derived from them.
+type ucb struct {
 	armN   []float64 // discounted pull counts
 	armSum []float64 // discounted overhead sums
-	pulls  float64   // discounted total pulls, the t of the bound
-
-	phaseElapsed Nanos
-	segStart     Nanos
-	acc          Measurement
-
-	lastWinner   int
-	lastWinnerOK bool
-	lastWinOver  float64
-
-	tunedProduction Nanos
-
-	samples  []Sample
-	stats    []PolicyStats
-	switches []Switch
+	pulls  float64   // discounted total pulls, the t of the bound: Σ armN
 }
 
-// MustNewControllerUCB is NewControllerUCB that panics on error; for use
-// with static configurations.
-func MustNewControllerUCB(cfg Config) *ControllerUCB {
-	c, err := NewControllerUCB(cfg)
-	if err != nil {
-		panic(err)
+// first decays the statistics — old evidence fades so eliminated arms
+// regain plausibility and the controller re-adapts after environment
+// changes — and opens the round with the incumbent (§4.5 ordering): it is
+// both the most likely winner and the reference the elimination rule
+// compares unsampled arms against.
+func (u *ucb) first(c *Controller) int {
+	for i := range u.armN {
+		u.armN[i] *= ucbDiscount
+		u.armSum[i] *= ucbDiscount
 	}
-	return c
-}
-
-// NewControllerUCB validates cfg, applies the same defaults as
-// NewController, and returns a bandit controller.
-func NewControllerUCB(cfg Config) (*ControllerUCB, error) {
-	if len(cfg.Policies) == 0 {
-		return nil, fmt.Errorf("core: config needs at least one policy")
-	}
-	if cfg.TargetSampling <= 0 {
-		cfg.TargetSampling = DefaultTargetSampling
-	}
-	if cfg.TargetProduction <= 0 {
-		cfg.TargetProduction = DefaultTargetProduction
-	}
-	if cfg.CutoffThreshold <= 0 {
-		cfg.CutoffThreshold = DefaultCutoffThreshold
-	}
-	if cfg.HistoryMargin <= 0 {
-		cfg.HistoryMargin = DefaultHistoryMargin
-	}
-	n := len(cfg.Policies)
-	c := &ControllerUCB{
-		cfg:       cfg,
-		phase:     Idle,
-		pulled:    make([]bool, n),
-		roundOver: make([]float64, n),
-		armN:      make([]float64, n),
-		armSum:    make([]float64, n),
-		stats:     make([]PolicyStats, n),
-	}
-	for i := range c.roundOver {
-		c.roundOver[i] = math.NaN()
-	}
-	return c, nil
-}
-
-// Kind returns KindUCB.
-func (c *ControllerUCB) Kind() string { return KindUCB }
-
-// Config returns the controller's (defaulted) configuration.
-func (c *ControllerUCB) Config() Config { return c.cfg }
-
-// Phase returns the current phase.
-func (c *ControllerUCB) Phase() Phase { return c.phase }
-
-// CurrentPolicy returns the index of the version that must execute now.
-func (c *ControllerUCB) CurrentPolicy() int { return c.current }
-
-// PolicyName returns the name of policy i.
-func (c *ControllerUCB) PolicyName(i int) string { return c.cfg.Policies[i].Name }
-
-// NumPolicies returns the number of versions.
-func (c *ControllerUCB) NumPolicies() int { return len(c.cfg.Policies) }
-
-// Rounds returns the number of completed sampling rounds.
-func (c *ControllerUCB) Rounds() int { return c.round }
-
-// Samples returns the full history of completed intervals.
-func (c *ControllerUCB) Samples() []Sample { return c.samples }
-
-// Switches returns every production-phase entry, in order. The caller must
-// not mutate the slice.
-func (c *ControllerUCB) Switches() []Switch { return c.switches }
-
-// Stats returns per-policy aggregate statistics.
-func (c *ControllerUCB) Stats() []PolicyStats {
-	out := make([]PolicyStats, len(c.stats))
-	copy(out, c.stats)
-	return out
-}
-
-// TargetInterval returns the target length of the current phase.
-func (c *ControllerUCB) TargetInterval() Nanos {
-	if c.phase == Production {
-		if c.cfg.AutoTuneProduction && c.tunedProduction > 0 {
-			return c.tunedProduction
-		}
-		return c.cfg.TargetProduction
-	}
-	return c.cfg.TargetSampling
-}
-
-// Expired reports whether the current phase's target interval has elapsed
-// at instant now.
-func (c *ControllerUCB) Expired(now Nanos) bool {
-	if c.phase == Idle {
-		return false
-	}
-	return now >= c.Deadline()
-}
-
-// Deadline returns the instant at which the current phase's target
-// interval expires.
-func (c *ControllerUCB) Deadline() Nanos {
-	return c.segStart + (c.TargetInterval() - c.phaseElapsed)
-}
-
-// BeginExecution notes that the parallel section starts executing at
-// instant now; see Controller.BeginExecution.
-func (c *ControllerUCB) BeginExecution(now Nanos) {
-	if c.cfg.SpanExecutions && c.phase != Idle {
-		c.segStart = now
-		return
-	}
-	c.startRound(now)
-}
-
-func (c *ControllerUCB) startRound(now Nanos) {
-	// Decay the bandit statistics: old evidence fades so eliminated arms
-	// regain plausibility and the controller re-adapts after environment
-	// changes.
-	for i := range c.armN {
-		c.armN[i] *= ucbDiscount
-		c.armSum[i] *= ucbDiscount
-	}
-	c.pulls *= ucbDiscount
-	c.order = c.order[:0]
-	for i := range c.pulled {
-		c.pulled[i] = false
-		c.roundOver[i] = math.NaN()
-	}
-	first := 0
+	u.pulls *= ucbDiscount
 	if c.lastWinnerOK {
-		// Sample the incumbent first (§4.5 ordering): it is both the most
-		// likely winner and the reference the elimination rule compares
-		// unsampled arms against.
-		first = c.lastWinner
-	} else if a, ok := c.pickArm(); ok {
-		first = a
+		return c.lastWinner
 	}
-	c.phase = Sampling
-	c.selectArm(first, now)
-}
-
-// selectArm makes policy a the current sampling target and opens its
-// interval at instant now.
-func (c *ControllerUCB) selectArm(a int, now Nanos) {
-	c.current = a
-	c.pulled[a] = true
-	c.order = append(c.order, a)
-	c.segStart = now
-	c.phaseElapsed = 0
-	c.acc = Measurement{}
+	arm, _ := u.pick(c)
+	return arm
 }
 
 // lcb returns the lower confidence bound on policy i's overhead. An arm
 // with no (surviving) history returns −Inf: nothing excludes it, so it
 // must be sampled before the round may end.
-func (c *ControllerUCB) lcb(i int) float64 {
-	if c.armN[i] <= 0 {
+func (u *ucb) lcb(i int) float64 {
+	if u.armN[i] <= 0 {
 		return math.Inf(-1)
 	}
-	mean := c.armSum[i] / c.armN[i]
-	bonus := ucbExploration * math.Sqrt(math.Log(c.pulls+1)/c.armN[i])
+	mean := u.armSum[i] / u.armN[i]
+	bonus := ucbExploration * math.Sqrt(math.Log(u.pulls+1)/u.armN[i])
 	return mean - bonus
 }
 
-// pickArm returns the unpulled policy with the lowest confidence bound —
-// the arm that could most plausibly be the best — breaking ties toward the
-// lowest index. ok is false when every policy has been pulled this round.
-func (c *ControllerUCB) pickArm() (arm int, ok bool) {
-	best := -1
+// pick returns the policy not yet sampled this round with the lowest
+// confidence bound — the arm that could most plausibly be the best —
+// breaking ties toward the lowest index. ok is false when every policy has
+// been sampled.
+func (u *ucb) pick(c *Controller) (arm int, ok bool) {
 	bestLCB := math.Inf(1)
-	for i := range c.cfg.Policies {
-		if c.pulled[i] {
+	for i, o := range c.roundOver {
+		if !math.IsNaN(o) {
 			continue
 		}
-		if l := c.lcb(i); l < bestLCB {
+		if l := u.lcb(i); l < bestLCB {
 			bestLCB = l
-			best = i
+			arm, ok = i, true
 		}
 	}
-	if best < 0 {
+	return arm, ok
+}
+
+// next ends the round when every arm is sampled or when, even
+// optimistically, no unsampled arm beats the best overhead already measured.
+func (u *ucb) next(c *Controller) (int, bool) {
+	arm, ok := u.pick(c)
+	if !ok || u.lcb(arm) >= c.roundOver[c.bestSampled()] {
 		return 0, false
 	}
-	return best, true
+	return arm, true
 }
 
-// CompletePhase finishes the current phase at instant now; see
-// Controller.CompletePhase. During sampling it either selects the next arm
-// by confidence bound or — when no unsampled arm could plausibly beat the
-// best measured overhead — enters production early.
-func (c *ControllerUCB) CompletePhase(now Nanos, m Measurement) int {
-	if c.phase == Idle {
-		panic("core: CompletePhase while idle")
-	}
-	total := c.acc.Add(m)
-	start := c.segStart - c.phaseElapsed
-	over := total.Overhead()
-	switch c.phase {
-	case Sampling:
-		c.record(Sample{Kind: SampleSampling, Policy: c.current, Start: start, End: now, Meas: total, Overhead: over})
-		st := &c.stats[c.current]
-		st.TimesSampled++
-		st.LastOverhead = over
-		st.TotalOverhead += over
-		c.roundOver[c.current] = over
-		c.armN[c.current]++
-		c.armSum[c.current] += over
-		c.pulls++
-		if c.shouldCutOff(total) {
-			c.enterProduction(now, c.current)
-			break
-		}
-		if c.cfg.OrderByHistory && c.lastWinnerOK && len(c.order) == 1 &&
-			c.current == c.lastWinner && over <= c.lastWinOver+c.cfg.HistoryMargin {
-			// The previous winner still performs acceptably: skip the rest
-			// of the sampling phase (§4.5).
-			c.enterProduction(now, c.current)
-			break
-		}
-		next, ok := c.pickArm()
-		if !ok {
-			// Every policy pulled: the bandit degenerates to round-robin.
-			c.enterProduction(now, c.chooseProduction())
-			break
-		}
-		if c.lcb(next) >= c.roundOver[c.bestThisRound()] {
-			// Even optimistically, no unsampled policy beats the best
-			// overhead already measured this round: stop sampling.
-			c.enterProduction(now, c.chooseProduction())
-			break
-		}
-		c.selectArm(next, now)
-	case Production:
-		c.record(Sample{Kind: SampleProduction, Policy: c.current, Start: start, End: now, Meas: total, Overhead: over})
-		c.round++
-		c.startRound(now)
-	}
-	return c.current
-}
-
-func (c *ControllerUCB) shouldCutOff(m Measurement) bool {
-	if !c.cfg.EarlyCutoff {
-		return false
-	}
-	switch c.cfg.Policies[c.current].Cutoff {
-	case CutoffLocking:
-		return m.LockingOverhead() < c.cfg.CutoffThreshold
-	case CutoffWaiting:
-		return m.WaitingOverhead() < c.cfg.CutoffThreshold
-	default:
-		return false
-	}
-}
-
-// bestThisRound returns the policy with the lowest overhead measured this
-// round; ties resolve to the earlier pull, as in Controller.bestSampled.
-func (c *ControllerUCB) bestThisRound() int {
-	best := -1
-	bestOver := math.Inf(1)
-	for _, p := range c.order {
-		o := c.roundOver[p]
-		if math.IsNaN(o) {
-			continue
-		}
-		if o < bestOver {
-			bestOver = o
-			best = p
-		}
-	}
-	if best < 0 {
-		return c.current
-	}
-	return best
-}
-
-// chooseProduction picks the version the production phase will run. The
-// round's lowest measured overhead wins, except that an incumbent within
+// winner picks the version the production phase will run. The round's
+// lowest measured overhead wins, except that an incumbent within
 // HistoryMargin of it keeps the slot: among statistical near-ties the
 // bandit stays put rather than churn versions on per-interval noise, which
 // matters during gradual drift when arms sampled at different instants of
 // the round see slightly different environments.
-func (c *ControllerUCB) chooseProduction() int {
-	best := c.bestThisRound()
+func (u *ucb) winner(c *Controller) int {
+	best := c.bestSampled()
 	if c.lastWinnerOK && c.lastWinner != best {
 		if o := c.roundOver[c.lastWinner]; !math.IsNaN(o) && o <= c.roundOver[best]+c.cfg.HistoryMargin {
 			return c.lastWinner
@@ -369,185 +116,26 @@ func (c *ControllerUCB) chooseProduction() int {
 	return best
 }
 
-func (c *ControllerUCB) enterProduction(now Nanos, policy int) {
-	c.phase = Production
-	c.current = policy
-	c.segStart = now
-	c.phaseElapsed = 0
-	c.acc = Measurement{}
-	c.stats[policy].TimesChosen++
-	c.switches = append(c.switches, Switch{Round: c.round, Policy: policy, At: now})
-	if c.cfg.AutoTuneProduction {
-		if rec, ok := c.RecommendProduction(); ok {
-			c.tunedProduction = rec
-		}
-	}
-	c.lastWinner = policy
-	c.lastWinnerOK = true
-	c.lastWinOver = c.roundOver[policy]
-	if math.IsNaN(c.lastWinOver) {
-		c.lastWinOver = 0
-	}
+// observe counts one pull. A cut-short sampling interval counts too:
+// partial evidence is better than none and keeps short executions from
+// starving arm histories.
+func (u *ucb) observe(arm int, over float64) {
+	u.armN[arm]++
+	u.armSum[arm] += over
+	u.pulls++
 }
 
-// EndExecution notes that the parallel section finished at instant now;
-// see Controller.EndExecution. A cut-short sampling interval still feeds
-// the bandit statistics: partial evidence is better than none and keeps
-// short executions from starving arm histories.
-func (c *ControllerUCB) EndExecution(now Nanos, m Measurement) {
-	if c.phase == Idle {
-		return
-	}
-	if c.cfg.SpanExecutions {
-		c.acc = c.acc.Add(m)
-		c.phaseElapsed += now - c.segStart
-		c.segStart = now
-		return
-	}
-	total := c.acc.Add(m)
-	start := c.segStart - c.phaseElapsed
-	over := total.Overhead()
-	if total.ExecTime > 0 {
-		c.record(Sample{Kind: SamplePartial, Policy: c.current, Start: start, End: now, Meas: total, Overhead: over})
-	}
-	if c.phase == Sampling && total.ExecTime > 0 {
-		st := &c.stats[c.current]
-		st.TimesSampled++
-		st.LastOverhead = over
-		st.TotalOverhead += over
-		c.roundOver[c.current] = over
-		c.armN[c.current]++
-		c.armSum[c.current] += over
-		c.pulls++
-	}
-	c.phase = Idle
-	c.acc = Measurement{}
-	c.phaseElapsed = 0
-}
-
-func (c *ControllerUCB) record(s Sample) {
-	c.samples = append(c.samples, s)
-}
-
-// LastWinner returns the policy most recently selected for a production
-// phase, and whether any production phase has been entered yet.
-func (c *ControllerUCB) LastWinner() (int, bool) {
-	return c.lastWinner, c.lastWinnerOK
-}
-
-// LastWinnerOverhead returns the overhead the most recent production
-// winner measured when it was chosen (or the seeded value).
-func (c *ControllerUCB) LastWinnerOverhead() float64 { return c.lastWinOver }
-
-// seedArms primes the bandit statistics from persisted per-policy
-// aggregates: each previously sampled policy counts as one discounted
-// pull at its historical mean, so the elimination rule applies from the
+// seed primes the statistics from persisted per-policy aggregates: each
+// previously sampled policy counts as one pull at its historical mean,
+// replacing what the arm held, so the elimination rule applies from the
 // first round instead of after one full round-robin pass.
-func (c *ControllerUCB) seedArms(stats []PolicyStats, onlyUnsampled bool) {
+func (u *ucb) seed(stats []PolicyStats) {
 	for i, st := range stats {
 		if st.TimesSampled == 0 {
 			continue
 		}
-		if onlyUnsampled && (c.stats[i].TimesSampled > 0 || c.armN[i] > 0) {
-			continue
-		}
-		c.armN[i] = 1
-		c.armSum[i] = st.MeanOverhead()
-		c.pulls++
+		u.pulls += 1 - u.armN[i]
+		u.armN[i] = 1
+		u.armSum[i] = st.MeanOverhead()
 	}
-}
-
-// SeedHistory primes an idle controller with knowledge persisted from a
-// previous run; see Controller.SeedHistory. The seeded stats additionally
-// warm the per-arm confidence bounds.
-func (c *ControllerUCB) SeedHistory(seed Seed) error {
-	if c.phase != Idle {
-		return fmt.Errorf("core: SeedHistory on a running controller (phase %v)", c.phase)
-	}
-	if seed.Winner < 0 || seed.Winner >= len(c.cfg.Policies) {
-		return fmt.Errorf("core: seed winner %d out of range [0,%d)", seed.Winner, len(c.cfg.Policies))
-	}
-	if o := seed.WinnerOverhead; math.IsNaN(o) || o < 0 || o > 1 {
-		return fmt.Errorf("core: seed winner overhead %v outside [0,1]", o)
-	}
-	if seed.Stats != nil {
-		if len(seed.Stats) != len(c.stats) {
-			return fmt.Errorf("core: seed has %d policy stats, controller has %d policies",
-				len(seed.Stats), len(c.stats))
-		}
-		copy(c.stats, seed.Stats)
-		c.seedArms(seed.Stats, false)
-	}
-	c.lastWinner = seed.Winner
-	c.lastWinnerOK = true
-	c.lastWinOver = seed.WinnerOverhead
-	return nil
-}
-
-// LateSeed primes a controller that may already be executing, provided it
-// has not yet chosen a production winner of its own; see
-// Controller.LateSeed. Measured knowledge wins over the seed: arm
-// statistics are only restored for policies never sampled here.
-func (c *ControllerUCB) LateSeed(seed Seed) error {
-	if c.lastWinnerOK {
-		return fmt.Errorf("core: LateSeed on a controller that already has a winner")
-	}
-	if c.phase == Idle {
-		return c.SeedHistory(seed)
-	}
-	if seed.Winner < 0 || seed.Winner >= len(c.cfg.Policies) {
-		return fmt.Errorf("core: seed winner %d out of range [0,%d)", seed.Winner, len(c.cfg.Policies))
-	}
-	if o := seed.WinnerOverhead; math.IsNaN(o) || o < 0 || o > 1 {
-		return fmt.Errorf("core: seed winner overhead %v outside [0,1]", o)
-	}
-	if seed.Stats != nil {
-		if len(seed.Stats) != len(c.stats) {
-			return fmt.Errorf("core: seed has %d policy stats, controller has %d policies",
-				len(seed.Stats), len(c.stats))
-		}
-		for i, st := range seed.Stats {
-			if c.stats[i].TimesSampled == 0 {
-				c.stats[i] = st
-			}
-		}
-		c.seedArms(seed.Stats, true)
-	}
-	c.lastWinner = seed.Winner
-	c.lastWinnerOK = true
-	c.lastWinOver = seed.WinnerOverhead
-	return nil
-}
-
-// BestKnownPolicy returns the policy the controller would choose for
-// production given everything sampled so far this round, falling back to
-// the historical winner and then to policy 0.
-func (c *ControllerUCB) BestKnownPolicy() int {
-	for _, o := range c.roundOver {
-		if !math.IsNaN(o) {
-			return c.bestThisRound()
-		}
-	}
-	if c.lastWinnerOK {
-		return c.lastWinner
-	}
-	return 0
-}
-
-// EstimateDecayRate estimates the §5 decay rate λ from the sampling
-// history; see Controller.EstimateDecayRate.
-func (c *ControllerUCB) EstimateDecayRate() (float64, bool) {
-	return estimateDecayRate(c.samples)
-}
-
-// MeanEffectiveSampling returns the mean completed sampling-interval
-// length; see Controller.MeanEffectiveSampling.
-func (c *ControllerUCB) MeanEffectiveSampling() (Nanos, bool) {
-	return meanEffectiveSampling(c.samples)
-}
-
-// RecommendProduction derives a production interval from the observed
-// history via the §5 analysis; see Controller.RecommendProduction.
-func (c *ControllerUCB) RecommendProduction() (Nanos, bool) {
-	return recommendProduction(c.samples, c.cfg)
 }

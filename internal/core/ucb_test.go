@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -16,9 +17,9 @@ func manyPolicies(n int) []PolicyInfo {
 	return out
 }
 
-// driveCtl runs one full sampling phase of any controller with fixed
+// driveCtl runs one full sampling phase of a controller with fixed
 // per-policy overheads and returns the production policy chosen.
-func driveCtl(t *testing.T, c Ctl, now *Nanos, overheads []float64) int {
+func driveCtl(t *testing.T, c *Controller, now *Nanos, overheads []float64) int {
 	t.Helper()
 	if c.Phase() == Idle {
 		c.BeginExecution(*now)
@@ -36,7 +37,7 @@ func driveCtl(t *testing.T, c Ctl, now *Nanos, overheads []float64) int {
 
 // finishProduction completes the pending production interval, rolling the
 // controller into its next sampling round.
-func finishProduction(t *testing.T, c Ctl, now *Nanos, overhead float64) {
+func finishProduction(t *testing.T, c *Controller, now *Nanos, overhead float64) {
 	t.Helper()
 	if c.Phase() != Production {
 		t.Fatalf("phase = %v, want production", c.Phase())
@@ -47,7 +48,7 @@ func finishProduction(t *testing.T, c Ctl, now *Nanos, overhead float64) {
 
 // sampledThisRound counts the sampling intervals since the last production
 // sample.
-func sampledThisRound(c Ctl) int {
+func sampledThisRound(c *Controller) int {
 	samples := c.Samples()
 	n := 0
 	for i := len(samples) - 1; i >= 0; i-- {
@@ -64,7 +65,7 @@ func TestUCBFirstRoundSamplesEveryPolicy(t *testing.T) {
 	// first round must degenerate to round-robin: all 12 policies sampled,
 	// lowest overhead chosen.
 	over := []float64{0.5, 0.2, 0.7, 0.6, 0.55, 0.4, 0.8, 0.9, 0.3, 0.65, 0.45, 0.35}
-	c := MustNewControllerUCB(Config{Policies: manyPolicies(12)})
+	c := newCtl(t, KindUCB, Config{Policies: manyPolicies(12)})
 	now := Nanos(0)
 	got := driveCtl(t, c, &now, over)
 	if got != 1 {
@@ -84,7 +85,7 @@ func TestUCBSecondRoundEliminatesClearLosers(t *testing.T) {
 		over[i] = 0.6
 	}
 	over[3] = 0.1
-	c := MustNewControllerUCB(Config{Policies: manyPolicies(12)})
+	c := newCtl(t, KindUCB, Config{Policies: manyPolicies(12)})
 	now := Nanos(0)
 	driveCtl(t, c, &now, over)
 	finishProduction(t, c, &now, over[3])
@@ -113,7 +114,7 @@ func TestUCBKeepsNearTiesInRotation(t *testing.T) {
 		over[i] = 0.7
 	}
 	over[2], over[5], over[8] = 0.10, 0.13, 0.16
-	c := MustNewControllerUCB(Config{Policies: manyPolicies(12)})
+	c := newCtl(t, KindUCB, Config{Policies: manyPolicies(12)})
 	now := Nanos(0)
 	driveCtl(t, c, &now, over)
 	finishProduction(t, c, &now, over[2])
@@ -128,7 +129,7 @@ func TestUCBNeverMorePullsPerRoundThanRoundRobin(t *testing.T) {
 	// Each arm is pulled at most once per round, so no round ever samples
 	// more intervals than the round-robin controller's N.
 	over := []float64{0.5, 0.2, 0.7, 0.6, 0.55, 0.4, 0.8, 0.9, 0.3, 0.65, 0.45, 0.35, 0.25, 0.15}
-	c := MustNewControllerUCB(Config{Policies: manyPolicies(len(over))})
+	c := newCtl(t, KindUCB, Config{Policies: manyPolicies(len(over))})
 	now := Nanos(0)
 	for round := 0; round < 6; round++ {
 		driveCtl(t, c, &now, over)
@@ -147,7 +148,7 @@ func TestUCBIncumbentHysteresis(t *testing.T) {
 		over[i] = 0.6
 	}
 	over[4] = 0.30
-	c := MustNewControllerUCB(Config{Policies: manyPolicies(10)})
+	c := newCtl(t, KindUCB, Config{Policies: manyPolicies(10)})
 	now := Nanos(0)
 	if got := driveCtl(t, c, &now, over); got != 4 {
 		t.Fatalf("round 1 winner = %d, want 4", got)
@@ -183,7 +184,7 @@ func TestUCBEarlyCutoffAtLargeVersionCount(t *testing.T) {
 	// even with 12 versions waiting.
 	policies := manyPolicies(12)
 	policies[0].Cutoff = CutoffLocking
-	c := MustNewControllerUCB(Config{Policies: policies, EarlyCutoff: true})
+	c := newCtl(t, KindUCB, Config{Policies: policies, EarlyCutoff: true})
 	now := Nanos(0)
 	c.BeginExecution(now)
 	now += c.Config().TargetSampling
@@ -204,7 +205,7 @@ func TestRoundRobinOrderingAtLargeVersionCount(t *testing.T) {
 		over[i] = 0.2 + 0.05*float64(i)
 	}
 	over[11] = 0.05
-	c := MustNewController(Config{Policies: manyPolicies(14)})
+	c := newCtl(t, KindRoundRobin, Config{Policies: manyPolicies(14)})
 	now := Nanos(0)
 	got := driveCtl(t, c, &now, over)
 	if got != 11 {
@@ -226,10 +227,7 @@ func TestRoundRobinOrderingAtLargeVersionCount(t *testing.T) {
 func traceOf(t *testing.T, kind string, seed *Seed, rounds int) ([]Sample, []Switch) {
 	t.Helper()
 	over := []float64{0.5, 0.2, 0.7, 0.6, 0.55, 0.4, 0.8, 0.9, 0.3, 0.65, 0.45, 0.35}
-	c, err := NewCtl(kind, Config{Policies: manyPolicies(len(over))})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCtl(t, kind, Config{Policies: manyPolicies(len(over))})
 	if seed != nil {
 		if err := c.SeedHistory(*seed); err != nil {
 			t.Fatal(err)
@@ -285,7 +283,7 @@ func TestUCBSeededHistoryShortensFirstRound(t *testing.T) {
 	}
 	over[3] = 0.1
 
-	ucb := MustNewControllerUCB(Config{Policies: manyPolicies(12)})
+	ucb := newCtl(t, KindUCB, Config{Policies: manyPolicies(12)})
 	if err := ucb.SeedHistory(seed); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +293,7 @@ func TestUCBSeededHistoryShortensFirstRound(t *testing.T) {
 	}
 	nUCB := sampledThisRound(ucb)
 
-	rr := MustNewController(Config{Policies: manyPolicies(12)})
+	rr := newCtl(t, KindRoundRobin, Config{Policies: manyPolicies(12)})
 	if err := rr.SeedHistory(seed); err != nil {
 		t.Fatal(err)
 	}
@@ -304,5 +302,52 @@ func TestUCBSeededHistoryShortensFirstRound(t *testing.T) {
 	nRR := sampledThisRound(rr)
 	if nUCB >= nRR {
 		t.Errorf("seeded ucb sampled %d intervals, round-robin %d; want strictly fewer", nUCB, nRR)
+	}
+}
+
+func TestUCBSeedTwiceEqualsSeedOnce(t *testing.T) {
+	// A seed replaces an arm's statistics, so it must replace — not add to —
+	// the arm's share of the total pull count: counting the arm again would
+	// leave pulls above Σ armN and widen every confidence bound by
+	// √(ln(pulls+1)).
+	st := make([]PolicyStats, 12)
+	for i := range st {
+		st[i] = PolicyStats{TimesSampled: 1 + i%3, LastOverhead: 0.6, TotalOverhead: 0.6 * float64(1+i%3)}
+	}
+	st[3] = PolicyStats{TimesSampled: 1, LastOverhead: 0.1, TotalOverhead: 0.1}
+	st[7] = PolicyStats{} // never sampled: no evidence to seed
+	seed := Seed{Winner: 3, WinnerOverhead: 0.1, Stats: st}
+	seeded := func(times int) *Controller {
+		c := newCtl(t, KindUCB, Config{Policies: manyPolicies(12)})
+		for i := 0; i < times; i++ {
+			if err := c.SeedHistory(seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	once, twice := seeded(1), seeded(2)
+	if !reflect.DeepEqual(once.sel, twice.sel) {
+		t.Errorf("arm statistics after seeding twice = %+v, after seeding once %+v", twice.sel, once.sel)
+	}
+	// Re-seeding an idle controller that has history of its own keeps the
+	// invariant too: the decayed counts it replaces leave the total.
+	now := Nanos(0)
+	over := make([]float64, 12)
+	for round := 0; round < 3; round++ {
+		driveCtl(t, once, &now, over)
+		finishProduction(t, once, &now, 0)
+	}
+	once.EndExecution(now, Measurement{})
+	if err := once.SeedHistory(seed); err != nil {
+		t.Fatal(err)
+	}
+	u := once.sel.(*ucb)
+	sum := 0.0
+	for _, n := range u.armN {
+		sum += n
+	}
+	if math.Abs(u.pulls-sum) > 1e-12 {
+		t.Errorf("pulls = %v after re-seeding, want Σ armN = %v", u.pulls, sum)
 	}
 }

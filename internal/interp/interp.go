@@ -315,7 +315,7 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 		prep:        prepare(p),
 		opts:        opts,
 		m:           simmach.New(mcfg),
-		controllers: map[int]core.Ctl{},
+		controllers: map[int]*core.Controller{},
 		stats:       map[int]*SectionStats{},
 		hook:        opts.ckHook,
 	}
@@ -492,7 +492,7 @@ type runtime struct {
 	m           *simmach.Machine
 	paramVals   []int64
 	output      []string
-	controllers map[int]core.Ctl
+	controllers map[int]*core.Controller
 	stats       map[int]*SectionStats
 	barrier     *simmach.Barrier
 	// baseFlags is the site-flag vector used outside parallel sections in
@@ -539,7 +539,7 @@ func (rt *runtime) sectionStats(sec *ir.Section) *SectionStats {
 // controller returns (creating on demand) the persistent dynamic feedback
 // controller of a section. Policies are the section's distinct versions;
 // the early cut-off components follow the monotonicity argument of §4.5.
-func (rt *runtime) controller(sec *ir.Section) core.Ctl {
+func (rt *runtime) controller(sec *ir.Section) *core.Controller {
 	if c, ok := rt.controllers[sec.ID]; ok {
 		return c
 	}
@@ -583,7 +583,7 @@ type sectionRun struct {
 	args       []Value
 	versionIdx int
 	dynamic    bool
-	ctl        core.Ctl
+	ctl        *core.Controller
 	snap       []simmach.Counters // per-proc counters at phase start
 	secSnap    []simmach.Counters // per-proc counters at section start
 	finished   bool

@@ -15,9 +15,9 @@ import (
 //
 // Snapshots are only taken at iteration-claim points (the checkpoint
 // protocol's anchor), and only for static-policy runs: the dynamic
-// feedback controller accumulates internal state (core.Controller) that is
-// deliberately not snapshotable, and sampled runs reject dynamic policies
-// anyway.
+// feedback controller (core.Controller and, inside it, its selector's arm
+// statistics) accumulates state that is deliberately not snapshotable, and
+// sampled runs reject dynamic policies anyway.
 
 // runSnapshot is a restorable snapshot of a run: the machine checkpoint
 // plus the interpreter-level client state.
