@@ -14,12 +14,11 @@
 // against the cached record, and -cache-timing runs a second, warm pass
 // against the populated cache and records the cold/warm speedup.
 //
-// OBL programs execute on the register bytecode VM by default; -engine
-// interp selects the step-interpreter, and -engine-timing runs the suite
-// cold under both engines, verifies the reports are byte-identical, and
-// records both wall-clocks. -scaling reruns the suite cold at each named
-// parallelism and records the wall-clock curve; -cpuprofile writes a Go
-// CPU profile of the whole run.
+// OBL programs execute on the register bytecode VM; -engine-timing also
+// runs the suite cold under the reference step interpreter, verifies the
+// reports are byte-identical, and records both wall-clocks. -scaling
+// reruns the suite cold at each named parallelism and records the
+// wall-clock curve; -cpuprofile writes a Go CPU profile of the whole run.
 //
 // -sample runs the sampled-simulation tier (internal/bench.SamplingValidation):
 // each large-workload cell is simulated twice, once with interval sampling
@@ -48,7 +47,7 @@
 //	        [-perturb crossover|ramp|periodic|skew|all]
 //	        [-p N] [-csv dir] [-json path] [-speedup] [-list]
 //	        [-cache dir] [-cache-mem N] [-cache-verify] [-cache-timing]
-//	        [-engine vm|interp] [-engine-timing] [-scaling 1,2,4]
+//	        [-engine-timing] [-scaling 1,2,4]
 //	        [-controller roundrobin|ucb] [-sample] [-sample-validate]
 //	        [-policies] [-policies-validate] [-cpuprofile path]
 //
@@ -92,9 +91,8 @@ func main() {
 	cacheMem := flag.Int("cache-mem", 0, "in-memory cache capacity in entries (default 1024; negative disables the memory tier)")
 	cacheVerify := flag.Bool("cache-verify", false, "re-simulate every cache hit and byte-compare it against the cached record; implies a warm verification pass")
 	cacheTiming := flag.Bool("cache-timing", false, "rerun the suite warm against the populated cache and record the cold/warm speedup")
-	engine := flag.String("engine", "", "execution engine: vm (default) or interp")
 	controller := flag.String("controller", "", "feedback controller for dynamic runs: roundrobin (default) or ucb")
-	engineTiming := flag.Bool("engine-timing", false, "rerun the suite cold under the other engine, record both wall-clocks, and verify the reports are byte-identical")
+	engineTiming := flag.Bool("engine-timing", false, "rerun the suite cold under the VM and under the reference step interpreter, record both wall-clocks, and verify the reports are byte-identical")
 	scaling := flag.String("scaling", "", "comma-separated parallelism levels (e.g. 1,2,4): rerun the suite cold at each, record the wall-clock curve, and verify the reports are byte-identical")
 	sample := flag.Bool("sample", false, "run the sampled-simulation tier (sampled and exhaustive passes per large-workload cell) and record it in the JSON document")
 	sampleValidate := flag.Bool("sample-validate", false, "implies -sample; exit nonzero unless every ground-truth metric falls inside its confidence interval")
@@ -126,7 +124,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dfbench: unknown controller %q (want %s or %s)\n", *controller, core.KindRoundRobin, core.KindUCB)
 		os.Exit(2)
 	}
-	cfg := bench.SuiteConfig{Quick: *quick, Parallelism: parexec.Workers(*par), Engine: *engine, Controller: *controller}
+	cfg := bench.SuiteConfig{Quick: *quick, Parallelism: parexec.Workers(*par), Controller: *controller}
 	var cache *simcache.Cache
 	if *cacheDir != "" || *cacheVerify || *cacheTiming {
 		// Verify and timing passes work against a memory-only cache when no
@@ -459,10 +457,6 @@ func writeJSON(path string, cfg bench.SuiteConfig, reports []*bench.Report, wall
 	for i, rep := range reports {
 		exps[i] = expJSON{Report: rep, HostWallMS: walls[i]}
 	}
-	engine := cfg.Engine
-	if engine == "" {
-		engine = interp.EngineVM
-	}
 	doc := struct {
 		GeneratedAt  string              `json:"generated_at"`
 		Quick        bool                `json:"quick"`
@@ -486,7 +480,7 @@ func writeJSON(path string, cfg bench.SuiteConfig, reports []*bench.Report, wall
 		Procs:        cfg.Procs,
 		HostCPUs:     runtime.NumCPU(),
 		Parallelism:  cfg.Parallelism,
-		Engine:       engine,
+		Engine:       interp.EngineVM,
 		TotalWallMS:  totalMS,
 		SerialWallMS: serialMS,
 		Speedup:      speedup,

@@ -44,7 +44,6 @@ import (
 	"repro/dynfb/store"
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/serve"
 	"repro/internal/simcache"
 )
@@ -62,7 +61,6 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrently executing workload runs (default GOMAXPROCS)")
 	cold := flag.Bool("cold", false, "ignore stored records at boot (always cold-start)")
 	simcacheDir := flag.String("simcache", "", "content-addressed simulation cache directory for OBL runs (empty disables)")
-	engine := flag.String("engine", "", "OBL execution engine: vm (default) or interp; results are byte-identical")
 	controller := flag.String("controller", "", "feedback controller: roundrobin (default) or ucb")
 	logFormat := flag.String("log", "text", "log format: text or json")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
@@ -83,10 +81,6 @@ func main() {
 		fatal(fmt.Errorf("-tenant needs a store to namespace: set -hub, -store or -kv"))
 	}
 
-	if *engine != "" && *engine != interp.EngineVM && *engine != interp.EngineInterp {
-		fmt.Fprintf(os.Stderr, "dfserved: unknown engine %q (want %s or %s)\n", *engine, interp.EngineVM, interp.EngineInterp)
-		os.Exit(2)
-	}
 	if !core.ValidKind(*controller) {
 		fmt.Fprintf(os.Stderr, "dfserved: unknown controller %q (want %s or %s)\n", *controller, core.KindRoundRobin, core.KindUCB)
 		os.Exit(2)
@@ -99,7 +93,6 @@ func main() {
 		ColdStart:        *cold,
 		Tenant:           *tenant,
 		Logger:           logger,
-		Engine:           *engine,
 		Controller:       *controller,
 	}
 

@@ -264,6 +264,14 @@ type hubPush struct {
 	Records []VersionedRecord `json:"records"`
 }
 
+// pushAck is the body of a push acknowledgement. Its hub sequence is
+// deliberately not read: the watch cursor (hubSeq) advances only from
+// /v1/state and /v1/watch responses, whose records the replica has merged.
+// A push is sequenced after whatever peers wrote since the last read, so
+// adopting its sequence would skip those records for good; the replica's
+// own records coming back on the next watch are LWW no-ops.
+type pushAck struct{}
+
 // watchLoop follows the hub's update stream, resyncing from scratch after
 // every disconnect.
 func (r *ReplStore) watchLoop() {
@@ -344,15 +352,9 @@ func (r *ReplStore) resync(ctx context.Context) error {
 			push.Records = append(push.Records, vr)
 		}
 	}
-	var resp struct {
-		Seq uint64 `json:"seq"`
-	}
 	if len(push.Records) > 0 {
-		if err := r.postJSON(ctx, "/v1/push", push, &resp); err != nil {
+		if err := r.postJSON(ctx, "/v1/push", push, &pushAck{}); err != nil {
 			return err
-		}
-		if resp.Seq > state.Seq {
-			state.Seq = resp.Seq
 		}
 	}
 	pushed := make(map[Key]uint64, len(push.Records))
@@ -420,10 +422,7 @@ func (r *ReplStore) pushPending(ctx context.Context) {
 	}
 	r.mu.Unlock()
 
-	var resp struct {
-		Seq uint64 `json:"seq"`
-	}
-	if err := r.postJSON(ctx, "/v1/push", hubPush{Origin: r.origin, Records: batch}, &resp); err != nil {
+	if err := r.postJSON(ctx, "/v1/push", hubPush{Origin: r.origin, Records: batch}, &pushAck{}); err != nil {
 		if ctx.Err() != nil {
 			// The context, not the hub, aborted the push (shutdown or
 			// flush deadline); the link may be fine.
@@ -441,9 +440,6 @@ func (r *ReplStore) pushPending(ctx context.Context) {
 		if cur, ok := r.pending[k]; ok && cur.Version == batch[i].Version {
 			delete(r.pending, k)
 		}
-	}
-	if resp.Seq > r.hubSeq {
-		r.hubSeq = resp.Seq
 	}
 	r.lastSync = time.Now()
 	r.mu.Unlock()

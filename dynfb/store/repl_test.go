@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/dynfb/store"
+	"repro/dynfb/store/hub"
 )
 
 // partitionTransport is an http.RoundTripper with a switch: while down, every
@@ -28,9 +31,17 @@ func (p *partitionTransport) RoundTrip(req *http.Request) (*http.Response, error
 
 func openReplica(t *testing.T, hubURL, origin string, rt http.RoundTripper) *store.ReplStore {
 	t.Helper()
+	return openReplicaOver(t, hubURL, origin, rt, nil)
+}
+
+// openReplicaOver opens a replica over an existing local backend (nil for a
+// fresh MemStore).
+func openReplicaOver(t *testing.T, hubURL, origin string, rt http.RoundTripper, local store.Backend) *store.ReplStore {
+	t.Helper()
 	r, err := store.OpenRepl(store.ReplConfig{
 		HubURL:             hubURL,
 		Origin:             origin,
+		Local:              local,
 		InitialSyncTimeout: 2 * time.Second,
 		PollWait:           200 * time.Millisecond,
 		RetryMin:           10 * time.Millisecond,
@@ -245,4 +256,52 @@ func TestReplCloseFlushesPending(t *testing.T) {
 			t.Errorf("record s%d lost across drain", i)
 		}
 	}
+}
+
+// beforePush is an http.RoundTripper that runs fn once, just before it
+// forwards the first POST /v1/push.
+type beforePush struct {
+	once sync.Once
+	fn   func()
+}
+
+func (b *beforePush) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPost && req.URL.Path == "/v1/push" {
+		b.once.Do(b.fn)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestReplPushAckDoesNotAdvanceWatchCursor pins the watch cursor to what the
+// replica has actually read. A peer record the hub sequences between the
+// replica's /v1/state read and its own bootstrap /v1/push sits below the
+// sequence the push acknowledgement reports; a cursor advanced from that
+// acknowledgement would skip it for good.
+func TestReplPushAckDoesNotAdvanceWatchCursor(t *testing.T) {
+	h, err := hub.New(hub.Config{Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h.Handler())
+	t.Cleanup(srv.Close)
+
+	local := store.NewMemStore()
+	if err := store.NewTenantStore(local, "").Save(confRecord("mine")); err != nil {
+		t.Fatal(err)
+	}
+	rec := confRecord("peer")
+	peer := store.VersionedRecord{
+		Key:    store.Key{Section: rec.Section, Env: rec.Fingerprint.Hash()},
+		Record: rec, Clock: 1, Origin: "replica-b",
+	}
+	rt := &beforePush{fn: func() {
+		if _, applied, err := h.Apply([]store.VersionedRecord{peer}); err != nil || applied != 1 {
+			t.Errorf("hub.Apply(peer): applied %d, err %v", applied, err)
+		}
+	}}
+	a := openReplicaOver(t, srv.URL, "replica-a", rt, local)
+	waitUntil(t, "the peer record sequenced before the bootstrap push", func() bool {
+		_, ok, _ := a.Load("peer")
+		return ok
+	})
 }

@@ -100,7 +100,7 @@ func compileSpecs(name string) (*oblc.Compiled, error) {
 }
 
 // PoliciesValidation runs the tier. cfg contributes Quick (workload
-// scaling for the offline search), Engine, Cache and Parallelism; the duel
+// scaling for the offline search), Cache and Parallelism; the duel
 // workloads are fixed like the adaptivity experiments', so the online
 // claims do not depend on -quick.
 func PoliciesValidation(cfg SuiteConfig) (*PoliciesJSON, error) {

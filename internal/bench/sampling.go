@@ -102,7 +102,7 @@ func SamplingCells(quick bool) []SamplingCell {
 
 // SamplingValidation runs the tier: every cell sampled and exhaustive,
 // estimator containment checked against ground truth. cfg contributes
-// Quick and Engine; the simulation cache is deliberately not consulted.
+// Quick; the simulation cache is deliberately not consulted.
 func SamplingValidation(cfg SuiteConfig) (*SamplingJSON, error) {
 	scfg := simsample.Config{}
 	out := &SamplingJSON{Quick: cfg.Quick, Procs: 8, Confidence: 0.95, RelFloor: 0.02}
@@ -115,7 +115,7 @@ func SamplingValidation(cfg SuiteConfig) (*SamplingJSON, error) {
 		spec := cell.Spec
 		opts := interp.Options{
 			Procs: out.Procs, Policy: cell.Policy,
-			Params: cell.Params, Sample: &spec, Engine: cfg.Engine,
+			Params: cell.Params, Sample: &spec,
 		}
 		if cell.Scenario != "" {
 			sched, ok := perturb.Scenario(cell.Scenario)

@@ -48,10 +48,10 @@ type SuiteConfig struct {
 	// turning the determinism claim into a checked invariant. A mismatch
 	// is an error, not a silent fallback.
 	CacheVerify bool
-	// Engine selects the execution engine for every simulation
-	// (interp.EngineVM or interp.EngineInterp; empty uses the interp
-	// default, the VM). Both engines produce byte-identical results —
-	// dfbench -engine-timing runs the suite under each and checks it —
+	// Engine is the seam dfbench -engine-timing and the engine parity test
+	// use to run the whole suite under interp.EngineInterp, the reference
+	// oracle, and byte-compare its reports with the VM's (the default,
+	// and the only engine any other caller uses). Results are identical,
 	// so the engine is deliberately absent from content-addressed cache
 	// keys; it only enters the in-process memo keys so timing passes
 	// under different engines never share cells.

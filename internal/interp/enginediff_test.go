@@ -3,6 +3,7 @@ package interp_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -165,11 +166,11 @@ func TestEngineByteIdenticalRaceFindings(t *testing.T) {
 	}
 }
 
-// TestEngineFallbackOnUncompilablePrograms runs a program the bytecode
-// compiler must reject (no register-kind annotations) under the default
-// engine: Run silently falls back to the interpreter and the result
-// matches an explicit interpreter run.
-func TestEngineFallbackOnUncompilablePrograms(t *testing.T) {
+// TestUncompilableProgramRejected runs a program the bytecode compiler
+// must reject (no register-kind annotations): the default engine returns
+// the compile error, naming the function, instead of running it some other
+// way; the oracle, which needs no register kinds, still executes it.
+func TestUncompilableProgramRejected(t *testing.T) {
 	c, err := oblc.Compile(`
 func main() {
   let s: int = 0;
@@ -185,16 +186,16 @@ func main() {
 	for _, f := range stripped.Funcs {
 		f.RegKinds = nil
 	}
-	res, err := interp.Run(stripped, interp.Options{Procs: 1, Policy: "original"})
-	if err != nil {
-		t.Fatalf("fallback run: %v", err)
+	_, err = interp.Run(stripped, interp.Options{Procs: 1, Policy: "original"})
+	if err == nil || !strings.Contains(err.Error(), "main: no register kinds") {
+		t.Fatalf("default engine on a program without register kinds: got %v, want vm.Compile's error", err)
 	}
 	ref, err := interp.Run(stripped, interp.Options{Procs: 1, Policy: "original", Engine: interp.EngineInterp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeResult(t, res), encodeResult(t, ref)) {
-		t.Fatal("fallback result differs from interpreter")
+	if len(ref.Output) != 1 || ref.Output[0] != "45" {
+		t.Fatalf("oracle output %q, want [45]", ref.Output)
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 // operations always yield first, so interleavings are exact regardless.
 const stepBudget = 4096
 
-// execSome interprets instructions of the top frame until a yield point.
+// exec interprets instructions of the top frame until a yield point.
 // It returns again=true when the Step loop should continue (frames
 // emptied while in a section, or after a non-yielding transition).
 //
 //dfvet:noalloc
-func (t *task) execSome(p *simmach.Proc) (simmach.Status, bool) {
+func (t *task) exec(p *simmach.Proc) (simmach.Status, bool) {
 	rt := t.rt
 	for t.executed < stepBudget {
 		fr := &t.frames[len(t.frames)-1]

@@ -108,12 +108,13 @@ type Options struct {
 	// returns ok=false). Use internal/simsample to attach confidence
 	// intervals and validate estimates against exhaustive ground truth.
 	Sample *SampleSpec
-	// Engine selects the execution engine: EngineVM (default) compiles the
-	// program to register bytecode with profile-guided specialization and
-	// falls back to the interpreter automatically when compilation is not
-	// possible (e.g. hand-built programs without register-kind metadata);
-	// EngineInterp forces the direct IR interpreter. Both engines produce
-	// byte-identical Results, so the choice never appears in cache keys.
+	// Engine selects the instruction executor. EngineVM (the default) is the
+	// production engine: the program is compiled to register bytecode with
+	// profile-guided specialization, and a program vm.Compile rejects is an
+	// error. EngineInterp is the reference oracle the differential tests
+	// and the benchmark compare against: the direct IR interpreter, for
+	// exhaustive runs only (it rejects Sample). Both produce byte-identical
+	// Results, so the choice never appears in cache keys.
 	Engine string
 	// Trace, when set, receives every synchronization event of the
 	// simulated machine (lock acquires, blocks, grants, releases, barrier
@@ -293,6 +294,9 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	if opts.Engine != EngineVM && opts.Engine != EngineInterp {
 		return nil, fmt.Errorf("interp: unknown engine %q", opts.Engine)
 	}
+	if opts.Engine == EngineInterp && (opts.Sample != nil || opts.ckHook != nil) {
+		return nil, fmt.Errorf("interp: engine %q is the exhaustive-run oracle and keeps no snapshot state; sample and checkpoint under %q", EngineInterp, EngineVM)
+	}
 	if opts.Policy != PolicyDynamic {
 		for _, sec := range p.Sections {
 			if _, ok := sec.PolicyVersion[opts.Policy]; !ok {
@@ -374,12 +378,9 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 			rt.paramVals[i] = v
 		}
 	}
-	// Engine selection. The VM engine needs a successful bytecode
-	// compilation; otherwise the run silently uses the interpreter, which
-	// accepts any verified program. The first completed VM run of a
-	// program doubles as its profiling pass: its counters feed
-	// vm.Specialize, and the specialization claim is re-opened if the run
-	// fails before finishing.
+	// The first completed VM run of a program doubles as its profiling
+	// pass: its counters feed vm.Specialize, and the specialization claim is
+	// re-opened if the run fails before finishing.
 	var vmEntry *vmModEntry
 	var vmProf *vm.Profile
 	defer func() {
@@ -399,32 +400,41 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 			vmEntry.finish(vmProf)
 		}
 	}()
-	usedVM := false
+	rt.pool = make([]*worker, opts.Procs)
 	if opts.Engine == EngineVM {
-		if e := vmModuleFor(p); e.err == nil {
-			mod, prof := e.acquire()
-			if prof != nil && (opts.Sample != nil || opts.ckHook != nil) {
-				// A sampled (or checkpoint-exercised) run skips or replays
-				// iterations; its instruction counts would bias the
-				// specialization profile. Leave the profiling pass to the
-				// next exhaustive run.
-				e.release()
-				prof = nil
+		e := vmModuleFor(p)
+		if e.err != nil {
+			return nil, fmt.Errorf("interp: %w", e.err)
+		}
+		mod, prof := e.acquire()
+		if prof != nil && (opts.Sample != nil || opts.ckHook != nil) {
+			// A sampled (or checkpoint-exercised) run skips or replays
+			// iterations; its instruction counts would bias the
+			// specialization profile. Leave the profiling pass to the
+			// next exhaustive run.
+			e.release()
+			prof = nil
+		}
+		vmEntry, vmProf = e, prof
+		for i := range rt.pool {
+			vt := &vmTask{mod: mod, prof: prof, sites: make([]lockSite, mod.NumLockSites)}
+			vt.worker = worker{rt: rt, ex: vt, isMain: i == 0}
+			rt.pool[i] = &vt.worker
+			if i == 0 {
+				vt.push(p.MainID, -1, 0)
 			}
-			vt := &vmTask{rt: rt, mod: mod, isMain: true, prof: prof}
-			vt.sites = make([]lockSite, mod.NumLockSites)
-			vt.push(p.MainID, -1, 0)
-			rt.mainVT = vt
-			rt.m.Start(0, vt)
-			vmEntry, vmProf, usedVM = e, prof, true
+		}
+	} else {
+		for i := range rt.pool {
+			t := &task{}
+			t.worker = worker{rt: rt, ex: t, isMain: i == 0}
+			rt.pool[i] = &t.worker
+			if i == 0 {
+				t.pushCall(p.MainID, ir.NoReg)
+			}
 		}
 	}
-	if !usedVM {
-		main := &task{rt: rt, isMain: true}
-		main.pushCall(p.MainID, ir.NoReg)
-		rt.mainT = main
-		rt.m.Start(0, main)
-	}
+	rt.m.Start(0, rt.pool[0])
 	if err := rt.m.Run(); err != nil {
 		return nil, err
 	}
@@ -498,18 +508,13 @@ type runtime struct {
 	// baseFlags is the site-flag vector used outside parallel sections in
 	// flag-dispatch programs.
 	baseFlags []bool
-	// workers holds the reusable worker tasks for processors 1..Procs-1;
-	// each parallel section resets and restarts them, so frame and operand
-	// storage is allocated once per run instead of once per section.
-	// vmWorkers is the same pool for bytecode-engine runs.
-	workers   []*task
-	vmWorkers []*vmTask
+	// pool[i] drives processor i for the whole run: pool[0] is the main
+	// task, the rest are the section workers, reset and restarted by each
+	// parallel section so frame and operand storage is allocated once per
+	// run instead of once per section.
+	pool []*worker
 	// race is the dynamic race detector, nil unless Options.DetectRaces.
 	race *raceDetector
-	// mainT/mainVT is the main task of the engine in use; the snapshot
-	// machinery walks it alongside the pooled workers.
-	mainT  *task
-	mainVT *vmTask
 	// hook is the test-only checkpoint/restore hook (Options.ckHook).
 	hook *ckHook
 	// sampSpec (defaulted) and sampAgg carry sampled-simulation state; nil
@@ -602,9 +607,7 @@ type sectionRun struct {
 
 // claimIter claims the next iteration for processor p under the active
 // version's scheduling granularity. ok=false means no iterations remain
-// for this worker and it should arrive at the barrier. Both execution
-// engines claim through this method, so chunked scheduling cannot diverge
-// between them.
+// for this worker and it should arrive at the barrier.
 func (sr *sectionRun) claimIter(p *simmach.Proc) (iter int64, ok bool) {
 	if sr.chunkRem != nil {
 		// Drain any locally held chunk first, whatever version is active
@@ -723,49 +726,13 @@ type frame struct {
 	retDst ir.Reg
 }
 
-// Worker phases between body executions.
-const (
-	wClaim = iota
-	wBody
-	wAfterBarrier
-)
-
-// task drives one processor: the main task executes serial code and joins
-// sections; worker tasks exist only inside a section.
+// task is the step interpreter (Options.Engine == EngineInterp): the
+// executor that walks ir.Instr directly, one Value per register.
 type task struct {
-	rt     *runtime
+	worker
 	frames []frame
-	isMain bool
-	sr     *sectionRun
-	// flags is the active site-flag vector (flag-dispatch programs): the
-	// current version's inside a section, frozen per iteration at claim.
-	flags []bool
-	// baseFrames is the serial-frame depth below section body frames; the
-	// main task joins each section as a worker on top of its serial stack.
-	baseFrames int
-	wphase     int
-	// executed counts instructions in the current Step; sync operations
-	// yield first if any work has been done, so that shared-state effects
-	// occur in exact virtual-time order.
-	executed int
-	acc      simmach.Time // unflushed compute cost
 	// regStack is the shared register arena backing every frame's window.
 	regStack []Value
-	// extArgs is scratch storage for extern-call arguments, reused across
-	// calls (intrinsics never retain their argument slice).
-	extArgs []Value
-	// held is the task's current lock nest, maintained only when the race
-	// detector is enabled. A lock is recorded before a (possibly blocking)
-	// Acquire: a blocked processor executes nothing until it wakes already
-	// owning the lock, so the early entry is never observed unheld.
-	held []*simmach.Lock
-}
-
-func (t *task) flush(p *simmach.Proc) {
-	if t.acc > 0 {
-		p.Advance(t.acc)
-		t.acc = 0
-	}
 }
 
 // pushCall opens a zeroed activation record for funcID and returns its
@@ -817,74 +784,180 @@ func (t *task) popFrame() {
 	t.frames = t.frames[:len(t.frames)-1]
 }
 
-// reset prepares a pooled worker task for a new section run, keeping the
-// frame stack and register arena storage.
-func (t *task) reset(sr *sectionRun) {
-	t.sr = sr
+func (t *task) depth() int { return len(t.frames) }
+
+func (t *task) dropFrames() {
 	t.frames = t.frames[:0]
 	t.regStack = t.regStack[:0]
-	t.flags = nil
-	t.baseFrames = 0
-	t.wphase = wClaim
-	t.executed = 0
-	t.held = t.held[:0]
+}
+
+func (t *task) openBody(funcID int, args []Value, iter int64) {
+	regs := t.pushCall(funcID, ir.NoReg)
+	n := copy(regs, args)
+	regs[n] = IntVal(iter)
+}
+
+// enterSection handles OpParallel on the main task.
+func (t *task) enterSection(p *simmach.Proc, fr *frame, in ir.Instr) {
+	args := make([]Value, len(in.Args))
+	for i, r := range in.Args {
+		args[i] = fr.regs[r]
+	}
+	t.fork(p, t.rt.prog.Sections[in.Imm], fr.regs[in.A].I, fr.regs[in.B].I, args)
+}
+
+// Worker phases between body executions.
+const (
+	wClaim = iota
+	wBody
+	wAfterBarrier
+)
+
+// executor is what the section protocol needs from an instruction
+// executor (task, the step interpreter; vmTask, the bytecode VM). Everything
+// else a processor does between instructions is the worker's.
+type executor interface {
+	// depth is the number of live activation records.
+	depth() int
+	// exec runs instructions of the top frame until a yield point. It
+	// returns again=true exactly when the frames emptied down to the
+	// worker's baseFrames: a body iteration, or the program, is over.
+	exec(p *simmach.Proc) (st simmach.Status, again bool)
+	// openBody opens an activation of a section body function: args fill
+	// the leading parameters, iter the one after them.
+	openBody(funcID int, args []Value, iter int64)
+	// dropFrames empties the call stack, keeping its storage.
+	dropFrames()
+}
+
+// worker drives one processor through the generated-code runtime of §4.1:
+// the main worker executes serial code and joins each section on top of
+// its serial stack; the others exist only inside a section. The instruction
+// executor embeds it, so the dispatch loops reach this state directly.
+type worker struct {
+	rt     *runtime
+	ex     executor
+	isMain bool
+	sr     *sectionRun
+	// flags is the active site-flag vector (flag-dispatch programs): the
+	// current version's inside a section, frozen per iteration at claim.
+	flags []bool
+	// baseFrames is the serial-frame depth below section body frames.
+	baseFrames int
+	// atBase is "the executor's depth equals baseFrames", tracked here so
+	// Step decides between the section protocol and exec without asking
+	// the executor: exec reports again=true exactly when it pops down to
+	// baseFrames, and only fork, openBody and a finished section move the
+	// worker off or onto it.
+	atBase bool
+	wphase int
+	// executed counts instructions in the current Step; sync operations
+	// yield first if any work has been done, so that shared-state effects
+	// occur in exact virtual-time order.
+	executed int
+	acc      simmach.Time // unflushed compute cost
+	// extArgs is scratch storage for extern-call arguments, reused across
+	// calls (intrinsics never retain their argument slice).
+	extArgs []Value
+	// held is the worker's current lock nest, maintained only when the race
+	// detector is enabled. A lock is recorded before a (possibly blocking)
+	// Acquire: a blocked processor executes nothing until it wakes already
+	// owning the lock, so the early entry is never observed unheld.
+	held []*simmach.Lock
+}
+
+func (w *worker) flush(p *simmach.Proc) {
+	if w.acc > 0 {
+		p.Advance(w.acc)
+		w.acc = 0
+	}
+}
+
+// unhold removes the most recent occurrence of l from the lock nest.
+func (w *worker) unhold(l *simmach.Lock) {
+	for i := len(w.held) - 1; i >= 0; i-- {
+		if w.held[i] == l {
+			w.held = append(w.held[:i], w.held[i+1:]...)
+			return
+		}
+	}
+}
+
+// reset prepares a pooled worker for a new section run, keeping the
+// executor's frame and register storage.
+func (w *worker) reset(sr *sectionRun) {
+	w.sr = sr
+	w.ex.dropFrames()
+	w.flags = nil
+	w.baseFrames = 0
+	w.atBase = true
+	w.wphase = wClaim
+	w.executed = 0
+	w.held = w.held[:0]
 }
 
 // Step implements simmach.Process.
-func (t *task) Step(p *simmach.Proc) simmach.Status {
-	if t.rt.m.Steps() > t.rt.opts.MaxSteps {
-		if ps := t.rt.m.PerturbState(); ps != "" {
-			t.rt.fail("step budget exceeded (%d); possible livelock; %s", t.rt.opts.MaxSteps, ps)
+//
+//dfvet:noalloc
+func (w *worker) Step(p *simmach.Proc) simmach.Status {
+	rt := w.rt
+	if rt.m.Steps() > rt.opts.MaxSteps {
+		if ps := rt.m.PerturbState(); ps != "" {
+			rt.fail("step budget exceeded (%d); possible livelock; %s", rt.opts.MaxSteps, ps)
 		} else {
-			t.rt.fail("step budget exceeded (%d); possible livelock", t.rt.opts.MaxSteps)
+			rt.fail("step budget exceeded (%d); possible livelock", rt.opts.MaxSteps)
 		}
 	}
-	t.executed = 0
+	w.executed = 0
 	for {
-		if t.sr != nil && len(t.frames) == t.baseFrames {
-			st, again := t.sectionStep(p)
+		if w.atBase {
+			if w.sr == nil {
+				// Main task finished the program.
+				w.flush(p)
+				return simmach.Done
+			}
+			st, again := w.sectionStep(p)
 			if !again {
 				return st
 			}
 			continue
 		}
-		if len(t.frames) == 0 {
-			// Main task finished the program.
-			t.flush(p)
-			return simmach.Done
-		}
-		st, again := t.execSome(p)
+		st, again := w.ex.exec(p)
 		if !again {
 			return st
 		}
+		w.atBase = true
 	}
 }
 
 // sectionStep advances the worker-level state machine. It returns the
 // machine status, or again=true to continue within this Step.
-func (t *task) sectionStep(p *simmach.Proc) (simmach.Status, bool) {
-	sr := t.sr
+//
+//dfvet:noalloc
+func (w *worker) sectionStep(p *simmach.Proc) (simmach.Status, bool) {
+	rt, sr := w.rt, w.sr
 	if sr.finished {
-		if t.isMain {
-			t.sr = nil
-			t.baseFrames = 0
+		if w.isMain {
+			w.sr = nil
+			w.baseFrames = 0
+			w.atBase = false
 			return 0, true // resume serial code
 		}
-		t.flush(p)
+		w.flush(p)
 		return simmach.Done, false
 	}
-	switch t.wphase {
+	switch w.wphase {
 	case wClaim:
-		if t.executed > 0 {
+		if w.executed > 0 {
 			// Claims manipulate shared state: execute them at the start of
 			// a dispatch so they happen in virtual-time order.
-			t.flush(p)
+			w.flush(p)
 			return simmach.Ready, false
 		}
 		// The claim begins the dispatch with nothing yet charged — the
 		// checkpoint protocol's anchor point (simmach/checkpoint.go).
-		if h := t.rt.hook; h != nil {
-			if st, handled := h.atClaim(t.rt); handled {
+		if h := rt.hook; h != nil {
+			if st, handled := h.atClaim(rt); handled {
 				return st, false
 			}
 		}
@@ -895,64 +968,58 @@ func (t *task) sectionStep(p *simmach.Proc) (simmach.Status, bool) {
 		}
 		iter, ok := sr.claimIter(p)
 		if !ok {
-			p.BarrierArrive(t.rt.barrier)
-			t.wphase = wAfterBarrier
+			p.BarrierArrive(rt.barrier)
+			w.wphase = wAfterBarrier
 			return simmach.Blocked, false
 		}
 		if sr.dynamic {
-			p.Advance(t.rt.opts.DispatchCost)
+			p.Advance(rt.opts.DispatchCost)
 		}
 		v := sr.sec.Versions[sr.versionIdx]
-		t.flags = v.Flags
-		regs := t.pushCall(v.FuncID, ir.NoReg)
-		n := copy(regs, sr.args)
-		regs[n] = IntVal(iter)
-		t.wphase = wBody
-		t.executed++
+		w.flags = v.Flags
+		w.ex.openBody(v.FuncID, sr.args, iter)
+		w.atBase = false
+		w.wphase = wBody
+		w.executed++
 		return 0, true
 	case wBody:
 		// The body frames just emptied: the iteration is complete. This is
 		// the potential switch point (§4.1).
 		if sr.dynamic {
-			t.flush(p)
+			w.flush(p)
 			now := p.ReadTimer()
 			if sr.ctl.Expired(core.Nanos(now)) {
-				if t.rt.opts.AsyncSwitch {
+				if rt.opts.AsyncSwitch {
 					// Ablation mode: transition without a rendezvous; the
 					// measurement mixes whatever versions ran meanwhile.
 					sr.ctl.CompletePhase(core.Nanos(now), sr.measure())
 					sr.versionIdx = sr.ctl.CurrentPolicy()
 					sr.resnap()
-					t.wphase = wClaim
-					t.flush(p)
+					w.wphase = wClaim
+					w.flush(p)
 					return simmach.Ready, false
 				}
-				p.BarrierArrive(t.rt.barrier)
-				t.wphase = wAfterBarrier
+				p.BarrierArrive(rt.barrier)
+				w.wphase = wAfterBarrier
 				return simmach.Blocked, false
 			}
 		}
-		t.wphase = wClaim
-		t.flush(p)
+		w.wphase = wClaim
+		w.flush(p)
 		return simmach.Ready, false
 	case wAfterBarrier:
-		t.wphase = wClaim
+		w.wphase = wClaim
 		return 0, true
 	}
-	t.rt.fail("bad worker phase %d", t.wphase)
+	rt.fail("bad worker phase %d", w.wphase)
 	return simmach.Done, false
 }
 
-// enterSection handles OpParallel on the main task.
-func (t *task) enterSection(p *simmach.Proc, fr *frame, in ir.Instr) {
-	rt := t.rt
-	sec := rt.prog.Sections[in.Imm]
-	lo := fr.regs[in.A].I
-	hi := fr.regs[in.B].I
-	args := make([]Value, len(in.Args))
-	for i, r := range in.Args {
-		args[i] = fr.regs[r]
-	}
+// fork starts a parallel section over [lo, hi) from the main worker: each
+// executor's enterSection reads OpParallel's operands out of its own frame
+// and hands them here.
+func (w *worker) fork(p *simmach.Proc, sec *ir.Section, lo, hi int64, args []Value) {
+	rt := w.rt
 	p.Advance(rt.opts.ForkCost)
 	sr := &sectionRun{
 		rt: rt, sec: sec, stats: rt.sectionStats(sec),
@@ -977,24 +1044,17 @@ func (t *task) enterSection(p *simmach.Proc, fr *frame, in ir.Instr) {
 		sr.samp = newSampler(rt, sr)
 	}
 	rt.barrier.OnComplete = sr.onBarrierComplete
-	if rt.workers == nil {
-		rt.workers = make([]*task, rt.opts.Procs)
-	}
 	for i := 1; i < rt.opts.Procs; i++ {
-		w := rt.workers[i]
-		if w == nil {
-			w = &task{rt: rt}
-			rt.workers[i] = w
-		}
-		w.reset(sr)
+		rt.pool[i].reset(sr)
 		rt.m.SetClock(i, p.Now())
-		rt.m.Start(i, w)
+		rt.m.Start(i, rt.pool[i])
 	}
 	for i := range sr.secSnap {
 		sr.secSnap[i] = rt.m.Proc(i).Counters
 	}
 	sr.resnap()
-	t.sr = sr
-	t.baseFrames = len(t.frames)
-	t.wphase = wClaim
+	w.sr = sr
+	w.baseFrames = w.ex.depth()
+	w.atBase = true
+	w.wphase = wClaim
 }

@@ -181,13 +181,3 @@ func intersectLocks(set, held []*simmach.Lock) []*simmach.Lock {
 	}
 	return out
 }
-
-// unhold removes the most recent occurrence of l from the task's lock nest.
-func (t *task) unhold(l *simmach.Lock) {
-	for i := len(t.held) - 1; i >= 0; i-- {
-		if t.held[i] == l {
-			t.held = append(t.held[:i], t.held[i+1:]...)
-			return
-		}
-	}
-}

@@ -22,9 +22,8 @@ import (
 // always terminates.
 //
 // All sampler decisions depend only on iteration indices and machine
-// counters, both of which are byte-identical across the tree-walking and
-// bytecode engines, so sampled runs preserve the engines' byte-identity
-// guarantee.
+// counters, so a sampled run is as deterministic as an exhaustive one.
+// Sampling runs under the VM engine only (snapshot.go).
 
 // SampleSpec configures sampled simulation. The zero value of any field
 // selects its default.
@@ -137,7 +136,7 @@ type SamplingInfo struct {
 }
 
 // sampler drives sampling for one section execution. It is owned by the
-// sectionRun and invoked from both engines' claim points.
+// sectionRun and invoked from the worker's claim point.
 type sampler struct {
 	rt   *runtime
 	sr   *sectionRun
@@ -191,7 +190,7 @@ func newSampler(rt *runtime, sr *sectionRun) *sampler {
 // atClaim runs at the claim point of every dispatch inside a sampled
 // section, before anything is charged. handled=true means the sampler
 // consumed the dispatch (batch-claimed a gap stretch, or rolled back) and
-// the engine must return st from its Step immediately.
+// the worker must return st from its Step immediately.
 func (sp *sampler) atClaim(p *simmach.Proc) (st simmach.Status, handled bool) {
 	sr := sp.sr
 	if sp.inGap {

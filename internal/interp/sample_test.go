@@ -73,14 +73,6 @@ func encodeRes(t *testing.T, res *Result) []byte {
 	return b
 }
 
-// sampleAppParams scales each application so its parallel sections are long
-// enough to sample while one run stays fast.
-var sampleAppParams = map[string]map[string]int64{
-	apps.NameBarnesHut: {"nbodies": 512, "listlen": 4, "interwork": 2000, "npasses": 1, "serialwork": 500},
-	apps.NameWater:     {"nmol": 96, "nsteps": 1, "energydepth": 1, "serialwork": 500},
-	apps.NameString:    {"gridside": 12, "nrays": 512, "pathlen": 4, "nrounds": 1, "serialwork": 500},
-}
-
 // TestSampledEstimateCloseOnUniformWorkload checks the extrapolation on a
 // uniform workload, where the linear trend is near-exact: the sampled
 // run's virtual time must land within a few percent of the exhaustive
@@ -149,63 +141,11 @@ func TestSampledRollbackOnPhaseChange(t *testing.T) {
 	}
 }
 
-// TestSampledByteIdenticalAcrossEngines requires the two engines to agree
-// byte for byte on sampled runs: every sampler decision is a function of
-// iteration indices and machine counters, which the engines already keep
-// identical.
-func TestSampledByteIdenticalAcrossEngines(t *testing.T) {
-	cases := []struct {
-		label  string
-		src    string
-		params map[string]int64
-	}{
-		{"phase-uniform", phaseSrc, nil},
-		{"phase-step", phaseSrc, map[string]int64{"cut": 1536}},
-	}
-	for _, name := range apps.Names {
-		src, err := apps.Source(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, struct {
-			label  string
-			src    string
-			params map[string]int64
-		}{name, src, sampleAppParams[name]})
-	}
-	for _, tc := range cases {
-		c := compile(t, tc.src)
-		opts := Options{
-			Procs: 8, Policy: "bounded", Params: tc.params,
-			Sample: testSampleSpec(),
-		}
-		opts.Engine = EngineInterp
-		ref, err := Run(c.Parallel, opts)
-		if err != nil {
-			t.Fatalf("%s: interp engine: %v", tc.label, err)
-		}
-		refBytes := encodeRes(t, ref)
-		opts.Engine = EngineVM
-		for pass := 1; pass <= 2; pass++ {
-			res, err := Run(c.Parallel, opts)
-			if err != nil {
-				t.Fatalf("%s: vm engine pass %d: %v", tc.label, pass, err)
-			}
-			if !bytes.Equal(refBytes, encodeRes(t, res)) {
-				t.Fatalf("%s: vm engine pass %d sampled result differs from interpreter", tc.label, pass)
-			}
-		}
-		if ref.Sampling == nil || ref.Sampling.SkippedIters == 0 {
-			t.Errorf("%s: sampling did not engage", tc.label)
-		}
-	}
-}
-
 // TestCheckpointHookByteIdentical drives the full-runtime checkpoint:
 // snapshot at one claim point, keep executing, restore, and require the
-// final Result to encode identically to an uninterrupted run — across
-// engines, with and without environment perturbation, with the race
-// detector's state included in the snapshot.
+// final Result to encode identically to an uninterrupted run — with and
+// without environment perturbation, with the race detector's state
+// included in the snapshot.
 func TestCheckpointHookByteIdentical(t *testing.T) {
 	scenarios := perturb.ScenarioNames()
 	if len(scenarios) == 0 {
@@ -219,62 +159,23 @@ func TestCheckpointHookByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{EngineInterp, EngineVM} {
-		for _, perturbed := range []bool{false, true} {
-			opts := Options{
-				Procs: 4, Policy: "original", DetectRaces: true,
-				Params: apps.TestParams(apps.NameBarnesHut),
-				Engine: engine,
-			}
-			if perturbed {
-				opts.Perturb = sched
-			}
-			want, err := Run(c.Parallel, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantBytes := encodeRes(t, want)
-			// 10→60 stays inside the first section; 60→130 crosses into a
-			// later section execution before restoring.
-			for _, pts := range [][2]int64{{10, 60}, {60, 130}} {
-				label := fmt.Sprintf("%s/perturbed=%v/ck=%d,restore=%d", engine, perturbed, pts[0], pts[1])
-				hooked := opts
-				hooked.ckHook = &ckHook{ckAt: pts[0], restoreAt: pts[1]}
-				got, err := Run(c.Parallel, hooked)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if !hooked.ckHook.restored {
-					t.Fatalf("%s: restore point never reached", label)
-				}
-				if !bytes.Equal(wantBytes, encodeRes(t, got)) {
-					t.Fatalf("%s: restored run result differs from uninterrupted run", label)
-				}
-			}
-		}
-	}
-}
-
-// TestCheckpointHookOnSampledRun checkpoints and restores inside a sampled
-// run — mid-window and across a gap — and requires byte-identity with the
-// un-hooked sampled run, proving the sampler's own state restores exactly.
-func TestCheckpointHookOnSampledRun(t *testing.T) {
-	c := compile(t, phaseSrc)
-	for _, engine := range []string{EngineInterp, EngineVM} {
+	for _, perturbed := range []bool{false, true} {
 		opts := Options{
-			Procs: 4, Policy: "bounded", Engine: engine,
-			Params: map[string]int64{"cut": 1536},
-			Sample: testSampleSpec(),
+			Procs: 4, Policy: "original", DetectRaces: true,
+			Params: apps.TestParams(apps.NameBarnesHut),
+		}
+		if perturbed {
+			opts.Perturb = sched
 		}
 		want, err := Run(c.Parallel, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantBytes := encodeRes(t, want)
-		// Claim 40 is mid-window (windows are 16 iterations); claim 90 has
-		// crossed at least one fast-forward gap.
-		for _, pts := range [][2]int64{{40, 90}, {7, 200}} {
-			label := fmt.Sprintf("%s/ck=%d,restore=%d", engine, pts[0], pts[1])
+		// 10→60 stays inside the first section; 60→130 crosses into a
+		// later section execution before restoring.
+		for _, pts := range [][2]int64{{10, 60}, {60, 130}} {
+			label := fmt.Sprintf("perturbed=%v/ck=%d,restore=%d", perturbed, pts[0], pts[1])
 			hooked := opts
 			hooked.ckHook = &ckHook{ckAt: pts[0], restoreAt: pts[1]}
 			got, err := Run(c.Parallel, hooked)
@@ -285,8 +186,42 @@ func TestCheckpointHookOnSampledRun(t *testing.T) {
 				t.Fatalf("%s: restore point never reached", label)
 			}
 			if !bytes.Equal(wantBytes, encodeRes(t, got)) {
-				t.Fatalf("%s: restored sampled run differs from uninterrupted sampled run", label)
+				t.Fatalf("%s: restored run result differs from uninterrupted run", label)
 			}
+		}
+	}
+}
+
+// TestCheckpointHookOnSampledRun checkpoints and restores inside a sampled
+// run — mid-window and across a gap — and requires byte-identity with the
+// un-hooked sampled run, proving the sampler's own state restores exactly.
+func TestCheckpointHookOnSampledRun(t *testing.T) {
+	c := compile(t, phaseSrc)
+	opts := Options{
+		Procs: 4, Policy: "bounded",
+		Params: map[string]int64{"cut": 1536},
+		Sample: testSampleSpec(),
+	}
+	want, err := Run(c.Parallel, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes := encodeRes(t, want)
+	// Claim 40 is mid-window (windows are 16 iterations); claim 90 has
+	// crossed at least one fast-forward gap.
+	for _, pts := range [][2]int64{{40, 90}, {7, 200}} {
+		label := fmt.Sprintf("ck=%d,restore=%d", pts[0], pts[1])
+		hooked := opts
+		hooked.ckHook = &ckHook{ckAt: pts[0], restoreAt: pts[1]}
+		got, err := Run(c.Parallel, hooked)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !hooked.ckHook.restored {
+			t.Fatalf("%s: restore point never reached", label)
+		}
+		if !bytes.Equal(wantBytes, encodeRes(t, got)) {
+			t.Fatalf("%s: restored sampled run differs from uninterrupted sampled run", label)
 		}
 	}
 }
@@ -313,6 +248,18 @@ func TestSampleOptionValidation(t *testing.T) {
 	traced.Trace = func(ev simmach.TraceEvent) {}
 	if _, err := Run(c.Parallel, traced); err == nil {
 		t.Error("sampled run with tracing accepted")
+	}
+	// The step interpreter is the exhaustive-run oracle: it neither samples
+	// nor checkpoints.
+	oracle := base
+	oracle.Policy = "bounded"
+	oracle.Engine = EngineInterp
+	if _, err := Run(c.Parallel, oracle); err == nil {
+		t.Error("sampled run under the interp engine accepted")
+	}
+	oracle.Sample, oracle.ckHook = nil, &ckHook{}
+	if _, err := Run(c.Parallel, oracle); err == nil {
+		t.Error("checkpoint-hooked run under the interp engine accepted")
 	}
 
 	if _, ok := CacheKey(c.Parallel, Options{Procs: 4, Policy: "bounded", Sample: testSampleSpec()}); ok {

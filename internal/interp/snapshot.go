@@ -5,8 +5,8 @@ import (
 )
 
 // This file implements the runtime side of checkpoint/restore: a deep copy
-// of every piece of client state the simulated machine cannot see — call
-// stacks and register arenas of both engines, the reachable heap object
+// of every piece of client state the simulated machine cannot see — the
+// VM workers' call stacks and register banks, the reachable heap object
 // graph, program output, section statistics and cursors, race-detector
 // state, and the sampler's own bookkeeping. Together with
 // simmach.Checkpoint this gives the byte-identity guarantee sampled
@@ -14,7 +14,9 @@ import (
 // uninterrupted execution.
 //
 // Snapshots are only taken at iteration-claim points (the checkpoint
-// protocol's anchor), and only for static-policy runs: the dynamic
+// protocol's anchor), only under the VM engine (the step interpreter is
+// the exhaustive-run oracle and keeps no snapshot state; Run rejects the
+// combination), and only for static-policy runs: the dynamic
 // feedback controller (core.Controller and, inside it, its selector's arm
 // statistics) accumulates state that is deliberately not snapshotable, and
 // sampled runs reject dynamic policies anyway.
@@ -27,8 +29,7 @@ type runSnapshot struct {
 	stats     map[int]sectionStatsSnap
 	sr        *sectionRun
 	srs       sectionRunSnap
-	tasks     []taskSnap
-	vtasks    []vmTaskSnap
+	tasks     []vmTaskSnap
 	objects   []objSnap
 	race      *raceSnap
 	samp      *sampSnap
@@ -54,17 +55,6 @@ type sectionStatsSnap struct {
 	busy       simmach.Time
 	counters   simmach.Counters
 	chosen     int
-}
-
-type taskSnap struct {
-	t          *task
-	frames     []frame
-	regStack   []Value
-	flags      []bool
-	baseFrames int
-	wphase     int
-	sr         *sectionRun
-	held       []*simmach.Lock
 }
 
 type vmTaskSnap struct {
@@ -105,12 +95,7 @@ func (rt *runtime) snapshot() *runSnapshot {
 	if len(rt.controllers) != 0 {
 		rt.fail("checkpoint: dynamic-feedback controller state is not snapshotable; use a static policy")
 	}
-	var sr *sectionRun
-	if rt.mainVT != nil {
-		sr = rt.mainVT.sr
-	} else {
-		sr = rt.mainT.sr
-	}
+	sr := rt.pool[0].sr
 	if sr == nil {
 		rt.fail("checkpoint: no active parallel section")
 	}
@@ -164,53 +149,24 @@ func (rt *runtime) snapshot() *runSnapshot {
 		}
 	}
 
-	if rt.mainVT != nil {
-		snapVM := func(t *vmTask) {
-			s.vtasks = append(s.vtasks, vmTaskSnap{
-				t:          t,
-				frames:     append([]vmFrame(nil), t.frames...),
-				intStack:   append([]int64(nil), t.intStack...),
-				floatStack: append([]float64(nil), t.floatStack...),
-				refStack:   append([]*Object(nil), t.refStack...),
-				flags:      t.flags,
-				baseFrames: t.baseFrames,
-				wphase:     t.wphase,
-				sr:         t.sr,
-				held:       append([]*simmach.Lock(nil), t.held...),
-				sites:      append([]lockSite(nil), t.sites...),
-				collapsed:  t.collapsed,
-			})
-			for _, o := range t.refStack {
-				addObj(o)
-			}
-		}
-		snapVM(rt.mainVT)
-		for _, w := range rt.vmWorkers {
-			if w != nil {
-				snapVM(w)
-			}
-		}
-	} else {
-		snapT := func(t *task) {
-			s.tasks = append(s.tasks, taskSnap{
-				t:          t,
-				frames:     append([]frame(nil), t.frames...),
-				regStack:   append([]Value(nil), t.regStack...),
-				flags:      t.flags,
-				baseFrames: t.baseFrames,
-				wphase:     t.wphase,
-				sr:         t.sr,
-				held:       append([]*simmach.Lock(nil), t.held...),
-			})
-			for _, v := range t.regStack {
-				addVal(v)
-			}
-		}
-		snapT(rt.mainT)
-		for _, w := range rt.workers {
-			if w != nil {
-				snapT(w)
-			}
+	for _, w := range rt.pool {
+		t := w.ex.(*vmTask) // Run admits Sample and ckHook under EngineVM only
+		s.tasks = append(s.tasks, vmTaskSnap{
+			t:          t,
+			frames:     append([]vmFrame(nil), t.frames...),
+			intStack:   append([]int64(nil), t.intStack...),
+			floatStack: append([]float64(nil), t.floatStack...),
+			refStack:   append([]*Object(nil), t.refStack...),
+			flags:      t.flags,
+			baseFrames: t.baseFrames,
+			wphase:     t.wphase,
+			sr:         t.sr,
+			held:       append([]*simmach.Lock(nil), t.held...),
+			sites:      append([]lockSite(nil), t.sites...),
+			collapsed:  t.collapsed,
+		})
+		for _, o := range t.refStack {
+			addObj(o)
 		}
 	}
 	for _, v := range sr.args {
@@ -286,9 +242,6 @@ func (rt *runtime) restoreSnapshot(s *runSnapshot) {
 	for _, ts := range s.tasks {
 		ts.restore()
 	}
-	for _, vs := range s.vtasks {
-		vs.restore()
-	}
 	for _, os := range s.objects {
 		o := os.o
 		copy(o.Fields, os.fields)
@@ -303,53 +256,11 @@ func (rt *runtime) restoreSnapshot(s *runSnapshot) {
 	}
 }
 
-func (ts *taskSnap) restore() {
-	t := ts.t
-	n := len(ts.regStack)
-	if cap(t.regStack) < n {
-		t.regStack = make([]Value, n)
-	} else {
-		t.regStack = t.regStack[:n]
-	}
-	copy(t.regStack, ts.regStack)
-	t.frames = append(t.frames[:0], ts.frames...)
-	for i := range t.frames {
-		f := &t.frames[i]
-		end := f.base + f.fn.NRegs
-		f.regs = t.regStack[f.base:end:end]
-	}
-	t.flags = ts.flags
-	t.baseFrames = ts.baseFrames
-	t.wphase = ts.wphase
-	t.sr = ts.sr
-	t.executed = 0
-	t.acc = 0
-	t.held = append(t.held[:0], ts.held...)
-}
-
 func (vs *vmTaskSnap) restore() {
 	t := vs.t
-	restoreBank := func(dst *[]int64, src []int64) {
-		if cap(*dst) < len(src) {
-			*dst = make([]int64, len(src))
-		} else {
-			*dst = (*dst)[:len(src)]
-		}
-		copy(*dst, src)
-	}
-	restoreBank(&t.intStack, vs.intStack)
-	if cap(t.floatStack) < len(vs.floatStack) {
-		t.floatStack = make([]float64, len(vs.floatStack))
-	} else {
-		t.floatStack = t.floatStack[:len(vs.floatStack)]
-	}
-	copy(t.floatStack, vs.floatStack)
-	if cap(t.refStack) < len(vs.refStack) {
-		t.refStack = make([]*Object, len(vs.refStack))
-	} else {
-		t.refStack = t.refStack[:len(vs.refStack)]
-	}
-	copy(t.refStack, vs.refStack)
+	t.intStack = append(t.intStack[:0], vs.intStack...)
+	t.floatStack = append(t.floatStack[:0], vs.floatStack...)
+	t.refStack = append(t.refStack[:0], vs.refStack...)
 	t.frames = append(t.frames[:0], vs.frames...)
 	for i := range t.frames {
 		f := &t.frames[i]
@@ -362,6 +273,7 @@ func (vs *vmTaskSnap) restore() {
 	}
 	t.flags = vs.flags
 	t.baseFrames = vs.baseFrames
+	t.atBase = len(t.frames) == t.baseFrames
 	t.wphase = vs.wphase
 	t.sr = vs.sr
 	t.executed = 0

@@ -7,13 +7,80 @@ import (
 	"repro/internal/obl/ir"
 )
 
-// Engine micro-benchmarks: the same programs as the interpreter
-// benchmarks above, run once per execution engine so the bytecode VM's
-// dispatch, call, extern, and lock paths read side by side with the
+// Engine micro-benchmarks: each small OBL program is compiled once and
+// run once per execution engine, so the bytecode VM's dispatch, call,
+// extern, and lock paths read side by side with the reference
 // interpreter's. The engine loops re-run complete interp.Run calls; under
 // the vm engine the first call of a fresh process profiles and every
 // later call executes the specialized module, so steady-state iterations
 // measure the specialized tiers.
+
+// benchDispatchSrc is pure register arithmetic and branching — no calls,
+// no objects — so the loop body is dispatch overhead and nothing else.
+const benchDispatchSrc = `
+func main() {
+  let s: int = 0;
+  for i in 0..20000 {
+    if i % 2 == 0 { s = s + i * 3; } else { s = s - i; }
+  }
+  print s;
+}
+`
+
+// benchCallSrc stresses the call path: a method invocation (dynamic
+// receiver, field reads) plus a plain function call per iteration, so
+// frame push/pop and the register arena dominate.
+const benchCallSrc = `
+class Cell {
+  v: float;
+  method bump(x: float): float {
+    this.v = this.v + x;
+    return this.v;
+  }
+}
+func twice(x: float): float { return x + x; }
+func main() {
+  let c: Cell = new Cell();
+  let s: float = 0.0;
+  for i in 0..8000 {
+    s = s + twice(c.bump(1.0));
+  }
+  print s;
+}
+`
+
+// benchExternSrc stresses OpCallExtern: the table-indexed intrinsic
+// lookup and the folded static extern cost.
+const benchExternSrc = `
+extern sqrt(x: float): float cost 80;
+func main() {
+  let s: float = 0.0;
+  for i in 0..10000 {
+    s = s + sqrt(tofloat(i));
+  }
+  print s;
+}
+`
+
+// benchLockSrc updates a shared accumulator object from a parallel
+// section, so under the paper's original policy every iteration carries
+// an acquire/release pair — the lock fast path plus the simulated
+// machine's contention bookkeeping.
+const benchLockSrc = `
+extern work(n: int) cost 0;
+class Acc { sum: float; }
+func add(ms: Acc, cnt: int) {
+  for i in 0..cnt {
+    work(40);
+    ms.sum = ms.sum + 1.0;
+  }
+}
+func main() {
+  let a: Acc = new Acc();
+  add(a, 4000);
+  print a.sum;
+}
+`
 
 func benchEngines(b *testing.B, prog *ir.Program, opts Options) {
 	for _, engine := range []string{EngineInterp, EngineVM} {
@@ -54,7 +121,11 @@ func BenchmarkEngineExtern(b *testing.B) {
 
 func BenchmarkEngineLockFastPath(b *testing.B) {
 	c := compile(b, benchLockSrc)
-	benchEngines(b, c.Parallel, Options{Procs: 4, Policy: "original"})
+	opts := Options{Procs: 4, Policy: "original"}
+	if res, err := Run(c.Parallel, opts); err != nil || res.Counters.Acquires == 0 {
+		b.Fatalf("lock benchmark executed no acquires (err %v)", err)
+	}
+	benchEngines(b, c.Parallel, opts)
 }
 
 // fusionCoverage weighs a program's specialized module by the profile

@@ -4,20 +4,20 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/obl/ir"
 	"repro/internal/obl/vm"
 	"repro/internal/simmach"
 )
 
-// This file is the bytecode execution engine (Options.Engine == EngineVM).
-// It mirrors task/execSome over the typed register banks of a compiled
-// vm.Module. Equivalence with the interpreter is bit-exact and covers
-// everything a Result or a trace can observe: virtual times, machine
-// counters, scheduler step counts (so dispatch boundaries — the
-// stepBudget accounting, yield-first sync, claim and barrier points —
-// are reproduced instruction for instruction), program output, controller
-// samples and switches, and race-detector findings.
+// This file is the bytecode VM, the production engine (Options.Engine ==
+// EngineVM): module caching and profile-guided specialization, and the
+// frame and register-bank storage vmTask plugs into the worker state
+// machine of interp.go. Equivalence with the step interpreter is bit-exact
+// and covers everything a Result or a trace can observe: virtual times,
+// machine counters, scheduler step counts (so dispatch boundaries — the
+// stepBudget accounting, yield-first sync — are reproduced instruction for
+// instruction), program output, controller samples and switches, and
+// race-detector findings.
 
 // vmModEntry is the cached compile/specialization state of one program.
 // The first completed VM run claims the profiling pass; its counters
@@ -99,24 +99,16 @@ type lockSite struct {
 	lock *simmach.Lock
 }
 
-// vmTask drives one processor, exactly as task does for the interpreter.
+// vmTask is the bytecode executor: typed register banks over a compiled
+// vm.Module.
 type vmTask struct {
-	rt         *runtime
-	mod        *vm.Module
-	frames     []vmFrame
-	isMain     bool
-	sr         *sectionRun
-	flags      []bool
-	baseFrames int
-	wphase     int
-	executed   int
-	acc        simmach.Time
+	worker
+	mod    *vm.Module
+	frames []vmFrame
 	// Per-bank register arenas backing every frame's windows.
 	intStack   []int64
 	floatStack []float64
 	refStack   []*Object
-	extArgs    []Value
-	held       []*simmach.Lock
 	sites      []lockSite
 	prof       *vm.Profile
 	// collapsed sums the collapsed counters of every live frame, so the
@@ -124,11 +116,48 @@ type vmTask struct {
 	collapsed int64
 }
 
-func (t *vmTask) flush(p *simmach.Proc) {
-	if t.acc > 0 {
-		p.Advance(t.acc)
-		t.acc = 0
+func (t *vmTask) depth() int { return len(t.frames) }
+
+func (t *vmTask) dropFrames() {
+	t.frames = t.frames[:0]
+	t.intStack = t.intStack[:0]
+	t.floatStack = t.floatStack[:0]
+	t.refStack = t.refStack[:0]
+	t.collapsed = 0
+}
+
+// openBody fills the body function's parameters by bank.
+func (t *vmTask) openBody(funcID int, args []Value, iter int64) {
+	t.push(funcID, -1, 0)
+	fr := &t.frames[len(t.frames)-1]
+	fc := fr.fc
+	for i, av := range args {
+		switch fc.RegBank[i] {
+		case vm.BankFloat:
+			fr.floats[fc.RegSlot[i]] = av.F
+		case vm.BankRef:
+			fr.refs[fc.RegSlot[i]] = av.Ref
+		default:
+			fr.ints[fc.RegSlot[i]] = av.I
+		}
 	}
+	fr.ints[fc.RegSlot[len(args)]] = iter
+}
+
+// enterSection handles OpParallel on the main task.
+func (t *vmTask) enterSection(p *simmach.Proc, fr *vmFrame, in *vm.Instr) {
+	args := make([]Value, len(in.Args))
+	for _, mv := range in.Args {
+		switch mv.Bank {
+		case vm.BankFloat:
+			args[mv.Dst] = Value{Kind: KindFloat, F: fr.floats[mv.Src]}
+		case vm.BankRef:
+			args[mv.Dst] = Value{Kind: KindRef, Ref: fr.refs[mv.Src]}
+		default:
+			args[mv.Dst] = Value{Kind: KindInt, I: fr.ints[mv.Src]}
+		}
+	}
+	t.fork(p, t.rt.prog.Sections[in.Imm], fr.ints[in.A], fr.ints[in.B], args)
 }
 
 // push opens an activation record. The original register region of a
@@ -234,207 +263,4 @@ func (t *vmTask) popFrame() {
 	t.floatStack = t.floatStack[:fr.fbase]
 	t.refStack = t.refStack[:fr.rbase]
 	t.frames = t.frames[:len(t.frames)-1]
-}
-
-func (t *vmTask) reset(sr *sectionRun) {
-	t.sr = sr
-	t.frames = t.frames[:0]
-	t.intStack = t.intStack[:0]
-	t.floatStack = t.floatStack[:0]
-	t.refStack = t.refStack[:0]
-	t.flags = nil
-	t.baseFrames = 0
-	t.wphase = wClaim
-	t.executed = 0
-	t.held = t.held[:0]
-	t.collapsed = 0
-}
-
-func (t *vmTask) unhold(l *simmach.Lock) {
-	for i := len(t.held) - 1; i >= 0; i-- {
-		if t.held[i] == l {
-			t.held = append(t.held[:i], t.held[i+1:]...)
-			return
-		}
-	}
-}
-
-// Step implements simmach.Process; the structure matches task.Step.
-func (t *vmTask) Step(p *simmach.Proc) simmach.Status {
-	if t.rt.m.Steps() > t.rt.opts.MaxSteps {
-		if ps := t.rt.m.PerturbState(); ps != "" {
-			t.rt.fail("step budget exceeded (%d); possible livelock; %s", t.rt.opts.MaxSteps, ps)
-		} else {
-			t.rt.fail("step budget exceeded (%d); possible livelock", t.rt.opts.MaxSteps)
-		}
-	}
-	t.executed = 0
-	for {
-		if t.sr != nil && len(t.frames) == t.baseFrames {
-			st, again := t.sectionStep(p)
-			if !again {
-				return st
-			}
-			continue
-		}
-		if len(t.frames) == 0 {
-			t.flush(p)
-			return simmach.Done
-		}
-		st, again := t.exec(p)
-		if !again {
-			return st
-		}
-	}
-}
-
-// sectionStep advances the worker-level state machine; it is the same
-// state machine as task.sectionStep, with bank-typed argument fills.
-func (t *vmTask) sectionStep(p *simmach.Proc) (simmach.Status, bool) {
-	sr := t.sr
-	if sr.finished {
-		if t.isMain {
-			t.sr = nil
-			t.baseFrames = 0
-			return 0, true
-		}
-		t.flush(p)
-		return simmach.Done, false
-	}
-	switch t.wphase {
-	case wClaim:
-		if t.executed > 0 {
-			t.flush(p)
-			return simmach.Ready, false
-		}
-		// Checkpoint anchor point, as in task.sectionStep.
-		if h := t.rt.hook; h != nil {
-			if st, handled := h.atClaim(t.rt); handled {
-				return st, false
-			}
-		}
-		if sp := sr.samp; sp != nil {
-			if st, handled := sp.atClaim(p); handled {
-				return st, false
-			}
-		}
-		iter, ok := sr.claimIter(p)
-		if !ok {
-			p.BarrierArrive(t.rt.barrier)
-			t.wphase = wAfterBarrier
-			return simmach.Blocked, false
-		}
-		if sr.dynamic {
-			p.Advance(t.rt.opts.DispatchCost)
-		}
-		v := sr.sec.Versions[sr.versionIdx]
-		t.flags = v.Flags
-		t.push(v.FuncID, -1, 0)
-		fr := &t.frames[len(t.frames)-1]
-		fc := fr.fc
-		for i, av := range sr.args {
-			switch fc.RegBank[i] {
-			case vm.BankFloat:
-				fr.floats[fc.RegSlot[i]] = av.F
-			case vm.BankRef:
-				fr.refs[fc.RegSlot[i]] = av.Ref
-			default:
-				fr.ints[fc.RegSlot[i]] = av.I
-			}
-		}
-		fr.ints[fc.RegSlot[len(sr.args)]] = iter
-		t.wphase = wBody
-		t.executed++
-		return 0, true
-	case wBody:
-		if sr.dynamic {
-			t.flush(p)
-			now := p.ReadTimer()
-			if sr.ctl.Expired(core.Nanos(now)) {
-				if t.rt.opts.AsyncSwitch {
-					sr.ctl.CompletePhase(core.Nanos(now), sr.measure())
-					sr.versionIdx = sr.ctl.CurrentPolicy()
-					sr.resnap()
-					t.wphase = wClaim
-					t.flush(p)
-					return simmach.Ready, false
-				}
-				p.BarrierArrive(t.rt.barrier)
-				t.wphase = wAfterBarrier
-				return simmach.Blocked, false
-			}
-		}
-		t.wphase = wClaim
-		t.flush(p)
-		return simmach.Ready, false
-	case wAfterBarrier:
-		t.wphase = wClaim
-		return 0, true
-	}
-	t.rt.fail("bad worker phase %d", t.wphase)
-	return simmach.Done, false
-}
-
-// enterSection handles OpParallel on the main task.
-func (t *vmTask) enterSection(p *simmach.Proc, fr *vmFrame, in *vm.Instr) {
-	rt := t.rt
-	sec := rt.prog.Sections[in.Imm]
-	lo := fr.ints[in.A]
-	hi := fr.ints[in.B]
-	args := make([]Value, len(in.Args))
-	for _, mv := range in.Args {
-		switch mv.Bank {
-		case vm.BankFloat:
-			args[mv.Dst] = Value{Kind: KindFloat, F: fr.floats[mv.Src]}
-		case vm.BankRef:
-			args[mv.Dst] = Value{Kind: KindRef, Ref: fr.refs[mv.Src]}
-		default:
-			args[mv.Dst] = Value{Kind: KindInt, I: fr.ints[mv.Src]}
-		}
-	}
-	p.Advance(rt.opts.ForkCost)
-	sr := &sectionRun{
-		rt: rt, sec: sec, stats: rt.sectionStats(sec),
-		lo: lo, hi: hi, next: lo, args: args,
-		dynamic:   rt.opts.Policy == PolicyDynamic,
-		snap:      make([]simmach.Counters, rt.opts.Procs),
-		secSnap:   make([]simmach.Counters, rt.opts.Procs),
-		startTime: p.Now(),
-	}
-	if sr.dynamic {
-		sr.ctl = rt.controller(sec)
-		sr.ctl.BeginExecution(core.Nanos(p.Now()))
-		sr.versionIdx = sr.ctl.CurrentPolicy()
-	} else {
-		sr.versionIdx = sec.PolicyVersion[rt.opts.Policy]
-	}
-	sr.stats.ChosenVersion = sr.versionIdx
-	if rt.race != nil {
-		rt.race.enterSection(sec.Name)
-	}
-	if rt.sampSpec != nil && hi-lo >= rt.sampSpec.MinSectionIters {
-		sr.samp = newSampler(rt, sr)
-	}
-	rt.barrier.OnComplete = sr.onBarrierComplete
-	if rt.vmWorkers == nil {
-		rt.vmWorkers = make([]*vmTask, rt.opts.Procs)
-	}
-	for i := 1; i < rt.opts.Procs; i++ {
-		w := rt.vmWorkers[i]
-		if w == nil {
-			w = &vmTask{rt: rt, mod: t.mod, prof: t.prof}
-			w.sites = make([]lockSite, t.mod.NumLockSites)
-			rt.vmWorkers[i] = w
-		}
-		w.reset(sr)
-		rt.m.SetClock(i, p.Now())
-		rt.m.Start(i, w)
-	}
-	for i := range sr.secSnap {
-		sr.secSnap[i] = rt.m.Proc(i).Counters
-	}
-	sr.resnap()
-	t.sr = sr
-	t.baseFrames = len(t.frames)
-	t.wphase = wClaim
 }

@@ -89,10 +89,6 @@ type Config struct {
 	// the content-addressed simulation cache instead of re-simulating;
 	// /run responses carry a "cached" flag and /stats reports the traffic.
 	Cache *simcache.Cache
-	// Engine selects the OBL execution engine (interp.EngineVM or
-	// interp.EngineInterp). Default the bytecode VM. Results are
-	// byte-identical either way, so cache keys ignore it.
-	Engine string
 	// Controller selects the feedback controller implementation for native
 	// sections and OBL dynamic runs (core.KindRoundRobin, the default, or
 	// core.KindUCB).
@@ -700,7 +696,6 @@ func (s *Server) runApp(w http.ResponseWriter, r *http.Request, req runRequest) 
 		TargetProduction: simmach.Time(s.cfg.TargetProduction),
 		Params:           params,
 		Perturb:          sched,
-		Engine:           s.cfg.Engine,
 		Controller:       s.cfg.Controller,
 	}
 	if policy == "serial" {
