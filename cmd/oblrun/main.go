@@ -47,7 +47,7 @@ func (p paramList) Set(v string) error {
 
 func main() {
 	app := flag.String("app", "", "run a bundled application (barneshut, water, string)")
-	procs := flag.Int("procs", 8, "number of simulated processors")
+	procs := flag.Int("procs", 8, "number of simulated processors (exercised up to 256; see simmach.Config.Procs)")
 	policy := flag.String("policy", "dynamic", "original, bounded, aggressive, dynamic, or serial")
 	flagged := flag.Bool("flagged", false, "run the flag-dispatch single-version build (§4.2) instead of the multi-version build")
 	sampling := flag.Duration("sampling", 10*time.Millisecond, "target sampling interval (virtual)")

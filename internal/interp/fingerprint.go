@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obl/ir"
@@ -24,15 +23,10 @@ import (
 // once per *ir.Program and memoized alongside the interpreter's other
 // load-time preparation.
 func Fingerprint(p *ir.Program) string {
-	if v, ok := fpCache.Load(p); ok {
-		return v.(string)
-	}
-	fp := computeFingerprint(p)
-	v, _ := fpCache.LoadOrStore(p, fp)
-	return v.(string)
+	s := loadStateOf(p)
+	s.fpOnce.Do(func() { s.fp = computeFingerprint(p) })
+	return s.fp
 }
-
-var fpCache sync.Map // *ir.Program -> string
 
 // fpWriter streams canonical primitives into a hash. Every value is
 // length- or tag-delimited, so distinct programs cannot collide by

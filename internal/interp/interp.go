@@ -39,7 +39,8 @@ const PolicyDynamic = "dynamic"
 
 // Options configures a run.
 type Options struct {
-	// Procs is the number of processors. Default 1.
+	// Procs is the number of processors. Default 1. simmach.Config.Procs
+	// states the supported range.
 	Procs int
 	// Policy is a static policy name or PolicyDynamic. Default dynamic.
 	Policy string
@@ -244,7 +245,7 @@ type runtimeErr struct{ msg string }
 // implementations and per-instruction virtual-cost tables. The hot loop
 // then indexes slices instead of hashing maps or re-deriving costs from
 // the opcode switch. Programs are immutable after compilation, so the
-// prepared form is cached per *ir.Program and shared by every concurrent
+// prepared form is built once per program and shared by every concurrent
 // Run (the parallel experiment engine executes many runs of the same
 // program at once).
 type prep struct {
@@ -256,13 +257,31 @@ type prep struct {
 	costs [][]simmach.Time
 }
 
-var prepCache sync.Map // *ir.Program -> *prep
+// loadState is everything this package derives from a program once, each
+// part on first use: the load-time tables, the content fingerprint, and the
+// VM's compiled module with its specialization. It lives in the program's
+// Loaded slot, so dropping the program drops all of it.
+type loadState struct {
+	prepOnce sync.Once
+	prep     *prep
+	fpOnce   sync.Once
+	fp       string
+	vmOnce   sync.Once
+	vm       vmModEntry
+}
 
-// prepare resolves (with caching) a program's load-time tables.
+func loadStateOf(p *ir.Program) *loadState {
+	return p.Loaded(func() any { return new(loadState) }).(*loadState)
+}
+
+// prepare resolves a program's load-time tables.
 func prepare(p *ir.Program) *prep {
-	if v, ok := prepCache.Load(p); ok {
-		return v.(*prep)
-	}
+	s := loadStateOf(p)
+	s.prepOnce.Do(func() { s.prep = newPrep(p) })
+	return s.prep
+}
+
+func newPrep(p *ir.Program) *prep {
 	pr := &prep{
 		extFns: make([]intrinsic, len(p.Externs)),
 		costs:  make([][]simmach.Time, len(p.Funcs)),
@@ -281,8 +300,7 @@ func prepare(p *ir.Program) *prep {
 		}
 		pr.costs[fi] = costs
 	}
-	v, _ := prepCache.LoadOrStore(p, pr)
-	return v.(*prep)
+	return pr
 }
 
 // Run executes the program.

@@ -19,7 +19,7 @@ import (
 // instruction), program output, controller samples and switches, and
 // race-detector findings.
 
-// vmModEntry is the cached compile/specialization state of one program.
+// vmModEntry is the compile/specialization state of one program.
 // The first completed VM run claims the profiling pass; its counters
 // drive vm.Specialize, and every later run picks up the specialized
 // module. Profiling counters are maintained by the run's single machine
@@ -35,16 +35,10 @@ type vmModEntry struct {
 	lastProf atomic.Pointer[vm.Profile]
 }
 
-var vmModCache sync.Map // *ir.Program -> *vmModEntry
-
 func vmModuleFor(p *ir.Program) *vmModEntry {
-	if v, ok := vmModCache.Load(p); ok {
-		return v.(*vmModEntry)
-	}
-	e := &vmModEntry{}
-	e.mod, e.err = vm.Compile(p)
-	v, _ := vmModCache.LoadOrStore(p, e)
-	return v.(*vmModEntry)
+	s := loadStateOf(p)
+	s.vmOnce.Do(func() { s.vm.mod, s.vm.err = vm.Compile(p) })
+	return &s.vm
 }
 
 // acquire picks the module for a run: the specialized one when available,

@@ -13,6 +13,7 @@ package ir
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Reg is a virtual register index within a function frame.
@@ -304,6 +305,20 @@ type Program struct {
 	// ParamNames fixes the parameter index order used by OpLoadParam.
 	ParamNames []string
 	MainID     int
+
+	// loaded is the state an execution engine derives from the program
+	// once (see Loaded). It hangs off the program, not off a table keyed by
+	// it, so it is collected with the program.
+	loadOnce sync.Once
+	loaded   any
+}
+
+// Loaded returns the program's engine state, calling build for it on first
+// use; every later call, from any goroutine, returns that same value. The
+// program must not change afterwards.
+func (p *Program) Loaded(build func() any) any {
+	p.loadOnce.Do(func() { p.loaded = build() })
+	return p.loaded
 }
 
 // FuncID returns the index of the named function, or -1.

@@ -3,28 +3,54 @@ package simmach
 import "testing"
 
 // The micro-benchmarks pin the event engine's hot paths: dispatch through
-// the intrusive 4-ary heap (and the single-runnable fast path at 1 proc),
-// uncontended lock traffic, contended FIFO handoff, and barrier
-// rendezvous. Run with -benchmem: the steady state must stay allocation
-// free (TestSteadyStateAllocsPerEvent asserts it).
+// the sorted run queue under the re-entry patterns that decide its cost
+// (the plans below; at 1 proc, the still-first redispatch that never
+// touches the queue), uncontended lock traffic, contended FIFO handoff,
+// and barrier rendezvous. Run with -benchmem: the steady state must stay
+// allocation free (TestSteadyStateAllocsPerEvent asserts it).
 
-// benchDispatch advances procs with distinct step lengths, so every event
-// is one heap pop and one push (or, at 1 proc, one fast-path redispatch).
-func benchDispatch(b *testing.B, procs int) {
-	m := New(Config{Procs: procs})
-	per := b.N/procs + 1
-	for i := 0; i < procs; i++ {
-		n := 0
-		d := Time(i+1) * Microsecond
+// A plan gives processor i of procs its step count and stride for a run of
+// n dispatches in all.
+type plan func(i, n, procs int) (steps int, stride Time)
+
+// distinct strides spread the re-entry points over the whole queue, and the
+// shortest stride — the processor dispatched most often — re-enters nearest
+// the head, with the most entries to move.
+func distinct(i, n, procs int) (int, Time) { return n/procs + 1, Time(i+1) * Microsecond }
+
+// lockstep is the String pattern: equal strides, so the processor that just
+// ran re-enters behind every other one.
+func lockstep(i, n, procs int) (int, Time) { return n/procs + 1, Microsecond }
+
+// reverse is the run queue's worst case: two processors alternate while the
+// rest sit far in the future, so every re-entry lands directly behind the
+// departing head, in front of all the others.
+func reverse(i, n, procs int) (int, Time) {
+	if i < 2 {
+		return n/2 + 1, Microsecond
+	}
+	return 1, 1 << 50
+}
+
+// startDispatch installs n dispatches of pure Advance on m under pl.
+func startDispatch(m *Machine, n int, pl plan) {
+	for i := 0; i < m.Procs(); i++ {
+		done := 0
+		steps, d := pl(i, n, m.Procs())
 		m.Start(i, ProcessFunc(func(p *Proc) Status {
-			if n >= per {
+			if done >= steps {
 				return Done
 			}
-			n++
+			done++
 			p.Advance(d)
 			return Ready
 		}))
 	}
+}
+
+func benchDispatch(b *testing.B, procs int, pl plan) {
+	m := New(Config{Procs: procs})
+	startDispatch(m, b.N, pl)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := m.Run(); err != nil {
@@ -32,9 +58,13 @@ func benchDispatch(b *testing.B, procs int) {
 	}
 }
 
-func BenchmarkDispatch1(b *testing.B)  { benchDispatch(b, 1) }
-func BenchmarkDispatch2(b *testing.B)  { benchDispatch(b, 2) }
-func BenchmarkDispatch16(b *testing.B) { benchDispatch(b, 16) }
+func BenchmarkDispatch1(b *testing.B)          { benchDispatch(b, 1, distinct) }
+func BenchmarkDispatch2(b *testing.B)          { benchDispatch(b, 2, distinct) }
+func BenchmarkDispatch16(b *testing.B)         { benchDispatch(b, 16, distinct) }
+func BenchmarkDispatch64(b *testing.B)         { benchDispatch(b, 64, distinct) }
+func BenchmarkDispatch256(b *testing.B)        { benchDispatch(b, 256, distinct) }
+func BenchmarkDispatchLockstep16(b *testing.B) { benchDispatch(b, 16, lockstep) }
+func BenchmarkDispatchReverse16(b *testing.B)  { benchDispatch(b, 16, reverse) }
 
 // benchPerturbedDispatch is benchDispatch with a multi-epoch parameter
 // table installed — slowdown factors and phantom contention active — so the
@@ -60,19 +90,7 @@ func benchPerturbedDispatch(b *testing.B, procs int) {
 	if err := m.SetParamTable(tbl); err != nil {
 		b.Fatal(err)
 	}
-	per := b.N/procs + 1
-	for i := 0; i < procs; i++ {
-		n := 0
-		d := Time(i+1) * Microsecond
-		m.Start(i, ProcessFunc(func(p *Proc) Status {
-			if n >= per {
-				return Done
-			}
-			n++
-			p.Advance(d)
-			return Ready
-		}))
-	}
+	startDispatch(m, b.N, distinct)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := m.Run(); err != nil {
@@ -184,7 +202,10 @@ func TestSteadyStateAllocsPerEvent(t *testing.T) {
 		name  string
 		bench func(b *testing.B)
 	}{
-		{"dispatch-16", func(b *testing.B) { benchDispatch(b, 16) }},
+		{"dispatch-16", BenchmarkDispatch16},
+		{"dispatch-lockstep-16", BenchmarkDispatchLockstep16},
+		{"dispatch-reverse-16", BenchmarkDispatchReverse16},
+		{"dispatch-256", BenchmarkDispatch256},
 		{"dispatch-perturbed-16", func(b *testing.B) { benchPerturbedDispatch(b, 16) }},
 		{"contended-handoff-16", func(b *testing.B) { benchContendedHandoff(b, 16) }},
 		{"barrier-rendezvous-16", func(b *testing.B) { benchBarrier(b, 16) }},

@@ -5,7 +5,7 @@ import "fmt"
 // This file implements machine checkpoint/restore: a deep, deterministic
 // snapshot of every piece of machine state that influences execution —
 // processor clocks, statuses, instrumentation counters and parameter-table
-// cursors, the ready heap, lock ownership and waiter queues, barrier
+// cursors, the run queue, lock ownership and waiter queues, barrier
 // rendezvous state, the scheduler step count, and the phantom-holder
 // acquire sequence. Restoring a checkpoint and continuing is byte-identical
 // to never having left it, which is what lets a sampled simulation
@@ -98,7 +98,7 @@ func (m *Machine) Checkpoint() *Checkpoint {
 			process:  p.process,
 		}
 	}
-	// The current processor is mid-dispatch (popped from the heap); record
+	// The current processor is mid-dispatch (out of the run queue); record
 	// it Ready so the restore re-enqueues it for the replay dispatch.
 	ck.procs[m.cur.id].status = Ready
 	for i, l := range m.locks {
@@ -146,6 +146,11 @@ func (m *Machine) Restore(ck *Checkpoint) {
 	m.acqSeq = ck.acqSeq
 	m.table = ck.table
 
+	// Rebuild the run queue from scratch. Pop order depends only on the
+	// (clock, id) strict total order, not on where the window sat in the
+	// backing array, so pushing in ID order reproduces the exact dispatch
+	// sequence.
+	m.ready.items, m.ready.head = m.ready.items[:0], 0
 	for i := range ck.procs {
 		s := &ck.procs[i]
 		p := m.procs[i]
@@ -154,15 +159,9 @@ func (m *Machine) Restore(ck *Checkpoint) {
 		p.epoch = s.epoch
 		p.Counters = s.counters
 		p.process = s.process
-		p.heapIdx = -1
-	}
-	// Rebuild the ready heap from scratch. Pop order depends only on the
-	// (clock, id) strict total order, not on the heap's internal layout, so
-	// pushing in ID order reproduces the exact dispatch sequence.
-	m.ready.items = m.ready.items[:0]
-	for _, p := range m.procs {
+		p.queued = false
 		if p.status == Ready {
-			m.ready.push(p)
+			m.push(p)
 		}
 	}
 
@@ -204,7 +203,7 @@ func (p *Proc) SkipCharge(busy, lockTime, waitTime Time, acquires, failedAcquire
 	p.Counters.WaitTime += waitTime
 	p.Counters.Acquires += acquires
 	p.Counters.FailedAcquires += failedAcquires
-	if p.heapIdx >= 0 {
+	if p.queued {
 		p.m.ready.fix(p)
 	}
 }

@@ -31,9 +31,9 @@ func TestNoallocAnnotationCoverage(t *testing.T) {
 		"Proc.BarrierArrive", // barrier-rendezvous-16
 		"Proc.Release",       // contended-handoff-16, uncontended
 		"Proc.TryAcquire",    // uncontended (policy fast paths)
-		"procHeap.fix",       // dispatch-perturbed-16
-		"procHeap.pop",       // every case
-		"procHeap.push",      // every case
+		"runQueue.fix",       // none: SetClock and SkipCharge on a queued processor, never per event (TestReadyQueueModel)
+		"runQueue.pop",       // every case
+		"runQueue.push",      // every case
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("//dfvet:noalloc set drifted from the runtime gate's coverage table:\n got %v\nwant %v\n"+

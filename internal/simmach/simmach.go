@@ -105,7 +105,11 @@ func (f ProcessFunc) Step(p *Proc) Status { return f(p) }
 // Config carries the machine's cost model. Zero values are replaced by the
 // defaults below, which are calibrated to the hardware the paper reports.
 type Config struct {
-	// Procs is the number of processors. Default 1.
+	// Procs is the number of processors. Default 1. The machine sets no
+	// upper limit; what is supported is what is exercised: the experiments
+	// run 1–16 as the paper does, dfserved accepts 1–64, the run queue's
+	// model test covers 64, and BenchmarkDispatch256 is the largest machine
+	// measured (a dispatch there costs about twice one at 16).
 	Procs int
 	// TimerReadCost is charged for each ReadTimer call (paper: ~9µs on DASH).
 	TimerReadCost Time
@@ -223,11 +227,8 @@ type Proc struct {
 	clock   Time
 	status  Status
 	process Process
-	// heapIdx is the processor's slot in the ready heap (intrusive index),
-	// or -1 when not enqueued. Storing the index here removes the position
-	// map and the interface boxing of container/heap from the scheduler's
-	// hot path.
-	heapIdx int32
+	// queued reports whether the processor has an entry in the run queue.
+	queued bool
 	// epoch is the processor's cursor into the machine's parameter table
 	// (amortized-O(1) lookup of the epoch containing the clock). Unused
 	// when no table is installed.
@@ -326,7 +327,7 @@ type TraceEvent struct {
 type Machine struct {
 	cfg      Config
 	procs    []*Proc
-	ready    procHeap
+	ready    runQueue
 	locks    []*Lock
 	barriers []*Barrier
 	nextLck  int
@@ -361,9 +362,12 @@ func New(cfg Config) *Machine {
 	m := &Machine{cfg: cfg}
 	m.procs = make([]*Proc, cfg.Procs)
 	for i := range m.procs {
-		m.procs[i] = &Proc{id: i, m: m, status: Done, heapIdx: -1}
+		m.procs[i] = &Proc{id: i, m: m, status: Done}
 	}
-	m.ready.items = make([]*Proc, 0, cfg.Procs)
+	// Twice the live maximum: push slides the window back to the front when
+	// it reaches the end, so a slide moves at most Procs entries and happens
+	// at most once per Procs dispatches.
+	m.ready.items = make([]runEntry, 0, 2*cfg.Procs)
 	return m
 }
 
@@ -422,7 +426,7 @@ func (m *Machine) SetClock(i int, t Time) {
 		panic("simmach: SetClock on blocked proc")
 	}
 	p.clock = t
-	if p.heapIdx >= 0 {
+	if p.queued {
 		m.ready.fix(p)
 	}
 }
@@ -446,37 +450,45 @@ func (m *Machine) Run() error {
 			}
 			return nil
 		}
-		p := m.ready.pop()
+		p := m.procs[m.ready.pop()]
+		p.queued = false
 		m.cur = p
-		// The inner loop is the single-runnable fast path: while p is the
-		// only runnable processor (serial sections, uncontended stretches),
-		// redispatch it directly instead of cycling it through the heap.
+		// The inner loop keeps the dispatch it can decide without the outer
+		// loop: p runs again while it is still first — the only runnable
+		// processor (serial sections), or one whose step left it ahead of the
+		// queue head — and otherwise trades places with the head.
 		for {
 			m.steps++
 			st := p.process.Step(p)
-			if st == Restored {
-				// The step restored a checkpoint: every processor's state
-				// (p's included) was reset by Restore. Discard the dispatch
-				// and resume scheduling from the restored ready heap.
-				m.checkRestored(p)
-				break
-			}
 			if st == Ready {
 				p.status = Ready
-				if m.ready.len() == 0 {
+				if p.queued {
+					break // woken during its own step: its queue entry stands
+				}
+				if m.ready.len() == 0 || m.ready.follows(p.clock, int32(p.id)) {
 					continue
 				}
+				next := m.procs[m.ready.pop()]
 				m.push(p)
-			} else if st == Blocked {
+				next.queued = false
+				p, m.cur = next, next
+				continue
+			}
+			if st == Blocked {
 				// The blocking primitive already recorded the wait; if the
 				// processor was woken during its own step (e.g. it was the
-				// last arrival at a barrier), it is already back in the heap.
-				if p.status == Ready && p.heapIdx < 0 {
+				// last arrival at a barrier), it is already back in the queue.
+				if p.status == Ready {
 					m.push(p)
 				}
 			} else if st == Done {
 				p.status = Done
 				p.process = nil
+			} else if st == Restored {
+				// The step restored a checkpoint: every processor's state
+				// (p's included) was reset by Restore. Discard the dispatch
+				// and resume scheduling from the restored run queue.
+				m.checkRestored(p)
 			} else {
 				panic(fmt.Sprintf("simmach: bad status %v from proc %d", st, p.id))
 			}
@@ -487,11 +499,12 @@ func (m *Machine) Run() error {
 
 //dfvet:noalloc
 func (m *Machine) push(p *Proc) {
-	if p.heapIdx >= 0 {
+	if p.queued {
 		return
 	}
 	p.status = Ready
-	m.ready.push(p)
+	p.queued = true
+	m.ready.push(p.clock, int32(p.id))
 }
 
 func (m *Machine) stateString() string {
@@ -516,103 +529,78 @@ func (m *Machine) stateString() string {
 	return strings.TrimSuffix(b.String(), "; ")
 }
 
-// procHeap is an intrusive 4-ary min-heap of runnable processors ordered
-// by (clock, id). Each processor stores its own slot index (Proc.heapIdx),
-// so there is no position map to maintain and no interface boxing on
-// push/pop; the 4-ary layout halves the tree depth of a binary heap for
-// the machine sizes the simulator models (≤ 64 processors).
-type procHeap struct {
-	items []*Proc
+// runQueue holds the runnable processors as items[head:], sorted ascending
+// by (clock, id) — a strict total order, so the dispatch sequence depends on
+// nothing else. Dispatch takes the head; a processor re-enters at the slot a
+// binary search finds, moving the entries behind it up by one, which is few
+// or none in the traffic the simulator sees: the processor that just ran has
+// usually advanced past most of the others. Entries carry the key by value
+// and hold no pointers, so comparing them dereferences nothing and moving
+// them needs no GC write barrier. A queued processor's clock changes only
+// through SetClock and SkipCharge, which re-key its entry with fix.
+type runQueue struct {
+	items []runEntry
+	head  int
 }
 
-// before reports the scheduling order: smaller clock first, ties broken by
-// processor ID for determinism.
-func (h *procHeap) before(a, b *Proc) bool {
-	if a.clock != b.clock {
-		return a.clock < b.clock
-	}
-	return a.id < b.id
+type runEntry struct {
+	clock Time
+	id    int32
 }
 
-func (h *procHeap) len() int { return len(h.items) }
+// after reports whether e is dispatched after (clock, id).
+func (e runEntry) after(clock Time, id int32) bool {
+	return e.clock > clock || (e.clock == clock && e.id > id)
+}
+
+func (q *runQueue) len() int { return len(q.items) - q.head }
+
+// follows reports whether the head is dispatched after (clock, id), the
+// key of a processor that is not in the queue.
+func (q *runQueue) follows(clock Time, id int32) bool {
+	return q.items[q.head].after(clock, id)
+}
 
 //dfvet:noalloc
-func (h *procHeap) push(p *Proc) {
-	p.heapIdx = int32(len(h.items))
-	h.items = append(h.items, p) //dfvet:allow noalloc amortized: the ready heap's backing array reaches steady capacity
-	h.up(int(p.heapIdx))
+func (q *runQueue) pop() int32 {
+	id := q.items[q.head].id
+	q.head++
+	return id
 }
 
 //dfvet:noalloc
-func (h *procHeap) pop() *Proc {
-	root := h.items[0]
-	n := len(h.items) - 1
-	last := h.items[n]
-	h.items[n] = nil
-	h.items = h.items[:n]
-	root.heapIdx = -1
-	if n > 0 {
-		h.items[0] = last
-		last.heapIdx = 0
-		h.down(0)
+func (q *runQueue) push(clock Time, id int32) {
+	n := len(q.items)
+	if n == cap(q.items) {
+		n = copy(q.items, q.items[q.head:])
+		q.head = 0
 	}
-	return root
+	q.items = q.items[:n+1]
+	// The slot is the first live entry after (clock, id).
+	lo, hi := q.head, n
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); q.items[mid].after(clock, id) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo < n {
+		copy(q.items[lo+1:], q.items[lo:n])
+	}
+	q.items[lo] = runEntry{clock, id}
 }
 
-// fix restores heap order after p's clock changed in place.
+// fix re-keys p's entry after its clock changed in place.
 //
 //dfvet:noalloc
-func (h *procHeap) fix(p *Proc) {
-	i := int(p.heapIdx)
-	h.up(i)
-	if int(p.heapIdx) == i {
-		h.down(i)
+func (q *runQueue) fix(p *Proc) {
+	i := q.head
+	for q.items[i].id != int32(p.id) {
+		i++
 	}
-}
-
-func (h *procHeap) up(i int) {
-	item := h.items[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		q := h.items[parent]
-		if !h.before(item, q) {
-			break
-		}
-		h.items[i] = q
-		q.heapIdx = int32(i)
-		i = parent
-	}
-	h.items[i] = item
-	item.heapIdx = int32(i)
-}
-
-func (h *procHeap) down(i int) {
-	item := h.items[i]
-	n := len(h.items)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if h.before(h.items[c], h.items[best]) {
-				best = c
-			}
-		}
-		if !h.before(h.items[best], item) {
-			break
-		}
-		h.items[i] = h.items[best]
-		h.items[i].heapIdx = int32(i)
-		i = best
-	}
-	h.items[i] = item
-	item.heapIdx = int32(i)
+	q.items = q.items[:i+copy(q.items[i:], q.items[i+1:])]
+	q.push(p.clock, int32(p.id))
 }
 
 // Lock is a spin lock with FIFO handoff. A processor that fails to acquire
