@@ -9,43 +9,83 @@
 // what §2.3 and §5 predict — the controller re-adapts, within a latency
 // bounded by the production interval plus the sampling phase.
 //
-// Every run uses Suite.RunWith with explicit parameters, so the workloads
-// straddle the scenario change points identically in -quick and full mode,
-// and the perturbation schedule is part of the memoization and cache key.
+// Every run carries explicit parameters, so the workloads straddle the
+// scenario change points identically in -quick and full mode, and the
+// perturbation schedule is part of the cell's content address.
 package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/interp"
-	"repro/internal/parexec"
 	"repro/internal/perturb"
 	"repro/internal/simmach"
 )
 
-// adaptPolicies is the fan-out of every adaptivity experiment: the three
-// static policies plus the dynamic controller, in report order.
-var adaptPolicies = []string{"original", "bounded", "aggressive", interp.PolicyDynamic}
+// adaptScenario is one adaptivity workload: a perturbation schedule, the
+// application and section it stresses, and the options every run of it
+// shares — the explicit workload parameters and the controller tuning
+// (static runs ignore the latter). The adapt-* experiments, the policies
+// tier's controller duels and the engine parity test all read this table.
+type adaptScenario struct {
+	sched        *perturb.Schedule // the experiment is "adapt-"+sched.Name
+	app, section string
+	tuning       interp.Options
+}
 
-// runScenario simulates one application under a perturbation schedule for
-// each policy, fanning the four independent simulations out. tune adjusts
-// the controller options shared by every policy (static runs ignore them).
-func runScenario(s *Suite, app string, sched *perturb.Schedule, params map[string]int64, tune func(*interp.Options)) ([]*interp.Result, error) {
-	return parexec.Map(s.cfg.Parallelism, adaptPolicies, func(_ int, policy string) (*interp.Result, error) {
-		opts := interp.Options{
-			Procs:            8,
-			Policy:           policy,
-			Params:           params,
-			Perturb:          sched,
-			TargetSampling:   simmach.Millisecond,
-			TargetProduction: 40 * simmach.Millisecond,
+var adaptScenarios = []adaptScenario{
+	{perturb.Crossover(), apps.NameWater, "POTENG", interp.Options{
+		Params: adaptWaterParams(48, 24), TargetProduction: 40 * simmach.Millisecond, OrderByHistory: true}},
+	{perturb.Ramp(), apps.NameWater, "INTERF", interp.Options{
+		Params: adaptWaterParams(48, 24), TargetProduction: 60 * simmach.Millisecond, SpanExecutions: true}},
+	{perturb.Periodic(), apps.NameWater, "INTERF", interp.Options{
+		Params: adaptWaterParams(32, 40), TargetProduction: 40 * simmach.Millisecond}},
+	{perturb.Skew(), apps.NameBarnesHut, "FORCES", interp.Options{
+		Params:           map[string]int64{"nbodies": 256, "listlen": 24, "interwork": 20000, "npasses": 16, "serialwork": 4000},
+		TargetProduction: 40 * simmach.Millisecond, OrderByHistory: true}},
+}
+
+// adaptWaterParams sizes Water so the run straddles the scenario change
+// points at 8 processors; explicit, so -quick does not rescale it.
+func adaptWaterParams(nmol, nsteps int64) map[string]int64 {
+	return map[string]int64{"nmol": nmol, "nsteps": nsteps, "energydepth": 2, "serialwork": 4000}
+}
+
+// spec returns the scenario's cell for one policy under one controller
+// ("" is the suite's) on the given program.
+func (sc adaptScenario) spec(prog progKind, policy, controller string) RunSpec {
+	opts := sc.tuning
+	opts.Procs, opts.Policy, opts.Controller = 8, policy, controller
+	opts.Perturb, opts.TargetSampling = sc.sched, simmach.Millisecond
+	return RunSpec{App: sc.app, Prog: prog, Opts: opts}
+}
+
+// runScenario simulates the named scenario once per policy (policyRows
+// order) and returns the results with each run's stats for the scenario's
+// section.
+func runScenario(s *Suite, name string) (adaptScenario, []*interp.Result, []*interp.SectionStats, error) {
+	i := slices.IndexFunc(adaptScenarios, func(sc adaptScenario) bool { return sc.sched.Name == name })
+	if i < 0 {
+		return adaptScenario{}, nil, nil, fmt.Errorf("bench: unknown adaptivity scenario %q", name)
+	}
+	sc := adaptScenarios[i]
+	specs := make([]RunSpec, len(policyRows))
+	for i, policy := range policyRows {
+		specs[i] = sc.spec(progParallel, policy, "")
+	}
+	results, err := s.Runs(specs)
+	if err != nil {
+		return sc, nil, nil, err
+	}
+	secs := make([]*interp.SectionStats, len(results))
+	for i, res := range results {
+		if secs[i] = section(res, sc.section); secs[i] == nil {
+			return sc, nil, nil, fmt.Errorf("bench: adapt-%s: %s section missing", name, sc.section)
 		}
-		if tune != nil {
-			tune(&opts)
-		}
-		return s.RunWith(app, opts)
-	})
+	}
+	return sc, results, secs, nil
 }
 
 // phaseMeans splits a section's executions at the environment change and
@@ -75,6 +115,18 @@ func phaseMeans(sec *interp.SectionStats, aEnd, bStart simmach.Time) (meanA, mea
 		meanB = sumB / simmach.Time(nB)
 	}
 	return meanA, meanB
+}
+
+// bestStatic returns the index of the fastest static policy in a
+// policyRows-ordered slice of means (indices 0..2 are the statics).
+func bestStatic(means []simmach.Time) int {
+	best := 0
+	for i := 1; i < 3; i++ {
+		if means[i] < means[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // policyChanges filters a section's production-phase history down to the
@@ -118,12 +170,6 @@ func maxExecAfter(secs []*interp.SectionStats, after simmach.Time) simmach.Time 
 	return m
 }
 
-// adaptWaterParams sizes Water so the run straddles the scenario change
-// points at 8 processors; explicit, so -quick does not rescale it.
-func adaptWaterParams(nmol, nsteps int64) map[string]int64 {
-	return map[string]int64{"nmol": nmol, "nsteps": nsteps, "energydepth": 2, "serialwork": 4000}
-}
-
 // AdaptCrossover is the headline adaptivity experiment: a phantom lock
 // holder (perturb scenario "crossover") switches on at 400ms, charging
 // contention per lock acquire. Before the change, Water's POTENG section is
@@ -135,49 +181,31 @@ func adaptWaterParams(nmol, nsteps int64) map[string]int64 {
 // within the §5 bound P + N·S (production interval plus one sampling phase,
 // measured in units of the longest post-change execution).
 func AdaptCrossover(s *Suite) (*Report, error) {
-	sched := perturb.Crossover()
-	boundary := sched.FirstChangeAt()
-	results, err := runScenario(s, apps.NameWater, sched, adaptWaterParams(48, 24), func(o *interp.Options) {
-		o.OrderByHistory = true
-	})
+	sc, results, secs, err := runScenario(s, "crossover")
 	if err != nil {
 		return nil, err
 	}
+	boundary := sc.sched.FirstChangeAt()
 	r := &Report{ID: "adapt-crossover", Title: "Adaptivity: best-policy crossover under background contention (Water POTENG, 8 procs)"}
 	r.Header = []string{"Policy", "Pre-change mean (ms)", "Post-change mean (ms)", "Total (s)", "Re-adaptations"}
 
-	secs := make([]*interp.SectionStats, len(results))
 	meansA := make([]simmach.Time, len(results))
 	meansB := make([]simmach.Time, len(results))
 	for i, res := range results {
-		sec := section(res, "POTENG")
-		if sec == nil {
-			return nil, fmt.Errorf("bench: adapt-crossover: POTENG section missing")
-		}
-		secs[i] = sec
-		meansA[i], meansB[i] = phaseMeans(sec, boundary, boundary)
-		r.Rows = append(r.Rows, []string{adaptPolicies[i], fms(meansA[i]), fms(meansB[i]),
-			fsec(res.Time), fmt.Sprintf("%d", len(policyChanges(sec)))})
+		meansA[i], meansB[i] = phaseMeans(secs[i], boundary, boundary)
+		r.Rows = append(r.Rows, []string{policyRows[i], fms(meansA[i]), fms(meansB[i]),
+			fsec(res.Time), fmt.Sprintf("%d", len(policyChanges(secs[i])))})
 	}
 
-	// Best static policy per phase (indices 0..2 are the statics).
-	bestA, bestB := 0, 0
-	for i := 1; i < 3; i++ {
-		if meansA[i] < meansA[bestA] {
-			bestA = i
-		}
-		if meansB[i] < meansB[bestB] {
-			bestB = i
-		}
-	}
+	bestA, bestB := bestStatic(meansA), bestStatic(meansB)
 	// Compare by selected version, not policy name: original and bounded
 	// share the POTENG version, so a name flip between those two would not
 	// be a crossover.
 	vA, vB := secs[bestA].ChosenVersion, secs[bestB].ChosenVersion
 	r.check("best static policy crosses over at the change point", vA != vB,
 		"pre-change best %s (version %q), post-change best %s (version %q)",
-		adaptPolicies[bestA], secs[bestA].VersionLabels[vA],
-		adaptPolicies[bestB], secs[bestB].VersionLabels[vB])
+		policyRows[bestA], secs[bestA].VersionLabels[vA],
+		policyRows[bestB], secs[bestB].VersionLabels[vB])
 
 	// Every static policy must pay in at least one phase; the binding case
 	// is the policy closest to winning both.
@@ -197,10 +225,10 @@ func AdaptCrossover(s *Suite) (*Report, error) {
 	dynA, dynB := meansA[3], meansB[3]
 	r.check("dynamic within 20% of the pre-change best static",
 		float64(dynA) <= 1.2*float64(meansA[bestA]),
-		"dynamic %.2fms vs best %.2fms (%s)", msf(dynA), msf(meansA[bestA]), adaptPolicies[bestA])
+		"dynamic %.2fms vs best %.2fms (%s)", msf(dynA), msf(meansA[bestA]), policyRows[bestA])
 	r.check("dynamic within 20% of the post-change best static",
 		float64(dynB) <= 1.2*float64(meansB[bestB]),
-		"dynamic %.2fms vs best %.2fms (%s)", msf(dynB), msf(meansB[bestB]), adaptPolicies[bestB])
+		"dynamic %.2fms vs best %.2fms (%s)", msf(dynB), msf(meansB[bestB]), policyRows[bestB])
 
 	// Re-adaptation latency: virtual time from the environment change to
 	// the first production phase on the newly best version. The §5 bound:
@@ -209,7 +237,7 @@ func AdaptCrossover(s *Suite) (*Report, error) {
 	// on this substrate a sampling interval covers at least one section
 	// execution — and acts at execution granularity.
 	maxExec := maxExecAfter(secs, boundary)
-	bound := 40*simmach.Millisecond + simmach.Time(len(secs[3].VersionLabels))*maxExec + 2*maxExec
+	bound := sc.tuning.TargetProduction + simmach.Time(len(secs[3].VersionLabels))*maxExec + 2*maxExec
 	if sw, ok := firstSwitchTo(secs[3], boundary, vB); !ok {
 		r.check("dynamic re-adapts to the post-change winner", false,
 			"no production phase on version %q after %v", secs[bestB].VersionLabels[vB], boundary)
@@ -234,48 +262,33 @@ func AdaptCrossover(s *Suite) (*Report, error) {
 // version's sampled overhead rising through the ramp: the §2.3 argument
 // for periodic resampling, observed from inside the controller.
 func AdaptRamp(s *Suite) (*Report, error) {
-	sched := perturb.Ramp()
-	rampStart := sched.FirstChangeAt()
-	rampEnd := rampStart + sched.Changes[0].RampFor
-	results, err := runScenario(s, apps.NameWater, sched, adaptWaterParams(48, 24), func(o *interp.Options) {
-		o.TargetProduction = 60 * simmach.Millisecond
-		o.SpanExecutions = true
-	})
+	sc, results, secs, err := runScenario(s, "ramp")
 	if err != nil {
 		return nil, err
 	}
+	rampStart := sc.sched.FirstChangeAt()
+	rampEnd := rampStart + sc.sched.Changes[0].RampFor
 	r := &Report{ID: "adapt-ramp", Title: "Adaptivity: gradual lock-cost drift (Water INTERF, 8 procs)"}
 	r.Header = []string{"Policy", "Pre-ramp mean (ms)", "Post-ramp mean (ms)", "Total (s)"}
 
-	secs := make([]*interp.SectionStats, len(results))
 	meansB := make([]simmach.Time, len(results))
 	var origA, origB simmach.Time
 	for i, res := range results {
-		sec := section(res, "INTERF")
-		if sec == nil {
-			return nil, fmt.Errorf("bench: adapt-ramp: INTERF section missing")
-		}
-		secs[i] = sec
-		a, b := phaseMeans(sec, rampStart, rampEnd)
+		a, b := phaseMeans(secs[i], rampStart, rampEnd)
 		meansB[i] = b
-		if adaptPolicies[i] == "original" {
+		if policyRows[i] == "original" {
 			origA, origB = a, b
 		}
-		r.Rows = append(r.Rows, []string{adaptPolicies[i], fms(a), fms(b), fsec(res.Time)})
+		r.Rows = append(r.Rows, []string{policyRows[i], fms(a), fms(b), fsec(res.Time)})
 	}
 	r.check("the drift punishes the lock-heavy original policy",
 		origA > 0 && float64(origB) >= 2*float64(origA),
 		"original INTERF mean %.2fms before vs %.2fms after the ramp", msf(origA), msf(origB))
 
-	bestB := 0
-	for i := 1; i < 3; i++ {
-		if meansB[i] < meansB[bestB] {
-			bestB = i
-		}
-	}
+	bestB := bestStatic(meansB)
 	r.check("dynamic tracks the best static after the ramp",
 		float64(meansB[3]) <= 1.25*float64(meansB[bestB]),
-		"dynamic %.2fms vs best %.2fms (%s)", msf(meansB[3]), msf(meansB[bestB]), adaptPolicies[bestB])
+		"dynamic %.2fms vs best %.2fms (%s)", msf(meansB[3]), msf(meansB[bestB]), policyRows[bestB])
 
 	bestTotal := results[0].Time
 	for i := 1; i < 3; i++ {
@@ -316,29 +329,18 @@ func AdaptRamp(s *Suite) (*Report, error) {
 // cycle pays a full resample, which is exactly the trade-off §5's interval
 // analysis formalizes (the note records the measured gap).
 func AdaptPeriodic(s *Suite) (*Report, error) {
-	sched := perturb.Periodic()
-	results, err := runScenario(s, apps.NameWater, sched, adaptWaterParams(32, 40), func(o *interp.Options) {
-		o.OrderByHistory = false
-	})
+	_, results, secs, err := runScenario(s, "periodic")
 	if err != nil {
 		return nil, err
 	}
 	r := &Report{ID: "adapt-periodic", Title: "Adaptivity: periodic contention bursts (Water INTERF, 8 procs)"}
 	r.Header = []string{"Policy", "Total (s)", "INTERF re-adaptations"}
 
-	var dynSec *interp.SectionStats
 	for i, res := range results {
-		sec := section(res, "INTERF")
-		if sec == nil {
-			return nil, fmt.Errorf("bench: adapt-periodic: INTERF section missing")
-		}
-		if adaptPolicies[i] == interp.PolicyDynamic {
-			dynSec = sec
-		}
-		r.Rows = append(r.Rows, []string{adaptPolicies[i], fsec(res.Time),
-			fmt.Sprintf("%d", len(policyChanges(sec)))})
+		r.Rows = append(r.Rows, []string{policyRows[i], fsec(res.Time),
+			fmt.Sprintf("%d", len(policyChanges(secs[i])))})
 	}
-	changes := policyChanges(dynSec)
+	changes := policyChanges(secs[3])
 	r.check("controller re-adapts across the bursts", len(changes) >= 2,
 		"%d re-adaptations", len(changes))
 	versions := map[int]bool{}
@@ -373,30 +375,19 @@ func AdaptPeriodic(s *Suite) (*Report, error) {
 // at most once, and that it stays within 20% of the best static policy
 // after the skew.
 func AdaptSkew(s *Suite) (*Report, error) {
-	sched := perturb.Skew()
-	boundary := sched.FirstChangeAt()
-	params := map[string]int64{"nbodies": 256, "listlen": 24, "interwork": 20000,
-		"npasses": 16, "serialwork": 4000}
-	results, err := runScenario(s, apps.NameBarnesHut, sched, params, func(o *interp.Options) {
-		o.OrderByHistory = true
-	})
+	sc, results, secs, err := runScenario(s, "skew")
 	if err != nil {
 		return nil, err
 	}
+	boundary := sc.sched.FirstChangeAt()
 	r := &Report{ID: "adapt-skew", Title: "Adaptivity: per-processor slowdown, stolen cycles (Barnes-Hut FORCES, 8 procs)"}
 	r.Header = []string{"Policy", "Pre-skew mean (ms)", "Post-skew mean (ms)", "Stretch", "Re-adaptations"}
 
-	secs := make([]*interp.SectionStats, len(results))
 	meansB := make([]simmach.Time, len(results))
 	okStretch := true
 	detail := ""
-	for i, res := range results {
-		sec := section(res, "FORCES")
-		if sec == nil {
-			return nil, fmt.Errorf("bench: adapt-skew: FORCES section missing")
-		}
-		secs[i] = sec
-		a, b := phaseMeans(sec, boundary, boundary)
+	for i := range results {
+		a, b := phaseMeans(secs[i], boundary, boundary)
 		meansB[i] = b
 		stretch := 0.0
 		if a > 0 {
@@ -405,24 +396,19 @@ func AdaptSkew(s *Suite) (*Report, error) {
 		if stretch < 1.2 || stretch > 2.0 {
 			okStretch = false
 		}
-		detail += fmt.Sprintf("%s %.2fx ", adaptPolicies[i], stretch)
-		r.Rows = append(r.Rows, []string{adaptPolicies[i], fms(a), fms(b),
-			fmt.Sprintf("%.2fx", stretch), fmt.Sprintf("%d", len(policyChanges(sec)))})
+		detail += fmt.Sprintf("%s %.2fx ", policyRows[i], stretch)
+		r.Rows = append(r.Rows, []string{policyRows[i], fms(a), fms(b),
+			fmt.Sprintf("%.2fx", stretch), fmt.Sprintf("%d", len(policyChanges(secs[i])))})
 	}
 	r.check("the skew stretches every policy comparably (1.2x-2.0x)", okStretch, "%s", detail)
 	r.check("the winner is skew-stable: no re-adaptation churn",
 		len(policyChanges(secs[3])) <= 1,
 		"%d re-adaptations", len(policyChanges(secs[3])))
 
-	bestB := 0
-	for i := 1; i < 3; i++ {
-		if meansB[i] < meansB[bestB] {
-			bestB = i
-		}
-	}
+	bestB := bestStatic(meansB)
 	r.check("dynamic within 20% of the best static after the skew",
 		float64(meansB[3]) <= 1.2*float64(meansB[bestB]),
-		"dynamic %.2fms vs best %.2fms (%s)", msf(meansB[3]), msf(meansB[bestB]), adaptPolicies[bestB])
+		"dynamic %.2fms vs best %.2fms (%s)", msf(meansB[3]), msf(meansB[bestB]), policyRows[bestB])
 	return r, nil
 }
 

@@ -11,18 +11,10 @@ import (
 	"repro/internal/simmach"
 )
 
-// crossoverOpts is the dynamic-feedback configuration of the adapt-crossover
-// experiment, reused by the focused adaptivity tests below.
+// crossoverOpts is the adapt-crossover experiment's cell for one policy,
+// reused by the focused adaptivity tests below.
 func crossoverOpts(policy string) interp.Options {
-	return interp.Options{
-		Procs:            8,
-		Policy:           policy,
-		Params:           adaptWaterParams(48, 24),
-		Perturb:          perturb.Crossover(),
-		TargetSampling:   simmach.Millisecond,
-		TargetProduction: 40 * simmach.Millisecond,
-		OrderByHistory:   true,
-	}
+	return adaptScenarios[0].spec(progParallel, policy, "").Opts
 }
 
 // TestControllerReadaptsAcrossCrossover is the end-to-end re-adaptation
@@ -113,8 +105,7 @@ func TestPerturbedRunByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := NewSuite(SuiteConfig{Parallelism: 8, Cache: cache})
-	results, err := runScenario(cold, apps.NameWater, perturb.Crossover(), adaptWaterParams(48, 24),
-		func(o *interp.Options) { o.OrderByHistory = true })
+	_, results, _, err := runScenario(cold, "crossover")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +118,7 @@ func TestPerturbedRunByteIdentical(t *testing.T) {
 	}
 
 	warm := NewSuite(SuiteConfig{Parallelism: 1, Cache: cache})
-	hit, err := warm.RunWith(apps.NameWater, crossoverOpts(interp.PolicyDynamic))
+	hit, err := warm.Run(apps.NameWater, crossoverOpts(interp.PolicyDynamic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,17 +148,17 @@ func TestPerturbedRunsNeverShareCacheEntry(t *testing.T) {
 
 	unperturbed := base
 	unperturbed.Perturb = nil
-	plain, err := s.RunWith(apps.NameWater, unperturbed)
+	plain, err := s.Run(apps.NameWater, unperturbed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perturbed, err := s.RunWith(apps.NameWater, base)
+	perturbed, err := s.Run(apps.NameWater, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ramped := base
 	ramped.Perturb = perturb.Ramp()
-	ramp, err := s.RunWith(apps.NameWater, ramped)
+	ramp, err := s.Run(apps.NameWater, ramped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +177,7 @@ func TestPerturbedRunsNeverShareCacheEntry(t *testing.T) {
 	// A fresh suite over the same cache must hit all three entries and
 	// return each schedule's own result.
 	s2 := NewSuite(SuiteConfig{Parallelism: 1, Cache: cache})
-	again, err := s2.RunWith(apps.NameWater, base)
+	again, err := s2.Run(apps.NameWater, base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,67 +2,85 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/interp"
 	"repro/internal/simmach"
 )
 
+// policyRows is the fan-out of the per-version tables and of every
+// adaptivity experiment: the three static policies plus the dynamic
+// controller, in report order.
 var policyRows = []string{"original", "bounded", "aggressive", interp.PolicyDynamic}
 
-// policyCells lists the four per-policy runs of an app at one processor
-// count, for prewarming.
-func policyCells(app string, procs int) []RunSpec {
-	specs := make([]RunSpec, 0, len(policyRows))
-	for _, policy := range policyRows {
-		specs = append(specs, RunSpec{App: app, Opts: interp.Options{Procs: procs, Policy: policy}})
+// policyRuns simulates an application's four versions at one processor
+// count, keyed by version.
+func policyRuns(s *Suite, app string, procs int) (map[string]*interp.Result, error) {
+	specs := make([]RunSpec, len(policyRows))
+	for i, policy := range policyRows {
+		specs[i] = RunSpec{App: app, Opts: interp.Options{Procs: procs, Policy: policy}}
 	}
-	return specs
+	results, err := s.Runs(specs)
+	if err != nil {
+		return nil, err
+	}
+	runs := map[string]*interp.Result{}
+	for i, policy := range policyRows {
+		runs[policy] = results[i]
+	}
+	return runs, nil
+}
+
+// appTimes is one application's execution times: the serial baseline and
+// each version at each configured processor count.
+type appTimes struct {
+	serial simmach.Time
+	at     map[string]map[int]simmach.Time
+}
+
+func (t appTimes) sec(policy string, p int) float64 { return t.at[policy][p].Seconds() }
+
+func (t appTimes) speedup(policy string, p int) float64 {
+	return t.serial.Seconds() / t.sec(policy, p)
 }
 
 // executionTimes gathers one application's execution times for the four
 // versions across the configured processor counts, plus the serial
-// baseline. All cells are independent simulations, so they are prewarmed
-// through the parallel engine before the (cache-hit) collection loops.
-func executionTimes(s *Suite, app string) (serial simmach.Time, times map[string]map[int]simmach.Time, err error) {
-	specs := []RunSpec{{App: app, Serial: true}}
+// baseline.
+func executionTimes(s *Suite, app string) (appTimes, error) {
+	specs := []RunSpec{{App: app, Prog: progSerial}}
 	for _, policy := range policyRows {
 		for _, p := range s.cfg.Procs {
 			specs = append(specs, RunSpec{App: app, Opts: interp.Options{Procs: p, Policy: policy}})
 		}
 	}
-	s.Prewarm(specs)
-	sres, err := s.RunSerial(app)
+	results, err := s.Runs(specs)
 	if err != nil {
-		return 0, nil, err
+		return appTimes{}, err
 	}
-	serial = sres.Time
-	times = map[string]map[int]simmach.Time{}
+	t := appTimes{serial: results[0].Time, at: map[string]map[int]simmach.Time{}}
 	for _, policy := range policyRows {
-		times[policy] = map[int]simmach.Time{}
-		for _, p := range s.cfg.Procs {
-			r, err := s.Run(app, interp.Options{Procs: p, Policy: policy})
-			if err != nil {
-				return 0, nil, err
-			}
-			times[policy][p] = r.Time
-		}
+		t.at[policy] = map[int]simmach.Time{}
 	}
-	return serial, times, nil
+	for i, sp := range specs[1:] {
+		t.at[sp.Opts.Policy][sp.Opts.Procs] = results[1+i].Time
+	}
+	return t, nil
 }
 
 // timesReport renders the Table 2/7-style execution-time table.
-func timesReport(s *Suite, id, title, app string) (*Report, simmach.Time, map[string]map[int]simmach.Time, error) {
-	serial, times, err := executionTimes(s, app)
+func timesReport(s *Suite, id, title, app string) (*Report, appTimes, error) {
+	t, err := executionTimes(s, app)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, t, err
 	}
 	r := &Report{ID: id, Title: title}
 	r.Header = []string{"Version"}
 	for _, p := range s.cfg.Procs {
 		r.Header = append(r.Header, fmt.Sprintf("%d", p))
 	}
-	serialRow := []string{"Serial", fsec(serial)}
+	serialRow := []string{"Serial", fsec(t.serial)}
 	for range s.cfg.Procs[1:] {
 		serialRow = append(serialRow, "")
 	}
@@ -70,20 +88,20 @@ func timesReport(s *Suite, id, title, app string) (*Report, simmach.Time, map[st
 	for _, policy := range policyRows {
 		row := []string{policy}
 		for _, p := range s.cfg.Procs {
-			row = append(row, fsec(times[policy][p]))
+			row = append(row, fsec(t.at[policy][p]))
 		}
 		r.Rows = append(r.Rows, row)
 	}
-	return r, serial, times, nil
+	return r, t, nil
 }
 
 // Table2 reproduces the Barnes-Hut execution times.
 func Table2(s *Suite) (*Report, error) {
-	r, _, times, err := timesReport(s, "table2", "Execution Times for Barnes-Hut (virtual seconds)", apps.NameBarnesHut)
+	r, t, err := timesReport(s, "table2", "Execution Times for Barnes-Hut (virtual seconds)", apps.NameBarnesHut)
 	if err != nil {
 		return nil, err
 	}
-	at8 := func(p string) float64 { return times[p][8].Seconds() }
+	at8 := func(p string) float64 { return t.sec(p, 8) }
 	r.check("policy has significant impact",
 		at8("original") > 1.2*at8("aggressive"),
 		"original %.2fs vs aggressive %.2fs at 8 procs", at8("original"), at8("aggressive"))
@@ -96,49 +114,66 @@ func Table2(s *Suite) (*Report, error) {
 	return r, nil
 }
 
-// Figure4 reproduces the Barnes-Hut speedup curves.
-func Figure4(s *Suite) (*Report, error) {
-	serial, times, err := executionTimes(s, apps.NameBarnesHut)
+// speedupReport builds the Figure 4/6 speedup curves and returns the times
+// behind them and the largest processor count, which the figures' checks
+// read.
+func speedupReport(s *Suite, id, title, app string) (*Report, appTimes, int, error) {
+	t, err := executionTimes(s, app)
 	if err != nil {
-		return nil, err
+		return nil, t, 0, err
 	}
-	r := &Report{ID: "figure4", Title: "Speedups for Barnes-Hut",
-		XLabel: "processors", YLabel: "speedup vs serial"}
+	r := &Report{ID: id, Title: title, XLabel: "processors", YLabel: "speedup vs serial"}
 	for _, policy := range policyRows {
 		ser := Series{Name: policy}
 		for _, p := range s.cfg.Procs {
 			ser.X = append(ser.X, float64(p))
-			ser.Y = append(ser.Y, serial.Seconds()/times[policy][p].Seconds())
+			ser.Y = append(ser.Y, t.speedup(policy, p))
 		}
 		r.Series = append(r.Series, ser)
 	}
-	maxP := s.cfg.Procs[len(s.cfg.Procs)-1]
-	spAgg := serial.Seconds() / times["aggressive"][maxP].Seconds()
-	spOrig := serial.Seconds() / times["original"][maxP].Seconds()
+	return r, t, s.cfg.Procs[len(s.cfg.Procs)-1], nil
+}
+
+// Figure4 reproduces the Barnes-Hut speedup curves.
+func Figure4(s *Suite) (*Report, error) {
+	r, t, maxP, err := speedupReport(s, "figure4", "Speedups for Barnes-Hut", apps.NameBarnesHut)
+	if err != nil {
+		return nil, err
+	}
+	spAgg, spOrig := t.speedup("aggressive", maxP), t.speedup("original", maxP)
 	r.check("aggressive scales", spAgg > float64(maxP)/3,
 		"speedup %.1f at %d procs", spAgg, maxP)
 	r.check("versions scale at similar rates (no significant false exclusion)",
-		spOrig > 0.5*spAgg*times["aggressive"][1].Seconds()/times["original"][1].Seconds()*0.5,
+		spOrig > 0.5*spAgg*t.sec("aggressive", 1)/t.sec("original", 1)*0.5,
 		"orig %.1f vs agg %.1f at %d procs", spOrig, spAgg, maxP)
 	return r, nil
 }
 
-// Table3 reproduces the Barnes-Hut locking overhead table: executed
-// acquire/release pairs and absolute locking overhead, per version (the
-// Dynamic numbers come from an 8-processor run, as in the paper).
-func Table3(s *Suite) (*Report, error) {
-	r := &Report{ID: "table3", Title: "Locking Overhead for Barnes-Hut"}
+// lockingReport builds the Table 3/8 locking-overhead table — executed
+// acquire/release pairs and absolute locking overhead per version (the
+// Dynamic numbers come from an 8-processor run, as in the paper) — and
+// returns the pair counts its checks read.
+func lockingReport(s *Suite, id, title, app string) (*Report, map[string]int64, error) {
+	runs, err := policyRuns(s, app, 8)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := &Report{ID: id, Title: title}
 	r.Header = []string{"Version", "Acquire/Release Pairs", "Locking Overhead (s)"}
-	s.Prewarm(policyCells(apps.NameBarnesHut, 8))
 	pairs := map[string]int64{}
 	for _, policy := range policyRows {
-		res, err := s.Run(apps.NameBarnesHut, interp.Options{Procs: 8, Policy: policy})
-		if err != nil {
-			return nil, err
-		}
-		pairs[policy] = res.Counters.Acquires
-		r.Rows = append(r.Rows, []string{policy,
-			fmt.Sprintf("%d", res.Counters.Acquires), fsec(res.Counters.LockTime)})
+		c := runs[policy].Counters
+		pairs[policy] = c.Acquires
+		r.Rows = append(r.Rows, []string{policy, fmt.Sprintf("%d", c.Acquires), fsec(c.LockTime)})
+	}
+	return r, pairs, nil
+}
+
+// Table3 reproduces the Barnes-Hut locking overhead table.
+func Table3(s *Suite) (*Report, error) {
+	r, pairs, err := lockingReport(s, "table3", "Locking Overhead for Barnes-Hut", apps.NameBarnesHut)
+	if err != nil {
+		return nil, err
 	}
 	ratio := float64(pairs["original"]) / float64(pairs["bounded"])
 	r.check("original ≈ 2× bounded pairs", ratio > 1.8 && ratio < 2.2, "ratio %.2f", ratio)
@@ -188,19 +223,26 @@ func overheadSeries(s *Suite, id, title, app, sectionName string) (*Report, erro
 		if len(ser.Y) < 2 {
 			continue
 		}
-		lo, hi := ser.Y[0], ser.Y[0]
-		for _, y := range ser.Y {
-			if y < lo {
-				lo = y
-			}
-			if y > hi {
-				hi = y
-			}
-		}
+		lo, hi := slices.Min(ser.Y), slices.Max(ser.Y)
 		r.check(fmt.Sprintf("%s overhead stable", ser.Name), hi-lo < 0.3,
 			"spread %.3f over %d samples", hi-lo, len(ser.Y))
 	}
 	return r, nil
+}
+
+// seriesMeans returns the mean Y of every non-empty series, by name.
+func seriesMeans(series []Series) map[string]float64 {
+	mean := map[string]float64{}
+	for _, ser := range series {
+		sum := 0.0
+		for _, y := range ser.Y {
+			sum += y
+		}
+		if len(ser.Y) > 0 {
+			mean[ser.Name] = sum / float64(len(ser.Y))
+		}
+	}
+	return mean
 }
 
 // Figure5 is the FORCES overhead time series.
@@ -212,20 +254,20 @@ func Figure5(s *Suite) (*Report, error) {
 		return nil, err
 	}
 	// Overheads must order original > bounded > aggressive (Figure 5).
-	mean := map[string]float64{}
-	for _, ser := range r.Series {
-		sum := 0.0
-		for _, y := range ser.Y {
-			sum += y
-		}
-		if len(ser.Y) > 0 {
-			mean[ser.Name] = sum / float64(len(ser.Y))
-		}
-	}
+	mean := seriesMeans(r.Series)
 	r.check("overhead ordering original > bounded > aggressive",
 		mean["original"] > mean["bounded"] && mean["bounded"] > mean["aggressive"],
 		"means %v", mean)
 	return r, nil
+}
+
+// meanExecution returns the mean duration of a section's executions.
+func meanExecution(sec *interp.SectionStats) simmach.Time {
+	var total simmach.Time
+	for _, e := range sec.Executions {
+		total += e.End - e.Start
+	}
+	return total / simmach.Time(len(sec.Executions))
 }
 
 // sectionStats builds the Table 4/9/10-style statistics for a section,
@@ -240,13 +282,8 @@ func sectionStats(s *Suite, id, title, app, sectionName, policy string) (*Report
 	if sec == nil {
 		return nil, fmt.Errorf("bench: no section %s", sectionName)
 	}
-	nexec := len(sec.Executions)
-	var total simmach.Time
-	for _, e := range sec.Executions {
-		total += e.End - e.Start
-	}
-	meanSection := total / simmach.Time(nexec)
-	itersPerExec := sec.Iterations / int64(nexec)
+	meanSection := meanExecution(sec)
+	itersPerExec := sec.Iterations / int64(len(sec.Executions))
 	meanIter := sec.Busy / simmach.Time(sec.Iterations)
 	r := &Report{ID: id, Title: title}
 	r.Header = []string{"Mean Section Size", "Number of Iterations", "Mean Iteration Size"}
@@ -334,7 +371,10 @@ func intervalGrid(s *Suite, id, title, app, sectionName string) (*Report, [][]si
 			}})
 		}
 	}
-	s.Prewarm(specs)
+	results, err := s.Runs(specs)
+	if err != nil {
+		return nil, nil, err
+	}
 	r := &Report{ID: id, Title: title}
 	r.Header = []string{"Sampling \\ Production"}
 	for _, p := range productions {
@@ -343,31 +383,25 @@ func intervalGrid(s *Suite, id, title, app, sectionName string) (*Report, [][]si
 	grid := make([][]simmach.Time, len(samplings))
 	for i, sm := range samplings {
 		row := []string{sm.String()}
-		grid[i] = make([]simmach.Time, len(productions))
-		for j, pr := range productions {
-			res, err := s.Run(app, interp.Options{
-				Procs: 8, Policy: interp.PolicyDynamic,
-				TargetSampling: sm, TargetProduction: pr,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			sec := section(res, sectionName)
+		for j := range productions {
+			sec := section(results[i*len(productions)+j], sectionName)
 			if sec == nil {
 				return nil, nil, fmt.Errorf("bench: no section %s", sectionName)
 			}
-			var total simmach.Time
-			for _, e := range sec.Executions {
-				total += e.End - e.Start
-			}
-			mean := total / simmach.Time(len(sec.Executions))
-			grid[i][j] = mean
+			mean := meanExecution(sec)
+			grid[i] = append(grid[i], mean)
 			row = append(row, fsec(mean))
 		}
 		r.Rows = append(r.Rows, row)
 	}
 	r.Notes = append(r.Notes, "grid scaled ~10:1 from the paper's (sections are ~10× shorter here)")
 	return r, grid, nil
+}
+
+// gridRange returns the best and worst cell of an interval grid.
+func gridRange(grid [][]simmach.Time) (lo, hi simmach.Time) {
+	cells := slices.Concat(grid...)
+	return slices.Min(cells), slices.Max(cells)
 }
 
 // Table6 is the FORCES interval-sensitivity grid.
@@ -378,17 +412,7 @@ func Table6(s *Suite) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := grid[0][0], grid[0][0]
-	for _, row := range grid {
-		for _, v := range row {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
+	lo, hi := gridRange(grid)
 	// The paper: "performance is relatively insensitive to the variation in
 	// the target sampling and production intervals" (within ~20%).
 	r.check("performance insensitive to interval choice",

@@ -5,36 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/interp"
-	"repro/internal/perturb"
-	"repro/internal/simmach"
 )
-
-// adaptParityCells replicates each adaptivity experiment's scenario cell —
-// application, schedule, params, and controller tuning — so the engine
-// parity test can reach the raw results (and their Switches) behind the
-// rendered report.
-type adaptParityCell struct {
-	id     string
-	app    string
-	sched  *perturb.Schedule
-	params map[string]int64
-	tune   func(*interp.Options)
-}
-
-var adaptParityCells = []adaptParityCell{
-	{"adapt-crossover", apps.NameWater, perturb.Crossover(), adaptWaterParams(48, 24),
-		func(o *interp.Options) { o.OrderByHistory = true }},
-	{"adapt-ramp", apps.NameWater, perturb.Ramp(), adaptWaterParams(48, 24),
-		func(o *interp.Options) { o.TargetProduction = 60 * simmach.Millisecond; o.SpanExecutions = true }},
-	{"adapt-periodic", apps.NameWater, perturb.Periodic(), adaptWaterParams(32, 40),
-		func(o *interp.Options) { o.OrderByHistory = false }},
-	{"adapt-skew", apps.NameBarnesHut, perturb.Skew(),
-		map[string]int64{"nbodies": 256, "listlen": 24, "interwork": 20000, "npasses": 16, "serialwork": 4000},
-		func(o *interp.Options) { o.OrderByHistory = true }},
-}
 
 // adaptCrossoverUCBGolden is the adapt-crossover render under the UCB
 // selector followed by every production entry behind it, captured from the
@@ -49,13 +22,13 @@ const adaptCrossoverUCBGolden = "testdata/adapt_crossover_ucb.golden"
 // exactly. The crossover cell runs a second time under the UCB selector,
 // whose render and switch histories must also match the committed golden.
 func TestAdaptExperimentsEngineParity(t *testing.T) {
-	for _, cell := range adaptParityCells {
+	for _, sc := range adaptScenarios {
 		kinds := []string{core.KindRoundRobin}
-		if cell.id == "adapt-crossover" {
+		if sc.sched.Name == "crossover" {
 			kinds = append(kinds, core.KindUCB)
 		}
 		for _, kind := range kinds {
-			render, switches := adaptEngineParity(t, cell, kind)
+			render, switches := adaptEngineParity(t, sc.sched.Name, kind)
 			if kind != core.KindUCB {
 				continue
 			}
@@ -72,11 +45,12 @@ func TestAdaptExperimentsEngineParity(t *testing.T) {
 // adaptEngineParity runs one adaptivity experiment under both engines with
 // the given controller kind, checks renders and switch histories agree, and
 // returns both.
-func adaptEngineParity(t *testing.T, cell adaptParityCell, kind string) (string, [][]interp.SwitchStat) {
+func adaptEngineParity(t *testing.T, scenario, kind string) (string, [][]interp.SwitchStat) {
 	t.Helper()
-	e, ok := ExperimentByID(cell.id)
+	id := "adapt-" + scenario
+	e, ok := ExperimentByID(id)
 	if !ok {
-		t.Fatalf("unknown experiment %s", cell.id)
+		t.Fatalf("unknown experiment %s", id)
 	}
 	var formats []string
 	var switches [][][]interp.SwitchStat
@@ -84,15 +58,15 @@ func adaptEngineParity(t *testing.T, cell adaptParityCell, kind string) (string,
 		s := NewSuite(SuiteConfig{Parallelism: 1, Engine: engine, Controller: kind})
 		rep, err := e.Run(s)
 		if err != nil {
-			t.Fatalf("%s/%s under %s: %v", cell.id, kind, engine, err)
+			t.Fatalf("%s/%s under %s: %v", id, kind, engine, err)
 		}
 		formats = append(formats, rep.Format())
 		// Same suite, same options as the experiment: the scenario
 		// results come from the suite's memo, so the switch histories
 		// are the ones behind the rows just rendered.
-		results, err := runScenario(s, cell.app, cell.sched, cell.params, cell.tune)
+		_, results, _, err := runScenario(s, scenario)
 		if err != nil {
-			t.Fatalf("%s/%s under %s: %v", cell.id, kind, engine, err)
+			t.Fatalf("%s/%s under %s: %v", id, kind, engine, err)
 		}
 		var sw [][]interp.SwitchStat
 		for _, res := range results {
@@ -104,10 +78,10 @@ func adaptEngineParity(t *testing.T, cell adaptParityCell, kind string) (string,
 	}
 	if formats[0] != formats[1] {
 		t.Errorf("%s/%s: BENCH rows differ between engines:\n--- interp ---\n%s\n--- vm ---\n%s",
-			cell.id, kind, formats[0], formats[1])
+			id, kind, formats[0], formats[1])
 	}
 	if !reflect.DeepEqual(switches[0], switches[1]) {
-		t.Errorf("%s/%s: switch histories differ between engines", cell.id, kind)
+		t.Errorf("%s/%s: switch histories differ between engines", id, kind)
 	}
 	return formats[0], switches[0]
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/interp"
-	"repro/internal/parexec"
 	"repro/internal/simmach"
 	"repro/theory"
 )
@@ -65,44 +64,30 @@ func Eq9(s *Suite) (*Report, error) {
 // the truncated §6.3 permits: execution times, speedups and locking
 // overhead, with the paper-wide claims checked.
 func StringSuite(s *Suite) (*Report, error) {
-	r, serial, times, err := timesReport(s, "string", "Execution Times for String (virtual seconds)", apps.NameString)
+	r, t, err := timesReport(s, "string", "Execution Times for String (virtual seconds)", apps.NameString)
 	if err != nil {
 		return nil, err
 	}
 	r.Notes = append(r.Notes,
 		"the paper's §6.3 text was unavailable in our source; these rows record our measurements and check only the paper-wide claims")
-	s.Prewarm(policyCells(apps.NameString, 8))
-	pairs := map[string]int64{}
-	for _, policy := range policyRows {
-		res, err := s.Run(apps.NameString, interp.Options{Procs: 8, Policy: policy})
-		if err != nil {
-			return nil, err
-		}
-		pairs[policy] = res.Counters.Acquires
+	runs, err := policyRuns(s, apps.NameString, 8)
+	if err != nil {
+		return nil, err
 	}
-	at8 := func(p string) float64 { return times[p][8].Seconds() }
+	origPairs, bndPairs := runs["original"].Counters.Acquires, runs["bounded"].Counters.Acquires
+	at8 := func(p string) float64 { return t.sec(p, 8) }
 	r.check("coalescing wins (bounded/aggressive beat original)",
 		at8("bounded") < at8("original"),
 		"bounded %.2f vs original %.2f", at8("bounded"), at8("original"))
 	r.check("dynamic comparable to best policy",
-		at8("dynamic") < 1.3*minf(at8("original"), at8("bounded"), at8("aggressive")),
+		at8("dynamic") < 1.3*min(at8("original"), at8("bounded"), at8("aggressive")),
 		"dynamic %.2f", at8("dynamic"))
 	r.check("locking pairs halve under coalescing",
-		float64(pairs["original"]) > 1.7*float64(pairs["bounded"]),
-		"original %d vs bounded %d", pairs["original"], pairs["bounded"])
-	sp := serial.Seconds() / at8("bounded")
+		float64(origPairs) > 1.7*float64(bndPairs),
+		"original %d vs bounded %d", origPairs, bndPairs)
+	sp := t.speedup("bounded", 8)
 	r.check("application scales", sp > 4, "8-proc speedup %.1f", sp)
 	return r, nil
-}
-
-func minf(xs ...float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // AblationAsyncSwitch measures what §4.1 argues for synchronous switching:
@@ -129,18 +114,14 @@ func AblationAsyncSwitch(s *Suite) (*Report, error) {
 		}
 		return "?"
 	}
-	s.Prewarm([]RunSpec{
+	results, err := s.Runs([]RunSpec{
 		{App: apps.NameWater, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic}},
 		{App: apps.NameWater, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic, AsyncSwitch: true}},
 	})
-	sync, err := s.Run(apps.NameWater, interp.Options{Procs: 8, Policy: interp.PolicyDynamic})
 	if err != nil {
 		return nil, err
 	}
-	async, err := s.Run(apps.NameWater, interp.Options{Procs: 8, Policy: interp.PolicyDynamic, AsyncSwitch: true})
-	if err != nil {
-		return nil, err
-	}
+	sync, async := results[0], results[1]
 	sv, av := prodVersion(sync), prodVersion(async)
 	r.Rows = append(r.Rows,
 		[]string{"synchronous", fsec(sync.Time), sv},
@@ -160,28 +141,18 @@ func AblationEarlyCutoff(s *Suite) (*Report, error) {
 	countSampling := func(res *interp.Result) int {
 		n := 0
 		for _, sec := range res.Sections {
-			for _, smp := range sec.Samples {
-				if smp.Kind == "sampling" {
-					n++
-				}
-			}
+			n += samplingIntervals(sec)
 		}
 		return n
 	}
-	s.Prewarm([]RunSpec{
+	results, err := s.Runs([]RunSpec{
 		{App: apps.NameBarnesHut, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic}},
 		{App: apps.NameBarnesHut, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic, EarlyCutoff: true, OrderByHistory: true}},
 	})
-	base, err := s.Run(apps.NameBarnesHut, interp.Options{Procs: 8, Policy: interp.PolicyDynamic})
 	if err != nil {
 		return nil, err
 	}
-	cut, err := s.Run(apps.NameBarnesHut, interp.Options{
-		Procs: 8, Policy: interp.PolicyDynamic, EarlyCutoff: true, OrderByHistory: true,
-	})
-	if err != nil {
-		return nil, err
-	}
+	base, cut := results[0], results[1]
 	nb, nc := countSampling(base), countSampling(cut)
 	r.Rows = append(r.Rows,
 		[]string{"baseline", fsec(base.Time), fmt.Sprintf("%d", nb)},
@@ -192,43 +163,36 @@ func AblationEarlyCutoff(s *Suite) (*Report, error) {
 	return r, nil
 }
 
-// AblationSpanning measures the §4.4 extension on a workload of many short
-// section executions, which cannot amortize a per-execution sampling phase.
-func AblationSpanning(s *Suite) (*Report, error) {
-	c, err := s.App(apps.NameBarnesHut)
-	if err != nil {
-		return nil, err
-	}
+// spanningCells are the two modes AblationSpanning compares: per-execution
+// sampling, then spanning intervals.
+func spanningCells() []RunSpec {
 	// Many passes over a small body set: the ADVANCEALL sections are much
 	// shorter than a sampling phase.
 	params := map[string]int64{"nbodies": 192, "listlen": 16, "interwork": 20000,
 		"npasses": 12, "serialwork": 2000}
-	// The two modes are independent simulations: fan them out.
-	results, err := parexec.Map(s.cfg.Parallelism, []bool{false, true},
-		func(_ int, span bool) (*interp.Result, error) {
-			return interp.Run(c.Parallel, interp.Options{
-				Procs: 8, Policy: interp.PolicyDynamic, Params: params,
-				TargetSampling: 2 * simmach.Millisecond, TargetProduction: 40 * simmach.Millisecond,
-				SpanExecutions: span,
-			})
-		})
+	opts := interp.Options{
+		Procs: 8, Policy: interp.PolicyDynamic, Params: params,
+		TargetSampling: 2 * simmach.Millisecond, TargetProduction: 40 * simmach.Millisecond,
+	}
+	spanning := opts
+	spanning.SpanExecutions = true
+	return []RunSpec{{App: apps.NameBarnesHut, Opts: opts}, {App: apps.NameBarnesHut, Opts: spanning}}
+}
+
+// AblationSpanning measures the §4.4 extension on a workload of many short
+// section executions, which cannot amortize a per-execution sampling phase.
+func AblationSpanning(s *Suite) (*Report, error) {
+	results, err := s.Runs(spanningCells())
 	if err != nil {
 		return nil, err
 	}
 	r := &Report{ID: "ablation-span", Title: "Intervals Spanning Section Executions (§4.4 extension)"}
 	r.Header = []string{"Mode", "Time (s)", "ADVANCEALL sampling intervals"}
 	countSampling := func(res *interp.Result) int {
-		sec := section(res, "ADVANCEALL")
-		if sec == nil {
-			return 0
+		if sec := section(res, "ADVANCEALL"); sec != nil {
+			return samplingIntervals(sec)
 		}
-		n := 0
-		for _, smp := range sec.Samples {
-			if smp.Kind == "sampling" {
-				n++
-			}
-		}
-		return n
+		return 0
 	}
 	base, span := results[0], results[1]
 	r.Rows = append(r.Rows,
@@ -247,25 +211,14 @@ func AblationSpanning(s *Suite) (*Report, error) {
 func AblationFlagDispatch(s *Suite) (*Report, error) {
 	r := &Report{ID: "ablation-flags", Title: "Multi-Version vs Flag-Dispatch Code Generation (§4.2)"}
 	r.Header = []string{"Application", "Strategy", "Code (bytes)", "Aggressive time @8p (s)"}
-	// Two independent simulations per application (multi-version and
-	// flag-dispatch): fan all of them out, then assemble rows in order.
-	jobs := make([]func() (*interp.Result, error), 0, 2*len(apps.Names))
+	// Two cells per application: the aggressive policy on the
+	// multi-version program and on the flag-dispatch program.
+	var specs []RunSpec
 	for _, name := range apps.Names {
-		c, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
-		params := s.Params(name)
-		jobs = append(jobs,
-			func() (*interp.Result, error) {
-				return interp.Run(c.Parallel, interp.Options{Procs: 8, Policy: "aggressive", Params: params})
-			},
-			func() (*interp.Result, error) {
-				return interp.Run(c.Flagged, interp.Options{Procs: 8, Policy: "aggressive", Params: params})
-			})
+		opts := interp.Options{Procs: 8, Policy: "aggressive"}
+		specs = append(specs, RunSpec{App: name, Opts: opts}, RunSpec{App: name, Prog: progFlagged, Opts: opts})
 	}
-	results, err := parexec.Map(s.cfg.Parallelism, jobs,
-		func(_ int, job func() (*interp.Result, error)) (*interp.Result, error) { return job() })
+	results, err := s.Runs(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -302,22 +255,19 @@ func AblationFlagDispatch(s *Suite) (*Report, error) {
 func AblationAutoTune(s *Suite) (*Report, error) {
 	r := &Report{ID: "ablation-autotune", Title: "Auto-Tuned Production Intervals (§5 at run time)"}
 	r.Header = []string{"Application", "Fixed (s)", "Auto-tuned (s)"}
+	names := []string{apps.NameBarnesHut, apps.NameWater}
 	var specs []RunSpec
-	for _, name := range []string{apps.NameBarnesHut, apps.NameWater} {
+	for _, name := range names {
 		specs = append(specs,
 			RunSpec{App: name, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic}},
 			RunSpec{App: name, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic, AutoTuneProduction: true}})
 	}
-	s.Prewarm(specs)
-	for _, name := range []string{apps.NameBarnesHut, apps.NameWater} {
-		fixed, err := s.Run(name, interp.Options{Procs: 8, Policy: interp.PolicyDynamic})
-		if err != nil {
-			return nil, err
-		}
-		tuned, err := s.Run(name, interp.Options{Procs: 8, Policy: interp.PolicyDynamic, AutoTuneProduction: true})
-		if err != nil {
-			return nil, err
-		}
+	results, err := s.Runs(specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range names {
+		fixed, tuned := results[2*i], results[2*i+1]
 		r.Rows = append(r.Rows, []string{name, fsec(fixed.Time), fsec(tuned.Time)})
 		r.check(fmt.Sprintf("%s: auto-tuning costs nothing on a stable workload", name),
 			float64(tuned.Time) < 1.05*float64(fixed.Time),
@@ -331,20 +281,14 @@ func AblationAutoTune(s *Suite) (*Report, error) {
 func AblationInstrumentation(s *Suite) (*Report, error) {
 	r := &Report{ID: "ablation-instr", Title: "Instrumentation Overhead (Barnes-Hut, 8 procs)"}
 	r.Header = []string{"Mode", "Time (s)"}
-	s.Prewarm([]RunSpec{
+	results, err := s.Runs([]RunSpec{
 		{App: apps.NameBarnesHut, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic}},
 		{App: apps.NameBarnesHut, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic, InstrumentationCost: 1}},
 	})
-	on, err := s.Run(apps.NameBarnesHut, interp.Options{Procs: 8, Policy: interp.PolicyDynamic})
 	if err != nil {
 		return nil, err
 	}
-	off, err := s.Run(apps.NameBarnesHut, interp.Options{
-		Procs: 8, Policy: interp.PolicyDynamic, InstrumentationCost: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
+	on, off := results[0], results[1]
 	r.Rows = append(r.Rows,
 		[]string{"instrumented (20ns/op)", fsec(on.Time)},
 		[]string{"uninstrumented (1ns/op)", fsec(off.Time)})

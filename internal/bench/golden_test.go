@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/interp"
 )
 
 // goldenPath is the committed render of the full quick suite. It was
@@ -14,9 +16,11 @@ import (
 // decisions, or shape-check verdicts shows up as a byte diff.
 const goldenPath = "testdata/quick_suite.golden"
 
-// TestQuickSuiteMatchesGolden renders the full quick suite serially and
-// compares it byte for byte against the committed golden. Regenerate
-// (only when an intentional science change is reviewed) with:
+// TestQuickSuiteMatchesGolden renders the full quick suite serially under
+// each execution engine — the production VM and the reference step
+// interpreter, the only place every cell of the suite runs on the oracle —
+// and compares both byte for byte against the same committed golden.
+// Regenerate (only when an intentional science change is reviewed) with:
 //
 //	BENCH_REGEN_GOLDEN=1 go test ./internal/bench -run TestQuickSuiteMatchesGolden
 func TestQuickSuiteMatchesGolden(t *testing.T) {
@@ -26,7 +30,12 @@ func TestQuickSuiteMatchesGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("quick-suite render is an order of magnitude slower under the race detector")
 	}
-	matchGolden(t, goldenPath, renderSuite(t, 1), "current engine")
+	for _, engine := range []string{interp.EngineVM, interp.EngineInterp} {
+		t.Run(engine, func(t *testing.T) {
+			cfg := SuiteConfig{Quick: true, Procs: []int{1, 4, 8}, Parallelism: 1, Engine: engine}
+			matchGolden(t, goldenPath, renderSuiteCfg(t, cfg), engine+" engine")
+		})
+	}
 }
 
 // matchGolden compares got byte for byte against the committed golden at

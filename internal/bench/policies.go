@@ -8,11 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/obl/polgen"
-	"repro/internal/parexec"
-	"repro/internal/perturb"
 	"repro/internal/polsearch"
 	"repro/internal/simmach"
-	"repro/oblc"
 )
 
 // The policy-space tier: the offline and online halves of the generated
@@ -89,16 +86,6 @@ type PoliciesJSON struct {
 	OK bool `json:"ok"`
 }
 
-// searchWorkloads are the offline-search workloads: every bench app.
-func searchWorkloads() []string {
-	return []string{apps.NameBarnesHut, apps.NameWater, apps.NameString}
-}
-
-// compileSpecs compiles an app with the full generated space appended.
-func compileSpecs(name string) (*oblc.Compiled, error) {
-	return apps.CompileWithSpecs(name, polgen.Space())
-}
-
 // PoliciesValidation runs the tier. cfg contributes Quick (workload
 // scaling for the offline search), Cache and Parallelism; the duel
 // workloads are fixed like the adaptivity experiments', so the online
@@ -114,35 +101,15 @@ func PoliciesValidation(cfg SuiteConfig) (*PoliciesJSON, error) {
 		Space:     names,
 	}
 
-	// Offline: the full generated space, statically, on every workload.
-	workloads := searchWorkloads()
-	compiled := map[string]*oblc.Compiled{}
+	// Offline: the full generated space, statically, on every bench app.
+	workloads := apps.Names
+	var cells []RunSpec
 	for _, w := range workloads {
-		c, err := compileSpecs(w)
-		if err != nil {
-			return nil, fmt.Errorf("bench: policies: compile %s: %w", w, err)
-		}
-		compiled[w] = c
-	}
-	type cell struct{ w, p int }
-	var cells []cell
-	for w := range workloads {
-		for p := range names {
-			cells = append(cells, cell{w, p})
+		for _, n := range names {
+			cells = append(cells, RunSpec{App: w, Prog: progSpace, Opts: interp.Options{Procs: searchProcs, Policy: n}})
 		}
 	}
-	times, err := parexec.Map(s.cfg.Parallelism, cells, func(_ int, c cell) (float64, error) {
-		app := workloads[c.w]
-		res, err := s.simulate(compiled[app].Parallel, interp.Options{
-			Procs:  searchProcs,
-			Policy: names[c.p],
-			Params: s.Params(app),
-		}, fmt.Sprintf("policies %s %s", app, names[c.p]))
-		if err != nil {
-			return 0, err
-		}
-		return res.Time.Seconds(), nil
-	})
+	results, err := s.Runs(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -150,8 +117,8 @@ func PoliciesValidation(cfg SuiteConfig) (*PoliciesJSON, error) {
 	for i, n := range names {
 		points[i] = polsearch.Point{Name: n, Times: make([]float64, len(workloads))}
 	}
-	for i, c := range cells {
-		points[c.p].Times[c.w] = times[i]
+	for i, res := range results {
+		points[i%len(names)].Times[i/len(names)] = res.Time.Seconds()
 	}
 	res, err := polsearch.Search(workloads, points, polsearch.Config{MaxRepresentatives: 5})
 	if err != nil {
@@ -161,11 +128,20 @@ func PoliciesValidation(cfg SuiteConfig) (*PoliciesJSON, error) {
 	out.SearchOK = res.Pruned >= 12 && len(res.Representatives) <= 5 && res.Regret <= 0.05
 
 	// Online: round-robin vs bandit over the full space, per scenario.
-	duels, err := parexec.Map(s.cfg.Parallelism, duelSpecs(), func(_ int, d duelSpec) (PolicyDuel, error) {
-		return runDuel(s, d)
-	})
-	if err != nil {
+	cells = nil
+	for _, sc := range adaptScenarios {
+		cells = append(cells,
+			sc.spec(progSpace, interp.PolicyDynamic, core.KindRoundRobin),
+			sc.spec(progSpace, interp.PolicyDynamic, core.KindUCB))
+	}
+	if results, err = s.Runs(cells); err != nil {
 		return nil, err
+	}
+	duels := make([]PolicyDuel, len(adaptScenarios))
+	for i, sc := range adaptScenarios {
+		if duels[i], err = scoreDuel(sc, results[2*i], results[2*i+1]); err != nil {
+			return nil, err
+		}
 	}
 	out.Duels = duels
 	out.SelectionOK = true
@@ -185,93 +161,43 @@ func PoliciesValidation(cfg SuiteConfig) (*PoliciesJSON, error) {
 	return out, nil
 }
 
-// duelSpec describes one controller duel: the adaptivity scenario's
-// workload and tuning, mirrored from the adapt-* experiments.
-type duelSpec struct {
-	scenario string
-	app      string
-	section  string
-	params   map[string]int64
-	tune     func(*interp.Options)
-}
-
-func duelSpecs() []duelSpec {
-	return []duelSpec{
-		{"crossover", apps.NameWater, "POTENG", adaptWaterParams(48, 24),
-			func(o *interp.Options) { o.OrderByHistory = true }},
-		{"ramp", apps.NameWater, "INTERF", adaptWaterParams(48, 24),
-			func(o *interp.Options) { o.TargetProduction = 60 * simmach.Millisecond; o.SpanExecutions = true }},
-		{"periodic", apps.NameWater, "INTERF", adaptWaterParams(32, 40), nil},
-		{"skew", apps.NameBarnesHut, "FORCES",
-			map[string]int64{"nbodies": 256, "listlen": 24, "interwork": 20000, "npasses": 16, "serialwork": 4000},
-			func(o *interp.Options) { o.OrderByHistory = true }},
+// scoreDuel scores one scenario's round-robin and bandit runs.
+func scoreDuel(sc adaptScenario, rr, ucb *interp.Result) (PolicyDuel, error) {
+	duel := PolicyDuel{Scenario: sc.sched.Name, App: sc.app, Section: sc.section}
+	var err error
+	if duel.RR, duel.Versions, err = duelSide(sc, rr); err != nil {
+		return duel, err
 	}
-}
-
-// runDuel runs one scenario under both controllers and scores the duel.
-func runDuel(s *Suite, d duelSpec) (PolicyDuel, error) {
-	sched, ok := perturb.Scenario(d.scenario)
-	if !ok {
-		return PolicyDuel{}, fmt.Errorf("bench: policies: unknown scenario %q", d.scenario)
-	}
-	c, err := compileSpecs(d.app)
-	if err != nil {
-		return PolicyDuel{}, fmt.Errorf("bench: policies: compile %s: %w", d.app, err)
-	}
-	duel := PolicyDuel{Scenario: d.scenario, App: d.app, Section: d.section}
-	boundary := sched.FirstChangeAt()
-	for _, kind := range []string{core.KindRoundRobin, core.KindUCB} {
-		opts := interp.Options{
-			Procs:            searchProcs,
-			Policy:           interp.PolicyDynamic,
-			Controller:       kind,
-			Params:           d.params,
-			Perturb:          sched,
-			TargetSampling:   simmach.Millisecond,
-			TargetProduction: 40 * simmach.Millisecond,
-		}
-		if d.tune != nil {
-			d.tune(&opts)
-		}
-		res, err := s.simulate(c.Parallel, opts, fmt.Sprintf("policies duel %s %s %s", d.scenario, d.app, kind))
-		if err != nil {
-			return PolicyDuel{}, err
-		}
-		sec := section(res, d.section)
-		if sec == nil {
-			return PolicyDuel{}, fmt.Errorf("bench: policies: duel %s: section %s missing", d.scenario, d.section)
-		}
-		duel.Versions = len(sec.VersionLabels)
-		side := PolicyDuelSide{
-			TotalS:        res.Time.Seconds(),
-			Readaptations: len(policyChanges(sec)),
-		}
-		for _, smp := range sec.Samples {
-			if smp.Kind == "sampling" {
-				side.SampledIntervals++
-			}
-		}
-		side.Rounds = len(sec.Switches)
-		div := side.Rounds
-		if div < 1 {
-			div = 1
-		}
-		side.IntervalsPerRound = float64(side.SampledIntervals) / float64(div)
-		if n := len(sec.Switches); n > 0 {
-			final := sec.Switches[n-1]
-			side.FinalVersion = final.Label
-			if sw, found := firstSwitchTo(sec, boundary, final.Version); found {
-				side.ReadaptLatencyMS = float64(sw.At-boundary) / float64(simmach.Millisecond)
-			}
-		}
-		if kind == core.KindUCB {
-			duel.UCB = side
-		} else {
-			duel.RR = side
-		}
+	if duel.UCB, duel.Versions, err = duelSide(sc, ucb); err != nil {
+		return duel, err
 	}
 	duel.SelectionOK = duel.UCB.FinalVersion == duel.RR.FinalVersion || duel.UCB.TotalS <= duel.RR.TotalS
 	return duel, nil
+}
+
+// duelSide summarizes one controller's run of a scenario, and reports how
+// many versions the scenario's section offered it.
+func duelSide(sc adaptScenario, res *interp.Result) (PolicyDuelSide, int, error) {
+	sec := section(res, sc.section)
+	if sec == nil {
+		return PolicyDuelSide{}, 0, fmt.Errorf("bench: policies: duel %s: section %s missing", sc.sched.Name, sc.section)
+	}
+	side := PolicyDuelSide{
+		TotalS:           res.Time.Seconds(),
+		Readaptations:    len(policyChanges(sec)),
+		SampledIntervals: samplingIntervals(sec),
+		Rounds:           len(sec.Switches),
+	}
+	side.IntervalsPerRound = float64(side.SampledIntervals) / float64(max(side.Rounds, 1))
+	if n := len(sec.Switches); n > 0 {
+		boundary := sc.sched.FirstChangeAt()
+		final := sec.Switches[n-1]
+		side.FinalVersion = final.Label
+		if sw, found := firstSwitchTo(sec, boundary, final.Version); found {
+			side.ReadaptLatencyMS = float64(sw.At-boundary) / float64(simmach.Millisecond)
+		}
+	}
+	return side, len(sec.VersionLabels), nil
 }
 
 // Format renders the tier as text.

@@ -43,12 +43,13 @@ func TestReportFormatSeries(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) < 25 {
-		t.Fatalf("experiments = %d, want at least one per paper table/figure", len(ids))
+	exps := Experiments()
+	if len(exps) < 25 {
+		t.Fatalf("experiments = %d, want at least one per paper table/figure", len(exps))
 	}
 	seen := map[string]bool{}
-	for _, id := range ids {
+	for _, e := range exps {
+		id := e.ID
 		if seen[id] {
 			t.Errorf("duplicate experiment id %q", id)
 		}

@@ -155,7 +155,7 @@ func (sj *SamplingJSON) Format() string {
 		fmt.Fprintf(&b, " skipped %.0f%%, %d window(s), %d gap(s), %d rollback(s), wall %.0f ms vs %.0f ms (%.1fx)\n",
 			rep.SkipRatio*100, rep.Estimate.Windows, rep.Estimate.Gaps, rep.Estimate.Rollbacks,
 			float64(rep.SampledWallNS)/1e6, float64(rep.ExhaustiveWallNS)/1e6,
-			float64(rep.ExhaustiveWallNS)/float64(max64(rep.SampledWallNS, 1)))
+			float64(rep.ExhaustiveWallNS)/float64(max(rep.SampledWallNS, 1)))
 		for _, m := range rep.Estimate.Metrics {
 			mark := "in "
 			if !rep.Contained[m.Name] {
@@ -172,11 +172,4 @@ func (sj *SamplingJSON) Format() string {
 	fmt.Fprintf(&b, "sampling tier: %.0f ms sampled vs %.0f ms exhaustive (%.1fx); %s\n",
 		sj.SampledWallMS, sj.ExhaustiveWallMS, sj.Speedup, verdict)
 	return b.String()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -11,6 +11,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/interp"
 	"repro/internal/obl/ir"
+	"repro/internal/obl/polgen"
 	"repro/internal/parexec"
 	"repro/internal/simcache"
 	"repro/internal/simmach"
@@ -32,11 +34,10 @@ type SuiteConfig struct {
 	// Default is the paper's: 1, 2, 4, 6, 8, 12, 16.
 	Procs []int
 	// Parallelism bounds the simulations in flight at once when experiments
-	// prewarm their cells (see Prewarm) or run side by side. Every
-	// simulation is deterministic and memoized single-flight, so results —
-	// and therefore rendered reports — are byte-identical at any
-	// parallelism. Default runtime.GOMAXPROCS(0); 1 runs everything
-	// serially.
+	// fan their cells out (see Runs) or run side by side. Every simulation
+	// is deterministic and memoized single-flight, so results — and
+	// therefore rendered reports — are byte-identical at any parallelism.
+	// Default runtime.GOMAXPROCS(0); 1 runs everything serially.
 	Parallelism int
 	// Cache, when non-nil, is consulted before every simulation and
 	// populated after: results are addressed by interp.CacheKey, so a hit
@@ -48,13 +49,11 @@ type SuiteConfig struct {
 	// turning the determinism claim into a checked invariant. A mismatch
 	// is an error, not a silent fallback.
 	CacheVerify bool
-	// Engine is the seam dfbench -engine-timing and the engine parity test
-	// use to run the whole suite under interp.EngineInterp, the reference
-	// oracle, and byte-compare its reports with the VM's (the default,
-	// and the only engine any other caller uses). Results are identical,
-	// so the engine is deliberately absent from content-addressed cache
-	// keys; it only enters the in-process memo keys so timing passes
-	// under different engines never share cells.
+	// Engine is the seam the golden and engine parity tests use to run
+	// every cell under interp.EngineInterp, the reference oracle, and
+	// byte-compare its reports with the VM's (the default, and the only
+	// engine any other caller uses). Results are identical, so the engine
+	// is deliberately absent from content-addressed cache keys.
 	Engine string
 	// Controller selects the dynamic feedback controller for every dynamic
 	// simulation (core.KindRoundRobin, the default, or core.KindUCB).
@@ -86,8 +85,9 @@ type Series struct {
 }
 
 // Report is the outcome of one experiment. The JSON form is what
-// `dfbench -json` writes, so downstream tooling can track the perf
-// trajectory across PRs.
+// `dfbench -json` writes: the science artifact, every byte of it virtual
+// time on the simulated machine, so it must not move across PRs that do
+// not change the simulated science.
 type Report struct {
 	ID     string       `json:"id"`
 	Title  string       `json:"title"`
@@ -176,17 +176,20 @@ func dashes(widths []int) []string {
 
 // Suite caches compiled applications and simulation runs across
 // experiments, since several tables and figures share the same executions.
-// The caches are concurrency-safe and single-flight: identical
-// configurations are simulated exactly once, and concurrent callers of the
-// same cell block on and share that one execution, so experiments may
-// prewarm cells or run side by side (cmd/dfbench does both) without
-// duplicating work or perturbing results.
+// The caches are concurrency-safe and single-flight: identical cells are
+// simulated exactly once, and concurrent callers of the same cell block on
+// and share that one execution, so experiments may fan cells out or run
+// side by side (cmd/dfbench does both) without duplicating work or
+// perturbing results.
 type Suite struct {
 	cfg      SuiteConfig
 	compiled parexec.Group[string, *oblc.Compiled]
-	runs     parexec.Group[string, *interp.Result]
+	// runs memoizes cells by content address (interp.CacheKey). The
+	// suite-wide Engine is not in the address: a memo never outlives its
+	// suite, and a suite has one engine.
+	runs parexec.Group[string, *interp.Result]
 	// sem bounds the simulations actually executing across every caller,
-	// including nested prewarms from concurrently running experiments.
+	// including nested fan-outs from concurrently running experiments.
 	sem chan struct{}
 }
 
@@ -234,149 +237,151 @@ func (s *Suite) Params(name string) map[string]int64 {
 	return out
 }
 
-// Run executes (with single-flight memoization) an application on the
-// simulated machine. It is safe for concurrent use; identical
-// configurations are simulated exactly once.
-func (s *Suite) Run(name string, opts interp.Options) (*interp.Result, error) {
-	key := fmt.Sprintf("%s|%d|%s|%s|%d|%d|%v%v%v%v%v|%d|%s|%s", name, opts.Procs, opts.Policy,
-		opts.Controller, opts.TargetSampling, opts.TargetProduction,
-		opts.EarlyCutoff, opts.OrderByHistory, opts.SpanExecutions, opts.AsyncSwitch,
-		opts.AutoTuneProduction, opts.InstrumentationCost, s.cfg.Engine, s.cfg.Controller)
-	return s.runs.Do(key, func() (*interp.Result, error) {
-		c, err := s.App(name)
+// progKind selects which of an application's compiled programs a cell runs.
+type progKind int
+
+const (
+	progParallel progKind = iota // the multi-version parallel program
+	progSerial                   // the serial baseline
+	progFlagged                  // the single-version flag-dispatch program (§4.2)
+	progSpace                    // the parallel program with the generated policy space (polgen) appended
+)
+
+// RunSpec names one simulation cell: an application's program and the
+// options to run it with. Nil Opts.Params means the suite's (Quick-scaled)
+// parameters for the application; an empty Opts.Controller means the
+// suite's.
+type RunSpec struct {
+	App  string
+	Prog progKind
+	Opts interp.Options
+}
+
+func (sp RunSpec) String() string {
+	kind := [...]string{"", " serial", " flagged", " space"}[sp.Prog]
+	return fmt.Sprintf("%s%s %s/%d", sp.App, kind, sp.Opts.Policy, sp.Opts.Procs)
+}
+
+// program resolves a cell's program, compiling the application on first use.
+func (s *Suite) program(app string, kind progKind) (*ir.Program, error) {
+	if kind == progSpace {
+		c, err := s.compiled.Do(app+"+space", func() (*oblc.Compiled, error) {
+			return apps.CompileWithSpecs(app, polgen.Space())
+		})
 		if err != nil {
 			return nil, err
 		}
-		opts.Params = s.Params(name)
-		return s.simulate(c.Parallel, opts, fmt.Sprintf("%s %s/%d", name, opts.Policy, opts.Procs))
-	})
-}
-
-// RunWith executes an application with fully explicit options — parameter
-// overrides and perturbation schedule included — memoized like Run. The
-// adaptivity experiments use it: their workloads are sized to straddle the
-// scenario's change points, independent of the Quick-scaled shared cells.
-func (s *Suite) RunWith(name string, opts interp.Options) (*interp.Result, error) {
-	var pb strings.Builder
-	for _, k := range sortedKeys(opts.Params) {
-		fmt.Fprintf(&pb, "%s=%d,", k, opts.Params[k])
+		return c.Parallel, nil
 	}
-	key := fmt.Sprintf("%s|with|%d|%s|%s|%d|%d|%v%v%v%v%v|%d|%s|%s|%s|%s", name, opts.Procs, opts.Policy,
-		opts.Controller, opts.TargetSampling, opts.TargetProduction,
-		opts.EarlyCutoff, opts.OrderByHistory, opts.SpanExecutions, opts.AsyncSwitch,
-		opts.AutoTuneProduction, opts.InstrumentationCost, pb.String(), opts.Perturb.Key(), s.cfg.Engine, s.cfg.Controller)
-	return s.runs.Do(key, func() (*interp.Result, error) {
-		c, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
-		return s.simulate(c.Parallel, opts, fmt.Sprintf("%s %s/%d", name, opts.Policy, opts.Procs))
-	})
-}
-
-// RunSerial executes the serial baseline.
-func (s *Suite) RunSerial(name string) (*interp.Result, error) {
-	return s.runs.Do(name+"|serial|"+s.cfg.Engine, func() (*interp.Result, error) {
-		c, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
-		return s.simulate(c.Serial, interp.Options{Params: s.Params(name)}, name+" serial")
-	})
-}
-
-// simulate resolves one simulation cell: through the content-addressed
-// cache when one is configured (verifying hits when CacheVerify is set),
-// otherwise by simulating under the suite-wide in-flight bound.
-func (s *Suite) simulate(prog *ir.Program, opts interp.Options, desc string) (*interp.Result, error) {
-	if opts.Controller == "" {
-		// Resolved here, before the cache lookup: the controller kind is
-		// part of the content address, so the suite default must be in
-		// force when the key is derived.
-		opts.Controller = s.cfg.Controller
-	}
-	cache := s.cfg.Cache
-	key := ""
-	if cache != nil {
-		if k, ok := interp.CacheKey(prog, opts); ok {
-			key = k
-			if res, hit := cache.Get(key); hit {
-				if !s.cfg.CacheVerify {
-					return res, nil
-				}
-				fresh, err := s.execute(prog, opts, desc)
-				if err != nil {
-					return nil, err
-				}
-				cached, err := simcache.EncodeResult(res)
-				if err != nil {
-					return nil, fmt.Errorf("bench: %s: %w", desc, err)
-				}
-				want, err := simcache.EncodeResult(fresh)
-				if err != nil {
-					return nil, fmt.Errorf("bench: %s: %w", desc, err)
-				}
-				if !bytes.Equal(cached, want) {
-					return nil, fmt.Errorf("bench: %s: cached result differs from fresh simulation (key %s)", desc, key)
-				}
-				return res, nil
-			}
-		}
-	}
-	res, err := s.execute(prog, opts, desc)
+	c, err := s.App(app)
 	if err != nil {
 		return nil, err
 	}
-	if key != "" {
-		cache.Put(key, res)
+	switch kind {
+	case progSerial:
+		return c.Serial, nil
+	case progFlagged:
+		return c.Flagged, nil
+	}
+	return c.Parallel, nil
+}
+
+// Run resolves the cell of an application's parallel program.
+func (s *Suite) Run(app string, opts interp.Options) (*interp.Result, error) {
+	return s.cell(RunSpec{App: app, Opts: opts})
+}
+
+// Runs resolves every spec with up to Parallelism simulations in flight and
+// returns the results in spec order, or the lowest-indexed error.
+func (s *Suite) Runs(specs []RunSpec) ([]*interp.Result, error) {
+	return parexec.Map(s.cfg.Parallelism, specs, func(_ int, sp RunSpec) (*interp.Result, error) {
+		return s.cell(sp)
+	})
+}
+
+// resolve returns a cell's program, its fully-resolved options and its
+// content address (interp.CacheKey).
+func (s *Suite) resolve(sp RunSpec) (*ir.Program, interp.Options, string, error) {
+	prog, err := s.program(sp.App, sp.Prog)
+	if err != nil {
+		return nil, interp.Options{}, "", err
+	}
+	opts := sp.Opts
+	if opts.Params == nil {
+		opts.Params = s.Params(sp.App)
+	}
+	if opts.Controller == "" {
+		opts.Controller = s.cfg.Controller
+	}
+	key, ok := interp.CacheKey(prog, opts)
+	if !ok {
+		return nil, interp.Options{}, "", errors.New("options are not content-addressable")
+	}
+	return prog, opts, key, nil
+}
+
+// cell resolves one cell. Every exact simulation in the package goes
+// through it (the sampling tier's estimates are not cells: interp.CacheKey
+// refuses them): the memo single-flights on the cell's content address, a
+// memo miss consults the simulation cache, and a cache miss simulates. It
+// is safe for concurrent use; identical cells are simulated exactly once.
+func (s *Suite) cell(sp RunSpec) (*interp.Result, error) {
+	prog, opts, key, err := s.resolve(sp)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", sp, err)
+	}
+	res, err := s.runs.Do(key, func() (*interp.Result, error) { return s.simulate(prog, opts, key) })
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", sp, err)
 	}
 	return res, nil
 }
 
-// execute simulates with up to Parallelism simulations in flight. A
-// serial suite (Parallelism 1) has nothing in flight to bound — Prewarm
-// already declines to fan out — so it skips the semaphore entirely rather
-// than paying a channel round-trip per simulation.
-func (s *Suite) execute(prog *ir.Program, opts interp.Options, desc string) (*interp.Result, error) {
+// simulate resolves a memo miss: from the simulation cache when one is
+// configured (re-simulating and byte-comparing a hit when CacheVerify is
+// set), otherwise by simulating and populating it.
+func (s *Suite) simulate(prog *ir.Program, opts interp.Options, key string) (*interp.Result, error) {
+	cache := s.cfg.Cache
+	if cache == nil {
+		return s.execute(prog, opts)
+	}
+	cached, hit := cache.Get(key)
+	if hit && !s.cfg.CacheVerify {
+		return cached, nil
+	}
+	fresh, err := s.execute(prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	if !hit {
+		cache.Put(key, fresh)
+		return fresh, nil
+	}
+	got, err := simcache.EncodeResult(cached)
+	if err != nil {
+		return nil, err
+	}
+	want, err := simcache.EncodeResult(fresh)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(got, want) {
+		return nil, fmt.Errorf("cached result differs from fresh simulation (key %s)", key)
+	}
+	return cached, nil
+}
+
+// execute simulates under the suite's engine with up to Parallelism
+// simulations in flight. A serial suite has nothing in flight to bound, so
+// it skips the semaphore rather than paying a channel round-trip per
+// simulation.
+func (s *Suite) execute(prog *ir.Program, opts interp.Options) (*interp.Result, error) {
 	if cap(s.sem) > 1 {
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
 	}
-	if opts.Engine == "" {
-		opts.Engine = s.cfg.Engine
-	}
-	r, err := interp.Run(prog, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", desc, err)
-	}
-	return r, nil
-}
-
-// RunSpec names one memoized simulation cell: the serial baseline when
-// Serial is set, otherwise a parallel-program run with Opts.
-type RunSpec struct {
-	App    string
-	Serial bool
-	Opts   interp.Options
-}
-
-// Prewarm simulates every spec with up to Parallelism simulations in
-// flight, populating the single-flight cache so that a subsequent serial
-// collection pass gets pure cache hits. Errors are not reported here: a
-// failing cell fails identically (memoized) when the experiment's own
-// Run call reaches it, preserving the serial error behaviour.
-func (s *Suite) Prewarm(specs []RunSpec) {
-	if s.cfg.Parallelism <= 1 || len(specs) <= 1 {
-		return
-	}
-	parexec.Map(s.cfg.Parallelism, specs, func(_ int, sp RunSpec) (struct{}, error) {
-		if sp.Serial {
-			s.RunSerial(sp.App)
-		} else {
-			s.Run(sp.App, sp.Opts)
-		}
-		return struct{}{}, nil
-	})
+	opts.Engine = s.cfg.Engine
+	return interp.Run(prog, opts)
 }
 
 // section finds a section's stats in a result.
@@ -445,15 +450,6 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// ExperimentIDs lists all experiment IDs.
-func ExperimentIDs() []string {
-	var out []string
-	for _, e := range Experiments() {
-		out = append(out, e.ID)
-	}
-	return out
-}
-
 func fsec(t simmach.Time) string { return fmt.Sprintf("%.3f", t.Seconds()) }
 
 func fms(t simmach.Time) string {
@@ -477,6 +473,17 @@ func meanSampleInterval(sec *interp.SectionStats) map[string]simmach.Time {
 		out[k] = v / simmach.Time(counts[k])
 	}
 	return out
+}
+
+// samplingIntervals counts the sampling intervals in a section's history.
+func samplingIntervals(sec *interp.SectionStats) int {
+	n := 0
+	for _, smp := range sec.Samples {
+		if smp.Kind == "sampling" {
+			n++
+		}
+	}
+	return n
 }
 
 // sortedKeys returns map keys sorted.

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"repro/internal/apps"
 	"repro/internal/interp"
 	"repro/internal/simmach"
@@ -10,11 +8,11 @@ import (
 
 // Table7 reproduces the Water execution times.
 func Table7(s *Suite) (*Report, error) {
-	r, _, times, err := timesReport(s, "table7", "Execution Times for Water (virtual seconds)", apps.NameWater)
+	r, t, err := timesReport(s, "table7", "Execution Times for Water (virtual seconds)", apps.NameWater)
 	if err != nil {
 		return nil, err
 	}
-	at := func(p string, n int) float64 { return times[p][n].Seconds() }
+	at := t.sec
 	r.check("aggressive best at 1 processor",
 		at("aggressive", 1) < at("bounded", 1) && at("bounded", 1) < at("original", 1),
 		"agg %.2f < bnd %.2f < orig %.2f", at("aggressive", 1), at("bounded", 1), at("original", 1))
@@ -32,23 +30,11 @@ func Table7(s *Suite) (*Report, error) {
 
 // Figure6 reproduces the Water speedup curves.
 func Figure6(s *Suite) (*Report, error) {
-	serial, times, err := executionTimes(s, apps.NameWater)
+	r, t, maxP, err := speedupReport(s, "figure6", "Speedups for Water", apps.NameWater)
 	if err != nil {
 		return nil, err
 	}
-	r := &Report{ID: "figure6", Title: "Speedups for Water",
-		XLabel: "processors", YLabel: "speedup vs serial"}
-	for _, policy := range policyRows {
-		ser := Series{Name: policy}
-		for _, p := range s.cfg.Procs {
-			ser.X = append(ser.X, float64(p))
-			ser.Y = append(ser.Y, serial.Seconds()/times[policy][p].Seconds())
-		}
-		r.Series = append(r.Series, ser)
-	}
-	maxP := s.cfg.Procs[len(s.cfg.Procs)-1]
-	spB := serial.Seconds() / times["bounded"][maxP].Seconds()
-	spA := serial.Seconds() / times["aggressive"][maxP].Seconds()
+	spB, spA := t.speedup("bounded", maxP), t.speedup("aggressive", maxP)
 	r.check("bounded scales, aggressive plateaus", spB > 2*spA,
 		"bounded %.1f vs aggressive %.1f at %d procs", spB, spA, maxP)
 	return r, nil
@@ -56,18 +42,9 @@ func Figure6(s *Suite) (*Report, error) {
 
 // Table8 reproduces the Water locking overhead table.
 func Table8(s *Suite) (*Report, error) {
-	r := &Report{ID: "table8", Title: "Locking Overhead for Water"}
-	r.Header = []string{"Version", "Acquire/Release Pairs", "Locking Overhead (s)"}
-	s.Prewarm(policyCells(apps.NameWater, 8))
-	pairs := map[string]int64{}
-	for _, policy := range policyRows {
-		res, err := s.Run(apps.NameWater, interp.Options{Procs: 8, Policy: policy})
-		if err != nil {
-			return nil, err
-		}
-		pairs[policy] = res.Counters.Acquires
-		r.Rows = append(r.Rows, []string{policy,
-			fmt.Sprintf("%d", res.Counters.Acquires), fsec(res.Counters.LockTime)})
+	r, pairs, err := lockingReport(s, "table8", "Locking Overhead for Water", apps.NameWater)
+	if err != nil {
+		return nil, err
 	}
 	r.check("pair counts decrease original → bounded → aggressive",
 		pairs["original"] > pairs["bounded"] && pairs["bounded"] > pairs["aggressive"],
@@ -85,22 +62,23 @@ func Table8(s *Suite) (*Report, error) {
 func Figure7(s *Suite) (*Report, error) {
 	r := &Report{ID: "figure7", Title: "Waiting Proportion for Water",
 		XLabel: "processors", YLabel: "waiting proportion"}
+	statics := policyRows[:3]
 	var specs []RunSpec
-	for _, policy := range []string{"original", "bounded", "aggressive"} {
+	for _, policy := range statics {
 		for _, p := range s.cfg.Procs {
 			specs = append(specs, RunSpec{App: apps.NameWater, Opts: interp.Options{Procs: p, Policy: policy}})
 		}
 	}
-	s.Prewarm(specs)
+	results, err := s.Runs(specs)
+	if err != nil {
+		return nil, err
+	}
 	prop := map[string]map[int]float64{}
-	for _, policy := range []string{"original", "bounded", "aggressive"} {
+	for i, policy := range statics {
 		prop[policy] = map[int]float64{}
 		ser := Series{Name: policy}
-		for _, p := range s.cfg.Procs {
-			res, err := s.Run(apps.NameWater, interp.Options{Procs: p, Policy: policy})
-			if err != nil {
-				return nil, err
-			}
+		for j, p := range s.cfg.Procs {
+			res := results[i*len(s.cfg.Procs)+j]
 			w := float64(res.Counters.WaitTime) / (float64(res.Time) * float64(p))
 			prop[policy][p] = w
 			ser.X = append(ser.X, float64(p))
@@ -147,16 +125,7 @@ func Figure9(s *Suite) (*Report, error) {
 	}
 	r.check("only two versions sampled (original ≡ bounded)",
 		len(r.Series) == 2, "versions: %d", len(r.Series))
-	mean := map[string]float64{}
-	for _, ser := range r.Series {
-		sum := 0.0
-		for _, y := range ser.Y {
-			sum += y
-		}
-		if len(ser.Y) > 0 {
-			mean[ser.Name] = sum / float64(len(ser.Y))
-		}
-	}
+	mean := seriesMeans(r.Series)
 	r.check("aggressive overhead dramatically higher",
 		mean["aggressive"] > mean["original/bounded"]+0.3,
 		"means %v", mean)
@@ -223,17 +192,7 @@ func Table13(s *Suite) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := grid[0][0], grid[0][0]
-	for _, row := range grid {
-		for _, v := range row {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
+	lo, hi := gridRange(grid)
 	// INTERF versions perform similarly, so all combinations are close
 	// (Table 13).
 	r.check("all combinations yield similar performance",
