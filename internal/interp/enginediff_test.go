@@ -22,10 +22,7 @@ import (
 // VM: across applications, builds, policies, perturbation scenarios, and
 // the seeded-race corpus, the VM's full Result — virtual time, counters,
 // output, section statistics, step count, and race findings — must encode
-// byte-for-byte identically to the interpreter's. The VM runs twice per
-// cell: the first pass executes the freshly compiled module under
-// profiling, the second the profile-specialized rebuild, so both tiers
-// face the gate.
+// byte-for-byte identically to the interpreter's.
 
 // engineDiffParams shrinks each application so one differential cell takes
 // milliseconds while still claiming iterations on all eight processors.
@@ -44,9 +41,9 @@ func encodeResult(t *testing.T, res *interp.Result) []byte {
 	return b
 }
 
-// assertEngineParity runs one cell under the interpreter and twice under
-// the VM (profiling pass, then specialized pass) and requires all three
-// results to encode identically. It returns the reference result.
+// assertEngineParity runs one cell under the interpreter and under the VM
+// and requires both results to encode identically. It returns the
+// reference result.
 func assertEngineParity(t *testing.T, label string, prog *ir.Program, opts interp.Options) *interp.Result {
 	t.Helper()
 	opts.Engine = interp.EngineInterp
@@ -56,14 +53,12 @@ func assertEngineParity(t *testing.T, label string, prog *ir.Program, opts inter
 	}
 	refBytes := encodeResult(t, ref)
 	opts.Engine = interp.EngineVM
-	for pass := 1; pass <= 2; pass++ {
-		res, err := interp.Run(prog, opts)
-		if err != nil {
-			t.Fatalf("%s: vm engine pass %d: %v", label, pass, err)
-		}
-		if !bytes.Equal(refBytes, encodeResult(t, res)) {
-			t.Fatalf("%s: vm engine pass %d result differs from interpreter", label, pass)
-		}
+	res, err := interp.Run(prog, opts)
+	if err != nil {
+		t.Fatalf("%s: vm engine: %v", label, err)
+	}
+	if !bytes.Equal(refBytes, encodeResult(t, res)) {
+		t.Fatalf("%s: vm engine result differs from interpreter", label)
 	}
 	return ref
 }

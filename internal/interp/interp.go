@@ -110,12 +110,12 @@ type Options struct {
 	// intervals and validate estimates against exhaustive ground truth.
 	Sample *SampleSpec
 	// Engine selects the instruction executor. EngineVM (the default) is the
-	// production engine: the program is compiled to register bytecode with
-	// profile-guided specialization, and a program vm.Compile rejects is an
-	// error. EngineInterp is the reference oracle the differential tests
-	// and the benchmark compare against: the direct IR interpreter, for
-	// exhaustive runs only (it rejects Sample). Both produce byte-identical
-	// Results, so the choice never appears in cache keys.
+	// production engine: the program is compiled once to specialized
+	// register bytecode, and a program vm.Compile rejects is an error.
+	// EngineInterp is the reference oracle the differential tests and the
+	// benchmark compare against: the direct IR interpreter, for exhaustive
+	// runs only (it rejects Sample). Both produce byte-identical Results, so
+	// the choice never appears in cache keys.
 	Engine string
 	// Trace, when set, receives every synchronization event of the
 	// simulated machine (lock acquires, blocks, grants, releases, barrier
@@ -259,15 +259,16 @@ type prep struct {
 
 // loadState is everything this package derives from a program once, each
 // part on first use: the load-time tables, the content fingerprint, and the
-// VM's compiled module with its specialization. It lives in the program's
-// Loaded slot, so dropping the program drops all of it.
+// VM's compiled module (or the error compiling it returned). It lives in
+// the program's Loaded slot, so dropping the program drops all of it.
 type loadState struct {
 	prepOnce sync.Once
 	prep     *prep
 	fpOnce   sync.Once
 	fp       string
 	vmOnce   sync.Once
-	vm       vmModEntry
+	vmMod    *vm.Module
+	vmErr    error
 }
 
 func loadStateOf(p *ir.Program) *loadState {
@@ -396,11 +397,6 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 			rt.paramVals[i] = v
 		}
 	}
-	// The first completed VM run of a program doubles as its profiling
-	// pass: its counters feed vm.Specialize, and the specialization claim is
-	// re-opened if the run fails before finishing.
-	var vmEntry *vmModEntry
-	var vmProf *vm.Profile
 	defer func() {
 		if r := recover(); r != nil {
 			if re, ok := r.(runtimeErr); ok {
@@ -409,33 +405,15 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 				panic(r)
 			}
 		}
-		if vmProf == nil {
-			return
-		}
-		if err != nil {
-			vmEntry.release()
-		} else {
-			vmEntry.finish(vmProf)
-		}
 	}()
 	rt.pool = make([]*worker, opts.Procs)
 	if opts.Engine == EngineVM {
-		e := vmModuleFor(p)
-		if e.err != nil {
-			return nil, fmt.Errorf("interp: %w", e.err)
+		mod, err := vmModuleFor(p)
+		if err != nil {
+			return nil, fmt.Errorf("interp: %w", err)
 		}
-		mod, prof := e.acquire()
-		if prof != nil && (opts.Sample != nil || opts.ckHook != nil) {
-			// A sampled (or checkpoint-exercised) run skips or replays
-			// iterations; its instruction counts would bias the
-			// specialization profile. Leave the profiling pass to the
-			// next exhaustive run.
-			e.release()
-			prof = nil
-		}
-		vmEntry, vmProf = e, prof
 		for i := range rt.pool {
-			vt := &vmTask{mod: mod, prof: prof, sites: make([]lockSite, mod.NumLockSites)}
+			vt := &vmTask{mod: mod}
 			vt.worker = worker{rt: rt, ex: vt, isMain: i == 0}
 			rt.pool[i] = &vt.worker
 			if i == 0 {

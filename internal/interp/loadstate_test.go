@@ -11,9 +11,9 @@ import (
 // TestDroppedProgramsAreCollected runs compile–run–drop cycles of the three
 // applications — what a fresh bench.Suite per pass does — and requires the
 // post-GC heap to stay flat. A cycle builds everything this package derives
-// from a program (load-time tables, fingerprint, VM module, profile,
-// specialization); all of it must go when the program does. Tables keyed by
-// *ir.Program held 493 KB a cycle for the life of the process.
+// from a program (load-time tables, fingerprint, VM module); all of it must
+// go when the program does. Tables keyed by *ir.Program held 493 KB a cycle
+// for the life of the process.
 func TestDroppedProgramsAreCollected(t *testing.T) {
 	cycle := func() {
 		for _, name := range apps.Names {
@@ -22,12 +22,8 @@ func TestDroppedProgramsAreCollected(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := interp.Options{Procs: 2, Policy: "original", Params: apps.TestParams(name)}
-			// The first run profiles and specializes, the second runs the
-			// specialized module.
-			for run := 0; run < 2; run++ {
-				if _, err := interp.Run(c.Parallel, opts); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := interp.Run(c.Parallel, opts); err != nil {
+				t.Fatal(err)
 			}
 			if _, ok := interp.CacheKey(c.Parallel, opts); !ok {
 				t.Fatal("cell is not cacheable")

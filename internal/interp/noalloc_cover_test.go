@@ -90,8 +90,8 @@ func main() {
 					opts := tc.opts
 					opts.Engine = engine
 					opts.Params = map[string]int64{"n": n}
-					// Warm the process: under the vm engine the first Run is
-					// the profiling pass that triggers specialization.
+					// Warm the process: the first Run builds the program's
+					// load-time tables and, under the vm engine, its module.
 					if _, err := Run(tc.prog, opts); err != nil {
 						t.Fatal(err)
 					}

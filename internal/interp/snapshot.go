@@ -68,7 +68,6 @@ type vmTaskSnap struct {
 	wphase     int
 	sr         *sectionRun
 	held       []*simmach.Lock
-	sites      []lockSite
 	collapsed  int64
 }
 
@@ -162,7 +161,6 @@ func (rt *runtime) snapshot() *runSnapshot {
 			wphase:     t.wphase,
 			sr:         t.sr,
 			held:       append([]*simmach.Lock(nil), t.held...),
-			sites:      append([]lockSite(nil), t.sites...),
 			collapsed:  t.collapsed,
 		})
 		for _, o := range t.refStack {
@@ -279,7 +277,6 @@ func (vs *vmTaskSnap) restore() {
 	t.executed = 0
 	t.acc = 0
 	t.held = append(t.held[:0], vs.held...)
-	copy(t.sites, vs.sites)
 	t.collapsed = vs.collapsed
 }
 

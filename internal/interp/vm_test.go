@@ -6,14 +6,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/obl/ir"
 	"repro/internal/obl/vm"
 )
 
 // Targeted engine differentials for the superinstruction groups and the
 // elided frame zeroing, on hand-built IR where every slot's position in
-// its dispatch is known. Each program is specialized under an all-hot
-// profile before it runs, so the groups exist without a warm-up loop.
+// its dispatch is known.
 
 // irProgram wraps hand-built functions (main first; register kinds given)
 // into a program.
@@ -30,30 +30,20 @@ func irIns(op ir.Op, dst, a, b ir.Reg, imm int64, args ...ir.Reg) ir.Instr {
 	return ir.Instr{Op: op, Dst: dst, A: a, B: b, C: ir.NoReg, Imm: imm, Args: args}
 }
 
-// specializeHot installs the specialization of p under a profile in which
-// every slot is hot and no acquire ever blocked, and returns it.
-func specializeHot(t *testing.T, p *ir.Program) *vm.Module {
-	t.Helper()
-	e := vmModuleFor(p)
-	if e.err != nil {
-		t.Fatal(e.err)
+// moduleOf returns the module Run executes p on.
+func moduleOf(tb testing.TB, p *ir.Program) *vm.Module {
+	tb.Helper()
+	m, err := vmModuleFor(p)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	prof := vm.NewProfile(e.mod)
-	for f := range prof.Counts {
-		for pc := range prof.Counts[f] {
-			prof.Counts[f][pc] = 1 << 20
-		}
-	}
-	e.prof.Store(true)
-	e.finish(prof)
-	return e.spec.Load()
+	return m
 }
 
-// runBoth runs p under the interpreter and under the hot-specialized VM
-// and requires identical results, or identical errors.
+// runBoth runs p under the interpreter and under the VM and requires
+// identical results, or identical errors.
 func runBoth(t *testing.T, label string, p *ir.Program) (*Result, error) {
 	t.Helper()
-	specializeHot(t, p)
 	ref, refErr := Run(p, Options{Procs: 1, Engine: EngineInterp})
 	got, gotErr := Run(p, Options{Procs: 1, Engine: EngineVM})
 	if fmt.Sprint(refErr) != fmt.Sprint(gotErr) {
@@ -101,7 +91,7 @@ func TestBudgetBoundaryInsideLen3Group(t *testing.T) {
 		}
 		code = append(code, irIns(ir.OpRet, no, no, no, 0))
 		p := irProgram(&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI, rB}, Code: code})
-		groupAt(t, specializeHot(t, p), head, vm.OpLtIKBr, 3)
+		groupAt(t, moduleOf(t, p), head, vm.OpLtIKBr, 3)
 		if _, err := runBoth(t, fmt.Sprintf("head at executed=%d", before), p); err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +128,7 @@ func TestJumpIntoGroupRunsPlainSlots(t *testing.T) {
 		irIns(ir.OpJump, no, no, no, 16),     // 22: into the second slot of the Len 2 group
 	}
 	p := irProgram(&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI, rB}, Code: code})
-	m := specializeHot(t, p)
+	m := moduleOf(t, p)
 	groupAt(t, m, 4, vm.OpLtIKBr, 3)
 	groupAt(t, m, 10, vm.OpGtIKBr, 3)
 	groupAt(t, m, 15, vm.OpMulIK, 2)
@@ -162,7 +152,7 @@ func TestLiteralZeroDivisorNotFused(t *testing.T) {
 			irIns(ir.OpPrint, no, 2, no, 0),
 			irIns(ir.OpRet, no, no, no, 0),
 		}})
-		if in := specializeHot(t, p).Funcs[0].Code[1]; in.Len != 1 {
+		if in := moduleOf(t, p).Funcs[0].Code[1]; in.Len != 1 {
 			t.Errorf("%v by constant zero fused into %v", op, in.Op)
 		}
 		if _, err := runBoth(t, op.String()+" by zero", p); err == nil {
@@ -191,7 +181,7 @@ func TestConstantDivisorGroups(t *testing.T) {
 		}
 		code = append(code, irIns(ir.OpRet, no, no, no, 0))
 		p := irProgram(&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI, rI}, Code: code})
-		m := specializeHot(t, p)
+		m := moduleOf(t, p)
 		groupAt(t, m, 1, vm.OpDivIK, 2)
 		groupAt(t, m, 4, vm.OpModIK, 2)
 		res, err := runBoth(t, fmt.Sprintf("divisor %d", k), p)
@@ -210,7 +200,7 @@ func TestConstantDivisorGroups(t *testing.T) {
 // TestUnwrittenLocalReadsZero: a function that reads a local it never
 // wrote must see zero in every activation, as the interpreter's fresh
 // frame gives it — after a sibling call left other values in the same
-// arena words, out of line and (hot-specialized) inlined alike.
+// arena words, inlined and out of line alike.
 func TestUnwrittenLocalReadsZero(t *testing.T) {
 	rF, rR := ir.ElemFloat, ir.ElemRef
 	dirty := &ir.Func{Name: "dirty", NParams: 1, RegKinds: []ir.ElemKind{rI, rI, rF, rR, rI}, Code: []ir.Instr{
@@ -243,7 +233,7 @@ func TestUnwrittenLocalReadsZero(t *testing.T) {
 		irIns(ir.OpRet, no, no, no, 0),
 	}}
 	p := irProgram(main, dirty, leaky)
-	m := specializeHot(t, p)
+	m := moduleOf(t, p)
 	if fc := m.Funcs[2]; !fc.ZeroInts || !fc.ZeroFloats || !fc.ZeroRefs {
 		t.Fatalf("leaky: zeroing %v/%v/%v, want all", fc.ZeroInts, fc.ZeroFloats, fc.ZeroRefs)
 	}
@@ -258,21 +248,76 @@ func TestUnwrittenLocalReadsZero(t *testing.T) {
 	if !reflect.DeepEqual(res.Output, want) {
 		t.Errorf("output %v, want %v", res.Output, want)
 	}
-	// The same program on the baseline module: real frames, push-time zeroing.
+	if op := m.Funcs[0].Plain[4].Op; op != vm.OpCallEnter {
+		t.Fatalf("dirty(i) compiled to %v, want an inline splice", op)
+	}
+	// The same program with both callees padded past the inlining bound:
+	// real frames, push-time zeroing.
+	pad := func(code []ir.Instr) []ir.Instr {
+		out := make([]ir.Instr, 64, 64+len(code))
+		for i := range out {
+			out[i] = irIns(ir.OpNop, no, no, no, 0)
+		}
+		return append(out, code...)
+	}
 	q := irProgram(
 		&ir.Func{Name: "main", RegKinds: main.RegKinds, Code: main.Code},
-		&ir.Func{Name: "dirty", NParams: 1, RegKinds: dirty.RegKinds, Code: dirty.Code},
-		&ir.Func{Name: "leaky", NParams: 1, RegKinds: leaky.RegKinds, Code: leaky.Code},
+		&ir.Func{Name: "dirty", NParams: 1, RegKinds: dirty.RegKinds, Code: pad(dirty.Code)},
+		&ir.Func{Name: "leaky", NParams: 1, RegKinds: leaky.RegKinds, Code: pad(leaky.Code)},
 	)
-	ref, err := Run(q, Options{Procs: 1, Engine: EngineInterp})
+	qmain := moduleOf(t, q).Funcs[0]
+	for _, pc := range []int{4, 5} {
+		if op := qmain.Plain[pc].Op; op != vm.OpCall {
+			t.Fatalf("padded callee at pc %d compiled to %v, want an out-of-line call", pc, op)
+		}
+	}
+	res, err = runBoth(t, "unwritten local (out of line)", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(q, Options{Procs: 1, Engine: EngineVM}) // profiling pass: unspecialized
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(res.Output, want) {
+		t.Errorf("out of line: output %v, want %v", res.Output, want)
 	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("unwritten local (out of line): vm %+v, interpreter %+v", got, ref)
+}
+
+// TestModuleIndependentOfRunOrder: a program's module is a function of the
+// program alone. Three fresh compiles of each application — never run, run
+// under original first, run under aggressive first — disassemble
+// identically, and the never-run one already carries fused groups.
+func TestModuleIndependentOfRunOrder(t *testing.T) {
+	for _, name := range apps.Names {
+		var never []string
+		for _, first := range []string{"", "original", "aggressive"} {
+			c, err := apps.Compile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first != "" {
+				if _, err := Run(c.Parallel, Options{Procs: 8, Policy: first, Params: apps.TestParams(name)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got []string
+			fused := false
+			for _, fc := range moduleOf(t, c.Parallel).Funcs {
+				got = append(got, fc.Disasm())
+				for pc := range fc.Code {
+					fused = fused || fc.Code[pc].Len > 1
+				}
+			}
+			if first == "" {
+				never = got
+				if !fused {
+					t.Errorf("%s: the module of a never-run program has no fused group", name)
+				}
+				continue
+			}
+			for id := range got {
+				if got[id] != never[id] {
+					t.Errorf("%s: after a first run under %s, function %d differs from the never-run module:\n%s\nnever run:\n%s",
+						name, first, id, got[id], never[id])
+				}
+			}
+		}
 	}
 }

@@ -30,7 +30,6 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 	rt := t.rt
 	race := rt.race != nil && t.sr != nil
 	dyn := rt.opts.Policy == PolicyDynamic
-	profiling := t.prof != nil
 	executed := t.executed
 	acc := t.acc
 
@@ -52,9 +51,6 @@ frames:
 				// where the interpreter's per-instruction count puts it.
 				in = &fr.fc.Plain[pc]
 			}
-			if profiling {
-				t.prof.Counts[fr.fc.ID][pc]++
-			}
 
 			if in.Op >= vm.OpSyncStart {
 				if in.Op == vm.OpParallel {
@@ -73,8 +69,7 @@ frames:
 					return simmach.Ready, false
 				}
 				// Acquire/release family.
-				isAcq := in.Op == vm.OpAcquire || in.Op == vm.OpAcquireEn ||
-					in.Op == vm.OpAcquireIf || in.Op == vm.OpAcquireU
+				isAcq := in.Op == vm.OpAcquire || in.Op == vm.OpAcquireEn || in.Op == vm.OpAcquireIf
 				isCond := in.Op == vm.OpAcquireEn || in.Op == vm.OpReleaseEn ||
 					in.Op == vm.OpAcquireIf || in.Op == vm.OpReleaseIf
 				if in.Op == vm.OpAcquireIf || in.Op == vm.OpReleaseIf {
@@ -103,18 +98,7 @@ frames:
 				if obj == nil {
 					rt.fail("%s: pc %d: nil dereference", t.fname(in), in.OrigPC)
 				}
-				var lock *simmach.Lock
-				if in.Op == vm.OpAcquireU || in.Op == vm.OpReleaseU {
-					s := &t.sites[in.B]
-					if s.obj == obj {
-						lock = s.lock
-					} else {
-						lock = obj.Lock(rt.m)
-						s.obj, s.lock = obj, lock
-					}
-				} else {
-					lock = obj.Lock(rt.m)
-				}
+				lock := obj.Lock(rt.m)
 				t.acc = acc
 				t.flush(p)
 				acc = 0
@@ -137,9 +121,6 @@ frames:
 					t.held = append(t.held, lock) //dfvet:allow noalloc race-detection mode only; detection is documented to allocate tracking state
 				}
 				if !p.Acquire(lock) {
-					if t.prof != nil {
-						t.prof.Blocked[fr.fc.ID][pc-1]++
-					}
 					fr.pc = pc
 					t.executed = executed
 					t.acc = acc

@@ -1,72 +1,26 @@
 package interp
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/obl/ir"
 	"repro/internal/obl/vm"
 	"repro/internal/simmach"
 )
 
 // This file is the bytecode VM, the production engine (Options.Engine ==
-// EngineVM): module caching and profile-guided specialization, and the
-// frame and register-bank storage vmTask plugs into the worker state
-// machine of interp.go. Equivalence with the step interpreter is bit-exact
-// and covers everything a Result or a trace can observe: virtual times,
-// machine counters, scheduler step counts (so dispatch boundaries — the
-// stepBudget accounting, yield-first sync — are reproduced instruction for
+// EngineVM): the per-program module, and the frame and register-bank
+// storage vmTask plugs into the worker state machine of interp.go.
+// Equivalence with the step interpreter is bit-exact and covers everything
+// a Result or a trace can observe: virtual times, machine counters,
+// scheduler step counts (so dispatch boundaries — the stepBudget
+// accounting, yield-first sync — are reproduced instruction for
 // instruction), program output, controller samples and switches, and
 // race-detector findings.
 
-// vmModEntry is the compile/specialization state of one program.
-// The first completed VM run claims the profiling pass; its counters
-// drive vm.Specialize, and every later run picks up the specialized
-// module. Profiling counters are maintained by the run's single machine
-// goroutine, so they need no synchronization.
-type vmModEntry struct {
-	mod  *vm.Module
-	err  error
-	spec atomic.Pointer[vm.Module]
-	prof atomic.Bool // profiling pass claimed
-	mu   sync.Mutex
-	// lastProf retains the profile that drove the specialization, for
-	// diagnostics and the superinstruction-coverage benchmarks.
-	lastProf atomic.Pointer[vm.Profile]
-}
-
-func vmModuleFor(p *ir.Program) *vmModEntry {
+// vmModuleFor returns the program's module, compiled on first use.
+func vmModuleFor(p *ir.Program) (*vm.Module, error) {
 	s := loadStateOf(p)
-	s.vmOnce.Do(func() { s.vm.mod, s.vm.err = vm.Compile(p) })
-	return &s.vm
-}
-
-// acquire picks the module for a run: the specialized one when available,
-// otherwise the baseline — claiming the profiling pass if still open.
-func (e *vmModEntry) acquire() (*vm.Module, *vm.Profile) {
-	if s := e.spec.Load(); s != nil {
-		return s, nil
-	}
-	if e.prof.CompareAndSwap(false, true) {
-		return e.mod, vm.NewProfile(e.mod)
-	}
-	return e.mod, nil
-}
-
-// finish installs the specialization built from a completed profiling run.
-func (e *vmModEntry) finish(p *vm.Profile) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.spec.Load() == nil {
-		e.spec.Store(vm.Specialize(e.mod, p))
-		e.lastProf.Store(p)
-	}
-}
-
-// release re-opens the profiling claim after a run that failed before
-// completing its profile.
-func (e *vmModEntry) release() {
-	e.prof.Store(false)
+	s.vmOnce.Do(func() { s.vmMod, s.vmErr = vm.Compile(p) })
+	return s.vmMod, s.vmErr
 }
 
 // vmFrame is one activation record over the three banks. The windows are
@@ -84,15 +38,6 @@ type vmFrame struct {
 	collapsed           int64
 }
 
-// lockSite is a per-run monomorphic cache for an OpAcquireU/OpReleaseU
-// site: profile-guided specialization applies these only to sites that
-// never blocked, which in the corpus are also sites that lock the same
-// object repeatedly.
-type lockSite struct {
-	obj  *Object
-	lock *simmach.Lock
-}
-
 // vmTask is the bytecode executor: typed register banks over a compiled
 // vm.Module.
 type vmTask struct {
@@ -103,8 +48,6 @@ type vmTask struct {
 	intStack   []int64
 	floatStack []float64
 	refStack   []*Object
-	sites      []lockSite
-	prof       *vm.Profile
 	// collapsed sums the collapsed counters of every live frame, so the
 	// call-depth check sees the same stack height the interpreter would.
 	collapsed int64

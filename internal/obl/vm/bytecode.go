@@ -88,12 +88,12 @@ type FuncCode struct {
 	RegBank []uint8
 	RegSlot []int32
 
-	// Code is the executable stream, possibly specialized. Plain holds the
-	// unspecialized instruction for every slot of the same stream: jump
+	// Code is the executable stream: Plain with the head slot of every
+	// superinstruction group replaced by the fused instruction. Plain holds
+	// the unfused instruction for every slot of the same stream: jump
 	// targets that land inside a fused group execute the plain slots, and
 	// the dispatch loop falls back to a group's plain head when the step
-	// budget cannot admit the whole group. Before specialization the two
-	// alias.
+	// budget cannot admit the whole group.
 	Code  []Instr
 	Plain []Instr
 }
@@ -102,11 +102,6 @@ type FuncCode struct {
 type Module struct {
 	Prog  *ir.Program
 	Funcs []*FuncCode
-	// NumLockSites counts static acquire/release instructions across the
-	// module; the engine keeps a per-run monomorphic lock cache this size.
-	NumLockSites int
-	// Specialized marks a module rebuilt by Specialize.
-	Specialized bool
 }
 
 // bankOf maps a register kind to its bank.

@@ -6,10 +6,12 @@ import (
 	"repro/internal/obl/ir"
 )
 
-// Compile translates a program to bytecode. It returns an error — and the
-// execution engine falls back to the interpreter — when a function lacks
-// the register-kind metadata lowering records (hand-built programs) or
-// when the metadata is inconsistent with how the code uses registers.
+// Compile builds the one module a program ever has: frame layout, the 1:1
+// translation, tail-call marking, the frame-zeroing decision, inline
+// expansion and superinstruction fusion, every pass a function of the
+// program alone. It returns an error when a function lacks the
+// register-kind metadata lowering records (hand-built programs) or when
+// the metadata is inconsistent with how the code uses registers.
 // Compilation never changes observable behaviour: every returned module
 // executes bit-identically to the interpreter.
 func Compile(p *ir.Program) (*Module, error) {
@@ -36,6 +38,10 @@ func Compile(p *ir.Program) (*Module, error) {
 	for _, fc := range m.Funcs {
 		markTailCalls(fc)
 		scratch = fc.markZeroing(scratch)
+	}
+	for _, fc := range m.Funcs {
+		m.inlineExpand(fc)
+		fc.fuse()
 	}
 	return m, nil
 }
@@ -132,7 +138,8 @@ var binaryOps = map[ir.Op]Op{
 	ir.OpLtF: OpLtF, ir.OpLeF: OpLeF, ir.OpGtF: OpGtF, ir.OpGeF: OpGeF,
 }
 
-// translate compiles one function body 1:1 (bytecode pcs equal IR pcs).
+// translate compiles one function body 1:1 (bytecode pcs equal IR pcs
+// until inline expansion splices callees in).
 func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 	p := m.Prog
 	kind := func(r ir.Reg) ir.ElemKind { return f.RegKinds[r] }
@@ -486,8 +493,6 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 				o.Op = OpRelease
 			}
 			o.A = slot(in.A)
-			o.B = int32(m.NumLockSites)
-			m.NumLockSites++
 			o.Cost = 0 // the runtime charges sync costs along its own paths
 			if err := want(pc, in.A, ir.ElemRef); err != nil {
 				return err
@@ -495,8 +500,6 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 		case ir.OpAcquireIf, ir.OpReleaseIf:
 			acq := in.Op == ir.OpAcquireIf
 			o.A, o.Imm = slot(in.A), in.Imm
-			o.B = int32(m.NumLockSites)
-			m.NumLockSites++
 			o.Cost = 0
 			if err := want(pc, in.A, ir.ElemRef); err != nil {
 				return err
@@ -546,14 +549,12 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 		}
 	}
 	fc.Code = out
-	fc.Plain = out // alias until specialization rewrites Code
+	fc.Plain = out // alias until fuse builds Code
 	return nil
 }
 
 // markTailCalls rewrites self-recursive calls in tail position into
-// OpTailCall. The transformation is static — always sound and always
-// profitable — so it applies to the baseline translation, not just to
-// specialized modules.
+// OpTailCall.
 //
 // Soundness: the eventual return replays its own instruction once per
 // collapsed frame, reading the innermost activation's registers. A

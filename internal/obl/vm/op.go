@@ -1,5 +1,6 @@
 // Package vm compiles the register IR (internal/obl/ir) to a typed,
-// flat register bytecode and applies profile-guided specialization to it.
+// flat register bytecode, specialized statically: a program has one
+// module, built by Compile.
 //
 // The interpreter (internal/interp) executes ir.Instr directly: every
 // operand is a 32-byte tagged Value, every instruction cost is fetched
@@ -20,13 +21,11 @@
 //     (FuncCode.ZeroInts etc.): only those in which a register can be
 //     read before it is written, which lowered code never does.
 //
-// Profile-guided specialization (specialize.go) then rewrites hot code
-// using counters collected by the VM's first pass over a program:
-// superinstructions for the hottest compare+branch, constant-operand
+// Two further compile passes (specialize.go) then rewrite the translated
+// code wherever their patterns match: inline expansion of small leaf
+// callees, and superinstructions for compare+branch, constant-operand
 // (const.i K folded into the integer op or compare+branch that consumes
-// it) and loop-increment sequences, inline expansion of hot small
-// callees, and monomorphic lock-site caches for uncontended
-// acquire/release sites.
+// it) and loop-increment sequences.
 //
 // The contract with the execution engine (interp's vm task) is strict
 // bit-for-bit equivalence with the interpreter: identical virtual times,
@@ -127,8 +126,8 @@ const (
 	OpPrintF
 	OpPrintR
 
-	// Specialized instructions (emitted by compile-time resolution or by
-	// profile-guided specialization).
+	// Specialized instructions (emitted by compile-time resolution, inline
+	// expansion and fusion).
 
 	// OpFlagSkip replaces a conditional sync site that every policy's
 	// flag vector disables: only the residual flag test is charged.
@@ -197,14 +196,12 @@ const (
 	// Synchronization and section entry. These are kept in one contiguous
 	// range so the dispatch loop recognizes the yield-first instructions
 	// with a single compare (see opSyncStart).
-	OpAcquire   // acquire refs[A].lock; B is the lock-site index
+	OpAcquire   // acquire refs[A].lock
 	OpRelease   // release refs[A].lock
 	OpAcquireEn // conditional site every flag vector enables: no lookup
 	OpReleaseEn
 	OpAcquireIf // conditional site, flag vector consulted at run time
 	OpReleaseIf
-	OpAcquireU // profile-uncontended site: monomorphic lock cache
-	OpReleaseU
 	OpParallel // enter Sections[Imm] over [ints[A], ints[B]) with Args
 
 	opCount
@@ -252,7 +249,6 @@ var opNames = [...]string{
 	OpAcquire: "acquire", OpRelease: "release",
 	OpAcquireEn: "acquire.en", OpReleaseEn: "release.en",
 	OpAcquireIf: "acquire.if", OpReleaseIf: "release.if",
-	OpAcquireU: "acquire.u", OpReleaseU: "release.u",
 	OpParallel: "parallel",
 }
 
@@ -295,9 +291,8 @@ var opRegs = [opCount]struct{ dst, a, b, c uint8 }{
 	OpStoreIndexF: {0, xR, xI, xF}, OpStoreIndexR: {0, xR, xI, xR},
 	OpLen:    {xI, xR, 0, 0},
 	OpPrintI: {a: xI}, OpPrintB: {a: xI}, OpPrintF: {a: xF}, OpPrintR: {a: xR},
-	// Sync sites: B is the lock-site index, shared with the out-of-line body.
 	OpAcquire: {a: xR}, OpRelease: {a: xR}, OpAcquireEn: {a: xR}, OpReleaseEn: {a: xR},
-	OpAcquireIf: {a: xR}, OpReleaseIf: {a: xR}, OpAcquireU: {a: xR}, OpReleaseU: {a: xR},
+	OpAcquireIf: {a: xR}, OpReleaseIf: {a: xR},
 	OpParallel: {a: xI, b: xI},
 }
 

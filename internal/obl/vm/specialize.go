@@ -1,104 +1,49 @@
 package vm
 
-// Profile-guided specialization. Specialize rebuilds a module from the
-// baseline translation and the counters of a completed profiling run:
+// The two specialization passes Compile runs over every function after
+// the 1:1 translation. Both are static: the module is a function of the
+// program alone.
 //
-//   - Inline expansion: hot calls to small leaf callees are spliced into
-//     the caller as OpCallEnter + remapped body + OpIRet*, with the
-//     callee's registers living in fresh ranges appended to the caller's
-//     frame. Charges and instruction counts are preserved one-for-one
+//   - Inline expansion: calls to small leaf callees are spliced into the
+//     caller as OpCallEnter + remapped body + OpIRet*, with the callee's
+//     registers living in fresh ranges appended to the caller's frame.
+//     Charges and instruction counts are preserved one-for-one
 //     (OpCallEnter charges what OpCall did and zeroes the ranges the push
 //     would have zeroed; OpIRet* charge what OpRet did), so dispatch
 //     boundaries do not move.
-//   - Uncontended lock sites: acquire sites that never blocked during
-//     profiling (and their release counterparts) switch to OpAcquireU /
-//     OpReleaseU, which memoize the site's object→lock resolution in a
-//     per-task monomorphic cache. The cache is guarded, so a site that
-//     turns polymorphic or contended later is still exact.
-//   - Superinstruction fusion: the hottest compare+branch pairs, integer
-//     constants folded into the arithmetic or compare+branch that
-//     consumes them, and the three-instruction serial-loop latch (const
-//     1; add; jump) collapse into single dispatches. The per-slot Plain
-//     stream keeps the unfused instructions so jumps into a group and
-//     step-budget boundaries behave exactly as unspecialized code.
+//   - Superinstruction fusion: compare+branch pairs, integer constants
+//     folded into the arithmetic or compare+branch that consumes them,
+//     and the three-instruction serial-loop latch (const 1; add; jump)
+//     collapse into single dispatches. The per-slot Plain stream keeps the
+//     unfused instructions so jumps into a group and step-budget
+//     boundaries behave exactly as unfused code.
 //
-// None of this changes observable behaviour; it only reduces dispatches
-// and memory traffic per simulated instruction.
+// Neither changes observable behaviour; they only reduce dispatches and
+// memory traffic per simulated instruction.
 
 const (
-	// hotThreshold is the minimum profile count for a site to be worth
-	// rewriting. Specialization is a per-program one-time cost, so the
-	// bar is low: anything executed more than a few hundred times.
-	hotThreshold = 256
 	// maxInlineLen bounds the callee size for inline expansion.
 	maxInlineLen = 48
 	// maxFuncGrowth bounds a function's post-inline code size.
 	maxFuncGrowth = 4096
 )
 
-// Specialize builds a specialized module from a baseline module and the
-// profile of a completed run of it.
-func Specialize(base *Module, prof *Profile) *Module {
-	m := &Module{
-		Prog:         base.Prog,
-		Funcs:        make([]*FuncCode, len(base.Funcs)),
-		NumLockSites: base.NumLockSites,
-		Specialized:  true,
-	}
-	for id := range base.Funcs {
-		m.Funcs[id] = specializeFunc(base, id, prof)
-	}
-	return m
-}
-
-func specializeFunc(base *Module, id int, prof *Profile) *FuncCode {
-	fc := base.Funcs[id]
-	nf := &FuncCode{
-		Name: fc.Name, ID: fc.ID, NParams: fc.NParams,
-		NInts: fc.NInts, NFloats: fc.NFloats, NRefs: fc.NRefs,
-		ZeroInts: fc.ZeroInts, ZeroFloats: fc.ZeroFloats, ZeroRefs: fc.ZeroRefs,
-		FrameInts: fc.FrameInts, FrameFloats: fc.FrameFloats, FrameRefs: fc.FrameRefs,
-		PInts: fc.PInts, PFloats: fc.PFloats, PRefs: fc.PRefs,
-		RegBank: fc.RegBank, RegSlot: fc.RegSlot,
-	}
-	plain, counts, blocked := inlineExpand(base, fc, nf, prof)
-	for pc := range plain {
-		in := &plain[pc]
-		if counts[pc] < hotThreshold {
-			continue
-		}
-		switch in.Op {
-		case OpAcquire:
-			if blocked[pc] == 0 {
-				in.Op = OpAcquireU
-			}
-		case OpRelease:
-			in.Op = OpReleaseU
-		}
-	}
-	code := make([]Instr, len(plain))
-	copy(code, plain)
-	fuse(code, plain, counts)
-	nf.Plain, nf.Code = plain, code
-	return nf
-}
-
 // inlinable reports whether a function body can be spliced into a
 // caller: no calls of any kind, no section entry, and no way for the pc
 // to run off the end of the body (so execution always leaves the splice
 // through a return, never by falling into the caller's next instruction).
 func inlinable(fc *FuncCode) bool {
-	n := len(fc.Code)
+	n := len(fc.Plain)
 	if n == 0 {
 		return false
 	}
-	switch fc.Code[n-1].Op {
+	switch fc.Plain[n-1].Op {
 	case OpRetI, OpRetF, OpRetR, OpRetVoid, OpJump:
 	default:
 		return false
 	}
-	for pc := range fc.Code {
-		in := &fc.Code[pc]
+	for pc := range fc.Plain {
+		in := &fc.Plain[pc]
 		switch in.Op {
 		case OpCall, OpTailCall, OpCallEnter, OpParallel,
 			OpIRetI, OpIRetF, OpIRetR, OpIRetVoid:
@@ -112,60 +57,53 @@ func inlinable(fc *FuncCode) bool {
 	return true
 }
 
-// inlineExpand splices hot small callees into fc's code, growing nf's
-// frame by each splice's register ranges. It returns the expanded
-// instruction stream with per-slot execution and blocked counters
-// (spliced slots carry the callee's own counters, which is what fusion
-// needs to judge their heat).
-func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]Instr, []int64, []int64) {
-	counts, blocked := prof.Counts[fc.ID], prof.Blocked[fc.ID]
+// inlineExpand splices every small leaf callee into fc's plain stream,
+// growing fc's frame by each splice's register ranges. Leaf callees hold
+// no calls, so their own streams are never expanded: the pass reads the
+// same callee code whichever function it visits first.
+func (m *Module) inlineExpand(fc *FuncCode) {
+	src := fc.Plain
 	splice := make(map[int]*FuncCode)
 	grow := 0
-	for pc := range fc.Code {
-		in := &fc.Code[pc]
-		if in.Op != OpCall || counts[pc] < hotThreshold || int(in.Imm) == fc.ID {
+	for pc := range src {
+		in := &src[pc]
+		if in.Op != OpCall || int(in.Imm) == fc.ID {
 			continue
 		}
-		callee := base.Funcs[in.Imm]
-		if len(callee.Code) > maxInlineLen || !inlinable(callee) {
+		callee := m.Funcs[in.Imm]
+		if len(callee.Plain) > maxInlineLen || !inlinable(callee) {
 			continue
 		}
-		if len(fc.Code)+grow+len(callee.Code) > maxFuncGrowth {
+		if len(src)+grow+len(callee.Plain) > maxFuncGrowth {
 			break
 		}
 		splice[pc] = callee
-		grow += len(callee.Code)
+		grow += len(callee.Plain)
 	}
 	if len(splice) == 0 {
-		out := make([]Instr, len(fc.Code))
-		copy(out, fc.Code)
-		return out, counts, blocked
+		return
 	}
 
-	newPC := make([]int32, len(fc.Code)+1)
-	out := make([]Instr, 0, len(fc.Code)+grow)
-	nc := make([]int64, 0, len(fc.Code)+grow)
-	nb := make([]int64, 0, len(fc.Code)+grow)
+	newPC := make([]int32, len(src)+1)
+	out := make([]Instr, 0, len(src)+grow)
 	var fixups []int // out indices of caller jumps whose targets need remapping
-	for pc := range fc.Code {
+	for pc := range src {
 		newPC[pc] = int32(len(out))
-		in := fc.Code[pc]
+		in := src[pc]
 		callee, ok := splice[pc]
 		if !ok {
 			if in.Op == OpJump || in.Op == OpBrFalse {
 				fixups = append(fixups, len(out))
 			}
 			out = append(out, in)
-			nc = append(nc, counts[pc])
-			nb = append(nb, blocked[pc])
 			continue
 		}
 
 		// Fresh register ranges for this splice.
-		ib, fb, rb := nf.FrameInts, nf.FrameFloats, nf.FrameRefs
-		nf.FrameInts += callee.NInts
-		nf.FrameFloats += callee.NFloats
-		nf.FrameRefs += callee.NRefs
+		ib, fb, rb := fc.FrameInts, fc.FrameFloats, fc.FrameRefs
+		fc.FrameInts += callee.NInts
+		fc.FrameFloats += callee.NFloats
+		fc.FrameRefs += callee.NRefs
 		base := [4]int32{0, ib, fb, rb} // indexed by bank+1, as opRegs is
 		moves := make([]ArgMove, len(in.Args))
 		for i, mv := range in.Args {
@@ -189,14 +127,10 @@ func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]In
 			Imm:  int64(rb)<<32 | int64(rb+zr),
 			Args: moves,
 		})
-		nc = append(nc, counts[pc])
-		nb = append(nb, blocked[pc])
 
 		bodyStart := int32(len(out))
-		end := int64(bodyStart) + int64(len(callee.Code))
-		ccounts, cblocked := prof.Counts[callee.ID], prof.Blocked[callee.ID]
-		for t := range callee.Code {
-			cin := callee.Code[t]
+		end := int64(bodyStart) + int64(len(callee.Plain))
+		for _, cin := range callee.Plain {
 			switch cin.Op {
 			case OpRetI, OpRetF, OpRetR:
 				// OpIRetI/F/R are declared in the order of OpRetI/F/R.
@@ -228,15 +162,13 @@ func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]In
 				}
 				out = append(out, cin)
 			}
-			nc = append(nc, ccounts[t])
-			nb = append(nb, cblocked[t])
 		}
 	}
-	newPC[len(fc.Code)] = int32(len(out))
+	newPC[len(src)] = int32(len(out))
 	for _, i := range fixups {
 		out[i].Imm = int64(newPC[out[i].Imm])
 	}
-	return out, nc, nb
+	fc.Plain = out
 }
 
 // remapSlots adds a splice's bank bases (indexed by bank+1; base[0] is 0)
@@ -252,19 +184,20 @@ func remapSlots(o *Instr, base *[4]int32) {
 	o.C += base[r.c]
 }
 
-// fuse rewrites hot superinstruction patterns in code, leaving plain as
-// the per-slot unfused stream. Group tails keep their plain copies in
-// code too, so jumps that land inside a group execute unfused.
-func fuse(code, plain []Instr, counts []int64) {
+// fuse builds fc.Code from the plain stream: every slot where a
+// superinstruction pattern starts outside the group before it becomes the
+// group's head. Group tails keep their plain copies in Code too, so jumps
+// that land inside a group execute unfused.
+func (fc *FuncCode) fuse() {
+	code := make([]Instr, len(fc.Plain))
+	copy(code, fc.Plain)
 	for pc := 0; pc+1 < len(code); pc++ {
-		if counts[pc] < hotThreshold {
-			continue
-		}
-		if g, ok := fuseAt(plain[pc:]); ok {
+		if g, ok := fuseAt(fc.Plain[pc:]); ok {
 			code[pc] = g
 			pc += int(g.Len) - 1
 		}
 	}
+	fc.Code = code
 }
 
 var (

@@ -39,6 +39,9 @@ func compileApp(t *testing.T, name string) *vm.Module {
 	return m
 }
 
+// TestCompileTranslatesOneToOne: every source instruction has exactly one
+// slot in its own function's plain stream, in source order; the slots in
+// between are the bodies inline expansion spliced in.
 func TestCompileTranslatesOneToOne(t *testing.T) {
 	for _, name := range apps.Names {
 		c, err := apps.Compile(name)
@@ -53,105 +56,25 @@ func TestCompileTranslatesOneToOne(t *testing.T) {
 			t.Fatalf("%s: %d compiled funcs, want %d", name, len(m.Funcs), len(c.Parallel.Funcs))
 		}
 		for _, fc := range m.Funcs {
-			src := c.Parallel.Funcs[fc.ID]
-			if len(fc.Code) != len(src.Code) {
-				t.Errorf("%s/%s: %d instrs, want %d", name, fc.Name, len(fc.Code), len(src.Code))
-				continue
-			}
-			if len(fc.Code) > 0 && &fc.Code[0] != &fc.Plain[0] {
-				t.Errorf("%s/%s: unspecialized Code and Plain do not alias", name, fc.Name)
-			}
-			for pc := range fc.Code {
-				in := &fc.Code[pc]
-				if in.Op != vm.OpTailCall && int(in.OrigPC) != pc {
-					t.Errorf("%s/%s: pc %d has OrigPC %d", name, fc.Name, pc, in.OrigPC)
-				}
-				if int(in.SrcFn) != fc.ID {
-					t.Errorf("%s/%s: pc %d has SrcFn %d, want %d", name, fc.Name, pc, in.SrcFn, fc.ID)
-				}
-				if in.Len != 1 {
-					t.Errorf("%s/%s: pc %d unspecialized Len %d", name, fc.Name, pc, in.Len)
-				}
-			}
-		}
-	}
-}
-
-// hotProfile marks every executed slot hot and never blocked, the most
-// aggressive input Specialize accepts.
-func hotProfile(m *vm.Module) *vm.Profile {
-	p := vm.NewProfile(m)
-	for f := range p.Counts {
-		for pc := range p.Counts[f] {
-			p.Counts[f][pc] = 1 << 20
-		}
-	}
-	return p
-}
-
-func TestSpecializeOverlayInvariants(t *testing.T) {
-	for _, name := range apps.Names {
-		m := compileApp(t, name)
-		s := vm.Specialize(m, hotProfile(m))
-		if !s.Specialized {
-			t.Fatalf("%s: module not marked specialized", name)
-		}
-		fused, uncontended := 0, 0
-		for _, fc := range s.Funcs {
-			if len(fc.Code) != len(fc.Plain) {
-				t.Fatalf("%s/%s: Code %d slots, Plain %d", name, fc.Name, len(fc.Code), len(fc.Plain))
-			}
+			next := 0
 			for pc := range fc.Plain {
-				if fc.Plain[pc].Len != 1 {
-					t.Errorf("%s/%s: Plain slot %d has Len %d", name, fc.Name, pc, fc.Plain[pc].Len)
-				}
-			}
-			for pc := range fc.Code {
-				in := &fc.Code[pc]
-				if in.Op == vm.OpAcquireU || in.Op == vm.OpReleaseU {
-					uncontended++
-				}
-				if in.Len <= 1 {
+				in := &fc.Plain[pc]
+				if int(in.SrcFn) != fc.ID {
 					continue
 				}
-				fused++
-				// Group tails must stay executable for jumps into the
-				// middle: they are the plain instructions verbatim.
-				for k := 1; k < int(in.Len); k++ {
-					if fc.Code[pc+k].Op != fc.Plain[pc+k].Op {
-						t.Errorf("%s/%s: fused group at %d: tail slot %d differs from plain", name, fc.Name, pc, pc+k)
-					}
+				if int(in.OrigPC) != next {
+					t.Errorf("%s/%s: slot %d has OrigPC %d, want %d", name, fc.Name, pc, in.OrigPC, next)
 				}
+				next++
 			}
-		}
-		if fused == 0 {
-			t.Errorf("%s: hot profile produced no superinstructions", name)
-		}
-		if uncontended == 0 {
-			t.Errorf("%s: hot never-blocked profile produced no uncontended lock fast paths", name)
-		}
-	}
-}
-
-func TestSpecializeBlockedSitesStayGuarded(t *testing.T) {
-	m := compileApp(t, apps.NameBarnesHut)
-	p := hotProfile(m)
-	for f := range p.Blocked {
-		for pc := range p.Blocked[f] {
-			p.Blocked[f][pc] = 1
-		}
-	}
-	s := vm.Specialize(m, p)
-	for _, fc := range s.Funcs {
-		for pc := range fc.Code {
-			if fc.Code[pc].Op == vm.OpAcquireU {
-				t.Errorf("%s: pc %d: blocked acquire site rewritten to fast path", fc.Name, pc)
+			if want := len(c.Parallel.Funcs[fc.ID].Code); next != want {
+				t.Errorf("%s/%s: %d own slots, want %d", name, fc.Name, next, want)
 			}
 		}
 	}
 }
 
-func TestSpecializeInlinesHotLeafCall(t *testing.T) {
+func TestCompileInlinesLeafCall(t *testing.T) {
 	c, err := oblc.Compile(`
 func add1(x: int): int {
   return x + 1;
@@ -170,9 +93,8 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := vm.Specialize(m, hotProfile(m))
 	enters, irets := 0, 0
-	for _, fc := range s.Funcs {
+	for _, fc := range m.Funcs {
 		for pc := range fc.Plain {
 			switch fc.Plain[pc].Op {
 			case vm.OpCallEnter:
@@ -182,8 +104,8 @@ func main() {
 			}
 		}
 	}
-	if enters == 0 || irets == 0 {
-		t.Fatalf("hot leaf call not inlined: %d enters, %d inline returns", enters, irets)
+	if enters != 1 || irets == 0 {
+		t.Fatalf("leaf call not inlined once: %d enters, %d inline returns", enters, irets)
 	}
 }
 
@@ -220,13 +142,14 @@ func main() {
 
 func TestDisasmMentionsSpecializedOps(t *testing.T) {
 	m := compileApp(t, apps.NameWater)
-	s := vm.Specialize(m, hotProfile(m))
 	var all strings.Builder
-	for _, fc := range s.Funcs {
+	for _, fc := range m.Funcs {
 		all.WriteString(fc.Disasm())
 	}
 	text := all.String()
-	if !strings.Contains(text, "func ") || len(text) == 0 {
-		t.Fatal("empty disassembly")
+	for _, want := range []string{"func ", "+br", " len="} {
+		if !strings.Contains(text, want) {
+			t.Errorf("disassembly does not mention %q", want)
+		}
 	}
 }

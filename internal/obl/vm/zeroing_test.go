@@ -142,6 +142,12 @@ func TestZeroingKeptWhenParametersNotCovered(t *testing.T) {
 // and reports the banks holding a non-parameter register live at entry.
 func liveAtEntryZeroing(f *ir.Func, fc *vm.FuncCode) (zero [3]bool) {
 	n := len(f.Code)
+	tailCall := make([]bool, n) // by source pc: inline expansion shifts slots
+	for _, in := range fc.Plain {
+		if in.Op == vm.OpTailCall {
+			tailCall[in.OrigPC] = true
+		}
+	}
 	live := make([][]bool, n+1) // live-in per pc; row n (off the end) stays empty
 	for pc := range live {
 		live[pc] = make([]bool, f.NRegs)
@@ -156,7 +162,7 @@ func liveAtEntryZeroing(f *ir.Func, fc *vm.FuncCode) (zero [3]bool) {
 				succ = []int64{in.Imm}
 			case in.Op == ir.OpBrFalse:
 				succ = []int64{in.Imm, int64(pc + 1)}
-			case in.Op == ir.OpRet, fc.Code[pc].Op == vm.OpTailCall:
+			case in.Op == ir.OpRet, tailCall[pc]:
 			default:
 				succ = []int64{int64(pc + 1)}
 			}
