@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/obl/ast"
+	"repro/internal/obl/callgraph"
 	"repro/internal/obl/syncopt"
 	"repro/internal/obl/token"
 )
@@ -97,63 +98,13 @@ func stripSync(b *ast.Block) {
 	b.Stmts = out
 }
 
+// renameStmtCalls undoes the call renames in the expressions s itself
+// evaluates (stripSync handles the nested statements).
 func renameStmtCalls(s ast.Stmt) {
-	callgraphWalkStmtExprs(s, func(e ast.Expr) {
-		if call, ok := e.(*ast.CallExpr); ok {
+	for _, e := range ast.Operands(s) {
+		callgraph.WalkExprCalls(e, func(call *ast.CallExpr) {
 			call.Name = strings.TrimSuffix(call.Name, syncopt.UnsyncSuffix)
-		}
-	})
-}
-
-// callgraphWalkStmtExprs visits every expression node of one statement
-// (not descending into nested statements, which stripSync handles itself).
-func callgraphWalkStmtExprs(s ast.Stmt, f func(ast.Expr)) {
-	var exprs []ast.Expr
-	switch s := s.(type) {
-	case *ast.LetStmt:
-		exprs = []ast.Expr{s.Init}
-	case *ast.AssignStmt:
-		exprs = []ast.Expr{s.LHS, s.RHS}
-	case *ast.ExprStmt:
-		exprs = []ast.Expr{s.X}
-	case *ast.IfStmt:
-		exprs = []ast.Expr{s.Cond}
-	case *ast.WhileStmt:
-		exprs = []ast.Expr{s.Cond}
-	case *ast.ForStmt:
-		exprs = []ast.Expr{s.Lo, s.Hi}
-	case *ast.ReturnStmt:
-		exprs = []ast.Expr{s.X}
-	case *ast.PrintStmt:
-		exprs = []ast.Expr{s.X}
-	}
-	var walk func(ast.Expr)
-	walk = func(e ast.Expr) {
-		switch e := e.(type) {
-		case nil:
-			return
-		case *ast.FieldExpr:
-			walk(e.X)
-		case *ast.IndexExpr:
-			walk(e.X)
-			walk(e.Index)
-		case *ast.CallExpr:
-			f(e)
-			walk(e.Recv)
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *ast.NewExpr:
-			walk(e.Count)
-		case *ast.BinExpr:
-			walk(e.L)
-			walk(e.R)
-		case *ast.UnExpr:
-			walk(e.X)
-		}
-	}
-	for _, e := range exprs {
-		walk(e)
+		})
 	}
 }
 

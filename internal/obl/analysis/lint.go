@@ -65,49 +65,20 @@ func lintFields(info *sema.Info) []Diagnostic {
 			walkExpr(e.X)
 		}
 	}
-	var walkStmt func(s ast.Stmt)
-	walkStmt = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.Block:
-			for _, st := range s.Stmts {
-				walkStmt(st)
-			}
-		case *ast.LetStmt:
-			walkExpr(s.Init)
-		case *ast.AssignStmt:
-			if lhs, ok := s.LHS.(*ast.FieldExpr); ok {
-				record(lhs, true)
-				walkExpr(lhs.X)
-			} else {
-				walkExpr(s.LHS)
-			}
-			walkExpr(s.RHS)
-		case *ast.ExprStmt:
-			walkExpr(s.X)
-		case *ast.IfStmt:
-			walkExpr(s.Cond)
-			walkStmt(s.Then)
-			if s.Else != nil {
-				walkStmt(s.Else)
-			}
-		case *ast.WhileStmt:
-			walkExpr(s.Cond)
-			walkStmt(s.Body)
-		case *ast.ForStmt:
-			walkExpr(s.Lo)
-			walkExpr(s.Hi)
-			walkStmt(s.Body)
-		case *ast.ReturnStmt:
-			walkExpr(s.X)
-		case *ast.PrintStmt:
-			walkExpr(s.X)
-		case *ast.SyncBlock:
-			walkExpr(s.Lock)
-			walkStmt(s.Body)
-		}
-	}
 	for _, fi := range info.AllFuncs() {
-		walkStmt(fi.Decl.Body)
+		ast.Inspect(fi.Decl.Body, func(s ast.Stmt) bool {
+			exprs := ast.Operands(s)
+			if as, ok := s.(*ast.AssignStmt); ok {
+				if lhs, ok := as.LHS.(*ast.FieldExpr); ok {
+					record(lhs, true)
+					exprs = []ast.Expr{lhs.X, as.RHS}
+				}
+			}
+			for _, e := range exprs {
+				walkExpr(e)
+			}
+			return true
+		})
 	}
 
 	var diags []Diagnostic
@@ -215,37 +186,19 @@ func lintUnreachable(info *sema.Info) []Diagnostic {
 // synergy argument asks for.
 func ReportOpportunities(prog *ast.Program) []Diagnostic {
 	var diags []Diagnostic
-	forEachParallelLoop(prog, func(fn *ast.FuncDecl, loop *ast.ForStmt) {
+	forEachParallelLoop(prog, func(loop *ast.ForStmt) {
 		fresh := freshLocals(loop.Body)
-		var walk func(s ast.Stmt)
-		walk = func(s ast.Stmt) {
-			switch s := s.(type) {
-			case *ast.Block:
-				for _, st := range s.Stmts {
-					walk(st)
-				}
-			case *ast.SyncBlock:
-				if fresh[ast.ExprString(s.Lock)] {
-					diags = append(diags, Diagnostic{
-						Pos: s.P, Severity: Info, Code: CodeThreadLocalSync,
-						Message: fmt.Sprintf(
-							"critical region on %s in parallel section %s locks a thread-local object; the synchronization can be eliminated",
-							ast.ExprString(s.Lock), loop.Section),
-					})
-				}
-				walk(s.Body)
-			case *ast.IfStmt:
-				walk(s.Then)
-				if s.Else != nil {
-					walk(s.Else)
-				}
-			case *ast.WhileStmt:
-				walk(s.Body)
-			case *ast.ForStmt:
-				walk(s.Body)
+		ast.Inspect(loop.Body, func(s ast.Stmt) bool {
+			if sb, ok := s.(*ast.SyncBlock); ok && fresh[ast.ExprString(sb.Lock)] {
+				diags = append(diags, Diagnostic{
+					Pos: sb.P, Severity: Info, Code: CodeThreadLocalSync,
+					Message: fmt.Sprintf(
+						"critical region on %s in parallel section %s locks a thread-local object; the synchronization can be eliminated",
+						ast.ExprString(sb.Lock), loop.Section),
+				})
 			}
-		}
-		walk(loop.Body)
+			return true
+		})
 	})
 	return diags
 }

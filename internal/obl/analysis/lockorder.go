@@ -79,7 +79,7 @@ func CheckLockOrder(prog *ast.Program, info *sema.Info, policy string, active fu
 		memo:   map[string]bool{},
 		edges:  map[[2]string]orderEdge{},
 	}
-	forEachParallelLoop(prog, func(fn *ast.FuncDecl, loop *ast.ForStmt) {
+	forEachParallelLoop(prog, func(loop *ast.ForStmt) {
 		c.section = loop.Section
 		c.collectBody(loop.Body, nil)
 	})
@@ -130,7 +130,7 @@ func (c *orderChecker) collectBody(body *ast.Block, entry []entryLock) {
 			acqCanon := ast.ExprString(n.Sync.Lock)
 			acqClass := c.classOf(n.Sync.Lock)
 			if acqClass != "" {
-				for held := range fact.held {
+				for _, held := range heldNames(fact) {
 					if held == acqCanon {
 						continue // reacquire of the same object, not an ordering
 					}
@@ -155,27 +155,45 @@ func (c *orderChecker) collectBody(body *ast.Block, entry []entryLock) {
 	}
 }
 
-// enterCall descends into a callee carrying the held locks that name the
-// receiver or an argument, renamed to the callee's formals.
+// callerHeld prefixes the name of a lock that stays held across a call
+// that does not pass it: no OBL expression renders with an apostrophe, so
+// nothing in the callee can name, release or kill it.
+const callerHeld = "caller's "
+
+// enterCall descends into a callee carrying every held lock: those that
+// name the receiver or an argument are renamed to the callee's formals,
+// the rest stay held under a callerHeld name, so an acquire in the callee
+// is still ordered after them.
 func (c *orderChecker) enterCall(call *ast.CallExpr, fact lockFact, classByCanon map[string]string) {
 	target, ok := c.info.CallTarget[call]
 	if !ok {
 		return // extern or builtin
 	}
 	var entry []entryLock
-	if call.Recv != nil {
-		if canon := ast.ExprString(call.Recv); fact.held[canon] {
-			entry = append(entry, entryLock{name: "this", class: classByCanon[canon]})
+	passed := map[string]bool{}
+	pass := func(e ast.Expr, formal string) {
+		if canon := ast.ExprString(e); fact.held[canon] {
+			entry = append(entry, entryLock{name: formal, class: classByCanon[canon]})
+			passed[canon] = true
 		}
+	}
+	if call.Recv != nil {
+		pass(call.Recv, "this")
 	}
 	for i, a := range call.Args {
 		if i < len(target.Decl.Params) {
-			if canon := ast.ExprString(a); fact.held[canon] {
-				entry = append(entry, entryLock{name: target.Decl.Params[i].Name, class: classByCanon[canon]})
-			}
+			pass(a, target.Decl.Params[i].Name)
 		}
 	}
-	sort.Slice(entry, func(i, j int) bool { return entry[i].name < entry[j].name })
+	for canon := range fact.held {
+		if !passed[canon] {
+			name := callerHeld + strings.TrimPrefix(canon, callerHeld)
+			entry = append(entry, entryLock{name: name, class: classByCanon[canon]})
+		}
+	}
+	sort.Slice(entry, func(i, j int) bool {
+		return entry[i].name < entry[j].name || entry[i].name == entry[j].name && entry[i].class < entry[j].class
+	})
 	parts := make([]string, len(entry))
 	for i, el := range entry {
 		parts[i] = el.name + "=" + el.class

@@ -133,7 +133,7 @@ func CheckCoverage(prog *ast.Program, info *sema.Info, policy string, active fun
 	}
 	cg := callgraph.Build(info)
 	var diags []Diagnostic
-	forEachParallelLoop(prog, func(fn *ast.FuncDecl, loop *ast.ForStmt) {
+	forEachParallelLoop(prog, func(loop *ast.ForStmt) {
 		c := &coverageChecker{
 			info: info, cg: cg, policy: policy, section: loop.Section,
 			active: active, memo: map[string]bool{},
@@ -146,40 +146,21 @@ func CheckCoverage(prog *ast.Program, info *sema.Info, policy string, active fun
 }
 
 // forEachParallelLoop visits every parallel loop of the program.
-func forEachParallelLoop(prog *ast.Program, fn func(*ast.FuncDecl, *ast.ForStmt)) {
-	visit := func(fd *ast.FuncDecl) {
-		var walk func(s ast.Stmt)
-		walk = func(s ast.Stmt) {
-			switch s := s.(type) {
-			case *ast.Block:
-				for _, st := range s.Stmts {
-					walk(st)
-				}
-			case *ast.IfStmt:
-				walk(s.Then)
-				if s.Else != nil {
-					walk(s.Else)
-				}
-			case *ast.WhileStmt:
-				walk(s.Body)
-			case *ast.ForStmt:
-				if s.Parallel {
-					fn(fd, s)
-					return
-				}
-				walk(s.Body)
-			case *ast.SyncBlock:
-				walk(s.Body)
-			}
+func forEachParallelLoop(prog *ast.Program, fn func(*ast.ForStmt)) {
+	visit := func(s ast.Stmt) bool {
+		loop, ok := s.(*ast.ForStmt)
+		if ok && loop.Parallel {
+			fn(loop)
+			return false
 		}
-		walk(fd.Body)
+		return true
 	}
 	for _, fd := range prog.Funcs {
-		visit(fd)
+		ast.Inspect(fd.Body, visit)
 	}
 	for _, c := range prog.Classes {
 		for _, m := range c.Methods {
-			visit(m)
+			ast.Inspect(m.Body, visit)
 		}
 	}
 }
@@ -190,33 +171,16 @@ func forEachParallelLoop(prog *ast.Program, fn func(*ast.FuncDecl, *ast.ForStmt)
 func (c *coverageChecker) extentWrites(loop *ast.ForStmt) map[string]bool {
 	out := map[string]bool{}
 	collect := func(s ast.Stmt) {
-		var walk func(ast.Stmt)
-		walk = func(s ast.Stmt) {
-			switch s := s.(type) {
-			case *ast.Block:
-				for _, st := range s.Stmts {
-					walk(st)
-				}
-			case *ast.AssignStmt:
-				if lhs, ok := s.LHS.(*ast.FieldExpr); ok {
+		ast.Inspect(s, func(s ast.Stmt) bool {
+			if as, ok := s.(*ast.AssignStmt); ok {
+				if lhs, ok := as.LHS.(*ast.FieldExpr); ok {
 					if key := c.fieldKey(lhs); key != "" {
 						out[key] = true
 					}
 				}
-			case *ast.IfStmt:
-				walk(s.Then)
-				if s.Else != nil {
-					walk(s.Else)
-				}
-			case *ast.WhileStmt:
-				walk(s.Body)
-			case *ast.ForStmt:
-				walk(s.Body)
-			case *ast.SyncBlock:
-				walk(s.Body)
 			}
-		}
-		walk(s)
+			return true
+		})
 	}
 	collect(loop.Body)
 	var roots []string
@@ -305,31 +269,13 @@ func writeTarget(n *Node) *ast.FieldExpr {
 	return nil
 }
 
-// nodeExprs lists the expressions evaluated at a node.
+// nodeExprs lists the expressions evaluated at a node. Acquire and release
+// nodes carry their region as Stmt and evaluate nothing themselves.
 func nodeExprs(n *Node) []ast.Expr {
-	switch s := n.Stmt.(type) {
-	case *ast.LetStmt:
-		if s.Init != nil {
-			return []ast.Expr{s.Init}
-		}
-	case *ast.AssignStmt:
-		return []ast.Expr{s.LHS, s.RHS}
-	case *ast.ExprStmt:
-		return []ast.Expr{s.X}
-	case *ast.PrintStmt:
-		return []ast.Expr{s.X}
-	case *ast.ReturnStmt:
-		if s.X != nil {
-			return []ast.Expr{s.X}
-		}
-	case *ast.IfStmt:
-		return []ast.Expr{s.Cond}
-	case *ast.WhileStmt:
-		return []ast.Expr{s.Cond}
-	case *ast.ForStmt:
-		return []ast.Expr{s.Lo, s.Hi}
+	if n.Kind == NodeAcquire || n.Kind == NodeRelease {
+		return nil
 	}
-	return nil
+	return ast.Operands(n.Stmt)
 }
 
 // checkWrite validates one assignment's target under the held lockset.
@@ -441,20 +387,21 @@ func (c *coverageChecker) report(pos token.Pos, sev Severity, code, msg string) 
 	})
 }
 
-func heldNames(f lockFact) string {
+// heldNames lists the held locks, sorted.
+func heldNames(f lockFact) []string {
 	names := make([]string, 0, len(f.held))
 	for k := range f.held {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	return strings.Join(names, ", ")
+	return names
 }
 
 func heldSuffix(f lockFact) string {
 	if len(f.held) == 0 {
 		return " (no locks held)"
 	}
-	return fmt.Sprintf(" (held: %s)", heldNames(f))
+	return fmt.Sprintf(" (held: %s)", strings.Join(heldNames(f), ", "))
 }
 
 // freshLocals finds strictly thread-local variables of a body: declared
@@ -464,31 +411,14 @@ func heldSuffix(f lockFact) string {
 // no lock.
 func freshLocals(body *ast.Block) map[string]bool {
 	candidate := map[string]bool{}
-	var collectLets func(ast.Stmt)
-	collectLets = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.Block:
-			for _, st := range s.Stmts {
-				collectLets(st)
+	ast.Inspect(body, func(s ast.Stmt) bool {
+		if let, ok := s.(*ast.LetStmt); ok {
+			if _, ok := let.Init.(*ast.NewExpr); ok {
+				candidate[let.Name] = true
 			}
-		case *ast.LetStmt:
-			if _, ok := s.Init.(*ast.NewExpr); ok {
-				candidate[s.Name] = true
-			}
-		case *ast.IfStmt:
-			collectLets(s.Then)
-			if s.Else != nil {
-				collectLets(s.Else)
-			}
-		case *ast.WhileStmt:
-			collectLets(s.Body)
-		case *ast.ForStmt:
-			collectLets(s.Body)
-		case *ast.SyncBlock:
-			collectLets(s.Body)
 		}
-	}
-	collectLets(body)
+		return true
+	})
 	if len(candidate) == 0 {
 		return candidate
 	}
@@ -529,57 +459,16 @@ func freshLocals(body *ast.Block) map[string]bool {
 			use(e.X)
 		}
 	}
-	declSeen := map[string]bool{}
-	var walk func(ast.Stmt)
-	walk = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *ast.LetStmt:
-			if s.Init == nil {
-				return
-			}
-			if _, isNew := s.Init.(*ast.NewExpr); isNew && candidate[s.Name] && !declSeen[s.Name] {
-				declSeen[s.Name] = true
-				use(s.Init) // only the array length, if any
-				return
-			}
-			use(s.Init)
-		case *ast.AssignStmt:
-			// Reassigning the candidate itself breaks single-assignment.
-			if id, ok := s.LHS.(*ast.Ident); ok {
-				delete(candidate, id.Name)
-			}
-			use(s.LHS)
-			use(s.RHS)
-		case *ast.ExprStmt:
-			use(s.X)
-		case *ast.IfStmt:
-			use(s.Cond)
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *ast.WhileStmt:
-			use(s.Cond)
-			walk(s.Body)
-		case *ast.ForStmt:
-			use(s.Lo)
-			use(s.Hi)
-			walk(s.Body)
-		case *ast.ReturnStmt:
-			if s.X != nil {
-				use(s.X)
-			}
-		case *ast.PrintStmt:
-			use(s.X)
-		case *ast.SyncBlock:
-			// The lock expression is a sanctioned use of the object.
-			walk(s.Body)
+	ast.Inspect(body, func(s ast.Stmt) bool {
+		if _, ok := s.(*ast.SyncBlock); ok {
+			return true // the lock expression is a sanctioned use of the object
 		}
-	}
-	walk(body)
+		// Assigning to a candidate uses it bare, which breaks
+		// single-assignment; its own initializer uses only the array length.
+		for _, e := range ast.Operands(s) {
+			use(e)
+		}
+		return true
+	})
 	return candidate
 }

@@ -69,23 +69,24 @@ func BuildUnit(src string) (*Unit, []Diagnostic, error) {
 	u := &Unit{Base: prog, BaseInfo: info, BaseCG: cg}
 	u.Reports = commute.New(info, cg).AnalyzeLoops()
 
-	for _, policy := range syncopt.AllPolicies {
-		clone := ast.CloneProgram(prog)
-		cinfo, err := sema.Check(clone)
+	// One rewritten clone per paper policy, then one per distinct
+	// synchronization parameter point of the generated policy space. Chunked
+	// scheduling variants share a transform (Chunk changes codegen, not the
+	// placed regions), so each (Coarsen, Lift) group is validated once under
+	// its first spec's name.
+	add := func(name string, params syncopt.Params) error {
+		clone, err := syncopt.Rewrite(prog, params)
 		if err != nil {
-			return nil, nil, fmt.Errorf("analysis: recheck clone (%s): %w", policy, err)
+			return fmt.Errorf("analysis: %s: %w", name, err)
 		}
-		ccg := callgraph.Build(cinfo)
-		if err := syncopt.Apply(clone, cinfo, ccg, policy); err != nil {
-			return nil, nil, fmt.Errorf("analysis: %s: %w", policy, err)
-		}
-		u.Policies = append(u.Policies, &PolicyUnit{Policy: policy, Prog: clone})
+		u.Policies = append(u.Policies, &PolicyUnit{Policy: syncopt.Policy(name), Prog: clone})
+		return nil
 	}
-
-	// The generated policy space: one transform clone per distinct
-	// synchronization parameter point. Chunked scheduling variants share a
-	// transform (Chunk changes codegen, not the placed regions), so each
-	// (Coarsen, Lift) group is validated once under its first spec's name.
+	for _, policy := range syncopt.AllPolicies {
+		if err := add(string(policy), syncopt.ParamsFor(policy)); err != nil {
+			return nil, nil, err
+		}
+	}
 	seenParams := map[syncopt.Params]bool{}
 	for _, spec := range polgen.Space() {
 		params := spec.SyncParams()
@@ -93,25 +94,12 @@ func BuildUnit(src string) (*Unit, []Diagnostic, error) {
 			continue
 		}
 		seenParams[params] = true
-		clone := ast.CloneProgram(prog)
-		cinfo, err := sema.Check(clone)
-		if err != nil {
-			return nil, nil, fmt.Errorf("analysis: recheck clone (%s): %w", spec.Name(), err)
+		if err := add(spec.Name(), params); err != nil {
+			return nil, nil, err
 		}
-		ccg := callgraph.Build(cinfo)
-		if err := syncopt.ApplyParams(clone, cinfo, ccg, params); err != nil {
-			return nil, nil, fmt.Errorf("analysis: %s: %w", spec.Name(), err)
-		}
-		u.Policies = append(u.Policies, &PolicyUnit{Policy: syncopt.Policy(spec.Name()), Prog: clone})
 	}
 
-	flagged := ast.CloneProgram(prog)
-	finfo, err := sema.Check(flagged)
-	if err != nil {
-		return nil, nil, fmt.Errorf("analysis: recheck flagged clone: %w", err)
-	}
-	fcg := callgraph.Build(finfo)
-	flags, err := syncopt.ApplyFlagged(flagged, finfo, fcg)
+	flagged, flags, err := syncopt.RewriteFlagged(prog)
 	if err != nil {
 		return nil, nil, fmt.Errorf("analysis: flagged: %w", err)
 	}

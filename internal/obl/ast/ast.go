@@ -1,5 +1,6 @@
 // Package ast defines the abstract syntax tree of OBL and utilities over
-// it (cloning for per-policy program variants, and a printer).
+// it (cloning for per-policy program variants, a read-only statement
+// walker, and a printer).
 //
 // The tree also carries the results of the compiler's analyses and
 // transformations: sema attaches resolved types, the commutativity analysis

@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -149,6 +150,48 @@ func TestProgramPrintDeclarations(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Print missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestInspectAndOperandsReachEveryExpression: walking exampleFunc with the
+// two must see each statement once, in source order, and every expression
+// the printer shows; returning false must skip exactly the nested
+// statements.
+func TestInspectAndOperandsReachEveryExpression(t *testing.T) {
+	f := exampleFunc()
+	var kinds, exprs []string
+	Inspect(f.Body, func(s Stmt) bool {
+		kinds = append(kinds, strings.TrimPrefix(fmt.Sprintf("%T", s), "*ast."))
+		for _, e := range Operands(s) {
+			exprs = append(exprs, ExprString(e))
+		}
+		return true
+	})
+	wantKinds := "Block LetStmt IfStmt Block AssignStmt Block PrintStmt WhileStmt Block " +
+		"ForStmt Block ExprStmt SyncBlock Block AssignStmt ReturnStmt"
+	if got := strings.Join(kinds, " "); got != wantKinds {
+		t.Errorf("visit order:\n got %s\nwant %s", got, wantKinds)
+	}
+	wantExprs := "(x * 2.0)|(t < 10.0)|this.v|t|t|false|0|3|this.helper(a[i])|this|this.v|-t|this.v"
+	if got := strings.Join(exprs, "|"); got != wantExprs {
+		t.Errorf("operands:\n got %s\nwant %s", got, wantExprs)
+	}
+
+	var shallow []string
+	Inspect(f.Body, func(s Stmt) bool {
+		_, top := s.(*Block)
+		shallow = append(shallow, strings.TrimPrefix(fmt.Sprintf("%T", s), "*ast."))
+		return top && len(shallow) == 1
+	})
+	if got := strings.Join(shallow, " "); got != "Block LetStmt IfStmt WhileStmt ForStmt SyncBlock ReturnStmt" {
+		t.Errorf("false did not skip nested statements: %s", got)
+	}
+
+	// Absent optional operands are omitted, not nil.
+	for _, s := range []Stmt{&LetStmt{Name: "x"}, &ReturnStmt{}, &Block{}} {
+		if ops := Operands(s); len(ops) != 0 {
+			t.Errorf("Operands(%T) = %v, want none", s, ops)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func Build(info *sema.Info) *Graph {
 		name := fi.FullName()
 		seen := map[string]bool{}
 		var succs []string
-		walkCalls(fi.Decl.Body, func(call *ast.CallExpr) {
+		WalkCalls(fi.Decl.Body, func(call *ast.CallExpr) {
 			target, ok := info.CallTarget[call]
 			if !ok {
 				return
@@ -58,73 +58,40 @@ func Build(info *sema.Info) *Graph {
 	return g
 }
 
-// walkCalls visits every call expression in a statement tree.
-func walkCalls(s ast.Stmt, f func(*ast.CallExpr)) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.Block:
-		for _, st := range s.Stmts {
-			walkCalls(st, f)
+// WalkCalls visits every call expression in a statement tree.
+func WalkCalls(s ast.Stmt, f func(*ast.CallExpr)) {
+	ast.Inspect(s, func(s ast.Stmt) bool {
+		for _, e := range ast.Operands(s) {
+			WalkExprCalls(e, f)
 		}
-	case *ast.LetStmt:
-		walkExprCalls(s.Init, f)
-	case *ast.AssignStmt:
-		walkExprCalls(s.LHS, f)
-		walkExprCalls(s.RHS, f)
-	case *ast.ExprStmt:
-		walkExprCalls(s.X, f)
-	case *ast.IfStmt:
-		walkExprCalls(s.Cond, f)
-		walkCalls(s.Then, f)
-		if s.Else != nil {
-			walkCalls(s.Else, f)
-		}
-	case *ast.WhileStmt:
-		walkExprCalls(s.Cond, f)
-		walkCalls(s.Body, f)
-	case *ast.ForStmt:
-		walkExprCalls(s.Lo, f)
-		walkExprCalls(s.Hi, f)
-		walkCalls(s.Body, f)
-	case *ast.ReturnStmt:
-		walkExprCalls(s.X, f)
-	case *ast.PrintStmt:
-		walkExprCalls(s.X, f)
-	case *ast.SyncBlock:
-		walkExprCalls(s.Lock, f)
-		walkCalls(s.Body, f)
-	}
+		return true
+	})
 }
 
-func walkExprCalls(e ast.Expr, f func(*ast.CallExpr)) {
+// WalkExprCalls visits every call expression in an expression tree.
+func WalkExprCalls(e ast.Expr, f func(*ast.CallExpr)) {
 	switch e := e.(type) {
 	case nil:
 	case *ast.FieldExpr:
-		walkExprCalls(e.X, f)
+		WalkExprCalls(e.X, f)
 	case *ast.IndexExpr:
-		walkExprCalls(e.X, f)
-		walkExprCalls(e.Index, f)
+		WalkExprCalls(e.X, f)
+		WalkExprCalls(e.Index, f)
 	case *ast.CallExpr:
 		f(e)
-		walkExprCalls(e.Recv, f)
+		WalkExprCalls(e.Recv, f)
 		for _, a := range e.Args {
-			walkExprCalls(a, f)
+			WalkExprCalls(a, f)
 		}
 	case *ast.NewExpr:
-		walkExprCalls(e.Count, f)
+		WalkExprCalls(e.Count, f)
 	case *ast.BinExpr:
-		walkExprCalls(e.L, f)
-		walkExprCalls(e.R, f)
+		WalkExprCalls(e.L, f)
+		WalkExprCalls(e.R, f)
 	case *ast.UnExpr:
-		walkExprCalls(e.X, f)
+		WalkExprCalls(e.X, f)
 	}
 }
-
-// WalkCalls exposes the call-site walker for other compiler phases.
-func WalkCalls(s ast.Stmt, f func(*ast.CallExpr)) { walkCalls(s, f) }
-
-// WalkExprCalls exposes the expression call-site walker.
-func WalkExprCalls(e ast.Expr, f func(*ast.CallExpr)) { walkExprCalls(e, f) }
 
 // Succs returns the direct callees of the named function, sorted.
 func (g *Graph) Succs(full string) []string { return g.succs[full] }

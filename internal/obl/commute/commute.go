@@ -277,23 +277,13 @@ func (a *Analysis) AnalyzeLoops() []LoopReport {
 
 // forEachDirectLoop visits the outermost for loops in a statement tree.
 func forEachDirectLoop(s ast.Stmt, f func(*ast.ForStmt)) {
-	switch s := s.(type) {
-	case *ast.Block:
-		for _, st := range s.Stmts {
-			forEachDirectLoop(st, f)
+	ast.Inspect(s, func(s ast.Stmt) bool {
+		loop, ok := s.(*ast.ForStmt)
+		if ok {
+			f(loop)
 		}
-	case *ast.IfStmt:
-		forEachDirectLoop(s.Then, f)
-		if s.Else != nil {
-			forEachDirectLoop(s.Else, f)
-		}
-	case *ast.WhileStmt:
-		forEachDirectLoop(s.Body, f)
-	case *ast.ForStmt:
-		f(s)
-	case *ast.SyncBlock:
-		forEachDirectLoop(s.Body, f)
-	}
+		return !ok
+	})
 }
 
 // forEachLoop visits every for loop in a statement tree, including nested.
@@ -377,40 +367,20 @@ func (a *Analysis) analyzeLoop(fn *ast.FuncDecl, loop *ast.ForStmt) LoopReport {
 	return rep
 }
 
-// collectOuterLocals records the names of locals and parameters visible to
-// (but declared outside) the loop.
+// collectOuterLocals records the names of locals visible to (but declared
+// outside) the loop. Conservative: every let and loop variable in the
+// enclosing function that is not inside the loop itself.
 func collectOuterLocals(body *ast.Block, loop *ast.ForStmt, out map[string]bool) {
-	// Conservative: every let and parameter in the enclosing function that
-	// is not inside the loop itself.
-	var walk func(s ast.Stmt, inside bool)
-	walk = func(s ast.Stmt, inside bool) {
+	ast.Inspect(body, func(s ast.Stmt) bool {
 		switch s := s.(type) {
-		case *ast.Block:
-			for _, st := range s.Stmts {
-				walk(st, inside)
-			}
 		case *ast.LetStmt:
-			if !inside {
-				out[s.Name] = true
-			}
-		case *ast.IfStmt:
-			walk(s.Then, inside)
-			if s.Else != nil {
-				walk(s.Else, inside)
-			}
-		case *ast.WhileStmt:
-			walk(s.Body, inside)
+			out[s.Name] = true
 		case *ast.ForStmt:
 			if s == loop {
-				return
+				return false
 			}
-			if !inside {
-				out[s.Var] = true
-			}
-			walk(s.Body, inside)
-		case *ast.SyncBlock:
-			walk(s.Body, inside)
+			out[s.Var] = true
 		}
-	}
-	walk(body, false)
+		return true
+	})
 }

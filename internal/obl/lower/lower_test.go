@@ -3,7 +3,6 @@ package lower
 import (
 	"testing"
 
-	"repro/internal/obl/ast"
 	"repro/internal/obl/callgraph"
 	"repro/internal/obl/commute"
 	"repro/internal/obl/ir"
@@ -82,23 +81,15 @@ func lowerParallel(t *testing.T, src string) *ir.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := callgraph.Build(info)
-	commute.New(info, cg).AnalyzeLoops()
+	commute.New(info, callgraph.Build(info)).AnalyzeLoops()
 
 	b := NewBuilder()
 	for _, policy := range syncopt.AllPolicies {
-		clone := reparse(t, prog)
-		cinfo, err := sema.Check(clone)
+		clone, err := syncopt.Rewrite(prog, syncopt.ParamsFor(policy))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ccg := callgraph.Build(cinfo)
-		// Re-run the analysis on the clone so parallel marks exist.
-		commute.New(cinfo, ccg).AnalyzeLoops()
-		if err := syncopt.Apply(clone, cinfo, ccg, policy); err != nil {
-			t.Fatal(err)
-		}
-		cinfo, err = sema.Check(clone)
+		cinfo, err := sema.Check(clone)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,18 +102,6 @@ func lowerParallel(t *testing.T, src string) *ir.Program {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// reparse round-trips a program through the printer to get an independent
-// deep copy with fresh AST nodes.
-func reparse(t *testing.T, prog *ast.Program) *ast.Program {
-	t.Helper()
-	printed := ast.Print(prog)
-	clone, err := parser.Parse(printed)
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, printed)
-	}
-	return clone
 }
 
 const parSrc = `

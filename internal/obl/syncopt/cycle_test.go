@@ -91,37 +91,22 @@ func main() {
 // loop lift produces.
 func liftedLoops(p *ast.Program) int {
 	n := 0
-	var walk func(s ast.Stmt)
-	walk = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *ast.IfStmt:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *ast.WhileStmt:
-			walk(s.Body)
-		case *ast.ForStmt:
-			walk(s.Body)
-		case *ast.SyncBlock:
-			for _, st := range s.Body.Stmts {
+	count := func(s ast.Stmt) bool {
+		if sb, ok := s.(*ast.SyncBlock); ok {
+			for _, st := range sb.Body.Stmts {
 				if _, ok := st.(*ast.ForStmt); ok {
 					n++
 				}
 			}
-			walk(s.Body)
 		}
+		return true
 	}
 	for _, fn := range p.Funcs {
-		walk(fn.Body)
+		ast.Inspect(fn.Body, count)
 	}
 	for _, c := range p.Classes {
 		for _, m := range c.Methods {
-			walk(m.Body)
+			ast.Inspect(m.Body, count)
 		}
 	}
 	return n
@@ -165,11 +150,7 @@ func TestFlaggedSitesRespectCycles(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			prog, info, cg := prepare(t, tc.src)
-			fi, err := ApplyFlagged(prog, info, cg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			prog, fi := applyFlagged(t, tc.src)
 			if fi.NumSites == 0 {
 				t.Fatalf("no conditional sites generated:\n%s", ast.Print(prog))
 			}

@@ -1,12 +1,7 @@
 package syncopt
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/obl/ast"
-	"repro/internal/obl/callgraph"
 	"repro/internal/obl/sema"
 )
 
@@ -52,872 +47,251 @@ func (fi *FlaggedInfo) ActiveSites(p Policy) int {
 	return n
 }
 
-// ApplyFlagged rewrites prog in place into the flag-dispatch form: every
-// critical region any policy would create becomes a conditional region
-// with its own site ID, and the returned FlaggedInfo records which sites
-// each policy enables. Regions that no policy enables are pruned.
-//
-// The transformation mirrors Apply's, but instead of producing one clone
-// per policy it annotates a single program: coalescing and lifting create
-// enclosing sites enabled for the policies that perform them (Aggressive
-// always; Bounded when the region reaches no call-graph cycle, §3) and
-// disable the covered interior sites for those policies. Interprocedural
-// lifting wraps call sites in conditional regions instead of generating
-// unsynchronized callee variants, so there is genuinely a single version
-// of every function.
-func ApplyFlagged(prog *ast.Program, info *sema.Info, cg *callgraph.Graph) (*FlaggedInfo, error) {
-	f := &frw{
-		prog: prog, info: info, cg: cg,
-		syncSet:    map[string]bool{},
-		visited:    map[string]bool{},
-		classMemo:  map[string]*flagClass{},
-		expandMemo: map[string]*expandDecision{},
-		syncFree:   map[string]int{},
+// flagDispatch is the generator of §4.2's single-version code: every
+// region is a conditional site, and a policy is the set of sites it
+// enables. Coalescing and lifting create enclosing sites enabled for the
+// policies that perform them and disable the covered interior sites for
+// those policies; interprocedural lifting wraps call sites instead of
+// generating unsynchronized callee variants, so there is one version of
+// every function.
+type flagDispatch struct {
+	*rewriter
+	sites []map[Policy]bool // index = site ID - 1
+	// views are the transforming policies' pictures of the site table.
+	views map[Policy]*view
+	// callSites lists every statement-level call per callee, taken before
+	// any region can absorb one. Expansion is all-or-nothing per (callee,
+	// policy) because flags are global.
+	callSites map[string][]*ast.CallExpr
+	// decided memoizes, per callee, the lock each policy takes over at the
+	// call sites. It is captured when the decision is made: disabling the
+	// callee's sites changes what calleeLock would say afterwards.
+	decided map[string]map[Policy]*lockTarget
+}
+
+// transforming lists the policies that enlarge regions, outermost last
+// where their sites nest.
+var transforming = []Policy{Aggressive, Bounded}
+
+// RewriteFlagged returns a copy of prog in flag-dispatch form: every
+// critical region any policy would create is a conditional region with its
+// own site ID, and the FlaggedInfo records which sites each policy
+// enables. Regions that no policy enables are pruned. The preconditions
+// are Rewrite's.
+func RewriteFlagged(prog *ast.Program) (*ast.Program, *FlaggedInfo, error) {
+	r, err := newRewriter(prog)
+	if err != nil {
+		return nil, nil, err
 	}
-	f.computeSyncSet()
-	// Default placement: every object update in its own region, enabled
-	// for every policy.
-	for _, fi := range info.AllFuncs() {
-		if f.syncSet[fi.FullName()] {
-			f.defaultPlacement(fi.Decl.Body)
-		}
+	g := &flagDispatch{
+		rewriter:  r,
+		views:     map[Policy]*view{},
+		callSites: map[string][]*ast.CallExpr{},
+		decided:   map[string]map[Policy]*lockTarget{},
 	}
-	f.forEachParallelLoop(func(fn *ast.FuncDecl, loop *ast.ForStmt) {
-		f.defaultPlacement(loop.Body)
+	r.gen = g
+	for _, p := range transforming {
+		g.views[p] = &view{params: ParamsFor(p), active: func(sb *ast.SyncBlock) bool {
+			return sb.Site <= 0 || g.sites[sb.Site-1][p]
+		}}
+	}
+	// Default placement is enabled for every policy.
+	r.forEachSyncBody(func(b *ast.Block) {
+		r.placeDefault(b, func() int { return g.newSite(AllPolicies...) })
 	})
-	// Global call-site inventory (before any region can absorb a call).
-	f.collectCallSites()
-	// Transform bottom-up, then the parallel loop bodies.
-	names := make([]string, 0, len(f.syncSet))
-	for n := range f.syncSet {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		f.transformFunc(n)
-	}
-	f.forEachParallelLoop(func(fn *ast.FuncDecl, loop *ast.ForStmt) {
-		f.transformBlock(loop.Body)
-		loop.Body.Stmts = f.optimizeList(loop.Body.Stmts)
+	r.forEachSyncBody(func(b *ast.Block) {
+		ast.Inspect(b, func(s ast.Stmt) bool {
+			if call, callee := r.stmtCall(s); callee != nil {
+				g.callSites[callee.FullName()] = append(g.callSites[callee.FullName()], call)
+			}
+			return true
+		})
 	})
-	// Prune regions no policy enables.
-	for _, fi := range info.AllFuncs() {
-		f.prune(fi.Decl.Body)
+	r.transform()
+	for _, fi := range r.info.AllFuncs() {
+		g.prune(fi.Decl.Body)
 	}
-	if len(f.errs) > 0 {
-		return nil, fmt.Errorf("syncopt: flagged: %s", strings.Join(f.errs, "; "))
+	if err := r.err(); err != nil {
+		return nil, nil, err
 	}
-	out := &FlaggedInfo{NumSites: len(f.sites), Enabled: map[Policy][]bool{}}
+	out := &FlaggedInfo{NumSites: len(g.sites), Enabled: map[Policy][]bool{}}
 	for _, p := range AllPolicies {
-		vec := make([]bool, len(f.sites))
-		for i, site := range f.sites {
+		vec := make([]bool, len(g.sites))
+		for i, site := range g.sites {
 			vec[i] = site[p]
 		}
 		out.Enabled[p] = vec
 	}
-	return out, nil
+	return r.prog, out, nil
 }
 
-// frw is the flag-dispatch rewriter.
-type frw struct {
-	prog *ast.Program
-	info *sema.Info
-	cg   *callgraph.Graph
-
-	syncSet map[string]bool
-	sites   []map[Policy]bool // index = site ID - 1
-
-	visited map[string]bool
-
-	// callSites lists every statement-level call per callee, with whether
-	// its lock expression would be pure. Expansion is all-or-nothing per
-	// (callee, policy) because flags are global.
-	callSites map[string][]*ast.CallExpr
-
-	classMemo  map[string]*flagClass
-	expandMemo map[string]*expandDecision
-	syncFree   map[string]int // name+policy -> 0 unknown / 1 free / 2 not
-
-	errs []string
-}
-
-// flagClass is the per-function classification used for interprocedural
-// lifting.
-type flagClass struct {
-	lock map[Policy]*lockTarget // nil entry: not classified for that policy
-}
-
-// expandDecision is the memoized global decision for a callee: which
-// policies take over its synchronization at the call sites, and on which
-// lock. Lock targets are captured at decision time, since disabling the
-// callee's sites changes its classification afterwards.
-type expandDecision struct {
-	lock map[Policy]*lockTarget
-}
-
-func (f *frw) errorf(format string, args ...any) {
-	f.errs = append(f.errs, fmt.Sprintf(format, args...))
-}
-
-func (f *frw) newSite(enabled ...Policy) int {
+func (g *flagDispatch) newSite(enabled ...Policy) int {
 	m := map[Policy]bool{}
 	for _, p := range enabled {
 		m[p] = true
 	}
-	f.sites = append(f.sites, m)
-	return len(f.sites)
+	g.sites = append(g.sites, m)
+	return len(g.sites)
 }
 
-func (f *frw) active(sb *ast.SyncBlock, p Policy) bool {
-	if sb.Site <= 0 {
-		return true
-	}
-	return f.sites[sb.Site-1][p]
-}
-
-func (f *frw) disableIn(s ast.Stmt, policies []Policy) {
-	switch s := s.(type) {
-	case *ast.Block:
-		for _, st := range s.Stmts {
-			f.disableIn(st, policies)
-		}
-	case *ast.SyncBlock:
-		if s.Site > 0 {
+// disable switches off, for the given policies, every site in s.
+func (g *flagDispatch) disable(s ast.Stmt, policies ...Policy) {
+	ast.Inspect(s, func(s ast.Stmt) bool {
+		if sb, ok := s.(*ast.SyncBlock); ok && sb.Site > 0 {
 			for _, p := range policies {
-				delete(f.sites[s.Site-1], p)
+				delete(g.sites[sb.Site-1], p)
 			}
 		}
-		f.disableIn(s.Body, policies)
-	case *ast.IfStmt:
-		f.disableIn(s.Then, policies)
-		if s.Else != nil {
-			f.disableIn(s.Else, policies)
-		}
-	case *ast.WhileStmt:
-		f.disableIn(s.Body, policies)
-	case *ast.ForStmt:
-		f.disableIn(s.Body, policies)
-	}
-}
-
-func (f *frw) forEachParallelLoop(fn func(*ast.FuncDecl, *ast.ForStmt)) {
-	for _, fd := range f.prog.Funcs {
-		fd := fd
-		var walk func(s ast.Stmt)
-		walk = func(s ast.Stmt) {
-			switch s := s.(type) {
-			case *ast.Block:
-				for _, st := range s.Stmts {
-					walk(st)
-				}
-			case *ast.IfStmt:
-				walk(s.Then)
-				if s.Else != nil {
-					walk(s.Else)
-				}
-			case *ast.WhileStmt:
-				walk(s.Body)
-			case *ast.ForStmt:
-				if s.Parallel {
-					fn(fd, s)
-					return
-				}
-				walk(s.Body)
-			case *ast.SyncBlock:
-				walk(s.Body)
-			}
-		}
-		walk(fd.Body)
-	}
-}
-
-func (f *frw) computeSyncSet() {
-	var roots []string
-	f.forEachParallelLoop(func(fn *ast.FuncDecl, loop *ast.ForStmt) {
-		callgraph.WalkCalls(loop.Body, func(c *ast.CallExpr) {
-			if t, ok := f.info.CallTarget[c]; ok {
-				roots = append(roots, t.FullName())
-			}
-		})
-	})
-	for _, n := range f.cg.Reachable(roots...) {
-		f.syncSet[n] = true
-	}
-}
-
-func (f *frw) defaultPlacement(b *ast.Block) {
-	for i, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ast.AssignStmt:
-			if lhs, ok := s.LHS.(*ast.FieldExpr); ok {
-				if !pureExpr(lhs.X) {
-					f.errorf("impure update target %q cannot be synchronized", ast.ExprString(lhs.X))
-					continue
-				}
-				b.Stmts[i] = &ast.SyncBlock{
-					P:    s.P,
-					Lock: ast.CloneExpr(lhs.X),
-					Body: &ast.Block{P: s.P, Stmts: []ast.Stmt{s}},
-					Site: f.newSite(AllPolicies...),
-				}
-			}
-		case *ast.Block:
-			f.defaultPlacement(s)
-		case *ast.IfStmt:
-			f.defaultPlacement(s.Then)
-			if s.Else != nil {
-				f.defaultPlacement(s.Else)
-			}
-		case *ast.WhileStmt:
-			f.defaultPlacement(s.Body)
-		case *ast.ForStmt:
-			f.defaultPlacement(s.Body)
-		case *ast.SyncBlock:
-			f.defaultPlacement(s.Body)
-		}
-	}
-}
-
-// collectCallSites records every statement-level call per callee across
-// the sync set and the parallel loop bodies.
-func (f *frw) collectCallSites() {
-	f.callSites = map[string][]*ast.CallExpr{}
-	record := func(b *ast.Block) {
-		var walk func(s ast.Stmt)
-		walk = func(s ast.Stmt) {
-			switch s := s.(type) {
-			case *ast.Block:
-				for _, st := range s.Stmts {
-					walk(st)
-				}
-			case *ast.ExprStmt:
-				if call, ok := s.X.(*ast.CallExpr); ok {
-					if t, ok := f.info.CallTarget[call]; ok {
-						full := t.FullName()
-						f.callSites[full] = append(f.callSites[full], call)
-					}
-				}
-			case *ast.IfStmt:
-				walk(s.Then)
-				if s.Else != nil {
-					walk(s.Else)
-				}
-			case *ast.WhileStmt:
-				walk(s.Body)
-			case *ast.ForStmt:
-				walk(s.Body)
-			case *ast.SyncBlock:
-				walk(s.Body)
-			}
-		}
-		walk(b)
-	}
-	for _, fi := range f.info.AllFuncs() {
-		if f.syncSet[fi.FullName()] {
-			record(fi.Decl.Body)
-		}
-	}
-	f.forEachParallelLoop(func(fn *ast.FuncDecl, loop *ast.ForStmt) {
-		record(loop.Body)
+		return true
 	})
 }
 
-func (f *frw) transformFunc(full string) {
-	if f.visited[full] {
-		return
-	}
-	f.visited[full] = true
-	fi := f.info.FuncByFullName(full)
-	if fi == nil {
-		return
-	}
-	for _, callee := range f.cg.Succs(full) {
-		if f.syncSet[callee] {
-			f.transformFunc(callee)
-		}
-	}
-	f.transformBlock(fi.Decl.Body)
-	fi.Decl.Body.Stmts = f.optimizeList(fi.Decl.Body.Stmts)
-}
+func (*flagDispatch) funcDone(*sema.FuncInfo) {}
 
-func (f *frw) transformBlock(b *ast.Block) {
-	for i, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ast.Block:
-			f.transformBlock(s)
-			s.Stmts = f.optimizeList(s.Stmts)
-		case *ast.IfStmt:
-			f.transformBlock(s.Then)
-			s.Then.Stmts = f.optimizeList(s.Then.Stmts)
-			if s.Else != nil {
-				f.transformBlock(s.Else)
-				s.Else.Stmts = f.optimizeList(s.Else.Stmts)
-			}
-		case *ast.WhileStmt:
-			f.transformBlock(s.Body)
-			s.Body.Stmts = f.optimizeList(s.Body.Stmts)
-			if wrapped := f.tryLift(s.Body, nil, s, s.P); wrapped != nil {
-				b.Stmts[i] = wrapped
-			}
-		case *ast.ForStmt:
-			if s.Parallel {
-				continue
-			}
-			f.transformBlock(s.Body)
-			s.Body.Stmts = f.optimizeList(s.Body.Stmts)
-			if wrapped := f.tryLift(s.Body, &s.Var, s, s.P); wrapped != nil {
-				b.Stmts[i] = wrapped
-			}
-		case *ast.SyncBlock:
-			f.transformBlock(s.Body)
-			s.Body.Stmts = f.optimizeList(s.Body.Stmts)
-		}
-	}
-}
-
-// optimizeList expands eligible call statements and coalesces neighbouring
-// regions.
-func (f *frw) optimizeList(stmts []ast.Stmt) []ast.Stmt {
-	out := make([]ast.Stmt, len(stmts))
-	copy(out, stmts)
-	for i, s := range out {
-		if rep := f.tryExpandCall(s); rep != nil {
-			out[i] = rep
-		}
-	}
-	return f.mergeRegions(out)
-}
-
-// tryExpandCall wraps a statement-level call in a conditional region for
-// the policies whose global expansion decision for the callee fired.
-func (f *frw) tryExpandCall(s ast.Stmt) ast.Stmt {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return nil
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	target, ok := f.info.CallTarget[call]
-	if !ok {
-		return nil
-	}
-	full := target.FullName()
-	decision := f.decideExpansion(full)
-	// Group policies by lock target so one region serves both when they
-	// agree (the common case); nest otherwise.
-	byLock := map[string][]Policy{}
-	lockOf := map[string]*lockTarget{}
-	for _, p := range []Policy{Bounded, Aggressive} {
-		lt := decision.lock[p]
-		if lt == nil {
-			continue
-		}
-		key := fmt.Sprintf("%v:%d", lt.onThis, lt.param)
-		byLock[key] = append(byLock[key], p)
-		lockOf[key] = lt
-	}
-	if len(byLock) == 0 {
-		return nil
+// expand wraps the call in a conditional region for the policies whose
+// all-call-sites decision for the callee fired: one region when they agree
+// on the lock (the common case), nested regions otherwise.
+func (g *flagDispatch) expand(s ast.Stmt, call *ast.CallExpr, callee *sema.FuncInfo) ast.Stmt {
+	lock := g.decide(callee)
+	if a, b := lock[Aggressive], lock[Bounded]; a != nil && b != nil && *a == *b {
+		return region(s, ast.CloneExpr(a.of(call)), g.newSite(Bounded, Aggressive), s)
 	}
 	wrapped := s
-	keys := make([]string, 0, len(byLock))
-	for k := range byLock {
-		keys = append(keys, k)
+	for _, p := range transforming {
+		if lt := lock[p]; lt != nil {
+			wrapped = region(s, ast.CloneExpr(lt.of(call)), g.newSite(p), wrapped)
+		}
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		lt := lockOf[key]
-		var lockExpr ast.Expr
-		if lt.onThis {
-			lockExpr = ast.CloneExpr(call.Recv)
-		} else {
-			lockExpr = ast.CloneExpr(call.Args[lt.param])
-		}
-		wrapped = &ast.SyncBlock{
-			P:    s.Pos(),
-			Lock: lockExpr,
-			Body: &ast.Block{P: s.Pos(), Stmts: []ast.Stmt{wrapped}},
-			Site: f.newSite(byLock[key]...),
-		}
+	if wrapped == s {
+		return nil
 	}
 	return wrapped
 }
 
-// decideExpansion makes the global, all-call-sites decision for a callee:
-// for each policy, every statement-level call site must have a pure lock
-// expression, the callee must be classified for that policy, and Bounded
-// additionally requires the enlarged region to reach no call-graph cycle.
-// On success the callee's interior sites are disabled for those policies
-// exactly once.
-func (f *frw) decideExpansion(full string) *expandDecision {
-	if d, ok := f.expandMemo[full]; ok {
+// decide makes the all-call-sites decision for a callee: a policy takes
+// over its synchronization when the callee is fully synchronized under
+// the policy's view, every statement-level call site names the lock with
+// a pure expression, and — under the Bounded guard — the enlarged region
+// reaches no call-graph cycle. The callee's interior sites are then
+// disabled for that policy, exactly once.
+func (g *flagDispatch) decide(callee *sema.FuncInfo) map[Policy]*lockTarget {
+	full := callee.FullName()
+	if d, ok := g.decided[full]; ok {
 		return d
 	}
-	d := &expandDecision{lock: map[Policy]*lockTarget{}}
-	f.expandMemo[full] = d
-	fi := f.info.FuncByFullName(full)
-	if fi == nil || !f.syncSet[full] {
+	d := map[Policy]*lockTarget{}
+	g.decided[full] = d
+	if !g.syncSet[full] {
 		return d
 	}
-	cls := f.classify(full)
-	var calleeCallees []string
-	callgraph.WalkCalls(fi.Decl.Body, func(c *ast.CallExpr) {
-		if t, ok := f.info.CallTarget[c]; ok {
-			calleeCallees = append(calleeCallees, t.FullName())
-		}
-	})
-	for _, p := range []Policy{Bounded, Aggressive} {
-		lt := cls.lock[p]
+	for _, p := range transforming {
+		v := g.views[p]
+		lt := g.calleeLock(v, callee)
 		if lt == nil {
 			continue
 		}
-		ok := len(f.callSites[full]) > 0
-		for _, call := range f.callSites[full] {
-			var lockExpr ast.Expr
-			if lt.onThis {
-				lockExpr = call.Recv
-			} else if lt.param < len(call.Args) {
-				lockExpr = call.Args[lt.param]
-			}
-			if lockExpr == nil || !pureExpr(lockExpr) {
-				ok = false
-			}
+		ok := len(g.callSites[full]) > 0
+		for _, call := range g.callSites[full] {
+			ok = ok && pureExpr(lt.of(call))
 		}
-		if p == Bounded && f.cg.CanReachCycle(calleeCallees...) {
-			ok = false
-		}
-		if ok {
-			d.lock[p] = lt
+		if ok && !(v.params.BoundedCycles && g.reachesCycle(callee.Decl.Body)) {
+			d[p] = lt
 		}
 	}
-	var disable []Policy
-	//dfvet:allow detorder disableIn only deletes per-policy site entries; the result is order-insensitive
-	for p := range d.lock {
-		disable = append(disable, p)
-	}
-	if len(disable) > 0 {
-		f.disableIn(fi.Decl.Body, disable)
-		// Classification and sync-freedom change; clear the memos.
-		f.classMemo = map[string]*flagClass{}
-		f.syncFree = map[string]int{}
+	for _, p := range transforming {
+		if d[p] != nil {
+			g.disable(callee.Decl.Body, p)
+			// What is synchronization-free under p has changed.
+			g.syncFreeMemo = map[syncFreeKey]bool{}
+		}
 	}
 	return d
 }
 
-// classify determines, per policy, whether all of a function's active
-// regions are on one nameable lock (receiver or parameter) with
-// synchronization-free code elsewhere.
-func (f *frw) classify(full string) *flagClass {
-	if c, ok := f.classMemo[full]; ok {
-		return c
+// merge wraps the run of same-lock regions in a new site. Runs are
+// detected on the Aggressive view (Aggressive always coalesces); Bounded
+// joins when it could absorb the whole run and the enlarged region
+// reaches no cycle.
+func (g *flagDispatch) merge(sb *ast.SyncBlock, stmts []ast.Stmt) (ast.Stmt, int) {
+	aggressive, bounded := g.views[Aggressive], g.views[Bounded]
+	if !aggressive.active(sb) {
+		return sb, 1
 	}
-	c := &flagClass{lock: map[Policy]*lockTarget{}}
-	f.classMemo[full] = c
-	fi := f.info.FuncByFullName(full)
-	if fi == nil {
-		return c
+	n := 1
+	for {
+		k := g.nextRegion(aggressive, stmts, n, sb.Lock)
+		if k < 0 {
+			break
+		}
+		n = k + 1
 	}
-	for _, p := range []Policy{Bounded, Aggressive} {
-		var locks []*ast.SyncBlock
-		for _, sb := range collectSyncLocks(fi.Decl.Body) {
-			if f.active(sb, p) {
-				locks = append(locks, sb)
-			}
-		}
-		if len(locks) == 0 {
-			continue
-		}
-		canon := ast.ExprString(locks[0].Lock)
-		same := true
-		for _, l := range locks[1:] {
-			if ast.ExprString(l.Lock) != canon {
-				same = false
-			}
-		}
-		if !same {
-			continue
-		}
-		var lt *lockTarget
-		switch lk := locks[0].Lock.(type) {
-		case *ast.ThisExpr:
-			if fi.Class != nil {
-				lt = &lockTarget{onThis: true}
-			}
-		case *ast.Ident:
-			for i, prm := range fi.Decl.Params {
-				if prm.Name == lk.Name {
-					lt = &lockTarget{param: i}
-				}
-			}
-		}
-		if lt == nil {
-			continue
-		}
-		vars := map[string]bool{}
-		collectIdents(locks[0].Lock, vars)
-		if assignsAny(fi.Decl.Body, vars) {
-			continue
-		}
-		if !f.callsSyncFreeOutsideActive(fi.Decl.Body, p) {
-			continue
-		}
-		c.lock[p] = lt
+	if n == 1 {
+		return sb, 1
 	}
-	return c
+	span := append([]ast.Stmt{}, stmts[:n]...)
+	enabled := []Policy{Aggressive}
+	if !(bounded.params.BoundedCycles && g.reachesCycle(span...)) && g.spanAbsorbable(bounded, span, sb.Lock) {
+		enabled = append(enabled, Bounded)
+	}
+	for _, st := range span {
+		g.disable(st, enabled...)
+	}
+	return region(sb, ast.CloneExpr(sb.Lock), g.newSite(enabled...), span...), n
 }
 
-// mergeRegions coalesces neighbouring same-lock regions. Runs are detected
-// on the Aggressive view (Aggressive always coalesces); Bounded joins when
-// the enlarged region reaches no cycle.
-func (f *frw) mergeRegions(stmts []ast.Stmt) []ast.Stmt {
-	var out []ast.Stmt
-	i := 0
-	for i < len(stmts) {
-		sb, ok := stmts[i].(*ast.SyncBlock)
-		if !ok || !pureExpr(sb.Lock) || !f.active(sb, Aggressive) {
-			out = append(out, stmts[i])
-			i++
-			continue
-		}
-		lockCanon := ast.ExprString(sb.Lock)
-		span := []ast.Stmt{stmts[i]}
-		j := i + 1
-		for j < len(stmts) {
-			k := j
-			var absorbed []ast.Stmt
-			okRun := true
-			for k < len(stmts) {
-				nxt, isSync := stmts[k].(*ast.SyncBlock)
-				if isSync && f.active(nxt, Aggressive) {
-					if ast.ExprString(nxt.Lock) == lockCanon {
-						break
-					}
-					okRun = false
-					break
-				}
-				if !f.absorbableFor(stmts[k], sb.Lock, Aggressive) {
-					okRun = false
-					break
-				}
-				absorbed = append(absorbed, stmts[k])
-				k++
-			}
-			if !okRun || k >= len(stmts) {
-				break
-			}
-			span = append(span, absorbed...)
-			span = append(span, stmts[k])
-			j = k + 1
-		}
-		if len(span) == 1 {
-			out = append(out, sb)
-			i = j
-			continue
-		}
-		enabled := []Policy{Aggressive}
-		if !f.spanReachesCycle(span) && f.spanAbsorbableFor(span, sb.Lock, Bounded) {
-			enabled = append(enabled, Bounded)
-		}
-		region := &ast.SyncBlock{
-			P:    sb.P,
-			Lock: ast.CloneExpr(sb.Lock),
-			Body: &ast.Block{P: sb.P, Stmts: span},
-			Site: f.newSite(enabled...),
-		}
-		for _, st := range span {
-			f.disableIn(st, enabled)
-		}
-		out = append(out, region)
-		i = j
-	}
-	return out
-}
-
-// spanAbsorbableFor checks the non-region statements of a span for a
-// policy (region statements are handled by flag disabling).
-func (f *frw) spanAbsorbableFor(span []ast.Stmt, lock ast.Expr, p Policy) bool {
+// spanAbsorbable checks the statements of a span that are not regions on
+// lock (those are handled by disabling their sites).
+func (g *flagDispatch) spanAbsorbable(v *view, span []ast.Stmt, lock ast.Expr) bool {
 	for _, st := range span {
 		if sb, ok := st.(*ast.SyncBlock); ok && ast.ExprString(sb.Lock) == ast.ExprString(lock) {
 			continue
 		}
-		if !f.absorbableFor(st, lock, p) {
+		if !g.absorbable(v, st, lock) {
 			return false
 		}
 	}
 	return true
 }
 
-func (f *frw) spanReachesCycle(span []ast.Stmt) bool {
-	var targets []string
-	for _, s := range span {
-		callgraph.WalkCalls(s, func(c *ast.CallExpr) {
-			if t, ok := f.info.CallTarget[c]; ok {
-				targets = append(targets, t.FullName())
-			}
-		})
-	}
-	return f.cg.CanReachCycle(targets...)
-}
-
-// tryLift lifts a loop's synchronization for the policies that allow it,
-// returning the wrapping region (or nil).
-func (f *frw) tryLift(body *ast.Block, loopVar *string, loop ast.Stmt, pos interface{ String() string }) ast.Stmt {
-	_ = pos
+// lift wraps the loop in one site per policy that may lift, disabling the
+// loop's own sites for that policy.
+func (g *flagDispatch) lift(loop ast.Stmt, body *ast.Block) ast.Stmt {
 	var wrapped ast.Stmt
-	for _, p := range []Policy{Aggressive, Bounded} {
-		var locks []*ast.SyncBlock
-		for _, sb := range collectSyncLocks(body) {
-			if f.active(sb, p) {
-				locks = append(locks, sb)
-			}
-		}
-		if len(locks) == 0 {
+	for _, p := range transforming {
+		lock := g.liftableLock(g.views[p], loop)
+		if lock == nil {
 			continue
 		}
-		canon := ast.ExprString(locks[0].Lock)
-		same := true
-		for _, l := range locks[1:] {
-			if ast.ExprString(l.Lock) != canon {
-				same = false
-			}
-		}
-		if !same || !pureExpr(locks[0].Lock) {
-			continue
-		}
-		vars := map[string]bool{}
-		collectIdents(locks[0].Lock, vars)
-		if loopVar != nil && vars[*loopVar] {
-			continue
-		}
-		if assignsAny(body, vars) {
-			continue
-		}
-		if !f.callsSyncFreeOutsideActive(body, p) {
-			continue
-		}
-		if p == Bounded && f.spanReachesCycle([]ast.Stmt{loop}) {
-			continue
-		}
-		f.disableIn(body, []Policy{p})
+		g.disable(body, p)
 		inner := loop
 		if wrapped != nil {
 			inner = wrapped
 		}
-		wrapped = &ast.SyncBlock{
-			P:    loop.Pos(),
-			Lock: ast.CloneExpr(locks[0].Lock),
-			Body: &ast.Block{P: loop.Pos(), Stmts: []ast.Stmt{inner}},
-			Site: f.newSite(p),
-		}
+		wrapped = region(loop, ast.CloneExpr(lock), g.newSite(p), inner)
 	}
 	return wrapped
 }
 
-// absorbableFor reports whether a statement can live inside a p-enabled
-// region on lock: it must contain no p-active synchronization (directly or
-// through calls) and must not assign the lock's variables.
-func (f *frw) absorbableFor(s ast.Stmt, lock ast.Expr, p Policy) bool {
-	if !f.stmtSyncFreeFor(s, p) {
-		return false
-	}
-	vars := map[string]bool{}
-	collectIdents(lock, vars)
-	bad := false
-	var walk func(st ast.Stmt)
-	walk = func(st ast.Stmt) {
-		switch st := st.(type) {
-		case *ast.Block:
-			for _, x := range st.Stmts {
-				walk(x)
-			}
-		case *ast.AssignStmt:
-			if id, ok := st.LHS.(*ast.Ident); ok && vars[id.Name] {
-				bad = true
-			}
-		case *ast.LetStmt:
-			if vars[st.Name] {
-				bad = true
-			}
-		case *ast.IfStmt:
-			walk(st.Then)
-			if st.Else != nil {
-				walk(st.Else)
-			}
-		case *ast.WhileStmt:
-			walk(st.Body)
-		case *ast.ForStmt:
-			if vars[st.Var] {
-				bad = true
-			}
-			walk(st.Body)
-		case *ast.SyncBlock:
-			walk(st.Body)
-		}
-	}
-	walk(s)
-	return !bad
-}
-
-// stmtSyncFreeFor reports whether s contains no p-active regions and all
-// its calls target p-synchronization-free functions.
-func (f *frw) stmtSyncFreeFor(s ast.Stmt, p Policy) bool {
-	free := true
-	var checkExpr func(e ast.Expr)
-	checkExpr = func(e ast.Expr) {
-		callgraph.WalkExprCalls(e, func(c *ast.CallExpr) {
-			if t, ok := f.info.CallTarget[c]; ok && !f.funcSyncFreeFor(t.FullName(), p) {
-				free = false
-			}
-		})
-	}
-	var walk func(st ast.Stmt)
-	walk = func(st ast.Stmt) {
-		switch st := st.(type) {
-		case *ast.Block:
-			for _, x := range st.Stmts {
-				walk(x)
-			}
-		case *ast.SyncBlock:
-			if f.active(st, p) {
-				free = false
-			}
-			walk(st.Body)
-		case *ast.LetStmt:
-			checkExpr(st.Init)
-		case *ast.AssignStmt:
-			checkExpr(st.LHS)
-			checkExpr(st.RHS)
-		case *ast.ExprStmt:
-			checkExpr(st.X)
-		case *ast.IfStmt:
-			checkExpr(st.Cond)
-			walk(st.Then)
-			if st.Else != nil {
-				walk(st.Else)
-			}
-		case *ast.WhileStmt:
-			checkExpr(st.Cond)
-			walk(st.Body)
-		case *ast.ForStmt:
-			checkExpr(st.Lo)
-			checkExpr(st.Hi)
-			walk(st.Body)
-		case *ast.ReturnStmt:
-			checkExpr(st.X)
-		case *ast.PrintStmt:
-			checkExpr(st.X)
-		}
-	}
-	walk(s)
-	return free
-}
-
-func (f *frw) funcSyncFreeFor(full string, p Policy) bool {
-	key := full + "\x00" + string(p)
-	switch f.syncFree[key] {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	f.syncFree[key] = 1 // optimistic for recursion
-	fi := f.info.FuncByFullName(full)
-	free := true
-	if fi != nil {
-		free = f.stmtSyncFreeFor(fi.Decl.Body, p)
-	}
-	if free {
-		f.syncFree[key] = 1
-	} else {
-		f.syncFree[key] = 2
-	}
-	return free
-}
-
-// callsSyncFreeOutsideActive checks that code outside p-active regions
-// performs no p-active synchronization through calls.
-func (f *frw) callsSyncFreeOutsideActive(b *ast.Block, p Policy) bool {
-	ok := true
-	checkExpr := func(e ast.Expr) {
-		callgraph.WalkExprCalls(e, func(c *ast.CallExpr) {
-			if t, found := f.info.CallTarget[c]; found && !f.funcSyncFreeFor(t.FullName(), p) {
-				ok = false
-			}
-		})
-	}
-	var walk func(s ast.Stmt, inRegion bool)
-	walk = func(s ast.Stmt, inRegion bool) {
-		switch s := s.(type) {
-		case *ast.Block:
-			for _, st := range s.Stmts {
-				walk(st, inRegion)
-			}
-		case *ast.SyncBlock:
-			walk(s.Body, inRegion || f.active(s, p))
-		case *ast.IfStmt:
-			if !inRegion {
-				checkExpr(s.Cond)
-			}
-			walk(s.Then, inRegion)
-			if s.Else != nil {
-				walk(s.Else, inRegion)
-			}
-		case *ast.WhileStmt:
-			if !inRegion {
-				checkExpr(s.Cond)
-			}
-			walk(s.Body, inRegion)
-		case *ast.ForStmt:
-			walk(s.Body, inRegion)
-		case *ast.LetStmt:
-			if !inRegion {
-				checkExpr(s.Init)
-			}
-		case *ast.AssignStmt:
-			if !inRegion {
-				checkExpr(s.LHS)
-				checkExpr(s.RHS)
-			}
-		case *ast.ExprStmt:
-			if !inRegion {
-				checkExpr(s.X)
-			}
-		case *ast.ReturnStmt:
-			if !inRegion {
-				checkExpr(s.X)
-			}
-		case *ast.PrintStmt:
-			if !inRegion {
-				checkExpr(s.X)
-			}
-		}
-	}
-	walk(b, false)
-	return ok
-}
-
 // prune replaces regions no policy enables with their bodies.
-func (f *frw) prune(b *ast.Block) {
+func (g *flagDispatch) prune(b *ast.Block) {
 	for i, s := range b.Stmts {
 		switch s := s.(type) {
 		case *ast.SyncBlock:
-			f.prune(s.Body)
-			if s.Site > 0 && len(f.sites[s.Site-1]) == 0 {
+			g.prune(s.Body)
+			if s.Site > 0 && len(g.sites[s.Site-1]) == 0 {
 				b.Stmts[i] = s.Body
 			}
 		case *ast.Block:
-			f.prune(s)
+			g.prune(s)
 		case *ast.IfStmt:
-			f.prune(s.Then)
+			g.prune(s.Then)
 			if s.Else != nil {
-				f.prune(s.Else)
+				g.prune(s.Else)
 			}
 		case *ast.WhileStmt:
-			f.prune(s.Body)
+			g.prune(s.Body)
 		case *ast.ForStmt:
-			f.prune(s.Body)
+			g.prune(s.Body)
 		}
 	}
 }

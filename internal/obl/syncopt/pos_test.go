@@ -22,22 +22,23 @@ func TestRegionsCarryPositions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		marked := buildMarked(t, src)
 		for _, policy := range syncopt.AllPolicies {
-			prog, info, cg := buildMarked(t, src)
-			if err := syncopt.Apply(prog, info, cg, policy); err != nil {
+			prog, err := syncopt.Rewrite(marked, syncopt.ParamsFor(policy))
+			if err != nil {
 				t.Fatal(err)
 			}
 			checkRegionPositions(t, name+"/"+string(policy), prog)
 		}
-		prog, info, cg := buildMarked(t, src)
-		if _, err := syncopt.ApplyFlagged(prog, info, cg); err != nil {
+		prog, _, err := syncopt.RewriteFlagged(marked)
+		if err != nil {
 			t.Fatal(err)
 		}
 		checkRegionPositions(t, name+"/flagged", prog)
 	}
 }
 
-func buildMarked(t *testing.T, src string) (*ast.Program, *sema.Info, *callgraph.Graph) {
+func buildMarked(t *testing.T, src string) *ast.Program {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -47,9 +48,8 @@ func buildMarked(t *testing.T, src string) (*ast.Program, *sema.Info, *callgraph
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := callgraph.Build(info)
-	commute.New(info, cg).AnalyzeLoops()
-	return prog, info, cg
+	commute.New(info, callgraph.Build(info)).AnalyzeLoops()
+	return prog
 }
 
 func checkRegionPositions(t *testing.T, label string, prog *ast.Program) {
@@ -70,33 +70,18 @@ func checkRegionPositions(t *testing.T, label string, prog *ast.Program) {
 }
 
 func forEachRegion(p *ast.Program, f func(*ast.SyncBlock)) {
-	var walk func(s ast.Stmt)
-	walk = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *ast.IfStmt:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *ast.WhileStmt:
-			walk(s.Body)
-		case *ast.ForStmt:
-			walk(s.Body)
-		case *ast.SyncBlock:
-			f(s)
-			walk(s.Body)
+	visit := func(s ast.Stmt) bool {
+		if sb, ok := s.(*ast.SyncBlock); ok {
+			f(sb)
 		}
+		return true
 	}
 	for _, fn := range p.Funcs {
-		walk(fn.Body)
+		ast.Inspect(fn.Body, visit)
 	}
 	for _, c := range p.Classes {
 		for _, m := range c.Methods {
-			walk(m.Body)
+			ast.Inspect(m.Body, visit)
 		}
 	}
 }

@@ -11,22 +11,40 @@
 //     region and hence the severity of any false exclusion.
 //   - Aggressive: always apply the transformations.
 //
-// The package rewrites a checked program clone in place; the caller re-runs
-// sema on the result before lowering. Interprocedural lifting follows the
-// paper's Figure 1 → Figure 2 shape: when a callee's body is one critical
-// region on a lock the caller can name (its receiver or an argument), the
-// compiler generates an unsynchronized variant of the callee and moves the
-// acquire and release to the call site, where they can coalesce with
-// neighbouring regions or lift out of loops.
+// §4.2 offers two ways to carry a section's versions, and the package has
+// one generator for each: Rewrite produces multi-version code, one program
+// per policy (or per point of the Params space), and RewriteFlagged
+// produces flag-dispatch code, one program whose every region is a
+// conditional site with a flag per policy. The two must differ only in how
+// a policy's regions are materialised, never in which regions are legal,
+// so the §3 legality rules exist once (rules.go), stated over a view: one
+// policy's picture of the tree under rewrite, made of its Params and a
+// predicate telling which regions acquire their lock under it. The
+// multi-version generator is one view in which every region is active; the
+// flag-dispatch generator is one view per transforming policy over the
+// site table. Both run the same default placement and the same bottom-up
+// traversal, and answer four questions their own way, because flags are
+// global and versions are not:
+//
+//   - expanding a call to a fully synchronized callee (Figure 1 → Figure
+//     2): a region around a call to an unsynchronized variant of the
+//     callee, decided per call site — or a conditional region around the
+//     unchanged call, decided once for all call sites, because it must
+//     switch off the callee's own sites;
+//   - merging a run of regions on one lock: flattening their bodies into
+//     one region, as far as the coarsening bound and the cycle guard allow
+//     — or wrapping the run in a new site that Bounded joins only whole;
+//   - lifting a loop's synchronization: stripping the loop's regions — or
+//     switching them off for one policy at a time under a site of its own;
+//   - finishing: installing the generated variants — or pruning the sites
+//     no policy enables.
+//
+// Both rewrite a checked clone of their input; the caller checks the
+// result again before lowering it.
 package syncopt
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/obl/ast"
-	"repro/internal/obl/callgraph"
 	"repro/internal/obl/sema"
 )
 
@@ -70,8 +88,6 @@ type Params struct {
 }
 
 // ParamsFor returns the parameter preset that reproduces a paper policy.
-// ApplyParams with these presets is behaviourally identical to Apply with
-// the corresponding policy.
 func ParamsFor(p Policy) Params {
 	switch p {
 	case Bounded:
@@ -83,830 +99,114 @@ func ParamsFor(p Policy) Params {
 	}
 }
 
-// lockTarget classifies the lock of a fully synchronized callee.
-type lockTarget struct {
-	onThis bool
-	param  int // parameter index when !onThis
-}
-
-// classification of a function whose body is, in effect, one critical
-// region: callers may take over its synchronization.
-type classification struct {
-	lock       lockTarget
-	unsyncName string // bare name of the unsynchronized variant
-	// regionCallees are the functions called anywhere in the body; the
-	// Bounded policy requires them to be cycle-free before enlarging a
-	// region around this call.
-	regionCallees []string
-}
-
-type rewriter struct {
-	prog   *ast.Program
-	info   *sema.Info
-	cg     *callgraph.Graph
-	params Params
-
-	syncSet map[string]bool
-	class   map[string]*classification
-	visited map[string]bool
-	inProg  map[string]bool
-
-	// localTargets resolves calls created by the rewriter itself.
-	localTargets map[*ast.CallExpr]string
-	// syncFreeMemo caches transitive sync-freedom by function name.
-	syncFreeMemo map[string]int // 0 unknown, 1 free, 2 not free
-
-	// newFuncs and newMethods collect generated unsync variants.
+// multiVersion is the generator of §4.2's multi-version code: one program
+// per policy, in which every region is active. A fully synchronized callee
+// gets an unsynchronized variant, and each call site decides for itself
+// whether to take the lock and call the variant.
+type multiVersion struct {
+	*rewriter
+	view *view
+	// class holds, per finished function, the lock its callers may take
+	// over; an entry means the unsynchronized variant exists.
+	class map[string]*lockTarget
+	// newFuncs and newMethods (by class) collect the generated variants.
 	newFuncs   []*ast.FuncDecl
-	newMethods map[string][]*ast.FuncDecl // class -> methods
-
-	errs []string
+	newMethods map[string][]*ast.FuncDecl
 }
 
-// Apply rewrites prog in place for the given policy. The program must have
-// parallel loops marked (commute.AnalyzeLoops) and be freshly checked; info
-// and cg must describe prog itself.
-func Apply(prog *ast.Program, info *sema.Info, cg *callgraph.Graph, policy Policy) error {
-	return ApplyParams(prog, info, cg, ParamsFor(policy))
-}
-
-// ApplyParams rewrites prog in place under an arbitrary parameter point.
-// Apply is ApplyParams over the ParamsFor presets.
-func ApplyParams(prog *ast.Program, info *sema.Info, cg *callgraph.Graph, params Params) error {
-	rw := &rewriter{
-		prog: prog, info: info, cg: cg, params: params,
-		syncSet:      map[string]bool{},
-		class:        map[string]*classification{},
-		visited:      map[string]bool{},
-		inProg:       map[string]bool{},
-		localTargets: map[*ast.CallExpr]string{},
-		syncFreeMemo: map[string]int{},
-		newMethods:   map[string][]*ast.FuncDecl{},
+// Rewrite returns a copy of prog with critical regions placed and
+// optimized under one parameter point (ParamsFor gives the paper's
+// policies). prog must be checked and have its parallel loops marked
+// (commute.AnalyzeLoops); the caller checks the result before lowering it.
+func Rewrite(prog *ast.Program, params Params) (*ast.Program, error) {
+	r, err := newRewriter(prog)
+	if err != nil {
+		return nil, err
 	}
-	rw.computeSyncSet()
-	// Default placement everywhere in the sync set and in parallel loop
-	// bodies (§2).
-	for _, fi := range info.AllFuncs() {
-		if rw.syncSet[fi.FullName()] {
-			rw.insertDefaultPlacement(fi.Decl.Body)
-		}
+	g := &multiVersion{
+		rewriter:   r,
+		view:       &view{params: params, active: func(*ast.SyncBlock) bool { return true }},
+		class:      map[string]*lockTarget{},
+		newMethods: map[string][]*ast.FuncDecl{},
 	}
-	rw.forEachParallelLoop(func(fn *ast.FuncDecl, loop *ast.ForStmt) {
-		rw.insertDefaultPlacement(loop.Body)
-	})
+	r.gen = g
+	r.forEachSyncBody(func(b *ast.Block) { r.placeDefault(b, func() int { return 0 }) })
 	if params.Transform {
-		// Transform callees bottom-up, then the parallel loop bodies.
-		names := make([]string, 0, len(rw.syncSet))
-		for n := range rw.syncSet {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			rw.transformFunc(n)
-		}
-		rw.forEachParallelLoop(func(fn *ast.FuncDecl, loop *ast.ForStmt) {
-			rw.transformBlock(loop.Body)
-			loop.Body.Stmts = rw.optimizeList(loop.Body.Stmts)
-		})
+		r.transform()
 	}
-	// Install generated variants.
-	prog.Funcs = append(prog.Funcs, rw.newFuncs...)
-	for _, c := range prog.Classes {
-		if ms := rw.newMethods[c.Name]; ms != nil {
-			c.Methods = append(c.Methods, ms...)
-		}
+	r.prog.Funcs = append(r.prog.Funcs, g.newFuncs...)
+	for _, c := range r.prog.Classes {
+		c.Methods = append(c.Methods, g.newMethods[c.Name]...)
 	}
-	if len(rw.errs) > 0 {
-		return fmt.Errorf("syncopt: %s", strings.Join(rw.errs, "; "))
-	}
-	return nil
+	return r.prog, r.err()
 }
 
-func (rw *rewriter) errorf(format string, args ...any) {
-	rw.errs = append(rw.errs, fmt.Sprintf(format, args...))
-}
-
-func (rw *rewriter) forEachParallelLoop(f func(fn *ast.FuncDecl, loop *ast.ForStmt)) {
-	for _, fn := range rw.prog.Funcs {
-		fn := fn
-		var walk func(s ast.Stmt)
-		walk = func(s ast.Stmt) {
-			switch s := s.(type) {
-			case *ast.Block:
-				for _, st := range s.Stmts {
-					walk(st)
-				}
-			case *ast.IfStmt:
-				walk(s.Then)
-				if s.Else != nil {
-					walk(s.Else)
-				}
-			case *ast.WhileStmt:
-				walk(s.Body)
-			case *ast.ForStmt:
-				if s.Parallel {
-					f(fn, s)
-					return
-				}
-				walk(s.Body)
-			case *ast.SyncBlock:
-				walk(s.Body)
-			}
-		}
-		walk(fn.Body)
-	}
-}
-
-// computeSyncSet finds every function that can execute inside a parallel
-// section: the operations invoked from parallel loop bodies, transitively.
-func (rw *rewriter) computeSyncSet() {
-	var roots []string
-	rw.forEachParallelLoop(func(fn *ast.FuncDecl, loop *ast.ForStmt) {
-		callgraph.WalkCalls(loop.Body, func(c *ast.CallExpr) {
-			if t, ok := rw.info.CallTarget[c]; ok {
-				roots = append(roots, t.FullName())
-			}
-		})
-	})
-	for _, n := range rw.cg.Reachable(roots...) {
-		rw.syncSet[n] = true
-	}
-}
-
-// insertDefaultPlacement wraps every object update in its own critical
-// region on the updated object's lock.
-func (rw *rewriter) insertDefaultPlacement(b *ast.Block) {
-	for i, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ast.AssignStmt:
-			if lhs, ok := s.LHS.(*ast.FieldExpr); ok {
-				if !pureExpr(lhs.X) {
-					rw.errorf("impure update target %q cannot be synchronized", ast.ExprString(lhs.X))
-					continue
-				}
-				b.Stmts[i] = &ast.SyncBlock{
-					P:    s.P,
-					Lock: ast.CloneExpr(lhs.X),
-					Body: &ast.Block{P: s.P, Stmts: []ast.Stmt{s}},
-				}
-			}
-		case *ast.Block:
-			rw.insertDefaultPlacement(s)
-		case *ast.IfStmt:
-			rw.insertDefaultPlacement(s.Then)
-			if s.Else != nil {
-				rw.insertDefaultPlacement(s.Else)
-			}
-		case *ast.WhileStmt:
-			rw.insertDefaultPlacement(s.Body)
-		case *ast.ForStmt:
-			rw.insertDefaultPlacement(s.Body)
-		case *ast.SyncBlock:
-			rw.insertDefaultPlacement(s.Body)
-		}
-	}
-}
-
-// pureExpr reports whether e has no side effects and is stable under
-// re-evaluation (identifiers, this, field and index chains).
-func pureExpr(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident, *ast.ThisExpr, *ast.IntLit, *ast.FloatLit, *ast.BoolLit:
-		return true
-	case *ast.FieldExpr:
-		return pureExpr(e.X)
-	case *ast.IndexExpr:
-		return pureExpr(e.X) && pureExpr(e.Index)
-	case *ast.BinExpr:
-		return pureExpr(e.L) && pureExpr(e.R)
-	case *ast.UnExpr:
-		return pureExpr(e.X)
-	default:
-		return false
-	}
-}
-
-// transformFunc rewrites one sync-set function bottom-up and classifies it.
-func (rw *rewriter) transformFunc(full string) {
-	if rw.visited[full] || rw.inProg[full] {
+// funcDone generates the unsynchronized variant of a function whose
+// callers may take over its synchronization.
+func (g *multiVersion) funcDone(fi *sema.FuncInfo) {
+	lt := g.calleeLock(g.view, fi)
+	if lt == nil {
 		return
 	}
-	fi := rw.info.FuncByFullName(full)
-	if fi == nil {
-		return
-	}
-	rw.inProg[full] = true
-	for _, callee := range rw.cg.Succs(full) {
-		if rw.syncSet[callee] {
-			rw.transformFunc(callee)
-		}
-	}
-	rw.transformBlock(fi.Decl.Body)
-	fi.Decl.Body.Stmts = rw.optimizeList(fi.Decl.Body.Stmts)
-	if rw.params.ExpandCalls {
-		rw.classify(fi)
-	}
-	delete(rw.inProg, full)
-	rw.visited[full] = true
-}
-
-// transformBlock recursively optimizes nested statement structures.
-func (rw *rewriter) transformBlock(b *ast.Block) {
-	for i, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ast.Block:
-			rw.transformBlock(s)
-			s.Stmts = rw.optimizeList(s.Stmts)
-		case *ast.IfStmt:
-			rw.transformBlock(s.Then)
-			s.Then.Stmts = rw.optimizeList(s.Then.Stmts)
-			if s.Else != nil {
-				rw.transformBlock(s.Else)
-				s.Else.Stmts = rw.optimizeList(s.Else.Stmts)
-			}
-		case *ast.WhileStmt:
-			rw.transformBlock(s.Body)
-			s.Body.Stmts = rw.optimizeList(s.Body.Stmts)
-			if lifted := rw.tryLift(s.Body, nil); lifted != nil {
-				b.Stmts[i] = &ast.SyncBlock{P: s.P, Lock: lifted, Body: &ast.Block{P: s.P, Stmts: []ast.Stmt{s}}}
-			}
-		case *ast.ForStmt:
-			if s.Parallel {
-				continue // handled separately; never lift across it
-			}
-			rw.transformBlock(s.Body)
-			s.Body.Stmts = rw.optimizeList(s.Body.Stmts)
-			if lifted := rw.tryLift(s.Body, &s.Var); lifted != nil {
-				b.Stmts[i] = &ast.SyncBlock{P: s.P, Lock: lifted, Body: &ast.Block{P: s.P, Stmts: []ast.Stmt{s}}}
-			}
-		case *ast.SyncBlock:
-			rw.transformBlock(s.Body)
-			s.Body.Stmts = rw.optimizeList(s.Body.Stmts)
-		}
-	}
-}
-
-// optimizeList expands calls to fully synchronized callees into explicit
-// regions and coalesces neighbouring regions on the same lock.
-func (rw *rewriter) optimizeList(stmts []ast.Stmt) []ast.Stmt {
-	out := make([]ast.Stmt, len(stmts))
-	copy(out, stmts)
-	for i, s := range out {
-		if rep := rw.tryExpandCall(s); rep != nil {
-			out[i] = rep
-		}
-	}
-	return rw.mergeRegions(out)
-}
-
-// tryExpandCall turns a statement-level call to a fully synchronized
-// callee into a region around a call to the unsynchronized variant.
-func (rw *rewriter) tryExpandCall(s ast.Stmt) ast.Stmt {
-	if !rw.params.ExpandCalls {
-		return nil
-	}
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return nil
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	target, ok := rw.info.CallTarget[call]
-	if !ok {
-		return nil
-	}
-	cls := rw.class[target.FullName()]
-	if cls == nil {
-		return nil
-	}
-	var lockExpr ast.Expr
-	if cls.lock.onThis {
-		if call.Recv == nil || !pureExpr(call.Recv) {
-			return nil
-		}
-		lockExpr = ast.CloneExpr(call.Recv)
-	} else {
-		if cls.lock.param >= len(call.Args) || !pureExpr(call.Args[cls.lock.param]) {
-			return nil
-		}
-		lockExpr = ast.CloneExpr(call.Args[cls.lock.param])
-	}
-	if rw.params.BoundedCycles && rw.cg.CanReachCycle(cls.regionCallees...) {
-		// The new region would contain a call-graph cycle (§3).
-		return nil
-	}
-	unsyncCall := &ast.CallExpr{P: call.P, Recv: ast.CloneExpr(call.Recv), Name: cls.unsyncName}
-	for _, a := range call.Args {
-		unsyncCall.Args = append(unsyncCall.Args, ast.CloneExpr(a))
-	}
-	rw.localTargets[unsyncCall] = unsyncFullName(target)
-	return &ast.SyncBlock{
-		P:    s.Pos(),
-		Lock: lockExpr,
-		Body: &ast.Block{P: s.Pos(), Stmts: []ast.Stmt{&ast.ExprStmt{P: s.Pos(), X: unsyncCall}}},
-	}
-}
-
-func unsyncFullName(fi *sema.FuncInfo) string {
+	unsync := ast.CloneFunc(fi.Decl)
+	unsync.Name += UnsyncSuffix
+	stripSyncBlocks(unsync.Body)
 	if fi.Class != nil {
-		return fi.Class.Name + "::" + fi.Decl.Name + UnsyncSuffix
+		g.newMethods[fi.Class.Name] = append(g.newMethods[fi.Class.Name], unsync)
+	} else {
+		g.newFuncs = append(g.newFuncs, unsync)
 	}
-	return fi.Decl.Name + UnsyncSuffix
+	g.class[fi.FullName()] = lt
 }
 
-// mergeRegions coalesces SyncBlocks on the same lock within a statement
-// list, absorbing intervening synchronization-free statements into the
-// enlarged region (this is what eliminates the intermediate release and
-// acquire constructs, §3).
-func (rw *rewriter) mergeRegions(stmts []ast.Stmt) []ast.Stmt {
-	var out []ast.Stmt
-	i := 0
-	for i < len(stmts) {
-		sb, ok := stmts[i].(*ast.SyncBlock)
-		if !ok || !pureExpr(sb.Lock) {
-			out = append(out, stmts[i])
-			i++
-			continue
-		}
-		lockCanon := ast.ExprString(sb.Lock)
-		region := []ast.Stmt{}
-		region = append(region, sb.Body.Stmts...)
-		merged := 1 // regions coalesced into the current enlarged region
-		j := i + 1
-		for j < len(stmts) {
-			if rw.params.MaxCoalesce > 0 && merged >= rw.params.MaxCoalesce {
-				break
-			}
-			// Scan ahead for the next region on the same lock, over
-			// absorbable statements.
-			k := j
-			var absorbed []ast.Stmt
-			okRun := true
-			for k < len(stmts) {
-				nxt, isSync := stmts[k].(*ast.SyncBlock)
-				if isSync {
-					if ast.ExprString(nxt.Lock) == lockCanon {
-						break
-					}
-					okRun = false
-					break
-				}
-				if !rw.absorbable(stmts[k], sb.Lock) {
-					okRun = false
-					break
-				}
-				absorbed = append(absorbed, stmts[k])
-				k++
-			}
-			if !okRun || k >= len(stmts) {
-				break
-			}
-			next := stmts[k].(*ast.SyncBlock)
-			candidate := append(append(append([]ast.Stmt{}, region...), absorbed...), next.Body.Stmts...)
-			if rw.params.BoundedCycles && rw.regionReachesCycle(candidate) {
-				break
-			}
-			region = candidate
-			merged++
-			j = k + 1
-		}
-		if j == i+1 {
-			out = append(out, sb)
-		} else {
-			out = append(out, &ast.SyncBlock{P: sb.P, Lock: sb.Lock, Body: &ast.Block{P: sb.P, Stmts: region}})
-		}
-		i = j
+// expand turns the call into a region around a call to the callee's
+// unsynchronized variant, if this call site can name the lock.
+func (g *multiVersion) expand(s ast.Stmt, call *ast.CallExpr, callee *sema.FuncInfo) ast.Stmt {
+	lt := g.class[callee.FullName()]
+	if lt == nil || !pureExpr(lt.of(call)) {
+		return nil
 	}
-	return out
+	if g.view.params.BoundedCycles && g.reachesCycle(callee.Decl.Body) {
+		return nil // the new region would contain a call-graph cycle (§3)
+	}
+	unsync := &ast.CallExpr{P: call.P, Recv: ast.CloneExpr(call.Recv), Name: callee.Decl.Name + UnsyncSuffix}
+	for _, a := range call.Args {
+		unsync.Args = append(unsync.Args, ast.CloneExpr(a))
+	}
+	g.localTargets[unsync] = callee.FullName() + UnsyncSuffix
+	return region(s, ast.CloneExpr(lt.of(call)), 0, &ast.ExprStmt{P: s.Pos(), X: unsync})
 }
 
-// absorbable reports whether a statement may be pulled inside a region on
-// lock: it must be transitively synchronization-free and must not assign
-// any variable the lock expression mentions.
-func (rw *rewriter) absorbable(s ast.Stmt, lock ast.Expr) bool {
-	if !rw.stmtSyncFree(s) {
-		return false
-	}
-	vars := map[string]bool{}
-	collectIdents(lock, vars)
-	bad := false
-	var walk func(st ast.Stmt)
-	walk = func(st ast.Stmt) {
-		switch st := st.(type) {
-		case *ast.Block:
-			for _, x := range st.Stmts {
-				walk(x)
-			}
-		case *ast.AssignStmt:
-			if id, ok := st.LHS.(*ast.Ident); ok && vars[id.Name] {
-				bad = true
-			}
-		case *ast.LetStmt:
-			if vars[st.Name] {
-				bad = true
-			}
-		case *ast.IfStmt:
-			walk(st.Then)
-			if st.Else != nil {
-				walk(st.Else)
-			}
-		case *ast.WhileStmt:
-			walk(st.Body)
-		case *ast.ForStmt:
-			if vars[st.Var] {
-				bad = true
-			}
-			walk(st.Body)
-		case *ast.SyncBlock:
-			walk(st.Body)
+// merge flattens the following same-lock regions, and the synchronization-
+// free statements between them, into one enlarged region — which is what
+// eliminates the intermediate release and acquire constructs (§3) —
+// checking the coarsening bound and the cycle guard at every step.
+func (g *multiVersion) merge(sb *ast.SyncBlock, stmts []ast.Stmt) (ast.Stmt, int) {
+	p := g.view.params
+	body, n := sb.Body.Stmts, 1
+	for merged := 1; p.MaxCoalesce <= 0 || merged < p.MaxCoalesce; merged++ {
+		k := g.nextRegion(g.view, stmts, n, sb.Lock)
+		if k < 0 {
+			break
 		}
+		candidate := append(append(append([]ast.Stmt{}, body...), stmts[n:k]...), stmts[k].(*ast.SyncBlock).Body.Stmts...)
+		if p.BoundedCycles && g.reachesCycle(candidate...) {
+			break
+		}
+		body, n = candidate, k+1
 	}
-	walk(s)
-	return !bad
+	if n == 1 {
+		return sb, 1
+	}
+	return region(sb, sb.Lock, 0, body...), n
 }
 
-func collectIdents(e ast.Expr, out map[string]bool) {
-	switch e := e.(type) {
-	case *ast.Ident:
-		out[e.Name] = true
-	case *ast.ThisExpr:
-		out["this"] = true
-	case *ast.FieldExpr:
-		collectIdents(e.X, out)
-	case *ast.IndexExpr:
-		collectIdents(e.X, out)
-		collectIdents(e.Index, out)
-	case *ast.BinExpr:
-		collectIdents(e.L, out)
-		collectIdents(e.R, out)
-	case *ast.UnExpr:
-		collectIdents(e.X, out)
-	}
-}
-
-// tryLift checks whether a loop body's synchronization can move out of the
-// loop: every SyncBlock in the body must be on the same pure lock whose
-// variables the loop does not assign (and which is not the loop variable).
-// On success it strips the inner regions and returns the lock expression.
-func (rw *rewriter) tryLift(body *ast.Block, loopVar *string) ast.Expr {
-	if !rw.params.Lift {
-		return nil
-	}
-	locks := collectSyncLocks(body)
-	if len(locks) == 0 {
-		return nil
-	}
-	canon := ast.ExprString(locks[0].Lock)
-	for _, l := range locks[1:] {
-		if ast.ExprString(l.Lock) != canon {
-			return nil
-		}
-	}
-	if !pureExpr(locks[0].Lock) {
-		return nil
-	}
-	vars := map[string]bool{}
-	collectIdents(locks[0].Lock, vars)
-	if loopVar != nil && vars[*loopVar] {
-		return nil
-	}
-	if assignsAny(body, vars) {
-		return nil
-	}
-	// Everything outside the regions gets absorbed; it must be
-	// synchronization-free once the inner regions are stripped, which
-	// collectSyncLocks already guarantees structurally — but calls to
-	// functions with residual synchronization must block the lift.
-	if !rw.allCallsSyncFreeOutsideRegions(body) {
-		return nil
-	}
-	if rw.params.BoundedCycles && rw.regionReachesCycle(body.Stmts) {
+// lift strips the loop's regions and wraps the loop in one.
+func (g *multiVersion) lift(loop ast.Stmt, body *ast.Block) ast.Stmt {
+	lock := g.liftableLock(g.view, loop)
+	if lock == nil {
 		return nil
 	}
 	stripSyncBlocks(body)
-	return ast.CloneExpr(locks[0].Lock)
-}
-
-func collectSyncLocks(b *ast.Block) []*ast.SyncBlock {
-	var out []*ast.SyncBlock
-	var walk func(s ast.Stmt)
-	walk = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *ast.SyncBlock:
-			out = append(out, s)
-			walk(s.Body)
-		case *ast.IfStmt:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *ast.WhileStmt:
-			walk(s.Body)
-		case *ast.ForStmt:
-			walk(s.Body)
-		}
-	}
-	walk(b)
-	return out
-}
-
-func assignsAny(b *ast.Block, vars map[string]bool) bool {
-	bad := false
-	var walk func(s ast.Stmt)
-	walk = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *ast.AssignStmt:
-			if id, ok := s.LHS.(*ast.Ident); ok && vars[id.Name] {
-				bad = true
-			}
-		case *ast.LetStmt:
-			if vars[s.Name] {
-				bad = true
-			}
-		case *ast.IfStmt:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *ast.WhileStmt:
-			walk(s.Body)
-		case *ast.ForStmt:
-			if vars[s.Var] {
-				bad = true
-			}
-			walk(s.Body)
-		case *ast.SyncBlock:
-			walk(s.Body)
-		}
-	}
-	walk(b)
-	return bad
-}
-
-// stripSyncBlocks replaces every SyncBlock in the tree with its body.
-func stripSyncBlocks(b *ast.Block) {
-	for i, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ast.SyncBlock:
-			stripSyncBlocks(s.Body)
-			b.Stmts[i] = s.Body
-		case *ast.Block:
-			stripSyncBlocks(s)
-		case *ast.IfStmt:
-			stripSyncBlocks(s.Then)
-			if s.Else != nil {
-				stripSyncBlocks(s.Else)
-			}
-		case *ast.WhileStmt:
-			stripSyncBlocks(s.Body)
-		case *ast.ForStmt:
-			stripSyncBlocks(s.Body)
-		}
-	}
-}
-
-// allCallsSyncFreeOutsideRegions checks that calls outside SyncBlocks in
-// the body target transitively synchronization-free functions, so that
-// absorbing them into the lifted region introduces no nested locking.
-func (rw *rewriter) allCallsSyncFreeOutsideRegions(b *ast.Block) bool {
-	ok := true
-	var walkStmt func(s ast.Stmt, inRegion bool)
-	walkStmt = func(s ast.Stmt, inRegion bool) {
-		switch s := s.(type) {
-		case *ast.Block:
-			for _, st := range s.Stmts {
-				walkStmt(st, inRegion)
-			}
-		case *ast.SyncBlock:
-			walkStmt(s.Body, true)
-		case *ast.IfStmt:
-			if !inRegion && !rw.exprCallsSyncFree(s.Cond) {
-				ok = false
-			}
-			walkStmt(s.Then, inRegion)
-			if s.Else != nil {
-				walkStmt(s.Else, inRegion)
-			}
-		case *ast.WhileStmt:
-			if !inRegion && !rw.exprCallsSyncFree(s.Cond) {
-				ok = false
-			}
-			walkStmt(s.Body, inRegion)
-		case *ast.ForStmt:
-			walkStmt(s.Body, inRegion)
-		case *ast.LetStmt:
-			if !inRegion && s.Init != nil && !rw.exprCallsSyncFree(s.Init) {
-				ok = false
-			}
-		case *ast.AssignStmt:
-			if !inRegion && (!rw.exprCallsSyncFree(s.LHS) || !rw.exprCallsSyncFree(s.RHS)) {
-				ok = false
-			}
-		case *ast.ExprStmt:
-			if !inRegion && !rw.exprCallsSyncFree(s.X) {
-				ok = false
-			}
-		}
-	}
-	walkStmt(b, false)
-	return ok
-}
-
-func (rw *rewriter) exprCallsSyncFree(e ast.Expr) bool {
-	ok := true
-	callgraph.WalkExprCalls(e, func(c *ast.CallExpr) {
-		if name, resolved := rw.callTargetName(c); resolved && !rw.funcSyncFree(name) {
-			ok = false
-		}
-	})
-	return ok
-}
-
-// callTargetName resolves a call's target full name, consulting both the
-// checked info and the rewriter's own created calls.
-func (rw *rewriter) callTargetName(c *ast.CallExpr) (string, bool) {
-	if t, ok := rw.info.CallTarget[c]; ok {
-		return t.FullName(), true
-	}
-	if n, ok := rw.localTargets[c]; ok {
-		return n, true
-	}
-	return "", false
-}
-
-// stmtSyncFree reports whether a statement contains no SyncBlocks and all
-// its calls target transitively synchronization-free functions.
-func (rw *rewriter) stmtSyncFree(s ast.Stmt) bool {
-	free := true
-	var walk func(st ast.Stmt)
-	walk = func(st ast.Stmt) {
-		switch st := st.(type) {
-		case *ast.Block:
-			for _, x := range st.Stmts {
-				walk(x)
-			}
-		case *ast.SyncBlock:
-			free = false
-		case *ast.LetStmt:
-			if st.Init != nil && !rw.exprCallsSyncFree(st.Init) {
-				free = false
-			}
-		case *ast.AssignStmt:
-			if !rw.exprCallsSyncFree(st.LHS) || !rw.exprCallsSyncFree(st.RHS) {
-				free = false
-			}
-		case *ast.ExprStmt:
-			if !rw.exprCallsSyncFree(st.X) {
-				free = false
-			}
-		case *ast.IfStmt:
-			if !rw.exprCallsSyncFree(st.Cond) {
-				free = false
-			}
-			walk(st.Then)
-			if st.Else != nil {
-				walk(st.Else)
-			}
-		case *ast.WhileStmt:
-			if !rw.exprCallsSyncFree(st.Cond) {
-				free = false
-			}
-			walk(st.Body)
-		case *ast.ForStmt:
-			if !rw.exprCallsSyncFree(st.Lo) || !rw.exprCallsSyncFree(st.Hi) {
-				free = false
-			}
-			walk(st.Body)
-		case *ast.ReturnStmt:
-			if st.X != nil && !rw.exprCallsSyncFree(st.X) {
-				free = false
-			}
-		case *ast.PrintStmt:
-			if !rw.exprCallsSyncFree(st.X) {
-				free = false
-			}
-		}
-	}
-	walk(s)
-	return free
-}
-
-// funcSyncFree reports whether the named function's (current) body and its
-// callees contain no synchronization.
-func (rw *rewriter) funcSyncFree(full string) bool {
-	switch rw.syncFreeMemo[full] {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	rw.syncFreeMemo[full] = 1 // optimistic for recursion
-	fi := rw.info.FuncByFullName(full)
-	free := true
-	if fi != nil {
-		free = rw.stmtSyncFree(fi.Decl.Body)
-	} else if !strings.HasSuffix(full, UnsyncSuffix) {
-		free = false // unknown function: conservative
-	}
-	if free {
-		rw.syncFreeMemo[full] = 1
-	} else {
-		rw.syncFreeMemo[full] = 2
-	}
-	return free
-}
-
-// regionReachesCycle reports whether any call inside the prospective
-// region reaches a call-graph cycle; the Bounded policy then declines the
-// transformation.
-func (rw *rewriter) regionReachesCycle(stmts []ast.Stmt) bool {
-	var targets []string
-	for _, s := range stmts {
-		callgraph.WalkCalls(s, func(c *ast.CallExpr) {
-			if n, ok := rw.callTargetName(c); ok {
-				targets = append(targets, strings.TrimSuffix(n, UnsyncSuffix))
-			}
-		})
-	}
-	return rw.cg.CanReachCycle(targets...)
-}
-
-// classify decides whether a function is fully synchronized on a single
-// nameable lock (its receiver or a parameter) and, if so, generates its
-// unsynchronized variant.
-func (rw *rewriter) classify(fi *sema.FuncInfo) {
-	body := fi.Decl.Body
-	locks := collectSyncLocks(body)
-	if len(locks) == 0 {
-		return
-	}
-	canon := ast.ExprString(locks[0].Lock)
-	for _, l := range locks[1:] {
-		if ast.ExprString(l.Lock) != canon {
-			return
-		}
-	}
-	var lt lockTarget
-	switch lk := locks[0].Lock.(type) {
-	case *ast.ThisExpr:
-		if fi.Class == nil {
-			return
-		}
-		lt = lockTarget{onThis: true}
-	case *ast.Ident:
-		idx := -1
-		for i, p := range fi.Decl.Params {
-			if p.Name == lk.Name {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			return
-		}
-		lt = lockTarget{param: idx}
-	default:
-		return
-	}
-	// The lock variable must not be reassigned anywhere in the body.
-	vars := map[string]bool{}
-	collectIdents(locks[0].Lock, vars)
-	if assignsAny(body, vars) {
-		return
-	}
-	// Everything outside the regions must be synchronization-free so the
-	// caller's region can cover the whole call.
-	if !rw.allCallsSyncFreeOutsideRegions(body) {
-		return
-	}
-	// Build the unsynchronized variant.
-	unsync := ast.CloneFunc(fi.Decl)
-	unsync.Name = fi.Decl.Name + UnsyncSuffix
-	stripSyncBlocks(unsync.Body)
-	if fi.Class != nil {
-		rw.newMethods[fi.Class.Name] = append(rw.newMethods[fi.Class.Name], unsync)
-	} else {
-		rw.newFuncs = append(rw.newFuncs, unsync)
-	}
-	var callees []string
-	callgraph.WalkCalls(body, func(c *ast.CallExpr) {
-		if n, ok := rw.callTargetName(c); ok {
-			callees = append(callees, strings.TrimSuffix(n, UnsyncSuffix))
-		}
-	})
-	sort.Strings(callees)
-	rw.class[fi.FullName()] = &classification{
-		lock:          lt,
-		unsyncName:    unsync.Name,
-		regionCallees: callees,
-	}
+	return region(loop, ast.CloneExpr(lock), 0, loop)
 }

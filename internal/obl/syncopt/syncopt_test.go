@@ -1,6 +1,7 @@
 package syncopt
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // prepare parses, checks, analyzes and marks a program.
-func prepare(t *testing.T, src string) (*ast.Program, *sema.Info, *callgraph.Graph) {
+func prepare(t *testing.T, src string) *ast.Program {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -22,22 +23,34 @@ func prepare(t *testing.T, src string) (*ast.Program, *sema.Info, *callgraph.Gra
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := callgraph.Build(info)
-	commute.New(info, cg).AnalyzeLoops()
-	return prog, info, cg
+	commute.New(info, callgraph.Build(info)).AnalyzeLoops()
+	return prog
 }
 
 // applyPolicy runs the full per-policy transformation on a fresh parse.
 func applyPolicy(t *testing.T, src string, policy Policy) *ast.Program {
 	t.Helper()
-	prog, info, cg := prepare(t, src)
-	if err := Apply(prog, info, cg, policy); err != nil {
+	prog, err := Rewrite(prepare(t, src), ParamsFor(policy))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sema.Check(prog); err != nil {
 		t.Fatalf("transformed program fails checking: %v\n%s", err, ast.Print(prog))
 	}
 	return prog
+}
+
+// applyFlagged runs the flag-dispatch transformation on a fresh parse.
+func applyFlagged(t *testing.T, src string) (*ast.Program, *FlaggedInfo) {
+	t.Helper()
+	prog, fi, err := RewriteFlagged(prepare(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sema.Check(prog); err != nil {
+		t.Fatalf("flagged program fails checking: %v\n%s", err, ast.Print(prog))
+	}
+	return prog, fi
 }
 
 const twoUpdates = `
@@ -186,7 +199,7 @@ func TestStripSyncBlocks(t *testing.T) {
 		&ast.SyncBlock{Lock: &ast.ThisExpr{}, Body: &ast.Block{Stmts: []ast.Stmt{update}}},
 	}}
 	stripSyncBlocks(b)
-	if len(collectSyncLocks(b)) != 0 {
+	if len(regions(b)) != 0 {
 		t.Error("sync blocks survive stripping")
 	}
 	// The update must still be reachable (inside the spliced block).
@@ -195,17 +208,25 @@ func TestStripSyncBlocks(t *testing.T) {
 	}
 }
 
+// regions lists the critical regions of a statement tree.
+func regions(s ast.Stmt) []*ast.SyncBlock {
+	var out []*ast.SyncBlock
+	ast.Inspect(s, func(s ast.Stmt) bool {
+		if sb, ok := s.(*ast.SyncBlock); ok {
+			out = append(out, sb)
+		}
+		return true
+	})
+	return out
+}
+
 func printStmts(b *ast.Block) string {
 	f := &ast.FuncDecl{Name: "t", Body: b}
 	return ast.PrintFunc(f)
 }
 
 func TestApplyFlaggedSiteAccounting(t *testing.T) {
-	prog, info, cg := prepare(t, twoUpdates)
-	fi, err := ApplyFlagged(prog, info, cg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog, fi := applyFlagged(t, twoUpdates)
 	if fi.NumSites <= 0 {
 		t.Fatal("no sites created")
 	}
@@ -233,13 +254,10 @@ func TestApplyFlaggedSiteAccounting(t *testing.T) {
 	if same {
 		t.Error("original and aggressive enable identical sites")
 	}
-	// Transformed AST still checks, and all remaining regions carry sites.
-	if _, err := sema.Check(prog); err != nil {
-		t.Fatalf("flagged program fails checking: %v", err)
-	}
+	// All remaining regions carry sites.
 	for _, c := range prog.Classes {
 		for _, m := range c.Methods {
-			for _, sb := range collectSyncLocks(m.Body) {
+			for _, sb := range regions(m.Body) {
 				if sb.Site <= 0 {
 					t.Errorf("unconditional region survived in flagged mode: %s", ast.PrintFunc(m))
 				}
@@ -249,11 +267,40 @@ func TestApplyFlaggedSiteAccounting(t *testing.T) {
 }
 
 func TestApplyFlaggedNoUnsyncVariants(t *testing.T) {
-	prog, info, cg := prepare(t, twoUpdates)
-	if _, err := ApplyFlagged(prog, info, cg); err != nil {
-		t.Fatal(err)
-	}
+	prog, _ := applyFlagged(t, twoUpdates)
 	if strings.Contains(ast.Print(prog), UnsyncSuffix) {
 		t.Error("flagged mode generated unsync variants")
+	}
+}
+
+// TestCallInReturnBlocksExpansion: outer's return statement calls inner,
+// which locks another object of the class, outside outer's region. outer
+// is therefore not fully synchronized on its receiver, and a caller that
+// took over its lock would hold it across that call: no policy may
+// generate outer__unsync, and the flag-dispatch build may put no site
+// around the call to outer.
+func TestCallInReturnBlocksExpansion(t *testing.T) {
+	src, err := os.ReadFile("../analysis/testdata/held_across_call.obl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range AllPolicies {
+		text := ast.Print(applyPolicy(t, string(src), policy))
+		if strings.Contains(text, "outer"+UnsyncSuffix) {
+			t.Errorf("%s took over outer's lock:\n%s", policy, text)
+		}
+	}
+	prog, _ := applyFlagged(t, string(src))
+	for _, fn := range prog.Funcs {
+		if fn.Name != "compute" {
+			continue
+		}
+		if rs := regions(fn.Body); len(rs) != 0 {
+			t.Errorf("flagged build put site %d around the call to outer:\n%s", rs[0].Site, ast.PrintFunc(fn))
+		}
+	}
+	// inner is fully synchronized; expanding calls to it stays legal.
+	if text := ast.Print(applyPolicy(t, string(src), Aggressive)); !strings.Contains(text, "inner"+UnsyncSuffix) {
+		t.Errorf("aggressive no longer classifies inner:\n%s", text)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -122,19 +123,32 @@ func weight(rng *rand.Rand) string {
 	return fmt.Sprintf("%.2f", 0.1+rng.Float64())
 }
 
-// TestFuzzPipeline compiles random commuting programs and checks, for each:
-// the loop parallelizes, every policy and the flag-dispatch build compute
-// the serial results, and acquire counts agree between the multi-version
-// and flagged builds.
+// TestFuzzPipeline compiles random commuting programs, and the fixed ones
+// the generator cannot produce, and checks, for each: the loop
+// parallelizes, every policy and the flag-dispatch build compute the
+// serial results, and acquire counts agree between the multi-version and
+// flagged builds.
 func TestFuzzPipeline(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}
 	if testing.Short() {
 		seeds = seeds[:4]
 	}
+	type input struct{ name, src string }
+	var inputs []input
 	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			src := genProgram(seed)
+		inputs = append(inputs, input{fmt.Sprintf("seed%d", seed), genProgram(seed)})
+	}
+	// A value-returning synchronized method called in return position: a
+	// caller that took over the outer lock would deadlock (the generator
+	// emits no such call).
+	held, err := os.ReadFile("../internal/obl/analysis/testdata/held_across_call.obl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{"held_across_call", string(held)})
+	for _, in := range inputs {
+		src := in.src
+		t.Run(in.name, func(t *testing.T) {
 			c, err := Compile(src)
 			if err != nil {
 				t.Fatalf("compile: %v\nsource:\n%s", err, src)
@@ -156,34 +170,34 @@ func TestFuzzPipeline(t *testing.T) {
 				t.Fatalf("serial run: %v", err)
 			}
 			want := parseAll(t, serial.Output)
-			for _, policy := range []string{"original", "bounded", "aggressive", interp.PolicyDynamic} {
-				mres, err := interp.Run(c.Parallel, interp.Options{
-					Procs: 5, Policy: policy, TargetSampling: simmach.Millisecond,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v\nsource:\n%s", policy, err, src)
-				}
-				fres, err := interp.Run(c.Flagged, interp.Options{
-					Procs: 5, Policy: policy, TargetSampling: simmach.Millisecond,
-				})
-				if err != nil {
-					t.Fatalf("flagged %s: %v\nsource:\n%s", policy, err, src)
-				}
-				for i, w := range want {
-					for what, got := range map[string]float64{
-						"multi":   parseAll(t, mres.Output)[i],
-						"flagged": parseAll(t, fres.Output)[i],
-					} {
-						if math.Abs(got-w) > 1e-6*(1+math.Abs(w)) {
-							t.Errorf("%s/%s out[%d] = %v, want %v\nsource:\n%s",
-								policy, what, i, got, w, src)
+			for _, procs := range []int{2, 5} {
+				for _, policy := range []string{"original", "bounded", "aggressive", interp.PolicyDynamic} {
+					opts := interp.Options{Procs: procs, Policy: policy, TargetSampling: simmach.Millisecond}
+					label := fmt.Sprintf("%s p=%d", policy, procs)
+					mres, err := interp.Run(c.Parallel, opts)
+					if err != nil {
+						t.Fatalf("%s: %v\nsource:\n%s", label, err, src)
+					}
+					fres, err := interp.Run(c.Flagged, opts)
+					if err != nil {
+						t.Fatalf("flagged %s: %v\nsource:\n%s", label, err, src)
+					}
+					for i, w := range want {
+						for what, got := range map[string]float64{
+							"multi":   parseAll(t, mres.Output)[i],
+							"flagged": parseAll(t, fres.Output)[i],
+						} {
+							if math.Abs(got-w) > 1e-6*(1+math.Abs(w)) {
+								t.Errorf("%s/%s out[%d] = %v, want %v\nsource:\n%s",
+									label, what, i, got, w, src)
+							}
 						}
 					}
-				}
-				if policy != interp.PolicyDynamic {
-					if mres.Counters.Acquires != fres.Counters.Acquires {
-						t.Errorf("%s: multi acquires %d != flagged %d\nsource:\n%s",
-							policy, mres.Counters.Acquires, fres.Counters.Acquires, src)
+					if policy != interp.PolicyDynamic {
+						if mres.Counters.Acquires != fres.Counters.Acquires {
+							t.Errorf("%s: multi acquires %d != flagged %d\nsource:\n%s",
+								label, mres.Counters.Acquires, fres.Counters.Acquires, src)
+						}
 					}
 				}
 			}

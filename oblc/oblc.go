@@ -92,53 +92,40 @@ func CompileWithSpecs(src string, specs []polgen.Spec) (*Compiled, error) {
 
 	out := &Compiled{Reports: reports, PolicyPrograms: map[syncopt.Policy]*ast.Program{}}
 
-	// Multi-version parallel program: one clone per policy.
-	pb := lower.NewBuilder()
+	// Multi-version parallel program: one rewritten clone per version, the
+	// paper's policies first, then the generated ones.
+	type version struct {
+		name   string
+		params syncopt.Params
+	}
+	var versions []version
 	for _, policy := range syncopt.AllPolicies {
-		clone := cloneProgram(prog)
-		cinfo, err := sema.Check(clone)
-		if err != nil {
-			return nil, fmt.Errorf("oblc: recheck clone (%s): %w", policy, err)
-		}
-		ccg := callgraph.Build(cinfo)
-		if err := syncopt.Apply(clone, cinfo, ccg, policy); err != nil {
-			return nil, fmt.Errorf("oblc: %s: %w", policy, err)
-		}
-		cinfo, err = sema.Check(clone)
-		if err != nil {
-			return nil, fmt.Errorf("oblc: check transformed (%s): %w", policy, err)
-		}
-		if err := pb.AddPolicy(cinfo, string(policy)); err != nil {
-			return nil, fmt.Errorf("oblc: lower (%s): %w", policy, err)
-		}
-		out.PolicyPrograms[policy] = clone
+		versions = append(versions, version{string(policy), syncopt.ParamsFor(policy)})
 	}
 	for _, spec := range specs {
 		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("oblc: %w", err)
 		}
-		name := spec.Name()
-		if _, dup := out.PolicyPrograms[syncopt.Policy(name)]; dup {
-			return nil, fmt.Errorf("oblc: duplicate policy %q", name)
+		versions = append(versions, version{spec.Name(), spec.SyncParams()})
+		out.GenPolicies = append(out.GenPolicies, spec.Name())
+	}
+	pb := lower.NewBuilder()
+	for _, v := range versions {
+		if _, dup := out.PolicyPrograms[syncopt.Policy(v.name)]; dup {
+			return nil, fmt.Errorf("oblc: duplicate policy %q", v.name)
 		}
-		clone := cloneProgram(prog)
+		clone, err := syncopt.Rewrite(prog, v.params)
+		if err != nil {
+			return nil, fmt.Errorf("oblc: %s: %w", v.name, err)
+		}
 		cinfo, err := sema.Check(clone)
 		if err != nil {
-			return nil, fmt.Errorf("oblc: recheck clone (%s): %w", name, err)
+			return nil, fmt.Errorf("oblc: check transformed (%s): %w", v.name, err)
 		}
-		ccg := callgraph.Build(cinfo)
-		if err := syncopt.ApplyParams(clone, cinfo, ccg, spec.SyncParams()); err != nil {
-			return nil, fmt.Errorf("oblc: %s: %w", name, err)
+		if err := pb.AddPolicy(cinfo, v.name); err != nil {
+			return nil, fmt.Errorf("oblc: lower (%s): %w", v.name, err)
 		}
-		cinfo, err = sema.Check(clone)
-		if err != nil {
-			return nil, fmt.Errorf("oblc: check transformed (%s): %w", name, err)
-		}
-		if err := pb.AddPolicy(cinfo, name); err != nil {
-			return nil, fmt.Errorf("oblc: lower (%s): %w", name, err)
-		}
-		out.PolicyPrograms[syncopt.Policy(name)] = clone
-		out.GenPolicies = append(out.GenPolicies, name)
+		out.PolicyPrograms[syncopt.Policy(v.name)] = clone
 	}
 	parallel, err := pb.Finish()
 	if err != nil {
@@ -167,17 +154,11 @@ func CompileWithSpecs(src string, specs []polgen.Spec) (*Compiled, error) {
 	// Flag-dispatch single version (§4.2 alternative): one body per
 	// function with conditional synchronization sites; policies are flag
 	// assignments.
-	flaggedAST := cloneProgram(prog)
-	finfo, err := sema.Check(flaggedAST)
-	if err != nil {
-		return nil, fmt.Errorf("oblc: recheck flagged clone: %w", err)
-	}
-	fcg := callgraph.Build(finfo)
-	flagInfo, err := syncopt.ApplyFlagged(flaggedAST, finfo, fcg)
+	flaggedAST, flagInfo, err := syncopt.RewriteFlagged(prog)
 	if err != nil {
 		return nil, fmt.Errorf("oblc: flagged: %w", err)
 	}
-	finfo, err = sema.Check(flaggedAST)
+	finfo, err := sema.Check(flaggedAST)
 	if err != nil {
 		return nil, fmt.Errorf("oblc: check flagged: %w", err)
 	}
@@ -203,8 +184,21 @@ func CompileWithSpecs(src string, specs []polgen.Spec) (*Compiled, error) {
 	out.FlaggedSites = flagInfo.NumSites
 
 	// Serial baseline: strip parallel marks, no synchronization.
-	serialAST := cloneProgram(prog)
-	stripParallel(serialAST)
+	serialAST := ast.CloneProgram(prog)
+	unmark := func(s ast.Stmt) bool {
+		if loop, ok := s.(*ast.ForStmt); ok {
+			loop.Parallel, loop.Section = false, ""
+		}
+		return true
+	}
+	for _, f := range serialAST.Funcs {
+		ast.Inspect(f.Body, unmark)
+	}
+	for _, c := range serialAST.Classes {
+		for _, m := range c.Methods {
+			ast.Inspect(m.Body, unmark)
+		}
+	}
 	sinfo, err := sema.Check(serialAST)
 	if err != nil {
 		return nil, fmt.Errorf("oblc: check serial: %w", err)
@@ -223,42 +217,6 @@ func CompileWithSpecs(src string, specs []polgen.Spec) (*Compiled, error) {
 	}
 	out.Serial = serial
 	return out, nil
-}
-
-// cloneProgram deep-copies a program AST (with parallel loop marks).
-func cloneProgram(p *ast.Program) *ast.Program { return ast.CloneProgram(p) }
-
-func stripParallel(p *ast.Program) {
-	var walk func(s ast.Stmt)
-	walk = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *ast.IfStmt:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *ast.WhileStmt:
-			walk(s.Body)
-		case *ast.ForStmt:
-			s.Parallel = false
-			s.Section = ""
-			walk(s.Body)
-		case *ast.SyncBlock:
-			walk(s.Body)
-		}
-	}
-	for _, f := range p.Funcs {
-		walk(f.Body)
-	}
-	for _, c := range p.Classes {
-		for _, m := range c.Methods {
-			walk(m.Body)
-		}
-	}
 }
 
 // EffectSummaries renders the commutativity analysis's per-operation
