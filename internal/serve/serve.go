@@ -34,10 +34,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,10 +138,10 @@ type Server struct {
 	appMu    sync.Mutex
 	compiled map[string]*oblc.Compiled
 
-	// adaptMu guards lastAdapt, the most recent OBL run's per-section
-	// adaptation events, reported by /stats.
+	// adaptMu guards lastAdapt, the most recent OBL run that had adaptation
+	// events; /stats reports them.
 	adaptMu   sync.Mutex
-	lastAdapt *adaptRecordJSON
+	lastAdapt adaptedRun
 
 	requests atomic.Int64
 	runsOK   atomic.Int64
@@ -176,17 +177,33 @@ type adaptRecordJSON struct {
 	Sections map[string][]adaptEventJSON `json:"sections"`
 }
 
-// adaptEvents extracts a section's adaptation events: the initial
-// production selection plus every production entry that changed version.
-func adaptEvents(sec *interp.SectionStats) []adaptEventJSON {
-	var out []adaptEventJSON
-	for i, sw := range sec.Switches {
-		if i > 0 && sw.Version == sec.Switches[i-1].Version {
-			continue
+// adaptedRun is what /stats needs of an OBL run to report its adaptation
+// events. The result is shared with the cache and is only read.
+type adaptedRun struct {
+	reply runReply
+	res   *interp.Result
+}
+
+// isAdaptEvent reports whether production entry i of a section is an
+// adaptation event: the initial production selection, or an entry that
+// changed version.
+func isAdaptEvent(switches []interp.SwitchStat, i int) bool {
+	return i == 0 || switches[i].Version != switches[i-1].Version
+}
+
+// record renders the run's adaptation report.
+func (a adaptedRun) record() *adaptRecordJSON {
+	rec := &adaptRecordJSON{App: a.reply.app, Policy: a.reply.policy, Procs: a.reply.procs,
+		Perturb: a.reply.perturb, Sections: map[string][]adaptEventJSON{}}
+	for _, sec := range a.res.Sections {
+		for i, sw := range sec.Switches {
+			if isAdaptEvent(sec.Switches, i) {
+				rec.Sections[sec.Name] = append(rec.Sections[sec.Name],
+					adaptEventJSON{Round: sw.Round, Policy: sw.Label, AtNS: int64(sw.At)})
+			}
 		}
-		out = append(out, adaptEventJSON{Round: sw.Round, Policy: sw.Label, AtNS: int64(sw.At)})
 	}
-	return out
+	return rec
 }
 
 // New builds a server with every bundled native workload registered.
@@ -473,10 +490,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		doc["simcache"] = s.cfg.Cache.Stats()
 	}
 	s.adaptMu.Lock()
-	if s.lastAdapt != nil {
-		doc["adaptations"] = s.lastAdapt
-	}
+	last := s.lastAdapt
 	s.adaptMu.Unlock()
+	if last.res != nil {
+		doc["adaptations"] = last.record()
+	}
 	writeJSON(w, http.StatusOK, doc)
 }
 
@@ -512,6 +530,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		s.runsErr.Add(1)
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	// Only white space may follow the object. (dec.More would let a stray
+	// closing brace or bracket through.)
+	if _, err := dec.Token(); err != io.EOF {
+		s.runsErr.Add(1)
+		writeError(w, http.StatusBadRequest, "bad request body: data after the request object")
 		return
 	}
 	switch {
@@ -596,6 +621,10 @@ func (s *Server) runSection(w http.ResponseWriter, r *http.Request, req runReque
 	})
 }
 
+// staticPolicies are the policy names /run accepts beside "dynamic" and
+// "serial".
+var staticPolicies = oblc.Policies()
+
 // compiledApp compiles a bundled application once and caches it.
 func (s *Server) compiledApp(name string) (*oblc.Compiled, error) {
 	s.appMu.Lock()
@@ -631,14 +660,10 @@ func (s *Server) runApp(w http.ResponseWriter, r *http.Request, req runRequest) 
 	if policy == "" {
 		policy = interp.PolicyDynamic
 	}
-	valid := policy == interp.PolicyDynamic || policy == "serial"
-	for _, p := range oblc.Policies() {
-		valid = valid || policy == p
-	}
-	if !valid {
+	if policy != interp.PolicyDynamic && policy != "serial" && !slices.Contains(staticPolicies, policy) {
 		s.runsErr.Add(1)
 		writeError(w, http.StatusBadRequest, "unknown policy %q (want dynamic, serial, or one of %v)",
-			policy, oblc.Policies())
+			policy, staticPolicies)
 		return
 	}
 	var sched *perturb.Schedule
@@ -673,6 +698,15 @@ func (s *Server) runApp(w http.ResponseWriter, r *http.Request, req runRequest) 
 	// individual program parameters (integers) through params.
 	params := apps.TestParams(req.App)
 	for key, val := range req.Params {
+		// interp.Run ignores an override the program does not declare, but
+		// CacheKey hashes it: a typo would run the default size, report
+		// success and take a cache entry of its own.
+		if _, ok := c.Parallel.Params[key]; !ok {
+			s.runsErr.Add(1)
+			writeError(w, http.StatusBadRequest, "app %q has no parameter %q (have %v)",
+				req.App, key, c.Parallel.ParamNames)
+			return
+		}
 		f, ok := val.(float64)
 		if !ok || f != float64(int64(f)) {
 			s.runsErr.Add(1)
@@ -727,54 +761,21 @@ func (s *Server) runApp(w http.ResponseWriter, r *http.Request, req runRequest) 
 	wall := time.Since(start) //dfvet:allow walltime wall latency of serving the request, observed into a histogram
 	s.runSeconds.Observe(wall.Seconds())
 
-	type appSectionJSON struct {
-		Name       string           `json:"name"`
-		Iterations int64            `json:"iterations"`
-		Versions   []string         `json:"versions"`
-		Chosen     string           `json:"chosen"`
-		Switches   []adaptEventJSON `json:"switches,omitempty"`
-	}
-	var sections []appSectionJSON
-	adapt := &adaptRecordJSON{App: req.App, Policy: policy, Procs: procs,
-		Perturb: perturbName, Sections: map[string][]adaptEventJSON{}}
-	for _, sec := range res.Sections {
-		chosen := ""
-		if sec.ChosenVersion >= 0 && sec.ChosenVersion < len(sec.VersionLabels) {
-			chosen = sec.VersionLabels[sec.ChosenVersion]
-		}
-		events := adaptEvents(sec)
-		if len(events) > 0 {
-			adapt.Sections[sec.Name] = events
-		}
-		sections = append(sections, appSectionJSON{
-			Name:       sec.Name,
-			Iterations: sec.Iterations,
-			Versions:   sec.VersionLabels,
-			Chosen:     chosen,
-			Switches:   events,
-		})
-	}
-	sort.Slice(sections, func(i, j int) bool { return sections[i].Name < sections[j].Name })
-	if len(adapt.Sections) > 0 {
+	reply := runReply{app: req.App, policy: policy, perturb: perturbName, procs: procs,
+		cached: cached, wallNS: wall.Nanoseconds()}
+	if slices.ContainsFunc(res.Sections, func(sec *interp.SectionStats) bool { return len(sec.Switches) > 0 }) {
 		s.adaptMu.Lock()
-		s.lastAdapt = adapt
+		s.lastAdapt = adaptedRun{reply, res}
 		s.adaptMu.Unlock()
 	}
 	s.runsOK.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"kind":            "obl",
-		"app":             req.App,
-		"policy":          policy,
-		"procs":           procs,
-		"perturb":         perturbName,
-		"cached":          cached,
-		"wall_ns":         wall.Nanoseconds(),
-		"virtual_ns":      int64(res.Time),
-		"acquires":        res.Counters.Acquires,
-		"failed_acquires": res.Counters.FailedAcquires,
-		"lock_ns":         int64(res.Counters.LockTime),
-		"wait_ns":         int64(res.Counters.WaitTime),
-		"output":          res.Output,
-		"sections":        sections,
-	})
+
+	buf := replyBufs.Get().(*[]byte)
+	*buf = appendRunReply((*buf)[:0], reply, res)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(*buf)
+	if cap(*buf) <= maxPooledReply {
+		replyBufs.Put(buf)
+	}
 }

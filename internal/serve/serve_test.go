@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -309,27 +310,40 @@ func TestRunValidation(t *testing.T) {
 	cases := []struct {
 		body   string
 		status int
+		errHas string // what the error must mention
 	}{
-		{`{}`, http.StatusBadRequest},
-		{`{"section":"sort","app":"water"}`, http.StatusBadRequest},
-		{`{"section":"nope"}`, http.StatusNotFound},
-		{`{"app":"nope"}`, http.StatusNotFound},
-		{`{"section":"sort","iters":-5}`, http.StatusBadRequest},
-		{`{"section":"sort","params":{"bogus":true}}`, http.StatusBadRequest},
-		{`{"section":"sort","params":{"shuffled":"yes"}}`, http.StatusBadRequest},
-		{`{"app":"water","procs":1000}`, http.StatusBadRequest},
-		{`{"app":"water","policy":"nope"}`, http.StatusBadRequest},
-		{`{"app":"water","params":{"nmol":1.5}}`, http.StatusBadRequest},
-		{`{"unknown_field":1}`, http.StatusBadRequest},
-		{`{"section":"sort","perturb":"crossover"}`, http.StatusBadRequest},
-		{`{"app":"water","perturb":"nope"}`, http.StatusBadRequest},
-		{`{"app":"water","perturb":"crossover","schedule":{"changes":[]}}`, http.StatusBadRequest},
-		{`{"app":"water","schedule":{"changes":[{"at_ns":0,"acquire_milli":2000}]}}`, http.StatusBadRequest},
+		{`{}`, http.StatusBadRequest, ""},
+		{`{"section":"sort","app":"water"}`, http.StatusBadRequest, ""},
+		{`{"section":"nope"}`, http.StatusNotFound, ""},
+		{`{"app":"nope"}`, http.StatusNotFound, ""},
+		{`{"section":"sort","iters":-5}`, http.StatusBadRequest, ""},
+		{`{"section":"sort","params":{"bogus":true}}`, http.StatusBadRequest, ""},
+		{`{"section":"sort","params":{"shuffled":"yes"}}`, http.StatusBadRequest, ""},
+		{`{"app":"water","procs":1000}`, http.StatusBadRequest, ""},
+		{`{"app":"water","policy":"nope"}`, http.StatusBadRequest, "original bounded aggressive"},
+		{`{"app":"water","params":{"nmol":1.5}}`, http.StatusBadRequest, ""},
+		// A parameter the program does not declare: Barnes-Hut's, and a typo.
+		{`{"app":"water","params":{"nbodies":64}}`, http.StatusBadRequest, "energydepth nmol nsteps serialwork"},
+		{`{"app":"water","params":{"nmoll":12}}`, http.StatusBadRequest, `"nmoll"`},
+		{`{"unknown_field":1}`, http.StatusBadRequest, ""},
+		{`{"section":"sort","perturb":"crossover"}`, http.StatusBadRequest, ""},
+		{`{"app":"water","perturb":"nope"}`, http.StatusBadRequest, ""},
+		{`{"app":"water","perturb":"crossover","schedule":{"changes":[]}}`, http.StatusBadRequest, ""},
+		{`{"app":"water","schedule":{"changes":[{"at_ns":0,"acquire_milli":2000}]}}`, http.StatusBadRequest, ""},
+		// Anything but white space after the request object.
+		{`{"app":"string","procs":2} {"app":"string","procs":2}`, http.StatusBadRequest, "after the request object"},
+		{`{"app":"string","procs":2}}`, http.StatusBadRequest, "after the request object"},
+		{`{"app":"string","procs":2}]`, http.StatusBadRequest, "after the request object"},
+		{`{"app":"string","procs":2} x`, http.StatusBadRequest, "after the request object"},
+		{`{"app":"string","procs":2}` + "\n \t\r\n", http.StatusOK, ""},
 	}
 	for _, c := range cases {
 		status, out := postRun(t, ts.URL, c.body)
 		if status != c.status {
 			t.Errorf("%s: status %d (%v), want %d", c.body, status, out, c.status)
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, c.errHas) {
+			t.Errorf("%s: error %q does not mention %q", c.body, msg, c.errHas)
 		}
 	}
 }

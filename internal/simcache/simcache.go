@@ -32,7 +32,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/interp"
 )
@@ -177,7 +179,7 @@ func (c *Cache) Put(key string, res *interp.Result) {
 		c.note(func(s *Stats) { s.Errors++ })
 		return
 	}
-	if err := writeAtomic(c.entryPath(key), c.dir, data); err != nil {
+	if err := writeAtomic(c.entryPath(key), data); err != nil {
 		c.note(func(s *Stats) { s.Errors++ })
 	}
 }
@@ -251,24 +253,27 @@ func EncodeResult(res *interp.Result) ([]byte, error) {
 	return data, nil
 }
 
-// writeAtomic writes data to path through a temporary file in dir and an
-// atomic rename, so readers never observe a torn entry.
-func writeAtomic(path, dir string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// tmpSeq numbers this process's temporary files.
+var tmpSeq atomic.Uint64
+
+// writeAtomic writes data to path through a temporary sibling and an atomic
+// rename, so readers never observe a torn entry. The sibling's name is
+// unique to this process and this call (pid and a sequence number), so one
+// exclusive create opens it with its final mode; should a crashed process
+// with the same pid have left that very name behind, this put fails and is
+// counted like any other disk error.
+func writeAtomic(path string, data []byte) error {
+	tmpName := path + ".tmp" + strconv.Itoa(os.Getpid()) + "-" + strconv.FormatUint(tmpSeq.Add(1), 10)
+	tmp, err := os.OpenFile(tmpName, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return err
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
 		os.Remove(tmpName)
 		return err
 	}

@@ -211,6 +211,23 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// wantOnlyEntry fails the test unless dir holds key's entry file and nothing
+// else: no temporary sibling left behind.
+func wantOnlyEntry(t *testing.T, dir, key string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != key+".json" {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Errorf("dir contents = %v, want exactly one entry file", names)
+	}
+}
+
 func TestAtomicWriteLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	c, err := New(Config{Dir: dir})
@@ -219,19 +236,78 @@ func TestAtomicWriteLeavesNoTemp(t *testing.T) {
 	}
 	c.Put(keyA, sampleResult(1))
 	c.Put(keyA, sampleResult(2)) // overwrite through rename
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != keyA+".json" {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Errorf("dir contents = %v, want exactly one entry file", names)
-	}
+	wantOnlyEntry(t, dir, keyA)
 	got, ok := c.Get(keyA)
 	if !ok || got.Time != 2*simmach.Second {
 		t.Errorf("overwrite not visible: ok=%v", ok)
+	}
+}
+
+// TestConcurrentPutsOfOneKey races writers of a single entry: each must get
+// a temporary file of its own (none fails, none is left behind), and what
+// the renames leave is one whole entry, whichever writer came last.
+func TestConcurrentPutsOfOneKey(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(Config{Dir: dir, MemEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				c.Put(keyA, sampleResult(int64(1+g)))
+				if _, ok := c.Get(keyA); !ok {
+					t.Errorf("writer %d: entry unreadable between puts", g)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Puts != 200 || st.Errors != 0 || st.DiskHits != 200 {
+		t.Errorf("stats = %+v, want 200 puts, 200 disk hits and no errors", st)
+	}
+	wantOnlyEntry(t, dir, keyA)
+	got, ok := c.Get(keyA)
+	if !ok || got.Counters.Acquires < 1 || got.Counters.Acquires > 8 || len(got.Output) != 2 {
+		t.Errorf("final entry not one writer's whole record: ok=%v, %+v", ok, got)
+	}
+}
+
+// BenchmarkPut is one new entry written to both tiers: encode, the exclusive
+// create of the temporary sibling, write, rename. Every key is fresh, as in
+// a content-addressed cache nearly every put is (a rename over an existing
+// file is another cost: ext4 flushes the data first).
+func BenchmarkPut(b *testing.B) {
+	c, err := New(Config{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := sampleResult(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Put(fmt.Sprintf("%064x", i), res)
+	}
+	if st := c.Stats(); st.Errors != 0 {
+		b.Fatalf("%d of %d puts failed", st.Errors, st.Puts)
+	}
+}
+
+// BenchmarkGetDisk is a hit the memory tier does not hold: read and decode.
+func BenchmarkGetDisk(b *testing.B) {
+	c, err := New(Config{Dir: b.TempDir(), MemEntries: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.Put(keyA, sampleResult(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Get(keyA); !ok {
+			b.Fatal("miss")
+		}
 	}
 }
