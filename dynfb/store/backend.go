@@ -96,8 +96,9 @@ var ErrConflict = errors.New("store: compare-and-swap conflict")
 // Backend is the storage engine behind the Store API: a versioned key →
 // record map with optimistic concurrency and change notification. Four
 // implementations are provided: MemStore (in-process), FileStore (one
-// JSON file, atomic renames), KVStore (write-ahead-logged embedded KV),
-// and ReplStore (hub-replicated). All must be safe for concurrent use.
+// JSON file, atomic renames), KVStore (write-ahead-logged embedded KV) —
+// one record table with three durability steps — and ReplStore
+// (hub-replicated, over any of them). All must be safe for concurrent use.
 type Backend interface {
 	// Get returns the record at k and whether one exists.
 	Get(k Key) (VersionedRecord, bool, error)
@@ -162,20 +163,97 @@ func (w *watchers) notify(rec VersionedRecord) {
 	}
 }
 
-// validatePut is the shared Put precondition check.
-func validatePut(rec VersionedRecord) error {
+// table is the versioned record map the three local backends embed: the
+// one Get, compare-and-swap Put, List and Watch, plus the default tenant's
+// Store view. A backend differs only in commit, the step that makes an
+// applied put durable.
+type table struct {
+	tenantStore
+
+	mu   sync.Mutex
+	recs map[Key]VersionedRecord
+	// commit, when non-nil, runs under mu with the put already applied to
+	// recs; on an error Put restores the map, so memory and disk agree.
+	commit func(stored VersionedRecord) error
+	watch  watchers
+}
+
+// init readies an empty table and points its Store view at itself.
+func (t *table) init(commit func(VersionedRecord) error) {
+	t.tenantStore.b = t
+	t.recs = map[Key]VersionedRecord{}
+	t.commit = commit
+}
+
+// Get implements Backend.
+func (t *table) Get(k Key) (VersionedRecord, bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	vr, ok := t.recs[k]
+	if !ok {
+		return VersionedRecord{}, false, nil
+	}
+	return cloneVersioned(vr), true, nil
+}
+
+// Put implements Backend. The record is stored with its Record.Section
+// filled in from the key, the form every reader and every reopen sees.
+func (t *table) Put(rec VersionedRecord, prev uint64) (VersionedRecord, error) {
 	if err := rec.Key.Validate(); err != nil {
-		return err
+		return VersionedRecord{}, err
 	}
 	if rec.Record.Section == "" {
 		rec.Record.Section = rec.Key.Section
 	}
 	if rec.Record.Section != rec.Key.Section {
-		return fmt.Errorf("store: record section %q does not match key section %q",
+		return VersionedRecord{}, fmt.Errorf("store: record section %q does not match key section %q",
 			rec.Record.Section, rec.Key.Section)
 	}
-	return nil
+	t.mu.Lock()
+	cur, ok := t.recs[rec.Key] // a missing record reads as version 0
+	if cur.Version != prev {
+		t.mu.Unlock()
+		return VersionedRecord{}, fmt.Errorf("%w: key %s at version %d, caller expected %d",
+			ErrConflict, rec.Key, cur.Version, prev)
+	}
+	stored := cloneVersioned(rec)
+	stored.Version = prev + 1
+	t.recs[rec.Key] = stored
+	if t.commit != nil {
+		if err := t.commit(stored); err != nil {
+			if ok {
+				t.recs[rec.Key] = cur
+			} else {
+				delete(t.recs, rec.Key)
+			}
+			t.mu.Unlock()
+			return VersionedRecord{}, err
+		}
+	}
+	t.mu.Unlock()
+	t.watch.notify(cloneVersioned(stored))
+	return cloneVersioned(stored), nil
 }
+
+// List implements Backend.
+func (t *table) List() ([]Key, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	keys := make([]Key, 0, len(t.recs))
+	for k := range t.recs {
+		keys = append(keys, k)
+	}
+	SortKeys(keys)
+	return keys, nil
+}
+
+// Watch implements Backend.
+func (t *table) Watch(fn func(VersionedRecord)) (cancel func()) {
+	return t.watch.add(fn)
+}
+
+// Close implements Backend: a no-op unless the backend holds a resource.
+func (t *table) Close() error { return nil }
 
 // MergeLWW applies rec into b if it wins last-writer-wins resolution
 // against the record already stored at its key, retrying CAS conflicts.
@@ -220,47 +298,31 @@ type tenantStore struct {
 	tenant string
 }
 
+// LoadFor implements EnvLoader: the exact lookup — one tenant, one section,
+// one environment.
 func (s *tenantStore) LoadFor(section string, fp Fingerprint) (Record, bool, error) {
-	return viewLoadFor(s.b, s.tenant, section, fp)
-}
-
-func (s *tenantStore) Load(section string) (Record, bool, error) {
-	return viewLoad(s.b, s.tenant, section)
-}
-
-func (s *tenantStore) Save(rec Record) error {
-	return viewSave(s.b, s.tenant, rec)
-}
-
-func (s *tenantStore) Sections() ([]string, error) {
-	return viewSections(s.b, s.tenant)
-}
-
-// viewLoadFor is the exact lookup: one tenant, one section, one
-// environment.
-func viewLoadFor(b Backend, tenant, section string, fp Fingerprint) (Record, bool, error) {
-	vr, ok, err := b.Get(Key{Tenant: tenant, Section: section, Env: fp.Hash()})
+	vr, ok, err := s.b.Get(Key{Tenant: s.tenant, Section: section, Env: fp.Hash()})
 	if err != nil || !ok {
 		return Record{}, false, err
 	}
 	return vr.Record, true, nil
 }
 
-// viewLoad returns the newest record for the section across environments
-// (callers that know their fingerprint use LoadFor; Load keeps the
-// original single-record-per-section Store semantics working).
-func viewLoad(b Backend, tenant, section string) (Record, bool, error) {
-	keys, err := b.List()
+// Load implements Store: the newest record for the section across
+// environments (callers that know their fingerprint use LoadFor; Load keeps
+// the original single-record-per-section Store semantics working).
+func (s *tenantStore) Load(section string) (Record, bool, error) {
+	keys, err := s.b.List()
 	if err != nil {
 		return Record{}, false, err
 	}
 	var best VersionedRecord
 	found := false
 	for _, k := range keys {
-		if k.Tenant != tenant || k.Section != section {
+		if k.Tenant != s.tenant || k.Section != section {
 			continue
 		}
-		vr, ok, err := b.Get(k)
+		vr, ok, err := s.b.Get(k)
 		if err != nil {
 			return Record{}, false, err
 		}
@@ -278,13 +340,14 @@ func viewLoad(b Backend, tenant, section string) (Record, bool, error) {
 	return best.Record, true, nil
 }
 
-func viewSave(b Backend, tenant string, rec Record) error {
+// Save implements Store.
+func (s *tenantStore) Save(rec Record) error {
 	if rec.Section == "" {
 		return fmt.Errorf("store: record has no section name")
 	}
-	k := Key{Tenant: tenant, Section: rec.Section, Env: rec.Fingerprint.Hash()}
+	k := Key{Tenant: s.tenant, Section: rec.Section, Env: rec.Fingerprint.Hash()}
 	for {
-		cur, ok, err := b.Get(k)
+		cur, ok, err := s.b.Get(k)
 		if err != nil {
 			return err
 		}
@@ -294,7 +357,7 @@ func viewSave(b Backend, tenant string, rec Record) error {
 			prev = cur.Version
 			next.Clock = cur.Clock + 1
 		}
-		if _, err := b.Put(next, prev); err != nil {
+		if _, err := s.b.Put(next, prev); err != nil {
 			if errors.Is(err, ErrConflict) {
 				continue
 			}
@@ -304,15 +367,16 @@ func viewSave(b Backend, tenant string, rec Record) error {
 	}
 }
 
-func viewSections(b Backend, tenant string) ([]string, error) {
-	keys, err := b.List()
+// Sections implements Store.
+func (s *tenantStore) Sections() ([]string, error) {
+	keys, err := s.b.List()
 	if err != nil {
 		return nil, err
 	}
 	seen := map[string]bool{}
 	var out []string
 	for _, k := range keys {
-		if k.Tenant != tenant || seen[k.Section] {
+		if k.Tenant != s.tenant || seen[k.Section] {
 			continue
 		}
 		seen[k.Section] = true
@@ -322,6 +386,7 @@ func viewSections(b Backend, tenant string) ([]string, error) {
 	return out, nil
 }
 
-func sortKeys(keys []Key) {
+// SortKeys sorts keys by (tenant, section, env), the order List returns.
+func SortKeys(keys []Key) {
 	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 }

@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -332,6 +333,32 @@ func runConformance(t *testing.T, fx backendFixture) {
 			Key: confKey("other", "e"), Record: confRecord("sec"),
 		}, 0); err == nil {
 			t.Error("section/key mismatch accepted")
+		}
+	})
+
+	// A record put without its section name is stored with the key's: one
+	// encoding per key, whether it is read now, by a peer, or after a reopen.
+	t.Run("fills-record-section", func(t *testing.T) {
+		b := fx.open(t)
+		defer func() { b.Close() }() // whichever handle is current: reopen closes the first
+		rec := confRecord("")
+		k := confKey("sec", rec.Fingerprint.Hash())
+		stored, err := b.Put(store.VersionedRecord{Key: k, Clock: 1, Record: rec}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := b.Get(k)
+		if !ok || err != nil || got.Record.Section != "sec" || stored.Record.Section != "sec" {
+			t.Errorf("read back section %q (Put returned %q, ok=%v err=%v), want sec",
+				got.Record.Section, stored.Record.Section, ok, err)
+		}
+		if fx.reopen == nil {
+			return
+		}
+		b = fx.reopen(t, b)
+		again, ok, err := b.Get(k)
+		if !ok || err != nil || !reflect.DeepEqual(again.Record, got.Record) {
+			t.Errorf("record changed across reopen (ok=%v err=%v):\n got %+v\nwant %+v", ok, err, again.Record, got.Record)
 		}
 	})
 

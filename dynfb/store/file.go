@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // fileSchema is the on-disk envelope of a FileStore (and of a KVStore
@@ -32,13 +31,11 @@ type fileSchemaV1 struct {
 // both fsynced so the rename is durable once Put returns. It implements
 // both Store and Backend.
 type FileStore struct {
+	table
 	path string
-	mu   sync.Mutex
-	recs map[Key]VersionedRecord
 	// loadWarning describes a tolerated load failure (corrupt or
 	// version-skewed file), for callers that want to report it.
 	loadWarning string
-	watch       watchers
 }
 
 // OpenFile opens (or initializes) the store file at path. A missing file
@@ -53,7 +50,8 @@ func OpenFile(path string) (*FileStore, error) {
 	if path == "" {
 		return nil, fmt.Errorf("store: empty file path")
 	}
-	f := &FileStore{path: path, recs: map[Key]VersionedRecord{}}
+	f := &FileStore{path: path}
+	f.init(f.flushLocked)
 	// Sweep temporaries a crashed write may have left beside the store;
 	// they were never renamed, so their contents are possibly torn and
 	// must never be read as a store.
@@ -72,9 +70,7 @@ func OpenFile(path string) (*FileStore, error) {
 		}
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	recs, warn := decodeRecords(data, path)
-	f.recs = recs
-	f.loadWarning = warn
+	f.recs, f.loadWarning = decodeRecords(data, path)
 	return f, nil
 }
 
@@ -205,98 +201,11 @@ func (f *FileStore) Path() string { return f.path }
 // cleanly or did not exist).
 func (f *FileStore) LoadWarning() string { return f.loadWarning }
 
-// Get implements Backend.
-func (f *FileStore) Get(k Key) (VersionedRecord, bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	vr, ok := f.recs[k]
-	if !ok {
-		return VersionedRecord{}, false, nil
-	}
-	return cloneVersioned(vr), true, nil
-}
-
-// Put implements Backend. The whole store is rewritten atomically and
-// durably before Put returns.
-func (f *FileStore) Put(rec VersionedRecord, prev uint64) (VersionedRecord, error) {
-	if err := validatePut(rec); err != nil {
-		return VersionedRecord{}, err
-	}
-	f.mu.Lock()
-	cur, ok := f.recs[rec.Key]
-	curVersion := uint64(0)
-	if ok {
-		curVersion = cur.Version
-	}
-	if curVersion != prev {
-		f.mu.Unlock()
-		return VersionedRecord{}, fmt.Errorf("%w: key %s at version %d, caller expected %d",
-			ErrConflict, rec.Key, curVersion, prev)
-	}
-	stored := cloneVersioned(rec)
-	stored.Version = curVersion + 1
-	f.recs[rec.Key] = stored
-	if err := f.flushLocked(); err != nil {
-		// Roll the map back so memory and disk stay in agreement.
-		if ok {
-			f.recs[rec.Key] = cur
-		} else {
-			delete(f.recs, rec.Key)
-		}
-		f.mu.Unlock()
-		return VersionedRecord{}, err
-	}
-	out := cloneVersioned(stored)
-	f.mu.Unlock()
-	f.watch.notify(out)
-	return cloneVersioned(out), nil
-}
-
-// List implements Backend.
-func (f *FileStore) List() ([]Key, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	keys := make([]Key, 0, len(f.recs))
-	for k := range f.recs {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	return keys, nil
-}
-
-// Watch implements Backend.
-func (f *FileStore) Watch(fn func(VersionedRecord)) (cancel func()) {
-	return f.watch.add(fn)
-}
-
-// Close implements Backend (the file is already durable after every Put).
-func (f *FileStore) Close() error { return nil }
-
-// Load implements Store.
-func (f *FileStore) Load(section string) (Record, bool, error) {
-	return viewLoad(f, "", section)
-}
-
-// LoadFor implements EnvLoader.
-func (f *FileStore) LoadFor(section string, fp Fingerprint) (Record, bool, error) {
-	return viewLoadFor(f, "", section, fp)
-}
-
-// Save implements Store.
-func (f *FileStore) Save(rec Record) error {
-	return viewSave(f, "", rec)
-}
-
-// Sections implements Store.
-func (f *FileStore) Sections() ([]string, error) {
-	return viewSections(f, "")
-}
-
-// flushLocked writes the store to a temporary file in the same directory
-// and renames it over the target, fsyncing both the data and the
-// directory entry, so the visible file is always complete and a completed
-// Put survives a crash.
-func (f *FileStore) flushLocked() error {
+// flushLocked is the table's commit step: the whole store is rewritten to
+// a temporary file in the same directory and renamed over the target,
+// fsyncing both the data and the directory entry, so the visible file is
+// always complete and a completed Put survives a crash.
+func (f *FileStore) flushLocked(VersionedRecord) error {
 	data, err := encodeRecords(f.recs)
 	if err != nil {
 		return err

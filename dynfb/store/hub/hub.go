@@ -2,21 +2,22 @@
 // point a fleet of dfserved replicas pushes winner records to and
 // subscribes to peer updates from.
 //
-// The hub is deliberately small. It holds the fleet's current policy
-// knowledge as a map of (tenant, section, environment) keys to versioned
-// records, resolves concurrent writers by last-writer-wins (store.Newer:
-// Lamport clock, then update time, then origin id — a total, deterministic
-// order), and assigns every applied update a monotonically increasing hub
-// sequence number that replicas use as a watch cursor. Replicas push with
+// The hub is deliberately small: a sequence index over a store.Backend. The
+// backend holds the fleet's current policy knowledge, one versioned record
+// per (tenant, section, environment) key; the hub merges pushes into it by
+// last-writer-wins (store.MergeLWW: Lamport clock, then update time, then
+// origin id — a total, deterministic order) and assigns every update that
+// won a monotonically increasing hub sequence number that replicas use as
+// a watch cursor. Replicas push with
 // POST /v1/push, bootstrap with GET /v1/state, and follow the stream with
 // long-polling GET /v1/watch?since=N. The hub never initiates
 // connections, so a replica behind NAT or a partition simply reconnects
 // and resyncs; nothing on the hub side tracks replica liveness.
 //
 // Knowledge on the hub is a cache, exactly like every other store layer:
-// with an optional backing Backend (dfstored -data uses the embedded KV
-// store) it survives restarts, and without one a restarted hub simply
-// refills from the replicas' next pushes and resyncs.
+// over a durable backing Backend (dfstored -data uses the embedded KV
+// store) it survives restarts, and over the default in-memory one a
+// restarted hub simply refills from the replicas' next pushes and resyncs.
 package hub
 
 import (
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -36,19 +36,14 @@ import (
 
 // Config parameterizes a Hub.
 type Config struct {
-	// Backing, when non-nil, persists the hub's state: applied updates
-	// are merged into it, and its contents seed the hub at startup.
+	// Backing holds the hub's records: pushed updates are merged into it,
+	// and its contents are sequenced at startup. Default a fresh
+	// store.MemStore, which does not outlive the hub.
 	Backing store.Backend
 	// Logger receives structured logs. Default slog.Default().
 	Logger *slog.Logger
 	// MaxWatchWait bounds a long-poll watch. Default 25s.
 	MaxWatchWait time.Duration
-}
-
-// entry is one record plus the hub sequence at which it last changed.
-type entry struct {
-	rec store.VersionedRecord
-	seq uint64
 }
 
 // Hub is the replication hub state and HTTP API.
@@ -59,7 +54,7 @@ type Hub struct {
 	reg   *metrics.Registry
 
 	mu     sync.Mutex
-	recs   map[store.Key]entry
+	at     map[store.Key]uint64 // the sequence at which each key last changed
 	seq    uint64
 	waitCh chan struct{} // closed and replaced on every applied update
 
@@ -70,7 +65,8 @@ type Hub struct {
 	mRequests *metrics.Counter
 }
 
-// New builds a hub, seeding it from cfg.Backing when one is configured.
+// New builds a hub over cfg.Backing, sequencing the records it already
+// holds in key order.
 func New(cfg Config) (*Hub, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -78,12 +74,15 @@ func New(cfg Config) (*Hub, error) {
 	if cfg.MaxWatchWait <= 0 {
 		cfg.MaxWatchWait = 25 * time.Second
 	}
+	if cfg.Backing == nil {
+		cfg.Backing = store.NewMemStore()
+	}
 	h := &Hub{
 		cfg:    cfg,
 		log:    cfg.Logger,
 		start:  time.Now(),
 		reg:    metrics.NewRegistry(),
-		recs:   map[store.Key]entry{},
+		at:     map[store.Key]uint64{},
 		waitCh: make(chan struct{}),
 	}
 	h.mRequests = h.reg.Counter("dfstored_requests_total", "HTTP requests served.")
@@ -94,31 +93,23 @@ func New(cfg Config) (*Hub, error) {
 	h.reg.GaugeFunc("dfstored_records", "Records currently held.", func() float64 {
 		h.mu.Lock()
 		defer h.mu.Unlock()
-		return float64(len(h.recs))
+		return float64(len(h.at))
 	})
 	h.reg.GaugeFunc("dfstored_sequence", "Hub sequence of the latest applied update.", func() float64 {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return float64(h.seq)
+		return float64(h.Seq())
 	})
 	h.reg.BuildInfo()
 
-	if cfg.Backing != nil {
-		keys, err := cfg.Backing.List()
-		if err != nil {
-			return nil, fmt.Errorf("hub: seeding from backing store: %w", err)
-		}
-		for _, k := range keys {
-			vr, ok, err := cfg.Backing.Get(k)
-			if err != nil {
-				return nil, fmt.Errorf("hub: seeding from backing store: %w", err)
-			}
-			if ok {
-				h.seq++
-				h.recs[k] = entry{rec: vr, seq: h.seq}
-			}
-		}
-		h.log.Info("hub seeded from backing store", "records", len(h.recs))
+	keys, err := cfg.Backing.List()
+	if err != nil {
+		return nil, fmt.Errorf("hub: seeding from backing store: %w", err)
+	}
+	for _, k := range keys {
+		h.seq++
+		h.at[k] = h.seq
+	}
+	if len(keys) > 0 {
+		h.log.Info("hub seeded from backing store", "records", len(keys))
 	}
 	return h, nil
 }
@@ -149,30 +140,38 @@ type PushResponse struct {
 	Applied int `json:"applied"`
 }
 
-// Apply merges records into the hub under last-writer-wins, returning the
-// resulting sequence and how many were applied. It is the programmatic
-// core of POST /v1/push.
+// Apply merges records into the backing store under last-writer-wins and
+// sequences each one that won, returning the resulting sequence and how
+// many were applied. It is the programmatic core of POST /v1/push. A
+// backing-store error fails the push: the records merged before it are
+// sequenced, the rest are left to the replica's retry.
 func (h *Hub) Apply(records []store.VersionedRecord) (uint64, int, error) {
-	var toBack []store.VersionedRecord
+	var won []store.Key
+	var err error
 	stale := 0
-	h.mu.Lock()
 	for _, rec := range records {
 		if rec.Key.Validate() != nil {
 			continue
 		}
 		rec.Record.Section = rec.Key.Section
-		cur, ok := h.recs[rec.Key]
-		if ok && !store.Newer(rec, cur.rec) {
-			stale++
-			continue
+		applied, merr := store.MergeLWW(h.cfg.Backing, rec)
+		if merr != nil {
+			err = fmt.Errorf("hub: backing store: %w", merr)
+			break
 		}
-		h.seq++
-		h.recs[rec.Key] = entry{rec: rec, seq: h.seq}
-		toBack = append(toBack, rec)
+		if applied {
+			won = append(won, rec.Key)
+		} else {
+			stale++
+		}
 	}
-	applied := len(toBack)
+	h.mu.Lock()
+	for _, k := range won {
+		h.seq++
+		h.at[k] = h.seq
+	}
 	var wake chan struct{}
-	if applied > 0 {
+	if len(won) > 0 {
 		wake = h.waitCh
 		h.waitCh = make(chan struct{})
 	}
@@ -182,18 +181,9 @@ func (h *Hub) Apply(records []store.VersionedRecord) (uint64, int, error) {
 	if wake != nil {
 		close(wake)
 	}
-	h.mApplied.Add(float64(applied))
+	h.mApplied.Add(float64(len(won)))
 	h.mStale.Add(float64(stale))
-	if h.cfg.Backing != nil {
-		for _, rec := range toBack {
-			if _, err := store.MergeLWW(h.cfg.Backing, rec); err != nil {
-				// The in-memory state already advanced; a backing-store
-				// failure costs durability, not correctness.
-				h.log.Warn("hub backing store write failed", "key", rec.Key.String(), "err", err)
-			}
-		}
-	}
-	return seq, applied, nil
+	return seq, len(won), err
 }
 
 // Seq returns the hub sequence of the latest applied update.
@@ -204,20 +194,31 @@ func (h *Hub) Seq() uint64 {
 }
 
 // snapshotSince returns the current sequence, the records changed since
-// the cursor, and the channel that will be closed at the next update.
-func (h *Hub) snapshotSince(since uint64) (uint64, []store.VersionedRecord, chan struct{}) {
+// the cursor in key order, and the channel that will be closed at the next
+// update. A record is in the backing store before it is sequenced, so the
+// records read here are at least as new as the sequence returned.
+func (h *Hub) snapshotSince(since uint64) (uint64, []store.VersionedRecord, chan struct{}, error) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []store.VersionedRecord
-	for _, e := range h.recs {
-		if e.seq > since {
-			out = append(out, e.rec)
+	var keys []store.Key
+	for k, at := range h.at {
+		if at > since {
+			keys = append(keys, k)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Key.String() < out[j].Key.String()
-	})
-	return h.seq, out, h.waitCh
+	seq, changed := h.seq, h.waitCh
+	h.mu.Unlock()
+	store.SortKeys(keys)
+	var out []store.VersionedRecord
+	for _, k := range keys {
+		rec, ok, err := h.cfg.Backing.Get(k)
+		if err != nil {
+			return 0, nil, nil, fmt.Errorf("hub: backing store: %w", err)
+		}
+		if ok {
+			out = append(out, rec)
+		}
+	}
+	return seq, out, changed, nil
 }
 
 // Handler returns the hub's HTTP API.
@@ -235,7 +236,11 @@ func (h *Hub) Handler() http.Handler {
 }
 
 func (h *Hub) handleState(w http.ResponseWriter, r *http.Request) {
-	seq, recs, _ := h.snapshotSince(0)
+	seq, recs, _, err := h.snapshotSince(0)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		return
+	}
 	writeJSON(w, http.StatusOK, StateResponse{Seq: seq, Records: recs})
 }
 
@@ -264,7 +269,11 @@ func (h *Hub) handleWatch(w http.ResponseWriter, r *http.Request) {
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	for {
-		seq, recs, changed := h.snapshotSince(since)
+		seq, recs, changed, err := h.snapshotSince(since)
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			return
+		}
 		if len(recs) > 0 || seq > since {
 			writeJSON(w, http.StatusOK, StateResponse{Seq: seq, Records: recs})
 			return
@@ -290,6 +299,7 @@ func (h *Hub) handlePush(w http.ResponseWriter, r *http.Request) {
 	}
 	seq, applied, err := h.Apply(req.Records)
 	if err != nil {
+		h.log.Warn("push failed; the replica keeps its records pending", "origin", req.Origin, "err", err)
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}
@@ -301,7 +311,7 @@ func (h *Hub) handlePush(w http.ResponseWriter, r *http.Request) {
 
 func (h *Hub) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
-	records, seq := len(h.recs), h.seq
+	records, seq := len(h.at), h.seq
 	h.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",

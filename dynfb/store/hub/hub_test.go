@@ -1,7 +1,9 @@
 package hub
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -40,6 +42,13 @@ func serve(h *Hub, path string) *httptest.ResponseRecorder {
 	return w
 }
 
+// push runs one POST /v1/push through the hub's handler.
+func push(h *Hub, body []byte) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	h.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/push", bytes.NewReader(body)))
+	return w
+}
+
 // get is serve plus decoding a 200 body as a StateResponse.
 func get(t *testing.T, h *Hub, path string) (int, StateResponse) {
 	t.Helper()
@@ -75,9 +84,9 @@ func TestApplyLastWriterWins(t *testing.T) {
 	if err != nil || seq != 2 || applied != 2 {
 		t.Fatalf("first push: seq %d applied %d err %v, want 2 2 nil", seq, applied, err)
 	}
-	if h.recs[rec("a", 0, "").Key].seq != 1 || h.recs[rec("b", 0, "").Key].seq != 2 {
+	if h.at[rec("a", 0, "").Key] != 1 || h.at[rec("b", 0, "").Key] != 2 {
 		t.Errorf("records of one push share a sequence: a=%d b=%d",
-			h.recs[rec("a", 0, "").Key].seq, h.recs[rec("b", 0, "").Key].seq)
+			h.at[rec("a", 0, "").Key], h.at[rec("b", 0, "").Key])
 	}
 
 	// Same clock, same origin: not newer. Lower clock: not newer.
@@ -97,14 +106,15 @@ func TestApplyLastWriterWins(t *testing.T) {
 	if seq != 3 || applied != 1 {
 		t.Errorf("winning push beside invalid keys: seq %d applied %d, want 3 1", seq, applied)
 	}
-	if len(h.recs) != 2 {
-		t.Errorf("hub holds %d records, want 2 (invalid keys must be skipped)", len(h.recs))
+	if len(h.at) != 2 {
+		t.Errorf("hub holds %d records, want 2 (invalid keys must be skipped)", len(h.at))
 	}
 	if got := h.mStale.Value(); got != 2 {
 		t.Errorf("invalid keys counted as stale: counter %v, want 2", got)
 	}
-	if e := h.recs[rec("a", 0, "").Key]; e.seq != 3 || e.rec.Origin != "r2" {
-		t.Errorf("a after the winning push: seq %d origin %q, want 3 r2", e.seq, e.rec.Origin)
+	k := rec("a", 0, "").Key
+	if got, _, _ := h.cfg.Backing.Get(k); h.at[k] != 3 || got.Origin != "r2" {
+		t.Errorf("a after the winning push: seq %d origin %q, want 3 r2", h.at[k], got.Origin)
 	}
 }
 
@@ -203,4 +213,106 @@ func TestRebuiltOverBackingServesSameState(t *testing.T) {
 			t.Errorf("record %d after rebuild: %+v, want %+v", i, got, want)
 		}
 	}
+}
+
+// TestStateOrderIsKeyOrder: the tenants "" and "default" print alike
+// (Key.String), so only the real key order tells their records apart; a
+// hub rebuilt over the same backing store must serve them in that order
+// every time, not in map order.
+func TestStateOrderIsKeyOrder(t *testing.T) {
+	backing := store.NewMemStore()
+	named := rec("a", 1, "r1")
+	named.Key.Tenant = "default"
+	newHub(t, backing).Apply([]store.VersionedRecord{named, rec("a", 1, "r1")})
+	for i := 0; i < 20; i++ {
+		h := newHub(t, backing)
+		for _, path := range []string{"/v1/state", "/v1/watch?since=0"} {
+			_, got := get(t, h, path)
+			var tenants []string
+			for _, r := range got.Records {
+				tenants = append(tenants, r.Key.Tenant)
+			}
+			if !reflect.DeepEqual(tenants, []string{"", "default"}) {
+				t.Fatalf("rebuild %d: GET %s lists tenants %q, want \"\" before \"default\"", i, path, tenants)
+			}
+		}
+	}
+}
+
+// failingPuts is a backing store that takes no write.
+type failingPuts struct{ *store.MemStore }
+
+func (failingPuts) Put(store.VersionedRecord, uint64) (store.VersionedRecord, error) {
+	return store.VersionedRecord{}, errors.New("disk full")
+}
+
+// TestBackingFailureFailsPush: a push is acknowledged only once the backing
+// store took it. When it did not, the replica gets a 500 (and keeps the
+// records pending), the sequence stays put and no watcher hears of them.
+func TestBackingFailureFailsPush(t *testing.T) {
+	h := newHub(t, failingPuts{store.NewMemStore()})
+	const parked = "/v1/watch?since=0&wait=100ms"
+	watcher := make(chan *httptest.ResponseRecorder, 1)
+	go func() { watcher <- serve(h, parked) }()
+
+	body, err := json.Marshal(PushRequest{Origin: "r1", Records: []store.VersionedRecord{rec("a", 1, "r1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := push(h, body); w.Code != http.StatusInternalServerError {
+		t.Errorf("push over a failing backing store: status %d, want 500", w.Code)
+	}
+	if h.Seq() != 0 || len(h.at) != 0 {
+		t.Errorf("failed push was sequenced: seq %d, %d keys", h.Seq(), len(h.at))
+	}
+	if _, got := decode(t, parked, <-watcher); got.Seq != 0 || len(got.Records) != 0 {
+		t.Errorf("watcher heard of a failed push: seq %d records %v", got.Seq, sections(got.Records))
+	}
+	if _, got := get(t, h, "/v1/state"); len(got.Records) != 0 {
+		t.Errorf("state serves %v after a failed push", sections(got.Records))
+	}
+}
+
+// FuzzHubPush posts an arbitrary body to a hub that already holds two
+// records: the push is answered 200 or 400, never moves the sequence
+// backwards, and leaves /v1/state decodable with every record addressable.
+func FuzzHubPush(f *testing.F) {
+	held := []store.VersionedRecord{rec("a", 1, "r1"), rec("b", 2, "r2")}
+	valid, err := json.Marshal(PushRequest{Origin: "r1", Records: held})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	for _, s := range []string{
+		"", "null", "{}", "[]", `{"records":null}`, `{"records":[{}]}`, "since=abc", "wait=-1s",
+		`{"records":[{"key":{"env":"env"},"clock":9},{"key":{"section":"c"},"clock":9}]}`,
+		`{"records":[{"key":{"tenant":"default","section":"a","env":"env"},"clock":1,"record":{"section":"other"}}]}`,
+		`{"records":[{"key":{"section":"a","env":"env"},"version":7,"clock":18446744073709551615,"record":{"policies":[{}]}}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		h, err := New(Config{Logger: quiet()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, _, _ := h.Apply(held)
+		w := push(h, body)
+		if w.Code != http.StatusOK && w.Code != http.StatusBadRequest {
+			t.Fatalf("push %q: status %d: %s", body, w.Code, w.Body)
+		}
+		if h.Seq() < before {
+			t.Fatalf("push %q moved the sequence from %d back to %d", body, before, h.Seq())
+		}
+		code, state := get(t, h, "/v1/state")
+		if code != http.StatusOK || state.Seq != h.Seq() || len(state.Records) < len(held) {
+			t.Fatalf("state after push %q: status %d seq %d (hub at %d), %d records", body, code, state.Seq, h.Seq(), len(state.Records))
+		}
+		for _, r := range state.Records {
+			if r.Key.Validate() != nil || r.Record.Section != r.Key.Section {
+				t.Fatalf("push %q left an unaddressable record: %+v", body, r)
+			}
+		}
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // KVStore is the embedded key-value backend: a directory holding a JSON
@@ -23,18 +22,29 @@ import (
 // suffix is never visible to readers. It implements both Store and
 // Backend.
 type KVStore struct {
+	table
 	dir string
 
-	mu        sync.Mutex
-	recs      map[Key]VersionedRecord
-	wal       *os.File
-	walBytes  int64
+	// The fields below are guarded by table.mu.
+	wal       walFile
+	walBytes  int64 // length of the log up to its last complete frame
 	walFrames int
 	closed    bool
-	watch     watchers
+	// failed is set when a torn append could not be cut out of the log:
+	// frames written behind it would be lost to the next replay, so every
+	// later Put is refused with it.
+	failed error
 	// loadWarning describes tolerated damage found on open (corrupt
 	// snapshot, truncated log tail).
 	loadWarning string
+}
+
+// walFile is what KVStore does to its open log (an *os.File in append
+// mode); tests substitute one that fails mid-frame.
+type walFile interface {
+	io.WriteCloser
+	Sync() error
+	Truncate(size int64) error
 }
 
 const (
@@ -63,13 +73,12 @@ func OpenKV(dir string) (*KVStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &KVStore{dir: dir, recs: map[Key]VersionedRecord{}}
+	s := &KVStore{dir: dir}
+	s.init(s.commitLocked)
 
 	snapPath := filepath.Join(dir, kvSnapshotName)
 	if data, err := os.ReadFile(snapPath); err == nil {
-		recs, warn := decodeRecords(data, snapPath)
-		s.recs = recs
-		s.loadWarning = warn
+		s.recs, s.loadWarning = decodeRecords(data, snapPath)
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -82,9 +91,6 @@ func OpenKV(dir string) (*KVStore, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s.wal = wal
-	if st, err := wal.Stat(); err == nil {
-		s.walBytes = st.Size()
-	}
 	return s, nil
 }
 
@@ -102,7 +108,6 @@ func (s *KVStore) replayWAL() error {
 	}
 	defer f.Close()
 
-	var offset int64
 	header := make([]byte, kvFrameHeader)
 	for {
 		if _, err := io.ReadFull(f, header); err != nil {
@@ -110,37 +115,37 @@ func (s *KVStore) replayWAL() error {
 				return nil // clean end of log
 			}
 			// A short header is the torn tail of a crashed append.
-			return s.truncateWAL(path, offset, "short frame header")
+			return s.truncateWAL(path, "short frame header")
 		}
 		length := binary.LittleEndian.Uint32(header[0:4])
 		sum := binary.LittleEndian.Uint32(header[4:8])
 		if length == 0 || length > kvMaxFrame {
-			return s.truncateWAL(path, offset, fmt.Sprintf("implausible frame length %d", length))
+			return s.truncateWAL(path, fmt.Sprintf("implausible frame length %d", length))
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(f, payload); err != nil {
-			return s.truncateWAL(path, offset, "torn frame payload")
+			return s.truncateWAL(path, "torn frame payload")
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
-			return s.truncateWAL(path, offset, "frame checksum mismatch")
+			return s.truncateWAL(path, "frame checksum mismatch")
 		}
 		var vr VersionedRecord
 		if err := json.Unmarshal(payload, &vr); err != nil || vr.Key.Validate() != nil {
-			return s.truncateWAL(path, offset, "undecodable frame")
+			return s.truncateWAL(path, "undecodable frame")
 		}
 		vr.Record.Section = vr.Key.Section
 		s.recs[vr.Key] = vr
-		offset += int64(kvFrameHeader) + int64(length)
+		s.walBytes += int64(kvFrameHeader) + int64(length)
 		s.walFrames++
 	}
 }
 
 // truncateWAL cuts the log back to the last complete frame.
-func (s *KVStore) truncateWAL(path string, offset int64, why string) error {
-	if err := os.Truncate(path, offset); err != nil {
+func (s *KVStore) truncateWAL(path, why string) error {
+	if err := os.Truncate(path, s.walBytes); err != nil {
 		return fmt.Errorf("store: truncating damaged WAL: %w", err)
 	}
-	s.loadWarning = fmt.Sprintf("damaged WAL tail in %s truncated at byte %d: %s", path, offset, why)
+	s.loadWarning = fmt.Sprintf("damaged WAL tail in %s truncated at byte %d: %s", path, s.walBytes, why)
 	return nil
 }
 
@@ -151,54 +156,25 @@ func (s *KVStore) Dir() string { return s.dir }
 // loaded cleanly).
 func (s *KVStore) LoadWarning() string { return s.loadWarning }
 
-// Get implements Backend.
-func (s *KVStore) Get(k Key) (VersionedRecord, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	vr, ok := s.recs[k]
-	if !ok {
-		return VersionedRecord{}, false, nil
-	}
-	return cloneVersioned(vr), true, nil
-}
-
-// Put implements Backend: one fsynced frame appended to the write-ahead
-// log, plus a compaction when the log has grown past its threshold.
-func (s *KVStore) Put(rec VersionedRecord, prev uint64) (VersionedRecord, error) {
-	if err := validatePut(rec); err != nil {
-		return VersionedRecord{}, err
-	}
-	s.mu.Lock()
+// commitLocked is the table's commit step: one fsynced frame appended to
+// the write-ahead log, plus a compaction when the log has grown past its
+// threshold.
+func (s *KVStore) commitLocked(stored VersionedRecord) error {
 	if s.closed {
-		s.mu.Unlock()
-		return VersionedRecord{}, fmt.Errorf("store: put on closed KV store")
+		return fmt.Errorf("store: put on closed KV store")
 	}
-	cur, ok := s.recs[rec.Key]
-	curVersion := uint64(0)
-	if ok {
-		curVersion = cur.Version
+	if s.failed != nil {
+		return s.failed
 	}
-	if curVersion != prev {
-		s.mu.Unlock()
-		return VersionedRecord{}, fmt.Errorf("%w: key %s at version %d, caller expected %d",
-			ErrConflict, rec.Key, curVersion, prev)
-	}
-	stored := cloneVersioned(rec)
-	stored.Version = curVersion + 1
 	if err := s.appendLocked(stored); err != nil {
-		s.mu.Unlock()
-		return VersionedRecord{}, err
+		return err
 	}
-	s.recs[rec.Key] = stored
 	if s.walBytes > kvCompactBytes || s.walFrames > kvCompactFrames {
 		// Compaction failure is not a Put failure: the WAL still holds
 		// the write; the next Put retries the fold.
 		_ = s.compactLocked()
 	}
-	out := cloneVersioned(stored)
-	s.mu.Unlock()
-	s.watch.notify(out)
-	return cloneVersioned(out), nil
+	return nil
 }
 
 // appendLocked writes one framed record to the log and fsyncs it.
@@ -211,10 +187,15 @@ func (s *KVStore) appendLocked(vr VersionedRecord) error {
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[kvFrameHeader:], payload)
-	if _, err := s.wal.Write(frame); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if _, err = s.wal.Write(frame); err == nil {
+		err = s.wal.Sync()
 	}
-	if err := s.wal.Sync(); err != nil {
+	if err != nil {
+		// Part of the frame may have reached the file. Replay stops at a
+		// torn frame, so it must not stay in front of later appends.
+		if terr := s.wal.Truncate(s.walBytes); terr != nil {
+			s.failed = fmt.Errorf("store: KV log has a torn frame at byte %d that could not be removed: %w", s.walBytes, terr)
+		}
 		return fmt.Errorf("store: %w", err)
 	}
 	s.walBytes += int64(len(frame))
@@ -234,10 +215,9 @@ func (s *KVStore) compactLocked() error {
 	if err := writeFileAtomic(filepath.Join(s.dir, kvSnapshotName), data); err != nil {
 		return err
 	}
+	// The log is open in append mode, so the next frame lands at the new
+	// end without a seek.
 	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.walBytes = 0
@@ -255,23 +235,6 @@ func (s *KVStore) Compact() error {
 	return s.compactLocked()
 }
 
-// List implements Backend.
-func (s *KVStore) List() ([]Key, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]Key, 0, len(s.recs))
-	for k := range s.recs {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	return keys, nil
-}
-
-// Watch implements Backend.
-func (s *KVStore) Watch(fn func(VersionedRecord)) (cancel func()) {
-	return s.watch.add(fn)
-}
-
 // Close compacts and closes the store.
 func (s *KVStore) Close() error {
 	s.mu.Lock()
@@ -285,24 +248,4 @@ func (s *KVStore) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// Load implements Store.
-func (s *KVStore) Load(section string) (Record, bool, error) {
-	return viewLoad(s, "", section)
-}
-
-// LoadFor implements EnvLoader.
-func (s *KVStore) LoadFor(section string, fp Fingerprint) (Record, bool, error) {
-	return viewLoadFor(s, "", section, fp)
-}
-
-// Save implements Store.
-func (s *KVStore) Save(rec Record) error {
-	return viewSave(s, "", rec)
-}
-
-// Sections implements Store.
-func (s *KVStore) Sections() ([]string, error) {
-	return viewSections(s, "")
 }

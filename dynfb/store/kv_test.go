@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -237,4 +239,145 @@ func TestKVCloseCompactsAndReopens(t *testing.T) {
 	if _, ok, _ := s2.Get(Key{Section: "alpha", Env: "e1"}); !ok {
 		t.Error("record lost across Close/reopen")
 	}
+}
+
+// tearingWAL is a log file on a failing disk: the next write after tear is
+// set stops half way, and with stuck set the torn bytes cannot be cut off.
+type tearingWAL struct {
+	*os.File
+	tear, stuck bool
+}
+
+func (w *tearingWAL) Write(p []byte) (int, error) {
+	if !w.tear {
+		return w.File.Write(p)
+	}
+	w.tear = false
+	n, _ := w.File.Write(p[:len(p)/2])
+	return n, errors.New("no space left on device")
+}
+
+func (w *tearingWAL) Truncate(size int64) error {
+	if w.stuck {
+		return errors.New("input/output error")
+	}
+	return w.File.Truncate(size)
+}
+
+// TestKVTornAppendKeepsLaterPuts: an append that fails part-way must not
+// leave its torn frame in front of later ones, where replay would stop and
+// drop every put acknowledged since.
+func TestKVTornAppendKeepsLaterPuts(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenKV(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvPut(t, s, "alpha", "e1", 1)
+	s.wal = &tearingWAL{File: s.wal.(*os.File), tear: true}
+	beta := Key{Section: "beta", Env: "e1"}
+	if _, err := s.Put(VersionedRecord{Key: beta, Clock: 1, Record: sampleRecord("beta")}, 0); err == nil {
+		t.Fatal("put over a torn append succeeded")
+	}
+	if _, ok, _ := s.Get(beta); ok {
+		t.Error("failed put is readable")
+	}
+	kvPut(t, s, "gamma", "e1", 1)
+	kvPut(t, s, "alpha", "e1", 2)
+
+	s2, err := OpenKV(dir) // a crash: no Close, the state is the log's
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.LoadWarning() != "" {
+		t.Errorf("log still damaged after the failed append: %s", s2.LoadWarning())
+	}
+	if _, ok, _ := s2.Get(Key{Section: "gamma", Env: "e1"}); !ok {
+		t.Error("put acknowledged after the failed append is lost")
+	}
+	if a, _, _ := s2.Get(Key{Section: "alpha", Env: "e1"}); a.Clock != 2 {
+		t.Errorf("alpha at clock %d after reopen, want 2", a.Clock)
+	}
+	if _, ok, _ := s2.Get(beta); ok {
+		t.Error("failed put surfaced after reopen")
+	}
+}
+
+// TestKVTornAppendStuckFailsClosed: when the torn frame cannot be removed,
+// no later put may be acknowledged — it would sit behind the tear.
+func TestKVTornAppendStuckFailsClosed(t *testing.T) {
+	s, err := OpenKV(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvPut(t, s, "alpha", "e1", 1)
+	s.wal = &tearingWAL{File: s.wal.(*os.File), tear: true, stuck: true}
+	for _, section := range []string{"beta", "gamma"} {
+		k := Key{Section: section, Env: "e1"}
+		if _, err := s.Put(VersionedRecord{Key: k, Clock: 1, Record: sampleRecord(section)}, 0); err == nil {
+			t.Errorf("put %s acknowledged behind a torn frame", section)
+		}
+		if _, ok, _ := s.Get(k); ok {
+			t.Errorf("refused put %s is readable", section)
+		}
+	}
+}
+
+// FuzzKVReplay opens arbitrary bytes as the write-ahead log, beside no
+// snapshot or a valid one: the open never fails, every record that
+// survives is addressable, and the repair is complete — a second open of
+// the directory finds nothing more to repair and the same records.
+func FuzzKVReplay(f *testing.F) {
+	snap, err := os.ReadFile(filepath.Join("testdata", "format", "kv", kvSnapshotName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join("testdata", "format", "kv", kvWALName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The damage TestKVTornTailTruncated inflicts, as seeds.
+	evil := []byte(`{"key":{"section":"evil","env":"e"}}`)
+	badSum := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(len(evil))), 0xdeadbeef)
+	tooLong := binary.LittleEndian.AppendUint32(nil, kvMaxFrame+1)
+	for _, log := range [][]byte{
+		nil, wal, wal[:len(wal)-5], append(bytes.Clone(wal), 1, 2, 3),
+		append(append(bytes.Clone(wal), badSum...), evil...), append(bytes.Clone(wal), append(tooLong, 0, 0, 0, 0)...),
+	} {
+		f.Add(log, false)
+		f.Add(log, true)
+	}
+	f.Fuzz(func(t *testing.T, log []byte, withSnapshot bool) {
+		dir := t.TempDir()
+		if withSnapshot {
+			if err := os.WriteFile(filepath.Join(dir, kvSnapshotName), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, kvWALName), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := func() (*KVStore, []byte) {
+			s, err := OpenKV(dir)
+			if err != nil {
+				t.Fatalf("OpenKV over log %q: %v", log, err)
+			}
+			s.wal.Close() // not s.Close: a compaction would hide the log from the next open
+			data, err := encodeRecords(s.recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, data
+		}
+		s, first := open()
+		for k, vr := range s.recs {
+			if k.Validate() != nil || vr.Key != k || vr.Record.Section != k.Section {
+				t.Fatalf("log %q surfaced an unaddressable record at %+v: %+v", log, k, vr)
+			}
+		}
+		s2, second := open()
+		if s2.LoadWarning() != "" || !bytes.Equal(first, second) {
+			t.Fatalf("second open of log %q: warning %q, records\n%s\nwere\n%s", log, s2.LoadWarning(), second, first)
+		}
+	})
 }

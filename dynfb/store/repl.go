@@ -78,6 +78,8 @@ func (s ReplStatus) SyncLag(now time.Time) time.Duration {
 // merge, push everything local — so the fleet reconverges without losing
 // either side's newer records. It implements both Store and Backend.
 type ReplStore struct {
+	tenantStore // the default tenant's Store view over this replica
+
 	cfg    ReplConfig
 	local  Backend
 	log    *slog.Logger
@@ -146,6 +148,7 @@ func OpenRepl(cfg ReplConfig) (*ReplStore, error) {
 		ctx:     ctx,
 		cancel:  cancel,
 	}
+	r.tenantStore.b = r
 	if cfg.InitialSyncTimeout > 0 {
 		syncCtx, done := context.WithTimeout(ctx, cfg.InitialSyncTimeout)
 		if err := r.resync(syncCtx); err != nil {
@@ -230,26 +233,6 @@ func (r *ReplStore) Close() error {
 	r.pushPending(flushCtx)
 	done()
 	return r.local.Close()
-}
-
-// Load implements Store.
-func (r *ReplStore) Load(section string) (Record, bool, error) {
-	return viewLoad(r, "", section)
-}
-
-// LoadFor implements EnvLoader.
-func (r *ReplStore) LoadFor(section string, fp Fingerprint) (Record, bool, error) {
-	return viewLoadFor(r, "", section, fp)
-}
-
-// Save implements Store.
-func (r *ReplStore) Save(rec Record) error {
-	return viewSave(r, "", rec)
-}
-
-// Sections implements Store.
-func (r *ReplStore) Sections() ([]string, error) {
-	return viewSections(r, "")
 }
 
 // hubState mirrors hub.StateResponse without importing the hub package
@@ -413,7 +396,7 @@ func (r *ReplStore) pushPending(ctx context.Context) {
 	for k := range r.pending {
 		keys = append(keys, k)
 	}
-	sortKeys(keys)
+	SortKeys(keys)
 	// Key order, so the hub assigns sequence numbers to a flush's records
 	// deterministically regardless of map iteration.
 	batch := make([]VersionedRecord, 0, len(keys))

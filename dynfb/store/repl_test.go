@@ -15,8 +15,10 @@ import (
 )
 
 // partitionTransport is an http.RoundTripper with a switch: while down, every
-// request fails as if the network were cut. It makes partitions deterministic
-// — no listeners are killed, no ports reused.
+// request fails as if the network were cut — and so does the response to a
+// long-poll that was already parked on the hub when the cut came, or a peer's
+// write could still wake it and arrive through the partition. It makes
+// partitions deterministic — no listeners are killed, no ports reused.
 type partitionTransport struct {
 	down  atomic.Bool
 	inner http.RoundTripper
@@ -26,7 +28,12 @@ func (p *partitionTransport) RoundTrip(req *http.Request) (*http.Response, error
 	if p.down.Load() {
 		return nil, errors.New("partition: network unreachable")
 	}
-	return p.inner.RoundTrip(req)
+	resp, err := p.inner.RoundTrip(req)
+	if err == nil && p.down.Load() {
+		resp.Body.Close()
+		return nil, errors.New("partition: connection reset")
+	}
+	return resp, err
 }
 
 func openReplica(t *testing.T, hubURL, origin string, rt http.RoundTripper) *store.ReplStore {

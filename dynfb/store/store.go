@@ -33,7 +33,6 @@ package store
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 )
 
 // SchemaVersion is the on-disk schema of FileStore and of KVStore
@@ -101,14 +100,10 @@ type Record struct {
 	UpdatedUnix int64 `json:"updated_unix"`
 }
 
-func cloneRecord(r Record) Record {
-	out := r
-	out.Policies = append([]PolicyRecord(nil), r.Policies...)
-	return out
-}
-
+// cloneVersioned copies the one part of a record that is shared by
+// assignment, so neither a caller nor a watcher aliases the stored slice.
 func cloneVersioned(vr VersionedRecord) VersionedRecord {
-	vr.Record = cloneRecord(vr.Record)
+	vr.Record.Policies = append([]PolicyRecord(nil), vr.Record.Policies...)
 	return vr
 }
 
@@ -138,89 +133,11 @@ type EnvLoader interface {
 // MemStore is an in-memory store, for tests and for sharing knowledge
 // between sections of a single process. It implements both Store and
 // Backend.
-type MemStore struct {
-	mu    sync.Mutex
-	recs  map[Key]VersionedRecord
-	watch watchers
-}
+type MemStore struct{ table }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{recs: map[Key]VersionedRecord{}}
-}
-
-// Get implements Backend.
-func (m *MemStore) Get(k Key) (VersionedRecord, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	vr, ok := m.recs[k]
-	if !ok {
-		return VersionedRecord{}, false, nil
-	}
-	return cloneVersioned(vr), true, nil
-}
-
-// Put implements Backend.
-func (m *MemStore) Put(rec VersionedRecord, prev uint64) (VersionedRecord, error) {
-	if err := validatePut(rec); err != nil {
-		return VersionedRecord{}, err
-	}
-	m.mu.Lock()
-	cur, ok := m.recs[rec.Key]
-	curVersion := uint64(0)
-	if ok {
-		curVersion = cur.Version
-	}
-	if curVersion != prev {
-		m.mu.Unlock()
-		return VersionedRecord{}, fmt.Errorf("%w: key %s at version %d, caller expected %d",
-			ErrConflict, rec.Key, curVersion, prev)
-	}
-	stored := cloneVersioned(rec)
-	stored.Version = curVersion + 1
-	m.recs[rec.Key] = stored
-	out := cloneVersioned(stored)
-	m.mu.Unlock()
-	m.watch.notify(out)
-	return cloneVersioned(out), nil
-}
-
-// List implements Backend.
-func (m *MemStore) List() ([]Key, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([]Key, 0, len(m.recs))
-	for k := range m.recs {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	return keys, nil
-}
-
-// Watch implements Backend.
-func (m *MemStore) Watch(fn func(VersionedRecord)) (cancel func()) {
-	return m.watch.add(fn)
-}
-
-// Close implements Backend (a no-op for the in-memory store).
-func (m *MemStore) Close() error { return nil }
-
-// Load implements Store.
-func (m *MemStore) Load(section string) (Record, bool, error) {
-	return viewLoad(m, "", section)
-}
-
-// LoadFor implements EnvLoader.
-func (m *MemStore) LoadFor(section string, fp Fingerprint) (Record, bool, error) {
-	return viewLoadFor(m, "", section, fp)
-}
-
-// Save implements Store.
-func (m *MemStore) Save(rec Record) error {
-	return viewSave(m, "", rec)
-}
-
-// Sections implements Store.
-func (m *MemStore) Sections() ([]string, error) {
-	return viewSections(m, "")
+	m := &MemStore{}
+	m.init(nil)
+	return m
 }

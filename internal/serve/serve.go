@@ -64,12 +64,10 @@ type Config struct {
 	TargetSampling time.Duration
 	// TargetProduction is the sections' production interval. Default 2s.
 	TargetProduction time.Duration
-	// Store, when non-nil, persists each section's policy record and
-	// warm-starts matching sections at boot (unless ColdStart).
-	Store store.Store
-	// Backend, when non-nil, supersedes Store: sections persist through a
-	// tenant-scoped view of the backend (see Tenant), and the server
-	// subscribes to backend updates so a winner record replicated from a
+	// Backend, when non-nil, persists each section's policy record through
+	// a tenant-scoped view of the backend (see Tenant) and warm-starts
+	// matching sections at boot (unless ColdStart); the server also
+	// subscribes to backend updates, so a winner record replicated from a
 	// fleet peer warm-starts the matching cold section live, without a
 	// restart. The server does not close the backend; the caller owns it.
 	Backend store.Backend
@@ -77,7 +75,7 @@ type Config struct {
 	// members serving different applications set different tenants and
 	// never see one another's policies. Default "" (the shared namespace).
 	Tenant string
-	// ColdStart disables warm-starting from the Store.
+	// ColdStart disables warm-starting from the Backend.
 	ColdStart bool
 	// Logger receives structured logs. Default slog.Default().
 	Logger *slog.Logger
@@ -105,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	if c.Backend != nil {
-		c.Store = store.NewTenantStore(c.Backend, c.Tenant)
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -217,6 +212,10 @@ func New(cfg Config) (*Server, error) {
 		byName:   map[string]*section{},
 		compiled: map[string]*oblc.Compiled{},
 	}
+	var view store.Store // stays nil without a backend: sections then keep nothing
+	if cfg.Backend != nil {
+		view = store.NewTenantStore(cfg.Backend, cfg.Tenant)
+	}
 	for _, w := range nativeWorkloads() {
 		sec, err := dynfb.NewSection(dynfb.Config{
 			Name:             w.name,
@@ -225,8 +224,8 @@ func New(cfg Config) (*Server, error) {
 			TargetProduction: cfg.TargetProduction,
 			SpanExecutions:   true,
 			Controller:       cfg.Controller,
-			Store:            cfg.Store,
-			WarmStart:        cfg.Store != nil && !cfg.ColdStart,
+			Store:            view,
+			WarmStart:        view != nil && !cfg.ColdStart,
 		}, w.variants...)
 		if err != nil {
 			return nil, fmt.Errorf("serve: section %s: %w", w.name, err)
@@ -471,7 +470,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"runs_ok":         s.runsOK.Load(),
 			"runs_err":        s.runsErr.Load(),
 			"max_concurrent":  s.cfg.MaxConcurrent,
-			"store":           s.cfg.Store != nil,
+			"store":           s.cfg.Backend != nil,
 			"tenant":          s.cfg.Tenant,
 			"warm_start_hits": s.warmHits.Load(),
 		},

@@ -13,13 +13,13 @@ import (
 	"repro/internal/simcache"
 )
 
-func testServer(t *testing.T, st store.Store) (*Server, *httptest.Server) {
+func testServer(t *testing.T, st store.Backend) (*Server, *httptest.Server) {
 	t.Helper()
 	srv, err := New(Config{
 		Workers:          2,
 		TargetSampling:   time.Millisecond,
 		TargetProduction: 50 * time.Millisecond,
-		Store:            st,
+		Backend:          st,
 		MaxConcurrent:    2,
 	})
 	if err != nil {
