@@ -12,23 +12,24 @@
 // cores, memoized single-flight so shared cells are simulated exactly once.
 //
 // -run selects what runs, by ID (-list shows them): experiment IDs, `all`
-// (every experiment, the default) and the two validation tiers. `sampling`
-// (internal/bench.SamplingValidation) simulates each large-workload cell
-// sampled and exhaustively and checks the extrapolated metrics' confidence
-// intervals against the ground truth; `policies`
-// (internal/bench.PoliciesValidation) prunes the generated policy space to
-// a representative set and duels the bandit controller against round-robin
-// on every adaptivity scenario. A tier is embedded as the block of its name
-// in the JSON document, and a selected tier gates: dfbench exits 1 if its
-// claims do not hold, as it does on a failed shape check.
+// (every experiment, the default) and the validation tiers
+// (internal/bench.Tiers), which are experiments `all` leaves out. `sampling`
+// simulates each large-workload cell sampled and exhaustively and checks
+// the extrapolated metrics' confidence intervals against the ground truth;
+// `policies-search` prunes the generated policy space to a representative
+// set and `policies-duels` duels the bandit controller against round-robin
+// on every adaptivity scenario. Every claim is a shape check, and failed
+// shape checks are the one gate: dfbench counts them into the document's
+// failed_checks and exits 1 if there are any.
 //
 // The content-addressed simulation cache (internal/simcache) persists
 // results across processes: -cache DIR makes every simulation consult and
 // populate DIR, so a warm run simulates nothing. -cache-verify follows the
 // run with a second, warm pass that re-simulates every hit and
 // byte-compares it against the cached record (against a memory-only cache
-// when no -cache is given). Cache traffic is summarized on stderr; stdout
-// carries the rendered reports only.
+// when no -cache is given). Cache traffic and the sampling tier's
+// wall-clocks are summarized on stderr; stdout carries the rendered reports
+// only.
 //
 // -controller selects the dynamic feedback controller for the suite's
 // dynamic runs (roundrobin, the paper's, or ucb, the confidence-bound
@@ -42,6 +43,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -57,31 +60,23 @@ import (
 	"repro/internal/simcache"
 )
 
-// The validation tiers -run selects beside the experiments; variables so
-// the tests can force a tier to fail.
-var (
-	samplingTier = bench.SamplingValidation
-	policiesTier = bench.PoliciesValidation
-)
-
-const (
-	tierSampling = "sampling"
-	tierPolicies = "policies"
-)
+// experimentByID resolves one -run ID; a variable so a test can select an
+// experiment that fails a check.
+var experimentByID = bench.ExperimentByID
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its inputs and outputs as parameters. It returns the
-// exit code: 0, 1 for a failed run, check or gate, 2 for bad usage.
+// exit code: 0, 1 for a failed run or shape check, 2 for bad usage.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dfbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "run with reduced input sizes")
 	procsFlag := fs.String("procs", "", "comma-separated processor counts (default 1,2,4,6,8,12,16)")
-	runFlag := fs.String("run", "all", "comma-separated IDs: experiments, all, or the tiers sampling and policies (see -list)")
+	runFlag := fs.String("run", "all", "comma-separated IDs: experiments, tiers, or all for every experiment (see -list)")
 	par := fs.Int("p", 0, "max simulations in flight (default GOMAXPROCS; 1 runs serially)")
 	csvDir := fs.String("csv", "", "also write each experiment's rows and series as CSV files into this directory")
-	jsonPath := fs.String("json", "", "write every report and selected tier as one JSON document to this path")
+	jsonPath := fs.String("json", "", "write every report as one JSON document to this path")
 	list := fs.Bool("list", false, "list experiment and tier IDs and exit")
 	cacheDir := fs.String("cache", "", "content-addressed simulation cache directory (persists results across runs)")
 	cacheVerify := fs.Bool("cache-verify", false, "after the run, re-simulate every cache hit in a warm pass and byte-compare it against the cached record")
@@ -95,11 +90,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, e := range bench.Experiments() {
+		for _, e := range append(bench.Experiments(), bench.Tiers()...) {
 			fmt.Fprintf(stdout, "%-16s %s\n", e.ID, e.Title)
 		}
-		fmt.Fprintf(stdout, "%-16s %s\n", tierSampling, "Tier: sampled simulation vs exhaustive ground truth (gated)")
-		fmt.Fprintf(stdout, "%-16s %s\n", tierPolicies, "Tier: generated policy space, representative-set search, controller duels (gated)")
 		return 0
 	}
 	if !core.ValidKind(*controller) {
@@ -116,20 +109,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	var selected []bench.Experiment
-	tiers := map[string]bool{}
 	for _, id := range strings.Split(*runFlag, ",") {
-		switch id = strings.TrimSpace(id); id {
-		case "all":
+		if id = strings.TrimSpace(id); id == "all" {
 			selected = append(selected, bench.Experiments()...)
-		case tierSampling, tierPolicies:
-			tiers[id] = true
-		default:
-			e, ok := bench.ExperimentByID(id)
-			if !ok {
-				return fail(2, "unknown experiment or tier %q; use -list", id)
-			}
-			selected = append(selected, e)
+			continue
 		}
+		e, ok := experimentByID(id)
+		if !ok {
+			return fail(2, "unknown experiment or tier %q; use -list", id)
+		}
+		selected = append(selected, e)
 	}
 	var cache *simcache.Cache
 	if *cacheDir != "" || *cacheVerify {
@@ -148,6 +137,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, rep := range doc.Experiments {
 		fmt.Fprintln(stdout, rep.Format())
+		for _, note := range rep.HostNotes {
+			fmt.Fprintln(stderr, note)
+		}
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, rep); err != nil {
 				return fail(1, "csv: %v", err)
@@ -171,25 +163,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stderr, "cache verify: every hit re-simulated and byte-identical; reports byte-identical")
 	}
-	var gates []string
-	if tiers[tierSampling] {
-		if doc.Sampling, err = samplingTier(cfg); err != nil {
-			return fail(1, "sampling tier: %v", err)
-		}
-		fmt.Fprint(stdout, doc.Sampling.Format())
-		if !doc.Sampling.AllContained {
-			gates = append(gates, "sampling tier: ground truth escaped a confidence interval")
-		}
-	}
-	if tiers[tierPolicies] {
-		if doc.Policies, err = policiesTier(cfg); err != nil {
-			return fail(1, "policies tier: %v", err)
-		}
-		fmt.Fprint(stdout, doc.Policies.Format())
-		if !doc.Policies.OK {
-			gates = append(gates, "policies tier: a representative-set or controller claim did not hold")
-		}
-	}
 	if cache != nil {
 		st := cache.Stats()
 		doc.Cache = &cacheJSON{Verified: *cacheVerify, Stats: st}
@@ -197,8 +170,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			st.MemHits, st.DiskHits, st.Misses, st.Puts, st.Errors)
 	}
 
-	// The document is written before any gate exits, so a failing run
-	// still leaves the evidence behind.
+	// The document is written before the gate exits, so a failing run still
+	// leaves the evidence behind.
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err == nil {
@@ -209,13 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if doc.FailedChecks > 0 {
-		gates = append(gates, fmt.Sprintf("%d shape check(s) failed", doc.FailedChecks))
-	}
-	for _, g := range gates {
-		fmt.Fprintf(stderr, "dfbench: %s\n", g)
-	}
-	if len(gates) > 0 {
-		return 1
+		return fail(1, "%d shape check(s) failed", doc.FailedChecks)
 	}
 	return 0
 }
@@ -234,18 +201,15 @@ func runSuite(cfg bench.SuiteConfig, selected []bench.Experiment) ([]*bench.Repo
 	})
 }
 
-// document is the -json artifact: the reports and selected tiers of one
-// run. It carries no host time, date or host description, so two runs of
-// one selection are byte-identical (the sampling tier's own
-// sampled-vs-exhaustive wall-clocks, which are that tier's claim, aside).
+// document is the -json artifact: the reports of one run. It carries no
+// host time, date or host description, so two runs of one selection are
+// byte-identical.
 type document struct {
-	Quick        bool                `json:"quick"`
-	Procs        []int               `json:"procs,omitempty"`
-	Cache        *cacheJSON          `json:"cache,omitempty"`
-	Sampling     *bench.SamplingJSON `json:"sampling,omitempty"`
-	Policies     *bench.PoliciesJSON `json:"policies,omitempty"`
-	FailedChecks int                 `json:"failed_checks"`
-	Experiments  []*bench.Report     `json:"experiments"`
+	Quick        bool            `json:"quick"`
+	Procs        []int           `json:"procs,omitempty"`
+	Cache        *cacheJSON      `json:"cache,omitempty"`
+	FailedChecks int             `json:"failed_checks"`
+	Experiments  []*bench.Report `json:"experiments"`
 }
 
 // cacheJSON records one run's interaction with the simulation cache:
@@ -262,35 +226,22 @@ func writeCSV(dir string, rep *bench.Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
+	write := func(name string, records [][]string) error {
+		var b bytes.Buffer
+		if err := csv.NewWriter(&b).WriteAll(records); err != nil {
+			return err
 		}
-		return s
+		return os.WriteFile(filepath.Join(dir, name), b.Bytes(), 0o644)
 	}
 	if len(rep.Header) > 0 {
-		var b strings.Builder
-		cells := make([]string, len(rep.Header))
-		for i, h := range rep.Header {
-			cells[i] = esc(h)
-		}
-		b.WriteString(strings.Join(cells, ",") + "\n")
-		for _, row := range rep.Rows {
-			cells = cells[:0]
-			for _, c := range row {
-				cells = append(cells, esc(c))
-			}
-			b.WriteString(strings.Join(cells, ",") + "\n")
-		}
-		if err := os.WriteFile(filepath.Join(dir, rep.ID+".csv"), []byte(b.String()), 0o644); err != nil {
+		if err := write(rep.ID+".csv", append([][]string{rep.Header}, rep.Rows...)); err != nil {
 			return err
 		}
 	}
 	for _, ser := range rep.Series {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s,%s\n", esc(rep.XLabel), esc(rep.YLabel))
+		records := [][]string{{rep.XLabel, rep.YLabel}}
 		for i := range ser.X {
-			fmt.Fprintf(&b, "%g,%g\n", ser.X[i], ser.Y[i])
+			records = append(records, []string{fmt.Sprintf("%g", ser.X[i]), fmt.Sprintf("%g", ser.Y[i])})
 		}
 		name := rep.ID + "_" + strings.Map(func(r rune) rune {
 			if r == '/' || r == ' ' {
@@ -298,7 +249,7 @@ func writeCSV(dir string, rep *bench.Report) error {
 			}
 			return r
 		}, ser.Name) + ".csv"
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(b.String()), 0o644); err != nil {
+		if err := write(name, records); err != nil {
 			return err
 		}
 	}

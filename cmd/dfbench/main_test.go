@@ -20,16 +20,24 @@ func dfbench(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestDocumentIsAPureFunctionOfTheSelection writes the artifact for one
-// selection serially and at parallelism 4: the two files must be
-// byte-identical, and no key anywhere in the document may name a host
-// time, a date or a host description.
+// selection — experiments and every tier — serially and at parallelism 4:
+// the two files must be byte-identical, and no key anywhere in the document
+// may name a host time, a date or a host description.
 func TestDocumentIsAPureFunctionOfTheSelection(t *testing.T) {
 	dir := t.TempDir()
+	selection := []string{"table1", "eq9", "ablation-span"}
+	for _, tier := range bench.Tiers() {
+		selection = append(selection, tier.ID)
+	}
 	var docs [][]byte
 	for _, p := range []string{"1", "4"} {
 		path := filepath.Join(dir, "suite-p"+p+".json")
-		if code, _, stderr := dfbench("-quick", "-run", "table1,eq9,ablation-span", "-p", p, "-json", path); code != 0 {
+		code, _, stderr := dfbench("-quick", "-run", strings.Join(selection, ","), "-p", p, "-json", path)
+		if code != 0 {
 			t.Fatalf("-p %s: exit %d: %s", p, code, stderr)
+		}
+		if !strings.Contains(stderr, "sampled vs") {
+			t.Errorf("-p %s: the sampling tier's wall-clocks are not on stderr: %q", p, stderr)
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -45,7 +53,7 @@ func TestDocumentIsAPureFunctionOfTheSelection(t *testing.T) {
 	if err := json.Unmarshal(docs[0], &doc); err != nil {
 		t.Fatal(err)
 	}
-	hostKey := regexp.MustCompile(`wall|generated_at|host_cpus|speedup_vs`)
+	hostKey := regexp.MustCompile(`wall|speedup|generated_at|host_cpus`)
 	var walk func(v any)
 	walk = func(v any) {
 		switch v := v.(type) {
@@ -63,8 +71,8 @@ func TestDocumentIsAPureFunctionOfTheSelection(t *testing.T) {
 		}
 	}
 	walk(doc)
-	if exps := doc.(map[string]any)["experiments"].([]any); len(exps) != 3 {
-		t.Errorf("document has %d experiments, want 3", len(exps))
+	if exps := doc.(map[string]any)["experiments"].([]any); len(exps) != len(selection) {
+		t.Errorf("document has %d experiments, want %d", len(exps), len(selection))
 	}
 }
 
@@ -73,7 +81,7 @@ func TestBadUsageExits2(t *testing.T) {
 		{"-speedup"}, {"-cache-timing"}, {"-engine-timing"}, {"-scaling", "1,2"}, {"-cpuprofile", "p.out"},
 		{"-perturb", "all"}, {"-cache-mem", "8"},
 		{"-sample"}, {"-sample-validate"}, {"-policies"}, {"-policies-validate"},
-		{"-run", "none"}, {"-run", "table1,nope"},
+		{"-run", "none"}, {"-run", "table1,nope"}, {"-run", "policies"},
 		{"-procs", "0"}, {"-controller", "greedy"},
 	} {
 		if code, stdout, _ := dfbench(args...); code != 2 || stdout != "" {
@@ -83,31 +91,34 @@ func TestBadUsageExits2(t *testing.T) {
 }
 
 // TestFailedTierGatesAfterWritingTheDocument forces the sampling tier to
-// miss its claim: dfbench must exit 1, and only after the JSON document
-// recording the miss is on disk.
+// miss a claim: dfbench must exit 1 through failed_checks, and only after
+// the JSON document recording the miss is on disk.
 func TestFailedTierGatesAfterWritingTheDocument(t *testing.T) {
-	defer func(orig func(bench.SuiteConfig) (*bench.SamplingJSON, error)) { samplingTier = orig }(samplingTier)
-	samplingTier = func(bench.SuiteConfig) (*bench.SamplingJSON, error) {
-		return &bench.SamplingJSON{AllContained: false}, nil
+	defer func(orig func(string) (bench.Experiment, bool)) { experimentByID = orig }(experimentByID)
+	experimentByID = func(id string) (bench.Experiment, bool) {
+		return bench.Experiment{ID: id, Run: func(*bench.Suite) (*bench.Report, error) {
+			return &bench.Report{ID: id, Checks: []bench.ShapeCheck{{Name: "ground truth inside its interval"}}}, nil
+		}}, true
 	}
 	path := filepath.Join(t.TempDir(), "suite.json")
 	code, _, stderr := dfbench("-quick", "-run", "sampling", "-json", path)
-	if code != 1 || !strings.Contains(stderr, "sampling tier") {
-		t.Errorf("exit %d, stderr %q; want exit 1 naming the sampling tier", code, stderr)
+	if code != 1 || !strings.Contains(stderr, "1 shape check(s) failed") {
+		t.Errorf("exit %d, stderr %q; want exit 1 counting the failed check", code, stderr)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("the gate exited before the document was written: %v", err)
 	}
 	var doc struct {
-		Sampling *struct {
-			AllContained bool `json:"all_contained"`
-		} `json:"sampling"`
+		FailedChecks int `json:"failed_checks"`
+		Experiments  []struct {
+			ID string `json:"id"`
+		} `json:"experiments"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Sampling == nil || doc.Sampling.AllContained {
+	if doc.FailedChecks != 1 || len(doc.Experiments) != 1 || doc.Experiments[0].ID != "sampling" {
 		t.Errorf("document does not record the failed tier: %s", data)
 	}
 }
@@ -117,7 +128,7 @@ func TestListShowsExperimentsAndTiers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	for _, id := range []string{"table1", "adapt-skew", tierSampling, tierPolicies} {
+	for _, id := range []string{"table1", "adapt-skew", "sampling", "policies-search", "policies-duels"} {
 		if !regexp.MustCompile(`(?m)^` + id + `\s`).MatchString(stdout) {
 			t.Errorf("-list does not show %q:\n%s", id, stdout)
 		}

@@ -44,11 +44,13 @@ func TestReportFormatSeries(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) < 25 {
-		t.Fatalf("experiments = %d, want at least one per paper table/figure", len(exps))
+	// The golden, the root benchmarks and the dfperf suite workload
+	// enumerate Experiments: a tier must not join it.
+	if len(exps) != 33 {
+		t.Fatalf("experiments = %d, want 33", len(exps))
 	}
 	seen := map[string]bool{}
-	for _, e := range exps {
+	for _, e := range append(exps, Tiers()...) {
 		id := e.ID
 		if seen[id] {
 			t.Errorf("duplicate experiment id %q", id)

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"strings"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/interp"
@@ -12,164 +12,135 @@ import (
 
 // The sampled-simulation tier: a set of large-workload cells run twice —
 // once with interval sampling (interp.Options.Sample) and once
-// exhaustively — through simsample.Validate. Each cell's report carries
-// the extrapolated metrics with confidence intervals, the exhaustive
-// ground truth, per-metric containment verdicts, and both wall-clocks.
-// The tier is deliberately outside the cached experiment suite: sampled
-// runs are estimates and are rejected by interp.CacheKey, and the
-// exhaustive runs must execute cold so the recorded speedup is the
-// genuine simulation-cost ratio, not a cache artifact.
+// exhaustively — through simsample.Validate. The report carries every
+// extrapolated metric with its confidence interval beside the exhaustive
+// ground truth, and the tier's claims are shape checks. Neither run is a
+// suite cell: sampled runs are estimates, which interp.CacheKey refuses,
+// and the exhaustive runs execute cold so the wall-clock pair on stderr
+// (Report.HostNotes) is the genuine simulation-cost ratio.
 
-// SamplingCell describes one cell of the tier.
-type SamplingCell struct {
-	Label    string            `json:"label"`
-	App      string            `json:"app"`
-	Policy   string            `json:"policy"`
-	Scenario string            `json:"scenario,omitempty"`
-	Params   map[string]int64  `json:"params"`
-	Spec     interp.SampleSpec `json:"spec"`
+const (
+	samplingProcs  = 8
+	samplingPolicy = "bounded"
+	// minSkipShare is the share of iterations a cell must fast-forward for
+	// sampling to count as engaged: the deterministic form of "the sampled
+	// side is cheaper than the exhaustive one".
+	minSkipShare = 0.4
+)
+
+// samplingCell is one cell of the tier. A non-nil sched perturbs the run.
+type samplingCell struct {
+	label, app string
+	sched      *perturb.Schedule
+	params     map[string]int64
+	spec       interp.SampleSpec
 }
 
-// SamplingCellResult is one validated cell.
-type SamplingCellResult struct {
-	SamplingCell
-	Report *simsample.Report `json:"report"`
-}
-
-// SamplingJSON is the `sampling` block of the benchmark artifact.
-type SamplingJSON struct {
-	Quick bool `json:"quick"`
-	Procs int  `json:"procs"`
-	// Confidence and RelFloor echo the estimator configuration.
-	Confidence float64              `json:"confidence"`
-	RelFloor   float64              `json:"rel_floor"`
-	Cells      []SamplingCellResult `json:"cells"`
-	// Tier totals: wall-clock of all sampled vs all exhaustive runs, their
-	// ratio, and whether every metric of every cell contained its ground
-	// truth.
-	SampledWallMS    float64 `json:"sampled_wall_ms"`
-	ExhaustiveWallMS float64 `json:"exhaustive_wall_ms"`
-	Speedup          float64 `json:"speedup"`
-	AllContained     bool    `json:"all_contained"`
-	Rollbacks        int     `json:"rollbacks"`
-}
-
-// SamplingCells returns the tier's cells. The full tier uses
+// samplingCells returns the tier's cells. The full tier uses
 // apps.LargeParams with paper-scale windows; quick mode shrinks both the
 // workloads and the window/gap geometry so the tier stays CI-sized.
 // The final cell perturbs Barnes-Hut with the crossover scenario: heavy
 // background contention switches on at a fixed virtual time inside the
 // FORCES section, so a fast-forward gap extrapolates across a genuine
 // phase change and the rollback path runs against ground truth.
-func SamplingCells(quick bool) []SamplingCell {
+func samplingCells(quick bool) []samplingCell {
 	if quick {
 		spec := interp.SampleSpec{WindowIters: 64, GapIters: 512, MinSectionIters: 256}
-		return []SamplingCell{
-			{Label: "barneshut", App: apps.NameBarnesHut, Policy: "bounded", Spec: spec,
-				Params: map[string]int64{"nbodies": 2048, "listlen": 24, "interwork": 20000, "npasses": 1, "serialwork": 4000}},
-			{Label: "water", App: apps.NameWater, Policy: "bounded", Spec: spec,
-				Params: map[string]int64{"nmol": 640, "nsteps": 1, "energydepth": 1, "serialwork": 4000}},
-			{Label: "string", App: apps.NameString, Policy: "bounded", Spec: spec,
-				Params: map[string]int64{"gridside": 24, "nrays": 2048, "pathlen": 24, "nrounds": 1, "serialwork": 4000}},
+		return []samplingCell{
+			{label: "barneshut", app: apps.NameBarnesHut, spec: spec,
+				params: map[string]int64{"nbodies": 2048, "listlen": 24, "interwork": 20000, "npasses": 1, "serialwork": 4000}},
+			{label: "water", app: apps.NameWater, spec: spec,
+				params: map[string]int64{"nmol": 640, "nsteps": 1, "energydepth": 1, "serialwork": 4000}},
+			{label: "string", app: apps.NameString, spec: spec,
+				params: map[string]int64{"gridside": 24, "nrays": 2048, "pathlen": 24, "nrounds": 1, "serialwork": 4000}},
 			// interwork is raised so the FORCES section spans the scenario's
 			// 400ms change point even at the reduced body count.
-			{Label: "barneshut-crossover", App: apps.NameBarnesHut, Policy: "bounded", Scenario: "crossover", Spec: spec,
-				Params: map[string]int64{"nbodies": 2048, "listlen": 12, "interwork": 160000, "npasses": 1, "serialwork": 4000}},
+			{label: "barneshut-crossover", app: apps.NameBarnesHut, sched: perturb.Crossover(), spec: spec,
+				params: map[string]int64{"nbodies": 2048, "listlen": 12, "interwork": 160000, "npasses": 1, "serialwork": 4000}},
 		}
 	}
-	return []SamplingCell{
-		{Label: "barneshut", App: apps.NameBarnesHut, Policy: "bounded",
-			Spec:   interp.SampleSpec{WindowIters: 128, GapIters: 8192, MinSectionIters: 1024},
-			Params: apps.LargeParams(apps.NameBarnesHut)},
+	return []samplingCell{
+		{label: "barneshut", app: apps.NameBarnesHut,
+			spec:   interp.SampleSpec{WindowIters: 128, GapIters: 8192, MinSectionIters: 1024},
+			params: apps.LargeParams(apps.NameBarnesHut)},
 		// Water's pair loops are triangular (iteration i does nmol-i-1 pair
 		// operations), so windows are shorter: the linear trend tracks the
 		// decline across a narrower horizon.
-		{Label: "water", App: apps.NameWater, Policy: "bounded",
-			Spec:   interp.SampleSpec{WindowIters: 32, GapIters: 4096, MinSectionIters: 256},
-			Params: apps.LargeParams(apps.NameWater)},
-		{Label: "string", App: apps.NameString, Policy: "bounded",
-			Spec:   interp.SampleSpec{WindowIters: 128, GapIters: 4096, MinSectionIters: 1024},
-			Params: apps.LargeParams(apps.NameString)},
+		{label: "water", app: apps.NameWater,
+			spec:   interp.SampleSpec{WindowIters: 32, GapIters: 4096, MinSectionIters: 256},
+			params: apps.LargeParams(apps.NameWater)},
+		{label: "string", app: apps.NameString,
+			spec:   interp.SampleSpec{WindowIters: 128, GapIters: 4096, MinSectionIters: 1024},
+			params: apps.LargeParams(apps.NameString)},
 		// The rollback showcase is deliberately smaller than the uniform
 		// Barnes-Hut cell: a rollback re-executes up to one gap in detail,
 		// so a tight gap bounds the cost while interwork stretches the
 		// FORCES section across the scenario's 400ms change point.
-		{Label: "barneshut-crossover", App: apps.NameBarnesHut, Policy: "bounded", Scenario: "crossover",
-			Spec:   interp.SampleSpec{WindowIters: 128, GapIters: 1024, MinSectionIters: 512},
-			Params: map[string]int64{"nbodies": 2048, "listlen": 12, "interwork": 160000, "npasses": 1, "serialwork": 10000}},
+		{label: "barneshut-crossover", app: apps.NameBarnesHut, sched: perturb.Crossover(),
+			spec:   interp.SampleSpec{WindowIters: 128, GapIters: 1024, MinSectionIters: 512},
+			params: map[string]int64{"nbodies": 2048, "listlen": 12, "interwork": 160000, "npasses": 1, "serialwork": 10000}},
 	}
 }
 
-// SamplingValidation runs the tier: every cell sampled and exhaustive,
-// estimator containment checked against ground truth. cfg contributes
-// Quick; the simulation cache is deliberately not consulted.
-func SamplingValidation(cfg SuiteConfig) (*SamplingJSON, error) {
-	scfg := simsample.Config{}
-	out := &SamplingJSON{Quick: cfg.Quick, Procs: 8, Confidence: 0.95, RelFloor: 0.02}
-	out.AllContained = true
-	for _, cell := range SamplingCells(cfg.Quick) {
-		c, err := apps.Compile(cell.App)
+// Sampling runs the tier: every cell sampled and exhaustive, one row per
+// cell and metric, and per cell the checks that the ground truth lies
+// inside every interval, that sampling engaged, and — on the perturbed
+// cell — that the phase change was detected and rolled back rather than
+// extrapolated through. The cells run one at a time in one of the suite's
+// simulation slots, under the VM whatever the suite's engine (sampling
+// needs its snapshots).
+func Sampling(s *Suite) (*Report, error) {
+	r := &Report{ID: "sampling",
+		Title: fmt.Sprintf("Sampled simulation vs exhaustive ground truth (%s, %d procs, 95%% intervals)", samplingPolicy, samplingProcs)}
+	r.Header = []string{"Cell", "Metric", "Estimate", "Lo", "Hi", "Ground truth", "In"}
+	var skipped, detailed int64
+	var sampledWall, exhaustiveWall time.Duration
+	defer s.slot()()
+	for _, cell := range samplingCells(s.cfg.Quick) {
+		c, err := s.App(cell.app)
 		if err != nil {
 			return nil, err
 		}
-		spec := cell.Spec
-		opts := interp.Options{
-			Procs: out.Procs, Policy: cell.Policy,
-			Params: cell.Params, Sample: &spec,
-		}
-		if cell.Scenario != "" {
-			sched, ok := perturb.Scenario(cell.Scenario)
-			if !ok {
-				return nil, fmt.Errorf("bench: sampling cell %s: unknown scenario %q", cell.Label, cell.Scenario)
-			}
-			opts.Perturb = sched
-		}
-		rep, err := simsample.Validate(c.Parallel, opts, scfg)
+		spec := cell.spec
+		rep, err := simsample.Validate(c.Parallel, interp.Options{
+			Procs: samplingProcs, Policy: samplingPolicy,
+			Params: cell.params, Perturb: cell.sched, Sample: &spec,
+		}, simsample.Config{})
 		if err != nil {
-			return nil, fmt.Errorf("bench: sampling cell %s: %w", cell.Label, err)
+			return nil, fmt.Errorf("bench: sampling cell %s: %w", cell.label, err)
 		}
-		out.Cells = append(out.Cells, SamplingCellResult{SamplingCell: cell, Report: rep})
-		out.SampledWallMS += float64(rep.SampledWallNS) / 1e6
-		out.ExhaustiveWallMS += float64(rep.ExhaustiveWallNS) / 1e6
-		out.Rollbacks += rep.Estimate.Rollbacks
-		if !rep.AllContained {
-			out.AllContained = false
-		}
-	}
-	if out.SampledWallMS > 0 {
-		out.Speedup = out.ExhaustiveWallMS / out.SampledWallMS
-	}
-	return out, nil
-}
-
-// Format renders the tier as text.
-func (sj *SamplingJSON) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== sampling: sampled simulation vs exhaustive ground truth (%d procs) ==\n", sj.Procs)
-	for _, cell := range sj.Cells {
-		rep := cell.Report
-		fmt.Fprintf(&b, "%s:", cell.Label)
-		if cell.Scenario != "" {
-			fmt.Fprintf(&b, " [%s]", cell.Scenario)
-		}
-		fmt.Fprintf(&b, " skipped %.0f%%, %d window(s), %d gap(s), %d rollback(s), wall %.0f ms vs %.0f ms (%.1fx)\n",
-			rep.SkipRatio*100, rep.Estimate.Windows, rep.Estimate.Gaps, rep.Estimate.Rollbacks,
-			float64(rep.SampledWallNS)/1e6, float64(rep.ExhaustiveWallNS)/1e6,
-			float64(rep.ExhaustiveWallNS)/float64(max(rep.SampledWallNS, 1)))
-		for _, m := range rep.Estimate.Metrics {
-			mark := "in "
+		est := rep.Estimate
+		var out []string
+		for _, m := range est.Metrics {
+			in := "in"
 			if !rep.Contained[m.Name] {
-				mark = "OUT"
+				in = "OUT"
+				out = append(out, m.Name)
 			}
-			fmt.Fprintf(&b, "  %-16s est %14.0f  [%14.0f, %14.0f]  ground %14.0f  %s\n",
-				m.Name, m.Value, m.Lo, m.Hi, rep.Ground[m.Name], mark)
+			r.Rows = append(r.Rows, []string{cell.label, m.Name, fmt.Sprintf("%.0f", m.Value),
+				fmt.Sprintf("%.0f", m.Lo), fmt.Sprintf("%.0f", m.Hi), fmt.Sprintf("%.0f", rep.Ground[m.Name]), in})
 		}
+		r.Notes = append(r.Notes, fmt.Sprintf(
+			"%s: windows of %d and gaps of up to %d iterations; %d window(s), %d gap(s), %d rollback(s); params %v",
+			cell.label, spec.WindowIters, spec.GapIters, est.Windows, est.Gaps, est.Rollbacks, cell.params))
+		r.check(cell.label+": every ground-truth metric inside its interval", rep.AllContained,
+			"%d of %d contained, outside: %v", len(est.Metrics)-len(out), len(est.Metrics), out)
+		r.check(fmt.Sprintf("%s: at least %.0f%% of iterations fast-forwarded", cell.label, minSkipShare*100),
+			rep.SkipRatio >= minSkipShare,
+			"skipped %d of %d (%.0f%%)", est.SkippedIters, est.SkippedIters+est.DetailedIters, rep.SkipRatio*100)
+		if cell.sched != nil {
+			r.check(cell.label+": the perturbed cell rolled back", est.Rollbacks > 0,
+				"%d rollback(s) under the %s scenario", est.Rollbacks, cell.sched.Name)
+		}
+		skipped += est.SkippedIters
+		detailed += est.DetailedIters
+		sampledWall += rep.SampledWall
+		exhaustiveWall += rep.ExhaustiveWall
+		r.HostNotes = append(r.HostNotes, fmt.Sprintf("sampling: %s: %v sampled vs %v exhaustive",
+			cell.label, rep.SampledWall.Round(time.Millisecond), rep.ExhaustiveWall.Round(time.Millisecond)))
 	}
-	verdict := "every ground-truth metric inside its 95% interval"
-	if !sj.AllContained {
-		verdict = "GROUND TRUTH ESCAPED an interval"
-	}
-	fmt.Fprintf(&b, "sampling tier: %.0f ms sampled vs %.0f ms exhaustive (%.1fx); %s\n",
-		sj.SampledWallMS, sj.ExhaustiveWallMS, sj.Speedup, verdict)
-	return b.String()
+	r.Notes = append(r.Notes, fmt.Sprintf("tier: fast-forwarded %d of %d iterations", skipped, skipped+detailed))
+	r.HostNotes = append(r.HostNotes, fmt.Sprintf("sampling: tier: %v sampled vs %v exhaustive",
+		sampledWall.Round(time.Millisecond), exhaustiveWall.Round(time.Millisecond)))
+	return r, nil
 }

@@ -98,6 +98,9 @@ type Report struct {
 	Series []Series     `json:"series,omitempty"`
 	Notes  []string     `json:"notes,omitempty"`
 	Checks []ShapeCheck `json:"checks,omitempty"`
+	// HostNotes are remarks about the host (wall-clocks). They are in
+	// neither the JSON form nor Format: dfbench prints them on stderr.
+	HostNotes []string `json:"-"`
 }
 
 // Failed returns the names of failed shape checks.
@@ -372,16 +375,22 @@ func (s *Suite) simulate(prog *ir.Program, opts interp.Options, key string) (*in
 }
 
 // execute simulates under the suite's engine with up to Parallelism
-// simulations in flight. A serial suite has nothing in flight to bound, so
-// it skips the semaphore rather than paying a channel round-trip per
-// simulation.
+// simulations in flight.
 func (s *Suite) execute(prog *ir.Program, opts interp.Options) (*interp.Result, error) {
-	if cap(s.sem) > 1 {
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-	}
+	defer s.slot()()
 	opts.Engine = s.cfg.Engine
 	return interp.Run(prog, opts)
+}
+
+// slot takes one of the suite's Parallelism simulation slots and returns
+// its release. A serial suite has nothing in flight to bound, so it skips
+// the semaphore rather than paying a channel round-trip per simulation.
+func (s *Suite) slot() (release func()) {
+	if cap(s.sem) <= 1 {
+		return func() {}
+	}
+	s.sem <- struct{}{}
+	return func() { <-s.sem }
 }
 
 // section finds a section's stats in a result.
@@ -440,9 +449,22 @@ func Experiments() []Experiment {
 	}
 }
 
-// ExperimentByID finds an experiment.
+// Tiers returns the validation tiers of the two later subsystems, sampled
+// simulation and the generated policy space. They are experiments like any
+// other, selected by ID, but not part of Experiments: the golden, the root
+// benchmarks and the dfperf suite workload enumerate that list, and the
+// full-scale tiers are too slow to ride in it.
+func Tiers() []Experiment {
+	return []Experiment{
+		{"sampling", "Tier: sampled simulation vs exhaustive ground truth", Sampling},
+		{"policies-search", "Tier: generated policy space, representative-set search", PoliciesSearch},
+		{"policies-duels", "Tier: round-robin vs bandit controller over the generated policy space", PoliciesDuels},
+	}
+}
+
+// ExperimentByID finds an experiment or a tier.
 func ExperimentByID(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
+	for _, e := range append(Experiments(), Tiers()...) {
 		if e.ID == id {
 			return e, true
 		}

@@ -166,15 +166,15 @@ func sortedFPKeys[V any](m map[string]V) []string {
 // CacheKey derives the content address of a simulation outcome: the hex
 // SHA-256 over the program fingerprint plus every Options field that can
 // influence the result — processor count, policy, dynamic-feedback
-// intervals and controller switches, parameter overrides, the normalized
-// machine cost model, the runtime cost knobs, and the canonical encoding
-// of the perturbation schedule (the nil and empty schedules encode
-// identically, so an unperturbed run's address does not depend on how "no
-// perturbation" is spelled). Runs that install a Trace callback are not
-// cacheable (the trace is a side effect a cached result cannot replay);
-// for those ok is false.
+// intervals and controller switches, parameter overrides, the
+// instrumentation cost, and the canonical encoding of the perturbation
+// schedule (the nil and empty schedules encode identically, so an
+// unperturbed run's address does not depend on how "no perturbation" is
+// spelled). Runs that install a Trace callback are not cacheable (the
+// trace is a side effect a cached result cannot replay); for those ok is
+// false.
 //
-//dfvet:fingerprint Options simmach.Config
+//dfvet:fingerprint Options
 //dfvet:fingerprint-exclude Options.Engine — both engines produce byte-identical Results by contract, so the engine choice never affects a cached outcome
 func CacheKey(p *ir.Program, opts Options) (key string, ok bool) {
 	if opts.Trace != nil {
@@ -187,9 +187,6 @@ func CacheKey(p *ir.Program, opts Options) (key string, ok bool) {
 		return "", false
 	}
 	opts = opts.withDefaults()
-	mcfg := opts.Machine
-	mcfg.Procs = opts.Procs
-	mcfg = mcfg.Normalized()
 
 	h := sha256.New()
 	w := &fpWriter{h: h}
@@ -200,7 +197,9 @@ func CacheKey(p *ir.Program, opts Options) (key string, ok bool) {
 	// v4: adds DetectRaces, which v3 omitted — a race-detecting run and a
 	// plain run shared an address even though only one carries Result.Races
 	// (found by the dfvet fingerprint analyzer).
-	w.str("obl-run-v4")
+	// v5: drops the machine cost model and the claim, dispatch and fork
+	// costs, which stopped being options.
+	w.str("obl-run-v5")
 	w.str(Fingerprint(p))
 	w.i64(int64(opts.Procs))
 	w.str(opts.Policy)
@@ -217,15 +216,6 @@ func CacheKey(p *ir.Program, opts Options) (key string, ok bool) {
 		w.str(name)
 		w.i64(opts.Params[name])
 	}
-	w.i64(int64(mcfg.Procs))
-	w.i64(int64(mcfg.TimerReadCost))
-	w.i64(int64(mcfg.AcquireCost))
-	w.i64(int64(mcfg.ReleaseCost))
-	w.i64(int64(mcfg.SpinCost))
-	w.i64(int64(mcfg.BarrierCost))
-	w.i64(int64(opts.ClaimCost))
-	w.i64(int64(opts.DispatchCost))
-	w.i64(int64(opts.ForkCost))
 	w.i64(int64(opts.InstrumentationCost))
 	w.i64(opts.MaxSteps)
 	sched := opts.Perturb.AppendCanonical(nil)

@@ -69,9 +69,6 @@ type Options struct {
 	AsyncSwitch bool
 	// Params overrides program parameters by name.
 	Params map[string]int64
-	// Machine overrides the simulator cost model; Procs wins over
-	// Machine.Procs.
-	Machine simmach.Config
 	// Perturb, when non-nil and non-empty, is a deterministic schedule of
 	// environment perturbations applied to the simulated machine in virtual
 	// time (internal/perturb): scheduled cost changes, per-processor
@@ -79,14 +76,6 @@ type Options struct {
 	// of the run's content address (CacheKey), so perturbed and unperturbed
 	// runs never share a cache entry.
 	Perturb *perturb.Schedule
-	// ClaimCost is charged per iteration claim (shared counter fetch-add).
-	// Default 150ns.
-	ClaimCost simmach.Time
-	// DispatchCost is charged per iteration in dynamic runs for the
-	// multi-version switch dispatch (§4.2). Default 60ns.
-	DispatchCost simmach.Time
-	// ForkCost is charged when a parallel section starts. Default 10µs.
-	ForkCost simmach.Time
 	// InstrumentationCost is charged per acquire and per release in
 	// instrumented (dynamic) runs for the counter updates of §4.3.
 	// Default 20ns.
@@ -141,15 +130,6 @@ func (o Options) withDefaults() Options {
 	if o.TargetProduction <= 0 {
 		o.TargetProduction = 100 * simmach.Second
 	}
-	if o.ClaimCost <= 0 {
-		o.ClaimCost = 150
-	}
-	if o.DispatchCost <= 0 {
-		o.DispatchCost = 60
-	}
-	if o.ForkCost <= 0 {
-		o.ForkCost = 10 * simmach.Microsecond
-	}
 	if o.InstrumentationCost <= 0 {
 		o.InstrumentationCost = 20
 	}
@@ -161,6 +141,18 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// The section runtime's own costs, beside the machine's cost model
+// (simmach.DefaultConfig, which every run uses).
+const (
+	// claimCost is charged per iteration claim (shared counter fetch-add).
+	claimCost = 150 * simmach.Nanosecond
+	// dispatchCost is charged per iteration in dynamic runs for the
+	// multi-version switch dispatch (§4.2).
+	dispatchCost = 60 * simmach.Nanosecond
+	// forkCost is charged when a parallel section starts.
+	forkCost = 10 * simmach.Microsecond
+)
 
 // Execution engines.
 const (
@@ -331,8 +323,7 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	if !core.ValidKind(opts.Controller) {
 		return nil, fmt.Errorf("interp: unknown controller kind %q", opts.Controller)
 	}
-	mcfg := opts.Machine
-	mcfg.Procs = opts.Procs
+	mcfg := simmach.DefaultConfig(opts.Procs)
 	rt := &runtime{
 		prog:        p,
 		prep:        prepare(p),
@@ -369,7 +360,7 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 		rt.race = newRaceDetector()
 	}
 	if !opts.Perturb.Empty() {
-		tbl, err := opts.Perturb.Table(mcfg.Normalized())
+		tbl, err := opts.Perturb.Table(mcfg)
 		if err != nil {
 			return nil, fmt.Errorf("interp: perturbation schedule: %w", err)
 		}
@@ -617,7 +608,7 @@ func (sr *sectionRun) claimIter(p *simmach.Proc) (iter int64, ok bool) {
 			return iter, true
 		}
 	}
-	p.Advance(sr.rt.opts.ClaimCost)
+	p.Advance(claimCost)
 	if sr.next >= sr.hi {
 		return 0, false
 	}
@@ -969,7 +960,7 @@ func (w *worker) sectionStep(p *simmach.Proc) (simmach.Status, bool) {
 			return simmach.Blocked, false
 		}
 		if sr.dynamic {
-			p.Advance(rt.opts.DispatchCost)
+			p.Advance(dispatchCost)
 		}
 		v := sr.sec.Versions[sr.versionIdx]
 		w.flags = v.Flags
@@ -1016,7 +1007,7 @@ func (w *worker) sectionStep(p *simmach.Proc) (simmach.Status, bool) {
 // and hands them here.
 func (w *worker) fork(p *simmach.Proc, sec *ir.Section, lo, hi int64, args []Value) {
 	rt := w.rt
-	p.Advance(rt.opts.ForkCost)
+	p.Advance(forkCost)
 	sr := &sectionRun{
 		rt: rt, sec: sec, stats: rt.sectionStats(sec),
 		lo: lo, hi: hi, next: lo, args: args,

@@ -15,7 +15,7 @@ import (
 // and charged synthetically via Proc.SkipCharge at rates extrapolated
 // linearly from the last two windows. A checkpoint (runtime snapshot) is
 // taken at each gap entry; the window that follows the gap validates the
-// extrapolation, and if the observed rates deviate beyond PhaseTolerance —
+// extrapolation, and if the observed rates deviate beyond phaseTolerance —
 // a phase change happened inside the gap — the run rolls back to the gap
 // entry and executes the gap region in detail instead. Each gap rolls back
 // at most once (the rolled-back region is forced detailed), so sampling
@@ -35,19 +35,21 @@ type SampleSpec struct {
 	// Gaps are shortened so that at least one full window of iterations
 	// remains after them.
 	GapIters int64 `json:"gap_iters"`
-	// MinWindows is the number of detailed windows required before the
-	// first gap (default and minimum 2: the extrapolation is a linear
-	// trend through the last two windows).
-	MinWindows int `json:"min_windows"`
-	// PhaseTolerance is the relative deviation of observed vs predicted
-	// per-iteration busy or wait rates beyond which the post-gap
-	// validation window triggers a rollback (default 0.35).
-	PhaseTolerance float64 `json:"phase_tolerance"`
 	// MinSectionIters is the minimum section trip count for sampling to
 	// engage at all; shorter sections run exhaustively (default
-	// WindowIters*(MinWindows+2) + GapIters).
+	// WindowIters*(minWindows+2) + GapIters).
 	MinSectionIters int64 `json:"min_section_iters"`
 }
+
+const (
+	// minWindows is the number of detailed windows required before the
+	// first gap: the extrapolation is a linear trend through the last two.
+	minWindows = 2
+	// phaseTolerance is the relative deviation of observed vs predicted
+	// per-iteration busy or wait rates beyond which the post-gap validation
+	// window triggers a rollback.
+	phaseTolerance = 0.35
+)
 
 // withDefaults is the canonical consumer of a sampling spec: every
 // SampleSpec field is defaulted and validated here before the sampler sees
@@ -64,14 +66,8 @@ func (s *SampleSpec) withDefaults() SampleSpec {
 	if out.GapIters <= 0 {
 		out.GapIters = 2048
 	}
-	if out.MinWindows < 2 {
-		out.MinWindows = 2
-	}
-	if out.PhaseTolerance <= 0 {
-		out.PhaseTolerance = 0.35
-	}
 	if out.MinSectionIters <= 0 {
-		out.MinSectionIters = out.WindowIters*int64(out.MinWindows+2) + out.GapIters
+		out.MinSectionIters = out.WindowIters*(minWindows+2) + out.GapIters
 	}
 	return out
 }
@@ -91,9 +87,9 @@ type WindowStat struct {
 	FailedAcquires int64        `json:"failed_acquires"`
 }
 
-// rates returns the per-iteration rates of the window's five metrics, in
+// Rates returns the per-iteration rates of the window's five metrics, in
 // sampler metric order (busy, lock, wait, acquires, failed).
-func (w WindowStat) rates() [5]float64 {
+func (w WindowStat) Rates() [5]float64 {
 	n := float64(w.Iters)
 	return [5]float64{
 		float64(w.Busy) / n,
@@ -104,7 +100,8 @@ func (w WindowStat) rates() [5]float64 {
 	}
 }
 
-func (w WindowStat) center() float64 {
+// Center returns the window's middle iteration, relative like Start.
+func (w WindowStat) Center() float64 {
 	return float64(w.Start) + float64(w.Iters-1)/2
 }
 
@@ -256,13 +253,13 @@ func (sp *sampler) closeWindow() bool {
 	sp.agg.Windows = append(sp.agg.Windows, w)
 	sp.wins++
 	sp.base1, sp.base2 = sp.base2, w
-	sp.haveTrend = sp.wins >= 2
+	sp.haveTrend = sp.wins >= minWindows
 	return false
 }
 
 // canGap reports whether a gap may start at relative index rel.
 func (sp *sampler) canGap(rel int64) bool {
-	if sp.pendingValidate || !sp.haveTrend || sp.wins < sp.spec.MinWindows || rel < sp.forcedUntil {
+	if sp.pendingValidate || !sp.haveTrend || rel < sp.forcedUntil {
 		return false
 	}
 	return sp.gapLenAt(rel) >= sp.spec.WindowIters
@@ -333,8 +330,8 @@ func (sp *sampler) gapClaim(p *simmach.Proc) (simmach.Status, bool) {
 // trendAt linearly extrapolates per-iteration rates to relative index x
 // from the centers of the last two windows.
 func (sp *sampler) trendAt(x float64) [5]float64 {
-	r1, r2 := sp.base1.rates(), sp.base2.rates()
-	c1, c2 := sp.base1.center(), sp.base2.center()
+	r1, r2 := sp.base1.Rates(), sp.base2.Rates()
+	c1, c2 := sp.base1.Center(), sp.base2.Center()
 	if c2 == c1 {
 		return r2
 	}
@@ -347,11 +344,11 @@ func (sp *sampler) trendAt(x float64) [5]float64 {
 }
 
 // deviates reports whether the validation window's observed busy or wait
-// rates differ from the trend prediction by more than PhaseTolerance,
+// rates differ from the trend prediction by more than phaseTolerance,
 // normalized by the predicted busy rate.
 func (sp *sampler) deviates(w WindowStat) bool {
-	pred := sp.trendAt(w.center())
-	got := w.rates()
+	pred := sp.trendAt(w.Center())
+	got := w.Rates()
 	scale := pred[0]
 	if scale < 1 {
 		scale = 1
@@ -360,7 +357,7 @@ func (sp *sampler) deviates(w WindowStat) bool {
 	if d := math.Abs(got[2]-pred[2]) / scale; d > dev {
 		dev = d
 	}
-	return dev > sp.spec.PhaseTolerance
+	return dev > phaseTolerance
 }
 
 // rollback rewinds the run to the current gap's entry checkpoint and

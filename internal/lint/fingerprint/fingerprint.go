@@ -3,8 +3,8 @@
 //
 // The repo's caching and replication layers are content-addressed: a
 // simulation outcome is keyed by an exhaustive encoding of everything that
-// can influence it (interp.CacheKey over Options and the machine Config,
-// perturb's AppendCanonical over Schedule). The classic failure mode is
+// can influence it (interp.CacheKey over Options, perturb's AppendCanonical
+// over Schedule). The classic failure mode is
 // silent: someone adds an Options field that changes behavior, forgets the
 // encoder, and stale cache entries start answering for runs they do not
 // match. This analyzer makes the contract explicit:

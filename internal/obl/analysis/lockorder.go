@@ -235,7 +235,7 @@ func (c *orderChecker) reportCycles() []Diagnostic {
 		sort.Strings(succ[n])
 	}
 
-	comp := sccs(names, succ)
+	comp := callgraph.SCCs(names, succ)
 
 	var diags []Diagnostic
 	for _, scc := range comp {
@@ -284,72 +284,6 @@ func (c *orderChecker) reportCycles() []Diagnostic {
 		})
 	}
 	return diags
-}
-
-// sccs computes strongly connected components (iterative Tarjan) over the
-// deterministic node and successor orders supplied.
-func sccs(names []string, succ map[string][]string) [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var out [][]string
-	next := 0
-
-	type frame struct {
-		n  string
-		si int
-	}
-	for _, root := range names {
-		if _, seen := index[root]; seen {
-			continue
-		}
-		work := []frame{{n: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(work) > 0 {
-			f := &work[len(work)-1]
-			if f.si < len(succ[f.n]) {
-				s := succ[f.n][f.si]
-				f.si++
-				if _, seen := index[s]; !seen {
-					index[s], low[s] = next, next
-					next++
-					stack = append(stack, s)
-					onStack[s] = true
-					work = append(work, frame{n: s})
-				} else if onStack[s] {
-					if index[s] < low[f.n] {
-						low[f.n] = index[s]
-					}
-				}
-				continue
-			}
-			if low[f.n] == index[f.n] {
-				var scc []string
-				for {
-					top := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[top] = false
-					scc = append(scc, top)
-					if top == f.n {
-						break
-					}
-				}
-				out = append(out, scc)
-			}
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				p := work[len(work)-1].n
-				if low[f.n] < low[p] {
-					low[p] = low[f.n]
-				}
-			}
-		}
-	}
-	return out
 }
 
 // solveMustLocksets runs the must-lockset dataflow of the coverage checker

@@ -19,19 +19,17 @@ import (
 type Graph struct {
 	info  *sema.Info
 	succs map[string][]string
-	scc   map[string]int // full name -> SCC id
-	size  map[int]int    // SCC id -> member count
-	self  map[string]bool
+	// cyclic holds the members of multi-member SCCs and the directly
+	// recursive functions.
+	cyclic map[string]bool
 }
 
 // Build constructs the call graph for a checked program.
 func Build(info *sema.Info) *Graph {
 	g := &Graph{
-		info:  info,
-		succs: map[string][]string{},
-		self:  map[string]bool{},
-		scc:   map[string]int{},
-		size:  map[int]int{},
+		info:   info,
+		succs:  map[string][]string{},
+		cyclic: map[string]bool{},
 	}
 	for _, fi := range info.AllFuncs() {
 		name := fi.FullName()
@@ -44,7 +42,7 @@ func Build(info *sema.Info) *Graph {
 			}
 			tn := target.FullName()
 			if tn == name {
-				g.self[name] = true
+				g.cyclic[name] = true
 			}
 			if !seen[tn] {
 				seen[tn] = true
@@ -54,7 +52,18 @@ func Build(info *sema.Info) *Graph {
 		sort.Strings(succs)
 		g.succs[name] = succs
 	}
-	g.tarjan()
+	names := make([]string, 0, len(g.succs))
+	for n := range g.succs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, scc := range SCCs(names, g.succs) {
+		if len(scc) > 1 {
+			for _, n := range scc {
+				g.cyclic[n] = true
+			}
+		}
+	}
 	return g
 }
 
@@ -96,94 +105,76 @@ func WalkExprCalls(e ast.Expr, f func(*ast.CallExpr)) {
 // Succs returns the direct callees of the named function, sorted.
 func (g *Graph) Succs(full string) []string { return g.succs[full] }
 
-// tarjan computes strongly connected components iteratively.
-func (g *Graph) tarjan() {
-	names := make([]string, 0, len(g.succs))
-	for n := range g.succs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
+// SCCs computes strongly connected components (iterative Tarjan) over the
+// deterministic node and successor orders supplied. Components come out in
+// completion order, each listing its members in stack-pop order.
+func SCCs(names []string, succ map[string][]string) [][]string {
 	index := map[string]int{}
 	low := map[string]int{}
 	onStack := map[string]bool{}
 	var stack []string
+	var out [][]string
 	next := 0
-	sccID := 0
 
 	type frame struct {
-		name string
-		succ int
+		n  string
+		si int
 	}
-	var visit func(root string)
-	visit = func(root string) {
-		frames := []frame{{name: root}}
-		index[root] = next
-		low[root] = next
+	for _, root := range names {
+		if _, seen := index[root]; seen {
+			continue
+		}
+		work := []frame{{n: root}}
+		index[root], low[root] = next, next
 		next++
 		stack = append(stack, root)
 		onStack[root] = true
-		for len(frames) > 0 {
-			fr := &frames[len(frames)-1]
-			if fr.succ < len(g.succs[fr.name]) {
-				s := g.succs[fr.name][fr.succ]
-				fr.succ++
+		for len(work) > 0 {
+			f := &work[len(work)-1]
+			if f.si < len(succ[f.n]) {
+				s := succ[f.n][f.si]
+				f.si++
 				if _, seen := index[s]; !seen {
-					index[s] = next
-					low[s] = next
+					index[s], low[s] = next, next
 					next++
 					stack = append(stack, s)
 					onStack[s] = true
-					frames = append(frames, frame{name: s})
+					work = append(work, frame{n: s})
 				} else if onStack[s] {
-					if index[s] < low[fr.name] {
-						low[fr.name] = index[s]
+					if index[s] < low[f.n] {
+						low[f.n] = index[s]
 					}
 				}
 				continue
 			}
-			// Finish fr.name.
-			name := fr.name
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[name] < low[parent.name] {
-					low[parent.name] = low[name]
-				}
-			}
-			if low[name] == index[name] {
-				count := 0
+			if low[f.n] == index[f.n] {
+				var scc []string
 				for {
 					top := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[top] = false
-					g.scc[top] = sccID
-					count++
-					if top == name {
+					scc = append(scc, top)
+					if top == f.n {
 						break
 					}
 				}
-				g.size[sccID] = count
-				sccID++
+				out = append(out, scc)
+			}
+			work = work[:len(work)-1]
+			if len(work) > 0 {
+				p := work[len(work)-1].n
+				if low[f.n] < low[p] {
+					low[p] = low[f.n]
+				}
 			}
 		}
 	}
-	for _, n := range names {
-		if _, seen := index[n]; !seen {
-			visit(n)
-		}
-	}
+	return out
 }
 
 // InCycle reports whether the named function participates in a call-graph
 // cycle (a multi-member SCC, or direct recursion).
-func (g *Graph) InCycle(full string) bool {
-	if g.self[full] {
-		return true
-	}
-	id, ok := g.scc[full]
-	return ok && g.size[id] > 1
-}
+func (g *Graph) InCycle(full string) bool { return g.cyclic[full] }
 
 // Reachable returns every function reachable from the given roots
 // (including the roots themselves if they are program functions), sorted.

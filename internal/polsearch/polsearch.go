@@ -31,10 +31,11 @@ type Point struct {
 type Config struct {
 	// MaxRepresentatives bounds the selected subset. Default 5.
 	MaxRepresentatives int
-	// ClusterEpsilon is the relative slowdown within which two policies'
-	// signatures count as the same behaviour for clustering. Default 0.02.
-	ClusterEpsilon float64
 }
+
+// clusterEpsilon is the relative slowdown within which two policies'
+// signatures count as the same behaviour for clustering.
+const clusterEpsilon = 0.02
 
 // Cluster groups candidates with indistinguishable signatures. Exemplar is
 // the earliest member, whose signature anchored the cluster.
@@ -79,9 +80,6 @@ func Search(workloads []string, points []Point, cfg Config) (*Result, error) {
 	if cfg.MaxRepresentatives <= 0 {
 		cfg.MaxRepresentatives = 5
 	}
-	if cfg.ClusterEpsilon <= 0 {
-		cfg.ClusterEpsilon = 0.02
-	}
 	seen := map[string]bool{}
 	for _, p := range points {
 		if len(p.Times) != len(workloads) {
@@ -112,13 +110,13 @@ func Search(workloads []string, points []Point, cfg Config) (*Result, error) {
 	}
 
 	// Cluster by signature: a candidate joins the first cluster whose
-	// exemplar it matches within ClusterEpsilon on every workload.
+	// exemplar it matches within clusterEpsilon on every workload.
 	var clusters []Cluster
 	exemplars := []int{}
 	for i, p := range points {
 		placed := false
 		for ci, ei := range exemplars {
-			if sameSignature(points[ei].Times, p.Times, cfg.ClusterEpsilon) {
+			if sameSignature(points[ei].Times, p.Times) {
 				clusters[ci].Members = append(clusters[ci].Members, p.Name)
 				placed = true
 				break
@@ -188,15 +186,15 @@ func Search(workloads []string, points []Point, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// sameSignature reports whether two time vectors are within eps relative
-// distance on every workload.
-func sameSignature(a, b []float64, eps float64) bool {
+// sameSignature reports whether two time vectors are within clusterEpsilon
+// relative distance on every workload.
+func sameSignature(a, b []float64) bool {
 	for w := range a {
 		lo, hi := a[w], b[w]
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		if hi/lo-1 > eps {
+		if hi/lo-1 > clusterEpsilon {
 			return false
 		}
 	}

@@ -330,7 +330,6 @@ type Machine struct {
 	ready    runQueue
 	locks    []*Lock
 	barriers []*Barrier
-	nextLck  int
 	steps    int64
 	running  bool
 	// table, when non-nil, is the time-indexed parameter table every cost
