@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/simcache"
 )
@@ -64,16 +66,61 @@ func BenchmarkRunHit(b *testing.B) {
 	}
 }
 
-// TestRunHitAllocs holds the memory-tier hit to its allocation count. Of
-// the 46 measured (go1.24.0) about 18 are the test's own request and
-// recorder, 12 CacheKey and 8 decoding the request; rendering the reply
-// allocates nothing. The handler allocated 107 when it built a map and
-// encoded it with SetIndent; the ceiling leaves room for another Go
-// version's net/http and encoding/json.
+// TestRunHitAllocs holds a hit to its allocation count, per tier. Of the 46
+// measured for the memory tier (go1.24.0) about 18 are the test's own
+// request and recorder, 12 CacheKey and 8 decoding the request; rendering
+// the reply allocates nothing. The handler allocated 107 when it built a map
+// and encoded it with SetIndent. The disk tier adds the file read and the
+// decoded record, 66 in all; it was 104 while entries were JSON. Each
+// ceiling leaves room for another Go version's net/http, os and
+// encoding/json.
 func TestRunHitAllocs(t *testing.T) {
-	h := hitHandler(t, 0)
-	const ceiling = 60
-	if got := testing.AllocsPerRun(200, func() { postHit(h) }); got > ceiling {
-		t.Errorf("a memory-tier /run hit allocates %.0f times, ceiling %d", got, ceiling)
+	for _, tier := range []struct {
+		name       string
+		memEntries int
+		ceiling    float64
+	}{{"memory", 0, 60}, {"disk", -1, 80}} {
+		h := hitHandler(t, tier.memEntries)
+		if got := testing.AllocsPerRun(200, func() { postHit(h) }); got > tier.ceiling {
+			t.Errorf("a %s-tier /run hit allocates %.0f times, ceiling %.0f", tier.name, got, tier.ceiling)
+		} else {
+			t.Logf("%s tier: %.0f allocations a hit", tier.name, got)
+		}
+	}
+}
+
+// TestCachedRunTakesNoSlot fills every simulation slot and posts with a
+// short deadline: a cached cell is answered all the same, an uncached one
+// waits for a slot it never gets.
+func TestCachedRunTakesNoSlot(t *testing.T) {
+	cache, err := simcache.New(simcache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Cache: cache, MaxConcurrent: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	if rec := postHit(h); rec.Code != http.StatusOK {
+		t.Fatalf("filling the cache: status %d: %s", rec.Code, rec.Body)
+	}
+	for i := 0; i < cap(srv.sem); i++ {
+		srv.sem <- struct{}{}
+	}
+	post := func(body string) *httptest.ResponseRecorder {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body)).WithContext(ctx))
+		return rec
+	}
+	if rec := post(hitBody); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cached": true`) {
+		t.Errorf("cached cell with every slot busy: status %d: %s", rec.Code, rec.Body)
+	}
+	rec := post(`{"app":"water","policy":"original","procs":8}`)
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "request canceled while queued") {
+		t.Errorf("uncached cell with every slot busy: status %d: %s", rec.Code, rec.Body)
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"slices"
@@ -706,21 +707,17 @@ func (s *Server) runApp(w http.ResponseWriter, r *http.Request, req runRequest) 
 				req.App, key, c.Parallel.ParamNames)
 			return
 		}
+		// Request numbers arrive as float64: from ±2^53 on neighbouring
+		// integers share one (2^53+1 reads as 2^53), and the run would
+		// take another's cache entry.
 		f, ok := val.(float64)
-		if !ok || f != float64(int64(f)) {
+		if !ok || f != float64(int64(f)) || math.Abs(f) >= 1<<53 {
 			s.runsErr.Add(1)
 			writeError(w, http.StatusBadRequest, "parameter %q wants an integer, got %v", key, val)
 			return
 		}
 		params[key] = int64(f)
 	}
-	if !s.acquireSlot(r) {
-		s.runsErr.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "request canceled while queued")
-		return
-	}
-	defer func() { <-s.sem }()
-
 	prog := c.Parallel
 	opts := interp.Options{
 		Procs:            procs,
@@ -747,7 +744,17 @@ func (s *Server) runApp(w http.ResponseWriter, r *http.Request, req runRequest) 
 		}
 	}
 	if !cached {
-		res, err = interp.Run(prog, opts)
+		// Only a simulation needs a slot: a hit neither queues behind the
+		// running ones nor counts their wait into its wall time.
+		if !s.acquireSlot(r) {
+			s.runsErr.Add(1)
+			writeError(w, http.StatusServiceUnavailable, "request canceled while queued")
+			return
+		}
+		res, err = func() (*interp.Result, error) {
+			defer func() { <-s.sem }()
+			return interp.Run(prog, opts)
+		}()
 		if err != nil {
 			s.runsErr.Add(1)
 			writeError(w, http.StatusInternalServerError, "%v", err)

@@ -322,6 +322,9 @@ func TestRunValidation(t *testing.T) {
 		{`{"app":"water","procs":1000}`, http.StatusBadRequest, ""},
 		{`{"app":"water","policy":"nope"}`, http.StatusBadRequest, "original bounded aggressive"},
 		{`{"app":"water","params":{"nmol":1.5}}`, http.StatusBadRequest, ""},
+		// 2^53+1 and its negative: float64 reads them as ±2^53.
+		{`{"app":"water","params":{"nmol":9007199254740993}}`, http.StatusBadRequest, "wants an integer"},
+		{`{"app":"water","params":{"nmol":-9007199254740993}}`, http.StatusBadRequest, "wants an integer"},
 		// A parameter the program does not declare: Barnes-Hut's, and a typo.
 		{`{"app":"water","params":{"nbodies":64}}`, http.StatusBadRequest, "energydepth nmol nsteps serialwork"},
 		{`{"app":"water","params":{"nmoll":12}}`, http.StatusBadRequest, `"nmoll"`},

@@ -14,12 +14,18 @@
 //
 //   - An in-memory LRU holds decoded *interp.Result records for the hot
 //     working set (a full dfbench suite is a few hundred cells).
-//   - An optional on-disk tier persists one JSON file per key, written
-//     through a temporary sibling and an atomic rename (the dynfb/store
-//     discipline), so concurrent writers and crashes mid-write leave
-//     either the old or the new file, never a torn one. Corrupt,
-//     truncated, or schema-skewed files are treated as misses — cached
-//     knowledge is always re-learnable by simulating.
+//   - An optional on-disk tier persists one file per key: a checksummed
+//     binary entry (magic, schema, key, the Result, CRC-32C; codec.go),
+//     written through a temporary sibling and an atomic rename (the
+//     dynfb/store discipline), so concurrent writers and crashes mid-write
+//     leave either the old or the new file, never a torn one. Corrupt,
+//     truncated, or schema-skewed files — every entry a schema 1 (JSON)
+//     cache left behind included — are counted and treated as misses, and
+//     the next Put overwrites them: cached knowledge is always
+//     re-learnable by simulating, so an old directory re-simulates once.
+//
+// The entry form is private to the disk tier. EncodeResult (JSON) remains
+// the canonical form results are compared in.
 //
 // Results returned by Get are shared; callers must treat them as
 // immutable (the bench and serve integrations only read them, exactly as
@@ -29,7 +35,9 @@ package simcache
 import (
 	"container/list"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -39,9 +47,10 @@ import (
 	"repro/internal/interp"
 )
 
-// SchemaVersion is the on-disk entry schema. Bump it when the Result
-// record shape changes incompatibly; old files then read as misses.
-const SchemaVersion = 1
+// SchemaVersion is the on-disk entry schema. Bump it when the entry form
+// or the Result record shape changes; old files then read as misses.
+// 1 was a JSON envelope, 2 is the binary form of codec.go.
+const SchemaVersion = 2
 
 // DefaultMemEntries is the in-memory tier's default capacity.
 const DefaultMemEntries = 1024
@@ -62,8 +71,9 @@ type Stats struct {
 	DiskHits int64 `json:"disk_hits"`
 	Misses   int64 `json:"misses"`
 	Puts     int64 `json:"puts"`
-	// Errors counts tolerated disk-tier failures (corrupt entries,
-	// unwritable files); each also reads as a miss or a dropped put.
+	// Errors counts tolerated disk-tier failures (corrupt or unreadable
+	// entries, unwritable files); each also reads as a miss or a dropped
+	// put.
 	Errors int64 `json:"errors"`
 }
 
@@ -145,14 +155,18 @@ func (c *Cache) Get(key string) (*interp.Result, bool) {
 		return nil, false
 	}
 	data, err := os.ReadFile(c.entryPath(key))
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		c.note(func(s *Stats) { s.Misses++ })
 		return nil, false
 	}
-	res, err := decodeEntry(data, key)
+	var res *interp.Result
+	if err == nil {
+		res, err = decodeEntry(data, key)
+	}
 	if err != nil {
-		// A damaged entry is a miss, not a failure: the result is
-		// re-learnable by simulating, and the next Put overwrites it.
+		// An unreadable or damaged entry is a miss, not a failure: the
+		// result is re-learnable by simulating, and the next Put
+		// overwrites it.
 		c.note(func(s *Stats) { s.Errors++; s.Misses++ })
 		return nil, false
 	}
@@ -174,12 +188,7 @@ func (c *Cache) Put(key string, res *interp.Result) {
 	if c.dir == "" {
 		return
 	}
-	data, err := encodeEntry(key, res)
-	if err != nil {
-		c.note(func(s *Stats) { s.Errors++ })
-		return
-	}
-	if err := writeAtomic(c.entryPath(key), data); err != nil {
+	if err := writeAtomic(c.entryPath(key), encodeEntry(key, res)); err != nil {
 		c.note(func(s *Stats) { s.Errors++ })
 	}
 }
@@ -209,42 +218,19 @@ func (c *Cache) insertLocked(key string, res *interp.Result) {
 	}
 }
 
+// entryPath keeps the ".json" suffix schema 1 gave it, though the entry is
+// no longer JSON: benchmark/probes.go stats that name for
+// simcache.entry_bytes, and renaming it belongs to the PR that may edit
+// benchmark/ (ROADMAP item 7).
 func (c *Cache) entryPath(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// entry is the on-disk envelope.
-type entry struct {
-	Schema int            `json:"schema"`
-	Key    string         `json:"key"`
-	Result *interp.Result `json:"result"`
-}
-
-func encodeEntry(key string, res *interp.Result) ([]byte, error) {
-	return json.Marshal(entry{Schema: SchemaVersion, Key: key, Result: res})
-}
-
-func decodeEntry(data []byte, key string) (*interp.Result, error) {
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("simcache: corrupt entry: %w", err)
-	}
-	if e.Schema != SchemaVersion {
-		return nil, fmt.Errorf("simcache: entry schema %d, want %d", e.Schema, SchemaVersion)
-	}
-	if e.Key != key {
-		return nil, fmt.Errorf("simcache: entry key mismatch (content-address violation)")
-	}
-	if e.Result == nil {
-		return nil, fmt.Errorf("simcache: entry has no result")
-	}
-	return e.Result, nil
-}
-
-// EncodeResult renders a result in the cache's canonical byte form. The
-// verify mode byte-compares cached and freshly simulated results through
-// this encoding, and the JSON round-trip is lossless for every field the
-// result carries (int64 counters and virtual times, float64 overheads).
+// EncodeResult renders a result in its canonical byte form: JSON, whatever
+// form the disk tier stores. The verify mode byte-compares cached and
+// freshly simulated results through this encoding, which is lossless for
+// every field the result carries (int64 counters and virtual times, float64
+// overheads).
 func EncodeResult(res *interp.Result) ([]byte, error) {
 	data, err := json.Marshal(res)
 	if err != nil {

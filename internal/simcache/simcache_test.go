@@ -2,9 +2,9 @@ package simcache
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -104,30 +104,71 @@ func TestCorruptAndSkewedEntriesAreMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt JSON.
-	if err := os.WriteFile(filepath.Join(dir, keyA+".json"), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
+	plant := func(key string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(c.entryPath(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	good := encodeEntry(keyA, sampleResult(1))
+	// Torn entry.
+	plant(keyA, good[:len(good)/2])
 	if _, ok := c.Get(keyA); ok {
 		t.Error("corrupt entry returned a hit")
 	}
-	// Wrong schema.
-	if err := os.WriteFile(filepath.Join(dir, keyB+".json"), []byte(`{"schema":999,"key":"`+keyB+`","result":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Wrong schema, otherwise whole.
+	plant(keyB, entryWithSchema(999, keyB, sampleResult(1)))
 	if _, ok := c.Get(keyB); ok {
 		t.Error("schema-skewed entry returned a hit")
 	}
 	// Key mismatch (content-address violation, e.g. renamed file).
-	good, _ := encodeEntry(keyA, sampleResult(1))
-	if err := os.WriteFile(filepath.Join(dir, keyB+".json"), good, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	plant(keyB, good)
 	if _, ok := c.Get(keyB); ok {
 		t.Error("key-mismatched entry returned a hit")
 	}
-	if st := c.Stats(); st.Errors != 3 {
-		t.Errorf("stats = %+v, want 3 tolerated errors", st)
+	// A well-formed schema 1 entry, as a cache directory from before the
+	// binary form holds them.
+	v1, err := json.Marshal(map[string]any{"schema": 1, "key": keyA, "result": sampleResult(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant(keyA, v1)
+	if _, ok := c.Get(keyA); ok {
+		t.Error("schema 1 JSON entry returned a hit")
+	}
+	if st := c.Stats(); st.Errors != 4 || st.Misses != 4 {
+		t.Errorf("stats = %+v, want 4 tolerated errors, each a miss", st)
+	}
+	// The re-simulated result overwrites it, for this process and the next.
+	c.Put(keyA, sampleResult(1))
+	fresh, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.Get(keyA); !ok {
+		t.Error("miss after a Put over a schema 1 entry")
+	}
+}
+
+// TestUnreadableEntryIsACountedError plants a directory where an entry
+// belongs: the read fails with something other than "no such file", which
+// is a tolerated disk failure, not a plain miss.
+func TestUnreadableEntryIsACountedError(t *testing.T) {
+	c, err := New(Config{Dir: t.TempDir(), MemEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(c.entryPath(keyA), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(keyA); ok {
+		t.Fatal("a directory read as a hit")
+	}
+	if _, ok := c.Get(keyB); ok {
+		t.Fatal("hit on an absent entry")
+	}
+	if st := c.Stats(); st.Errors != 1 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want 2 misses of which the unreadable one an error", st)
 	}
 }
 
@@ -293,6 +334,19 @@ func BenchmarkPut(b *testing.B) {
 	}
 	if st := c.Stats(); st.Errors != 0 {
 		b.Fatalf("%d of %d puts failed", st.Errors, st.Puts)
+	}
+}
+
+// BenchmarkDecodeEntry is the disk tier's share of a hit once the file is
+// read: checksum, walk, allocate the record.
+func BenchmarkDecodeEntry(b *testing.B) {
+	data := encodeEntry(keyA, sampleResult(1))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeEntry(data, keyA); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
