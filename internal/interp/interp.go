@@ -730,10 +730,15 @@ func (t *task) pushCall(funcID int, retDst ir.Reg) []Value {
 	fn := t.rt.prog.Funcs[funcID]
 	base := len(t.regStack)
 	top := base + fn.NRegs
-	if top <= cap(t.regStack) {
-		t.regStack = t.regStack[:top]
-	} else {
-		t.growRegs(top)
+	grown := top > cap(t.regStack)
+	t.regStack = grow(t.regStack, top)
+	if grown {
+		// The arena moved: re-point every live frame's window at it.
+		for i := range t.frames {
+			f := &t.frames[i]
+			end := f.base + f.fn.NRegs
+			f.regs = t.regStack[f.base:end:end]
+		}
 	}
 	regs := t.regStack[base:top:top]
 	clear(regs)
@@ -742,26 +747,6 @@ func (t *task) pushCall(funcID int, retDst ir.Reg) []Value {
 		base: base, regs: regs, retDst: retDst,
 	})
 	return regs
-}
-
-// growRegs reallocates the register arena and re-points every live frame's
-// window at the new backing array.
-func (t *task) growRegs(top int) {
-	newCap := 2 * cap(t.regStack)
-	if newCap < top {
-		newCap = top
-	}
-	if newCap < 64 {
-		newCap = 64
-	}
-	grown := make([]Value, top, newCap)
-	copy(grown, t.regStack)
-	t.regStack = grown
-	for i := range t.frames {
-		f := &t.frames[i]
-		end := f.base + f.fn.NRegs
-		f.regs = t.regStack[f.base:end:end]
-	}
 }
 
 // popFrame closes the top activation record, releasing its arena window.

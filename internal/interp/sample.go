@@ -362,9 +362,8 @@ func (sp *sampler) deviates(w WindowStat) bool {
 
 // rollback rewinds the run to the current gap's entry checkpoint and
 // forces the rolled-back region to execute in detail. forcedUntil is set
-// after the restore (the restore rewinds the sampler's snapshotted state),
-// and Rollbacks is deliberately excluded from snapshots so the count
-// survives.
+// after the restore, which rewinds the sampler whole; the restore keeps
+// the aggregate's Rollbacks, so the count survives.
 func (sp *sampler) rollback() {
 	gapEnd := sp.gapStart + sp.gapLen
 	sp.rt.restoreSnapshot(sp.snap)
@@ -377,63 +376,4 @@ func (sp *sampler) rollback() {
 // runs from the section's final barrier completion.
 func (sp *sampler) finishExec() {
 	sp.agg.DetailedIters += sp.sr.iterations - sp.skippedThisExec
-}
-
-// sampSnap is the sampler's contribution to a runtime snapshot. Everything
-// mutable is captured except agg.Rollbacks, so rollback counts survive
-// their own restore.
-type sampSnap struct {
-	winOpen         bool
-	winStart        int64
-	winStartTot     simmach.Counters
-	wins            int
-	inGap           bool
-	gapStart        int64
-	gapLen, gapLeft int64
-	batch           int64
-	base1, base2    WindowStat
-	haveTrend       bool
-	carry           [5]float64
-	pendingValidate bool
-	forcedUntil     int64
-	skippedThisExec int64
-	snap            *runSnapshot
-
-	aggWindows  int
-	aggDetailed int64
-	aggSkipped  int64
-	aggGaps     int
-	aggExecs    int
-}
-
-func (sp *sampler) snapState() sampSnap {
-	return sampSnap{
-		winOpen: sp.winOpen, winStart: sp.winStart, winStartTot: sp.winStartTot,
-		wins:  sp.wins,
-		inGap: sp.inGap, gapStart: sp.gapStart, gapLen: sp.gapLen,
-		gapLeft: sp.gapLeft, batch: sp.batch,
-		base1: sp.base1, base2: sp.base2, haveTrend: sp.haveTrend,
-		carry:           sp.carry,
-		pendingValidate: sp.pendingValidate, forcedUntil: sp.forcedUntil,
-		skippedThisExec: sp.skippedThisExec, snap: sp.snap,
-		aggWindows: len(sp.agg.Windows), aggDetailed: sp.agg.DetailedIters,
-		aggSkipped: sp.agg.SkippedIters, aggGaps: sp.agg.Gaps, aggExecs: sp.agg.Execs,
-	}
-}
-
-func (sp *sampler) restoreState(s sampSnap) {
-	sp.winOpen, sp.winStart, sp.winStartTot = s.winOpen, s.winStart, s.winStartTot
-	sp.wins = s.wins
-	sp.inGap, sp.gapStart, sp.gapLen = s.inGap, s.gapStart, s.gapLen
-	sp.gapLeft, sp.batch = s.gapLeft, s.batch
-	sp.base1, sp.base2, sp.haveTrend = s.base1, s.base2, s.haveTrend
-	sp.carry = s.carry
-	sp.pendingValidate, sp.forcedUntil = s.pendingValidate, s.forcedUntil
-	sp.skippedThisExec = s.skippedThisExec
-	sp.snap = s.snap
-	sp.agg.Windows = sp.agg.Windows[:s.aggWindows]
-	sp.agg.DetailedIters = s.aggDetailed
-	sp.agg.SkippedIters = s.aggSkipped
-	sp.agg.Gaps = s.aggGaps
-	sp.agg.Execs = s.aggExecs
 }

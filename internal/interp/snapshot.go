@@ -1,90 +1,123 @@
 package interp
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/simmach"
 )
 
-// This file implements the runtime side of checkpoint/restore: a deep copy
-// of every piece of client state the simulated machine cannot see — the
-// VM workers' call stacks and register banks, the reachable heap object
-// graph, program output, section statistics and cursors, race-detector
-// state, and the sampler's own bookkeeping. Together with
-// simmach.Checkpoint this gives the byte-identity guarantee sampled
+// This file implements the runtime side of checkpoint/restore. A snapshot
+// is a copy: one clone of every piece of client state the simulated machine
+// cannot see — the VM workers (call stacks, register banks, lock nests), the
+// reachable heap objects, the active section run, every section's
+// statistics and sampling aggregate, the race detector and the sampler —
+// next to the machine's own simmach.Checkpoint and the length of the
+// program output. Each clone copies its struct whole and deep-copies only
+// the slices and maps it names, so a field added to any of these types is
+// in every snapshot without further code (TestCloneCoversEveryField holds
+// each clone to its struct). Restore writes a fresh clone back through the
+// live pointer, so pointer identity survives (workers hold the *sectionRun,
+// the machine's barrier its OnComplete, objects their *simmach.Lock) and a
+// snapshot is never aliased by the state it was restored into. Together
+// with simmach.Checkpoint this gives the byte-identity guarantee sampled
 // simulation relies on: restore-then-continue is indistinguishable from
 // uninterrupted execution.
+//
+// Deliberately not rewound: a section aggregate's Rollbacks (a rollback
+// must outlive its own restore; the sampler also re-arms forcedUntil after
+// it), each worker's executed and acc (a claim point begins a dispatch with
+// nothing executed or charged), and what simmach.Checkpoint documents (the
+// run queue, the step count, locks and barriers created later).
 //
 // Snapshots are only taken at iteration-claim points (the checkpoint
 // protocol's anchor), only under the VM engine (the step interpreter is
 // the exhaustive-run oracle and keeps no snapshot state; Run rejects the
 // combination), and only for static-policy runs: the dynamic
 // feedback controller (core.Controller and, inside it, its selector's arm
-// statistics) accumulates state that is deliberately not snapshotable, and
-// sampled runs reject dynamic policies anyway.
+// statistics) is not yet cloned, and sampled runs reject dynamic policies
+// anyway.
 
 // runSnapshot is a restorable snapshot of a run: the machine checkpoint
-// plus the interpreter-level client state.
+// plus a clone of the interpreter-level client state.
 type runSnapshot struct {
 	mck       *simmach.Checkpoint
 	outputLen int
-	stats     map[int]sectionStatsSnap
+	stats     map[int]SectionStats
+	sampAgg   map[int]SectionSampling
 	sr        *sectionRun
-	srs       sectionRunSnap
-	tasks     []vmTaskSnap
-	objects   []objSnap
-	race      *raceSnap
-	samp      *sampSnap
+	run       sectionRun
+	tasks     []vmTask // by processor
+	objects   map[*Object]Object
+	race      *raceDetector
+	samp      *sampler
 }
 
-type sectionRunSnap struct {
-	lo, hi, next int64
-	args         []Value
-	versionIdx   int
-	snap         []simmach.Counters
-	secSnap      []simmach.Counters
-	finished     bool
-	iterations   int64
-	startTime    simmach.Time
-	chunkNext    []int64
-	chunkRem     []int64
+// clone copies the section run with its argument and per-processor slices.
+func (sr *sectionRun) clone() sectionRun {
+	c := *sr
+	c.args = slices.Clone(sr.args)
+	c.snap = slices.Clone(sr.snap)
+	c.secSnap = slices.Clone(sr.secSnap)
+	c.chunkNext = slices.Clone(sr.chunkNext)
+	c.chunkRem = slices.Clone(sr.chunkRem)
+	return c
 }
 
-type sectionStatsSnap struct {
-	st         *SectionStats
-	executions []ExecutionStat
-	iterations int64
-	busy       simmach.Time
-	counters   simmach.Counters
-	chosen     int
+// clone copies the statistics; VersionLabels is immutable and shared.
+func (st *SectionStats) clone() SectionStats {
+	c := *st
+	c.Executions = slices.Clone(st.Executions)
+	c.Samples = slices.Clone(st.Samples)
+	c.Switches = slices.Clone(st.Switches)
+	return c
 }
 
-type vmTaskSnap struct {
-	t          *vmTask
-	frames     []vmFrame
-	intStack   []int64
-	floatStack []float64
-	refStack   []*Object
-	flags      []bool
-	baseFrames int
-	wphase     int
-	sr         *sectionRun
-	held       []*simmach.Lock
-	collapsed  int64
+// clone copies the aggregate with its window list.
+func (a *SectionSampling) clone() SectionSampling {
+	c := *a
+	c.Windows = slices.Clone(a.Windows)
+	return c
 }
 
-type objSnap struct {
-	o      *Object
-	fields []Value
-	elems  []Value
-	lock   *simmach.Lock
+// clone copies the sampler, which holds no slice or map; its aggregate is
+// the runtime's and is cloned with the rest of sampAgg.
+func (sp *sampler) clone() sampler { return *sp }
+
+// clone copies the task, its embedded worker included: the frame stack,
+// the three register arenas and the lock nest. The copied frames' windows
+// still point into t's arenas until repoint. The flag vector (a version's,
+// immutable) and the extern-argument scratch are shared.
+func (t *vmTask) clone() vmTask {
+	c := *t
+	c.frames = slices.Clone(t.frames)
+	c.intStack = slices.Clone(t.intStack)
+	c.floatStack = slices.Clone(t.floatStack)
+	c.refStack = slices.Clone(t.refStack)
+	c.held = slices.Clone(t.held)
+	return c
 }
 
-type raceSnap struct {
-	d          *raceDetector
-	epoch      int
-	section    string
-	states     map[accessKey]raceState
-	reportsLen int
-	seen       map[string]bool
+// clone copies the object's slots; the class and the lock are shared.
+func (o *Object) clone() Object {
+	c := *o
+	c.Fields = slices.Clone(o.Fields)
+	c.Elems = slices.Clone(o.Elems)
+	return c
+}
+
+// clone copies the detector with a fresh state per location.
+func (d *raceDetector) clone() raceDetector {
+	c := *d
+	c.states = make(map[accessKey]*raceState, len(d.states))
+	for k, s := range d.states {
+		cs := *s
+		cs.lockset = slices.Clone(s.lockset)
+		c.states[k] = &cs
+	}
+	c.reports = slices.Clone(d.reports)
+	c.seen = maps.Clone(d.seen)
+	return c
 }
 
 // snapshot captures the full run state. It must be called at a claim point
@@ -101,100 +134,62 @@ func (rt *runtime) snapshot() *runSnapshot {
 	s := &runSnapshot{
 		mck:       rt.m.Checkpoint(),
 		outputLen: len(rt.output),
+		stats:     make(map[int]SectionStats, len(rt.stats)),
+		sampAgg:   make(map[int]SectionSampling, len(rt.sampAgg)),
 		sr:        sr,
-		srs: sectionRunSnap{
-			lo: sr.lo, hi: sr.hi, next: sr.next,
-			args:       append([]Value(nil), sr.args...),
-			versionIdx: sr.versionIdx,
-			snap:       append([]simmach.Counters(nil), sr.snap...),
-			secSnap:    append([]simmach.Counters(nil), sr.secSnap...),
-			finished:   sr.finished,
-			iterations: sr.iterations,
-			startTime:  sr.startTime,
-			chunkNext:  append([]int64(nil), sr.chunkNext...),
-			chunkRem:   append([]int64(nil), sr.chunkRem...),
-		},
-		stats: make(map[int]sectionStatsSnap, len(rt.stats)),
+		run:       sr.clone(),
+		objects:   map[*Object]Object{},
 	}
 	for id, st := range rt.stats {
-		s.stats[id] = sectionStatsSnap{
-			st:         st,
-			executions: append([]ExecutionStat(nil), st.Executions...),
-			iterations: st.Iterations,
-			busy:       st.Busy,
-			counters:   st.Counters,
-			chosen:     st.ChosenVersion,
-		}
+		s.stats[id] = st.clone()
+	}
+	for id, a := range rt.sampAgg {
+		s.sampAgg[id] = a.clone()
 	}
 
 	// Heap traversal roots: every live register of every task plus the
 	// section arguments. Objects unreachable from these cannot be mutated
 	// by post-checkpoint execution, so they need no snapshot.
-	visited := map[*Object]struct{}{}
 	var queue []*Object
 	addObj := func(o *Object) {
 		if o == nil {
 			return
 		}
-		if _, ok := visited[o]; ok {
+		if _, ok := s.objects[o]; ok {
 			return
 		}
-		visited[o] = struct{}{}
+		s.objects[o] = o.clone()
 		queue = append(queue, o)
 	}
-	addVal := func(v Value) {
-		if v.Kind == KindRef {
-			addObj(v.Ref)
+	addVals := func(vs []Value) {
+		for _, v := range vs {
+			if v.Kind == KindRef {
+				addObj(v.Ref)
+			}
 		}
 	}
-
 	for _, w := range rt.pool {
 		t := w.ex.(*vmTask) // Run admits Sample and ckHook under EngineVM only
-		s.tasks = append(s.tasks, vmTaskSnap{
-			t:          t,
-			frames:     append([]vmFrame(nil), t.frames...),
-			intStack:   append([]int64(nil), t.intStack...),
-			floatStack: append([]float64(nil), t.floatStack...),
-			refStack:   append([]*Object(nil), t.refStack...),
-			flags:      t.flags,
-			baseFrames: t.baseFrames,
-			wphase:     t.wphase,
-			sr:         t.sr,
-			held:       append([]*simmach.Lock(nil), t.held...),
-			collapsed:  t.collapsed,
-		})
+		s.tasks = append(s.tasks, t.clone())
 		for _, o := range t.refStack {
 			addObj(o)
 		}
 	}
-	for _, v := range sr.args {
-		addVal(v)
-	}
+	addVals(sr.args)
 	for len(queue) > 0 {
 		o := queue[0]
 		queue = queue[1:]
-		os := objSnap{o: o, lock: o.lock}
-		if o.Fields != nil {
-			os.fields = append([]Value(nil), o.Fields...)
-			for _, v := range o.Fields {
-				addVal(v)
-			}
-		}
-		if o.Elems != nil {
-			os.elems = append([]Value(nil), o.Elems...)
-			for _, v := range o.Elems {
-				addVal(v)
-			}
-		}
-		s.objects = append(s.objects, os)
+		addVals(o.Fields)
+		addVals(o.Elems)
 	}
 
 	if rt.race != nil {
-		s.race = snapRace(rt.race)
+		d := rt.race.clone()
+		s.race = &d
 	}
 	if sr.samp != nil {
-		ss := sr.samp.snapState()
-		s.samp = &ss
+		sp := sr.samp.clone()
+		s.samp = &sp
 	}
 	return s
 }
@@ -204,125 +199,39 @@ func (rt *runtime) snapshot() *runSnapshot {
 func (rt *runtime) restoreSnapshot(s *runSnapshot) {
 	rt.m.Restore(s.mck)
 	rt.output = rt.output[:s.outputLen]
-
-	for id := range rt.stats {
-		if _, ok := s.stats[id]; !ok {
+	for id, st := range rt.stats {
+		if saved, ok := s.stats[id]; ok {
+			*st = saved.clone()
+		} else {
 			delete(rt.stats, id)
 		}
 	}
-	for _, ss := range s.stats {
-		st := ss.st
-		st.Executions = append(st.Executions[:0], ss.executions...)
-		st.Iterations = ss.iterations
-		st.Busy = ss.busy
-		st.Counters = ss.counters
-		st.ChosenVersion = ss.chosen
+	for id, a := range rt.sampAgg {
+		saved, ok := s.sampAgg[id]
+		if !ok {
+			delete(rt.sampAgg, id)
+			continue
+		}
+		rollbacks := a.Rollbacks
+		*a = saved.clone()
+		a.Rollbacks = rollbacks // counts restores like this one: never rewound
 	}
-
-	sr := s.sr
-	sr.lo, sr.hi, sr.next = s.srs.lo, s.srs.hi, s.srs.next
-	sr.args = append(sr.args[:0], s.srs.args...)
-	sr.versionIdx = s.srs.versionIdx
-	copy(sr.snap, s.srs.snap)
-	copy(sr.secSnap, s.srs.secSnap)
-	sr.finished = s.srs.finished
-	sr.iterations = s.srs.iterations
-	sr.startTime = s.srs.startTime
-	if s.srs.chunkNext == nil {
-		sr.chunkNext, sr.chunkRem = nil, nil
-	} else {
-		sr.chunkNext = append(sr.chunkNext[:0], s.srs.chunkNext...)
-		sr.chunkRem = append(sr.chunkRem[:0], s.srs.chunkRem...)
+	*s.sr = s.run.clone()
+	for i, w := range rt.pool {
+		t := w.ex.(*vmTask)
+		*t = s.tasks[i].clone()
+		t.repoint()
+		// A claim point begins a dispatch: nothing executed, nothing unflushed.
+		t.executed, t.acc = 0, 0
 	}
-	// The active section at the checkpoint owns the switch barrier again.
-	rt.barrier.OnComplete = sr.onBarrierComplete
-
-	for _, ts := range s.tasks {
-		ts.restore()
-	}
-	for _, os := range s.objects {
-		o := os.o
-		copy(o.Fields, os.fields)
-		copy(o.Elems, os.elems)
-		o.lock = os.lock
+	for o, saved := range s.objects {
+		*o = saved.clone()
 	}
 	if s.race != nil {
-		s.race.restore()
+		*rt.race = s.race.clone()
 	}
-	if s.samp != nil && sr.samp != nil {
-		sr.samp.restoreState(*s.samp)
-	}
-}
-
-func (vs *vmTaskSnap) restore() {
-	t := vs.t
-	t.intStack = append(t.intStack[:0], vs.intStack...)
-	t.floatStack = append(t.floatStack[:0], vs.floatStack...)
-	t.refStack = append(t.refStack[:0], vs.refStack...)
-	t.frames = append(t.frames[:0], vs.frames...)
-	for i := range t.frames {
-		f := &t.frames[i]
-		ie := f.ibase + int(f.fc.FrameInts)
-		fe := f.fbase + int(f.fc.FrameFloats)
-		re := f.rbase + int(f.fc.FrameRefs)
-		f.ints = t.intStack[f.ibase:ie:ie]
-		f.floats = t.floatStack[f.fbase:fe:fe]
-		f.refs = t.refStack[f.rbase:re:re]
-	}
-	t.flags = vs.flags
-	t.baseFrames = vs.baseFrames
-	t.atBase = len(t.frames) == t.baseFrames
-	t.wphase = vs.wphase
-	t.sr = vs.sr
-	t.executed = 0
-	t.acc = 0
-	t.held = append(t.held[:0], vs.held...)
-	t.collapsed = vs.collapsed
-}
-
-func snapRace(d *raceDetector) *raceSnap {
-	rs := &raceSnap{
-		d:          d,
-		epoch:      d.epoch,
-		section:    d.section,
-		states:     make(map[accessKey]raceState, len(d.states)),
-		reportsLen: len(d.reports),
-		seen:       make(map[string]bool, len(d.seen)),
-	}
-	for k, v := range d.states {
-		cp := *v
-		cp.lockset = append([]*simmach.Lock(nil), v.lockset...)
-		rs.states[k] = cp
-	}
-	for k := range d.seen {
-		rs.seen[k] = true
-	}
-	return rs
-}
-
-func (rs *raceSnap) restore() {
-	d := rs.d
-	d.epoch = rs.epoch
-	d.section = rs.section
-	for k := range d.states {
-		if _, ok := rs.states[k]; !ok {
-			delete(d.states, k)
-		}
-	}
-	for k, v := range rs.states {
-		cur := d.states[k]
-		if cur == nil {
-			cur = &raceState{}
-			d.states[k] = cur
-		}
-		ls := append(cur.lockset[:0:0], v.lockset...)
-		*cur = v
-		cur.lockset = ls
-	}
-	d.reports = d.reports[:rs.reportsLen]
-	d.seen = make(map[string]bool, len(rs.seen))
-	for k := range rs.seen {
-		d.seen[k] = true
+	if s.samp != nil {
+		*s.sr.samp = s.samp.clone()
 	}
 }
 

@@ -106,20 +106,12 @@ func (t *vmTask) push(funcID int, retSlot int32, retBank uint8) {
 	fc := t.mod.Funcs[funcID]
 	ib, fb, rb := len(t.intStack), len(t.floatStack), len(t.refStack)
 	ti, tf, tr := ib+int(fc.FrameInts), fb+int(fc.FrameFloats), rb+int(fc.FrameRefs)
-	if ti <= cap(t.intStack) {
-		t.intStack = t.intStack[:ti]
-	} else {
-		t.growInts(ti)
-	}
-	if tf <= cap(t.floatStack) {
-		t.floatStack = t.floatStack[:tf]
-	} else {
-		t.growFloats(tf)
-	}
-	if tr <= cap(t.refStack) {
-		t.refStack = t.refStack[:tr]
-	} else {
-		t.growRefs(tr)
+	grown := ti > cap(t.intStack) || tf > cap(t.floatStack) || tr > cap(t.refStack)
+	t.intStack = grow(t.intStack, ti)
+	t.floatStack = grow(t.floatStack, tf)
+	t.refStack = grow(t.refStack, tr)
+	if grown {
+		t.repoint()
 	}
 	ints := t.intStack[ib:ti:ti]
 	floats := t.floatStack[fb:tf:tf]
@@ -140,57 +132,29 @@ func (t *vmTask) push(funcID int, retSlot int32, retBank uint8) {
 	})
 }
 
-func (t *vmTask) growInts(top int) {
-	nc := 2 * cap(t.intStack)
-	if nc < top {
-		nc = top
+// grow returns s resliced to length top, moved to a larger backing array
+// (doubling, at least 64) when top exceeds its capacity. A register arena
+// that moved needs its frames' windows re-pointed.
+func grow[T any](s []T, top int) []T {
+	if top <= cap(s) {
+		return s[:top]
 	}
-	if nc < 64 {
-		nc = 64
-	}
-	g := make([]int64, top, nc)
-	copy(g, t.intStack)
-	t.intStack = g
-	for i := range t.frames {
-		f := &t.frames[i]
-		end := f.ibase + int(f.fc.FrameInts)
-		f.ints = t.intStack[f.ibase:end:end]
-	}
+	g := make([]T, top, max(2*cap(s), top, 64))
+	copy(g, s)
+	return g
 }
 
-func (t *vmTask) growFloats(top int) {
-	nc := 2 * cap(t.floatStack)
-	if nc < top {
-		nc = top
-	}
-	if nc < 64 {
-		nc = 64
-	}
-	g := make([]float64, top, nc)
-	copy(g, t.floatStack)
-	t.floatStack = g
+// repoint re-slices every frame's windows into the task's current arenas:
+// after an arena grew, and after a restore installed cloned ones.
+func (t *vmTask) repoint() {
 	for i := range t.frames {
 		f := &t.frames[i]
-		end := f.fbase + int(f.fc.FrameFloats)
-		f.floats = t.floatStack[f.fbase:end:end]
-	}
-}
-
-func (t *vmTask) growRefs(top int) {
-	nc := 2 * cap(t.refStack)
-	if nc < top {
-		nc = top
-	}
-	if nc < 64 {
-		nc = 64
-	}
-	g := make([]*Object, top, nc)
-	copy(g, t.refStack)
-	t.refStack = g
-	for i := range t.frames {
-		f := &t.frames[i]
-		end := f.rbase + int(f.fc.FrameRefs)
-		f.refs = t.refStack[f.rbase:end:end]
+		ie := f.ibase + int(f.fc.FrameInts)
+		fe := f.fbase + int(f.fc.FrameFloats)
+		re := f.rbase + int(f.fc.FrameRefs)
+		f.ints = t.intStack[f.ibase:ie:ie]
+		f.floats = t.floatStack[f.fbase:fe:fe]
+		f.refs = t.refStack[f.rbase:re:re]
 	}
 }
 

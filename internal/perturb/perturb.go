@@ -29,6 +29,26 @@ import (
 // does not set one.
 const DefaultResolution = 10 * simmach.Millisecond
 
+// Bounds on what one schedule may ask of the simulator. A schedule can
+// arrive in a request body, so Validate rejects one past any of them: the
+// epoch cap bounds what Table allocates, and the others keep the machine's
+// integer cost arithmetic (scaleCost, Proc.Advance, the phantom holder's
+// spin) from overflowing.
+const (
+	// maxRampEpochs caps the parameter-table epochs all of a schedule's
+	// ramps emit together, RampFor/Resolution+1 each (the built-in ramp
+	// emits 13).
+	maxRampEpochs = 10_000
+	// maxMilli caps every cost multiplier and slowdown factor: 1000×.
+	maxMilli = 1_000_000
+	// maxTime caps every change's At+RampFor: 2^46 ns, about 19.5 hours of
+	// virtual time, and small enough that a ramp point's
+	// At + RampFor·k/steps cannot overflow.
+	maxTime = simmach.Time(1) << 46
+	// maxHoldFor caps how long a phantom holder keeps a lock.
+	maxHoldFor = simmach.Second
+)
+
 // Slowdown scales one processor's pure-compute speed.
 type Slowdown struct {
 	// Proc is the processor index, or -1 for every processor. Entries for
@@ -92,7 +112,7 @@ type Schedule struct {
 // Empty reports whether s perturbs anything. It is nil-safe.
 func (s *Schedule) Empty() bool { return s == nil || len(s.Changes) == 0 }
 
-// Validate checks the schedule's static constraints.
+// Validate checks the schedule's static constraints and bounds.
 func (s *Schedule) Validate() error {
 	if s.Empty() {
 		return nil
@@ -101,6 +121,7 @@ func (s *Schedule) Validate() error {
 		return fmt.Errorf("perturb: negative resolution %d", s.Resolution)
 	}
 	prev := simmach.Time(0)
+	epochs := int64(0)
 	for i, c := range s.Changes {
 		if c.At <= prev {
 			return fmt.Errorf("perturb: change %d at %v, must be after %v", i, c.At, prev)
@@ -109,30 +130,48 @@ func (s *Schedule) Validate() error {
 		if c.RampFor < 0 {
 			return fmt.Errorf("perturb: change %d has negative ramp %v", i, c.RampFor)
 		}
+		if c.RampFor > maxTime-c.At {
+			return fmt.Errorf("perturb: change %d ends past %v of virtual time", i, maxTime)
+		}
+		if c.RampFor > 0 {
+			if epochs += s.rampSteps(c) + 1; epochs > maxRampEpochs {
+				return fmt.Errorf("perturb: ramps need over %d epochs; coarsen resolution_ns or shorten ramp_for_ns", maxRampEpochs)
+			}
+		}
 		for _, m := range []int64{c.AcquireMilli, c.ReleaseMilli, c.SpinMilli, c.BarrierMilli, c.TimerMilli} {
-			if m < 0 {
-				return fmt.Errorf("perturb: change %d has a negative cost multiplier", i)
+			if m < 0 || m > maxMilli {
+				return fmt.Errorf("perturb: change %d has cost multiplier %d, must be in [0, %d]", i, m, maxMilli)
 			}
 		}
 		for j, sl := range c.Slow {
 			if sl.Proc < -1 {
 				return fmt.Errorf("perturb: change %d slow %d has proc %d", i, j, sl.Proc)
 			}
-			if sl.Milli < 1 {
-				return fmt.Errorf("perturb: change %d slow %d has factor %d, must be >= 1", i, j, sl.Milli)
+			if sl.Milli < 1 || sl.Milli > maxMilli {
+				return fmt.Errorf("perturb: change %d slow %d has factor %d, must be in [1, %d]", i, j, sl.Milli, maxMilli)
 			}
 		}
 		if c.HoldEvery < -1 {
 			return fmt.Errorf("perturb: change %d has HoldEvery %d", i, c.HoldEvery)
 		}
-		if c.HoldFor < 0 {
-			return fmt.Errorf("perturb: change %d has negative HoldFor %v", i, c.HoldFor)
+		if c.HoldFor < 0 || c.HoldFor > maxHoldFor {
+			return fmt.Errorf("perturb: change %d has HoldFor %v, must be in [0, %v]", i, c.HoldFor, maxHoldFor)
 		}
 		if c.HoldEvery > 0 && c.HoldFor == 0 {
 			return fmt.Errorf("perturb: change %d enables contention without HoldFor", i)
 		}
 	}
 	return nil
+}
+
+// rampSteps is the number of grid steps c's ramp takes (at least one);
+// Table emits one epoch per step plus the one at c.At.
+func (s *Schedule) rampSteps(c Change) int64 {
+	res := s.Resolution
+	if res <= 0 {
+		res = DefaultResolution
+	}
+	return max(int64(c.RampFor/res), 1)
 }
 
 // FirstChangeAt returns the virtual time of the first change, or 0 for the
@@ -273,10 +312,6 @@ func (s *Schedule) Table(base simmach.Config) (*simmach.ParamTable, error) {
 		return nil, err
 	}
 	base = base.Normalized()
-	res := s.Resolution
-	if res <= 0 {
-		res = DefaultResolution
-	}
 	cur := baseState()
 	epochs := []simmach.ParamEpoch{cur.epoch(base, 0)}
 	push := func(e simmach.ParamEpoch) {
@@ -289,10 +324,7 @@ func (s *Schedule) Table(base simmach.Config) (*simmach.ParamTable, error) {
 	for _, c := range s.Changes {
 		next := cur.apply(c, base.Procs)
 		if c.RampFor > 0 {
-			steps := int64(c.RampFor / res)
-			if steps < 1 {
-				steps = 1
-			}
+			steps := s.rampSteps(c)
 			// k = 0 applies the stepped fields (slowdown, contention) at At
 			// with the old costs; the costs then ramp to their targets.
 			for k := int64(0); k <= steps; k++ {

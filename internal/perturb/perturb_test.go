@@ -2,6 +2,7 @@ package perturb
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/simmach"
@@ -38,6 +39,20 @@ func TestValidateRejects(t *testing.T) {
 		{Changes: []Change{{At: 1, HoldEvery: -3}}},
 		{Changes: []Change{{At: 1, HoldEvery: 2}}}, // no HoldFor
 		{Resolution: -1, Changes: []Change{{At: 1, HoldEvery: -1}}},
+		// Past the bounds: the ramp of a 142-byte request body that asked
+		// Table for two million epochs, ramps adding up past the cap,
+		// multipliers and slowdowns that overflow the cost arithmetic, a
+		// ramp that ends past the horizon or overflows it, and a phantom
+		// holder that never lets go.
+		{Resolution: 1, Changes: []Change{{At: 1, RampFor: 2 * simmach.Millisecond, AcquireMilli: 5000}}},
+		{Changes: []Change{{At: 1, RampFor: maxRampEpochs * DefaultResolution}}},
+		{Resolution: 1, Changes: []Change{{At: 1, RampFor: maxRampEpochs / 2}, {At: maxRampEpochs, RampFor: maxRampEpochs / 2}}},
+		{Changes: []Change{{At: 1, AcquireMilli: 1 << 62}}},
+		{Changes: []Change{{At: 1, TimerMilli: maxMilli + 1}}},
+		{Changes: []Change{{At: 1, Slow: []Slowdown{{Proc: -1, Milli: maxMilli + 1}}}}},
+		{Changes: []Change{{At: maxTime + 1}}},
+		{Resolution: 1 << 62, Changes: []Change{{At: 1 << 62, RampFor: 1 << 62}}},
+		{Changes: []Change{{At: 1, HoldEvery: 1, HoldFor: maxHoldFor + 1}}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -45,6 +60,26 @@ func TestValidateRejects(t *testing.T) {
 		}
 		if _, err := s.Table(simmach.DefaultConfig(2)); err == nil {
 			t.Errorf("case %d: Table accepted %+v", i, s)
+		}
+	}
+}
+
+// TestValidateAcceptsBounds pins the bounds as inclusive: a schedule at
+// every one of them validates and compiles.
+func TestValidateAcceptsBounds(t *testing.T) {
+	good := []Schedule{
+		{Changes: []Change{{At: 1, RampFor: (maxRampEpochs - 1) * DefaultResolution}}},
+		{Resolution: 1, Changes: []Change{{At: 1, RampFor: maxRampEpochs/2 - 1}, {At: maxRampEpochs, RampFor: maxRampEpochs/2 - 1}}},
+		{Changes: []Change{{At: 1, AcquireMilli: maxMilli, Slow: []Slowdown{{Proc: -1, Milli: maxMilli}}}}},
+		{Resolution: maxTime, Changes: []Change{{At: maxTime / 2, RampFor: maxTime / 2}}},
+		{Changes: []Change{{At: maxTime, HoldEvery: 1, HoldFor: maxHoldFor}}},
+	}
+	for i, s := range good {
+		if err := s.Validate(); err != nil {
+			t.Errorf("case %d: %v", i, err)
+		}
+		if _, err := s.Table(simmach.DefaultConfig(2)); err != nil {
+			t.Errorf("case %d: Table: %v", i, err)
 		}
 	}
 }
@@ -192,4 +227,67 @@ func TestScenariosCompile(t *testing.T) {
 			t.Errorf("scenario %s has no positive first change", name)
 		}
 	}
+}
+
+// FuzzSchedule feeds raw JSON to the schedule decoder, the form a schedule
+// takes in a /run request body. Nothing may panic; a JSON round trip must
+// leave the canonical encoding (the cache key's input) byte-equal; Table
+// must refuse whatever Validate refuses; and whatever Validate accepts must
+// compile at 1 and 8 processors within the epoch cap, with strictly
+// increasing epoch starts and every cost at least 1ns.
+func FuzzSchedule(f *testing.F) {
+	for _, name := range ScenarioNames() {
+		s, _ := Scenario(name)
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Schedule
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		b, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Schedule
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("re-decoding %s: %v", b, err)
+		}
+		if !bytes.Equal(back.AppendCanonical(nil), s.AppendCanonical(nil)) {
+			t.Fatalf("JSON round trip changed the canonical encoding of %s", data)
+		}
+		valid := s.Validate() == nil
+		for _, procs := range []int{1, 8} {
+			tbl, err := s.Table(simmach.DefaultConfig(procs))
+			if !valid {
+				if err == nil {
+					t.Fatalf("Table compiled a schedule Validate rejects: %s", data)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("procs=%d: valid schedule did not compile: %v", procs, err)
+			}
+			if s.Empty() {
+				continue
+			}
+			es := tbl.Epochs()
+			if len(es) > 1+len(s.Changes)+maxRampEpochs {
+				t.Fatalf("procs=%d: %d epochs from %d changes", procs, len(es), len(s.Changes))
+			}
+			for i, e := range es {
+				if i > 0 && e.Start <= es[i-1].Start {
+					t.Fatalf("procs=%d: epoch %d starts at %v, after %v", procs, i, e.Start, es[i-1].Start)
+				}
+				c := e.Cfg
+				if min(c.AcquireCost, c.ReleaseCost, c.SpinCost, c.BarrierCost, c.TimerReadCost) < 1 {
+					t.Fatalf("procs=%d: epoch %d has a cost below 1ns: %+v", procs, i, c)
+				}
+			}
+		}
+	})
 }

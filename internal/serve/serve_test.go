@@ -333,6 +333,8 @@ func TestRunValidation(t *testing.T) {
 		{`{"app":"water","perturb":"nope"}`, http.StatusBadRequest, ""},
 		{`{"app":"water","perturb":"crossover","schedule":{"changes":[]}}`, http.StatusBadRequest, ""},
 		{`{"app":"water","schedule":{"changes":[{"at_ns":0,"acquire_milli":2000}]}}`, http.StatusBadRequest, ""},
+		// A 1ns grid under a 2ms ramp asks for two million epochs.
+		{`{"app":"water","procs":2,"policy":"bounded","schedule":{"resolution_ns":1,"changes":[{"at_ns":1,"ramp_for_ns":2000000,"acquire_milli":5000}]}}`, http.StatusBadRequest, "bad perturbation schedule"},
 		// Anything but white space after the request object.
 		{`{"app":"string","procs":2} {"app":"string","procs":2}`, http.StatusBadRequest, "after the request object"},
 		{`{"app":"string","procs":2}}`, http.StatusBadRequest, "after the request object"},

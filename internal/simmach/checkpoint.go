@@ -1,16 +1,31 @@
 package simmach
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// This file implements machine checkpoint/restore: a deep, deterministic
-// snapshot of every piece of machine state that influences execution —
-// processor clocks, statuses, instrumentation counters and parameter-table
-// cursors, the run queue, lock ownership and waiter queues, barrier
-// rendezvous state, the scheduler step count, and the phantom-holder
-// acquire sequence. Restoring a checkpoint and continuing is byte-identical
-// to never having left it, which is what lets a sampled simulation
-// fast-forward through a gap and roll back when the gap's extrapolation
-// basis turns out to have been a phase boundary (see internal/simsample).
+// This file implements machine checkpoint/restore. A checkpoint is a copy:
+// the scheduler step count, the phantom-holder acquire sequence, the
+// parameter table, and one clone of every processor, lock and barrier —
+// clocks, statuses, instrumentation counters, parameter-table cursors, lock
+// ownership and waiter queues, barrier rendezvous state. Each type's clone
+// copies the struct whole and deep-copies only its slices, so a field added
+// to Proc, Lock or Barrier is in every checkpoint without further code.
+// Restoring a checkpoint and continuing is byte-identical to never having
+// left it, which is what lets a sampled simulation fast-forward through a
+// gap and roll back when the gap's extrapolation basis turns out to have
+// been a phase boundary (see internal/simsample).
+//
+// Restore writes the clones back through the live pointers, so every
+// *Proc, *Lock and *Barrier a client holds stays valid, and a barrier's
+// OnComplete is the one it had at the checkpoint. What is deliberately not
+// copied back: the run queue, which is rebuilt from the restored statuses
+// (every processor's queued flag cleared first); the step count, recorded
+// as one less than at the checkpoint; and the locks and barriers created
+// after the checkpoint, which are discarded (the lists are truncated to
+// their checkpoint length), so clients must also roll back any references
+// they hold to them.
 //
 // Protocol. Checkpoint and Restore may only be called from inside a
 // Process.Step, at the very start of the step, before the step has charged
@@ -23,14 +38,10 @@ import "fmt"
 // discards the interrupted dispatch and resumes from the restored state.
 //
 // The machine snapshot covers machine-owned state only. Client state — the
-// runtime's call stacks, heap objects, section cursors — must be captured
-// and restored by the client alongside the machine checkpoint; the Client
-// field carries that payload. Locks and barriers created after the
-// checkpoint are discarded on restore (the lock list is truncated to its
-// checkpoint length), so clients must also roll back any references they
-// hold to such locks. Trace callbacks are NOT rewound: a traced run that
-// restores a checkpoint observes the rolled-back events a second time when
-// they re-execute, so estimation runs reject tracing.
+// runtime's call stacks, heap objects, section cursors — is the client's
+// to capture and restore alongside it. Trace callbacks are NOT rewound: a
+// traced run that restores a checkpoint observes the rolled-back events a
+// second time when they re-execute, so estimation runs reject tracing.
 
 // Checkpoint is a restorable snapshot of a Machine's execution state.
 type Checkpoint struct {
@@ -38,36 +49,28 @@ type Checkpoint struct {
 	steps  int64
 	acqSeq int64
 	table  *ParamTable
-	procs  []procSnap
-	locks  []lockSnap
-	nBars  int
-	bars   []barrierSnap
-
-	// Client carries the client runtime's own snapshot (call stacks, heap,
-	// section state), taken at the same instant. The machine does not
-	// interpret it.
-	Client any
+	procs  []Proc
+	locks  []Lock
+	bars   []Barrier
 }
 
-type procSnap struct {
-	clock    Time
-	status   Status
-	epoch    int32
-	counters Counters
-	process  Process
+// clone copies the processor; it holds no slice or map.
+func (p *Proc) clone() Proc { return *p }
+
+// clone copies the lock with its active waiter queue, rebased to whead 0.
+func (l *Lock) clone() Lock {
+	c := *l
+	c.waiters = slices.Clone(l.waiters[l.whead:])
+	c.whead = 0
+	return c
 }
 
-type lockSnap struct {
-	owner     int
-	waiters   []lockWaiter
-	unordered bool
-}
-
-type barrierSnap struct {
-	count        int
-	epochs       int64
-	arrivedEpoch []int64
-	since        []Time
+// clone copies the barrier with its per-processor arrival arrays.
+func (b *Barrier) clone() Barrier {
+	c := *b
+	c.arrivedEpoch = slices.Clone(b.arrivedEpoch)
+	c.since = slices.Clone(b.since)
+	return c
 }
 
 // Checkpoint snapshots the machine. It must be called from within the
@@ -84,41 +87,21 @@ func (m *Machine) Checkpoint() *Checkpoint {
 		steps:  m.steps - 1,
 		acqSeq: m.acqSeq,
 		table:  m.table,
-		procs:  make([]procSnap, len(m.procs)),
-		locks:  make([]lockSnap, len(m.locks)),
-		nBars:  len(m.barriers),
-		bars:   make([]barrierSnap, len(m.barriers)),
+		procs:  make([]Proc, len(m.procs)),
+		locks:  make([]Lock, len(m.locks)),
+		bars:   make([]Barrier, len(m.barriers)),
 	}
 	for i, p := range m.procs {
-		ck.procs[i] = procSnap{
-			clock:    p.clock,
-			status:   p.status,
-			epoch:    p.epoch,
-			counters: p.Counters,
-			process:  p.process,
-		}
+		ck.procs[i] = p.clone()
 	}
 	// The current processor is mid-dispatch (out of the run queue); record
 	// it Ready so the restore re-enqueues it for the replay dispatch.
 	ck.procs[m.cur.id].status = Ready
 	for i, l := range m.locks {
-		s := lockSnap{owner: l.owner, unordered: l.unordered}
-		if act := l.waiters[l.whead:]; len(act) > 0 {
-			s.waiters = make([]lockWaiter, len(act))
-			copy(s.waiters, act)
-		}
-		ck.locks[i] = s
+		ck.locks[i] = l.clone()
 	}
 	for i, b := range m.barriers {
-		s := barrierSnap{
-			count:        b.count,
-			epochs:       b.epochs,
-			arrivedEpoch: make([]int64, len(b.arrivedEpoch)),
-			since:        make([]Time, len(b.since)),
-		}
-		copy(s.arrivedEpoch, b.arrivedEpoch)
-		copy(s.since, b.since)
-		ck.bars[i] = s
+		ck.bars[i] = b.clone()
 	}
 	return ck
 }
@@ -138,7 +121,7 @@ func (m *Machine) Restore(ck *Checkpoint) {
 	if m.restorePending {
 		panic("simmach: Restore while a restore is already pending")
 	}
-	if len(ck.locks) > len(m.locks) || ck.nBars > len(m.barriers) {
+	if len(ck.locks) > len(m.locks) || len(ck.bars) > len(m.barriers) {
 		panic("simmach: Restore after locks or barriers were destroyed")
 	}
 	m.restorePending = true
@@ -151,14 +134,8 @@ func (m *Machine) Restore(ck *Checkpoint) {
 	// backing array, so pushing in ID order reproduces the exact dispatch
 	// sequence.
 	m.ready.items, m.ready.head = m.ready.items[:0], 0
-	for i := range ck.procs {
-		s := &ck.procs[i]
-		p := m.procs[i]
-		p.clock = s.clock
-		p.status = s.status
-		p.epoch = s.epoch
-		p.Counters = s.counters
-		p.process = s.process
+	for i, p := range m.procs {
+		*p = ck.procs[i].clone()
 		p.queued = false
 		if p.status == Ready {
 			m.push(p)
@@ -166,21 +143,12 @@ func (m *Machine) Restore(ck *Checkpoint) {
 	}
 
 	m.locks = m.locks[:len(ck.locks)]
-	for i, s := range ck.locks {
-		l := m.locks[i]
-		l.owner = s.owner
-		l.waiters = append(l.waiters[:0], s.waiters...)
-		l.whead = 0
-		l.unordered = s.unordered
+	for i, l := range m.locks {
+		*l = ck.locks[i].clone()
 	}
-
-	m.barriers = m.barriers[:ck.nBars]
-	for i, s := range ck.bars {
-		b := m.barriers[i]
-		b.count = s.count
-		b.epochs = s.epochs
-		copy(b.arrivedEpoch, s.arrivedEpoch)
-		copy(b.since, s.since)
+	m.barriers = m.barriers[:len(ck.bars)]
+	for i, b := range m.barriers {
+		*b = ck.bars[i].clone()
 	}
 }
 

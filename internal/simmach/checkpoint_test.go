@@ -2,7 +2,10 @@ package simmach
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+
+	"repro/internal/clonecheck"
 )
 
 // ckWorker is a lock-and-barrier workload with explicitly snapshotable
@@ -166,18 +169,19 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 					restoreAt := ckAt + 25
 					got := runCkWorkload(t, procs, table, func(e *ckEnv) func(p *Proc, w *ckWorker) Status {
 						var ck *Checkpoint
+						var client *ckClientSnap
 						var stepsSeen int64
 						restored := false
 						return func(p *Proc, w *ckWorker) Status {
 							stepsSeen++
 							if stepsSeen == ckAt {
 								ck = e.m.Checkpoint()
-								ck.Client = e.snapClient(e.hookWork)
+								client = e.snapClient(e.hookWork)
 							}
 							if stepsSeen == restoreAt && !restored {
 								restored = true
 								e.m.Restore(ck)
-								e.restoreClient(ck.Client.(*ckClientSnap))
+								e.restoreClient(client)
 								return Restored
 							}
 							return Ready
@@ -250,5 +254,20 @@ func TestRestoreDiscardsLateLocks(t *testing.T) {
 	}
 	if len(m.locks) != 0 {
 		t.Fatalf("expected late lock discarded, have %d locks", len(m.locks))
+	}
+}
+
+// TestCloneCoversEveryField holds each checkpointed type's clone to its
+// struct: with every field filled, no slice or map of the clone may share
+// storage with the original. A field added to Proc, Lock or Barrier and
+// not deep-copied by its clone fails here, by name. Pointers (the machine,
+// a waiter's processor, the process) are shared by design.
+func TestCloneCoversEveryField(t *testing.T) {
+	for _, path := range slices.Concat(
+		clonecheck.Shared((*Proc).clone),
+		clonecheck.Shared((*Lock).clone),
+		clonecheck.Shared((*Barrier).clone),
+	) {
+		t.Errorf("%s: the clone shares it with the original; deep-copy it in clone", path)
 	}
 }
