@@ -36,6 +36,7 @@ package dynfb
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,7 +105,7 @@ type Config struct {
 	// per-variant aggregates) keyed by Name and an environment fingerprint
 	// (GOMAXPROCS, Workers, variant-set hash). Long-running callers can
 	// also checkpoint mid-Run with Section.Persist.
-	Store store.Store
+	Store *store.TenantStore
 	// WarmStart seeds the controller from a fresh matching Store record at
 	// section creation — §4.5 generalized across process restarts: the
 	// recorded winner is sampled first and the rest of the first sampling
@@ -131,18 +132,9 @@ type Sample struct {
 	WaitingOverhead float64
 }
 
-// Stats summarizes one variant's history.
-type Stats struct {
-	Name         string
-	TimesSampled int
-	TimesChosen  int
-	MeanOverhead float64
-	LastOverhead float64
-}
-
-// Mutex is an instrumented spin lock. It must be created by
-// Section.NewMutex and locked through Ctx.Lock so acquisitions and
-// spinning are charged to the measuring worker.
+// Mutex is an instrumented spin lock. Create it with NewMutex (or as a
+// zero Mutex) and lock it through Ctx.Lock, so acquisitions and spinning
+// are charged to the measuring worker.
 type Mutex struct {
 	state int32
 }
@@ -201,6 +193,12 @@ func (c *Ctx) AddOverhead(d time.Duration) {
 }
 
 // Section is a multi-variant parallel section driven by dynamic feedback.
+// Run must not be called concurrently with itself; every other exported
+// method may be called from any goroutine at any time, Run included: the
+// readers (BestKnown, LastChosen, Samples, VariantStats, StatsSnapshot,
+// WarmStarted, RecommendedProduction) take the section lock, which the
+// switch barrier holds while it moves the controller, so they see the
+// controller between two phases and never mid-transition.
 type Section struct {
 	cfg      Config
 	variants []Variant
@@ -322,7 +320,7 @@ func NewSection(cfg Config, variants ...Variant) (*Section, error) {
 		VariantsHash: store.VariantsHash(names),
 	}
 	if cfg.WarmStart {
-		s.warmStart()
+		s.Reseed()
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if s.pairCost <= 0 {
@@ -331,37 +329,16 @@ func NewSection(cfg Config, variants ...Variant) (*Section, error) {
 	return s, nil
 }
 
-// loadRecord fetches this section's record for exactly this environment.
-// Stores that implement store.EnvLoader (all the backend-based stores)
-// are asked for the fingerprint-exact record; plain stores fall back to
-// Load plus a fingerprint check.
-func (s *Section) loadRecord() (store.Record, bool) {
-	var (
-		rec store.Record
-		ok  bool
-		err error
-	)
-	if el, isEnv := s.cfg.Store.(store.EnvLoader); isEnv {
-		rec, ok, err = el.LoadFor(s.cfg.Name, s.fp)
-	} else {
-		rec, ok, err = s.cfg.Store.Load(s.cfg.Name)
+// loadSeed reads this section's record for its environment and converts it
+// into controller seed knowledge. No record, or one whose winner or variant
+// set no longer matches, is a miss: the store is a cache, and a miss just
+// means full sampling.
+func (s *Section) loadSeed() (core.Seed, bool) {
+	rec, ok, err := s.cfg.Store.Load(s.cfg.Name, s.fp)
+	if err != nil || !ok {
+		return core.Seed{}, false
 	}
-	if err != nil || !ok || rec.Fingerprint != s.fp {
-		return store.Record{}, false
-	}
-	return rec, true
-}
-
-// buildSeed converts a store record into controller seed knowledge,
-// rejecting records whose winner or variant set no longer matches.
-func (s *Section) buildSeed(rec store.Record) (core.Seed, bool) {
-	winner := -1
-	for i, name := range s.names {
-		if name == rec.Winner {
-			winner = i
-			break
-		}
-	}
+	winner := slices.Index(s.names, rec.Winner)
 	if winner < 0 {
 		return core.Seed{}, false
 	}
@@ -385,55 +362,28 @@ func (s *Section) buildSeed(rec store.Record) (core.Seed, bool) {
 	return seed, true
 }
 
-// warmStart seeds the controller from a matching store record. Any
-// mismatch — no record, a different environment fingerprint, an unknown
-// winner name — silently degrades to a cold start: the store is a cache,
-// and a miss just means full sampling.
-func (s *Section) warmStart() {
-	rec, ok := s.loadRecord()
-	if !ok {
-		return
-	}
-	seed, ok := s.buildSeed(rec)
-	if !ok {
-		return
-	}
-	if s.ctl.SeedHistory(seed) == nil {
-		s.warm = true
-	}
-}
-
-// Reseed re-attempts a warm start from the configured store. It is the
-// live fleet warm-start path: a replica's section boots cold (no record
-// had reached its store yet), a peer's winner record arrives over
-// replication, and the serving layer calls Reseed so the section adopts
-// the fleet's knowledge without a restart. The seed is accepted only
-// while the section has not chosen a production winner of its own —
-// measured local knowledge always wins over replicated knowledge — and a
-// fingerprint or variant mismatch degrades to a no-op exactly like
-// warm-starting at creation. It reports whether the section was seeded,
+// Reseed seeds the controller from the configured store's record for this
+// section and environment. NewSection calls it when Config.WarmStart is
+// set — §4.5 generalized across process restarts. It is also the live
+// fleet warm-start path: a replica's section boots cold (no record had
+// reached its store yet), a peer's winner record arrives over replication,
+// and the serving layer calls Reseed so the section adopts the fleet's
+// knowledge without a restart. The seed is accepted only while the section
+// has not chosen a production winner of its own — measured local knowledge
+// always wins over replicated knowledge — and a fingerprint or variant
+// mismatch degrades to a no-op. It reports whether the section was seeded,
 // and is safe to call concurrently with Run.
 func (s *Section) Reseed() bool {
-	if s.cfg.Store == nil || s.cfg.Name == "" {
+	if s.cfg.Store == nil {
 		return false
 	}
-	rec, ok := s.loadRecord()
-	if !ok {
-		return false
-	}
-	seed, ok := s.buildSeed(rec)
+	seed, ok := s.loadSeed()
 	if !ok {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.warm {
-		return false
-	}
-	if _, won := s.ctl.LastWinner(); won {
-		return false
-	}
-	if s.ctl.LateSeed(seed) != nil {
+	if s.warm || s.ctl.Seed(seed) != nil {
 		return false
 	}
 	s.warm = true
@@ -468,9 +418,6 @@ func calibrateLockPair() time.Duration {
 // NewMutex creates an instrumented mutex.
 func NewMutex() *Mutex { return &Mutex{} }
 
-// NewMutex creates an instrumented mutex (convenience method).
-func (s *Section) NewMutex() *Mutex { return NewMutex() }
-
 // now returns the controller clock (nanoseconds since section creation).
 func (s *Section) now() core.Nanos { return core.Nanos(time.Since(s.epoch)) }
 
@@ -482,8 +429,8 @@ func (s *Section) Run(lo, hi int) {
 	if hi <= lo {
 		return
 	}
-	// The controller setup happens under s.mu so that StatsSnapshot (which
-	// may run concurrently from another goroutine) always sees a coherent
+	// The controller setup happens under s.mu so that the readers (which
+	// may run concurrently from other goroutines) always see a coherent
 	// controller.
 	s.mu.Lock()
 	atomic.StoreInt64(&s.next, int64(lo))
@@ -587,11 +534,12 @@ func (s *Section) phaseDelta() core.Measurement {
 	return m
 }
 
-// Current returns the index of the variant the section would run now.
-func (s *Section) Current() int { return int(atomic.LoadInt32(&s.current)) }
-
 // BestKnown returns the variant the controller currently believes best.
-func (s *Section) BestKnown() int { return s.ctl.BestKnownPolicy() }
+func (s *Section) BestKnown() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ctl.BestKnownPolicy()
+}
 
 // LastChosen returns the variant most recently selected for a production
 // phase, and whether any production phase has run yet. Unlike BestKnown it
@@ -616,68 +564,90 @@ func (s *Section) RecommendedProduction() (time.Duration, bool) {
 
 // Samples returns the measurement history.
 func (s *Section) Samples() []Sample {
-	var out []Sample
-	for _, c := range s.ctl.Samples() {
-		out = append(out, Sample{
-			Kind:            kindName(c.Kind),
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	history := s.ctl.Samples()
+	out := make([]Sample, len(history))
+	for i, c := range history {
+		out[i] = Sample{
+			Kind:            c.Kind.String(),
 			Variant:         c.Policy,
-			Name:            s.ctl.PolicyName(c.Policy),
+			Name:            s.names[c.Policy],
 			Start:           time.Duration(c.Start),
 			End:             time.Duration(c.End),
 			Overhead:        c.Overhead,
 			LockingOverhead: c.Meas.LockingOverhead(),
 			WaitingOverhead: c.Meas.WaitingOverhead(),
-		})
+		}
 	}
 	return out
 }
 
-func kindName(k core.SampleKind) string { return k.String() }
+// VariantStats returns the per-variant aggregates, in declaration order.
+func (s *Section) VariantStats() []store.PolicyRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.variantStatsLocked()
+}
+
+// variantStatsLocked converts the controller's per-policy aggregates into
+// the one per-variant record shape — what VariantStats returns, what a
+// snapshot reports and what Persist writes. The caller holds s.mu.
+func (s *Section) variantStatsLocked() []store.PolicyRecord {
+	cs := s.ctl.Stats()
+	out := make([]store.PolicyRecord, len(cs))
+	for i, c := range cs {
+		out[i] = store.PolicyRecord{
+			Name:         s.names[i],
+			TimesSampled: c.TimesSampled,
+			TimesChosen:  c.TimesChosen,
+			MeanOverhead: c.MeanOverhead(),
+			LastOverhead: c.LastOverhead,
+		}
+	}
+	return out
+}
 
 // Snapshot is a coherent view of a section's state and per-variant
 // history, safe to take while Run executes: StatsSnapshot synchronizes
-// with the switch barrier instead of stopping the section.
+// with the switch barrier instead of stopping the section. Its JSON form
+// is what dfserved reports for a section.
 type Snapshot struct {
 	// Name is Config.Name ("" when the section is unnamed).
-	Name string
+	Name string `json:"-"`
 	// Phase is "idle", "sampling" or "production".
-	Phase string
+	Phase string `json:"phase"`
 	// Rounds is the number of completed sampling rounds.
-	Rounds int
+	Rounds int `json:"rounds"`
 	// Current is the name of the variant the section would run now.
-	Current string
+	Current string `json:"current"`
 	// Winner is the variant most recently chosen for production; "" until
 	// a production phase has been entered.
-	Winner string
+	Winner string `json:"winner,omitempty"`
 	// WinnerOverhead is the overhead Winner measured when chosen.
-	WinnerOverhead float64
+	WinnerOverhead float64 `json:"winner_overhead"`
 	// WarmStarted reports whether a store record seeded the section.
-	WarmStarted bool
+	WarmStarted bool `json:"warm_started"`
 	// Switches counts adaptation events: production entries that selected
 	// a different variant than the previous production phase (the first
 	// production entry counts as one).
-	Switches int
+	Switches int `json:"switches"`
 	// Stats are the per-variant aggregates, in declaration order.
-	Stats []Stats
+	Stats []store.PolicyRecord `json:"variants"`
 }
 
-// StatsSnapshot captures the section's state without stopping it. It may
-// be called concurrently with Run from any goroutine (it briefly contends
-// with the switch barrier for the section lock); long-running servers use
-// it to report live per-variant overheads and to build store records.
+// StatsSnapshot captures the section's state without stopping it. Long-
+// running servers use it to report live per-variant overheads.
 func (s *Section) StatsSnapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshotLocked()
-}
-
-func (s *Section) snapshotLocked() Snapshot {
 	snap := Snapshot{
 		Name:        s.cfg.Name,
 		Phase:       s.ctl.Phase().String(),
 		Rounds:      s.ctl.Rounds(),
 		Current:     s.names[s.ctl.CurrentPolicy()],
 		WarmStarted: s.warm,
+		Stats:       s.variantStatsLocked(),
 	}
 	if w, ok := s.ctl.LastWinner(); ok {
 		snap.Winner = s.names[w]
@@ -687,17 +657,6 @@ func (s *Section) snapshotLocked() Snapshot {
 	for i, sw := range switches {
 		if i == 0 || sw.Policy != switches[i-1].Policy {
 			snap.Switches++
-		}
-	}
-	cs := s.ctl.Stats()
-	snap.Stats = make([]Stats, len(cs))
-	for i, c := range cs {
-		snap.Stats[i] = Stats{
-			Name:         s.names[i],
-			TimesSampled: c.TimesSampled,
-			TimesChosen:  c.TimesChosen,
-			MeanOverhead: c.MeanOverhead(),
-			LastOverhead: c.LastOverhead,
 		}
 	}
 	return snap
@@ -725,35 +684,11 @@ func (s *Section) Persist() error {
 		Winner:         s.names[winner],
 		WinnerOverhead: s.ctl.LastWinnerOverhead(),
 		Rounds:         s.ctl.Rounds(),
+		Policies:       s.variantStatsLocked(),
 		UpdatedUnix:    time.Now().Unix(),
-	}
-	for i, c := range s.ctl.Stats() {
-		rec.Policies = append(rec.Policies, store.PolicyRecord{
-			Name:         s.names[i],
-			TimesSampled: c.TimesSampled,
-			TimesChosen:  c.TimesChosen,
-			MeanOverhead: c.MeanOverhead(),
-			LastOverhead: c.LastOverhead,
-		})
 	}
 	s.mu.Unlock()
 	// The store write happens outside the section lock so a slow disk
 	// never stalls the workers' switch barrier.
 	return s.cfg.Store.Save(rec)
-}
-
-// VariantStats returns per-variant aggregates.
-func (s *Section) VariantStats() []Stats {
-	cs := s.ctl.Stats()
-	out := make([]Stats, len(cs))
-	for i, c := range cs {
-		out[i] = Stats{
-			Name:         s.ctl.PolicyName(i),
-			TimesSampled: c.TimesSampled,
-			TimesChosen:  c.TimesChosen,
-			MeanOverhead: c.MeanOverhead(),
-			LastOverhead: c.LastOverhead,
-		}
-	}
-	return out
 }

@@ -311,6 +311,45 @@ func TestRecommendedProduction(t *testing.T) {
 	}
 }
 
+// TestReadersDuringRun calls every exported reader of a section while Run's
+// switch barrier moves the controller through its phases; run under -race
+// it checks that each reader takes the section lock.
+func TestReadersDuringRun(t *testing.T) {
+	body := func(ctx *Ctx, i int) { ctx.AddOverhead(time.Duration(i % 3)) }
+	s, err := NewSection(Config{Workers: 2, TargetSampling: 50 * time.Microsecond, TargetProduction: 200 * time.Microsecond},
+		Variant{Name: "a", Body: body}, Variant{Name: "b", Body: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = s.VariantStats()
+				_ = s.Samples()
+				_ = s.BestKnown()
+				_, _ = s.LastChosen()
+				_, _ = s.RecommendedProduction()
+				_ = s.StatsSnapshot()
+				_ = s.WarmStarted()
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		s.Run(0, 20000)
+	}
+	close(stop)
+	<-done
+	if len(s.VariantStats()) != 2 {
+		t.Errorf("stats = %+v", s.VariantStats())
+	}
+}
+
 func TestVariantStatsShape(t *testing.T) {
 	body := func(ctx *Ctx, i int) { spin(5 * time.Microsecond) }
 	s, err := NewSection(Config{Workers: 2, TargetSampling: time.Millisecond},

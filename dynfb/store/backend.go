@@ -93,7 +93,7 @@ func Newer(a, b VersionedRecord) bool {
 // first. The caller re-reads and retries (or merges).
 var ErrConflict = errors.New("store: compare-and-swap conflict")
 
-// Backend is the storage engine behind the Store API: a versioned key →
+// Backend is the storage engine behind a TenantStore: a versioned key →
 // record map with optimistic concurrency and change notification. Four
 // implementations are provided: MemStore (in-process), FileStore (one
 // JSON file, atomic renames), KVStore (write-ahead-logged embedded KV) —
@@ -164,12 +164,9 @@ func (w *watchers) notify(rec VersionedRecord) {
 }
 
 // table is the versioned record map the three local backends embed: the
-// one Get, compare-and-swap Put, List and Watch, plus the default tenant's
-// Store view. A backend differs only in commit, the step that makes an
-// applied put durable.
+// one Get, compare-and-swap Put, List and Watch. A backend differs only in
+// commit, the step that makes an applied put durable.
 type table struct {
-	tenantStore
-
 	mu   sync.Mutex
 	recs map[Key]VersionedRecord
 	// commit, when non-nil, runs under mu with the put already applied to
@@ -178,9 +175,8 @@ type table struct {
 	watch  watchers
 }
 
-// init readies an empty table and points its Store view at itself.
+// init readies an empty table.
 func (t *table) init(commit func(VersionedRecord) error) {
-	t.tenantStore.b = t
 	t.recs = map[Key]VersionedRecord{}
 	t.commit = commit
 }
@@ -283,65 +279,37 @@ func MergeLWW(b Backend, rec VersionedRecord) (bool, error) {
 	}
 }
 
-// NewTenantStore binds a Backend to one tenant namespace and exposes it
-// through the Store API dynfb consumes. Save stamps the record's key from
-// its section name and fingerprint, advances the Lamport clock past the
-// record it replaces, and retries CAS conflicts; concurrent savers
-// therefore never lose each other's sections, and the last writer of the
-// same key wins.
-func NewTenantStore(b Backend, tenant string) Store {
-	return &tenantStore{b: b, tenant: tenant}
-}
-
-type tenantStore struct {
+// TenantStore is one tenant's view of a Backend, the only way a section
+// reads and writes what it has learned: Load is the record for one section
+// in exactly one environment, Save the write. It is safe for concurrent
+// use: a server saves from many sections at once.
+type TenantStore struct {
 	b      Backend
 	tenant string
 }
 
-// LoadFor implements EnvLoader: the exact lookup — one tenant, one section,
-// one environment.
-func (s *tenantStore) LoadFor(section string, fp Fingerprint) (Record, bool, error) {
+// NewTenantStore binds a Backend to one tenant namespace.
+func NewTenantStore(b Backend, tenant string) *TenantStore {
+	return &TenantStore{b: b, tenant: tenant}
+}
+
+// Load returns the record for section learned in exactly environment fp,
+// and whether one exists. A record stored under fp's key whose own
+// fingerprint is not fp is a miss, never a warm start in the wrong
+// environment.
+func (s *TenantStore) Load(section string, fp Fingerprint) (Record, bool, error) {
 	vr, ok, err := s.b.Get(Key{Tenant: s.tenant, Section: section, Env: fp.Hash()})
-	if err != nil || !ok {
+	if err != nil || !ok || vr.Record.Fingerprint != fp {
 		return Record{}, false, err
 	}
 	return vr.Record, true, nil
 }
 
-// Load implements Store: the newest record for the section across
-// environments (callers that know their fingerprint use LoadFor; Load keeps
-// the original single-record-per-section Store semantics working).
-func (s *tenantStore) Load(section string) (Record, bool, error) {
-	keys, err := s.b.List()
-	if err != nil {
-		return Record{}, false, err
-	}
-	var best VersionedRecord
-	found := false
-	for _, k := range keys {
-		if k.Tenant != s.tenant || k.Section != section {
-			continue
-		}
-		vr, ok, err := s.b.Get(k)
-		if err != nil {
-			return Record{}, false, err
-		}
-		if !ok {
-			continue
-		}
-		if !found || Newer(vr, best) {
-			best = vr
-			found = true
-		}
-	}
-	if !found {
-		return Record{}, false, nil
-	}
-	return best.Record, true, nil
-}
-
-// Save implements Store.
-func (s *tenantStore) Save(rec Record) error {
+// Save upserts rec at the key of its section name and fingerprint. It
+// advances the Lamport clock past the record it replaces and retries CAS
+// conflicts, so concurrent savers never lose each other's sections, and
+// the last writer of the same key wins.
+func (s *TenantStore) Save(rec Record) error {
 	if rec.Section == "" {
 		return fmt.Errorf("store: record has no section name")
 	}
@@ -365,25 +333,6 @@ func (s *tenantStore) Save(rec Record) error {
 		}
 		return nil
 	}
-}
-
-// Sections implements Store.
-func (s *tenantStore) Sections() ([]string, error) {
-	keys, err := s.b.List()
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, k := range keys {
-		if k.Tenant != s.tenant || seen[k.Section] {
-			continue
-		}
-		seen[k.Section] = true
-		out = append(out, k.Section)
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // SortKeys sorts keys by (tenant, section, env), the order List returns.

@@ -1,7 +1,7 @@
 // Conformance suite: every Backend implementation — MemStore, FileStore,
 // KVStore, ReplStore — must satisfy the same contract: CAS-versioned
 // puts, byte-identical round trips, sorted listings, watch notification,
-// tenant and environment isolation through the Store view, and (where
+// tenant and environment isolation through a TenantStore, and (where
 // the backend is durable) persistence across a reopen. The suite lives
 // in package store_test so it can stand up a real replication hub.
 package store_test
@@ -378,33 +378,43 @@ func runConformance(t *testing.T, fx backendFixture) {
 		if err := bob.Save(recB); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, err := alice.Load("sec")
+		got, ok, err := alice.Load("sec", recA.Fingerprint)
 		if !ok || err != nil || got.Winner != "a" {
 			t.Fatalf("alice sees %+v ok=%v err=%v, want her own winner a", got.Winner, ok, err)
 		}
-		got, ok, err = bob.Load("sec")
+		got, ok, err = bob.Load("sec", recB.Fingerprint)
 		if !ok || err != nil || got.Winner != "b" {
 			t.Fatalf("bob sees %+v ok=%v err=%v, want his own winner b", got.Winner, ok, err)
 		}
 
-		// Environment isolation within one tenant: LoadFor is exact.
+		// Environment isolation within one tenant: Load is exact.
 		otherEnv := recA
 		otherEnv.Fingerprint.Workers = 99
 		otherEnv.Winner = "b"
 		if err := alice.Save(otherEnv); err != nil {
 			t.Fatal(err)
 		}
-		el := alice.(store.EnvLoader)
-		got, ok, err = el.LoadFor("sec", recA.Fingerprint)
+		got, ok, err = alice.Load("sec", recA.Fingerprint)
 		if !ok || err != nil || got.Winner != "a" {
-			t.Fatalf("LoadFor(original env) = %q ok=%v err=%v, want a", got.Winner, ok, err)
+			t.Fatalf("Load(original env) = %q ok=%v err=%v, want a", got.Winner, ok, err)
 		}
-		got, ok, err = el.LoadFor("sec", otherEnv.Fingerprint)
+		got, ok, err = alice.Load("sec", otherEnv.Fingerprint)
 		if !ok || err != nil || got.Winner != "b" {
-			t.Fatalf("LoadFor(other env) = %q ok=%v err=%v, want b", got.Winner, ok, err)
+			t.Fatalf("Load(other env) = %q ok=%v err=%v, want b", got.Winner, ok, err)
 		}
-		if _, ok, _ := el.LoadFor("sec", store.Fingerprint{Workers: 12345}); ok {
-			t.Error("LoadFor invented a record for an unknown environment")
+		if _, ok, _ := alice.Load("sec", store.Fingerprint{Workers: 12345}); ok {
+			t.Error("Load invented a record for an unknown environment")
+		}
+		// A record stored under an environment's key but learned in
+		// another is a miss, never a warm start in the wrong environment.
+		stray := recA
+		stray.Fingerprint.Workers = 7
+		k := store.Key{Tenant: "alice", Section: "sec", Env: store.Fingerprint{Workers: 12345}.Hash()}
+		if _, err := b.Put(store.VersionedRecord{Key: k, Clock: 1, Record: stray}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, _ := alice.Load("sec", store.Fingerprint{Workers: 12345}); ok {
+			t.Error("Load returned a record whose fingerprint is not the one asked for")
 		}
 	})
 

@@ -24,12 +24,11 @@ type fileSchemaV1 struct {
 	Records map[string]Record `json:"records"`
 }
 
-// FileStore is a store backed by a single JSON file. Every Put rewrites
+// FileStore is the Backend kept in a single JSON file. Every Put rewrites
 // the file through a temporary sibling and an atomic rename, so readers
 // (and a crash mid-write) always observe either the old or the new
 // contents, never a torn file; the temporary file and the directory are
-// both fsynced so the rename is durable once Put returns. It implements
-// both Store and Backend.
+// both fsynced so the rename is durable once Put returns.
 type FileStore struct {
 	table
 	path string

@@ -19,8 +19,7 @@ import (
 // threshold. A torn or corrupt log tail (the partial frame a crash
 // mid-append leaves behind) is detected by its length/checksum and
 // truncated away on open: everything before it is kept, and the damaged
-// suffix is never visible to readers. It implements both Store and
-// Backend.
+// suffix is never visible to readers.
 type KVStore struct {
 	table
 	dir string

@@ -76,10 +76,8 @@ func (s ReplStatus) SyncLag(now time.Time) time.Duration {
 // the replica degrades to local-only operation (Puts keep succeeding,
 // marked pending), and on reconnect it resyncs — pull the hub's state,
 // merge, push everything local — so the fleet reconverges without losing
-// either side's newer records. It implements both Store and Backend.
+// either side's newer records.
 type ReplStore struct {
-	tenantStore // the default tenant's Store view over this replica
-
 	cfg    ReplConfig
 	local  Backend
 	log    *slog.Logger
@@ -148,7 +146,6 @@ func OpenRepl(cfg ReplConfig) (*ReplStore, error) {
 		ctx:     ctx,
 		cancel:  cancel,
 	}
-	r.tenantStore.b = r
 	if cfg.InitialSyncTimeout > 0 {
 		syncCtx, done := context.WithTimeout(ctx, cfg.InitialSyncTimeout)
 		if err := r.resync(syncCtx); err != nil {

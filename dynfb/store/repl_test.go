@@ -63,6 +63,17 @@ func openReplicaOver(t *testing.T, hubURL, origin string, rt http.RoundTripper, 
 	return r
 }
 
+// save and load go through the default tenant's view of a replica, as a
+// section's do; every confRecord is learned in the same environment.
+func save(b store.Backend, rec store.Record) error {
+	return store.NewTenantStore(b, "").Save(rec)
+}
+
+func load(b store.Backend, section string) (store.Record, bool) {
+	rec, ok, _ := store.NewTenantStore(b, "").Load(section, confRecord(section).Fingerprint)
+	return rec, ok
+}
+
 func waitUntil(t *testing.T, what string, fn func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -92,10 +103,10 @@ func TestReplPartitionDegradesAndResyncs(t *testing.T) {
 	pt.down.Store(true)
 
 	// A write on the partitioned side must succeed locally and be queued.
-	if err := b.Save(confRecord("from-b")); err != nil {
+	if err := save(b, confRecord("from-b")); err != nil {
 		t.Fatalf("partitioned write failed: %v", err)
 	}
-	if got, ok, _ := b.Load("from-b"); !ok || got.Winner == "" {
+	if got, ok := load(b, "from-b"); !ok || got.Winner == "" {
 		t.Fatal("partitioned write not readable locally")
 	}
 	waitUntil(t, "replica-b to notice the partition", func() bool {
@@ -104,13 +115,13 @@ func TestReplPartitionDegradesAndResyncs(t *testing.T) {
 	})
 
 	// Meanwhile the healthy side keeps writing through the hub.
-	if err := a.Save(confRecord("from-a")); err != nil {
+	if err := save(a, confRecord("from-a")); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "replica-a's write to reach the hub", func() bool {
 		return a.Status().Pending == 0
 	})
-	if _, ok, _ := b.Load("from-a"); ok {
+	if _, ok := load(b, "from-a"); ok {
 		t.Fatal("partitioned replica saw a peer write through the cut")
 	}
 
@@ -121,11 +132,11 @@ func TestReplPartitionDegradesAndResyncs(t *testing.T) {
 		return st.Connected && st.Pending == 0
 	})
 	waitUntil(t, "a's record to reach b", func() bool {
-		_, ok, _ := b.Load("from-a")
+		_, ok := load(b, "from-a")
 		return ok
 	})
 	waitUntil(t, "b's record to reach a", func() bool {
-		_, ok, _ := a.Load("from-b")
+		_, ok := load(a, "from-b")
 		return ok
 	})
 	if lag := b.Status().SyncLag(time.Now()); lag < 0 || lag > time.Minute {
@@ -139,7 +150,7 @@ func TestReplPartitionDegradesAndResyncs(t *testing.T) {
 func TestReplBootsDegradedThenRecovers(t *testing.T) {
 	hubURL := startHub(t)
 	a := openReplica(t, hubURL, "replica-a", http.DefaultTransport)
-	if err := a.Save(confRecord("early")); err != nil {
+	if err := save(a, confRecord("early")); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "early record to reach the hub", func() bool {
@@ -166,10 +177,10 @@ func TestReplBootsDegradedThenRecovers(t *testing.T) {
 	if b.Status().Connected {
 		t.Error("replica reports connected behind a partition")
 	}
-	if err := b.Save(confRecord("offline")); err != nil {
+	if err := save(b, confRecord("offline")); err != nil {
 		t.Fatalf("local-only write failed: %v", err)
 	}
-	if _, ok, _ := b.Load("early"); ok {
+	if _, ok := load(b, "early"); ok {
 		t.Error("hub state visible through a partition")
 	}
 
@@ -179,8 +190,8 @@ func TestReplBootsDegradedThenRecovers(t *testing.T) {
 		if !st.Connected || st.Pending != 0 {
 			return false
 		}
-		_, okEarly, _ := b.Load("early")
-		_, okOff, _ := a.Load("offline")
+		_, okEarly := load(b, "early")
+		_, okOff := load(a, "offline")
 		return okEarly && okOff
 	})
 }
@@ -197,9 +208,9 @@ func TestReplConcurrentWritersConverge(t *testing.T) {
 		rec.Rounds = i
 		var err error
 		if i%2 == 0 {
-			err = a.Save(rec)
+			err = save(a, rec)
 		} else {
-			err = b.Save(rec)
+			err = save(b, rec)
 		}
 		if err != nil {
 			t.Fatalf("write %d: %v", i, err)
@@ -209,8 +220,8 @@ func TestReplConcurrentWritersConverge(t *testing.T) {
 		if a.Status().Pending != 0 || b.Status().Pending != 0 {
 			return false
 		}
-		ra, okA, _ := a.Load("contested")
-		rb, okB, _ := b.Load("contested")
+		ra, okA := load(a, "contested")
+		rb, okB := load(b, "contested")
 		return okA && okB && ra.Rounds == rb.Rounds
 	})
 }
@@ -226,7 +237,7 @@ func TestReplWatchDeliversPeerUpdates(t *testing.T) {
 	cancel := b.Watch(func(vr store.VersionedRecord) { got <- vr })
 	defer cancel()
 
-	if err := a.Save(confRecord("observed")); err != nil {
+	if err := save(a, confRecord("observed")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -249,7 +260,7 @@ func TestReplCloseFlushesPending(t *testing.T) {
 	hubURL := startHub(t)
 	a := openReplica(t, hubURL, "replica-a", http.DefaultTransport)
 	for i := 0; i < 4; i++ {
-		if err := a.Save(confRecord(fmt.Sprintf("s%d", i))); err != nil {
+		if err := save(a, confRecord(fmt.Sprintf("s%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +270,7 @@ func TestReplCloseFlushesPending(t *testing.T) {
 
 	b := openReplica(t, hubURL, "replica-b", http.DefaultTransport)
 	for i := 0; i < 4; i++ {
-		if _, ok, _ := b.Load(fmt.Sprintf("s%d", i)); !ok {
+		if _, ok := load(b, fmt.Sprintf("s%d", i)); !ok {
 			t.Errorf("record s%d lost across drain", i)
 		}
 	}
@@ -293,7 +304,7 @@ func TestReplPushAckDoesNotAdvanceWatchCursor(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	local := store.NewMemStore()
-	if err := store.NewTenantStore(local, "").Save(confRecord("mine")); err != nil {
+	if err := save(local, confRecord("mine")); err != nil {
 		t.Fatal(err)
 	}
 	rec := confRecord("peer")
@@ -308,7 +319,7 @@ func TestReplPushAckDoesNotAdvanceWatchCursor(t *testing.T) {
 	}}
 	a := openReplicaOver(t, srv.URL, "replica-a", rt, local)
 	waitUntil(t, "the peer record sequenced before the bootstrap push", func() bool {
-		_, ok, _ := a.Load("peer")
+		_, ok := load(a, "peer")
 		return ok
 	})
 }

@@ -11,23 +11,23 @@
 // pushed to a hub and warm-starts every other replica with a matching
 // environment, so the sampling cost is paid once fleet-wide.
 //
-// A Store maps section names to Records. Each Record carries an environment
-// Fingerprint (GOMAXPROCS, worker count, a hash of the variant set) so that
-// knowledge learned under one configuration is never applied to another:
-// the winning lock discipline at 2 workers is routinely the loser at 16.
-// Consumers (dynfb.Config.Store) treat a fingerprint mismatch as a cache
-// miss and fall back to full sampling.
+// A Record is what one section learned in one environment. Its Fingerprint
+// (GOMAXPROCS, worker count, a hash of the variant set) keeps knowledge
+// learned under one configuration from being applied to another: the
+// winning lock discipline at 2 workers is routinely the loser at 16.
 //
-// The Store API is a thin view over a Backend: a versioned key → record
-// map keyed by (tenant, section, environment hash) with compare-and-swap
-// updates and change notification (see Backend). Four backends are
-// provided: MemStore (tests and single-process sharing), FileStore (one
-// JSON file with atomic-rename writes), KVStore (an embedded
-// write-ahead-logged KV directory), and ReplStore (hub-replicated with
-// last-writer-wins resolution; see repl.go and the hub package). A store
-// is a cache of learnable knowledge: corruption, truncation, or schema
-// drift loads as an empty store rather than an error, because the worst
-// case is simply a cold start.
+// Records live in a Backend: a versioned key → record map keyed by
+// (tenant, section, environment hash) with compare-and-swap updates and
+// change notification. Four backends are provided: MemStore (tests and
+// single-process sharing), FileStore (one JSON file with atomic-rename
+// writes), KVStore (an embedded write-ahead-logged KV directory), and
+// ReplStore (hub-replicated with last-writer-wins resolution; see repl.go
+// and the hub package). A section reads and writes its records through a
+// TenantStore (dynfb.Config.Store), one tenant's view of a backend with
+// exactly one read, the record for a section in its own environment, and
+// one write. A store is a cache of learnable knowledge: corruption,
+// truncation, schema drift or a record for another environment is a miss
+// rather than an error, because the worst case is simply a cold start.
 package store
 
 import (
@@ -72,7 +72,10 @@ func VariantsHash(names []string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// PolicyRecord is one variant's accumulated history.
+// PolicyRecord is one variant's accumulated history: the one shape of a
+// variant's aggregates, stored in a Record, returned by
+// dynfb.Section.VariantStats and served by dfserved as a snapshot's
+// "variants".
 type PolicyRecord struct {
 	Name         string  `json:"name"`
 	TimesSampled int     `json:"times_sampled"`
@@ -107,32 +110,8 @@ func cloneVersioned(vr VersionedRecord) VersionedRecord {
 	return vr
 }
 
-// Store persists section records. Implementations must be safe for
-// concurrent use: a server saves from many sections at once.
-type Store interface {
-	// Load returns the record for section and whether one exists. When
-	// records exist for several environments, the newest wins; callers
-	// that know their environment should use LoadFor (all stores in this
-	// package implement it) via the EnvLoader interface.
-	Load(section string) (Record, bool, error)
-	// Save upserts rec, keyed by rec.Section (and, on backend-based
-	// stores, rec.Fingerprint).
-	Save(rec Record) error
-	// Sections returns the stored section names, sorted.
-	Sections() ([]string, error)
-}
-
-// EnvLoader is the environment-exact lookup every store in this package
-// provides: the record for one section learned in exactly the given
-// environment. Consumers type-assert their Store to it and fall back to
-// Load when the assertion fails.
-type EnvLoader interface {
-	LoadFor(section string, fp Fingerprint) (Record, bool, error)
-}
-
-// MemStore is an in-memory store, for tests and for sharing knowledge
-// between sections of a single process. It implements both Store and
-// Backend.
+// MemStore is an in-memory Backend, for tests and for sharing knowledge
+// between sections of a single process.
 type MemStore struct{ table }
 
 // NewMemStore returns an empty in-memory store.

@@ -24,6 +24,24 @@ func sampleRecord(section string) Record {
 	}
 }
 
+// sampleEnv is the environment every sampleRecord was learned in.
+var sampleEnv = sampleRecord("").Fingerprint
+
+// sectionsOf lists the sections b holds records for, in key order; the
+// records of these tests are one tenant's, in one environment.
+func sectionsOf(t *testing.T, b Backend) []string {
+	t.Helper()
+	keys, err := b.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(keys))
+	for i, k := range keys {
+		names[i] = k.Section
+	}
+	return names
+}
+
 func TestVariantsHashOrderAndContentSensitive(t *testing.T) {
 	ab := VariantsHash([]string{"a", "b"})
 	ba := VariantsHash([]string{"b", "a"})
@@ -40,8 +58,8 @@ func TestVariantsHashOrderAndContentSensitive(t *testing.T) {
 }
 
 func TestMemStoreRoundTrip(t *testing.T) {
-	m := NewMemStore()
-	if _, ok, err := m.Load("missing"); ok || err != nil {
+	m := NewTenantStore(NewMemStore(), "")
+	if _, ok, err := m.Load("missing", sampleEnv); ok || err != nil {
 		t.Fatalf("empty store: ok=%v err=%v", ok, err)
 	}
 	rec := sampleRecord("sec")
@@ -50,7 +68,7 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	}
 	// Mutating the caller's copy must not reach the store.
 	rec.Policies[0].MeanOverhead = 99
-	got, ok, err := m.Load("sec")
+	got, ok, err := m.Load("sec", sampleEnv)
 	if !ok || err != nil {
 		t.Fatalf("load: ok=%v err=%v", ok, err)
 	}
@@ -59,7 +77,7 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	}
 	// And mutating the loaded copy must not reach the store either.
 	got.Policies[0].MeanOverhead = 77
-	again, _, _ := m.Load("sec")
+	again, _, _ := m.Load("sec", sampleEnv)
 	if again.Policies[0].MeanOverhead != 0.12 {
 		t.Error("load aliases the stored slice")
 	}
@@ -77,10 +95,11 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if fs.LoadWarning() != "" {
 		t.Errorf("missing file produced warning %q", fs.LoadWarning())
 	}
-	if err := fs.Save(sampleRecord("alpha")); err != nil {
+	ts := NewTenantStore(fs, "")
+	if err := ts.Save(sampleRecord("alpha")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Save(sampleRecord("beta")); err != nil {
+	if err := ts.Save(sampleRecord("beta")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -89,14 +108,10 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := fs2.Sections()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
+	if names := sectionsOf(t, fs2); len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
 		t.Fatalf("sections = %v", names)
 	}
-	got, ok, err := fs2.Load("alpha")
+	got, ok, err := NewTenantStore(fs2, "").Load("alpha", sampleEnv)
 	if !ok || err != nil {
 		t.Fatalf("load alpha: ok=%v err=%v", ok, err)
 	}
@@ -145,11 +160,11 @@ func TestFileStoreCorruptLoadsEmpty(t *testing.T) {
 			if fs.LoadWarning() == "" {
 				t.Error("no warning for corrupt file")
 			}
-			if names, _ := fs.Sections(); len(names) != 0 {
+			if names := sectionsOf(t, fs); len(names) != 0 {
 				t.Errorf("corrupt store not empty: %v", names)
 			}
 			// The store must remain usable: saving repairs the file.
-			if err := fs.Save(sampleRecord("sec")); err != nil {
+			if err := NewTenantStore(fs, "").Save(sampleRecord("sec")); err != nil {
 				t.Fatal(err)
 			}
 			fs2, err := OpenFile(path)
@@ -171,7 +186,7 @@ func TestFileStoreTornTempNeverVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Save(sampleRecord("alpha")); err != nil {
+	if err := NewTenantStore(fs, "").Save(sampleRecord("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	// A crash between CreateTemp and rename leaves a torn temp sibling.
@@ -187,7 +202,7 @@ func TestFileStoreTornTempNeverVisible(t *testing.T) {
 	if fs2.LoadWarning() != "" {
 		t.Errorf("torn temp file tainted the load: %q", fs2.LoadWarning())
 	}
-	got, ok, err := fs2.Load("alpha")
+	got, ok, err := NewTenantStore(fs2, "").Load("alpha", sampleEnv)
 	if !ok || err != nil || got.Winner != "a" {
 		t.Fatalf("real store not loaded: ok=%v err=%v winner=%q", ok, err, got.Winner)
 	}
@@ -207,14 +222,14 @@ func TestFileStoreTornTempNeverVisible(t *testing.T) {
 		t.Errorf("directory = %v, want just policies.json", names)
 	}
 	// And a Put through the fresh handle still round-trips durably.
-	if err := fs2.Save(sampleRecord("beta")); err != nil {
+	if err := NewTenantStore(fs2, "").Save(sampleRecord("beta")); err != nil {
 		t.Fatal(err)
 	}
 	fs3, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if names, _ := fs3.Sections(); len(names) != 2 {
+	if names := sectionsOf(t, fs3); len(names) != 2 {
 		t.Errorf("sections after repair = %v, want 2", names)
 	}
 }
@@ -232,7 +247,7 @@ func TestFileStoreSchemaMismatchLoadsEmpty(t *testing.T) {
 	if fs.LoadWarning() == "" {
 		t.Error("no warning for schema mismatch")
 	}
-	if _, ok, _ := fs.Load("sec"); ok {
+	if names := sectionsOf(t, fs); len(names) != 0 {
 		t.Error("record from a different schema version surfaced")
 	}
 }
@@ -243,6 +258,7 @@ func TestFileStoreConcurrentSaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := NewTenantStore(fs, "")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -251,11 +267,11 @@ func TestFileStoreConcurrentSaves(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				rec := sampleRecord(fmt.Sprintf("sec%d", g%4))
 				rec.Rounds = i
-				if err := fs.Save(rec); err != nil {
+				if err := ts.Save(rec); err != nil {
 					t.Errorf("save: %v", err)
 					return
 				}
-				if _, _, err := fs.Load("sec0"); err != nil {
+				if _, _, err := ts.Load("sec0", sampleEnv); err != nil {
 					t.Errorf("load: %v", err)
 					return
 				}
@@ -267,8 +283,7 @@ func TestFileStoreConcurrentSaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, _ := fs2.Sections()
-	if len(names) != 4 {
+	if names := sectionsOf(t, fs2); len(names) != 4 {
 		t.Errorf("sections = %v, want 4", names)
 	}
 }

@@ -42,10 +42,10 @@ func samplingBeforeFirstProduction(t *testing.T, s *Section) int {
 	return 0
 }
 
-func warmConfig(st store.Store) Config {
+func warmConfig(b store.Backend) Config {
 	return Config{
 		Name:             "lean-vs-waste",
-		Store:            st,
+		Store:            store.NewTenantStore(b, ""),
 		Workers:          2,
 		TargetSampling:   2 * time.Millisecond,
 		TargetProduction: 200 * time.Millisecond,
@@ -83,7 +83,7 @@ func TestWarmStartShortensSampling(t *testing.T) {
 		t.Fatalf("cold winner = %s, want lean", name)
 	}
 	// Run persists automatically; the record must be on disk now.
-	rec, found, err := st.Load("lean-vs-waste")
+	rec, found, err := cold.cfg.Store.Load("lean-vs-waste", cold.fp)
 	if err != nil || !found {
 		t.Fatalf("no persisted record: found=%v err=%v", found, err)
 	}
@@ -130,7 +130,7 @@ func TestWarmStartFingerprintMismatchFallsBackToFullSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.Run(0, 4000)
-	if _, found, _ := st.Load("lean-vs-waste"); !found {
+	if _, found, _ := cold.cfg.Store.Load("lean-vs-waste", cold.fp); !found {
 		t.Fatal("no persisted record")
 	}
 
@@ -188,7 +188,7 @@ func TestReseedSeedsLiveSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.Run(0, 4000)
-	if _, found, _ := st.Load("lean-vs-waste"); !found {
+	if _, found, _ := cold.cfg.Store.Load("lean-vs-waste", cold.fp); !found {
 		t.Fatal("peer run persisted nothing")
 	}
 
@@ -263,12 +263,12 @@ func TestConcurrentSectionsSharedStore(t *testing.T) {
 	runs.Wait()
 	close(stop)
 	readers.Wait()
-	names, err := st.Sections()
+	keys, err := st.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 3 {
-		t.Errorf("store sections = %v, want alpha beta gamma", names)
+	if len(keys) != 3 || keys[0].Section != "alpha" || keys[1].Section != "beta" || keys[2].Section != "gamma" {
+		t.Errorf("store keys = %v, want alpha beta gamma", keys)
 	}
 }
 
@@ -282,7 +282,7 @@ func TestConfigValidation(t *testing.T) {
 		"sampling > production":   {TargetSampling: time.Second, TargetProduction: time.Millisecond},
 		"negative lock pair cost": {LockPairCost: -time.Nanosecond},
 		"warm start sans store":   {WarmStart: true},
-		"store sans name":         {Store: store.NewMemStore()},
+		"store sans name":         {Store: store.NewTenantStore(store.NewMemStore(), "")},
 	}
 	for name, cfg := range cases {
 		if _, err := NewSection(cfg, ok); err == nil {

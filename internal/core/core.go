@@ -171,19 +171,13 @@ type Config struct {
 	// phase and one production phase, as in the paper's headline numbers.
 	TargetProduction Nanos
 	// EarlyCutoff enables the §4.5 optimization: stop sampling as soon as a
-	// sampled policy's cutoff component is below CutoffThreshold.
+	// sampled policy's cutoff component is below cutoffThreshold.
 	EarlyCutoff bool
-	// CutoffThreshold is the component-overhead threshold for EarlyCutoff.
-	// Default 0.01.
-	CutoffThreshold float64
 	// OrderByHistory enables the §4.5 ordering optimization: sample first
 	// the policy that won the previous round, and if its overhead is still
-	// acceptable — within HistoryMargin of its previous winning overhead —
+	// acceptable — within historyMargin of its previous winning overhead —
 	// go directly to the production phase.
 	OrderByHistory bool
-	// HistoryMargin is the absolute overhead slack for OrderByHistory.
-	// Default 0.05.
-	HistoryMargin float64
 	// SpanExecutions enables the §4.4 extension: sampling and production
 	// intervals span multiple executions of the parallel section instead of
 	// restarting the sampling phase at every section entry.
@@ -199,8 +193,6 @@ type Config struct {
 const (
 	DefaultTargetSampling   = Nanos(10e6)  // 10ms
 	DefaultTargetProduction = Nanos(100e9) // 100s
-	DefaultCutoffThreshold  = 0.01
-	DefaultHistoryMargin    = 0.05
 )
 
 // SampleKind distinguishes the records in the controller's history.
@@ -420,7 +412,7 @@ func (c *Controller) CompletePhase(now Nanos, m Measurement) int {
 	case c.shouldCutOff(total):
 		c.enterProduction(now, c.current)
 	case c.cfg.OrderByHistory && c.lastWinnerOK && len(c.order) == 1 &&
-		c.current == c.lastWinner && over <= c.lastWinOver+c.cfg.HistoryMargin:
+		c.current == c.lastWinner && over <= c.lastWinOver+historyMargin:
 		// The previous winner, sampled first, still performs acceptably:
 		// skip the rest of the sampling phase (§4.5).
 		c.enterProduction(now, c.current)
@@ -440,9 +432,9 @@ func (c *Controller) shouldCutOff(m Measurement) bool {
 	}
 	switch c.cfg.Policies[c.current].Cutoff {
 	case CutoffLocking:
-		return m.LockingOverhead() < c.cfg.CutoffThreshold
+		return m.LockingOverhead() < cutoffThreshold
 	case CutoffWaiting:
-		return m.WaitingOverhead() < c.cfg.CutoffThreshold
+		return m.WaitingOverhead() < cutoffThreshold
 	default:
 		return false
 	}
@@ -529,12 +521,12 @@ func (c *Controller) LastWinner() (int, bool) {
 }
 
 // LastWinnerOverhead returns the overhead the most recent production
-// winner measured when it was chosen (or the seeded value after
-// SeedHistory). It is meaningful only while LastWinner reports true.
+// winner measured when it was chosen (or the seeded value after Seed). It
+// is meaningful only while LastWinner reports true.
 func (c *Controller) LastWinnerOverhead() float64 { return c.lastWinOver }
 
-// Seed is policy knowledge carried over from a previous process, used to
-// warm-start a fresh controller (see SeedHistory).
+// Seed is policy knowledge learned elsewhere — by a previous process, or
+// by a fleet peer — used to warm-start a controller (see Controller.Seed).
 type Seed struct {
 	// Winner is the policy that won the previous process's last
 	// production selection.
@@ -547,46 +539,28 @@ type Seed struct {
 	Stats []PolicyStats
 }
 
-// SeedHistory primes an idle controller with knowledge persisted from a
-// previous run — the §4.5 ordering optimization generalized across
-// process restarts. The seeded winner is sampled first in the first
-// round, and with OrderByHistory enabled the rest of the round is skipped
-// while the winner stays within HistoryMargin of its seeded overhead, so
-// a restarted process reaches its production phase after a single
-// sampling interval instead of one per policy. If the environment has
-// drifted and the winner's overhead degraded, the acceptability test
-// fails and the round falls back to full sampling — stale knowledge costs
-// one interval, never a wrong steady-state choice.
-func (c *Controller) SeedHistory(seed Seed) error {
-	if c.phase != Idle {
-		return fmt.Errorf("core: SeedHistory on a running controller (phase %v)", c.phase)
-	}
-	return c.seed(seed)
-}
-
-// LateSeed primes a controller that may already be executing, provided it
-// has not yet chosen a production winner of its own. This is the fleet
-// warm-start path: a replica boots cold, starts sampling, and a peer's
-// winner record arrives over replication mid-round. Seeding then is still
-// profitable — the next sampling round orders the seeded winner first and
-// (with OrderByHistory) skips the rest of the round while it stays
-// acceptable — and still safe, because the acceptability test discards a
-// stale seed at the cost of one sampling interval. Knowledge the
-// controller has already measured wins over the seed: per-policy
-// aggregates are only restored for policies never sampled here, and a
-// controller that has entered production rejects the seed outright.
-func (c *Controller) LateSeed(seed Seed) error {
+// Seed primes the controller with knowledge learned elsewhere — the §4.5
+// ordering optimization generalized across process restarts and across a
+// fleet. The seeded winner is sampled first in the next round, and with
+// OrderByHistory the rest of that round is skipped while the winner stays
+// within historyMargin of its seeded overhead, so a warm controller
+// reaches production after a single sampling interval instead of one per
+// policy. If the environment has drifted and the winner's overhead
+// degraded, the acceptability test fails and the round falls back to full
+// sampling: stale knowledge costs one interval, never a wrong steady-state
+// choice.
+//
+// A controller that has chosen a production winner of its own refuses the
+// seed: knowledge measured here wins over knowledge carried in. Before
+// that, a seed may arrive at any time. An idle controller (the restart
+// path) takes the stats wholesale and its selector learns from them. A
+// running one (the fleet path: a peer's record arrives mid-round) only
+// fills in the stats of policies it has not sampled itself, and its
+// selector keeps to what it has measured.
+func (c *Controller) Seed(seed Seed) error {
 	if c.lastWinnerOK {
-		return fmt.Errorf("core: LateSeed on a controller that already has a winner")
+		return fmt.Errorf("core: Seed on a controller that already has a winner")
 	}
-	return c.seed(seed)
-}
-
-// seed validates and applies a seed. An idle controller takes the stats
-// wholesale and lets the selector learn from them; a running one only
-// fills in policies it has not sampled itself, and its selector keeps to
-// what it has measured.
-func (c *Controller) seed(seed Seed) error {
 	if seed.Winner < 0 || seed.Winner >= len(c.cfg.Policies) {
 		return fmt.Errorf("core: seed winner %d out of range [0,%d)", seed.Winner, len(c.cfg.Policies))
 	}

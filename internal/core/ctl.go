@@ -73,12 +73,6 @@ func NewCtl(kind string, cfg Config) (*Controller, error) {
 	if cfg.TargetProduction <= 0 {
 		cfg.TargetProduction = DefaultTargetProduction
 	}
-	if cfg.CutoffThreshold <= 0 {
-		cfg.CutoffThreshold = DefaultCutoffThreshold
-	}
-	if cfg.HistoryMargin <= 0 {
-		cfg.HistoryMargin = DefaultHistoryMargin
-	}
 	c := &Controller{
 		cfg:       cfg,
 		sel:       roundRobin{},

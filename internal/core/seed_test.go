@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// Both warm-start paths go through Controller.Seed: the TestSeedHistory
+// tests seed an idle controller (a restarted process), the TestLateSeed
+// tests a running one (a fleet peer's record arriving mid-round).
+
 // seedController returns an OrderByHistory controller over three policies
 // with 10ms sampling intervals.
 func seedController(t *testing.T, kind string) *Controller {
@@ -20,27 +24,36 @@ func seedController(t *testing.T, kind string) *Controller {
 func TestSeedHistoryValidation(t *testing.T) {
 	forKinds(t, func(t *testing.T, kind string) {
 		c := seedController(t, kind)
-		if err := c.SeedHistory(Seed{Winner: -1}); err == nil {
+		if err := c.Seed(Seed{Winner: -1}); err == nil {
 			t.Error("negative winner accepted")
 		}
-		if err := c.SeedHistory(Seed{Winner: 3}); err == nil {
+		if err := c.Seed(Seed{Winner: 3}); err == nil {
 			t.Error("out-of-range winner accepted")
 		}
-		if err := c.SeedHistory(Seed{Winner: 0, WinnerOverhead: -0.1}); err == nil {
+		if err := c.Seed(Seed{Winner: 0, WinnerOverhead: -0.1}); err == nil {
 			t.Error("negative overhead accepted")
 		}
-		if err := c.SeedHistory(Seed{Winner: 0, WinnerOverhead: 1.5}); err == nil {
+		if err := c.Seed(Seed{Winner: 0, WinnerOverhead: 1.5}); err == nil {
 			t.Error("overhead above 1 accepted")
 		}
-		if err := c.SeedHistory(Seed{Winner: 0, WinnerOverhead: math.NaN()}); err == nil {
+		if err := c.Seed(Seed{Winner: 0, WinnerOverhead: math.NaN()}); err == nil {
 			t.Error("NaN overhead accepted")
 		}
-		if err := c.SeedHistory(Seed{Winner: 0, Stats: make([]PolicyStats, 2)}); err == nil {
+		if err := c.Seed(Seed{Winner: 0, Stats: make([]PolicyStats, 2)}); err == nil {
 			t.Error("mis-sized stats accepted")
 		}
+		// Idle is not enough: a controller that has chosen a winner of its
+		// own refuses the seed.
 		c.BeginExecution(0)
-		if err := c.SeedHistory(Seed{Winner: 0}); err == nil {
-			t.Error("seeding a running controller accepted")
+		for now := Nanos(10e6); c.Phase() == Sampling; now += Nanos(10e6) {
+			c.CompletePhase(now, meas(Nanos(0.1e9), 0, 1e9))
+		}
+		c.EndExecution(Nanos(1e9), Measurement{})
+		if c.Phase() != Idle {
+			t.Fatalf("phase = %v after EndExecution, want idle", c.Phase())
+		}
+		if err := c.Seed(Seed{Winner: 0}); err == nil {
+			t.Error("seeding a controller that already has a winner accepted")
 		}
 	})
 }
@@ -48,7 +61,7 @@ func TestSeedHistoryValidation(t *testing.T) {
 func TestSeedHistorySkipsSampling(t *testing.T) {
 	forKinds(t, func(t *testing.T, kind string) {
 		c := seedController(t, kind)
-		if err := c.SeedHistory(Seed{Winner: 2, WinnerOverhead: 0.1}); err != nil {
+		if err := c.Seed(Seed{Winner: 2, WinnerOverhead: 0.1}); err != nil {
 			t.Fatal(err)
 		}
 		c.BeginExecution(0)
@@ -79,7 +92,7 @@ func TestSeedHistorySkipsSampling(t *testing.T) {
 func TestSeedHistoryDegradedFallsBackToFullSampling(t *testing.T) {
 	forKinds(t, func(t *testing.T, kind string) {
 		c := seedController(t, kind)
-		if err := c.SeedHistory(Seed{Winner: 2, WinnerOverhead: 0.05}); err != nil {
+		if err := c.Seed(Seed{Winner: 2, WinnerOverhead: 0.05}); err != nil {
 			t.Fatal(err)
 		}
 		c.BeginExecution(0)
@@ -102,46 +115,29 @@ func TestSeedHistoryDegradedFallsBackToFullSampling(t *testing.T) {
 	})
 }
 
-func TestLateSeedIdleDelegatesToSeedHistory(t *testing.T) {
-	forKinds(t, func(t *testing.T, kind string) {
-		c := seedController(t, kind)
-		if err := c.LateSeed(Seed{Winner: 2, WinnerOverhead: 0.1}); err != nil {
-			t.Fatal(err)
-		}
-		c.BeginExecution(0)
-		if got := c.CurrentPolicy(); got != 2 {
-			t.Fatalf("first sampled policy = %d, want seeded winner 2", got)
-		}
-		c.CompletePhase(Nanos(10e6), meas(Nanos(0.1e9), 0, 1e9))
-		if c.Phase() != Production {
-			t.Errorf("phase = %v, want production after one seeded sample", c.Phase())
-		}
-	})
-}
-
 func TestLateSeedMidRoundValidation(t *testing.T) {
 	forKinds(t, func(t *testing.T, kind string) {
 		c := seedController(t, kind)
-		c.BeginExecution(0) // running, no winner yet: the LateSeed window
-		if err := c.LateSeed(Seed{Winner: 3}); err == nil {
+		c.BeginExecution(0) // running, no winner yet: a seed is still welcome
+		if err := c.Seed(Seed{Winner: 3}); err == nil {
 			t.Error("out-of-range winner accepted")
 		}
-		if err := c.LateSeed(Seed{Winner: 0, WinnerOverhead: math.NaN()}); err == nil {
+		if err := c.Seed(Seed{Winner: 0, WinnerOverhead: math.NaN()}); err == nil {
 			t.Error("NaN overhead accepted")
 		}
-		if err := c.LateSeed(Seed{Winner: 0, WinnerOverhead: 2}); err == nil {
+		if err := c.Seed(Seed{Winner: 0, WinnerOverhead: 2}); err == nil {
 			t.Error("overhead above 1 accepted")
 		}
-		if err := c.LateSeed(Seed{Winner: 0, Stats: make([]PolicyStats, 1)}); err == nil {
+		if err := c.Seed(Seed{Winner: 0, Stats: make([]PolicyStats, 1)}); err == nil {
 			t.Error("mis-sized stats accepted")
 		}
-		if err := c.LateSeed(Seed{Winner: 2, WinnerOverhead: 0.1}); err != nil {
+		if err := c.Seed(Seed{Winner: 2, WinnerOverhead: 0.1}); err != nil {
 			t.Fatalf("valid mid-round seed rejected: %v", err)
 		}
 		if w, ok := c.LastWinner(); !ok || w != 2 {
 			t.Errorf("LastWinner = %d,%v want 2,true", w, ok)
 		}
-		if err := c.LateSeed(Seed{Winner: 1}); err == nil {
+		if err := c.Seed(Seed{Winner: 1}); err == nil {
 			t.Error("seeding a controller that already has a winner accepted")
 		}
 	})
@@ -158,7 +154,7 @@ func TestLateSeedStatsFillOnlyUnsampledPolicies(t *testing.T) {
 			{TimesSampled: 5, TimesChosen: 1, LastOverhead: 0.4, TotalOverhead: 2.0},
 			{TimesSampled: 5, TimesChosen: 4, LastOverhead: 0.1, TotalOverhead: 0.5},
 		}
-		if err := c.LateSeed(Seed{Winner: 2, WinnerOverhead: 0.1, Stats: stats}); err != nil {
+		if err := c.Seed(Seed{Winner: 2, WinnerOverhead: 0.1, Stats: stats}); err != nil {
 			t.Fatal(err)
 		}
 		got := c.Stats()
@@ -180,7 +176,7 @@ func TestLateSeedDoesNotOverrideMeasuredRound(t *testing.T) {
 		c.BeginExecution(0)
 		now := Nanos(10e6)
 		c.CompletePhase(now, meas(Nanos(0.2e9), 0, 1e9)) // policy 0: 0.2, the best
-		if err := c.LateSeed(Seed{Winner: 2, WinnerOverhead: 0.01}); err != nil {
+		if err := c.Seed(Seed{Winner: 2, WinnerOverhead: 0.01}); err != nil {
 			t.Fatal(err)
 		}
 		overheads := map[int]Nanos{1: Nanos(0.4e9), 2: Nanos(0.3e9)}
@@ -202,7 +198,7 @@ func TestSeedHistoryRestoresStats(t *testing.T) {
 			{TimesSampled: 4, TimesChosen: 0, LastOverhead: 0.3, TotalOverhead: 1.2},
 			{TimesSampled: 4, TimesChosen: 4, LastOverhead: 0.1, TotalOverhead: 0.4},
 		}
-		if err := c.SeedHistory(Seed{Winner: 2, WinnerOverhead: 0.1, Stats: stats}); err != nil {
+		if err := c.Seed(Seed{Winner: 2, WinnerOverhead: 0.1, Stats: stats}); err != nil {
 			t.Fatal(err)
 		}
 		got := c.Stats()

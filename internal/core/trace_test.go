@@ -85,7 +85,7 @@ func traceScenario(t *testing.T, kind string, n int, flags int, seeding string) 
 		}
 	}
 	if seeding == "seed" {
-		seedWith("seed", c.SeedHistory)
+		seedWith("seed", c.Seed)
 	}
 	now := Nanos(0)
 	c.BeginExecution(now)
@@ -102,7 +102,7 @@ func traceScenario(t *testing.T, kind string, n int, flags int, seeding string) 
 	nextEnd, gap := n+1, n+3
 	for event := 0; event < 12+2*n; event++ {
 		if seeding == "late" && event == lateAt {
-			seedWith("late", c.LateSeed)
+			seedWith("late", c.Seed)
 		}
 		if event == nextEnd {
 			nextEnd, gap = nextEnd+gap, 2*n+4-gap

@@ -21,6 +21,14 @@ import "math"
 // byte-identical across engines and repetitions.
 
 const (
+	// cutoffThreshold is the §4.5 early cut-off's bound: a policy whose
+	// cut-off component measures below it cannot be significantly beaten.
+	cutoffThreshold = 0.01
+	// historyMargin is the absolute overhead slack of the §4.5 ordering:
+	// the previous winner, sampled first, keeps production while it
+	// measures within historyMargin of its winning overhead. The bandit's
+	// incumbent keeps its slot by the same margin (winner, below).
+	historyMargin = 0.05
 	// ucbExploration is the width constant c of the confidence bound
 	// μ − c·√(ln(t+1)/n). Overheads live in [0,1] and the per-round decay
 	// pins an always-pulled arm's effective count near 2, so the bound
@@ -102,14 +110,14 @@ func (u *ucb) next(c *Controller) (int, bool) {
 
 // winner picks the version the production phase will run. The round's
 // lowest measured overhead wins, except that an incumbent within
-// HistoryMargin of it keeps the slot: among statistical near-ties the
+// historyMargin of it keeps the slot: among statistical near-ties the
 // bandit stays put rather than churn versions on per-interval noise, which
 // matters during gradual drift when arms sampled at different instants of
 // the round see slightly different environments.
 func (u *ucb) winner(c *Controller) int {
 	best := c.bestSampled()
 	if c.lastWinnerOK && c.lastWinner != best {
-		if o := c.roundOver[c.lastWinner]; !math.IsNaN(o) && o <= c.roundOver[best]+c.cfg.HistoryMargin {
+		if o := c.roundOver[c.lastWinner]; !math.IsNaN(o) && o <= c.roundOver[best]+historyMargin {
 			return c.lastWinner
 		}
 	}

@@ -141,7 +141,7 @@ func TestUCBNeverMorePullsPerRoundThanRoundRobin(t *testing.T) {
 }
 
 func TestUCBIncumbentHysteresis(t *testing.T) {
-	// A challenger inside HistoryMargin of the incumbent does not steal
+	// A challenger inside historyMargin of the incumbent does not steal
 	// production (no churn on noise); one clearly better does.
 	over := make([]float64, 10)
 	for i := range over {
@@ -229,7 +229,7 @@ func traceOf(t *testing.T, kind string, seed *Seed, rounds int) ([]Sample, []Swi
 	over := []float64{0.5, 0.2, 0.7, 0.6, 0.55, 0.4, 0.8, 0.9, 0.3, 0.65, 0.45, 0.35}
 	c := newCtl(t, kind, Config{Policies: manyPolicies(len(over))})
 	if seed != nil {
-		if err := c.SeedHistory(*seed); err != nil {
+		if err := c.Seed(*seed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +284,7 @@ func TestUCBSeededHistoryShortensFirstRound(t *testing.T) {
 	over[3] = 0.1
 
 	ucb := newCtl(t, KindUCB, Config{Policies: manyPolicies(12)})
-	if err := ucb.SeedHistory(seed); err != nil {
+	if err := ucb.Seed(seed); err != nil {
 		t.Fatal(err)
 	}
 	now := Nanos(0)
@@ -294,7 +294,7 @@ func TestUCBSeededHistoryShortensFirstRound(t *testing.T) {
 	nUCB := sampledThisRound(ucb)
 
 	rr := newCtl(t, KindRoundRobin, Config{Policies: manyPolicies(12)})
-	if err := rr.SeedHistory(seed); err != nil {
+	if err := rr.Seed(seed); err != nil {
 		t.Fatal(err)
 	}
 	now = 0
@@ -309,7 +309,8 @@ func TestUCBSeedTwiceEqualsSeedOnce(t *testing.T) {
 	// A seed replaces an arm's statistics, so it must replace — not add to —
 	// the arm's share of the total pull count: counting the arm again would
 	// leave pulls above Σ armN and widen every confidence bound by
-	// √(ln(pulls+1)).
+	// √(ln(pulls+1)). Controller.Seed reaches the selector at most once (a
+	// seeded controller has a winner), so the selector is seeded directly.
 	st := make([]PolicyStats, 12)
 	for i := range st {
 		st[i] = PolicyStats{TimesSampled: 1 + i%3, LastOverhead: 0.6, TotalOverhead: 0.6 * float64(1+i%3)}
@@ -320,9 +321,7 @@ func TestUCBSeedTwiceEqualsSeedOnce(t *testing.T) {
 	seeded := func(times int) *Controller {
 		c := newCtl(t, KindUCB, Config{Policies: manyPolicies(12)})
 		for i := 0; i < times; i++ {
-			if err := c.SeedHistory(seed); err != nil {
-				t.Fatal(err)
-			}
+			c.sel.seed(st)
 		}
 		return c
 	}
@@ -330,24 +329,31 @@ func TestUCBSeedTwiceEqualsSeedOnce(t *testing.T) {
 	if !reflect.DeepEqual(once.sel, twice.sel) {
 		t.Errorf("arm statistics after seeding twice = %+v, after seeding once %+v", twice.sel, once.sel)
 	}
-	// Re-seeding an idle controller that has history of its own keeps the
-	// invariant too: the decayed counts it replaces leave the total.
+	// Seeding an idle controller that has arm history of its own keeps the
+	// invariant too: the counts it replaces leave the total. Executions
+	// that end mid-round leave history but no winner.
+	c := newCtl(t, KindUCB, Config{Policies: manyPolicies(12)})
 	now := Nanos(0)
-	over := make([]float64, 12)
-	for round := 0; round < 3; round++ {
-		driveCtl(t, once, &now, over)
-		finishProduction(t, once, &now, 0)
+	for exec := 0; exec < 3; exec++ {
+		c.BeginExecution(now)
+		for i := 0; i < 4; i++ {
+			now += c.Deadline() - now
+			c.CompletePhase(now, meas(Nanos(0.3e9), 0, 1e9))
+		}
+		c.EndExecution(now+1, meas(Nanos(0.3e9), 0, 1e9))
 	}
-	once.EndExecution(now, Measurement{})
-	if err := once.SeedHistory(seed); err != nil {
+	if _, won := c.LastWinner(); won {
+		t.Fatal("mid-round executions chose a winner")
+	}
+	if err := c.Seed(seed); err != nil {
 		t.Fatal(err)
 	}
-	u := once.sel.(*ucb)
+	u := c.sel.(*ucb)
 	sum := 0.0
 	for _, n := range u.armN {
 		sum += n
 	}
 	if math.Abs(u.pulls-sum) > 1e-12 {
-		t.Errorf("pulls = %v after re-seeding, want Σ armN = %v", u.pulls, sum)
+		t.Errorf("pulls = %v after seeding, want Σ armN = %v", u.pulls, sum)
 	}
 }

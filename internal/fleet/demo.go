@@ -204,9 +204,9 @@ func RunDemo(ctx context.Context, cfg DemoConfig) (*DemoReport, error) {
 			cfg.Duration, coldRep.Requests)
 	}
 	report.Replicas[0].Winner = coldSec.Winner
-	report.Replicas[0].SampledAtWinner = coldSec.Sampled
+	report.Replicas[0].SampledAtWinner = sampledIntervals(coldSec)
 	log.Info("cold replica converged", "winner", coldSec.Winner,
-		"sampled_intervals", coldSec.Sampled, "requests", coldRep.Requests)
+		"sampled_intervals", sampledIntervals(coldSec), "requests", coldRep.Requests)
 
 	// Phase 2: the winner replicates; live replicas reseed through their
 	// store watch without having served a single request.
@@ -247,7 +247,7 @@ func RunDemo(ctx context.Context, cfg DemoConfig) (*DemoReport, error) {
 		if err != nil {
 			return report, err
 		}
-		seeded := base.Sections[cfg.Section].Sampled
+		seeded := sampledIntervals(base.Sections[cfg.Section])
 		rep := Drive(ctx, r.URL, LoadConfig{
 			Section: cfg.Section, Iters: cfg.Iters, QPS: cfg.QPS, Duration: cfg.Duration,
 			Until: func() bool {
@@ -267,11 +267,11 @@ func RunDemo(ctx context.Context, cfg DemoConfig) (*DemoReport, error) {
 			report.Replicas[i].Requests = rep.Requests
 			report.Replicas[i].Errors = rep.Errors
 			report.Replicas[i].Winner = sec.Winner
-			report.Replicas[i].SampledAtWinner = sec.Sampled - seeded
+			report.Replicas[i].SampledAtWinner = sampledIntervals(sec) - seeded
 			report.Replicas[i].WarmStartHits = p.WarmStartHits
 		}
 		log.Info("warm replica converged", "replica", r.Name, "winner", sec.Winner,
-			"sampled_intervals", sec.Sampled-seeded, "warm_start_hits", p.WarmStartHits)
+			"sampled_intervals", sampledIntervals(sec)-seeded, "warm_start_hits", p.WarmStartHits)
 	}
 	isoRep := Drive(ctx, isolated.URL, LoadConfig{
 		Section: cfg.Section, Iters: cfg.Iters, QPS: cfg.QPS, Duration: cfg.Duration,
@@ -287,7 +287,7 @@ func RunDemo(ctx context.Context, cfg DemoConfig) (*DemoReport, error) {
 	report.Isolated.Requests = isoRep.Requests
 	report.Isolated.Errors = isoRep.Errors
 	report.Isolated.Winner = ip.Sections[cfg.Section].Winner
-	report.Isolated.SampledAtWinner = ip.Sections[cfg.Section].Sampled
+	report.Isolated.SampledAtWinner = sampledIntervals(ip.Sections[cfg.Section])
 	report.Isolated.WarmStartHits = ip.WarmStartHits
 
 	// Final scrapes before the fleet drains.

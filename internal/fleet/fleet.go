@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/dynfb"
 	"repro/dynfb/store"
 	"repro/dynfb/store/hub"
 	"repro/internal/serve"
@@ -253,15 +254,6 @@ func postRun(ctx context.Context, baseURL string, body []byte) error {
 	return nil
 }
 
-// SectionProbe is one section's state as reported by /stats.
-type SectionProbe struct {
-	Phase       string
-	Winner      string
-	WarmStarted bool
-	Switches    int
-	Sampled     int // total sampling intervals across variants
-}
-
 // StatsProbe is a parsed /stats response.
 type StatsProbe struct {
 	Tenant        string
@@ -269,24 +261,16 @@ type StatsProbe struct {
 	Connected     bool
 	HubSeq        uint64
 	Pending       int
-	Sections      map[string]SectionProbe
+	Sections      map[string]dynfb.Snapshot
 }
 
-// statsDoc mirrors the serve /stats wire format, loosely.
+// statsDoc is the part of the serve /stats document a probe reads.
 type statsDoc struct {
 	Server struct {
 		Tenant        string `json:"tenant"`
 		WarmStartHits int64  `json:"warm_start_hits"`
 	} `json:"server"`
-	Sections map[string]struct {
-		Phase       string `json:"phase"`
-		Winner      string `json:"winner"`
-		WarmStarted bool   `json:"warm_started"`
-		Switches    int    `json:"switches"`
-		Variants    []struct {
-			TimesSampled int `json:"times_sampled"`
-		} `json:"variants"`
-	} `json:"sections"`
+	Sections  map[string]dynfb.Snapshot `json:"sections"`
 	StoreSync *struct {
 		Connected     bool   `json:"connected"`
 		HubSeq        uint64 `json:"hub_seq"`
@@ -303,26 +287,23 @@ func Probe(ctx context.Context, baseURL string) (StatsProbe, error) {
 	out := StatsProbe{
 		Tenant:        doc.Server.Tenant,
 		WarmStartHits: doc.Server.WarmStartHits,
-		Sections:      map[string]SectionProbe{},
+		Sections:      doc.Sections,
 	}
 	if doc.StoreSync != nil {
 		out.Connected = doc.StoreSync.Connected
 		out.HubSeq = doc.StoreSync.HubSeq
 		out.Pending = doc.StoreSync.PendingPushes
 	}
-	for name, sec := range doc.Sections {
-		p := SectionProbe{
-			Phase:       sec.Phase,
-			Winner:      sec.Winner,
-			WarmStarted: sec.WarmStarted,
-			Switches:    sec.Switches,
-		}
-		for _, v := range sec.Variants {
-			p.Sampled += v.TimesSampled
-		}
-		out.Sections[name] = p
-	}
 	return out, nil
+}
+
+// sampledIntervals totals a section's sampling intervals across variants.
+func sampledIntervals(snap dynfb.Snapshot) int {
+	n := 0
+	for _, v := range snap.Stats {
+		n += v.TimesSampled
+	}
+	return n
 }
 
 // ScrapeMetrics fetches a /metrics endpoint's raw text.

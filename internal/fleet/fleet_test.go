@@ -95,7 +95,11 @@ func TestDriveAgainstReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		ctx, done := context.WithTimeout(context.Background(), 5*time.Second)
+		// Past 5 s: the driver's transport can leave behind a connection
+		// that never carried a request (a dial that lost the race to a
+		// freed connection), and http.Server.Shutdown closes one of those
+		// only once it is 5 s old.
+		ctx, done := context.WithTimeout(context.Background(), 15*time.Second)
 		defer done()
 		if err := r.Drain(ctx); err != nil {
 			t.Errorf("drain: %v", err)

@@ -213,7 +213,7 @@ func New(cfg Config) (*Server, error) {
 		byName:   map[string]*section{},
 		compiled: map[string]*oblc.Compiled{},
 	}
-	var view store.Store // stays nil without a backend: sections then keep nothing
+	var view *store.TenantStore // stays nil without a backend: sections then keep nothing
 	if cfg.Backend != nil {
 		view = store.NewTenantStore(cfg.Backend, cfg.Tenant)
 	}
@@ -383,49 +383,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// variantJSON is one variant's aggregates in wire form.
-type variantJSON struct {
-	Name         string  `json:"name"`
-	TimesSampled int     `json:"times_sampled"`
-	TimesChosen  int     `json:"times_chosen"`
-	MeanOverhead float64 `json:"mean_overhead"`
-	LastOverhead float64 `json:"last_overhead"`
-}
-
-// snapshotJSON is a dynfb.Snapshot in wire form.
-type snapshotJSON struct {
-	Phase          string        `json:"phase"`
-	Rounds         int           `json:"rounds"`
-	Current        string        `json:"current"`
-	Winner         string        `json:"winner,omitempty"`
-	WinnerOverhead float64       `json:"winner_overhead"`
-	WarmStarted    bool          `json:"warm_started"`
-	Switches       int           `json:"switches"`
-	Variants       []variantJSON `json:"variants"`
-}
-
-func toSnapshotJSON(snap dynfb.Snapshot) snapshotJSON {
-	out := snapshotJSON{
-		Phase:          snap.Phase,
-		Rounds:         snap.Rounds,
-		Current:        snap.Current,
-		Winner:         snap.Winner,
-		WinnerOverhead: snap.WinnerOverhead,
-		WarmStarted:    snap.WarmStarted,
-		Switches:       snap.Switches,
-	}
-	for _, st := range snap.Stats {
-		out.Variants = append(out.Variants, variantJSON{
-			Name:         st.Name,
-			TimesSampled: st.TimesSampled,
-			TimesChosen:  st.TimesChosen,
-			MeanOverhead: st.MeanOverhead,
-			LastOverhead: st.LastOverhead,
-		})
-	}
-	return out
-}
-
 func (s *Server) handleSections(w http.ResponseWriter, r *http.Request) {
 	type sectionJSON struct {
 		Name         string   `json:"name"`
@@ -459,9 +416,9 @@ func (s *Server) handleSections(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	sections := map[string]snapshotJSON{}
+	sections := map[string]dynfb.Snapshot{}
 	for _, reg := range s.secs {
-		sections[reg.w.name] = toSnapshotJSON(reg.sec.StatsSnapshot())
+		sections[reg.w.name] = reg.sec.StatsSnapshot()
 	}
 	doc := map[string]any{
 		"server": map[string]any{
@@ -617,7 +574,7 @@ func (s *Server) runSection(w http.ResponseWriter, r *http.Request, req runReque
 		"section": req.Section,
 		"iters":   iters,
 		"wall_ns": wall.Nanoseconds(),
-		"stats":   toSnapshotJSON(reg.sec.StatsSnapshot()),
+		"stats":   reg.sec.StatsSnapshot(),
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/dynfb"
 	"repro/dynfb/store"
 	"repro/internal/simcache"
 )
@@ -111,19 +112,19 @@ func TestRunSectionAndLiveStats(t *testing.T) {
 	}
 
 	var live struct {
-		Server   map[string]any          `json:"server"`
-		Sections map[string]snapshotJSON `json:"sections"`
+		Server   map[string]any            `json:"server"`
+		Sections map[string]dynfb.Snapshot `json:"sections"`
 	}
 	getJSON(t, ts.URL+"/stats", &live)
 	snap, ok := live.Sections["sort"]
 	if !ok {
 		t.Fatalf("no sort section in stats: %+v", live.Sections)
 	}
-	if len(snap.Variants) != 2 {
-		t.Fatalf("variants = %+v", snap.Variants)
+	if len(snap.Stats) != 2 {
+		t.Fatalf("variants = %+v", snap.Stats)
 	}
 	sampled := 0
-	for _, v := range snap.Variants {
+	for _, v := range snap.Stats {
 		sampled += v.TimesSampled
 	}
 	if sampled < 2 {
@@ -149,13 +150,13 @@ func TestServerWarmRestart(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, found, _ := st.Load("sort"); !found {
-		t.Fatal("no persisted record after run + close")
+	if keys, _ := st.List(); len(keys) != 1 || keys[0].Section != "sort" {
+		t.Fatalf("persisted keys after run + close = %v, want one sort record", keys)
 	}
 
 	_, ts2 := testServer(t, st)
 	var live struct {
-		Sections map[string]snapshotJSON `json:"sections"`
+		Sections map[string]dynfb.Snapshot `json:"sections"`
 	}
 	getJSON(t, ts2.URL+"/stats", &live)
 	if !live.Sections["sort"].WarmStarted {
