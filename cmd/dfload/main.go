@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"time"
 
@@ -54,16 +53,10 @@ func main() {
 		fmt.Printf("dfload %s (%s)\n", buildinfo.Version(), buildinfo.Runtime())
 		return
 	}
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	default:
-		fatal(fmt.Errorf("unknown log format %q (want text or json)", *logFormat))
+	logger, err := fleet.NewLogger(*logFormat)
+	if err != nil {
+		fatal(err)
 	}
-	logger := slog.New(handler)
 	ctx := context.Background()
 
 	if *target != "" {

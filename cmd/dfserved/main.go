@@ -10,12 +10,17 @@
 // is unreachable the replica degrades to local-only operation and
 // resyncs on reconnect (see docs/fleet.md).
 //
+// The command parses flags and hands them to fleet.StartReplica, the
+// wiring cmd/dfload and the fleet tests run too. On SIGINT or SIGTERM it
+// drains: it stops accepting connections, lets in-flight requests finish,
+// persists every section and closes the store, which flushes pending
+// pushes to the hub.
+//
 // Usage:
 //
 //	dfserved [-addr :8080] [-workers N] [-sampling 5ms] [-production 2s]
 //	         [-controller roundrobin|ucb] [-max-concurrent N] [-cold]
-//	         [-simcache dir] [-log text|json]
-//	         [-store policies.json | -kv dir]
+//	         [-simcache dir] [-log text|json] [-kv dir]
 //	         [-hub http://host:9090] [-tenant NAME] [-origin ID]
 //	         [-version]
 //
@@ -34,24 +39,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"repro/dynfb/store"
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/serve"
-	"repro/internal/simcache"
+	"repro/internal/fleet"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	storePath := flag.String("store", "", "policy store file (JSON; empty = in-memory, knowledge dies with the process)")
-	kvDir := flag.String("kv", "", "policy store directory (embedded write-ahead-logged KV); mutually exclusive with -store")
+	kvDir := flag.String("kv", "", "policy store directory (embedded write-ahead-logged KV; empty = no store, knowledge dies with the process)")
 	hubURL := flag.String("hub", "", "dfstored hub URL; replicates the policy store across the fleet")
 	tenant := flag.String("tenant", "", "tenant namespace for fleet records (replicas of the same application share one)")
 	origin := flag.String("origin", "", "replica identity in fleet records (default host:pid)")
@@ -70,141 +70,49 @@ func main() {
 		fmt.Printf("dfserved %s (%s)\n", buildinfo.Version(), buildinfo.Runtime())
 		return
 	}
-	logger, err := newLogger(*logFormat)
+	logger, err := fleet.NewLogger(*logFormat)
 	if err != nil {
 		fatal(err)
 	}
-	if *storePath != "" && *kvDir != "" {
-		fatal(fmt.Errorf("set at most one of -store and -kv"))
+	if *tenant != "" && *hubURL == "" && *kvDir == "" {
+		fatal(fmt.Errorf("-tenant needs a store to namespace: set -hub or -kv"))
 	}
-	if *tenant != "" && *hubURL == "" && *storePath == "" && *kvDir == "" {
-		fatal(fmt.Errorf("-tenant needs a store to namespace: set -hub, -store or -kv"))
-	}
-
 	if !core.ValidKind(*controller) {
 		fmt.Fprintf(os.Stderr, "dfserved: unknown controller %q (want %s or %s)\n", *controller, core.KindRoundRobin, core.KindUCB)
 		os.Exit(2)
 	}
-	cfg := serve.Config{
+
+	r, err := fleet.StartReplica(fleet.ReplicaConfig{
+		Name:             *origin,
+		Addr:             *addr,
+		HubURL:           *hubURL,
+		KVDir:            *kvDir,
+		Tenant:           *tenant,
+		SimcacheDir:      *simcacheDir,
 		Workers:          *workers,
 		TargetSampling:   *sampling,
 		TargetProduction: *production,
 		MaxConcurrent:    *maxConcurrent,
 		ColdStart:        *cold,
-		Tenant:           *tenant,
-		Logger:           logger,
 		Controller:       *controller,
-	}
-
-	// The local store: a JSON file, an embedded KV directory, or memory.
-	var local store.Backend
-	switch {
-	case *storePath != "":
-		fs, err := store.OpenFile(*storePath)
-		if err != nil {
-			fatal(err)
-		}
-		if warn := fs.LoadWarning(); warn != "" {
-			logger.Warn("store loaded with damage tolerated", "warning", warn)
-		}
-		local = fs
-	case *kvDir != "":
-		kv, err := store.OpenKV(*kvDir)
-		if err != nil {
-			fatal(err)
-		}
-		if warn := kv.LoadWarning(); warn != "" {
-			logger.Warn("store loaded with damage tolerated", "warning", warn)
-		}
-		local = kv
-	}
-
-	// With a hub, the local store becomes the replication cache; without
-	// one it is the store itself.
-	var backend store.Backend
-	switch {
-	case *hubURL != "":
-		rs, err := store.OpenRepl(store.ReplConfig{
-			HubURL: *hubURL,
-			Origin: *origin,
-			Local:  local, // nil = memory cache
-			Logger: logger,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		backend = rs
-	case local != nil:
-		backend = local
-	}
-	cfg.Backend = backend
-
-	if *simcacheDir != "" {
-		c, err := simcache.New(simcache.Config{Dir: *simcacheDir})
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Cache = c
-	}
-	srv, err := serve.New(cfg)
+		Logger:           logger,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	logger.Info("dfserved listening", "addr", r.URL, "version", buildinfo.Version(),
+		"sections", r.Server.SectionNames(), "hub", *hubURL, "kv", *kvDir, "tenant", *tenant)
 
-	// Graceful drain: stop accepting connections, let in-flight requests
-	// finish, persist every section, flush the store.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		logger.Info("draining on signal", "signal", s.String())
-		ctx, done := context.WithTimeout(context.Background(), 10*time.Second)
-		defer done()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			logger.Warn("drain incomplete; closing", "err", err)
-			httpSrv.Close()
-		}
-	}()
-
-	logger.Info("dfserved listening", "addr", *addr, "version", buildinfo.Version(),
-		"sections", srv.SectionNames(), "store", storeDesc(*storePath, *kvDir, *hubURL),
-		"tenant", *tenant)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		logger.Warn("persist on shutdown", "err", err)
-	}
-	if backend != nil {
-		if err := backend.Close(); err != nil {
-			logger.Warn("closing store", "err", err)
-		}
+	logger.Info("draining on signal", "signal", (<-sig).String())
+	ctx, done := context.WithTimeout(context.Background(), fleet.DrainTimeout)
+	err = r.Drain(ctx)
+	done()
+	if err != nil {
+		fatal(fmt.Errorf("drain: %w", err))
 	}
 	logger.Info("dfserved drained cleanly")
-}
-
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("unknown log format %q (want text or json)", format)
-	}
-}
-
-func storeDesc(path, kv, hub string) string {
-	switch {
-	case hub != "":
-		return "hub " + hub
-	case kv != "":
-		return "kv " + kv
-	case path != "":
-		return path
-	}
-	return "in-memory"
 }
 
 func fatal(err error) {

@@ -11,6 +11,11 @@
 // KV store and survives restarts; without it the state refills from the
 // replicas' next pushes.
 //
+// The command parses flags and hands them to fleet.StartHub, the wiring
+// cmd/dfload and the fleet tests run too. On SIGINT or SIGTERM it drains:
+// it answers parked watches, waits for in-flight pushes and closes the
+// KV store.
+//
 // Endpoints:
 //
 //	GET  /v1/state   full state dump (bootstrap)
@@ -21,19 +26,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"repro/dynfb/store"
-	"repro/dynfb/store/hub"
 	"repro/internal/buildinfo"
+	"repro/internal/fleet"
 )
 
 func main() {
@@ -47,71 +47,27 @@ func main() {
 		fmt.Printf("dfstored %s (%s)\n", buildinfo.Version(), buildinfo.Runtime())
 		return
 	}
-	logger, err := newLogger(*logFormat)
+	logger, err := fleet.NewLogger(*logFormat)
 	if err != nil {
 		fatal(err)
 	}
-
-	cfg := hub.Config{Logger: logger}
-	var backing *store.KVStore
-	if *dataDir != "" {
-		backing, err = store.OpenKV(*dataDir)
-		if err != nil {
-			fatal(err)
-		}
-		if warn := backing.LoadWarning(); warn != "" {
-			logger.Warn("hub data loaded with damage tolerated", "warning", warn)
-		}
-		cfg.Backing = backing
-	}
-	h, err := hub.New(cfg)
+	backing, err := fleet.OpenKV(*dataDir, logger)
 	if err != nil {
 		fatal(err)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: h.Handler()}
+	h, err := fleet.StartHub(*addr, backing, logger)
+	if err != nil {
+		fatal(err)
+	}
+	logger.Info("dfstored listening", "addr", h.URL, "version", buildinfo.Version(), "data", *dataDir)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		logger.Info("draining on signal", "signal", s.String())
-		ctx, done := context.WithTimeout(context.Background(), 10*time.Second)
-		defer done()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			logger.Warn("drain incomplete; closing", "err", err)
-			httpSrv.Close()
-		}
-	}()
-
-	logger.Info("dfstored listening", "addr", *addr, "version", buildinfo.Version(),
-		"data", dataDesc(*dataDir))
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fatal(err)
-	}
-	if backing != nil {
-		if err := backing.Close(); err != nil {
-			logger.Warn("closing hub data", "err", err)
-		}
+	logger.Info("draining on signal", "signal", (<-sig).String())
+	if err := h.Close(); err != nil {
+		fatal(fmt.Errorf("drain: %w", err))
 	}
 	logger.Info("dfstored drained cleanly")
-}
-
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("dfstored: unknown log format %q (want text or json)", format)
-	}
-}
-
-func dataDesc(dir string) string {
-	if dir == "" {
-		return "memory"
-	}
-	return dir
 }
 
 func fatal(err error) {

@@ -58,6 +58,9 @@ type Hub struct {
 	seq    uint64
 	waitCh chan struct{} // closed and replaced on every applied update
 
+	released    chan struct{} // closed by ReleaseWatches
+	releaseOnce sync.Once
+
 	mPushes   *metrics.Counter
 	mApplied  *metrics.Counter
 	mStale    *metrics.Counter
@@ -78,12 +81,13 @@ func New(cfg Config) (*Hub, error) {
 		cfg.Backing = store.NewMemStore()
 	}
 	h := &Hub{
-		cfg:    cfg,
-		log:    cfg.Logger,
-		start:  time.Now(),
-		reg:    metrics.NewRegistry(),
-		at:     map[store.Key]uint64{},
-		waitCh: make(chan struct{}),
+		cfg:      cfg,
+		log:      cfg.Logger,
+		start:    time.Now(),
+		reg:      metrics.NewRegistry(),
+		at:       map[store.Key]uint64{},
+		waitCh:   make(chan struct{}),
+		released: make(chan struct{}),
 	}
 	h.mRequests = h.reg.Counter("dfstored_requests_total", "HTTP requests served.")
 	h.mPushes = h.reg.Counter("dfstored_pushes_total", "Push requests received.")
@@ -115,22 +119,10 @@ func New(cfg Config) (*Hub, error) {
 }
 
 // StateResponse is the body of GET /v1/state and GET /v1/watch.
-type StateResponse struct {
-	// Seq is the hub sequence of the latest applied update.
-	Seq uint64 `json:"seq"`
-	// Records are the full state (GET /v1/state) or the records changed
-	// since the cursor (GET /v1/watch).
-	Records []store.VersionedRecord `json:"records"`
-}
+type StateResponse = store.HubState
 
 // PushRequest is the body of POST /v1/push.
-type PushRequest struct {
-	// Origin identifies the pushing replica (logs only; each record
-	// carries its own origin for LWW).
-	Origin string `json:"origin,omitempty"`
-	// Records are the writes to merge.
-	Records []store.VersionedRecord `json:"records"`
-}
+type PushRequest = store.HubPush
 
 // PushResponse is the response of POST /v1/push.
 type PushResponse struct {
@@ -184,6 +176,13 @@ func (h *Hub) Apply(records []store.VersionedRecord) (uint64, int, error) {
 	h.mApplied.Add(float64(len(won)))
 	h.mStale.Add(float64(stale))
 	return seq, len(won), err
+}
+
+// ReleaseWatches answers every parked watch as if its wait had expired,
+// and every later one at once, so a draining listener waits only for
+// in-flight pushes, not for the long-polls to time out.
+func (h *Hub) ReleaseWatches() {
+	h.releaseOnce.Do(func() { close(h.released) })
 }
 
 // Seq returns the hub sequence of the latest applied update.
@@ -280,12 +279,14 @@ func (h *Hub) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-changed:
+			continue
 		case <-deadline.C:
-			writeJSON(w, http.StatusOK, StateResponse{Seq: seq, Records: nil})
-			return
+		case <-h.released:
 		case <-r.Context().Done():
 			return
 		}
+		writeJSON(w, http.StatusOK, StateResponse{Seq: seq, Records: nil})
+		return
 	}
 }
 

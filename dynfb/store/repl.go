@@ -159,9 +159,6 @@ func OpenRepl(cfg ReplConfig) (*ReplStore, error) {
 	return r, nil
 }
 
-// Origin returns this replica's identity.
-func (r *ReplStore) Origin() string { return r.origin }
-
 // HubURL returns the hub this replica replicates through.
 func (r *ReplStore) HubURL() string { return r.cfg.HubURL }
 
@@ -232,15 +229,21 @@ func (r *ReplStore) Close() error {
 	return r.local.Close()
 }
 
-// hubState mirrors hub.StateResponse without importing the hub package
-// (the hub package imports store).
-type hubState struct {
-	Seq     uint64            `json:"seq"`
+// HubState is the body of a hub's GET /v1/state and GET /v1/watch replies.
+type HubState struct {
+	// Seq is the hub sequence of the latest applied update.
+	Seq uint64 `json:"seq"`
+	// Records are the full state (GET /v1/state) or the records changed
+	// since the cursor (GET /v1/watch).
 	Records []VersionedRecord `json:"records"`
 }
 
-type hubPush struct {
-	Origin  string            `json:"origin,omitempty"`
+// HubPush is the body of POST /v1/push.
+type HubPush struct {
+	// Origin identifies the pushing replica (logs only; each record
+	// carries its own origin for LWW).
+	Origin string `json:"origin,omitempty"`
+	// Records are the writes to merge.
 	Records []VersionedRecord `json:"records"`
 }
 
@@ -309,7 +312,7 @@ func (r *ReplStore) pushLoop() {
 // pending writes and anything the hub lost in a restart). On success the
 // replica is connected with a fresh watch cursor.
 func (r *ReplStore) resync(ctx context.Context) error {
-	var state hubState
+	var state HubState
 	if err := r.getJSON(ctx, "/v1/state", &state); err != nil {
 		return err
 	}
@@ -322,7 +325,7 @@ func (r *ReplStore) resync(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	push := hubPush{Origin: r.origin}
+	push := HubPush{Origin: r.origin}
 	for _, k := range keys {
 		vr, ok, err := r.local.Get(k)
 		if err != nil {
@@ -358,7 +361,7 @@ func (r *ReplStore) resync(ctx context.Context) error {
 
 // watchOnce performs one long-poll and merges whatever it returns.
 func (r *ReplStore) watchOnce() error {
-	var state hubState
+	var state HubState
 	path := fmt.Sprintf("/v1/watch?since=%d&wait=%s", r.cursor(), r.cfg.PollWait)
 	if err := r.getJSON(r.ctx, path, &state); err != nil {
 		return err
@@ -402,7 +405,7 @@ func (r *ReplStore) pushPending(ctx context.Context) {
 	}
 	r.mu.Unlock()
 
-	if err := r.postJSON(ctx, "/v1/push", hubPush{Origin: r.origin, Records: batch}, &pushAck{}); err != nil {
+	if err := r.postJSON(ctx, "/v1/push", HubPush{Origin: r.origin, Records: batch}, &pushAck{}); err != nil {
 		if ctx.Err() != nil {
 			// The context, not the hub, aborted the push (shutdown or
 			// flush deadline); the link may be fine.

@@ -105,7 +105,7 @@ func Sampling(s *Suite) (*Report, error) {
 		rep, err := simsample.Validate(c.Parallel, interp.Options{
 			Procs: samplingProcs, Policy: samplingPolicy,
 			Params: cell.params, Perturb: cell.sched, Sample: &spec,
-		}, simsample.Config{})
+		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: sampling cell %s: %w", cell.label, err)
 		}

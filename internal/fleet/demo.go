@@ -146,7 +146,7 @@ func RunDemo(ctx context.Context, cfg DemoConfig) (*DemoReport, error) {
 			if r == nil {
 				continue
 			}
-			dctx, done := context.WithTimeout(context.Background(), 10*time.Second)
+			dctx, done := context.WithTimeout(context.Background(), DrainTimeout)
 			err := r.Drain(dctx)
 			done()
 			if err != nil {

@@ -1,9 +1,11 @@
-// Package fleet orchestrates a dfserved fleet in-process: a dfstored
-// policy hub plus N serving replicas wired to it through replicated
-// stores, with a sustained-QPS load driver and /stats probes. It is the
-// engine behind cmd/dfload and the fleet integration tests, and exists
-// so both exercise exactly the production wiring (real HTTP listeners,
-// real replication, real drain) rather than a test double.
+// Package fleet starts, runs and drains the members of a dfserved fleet:
+// a dfstored policy hub and serving replicas wired to it through
+// replicated stores, plus a sustained-QPS load driver and /stats probes.
+// cmd/dfserved and cmd/dfstored are flag parsers over StartReplica and
+// StartHub, and cmd/dfload and the fleet integration tests make the same
+// calls in-process, so all of them run exactly the production wiring
+// (real HTTP listeners, real replication, real drain) rather than a copy
+// of it.
 package fleet
 
 import (
@@ -15,6 +17,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,57 +26,141 @@ import (
 	"repro/dynfb/store"
 	"repro/dynfb/store/hub"
 	"repro/internal/serve"
+	"repro/internal/simcache"
 )
 
-// Hub is a running dfstored policy hub on a real listener.
-type Hub struct {
-	URL string
-	hub *hub.Hub
-	srv *http.Server
+// DrainTimeout is how long a drain waits for in-flight requests before it
+// force-closes the connections still open.
+const DrainTimeout = 10 * time.Second
+
+// NewLogger returns a structured logger writing to standard error in
+// format "text" or "json".
+func NewLogger(format string) (*slog.Logger, error) {
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
+	}
+	return nil, fmt.Errorf("unknown log format %q (want text or json)", format)
 }
 
-// StartHub starts a hub on addr ("" picks a loopback port). The backing
-// backend is optional; nil keeps state in memory.
-func StartHub(addr string, backing store.Backend, logger *slog.Logger) (*Hub, error) {
+// OpenKV opens the KV store directory dir and logs any damage its open
+// tolerated; dir "" opens nothing and returns a nil Backend.
+func OpenKV(dir string, logger *slog.Logger) (store.Backend, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	kv, err := store.OpenKV(dir)
+	if err != nil {
+		return nil, err
+	}
+	if warn := kv.LoadWarning(); warn != "" {
+		logger.Warn("store loaded with damage tolerated", "dir", dir, "warning", warn)
+	}
+	return kv, nil
+}
+
+// listen serves h on addr ("" picks a loopback port) and returns the
+// server with its base URL.
+func listen(addr string, h http.Handler) (*http.Server, string, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
+	srv := &http.Server{Handler: h}
+	go srv.Serve(lis) // returns http.ErrServerClosed once a drain begins
+	return srv, "http://" + lis.Addr().String(), nil
+}
+
+// drain is the one shutdown order: stop accepting connections and wait
+// for in-flight requests; once ctx expires, force-close the connections
+// still open; then close cs in order. It returns the first error.
+func drain(ctx context.Context, srv *http.Server, cs ...io.Closer) error {
+	err := srv.Shutdown(ctx)
+	if err != nil {
+		srv.Close()
+	}
+	return closeAll(err, cs...)
+}
+
+// closeAll closes every non-nil closer in order and returns err, or else
+// the first close error.
+func closeAll(err error, cs ...io.Closer) error {
+	for _, c := range cs {
+		if c == nil {
+			continue
+		}
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// Hub is a running dfstored policy hub on a real listener.
+type Hub struct {
+	URL     string
+	srv     *http.Server
+	backing store.Backend
+}
+
+// StartHub starts a hub on addr ("" picks a loopback port) over backing,
+// which Close then closes; a nil backing keeps the state in memory.
+func StartHub(addr string, backing store.Backend, logger *slog.Logger) (*Hub, error) {
 	h, err := hub.New(hub.Config{Backing: backing, Logger: logger})
 	if err != nil {
 		return nil, err
 	}
-	lis, err := net.Listen("tcp", addr)
+	srv, url, err := listen(addr, h.Handler())
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: h.Handler()}
-	go srv.Serve(lis)
-	return &Hub{URL: "http://" + lis.Addr().String(), hub: h, srv: srv}, nil
+	srv.RegisterOnShutdown(h.ReleaseWatches)
+	return &Hub{URL: url, srv: srv, backing: backing}, nil
 }
 
-// Close drains the hub listener.
+// Close drains the hub within DrainTimeout: it answers the parked watches
+// as if their waits had expired, waits for in-flight pushes, and closes
+// the backing store.
 func (h *Hub) Close() error {
-	ctx, done := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, done := context.WithTimeout(context.Background(), DrainTimeout)
 	defer done()
-	return h.srv.Shutdown(ctx)
+	return drain(ctx, h.srv, h.backing)
 }
 
 // ReplicaConfig parameterizes one serving replica.
 type ReplicaConfig struct {
 	// Name is the replica's identity: its store origin and report label.
+	// Default host:pid.
 	Name string
+	// Addr is the listen address; "" picks a loopback port.
+	Addr string
 	// HubURL, when non-empty, replicates the replica's store through a
-	// hub; empty runs the replica with an isolated in-memory store.
+	// hub.
 	HubURL string
+	// KVDir, when non-empty, is the KV store directory holding the
+	// replica's records (with a hub, its copy of the fleet's). With
+	// neither HubURL nor KVDir the replica keeps no store.
+	KVDir string
 	// Tenant namespaces the replica's records in the shared hub.
 	Tenant string
-	// Workers, TargetSampling, TargetProduction and MaxConcurrent are
-	// passed through to serve.Config.
+	// SimcacheDir, when non-empty, is the simulation cache directory for
+	// OBL runs.
+	SimcacheDir string
+	// Workers, TargetSampling, TargetProduction, MaxConcurrent, ColdStart
+	// and Controller are passed through to serve.Config.
 	Workers          int
 	TargetSampling   time.Duration
 	TargetProduction time.Duration
 	MaxConcurrent    int
-	// Logger receives the replica's structured logs.
+	ColdStart        bool
+	Controller       string
+	// Logger receives the replica's structured logs. Default
+	// slog.Default().
 	Logger *slog.Logger
 }
 
@@ -82,75 +169,77 @@ type Replica struct {
 	Name   string
 	URL    string
 	Server *serve.Server
-	Store  *store.ReplStore // nil without a hub
+	store  store.Backend // nil when the replica keeps no store
 	srv    *http.Server
 }
 
-// StartReplica boots a replica and waits for its listener.
+// StartReplica boots a replica and starts its listener.
 func StartReplica(cfg ReplicaConfig) (*Replica, error) {
+	r, err := startReplica(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: replica %s: %w", cfg.Name, err)
+	}
+	return r, nil
+}
+
+func startReplica(cfg ReplicaConfig) (*Replica, error) {
+	if cfg.Logger == nil {
+		cfg.Logger = slog.Default()
+	}
 	scfg := serve.Config{
 		Workers:          cfg.Workers,
 		TargetSampling:   cfg.TargetSampling,
 		TargetProduction: cfg.TargetProduction,
 		MaxConcurrent:    cfg.MaxConcurrent,
+		ColdStart:        cfg.ColdStart,
 		Tenant:           cfg.Tenant,
 		Logger:           cfg.Logger,
+		Controller:       cfg.Controller,
 	}
-	var rs *store.ReplStore
+	if cfg.SimcacheDir != "" {
+		c, err := simcache.New(simcache.Config{Dir: cfg.SimcacheDir})
+		if err != nil {
+			return nil, err
+		}
+		scfg.Cache = c
+	}
+	// The local store; with a hub it becomes the replication cache (a
+	// fresh memory one when nil).
+	backend, err := OpenKV(cfg.KVDir, cfg.Logger)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.HubURL != "" {
-		var err error
-		rs, err = store.OpenRepl(store.ReplConfig{
+		rs, err := store.OpenRepl(store.ReplConfig{
 			HubURL: cfg.HubURL,
 			Origin: cfg.Name,
+			Local:  backend,
 			Logger: cfg.Logger,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("fleet: replica %s: %w", cfg.Name, err)
+			return nil, closeAll(err, backend)
 		}
-		scfg.Backend = rs
-	} else {
-		scfg.Backend = store.NewMemStore()
+		backend = rs
 	}
+	scfg.Backend = backend
 	sv, err := serve.New(scfg)
 	if err != nil {
-		if rs != nil {
-			rs.Close()
-		}
-		return nil, fmt.Errorf("fleet: replica %s: %w", cfg.Name, err)
+		return nil, closeAll(err, backend)
 	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, url, err := listen(cfg.Addr, sv.Handler())
 	if err != nil {
-		sv.Close()
-		if rs != nil {
-			rs.Close()
-		}
-		return nil, fmt.Errorf("fleet: replica %s: %w", cfg.Name, err)
+		return nil, closeAll(err, sv, backend)
 	}
-	srv := &http.Server{Handler: sv.Handler()}
-	go srv.Serve(lis)
-	return &Replica{
-		Name:   cfg.Name,
-		URL:    "http://" + lis.Addr().String(),
-		Server: sv,
-		Store:  rs,
-		srv:    srv,
-	}, nil
+	return &Replica{Name: cfg.Name, URL: url, Server: sv, store: backend, srv: srv}, nil
 }
 
-// Drain gracefully shuts the replica down in production order: stop
-// accepting connections and wait for in-flight requests, persist every
-// section's record, then flush the replicated store to the hub.
+// Drain shuts the replica down in production order: stop accepting
+// connections and wait for in-flight requests; once ctx expires,
+// force-close the connections still open; persist every section's
+// record; close the store, which flushes a replicated store's pending
+// pushes to the hub. It returns the first error, ctx's expiry included.
 func (r *Replica) Drain(ctx context.Context) error {
-	err := r.srv.Shutdown(ctx)
-	if perr := r.Server.Close(); err == nil {
-		err = perr
-	}
-	if r.Store != nil {
-		if serr := r.Store.Close(); err == nil {
-			err = serr
-		}
-	}
-	return err
+	return drain(ctx, r.srv, r.Server, r.store)
 }
 
 // LoadConfig parameterizes the load driver.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"log/slog"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,6 +80,109 @@ func TestRunDemo(t *testing.T) {
 		if !strings.Contains(string(body), "dfserved_warm_start_hits_total") {
 			t.Errorf("%s scrape lacks dfserved_warm_start_hits_total", name)
 		}
+	}
+}
+
+// TestDrainFinishesInFlightRun drains a replica while an OBL run of about
+// two seconds is in flight: the run must be answered 200, and Drain must
+// return only after it.
+func TestDrainFinishesInFlightRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a multi-second simulated run; skipped in -short")
+	}
+	r, err := StartReplica(ReplicaConfig{Name: "drain", Workers: 1, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		status int
+		err    error
+		at     time.Time
+	}
+	got := make(chan reply, 1)
+	go func() {
+		body := `{"app":"barneshut","procs":8,"params":{"nbodies":16384,"npasses":2,"listlen":64}}`
+		resp, err := http.Post(r.URL+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			got <- reply{err: err, at: time.Now()}
+			return
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		got <- reply{status: resp.StatusCode, err: err, at: time.Now()}
+	}()
+	// The run is in flight once the replica counts a request beyond this
+	// loop's own /healthz polls.
+	polls := int64(0)
+	for {
+		var health struct{ Requests int64 }
+		if err := getJSON(context.Background(), r.URL+"/healthz", &health); err != nil {
+			t.Fatal(err)
+		}
+		polls++
+		if health.Requests > polls {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ctx, done := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer done()
+	if err := r.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	drained := time.Now()
+	rep := <-got
+	if rep.err != nil || rep.status != http.StatusOK {
+		t.Fatalf("in-flight run: status %d, err %v; want 200", rep.status, rep.err)
+	}
+	if rep.at.Sub(drained) > time.Second {
+		t.Errorf("run answered %v after Drain returned", rep.at.Sub(drained))
+	}
+}
+
+// TestHubCloseAnswersParkedWatch closes a hub with a watch parked on it:
+// the watch is answered 200 as if its wait had expired, and Close returns
+// promptly instead of waiting out the long-poll.
+func TestHubCloseAnswersParkedWatch(t *testing.T) {
+	h, err := StartHub("", nil, quietLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		status int
+		body   string
+		err    error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get(h.URL + "/v1/watch?since=0&wait=20s")
+		if err != nil {
+			got <- reply{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		got <- reply{status: resp.StatusCode, body: string(body), err: err}
+	}()
+	if err := WaitFor(context.Background(), 5*time.Second, 5*time.Millisecond, func() bool {
+		m, err := ScrapeMetrics(context.Background(), h.URL)
+		return err == nil && strings.Contains(string(m), "dfstored_watch_requests_total 1\n")
+	}); err != nil {
+		t.Fatalf("watch never reached the hub: %v", err)
+	}
+	start := time.Now()
+	if err := h.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Close took %v with a watch parked, want under 1s", d)
+	}
+	rep := <-got
+	if rep.err != nil || rep.status != http.StatusOK {
+		t.Fatalf("parked watch: status %d, err %v; want 200", rep.status, rep.err)
+	}
+	if want := `{"seq":0,"records":null}` + "\n"; rep.body != want {
+		t.Errorf("parked watch body %q, want the expired-wait body %q", rep.body, want)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package metrics is a minimal, dependency-free metrics registry with a
 // Prometheus text-format (exposition format 0.0.4) scrape handler.
 //
-// It supports exactly what the serving tier needs: counters (optionally
-// labeled), counters and gauges computed at scrape time, and cumulative
-// histograms — enough for requests, run latencies, section switches,
+// It supports exactly what the serving tier needs: counters, counters and
+// gauges computed at scrape time (gauges optionally labeled), and
+// cumulative histograms — enough for requests, run latencies, section switches,
 // store sync lag, and warm-start hits, without pulling a client library
 // into the build.
 // Metric families render sorted by name, and series within a family
@@ -90,46 +90,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 		return []series{{value: c.Value()}}
 	}})
 	return c
-}
-
-// CounterVec is a counter family with one fixed label set.
-type CounterVec struct {
-	labels []string
-	mu     sync.Mutex
-	series map[string]*Counter
-}
-
-// With returns the counter for the given label values (created on first
-// use). The number of values must match the label names.
-func (v *CounterVec) With(values ...string) *Counter {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %d label values for %d labels", len(values), len(v.labels)))
-	}
-	key := renderLabels(v.labels, values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.series[key]
-	if !ok {
-		c = &Counter{}
-		v.series[key] = c
-	}
-	return c
-}
-
-// CounterVec registers and returns a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	v := &CounterVec{labels: labels, series: map[string]*Counter{}}
-	r.register(family{name: name, help: help, typ: "counter", collect: func() []series {
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		out := make([]series, 0, len(v.series))
-		//dfvet:allow detorder WriteTo sorts every family's collected series by label before rendering
-		for key, c := range v.series {
-			out = append(out, series{labels: key, value: c.Value()})
-		}
-		return out
-	}})
-	return v
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.

@@ -112,26 +112,6 @@ func TestMetricsStoreLinkFamilies(t *testing.T) {
 	}
 }
 
-func TestDrainMarksHealthz(t *testing.T) {
-	srv, ts := testServer(t, store.NewMemStore())
-	status, _ := postRun(t, ts.URL, `{"section":"sort","iters":20000}`)
-	if status != http.StatusOK {
-		t.Fatalf("run failed: status %d", status)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), `"draining"`) {
-		t.Errorf("healthz after Close = %s, want draining status", body)
-	}
-}
-
 // TestBackendBootWarmStart wires a Server to a shared Backend with tenant
 // namespacing: knowledge a first server learned must warm-start a second
 // one, and a third server under a different tenant must stay cold.

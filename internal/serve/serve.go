@@ -152,7 +152,6 @@ type Server struct {
 	reg         *metrics.Registry
 	runSeconds  *metrics.Histogram
 	cancelWatch func()
-	draining    atomic.Bool
 }
 
 // adaptEventJSON is one controller adaptation event: after which sampling
@@ -328,7 +327,6 @@ func (s *Server) Handler() http.Handler {
 // (best effort, first error wins). It does not close the Backend — the
 // caller owns it and typically flushes it after the HTTP listener drains.
 func (s *Server) Close() error {
-	s.draining.Store(true)
 	if s.cancelWatch != nil {
 		s.cancelWatch()
 	}
@@ -367,12 +365,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	status := "ok"
-	if s.draining.Load() {
-		status = "draining"
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":         status,
+		"status":         "ok",
 		"version":        buildinfo.Version(),
 		"go":             buildinfo.Runtime(),
 		"uptime_seconds": time.Since(s.start).Seconds(), //dfvet:allow walltime live uptime in the status response

@@ -19,9 +19,10 @@
 // summed over sections (errors in different sections add in the worst
 // case). Virtual time is the critical path, so its half-width is the busy
 // half-width divided by the processor count, and every half-width is
-// floored at RelFloor of the estimate (prediction residuals understate the
-// error when a workload is so regular that they are near zero —
-// cross-window boundary effects still perturb the charges slightly).
+// floored at relFloor, 2 %, of the estimate (prediction residuals
+// understate the error when a workload is so regular that they are near
+// zero — cross-window boundary effects still perturb the charges
+// slightly).
 package simsample
 
 import (
@@ -38,28 +39,9 @@ var MetricNames = []string{
 	"time_ns", "busy_ns", "lock_time_ns", "wait_time_ns", "acquires", "failed_acquires",
 }
 
-// Config tunes the error model.
-type Config struct {
-	// Confidence is the two-sided interval confidence; only 0.95 is
-	// supported (0 selects it).
-	Confidence float64
-	// RelFloor floors each interval half-width at this fraction of the
-	// estimate (default 0.02).
-	RelFloor float64
-}
-
-func (c Config) withDefaults() (Config, error) {
-	if c.Confidence == 0 {
-		c.Confidence = 0.95
-	}
-	if c.Confidence != 0.95 {
-		return c, fmt.Errorf("simsample: only 95%% confidence is supported (have %v)", c.Confidence)
-	}
-	if c.RelFloor <= 0 {
-		c.RelFloor = 0.02
-	}
-	return c, nil
-}
+// relFloor floors each interval half-width at this fraction of the
+// estimate.
+const relFloor = 0.02
 
 // MetricEstimate is one metric's point estimate and confidence interval.
 type MetricEstimate struct {
@@ -90,7 +72,8 @@ func (e *Estimate) Metric(name string) *MetricEstimate {
 }
 
 // tQuant975 holds the 0.975 quantile of Student's t distribution by
-// degrees of freedom 1..30; beyond 30 the normal quantile is used.
+// degrees of freedom 1..30; beyond 30 the normal quantile is used. It
+// fixes every interval's confidence at 95 %, two-sided.
 var tQuant975 = []float64{
 	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
 	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
@@ -177,11 +160,7 @@ func sectionHalves(sec *interp.SectionSampling) [nMetrics]float64 {
 
 // FromResult builds the estimate of a sampled run's full metrics. procs is
 // the run's processor count (Options.Procs).
-func FromResult(res *interp.Result, procs int, cfg Config) (*Estimate, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+func FromResult(res *interp.Result, procs int) (*Estimate, error) {
 	if res.Sampling == nil {
 		return nil, fmt.Errorf("simsample: result has no sampling info (was the run sampled?)")
 	}
@@ -216,7 +195,7 @@ func FromResult(res *interp.Result, procs int, cfg Config) (*Estimate, error) {
 	for i, name := range MetricNames {
 		v := values[i]
 		half := allHalves[i]
-		if floor := cfg.RelFloor * math.Abs(v); half < floor {
+		if floor := relFloor * math.Abs(v); half < floor {
 			half = floor
 		}
 		est.Metrics = append(est.Metrics, MetricEstimate{
@@ -273,7 +252,7 @@ func Check(est *Estimate, ground map[string]float64) (map[string]bool, bool) {
 // builds the estimate, and reports per-metric containment and both
 // wall-clocks. Both runs execute cold — no simulation cache is consulted —
 // so the wall-clock pair is the genuine cost ratio.
-func Validate(prog *ir.Program, opts interp.Options, cfg Config) (*Report, error) {
+func Validate(prog *ir.Program, opts interp.Options) (*Report, error) {
 	if opts.Sample == nil {
 		return nil, fmt.Errorf("simsample: Validate needs Options.Sample")
 	}
@@ -283,7 +262,7 @@ func Validate(prog *ir.Program, opts interp.Options, cfg Config) (*Report, error
 		return nil, fmt.Errorf("simsample: sampled run: %w", err)
 	}
 	sampledWall := time.Since(t0) //dfvet:allow walltime measures real sampled-run cost, a diagnostic
-	est, err := FromResult(sampled, opts.Procs, cfg)
+	est, err := FromResult(sampled, opts.Procs)
 	if err != nil {
 		return nil, err
 	}

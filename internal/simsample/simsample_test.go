@@ -93,7 +93,7 @@ func TestValidateContainment(t *testing.T) {
 		}
 		rep, err := Validate(c.Parallel, interp.Options{
 			Procs: 8, Policy: "bounded", Params: tc.params, Sample: testSpec(),
-		}, Config{})
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
@@ -112,13 +112,10 @@ func TestValidateContainment(t *testing.T) {
 
 // TestFromResultErrors pins the input validation.
 func TestFromResultErrors(t *testing.T) {
-	if _, err := FromResult(&interp.Result{}, 4, Config{}); err == nil {
+	if _, err := FromResult(&interp.Result{}, 4); err == nil {
 		t.Error("unsampled result accepted")
 	}
-	if _, err := FromResult(&interp.Result{Sampling: &interp.SamplingInfo{}}, 4, Config{Confidence: 0.9}); err == nil {
-		t.Error("unsupported confidence accepted")
-	}
-	if _, err := Validate(nil, interp.Options{}, Config{}); err == nil {
+	if _, err := Validate(nil, interp.Options{}); err == nil {
 		t.Error("Validate without Sample accepted")
 	}
 }
@@ -138,11 +135,11 @@ func TestEstimateIntervalShape(t *testing.T) {
 			Time: 1_000_000, Sampling: &interp.SamplingInfo{Sections: []*interp.SectionSampling{sec}},
 		}
 	}
-	flat, err := FromResult(mkRes([]int64{1000, 1000, 1000, 1000, 1000}), 4, Config{})
+	flat, err := FromResult(mkRes([]int64{1000, 1000, 1000, 1000, 1000}), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := FromResult(mkRes([]int64{1000, 2000, 800, 2400, 600}), 4, Config{})
+	noisy, err := FromResult(mkRes([]int64{1000, 2000, 800, 2400, 600}), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
