@@ -1,97 +1,49 @@
 package repro
 
-// One benchmark per table and figure of the paper's evaluation, plus the
-// ablation benches DESIGN.md calls out. Each benchmark regenerates its
-// experiment on the simulated machine, fails if a qualitative shape check
-// fails, and reports headline quantities as custom metrics.
+// One sub-benchmark per experiment of the paper's evaluation and of its
+// ablations and adaptivity scenarios (bench.Experiments), so an experiment
+// cannot lack one. Each regenerates its experiment on the simulated machine,
+// fails if a qualitative shape check fails, and reports the check counts as
+// custom metrics.
 //
-// The benchmarks share one memoized suite, like the harness in
+// The sub-benchmarks share one memoized suite, like the harness in
 // internal/bench; set REPRO_FULL=1 to run at full evaluation scale
 // (cmd/dfbench runs full scale by default and prints the tables).
 
 import (
 	"os"
-	"sync"
 	"testing"
 
 	"repro/dynfb"
 	"repro/internal/bench"
 )
 
-var (
-	suiteOnce sync.Once
-	suite     *bench.Suite
-)
-
-func sharedSuite() *bench.Suite {
-	suiteOnce.Do(func() {
-		quick := os.Getenv("REPRO_FULL") == ""
-		suite = bench.NewSuite(bench.SuiteConfig{Quick: quick, Procs: []int{1, 2, 4, 6, 8, 12, 16}})
-	})
-	return suite
+func BenchmarkExperiments(b *testing.B) {
+	s := bench.NewSuite(bench.SuiteConfig{Quick: os.Getenv("REPRO_FULL") == "", Procs: []int{1, 2, 4, 6, 8, 12, 16}})
+	for _, e := range bench.Experiments() {
+		e := e
+		b.Run(e.ID, func(b *testing.B) {
+			var rep *bench.Report
+			var err error
+			for i := 0; i < b.N; i++ {
+				if rep, err = e.Run(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			passed, failed := 0, 0
+			for _, c := range rep.Checks {
+				if c.OK {
+					passed++
+				} else {
+					failed++
+					b.Errorf("shape check failed: %s: %s", c.Name, c.Detail)
+				}
+			}
+			b.ReportMetric(float64(passed), "checks-passed")
+			b.ReportMetric(float64(failed), "checks-failed")
+		})
+	}
 }
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.ExperimentByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	s := sharedSuite()
-	var rep *bench.Report
-	var err error
-	for i := 0; i < b.N; i++ {
-		rep, err = e.Run(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	passed, failed := 0, 0
-	for _, c := range rep.Checks {
-		if c.OK {
-			passed++
-		} else {
-			failed++
-			b.Errorf("shape check failed: %s: %s", c.Name, c.Detail)
-		}
-	}
-	b.ReportMetric(float64(passed), "checks-passed")
-	b.ReportMetric(float64(failed), "checks-failed")
-}
-
-func BenchmarkTable1CodeSizes(b *testing.B)             { runExperiment(b, "table1") }
-func BenchmarkTable2BarnesHutTimes(b *testing.B)        { runExperiment(b, "table2") }
-func BenchmarkFigure4BarnesHutSpeedups(b *testing.B)    { runExperiment(b, "figure4") }
-func BenchmarkTable3BarnesHutLocking(b *testing.B)      { runExperiment(b, "table3") }
-func BenchmarkFigure5ForcesOverheadSeries(b *testing.B) { runExperiment(b, "figure5") }
-func BenchmarkTable4ForcesStats(b *testing.B)           { runExperiment(b, "table4") }
-func BenchmarkTable5ForcesMinSampling(b *testing.B)     { runExperiment(b, "table5") }
-func BenchmarkTable6ForcesIntervalGrid(b *testing.B)    { runExperiment(b, "table6") }
-func BenchmarkTable7WaterTimes(b *testing.B)            { runExperiment(b, "table7") }
-func BenchmarkFigure6WaterSpeedups(b *testing.B)        { runExperiment(b, "figure6") }
-func BenchmarkTable8WaterLocking(b *testing.B)          { runExperiment(b, "table8") }
-func BenchmarkFigure7WaterWaiting(b *testing.B)         { runExperiment(b, "figure7") }
-func BenchmarkFigure8InterfOverheadSeries(b *testing.B) { runExperiment(b, "figure8") }
-func BenchmarkFigure9PotengOverheadSeries(b *testing.B) { runExperiment(b, "figure9") }
-func BenchmarkTable9InterfStats(b *testing.B)           { runExperiment(b, "table9") }
-func BenchmarkTable10PotengStats(b *testing.B)          { runExperiment(b, "table10") }
-func BenchmarkTable11InterfMinSampling(b *testing.B)    { runExperiment(b, "table11") }
-func BenchmarkTable12PotengMinSampling(b *testing.B)    { runExperiment(b, "table12") }
-func BenchmarkTable13InterfIntervalGrid(b *testing.B)   { runExperiment(b, "table13") }
-func BenchmarkTable14PotengIntervalGrid(b *testing.B)   { runExperiment(b, "table14") }
-func BenchmarkFigure3FeasibleRegion(b *testing.B)       { runExperiment(b, "figure3") }
-func BenchmarkEq9POpt(b *testing.B)                     { runExperiment(b, "eq9") }
-func BenchmarkStringSuite(b *testing.B)                 { runExperiment(b, "string") }
-func BenchmarkAblationAsyncSwitch(b *testing.B)         { runExperiment(b, "ablation-async") }
-func BenchmarkAblationEarlyCutoff(b *testing.B)         { runExperiment(b, "ablation-cutoff") }
-func BenchmarkAblationSpanningIntervals(b *testing.B)   { runExperiment(b, "ablation-span") }
-func BenchmarkAblationInstrumentation(b *testing.B)     { runExperiment(b, "ablation-instr") }
-func BenchmarkAblationFlagDispatch(b *testing.B)        { runExperiment(b, "ablation-flags") }
-func BenchmarkAblationAutoTune(b *testing.B)            { runExperiment(b, "ablation-autotune") }
-func BenchmarkAdaptCrossover(b *testing.B)              { runExperiment(b, "adapt-crossover") }
-func BenchmarkAdaptRamp(b *testing.B)                   { runExperiment(b, "adapt-ramp") }
-func BenchmarkAdaptPeriodic(b *testing.B)               { runExperiment(b, "adapt-periodic") }
-func BenchmarkAdaptSkew(b *testing.B)                   { runExperiment(b, "adapt-skew") }
 
 // BenchmarkDynfbDispatch measures the real-time library's per-iteration
 // overhead: claim + body dispatch + switch-point poll, single variant.

@@ -31,6 +31,10 @@
 // wall-clocks are summarized on stderr; stdout carries the rendered reports
 // only.
 //
+// -procs lists the processor counts of the execution-time tables and
+// figures. It must be strictly increasing and include 1 and 8, the counts
+// the tables' claims are read at; anything else is bad usage.
+//
 // -controller selects the dynamic feedback controller for the suite's
 // dynamic runs (roundrobin, the paper's, or ucb, the confidence-bound
 // bandit). The controller kind is part of the simulation cache key.
@@ -51,6 +55,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -72,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dfbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "run with reduced input sizes")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts (default 1,2,4,6,8,12,16)")
+	procsFlag := fs.String("procs", "", "comma-separated processor counts, strictly increasing and including 1 and 8 (default 1,2,4,6,8,12,16)")
 	runFlag := fs.String("run", "all", "comma-separated IDs: experiments, tiers, or all for every experiment (see -list)")
 	par := fs.Int("p", 0, "max simulations in flight (default GOMAXPROCS; 1 runs serially)")
 	csvDir := fs.String("csv", "", "also write each experiment's rows and series as CSV files into this directory")
@@ -105,7 +110,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil || n <= 0 {
 				return fail(2, "bad -procs entry %q", part)
 			}
+			if len(cfg.Procs) > 0 && n <= cfg.Procs[len(cfg.Procs)-1] {
+				return fail(2, "-procs %s is not strictly increasing", *procsFlag)
+			}
 			cfg.Procs = append(cfg.Procs, n)
+		}
+		// Every paper table states its claims at 1 and 8 processors, and
+		// the figures read the last count as the largest.
+		if !slices.Contains(cfg.Procs, 1) || !slices.Contains(cfg.Procs, 8) {
+			return fail(2, "-procs %s must include 1 and 8, the counts the tables' claims are read at", *procsFlag)
 		}
 	}
 	var selected []bench.Experiment

@@ -82,7 +82,8 @@ func TestBadUsageExits2(t *testing.T) {
 		{"-perturb", "all"}, {"-cache-mem", "8"},
 		{"-sample"}, {"-sample-validate"}, {"-policies"}, {"-policies-validate"},
 		{"-run", "none"}, {"-run", "table1,nope"}, {"-run", "policies"},
-		{"-procs", "0"}, {"-controller", "greedy"},
+		{"-procs", "0"}, {"-procs", "4,16"}, {"-procs", "16,8"}, {"-procs", "1,8,8"},
+		{"-controller", "greedy"},
 	} {
 		if code, stdout, _ := dfbench(args...); code != 2 || stdout != "" {
 			t.Errorf("dfbench %v: exit %d with %d bytes of stdout, want exit 2 and none", args, code, len(stdout))

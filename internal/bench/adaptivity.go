@@ -71,17 +71,15 @@ func runScenario(s *Suite, name string) (adaptScenario, []*interp.Result, []*int
 		return adaptScenario{}, nil, nil, fmt.Errorf("bench: unknown adaptivity scenario %q", name)
 	}
 	sc := adaptScenarios[i]
-	specs := make([]RunSpec, len(policyRows))
-	for i, policy := range policyRows {
-		specs[i] = sc.spec(progParallel, policy, "")
-	}
-	results, err := s.Runs(specs)
+	_, cells, err := s.policyGrid(sc.app, sc.spec(progParallel, "", "").Opts, policyRows, []int{8})
 	if err != nil {
 		return sc, nil, nil, err
 	}
-	secs := make([]*interp.SectionStats, len(results))
-	for i, res := range results {
-		if secs[i] = section(res, sc.section); secs[i] == nil {
+	results := make([]*interp.Result, len(policyRows))
+	secs := make([]*interp.SectionStats, len(policyRows))
+	for i, policy := range policyRows {
+		results[i] = cells[policy][8]
+		if secs[i] = section(results[i], sc.section); secs[i] == nil {
 			return sc, nil, nil, fmt.Errorf("bench: adapt-%s: %s section missing", name, sc.section)
 		}
 	}
@@ -170,7 +168,7 @@ func maxExecAfter(secs []*interp.SectionStats, after simmach.Time) simmach.Time 
 	return m
 }
 
-// AdaptCrossover is the headline adaptivity experiment: a phantom lock
+// adaptCrossover is the headline adaptivity experiment: a phantom lock
 // holder (perturb scenario "crossover") switches on at 400ms, charging
 // contention per lock acquire. Before the change, Water's POTENG section is
 // won by the original fine-grain policy; after it, the per-acquire penalty
@@ -180,13 +178,12 @@ func maxExecAfter(secs []*interp.SectionStats, after simmach.Time) simmach.Time 
 // of the per-phase best static, and that its re-adaptation latency is
 // within the §5 bound P + N·S (production interval plus one sampling phase,
 // measured in units of the longest post-change execution).
-func AdaptCrossover(s *Suite) (*Report, error) {
+func adaptCrossover(s *Suite, r *Report) error {
 	sc, results, secs, err := runScenario(s, "crossover")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	boundary := sc.sched.FirstChangeAt()
-	r := &Report{ID: "adapt-crossover", Title: "Adaptivity: best-policy crossover under background contention (Water POTENG, 8 procs)"}
 	r.Header = []string{"Policy", "Pre-change mean (ms)", "Post-change mean (ms)", "Total (s)", "Re-adaptations"}
 
 	meansA := make([]simmach.Time, len(results))
@@ -250,10 +247,10 @@ func AdaptCrossover(s *Suite) (*Report, error) {
 			latency, bound, maxExec)
 		r.Notes = append(r.Notes, fmt.Sprintf("re-adaptation latency %v after the %v change (bound %v)", latency, boundary, bound))
 	}
-	return r, nil
+	return nil
 }
 
-// AdaptRamp drifts the lock acquire/release costs up 12x over a 300ms ramp
+// adaptRamp drifts the lock acquire/release costs up 12x over a 300ms ramp
 // (perturb scenario "ramp"). Water's INTERF section separates the policies
 // by acquire count — original acquires three times as often per
 // interaction pair as bounded and aggressive — so the drift punishes
@@ -261,21 +258,21 @@ func AdaptCrossover(s *Suite) (*Report, error) {
 // version each round, and its own interval records show the original
 // version's sampled overhead rising through the ramp: the §2.3 argument
 // for periodic resampling, observed from inside the controller.
-func AdaptRamp(s *Suite) (*Report, error) {
+func adaptRamp(s *Suite, r *Report) error {
 	sc, results, secs, err := runScenario(s, "ramp")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rampStart := sc.sched.FirstChangeAt()
 	rampEnd := rampStart + sc.sched.Changes[0].RampFor
-	r := &Report{ID: "adapt-ramp", Title: "Adaptivity: gradual lock-cost drift (Water INTERF, 8 procs)"}
 	r.Header = []string{"Policy", "Pre-ramp mean (ms)", "Post-ramp mean (ms)", "Total (s)"}
 
 	meansB := make([]simmach.Time, len(results))
+	totals := make([]simmach.Time, len(results))
 	var origA, origB simmach.Time
 	for i, res := range results {
 		a, b := phaseMeans(secs[i], rampStart, rampEnd)
-		meansB[i] = b
+		meansB[i], totals[i] = b, res.Time
 		if policyRows[i] == "original" {
 			origA, origB = a, b
 		}
@@ -290,12 +287,7 @@ func AdaptRamp(s *Suite) (*Report, error) {
 		float64(meansB[3]) <= 1.25*float64(meansB[bestB]),
 		"dynamic %.2fms vs best %.2fms (%s)", msf(meansB[3]), msf(meansB[bestB]), policyRows[bestB])
 
-	bestTotal := results[0].Time
-	for i := 1; i < 3; i++ {
-		if results[i].Time < bestTotal {
-			bestTotal = results[i].Time
-		}
-	}
+	bestTotal := slices.Min(totals[:3])
 	r.check("dynamic total within 30% of the best static",
 		float64(results[3].Time) <= 1.3*float64(bestTotal),
 		"dynamic %.3fs vs best static %.3fs", results[3].Time.Seconds(), bestTotal.Seconds())
@@ -317,10 +309,10 @@ func AdaptRamp(s *Suite) (*Report, error) {
 	r.check("resampling observes the original version's overhead rising",
 		seen >= 2 && last > first,
 		"first sampled overhead %.3f, last %.3f over %d samples", first, last, seen)
-	return r, nil
+	return nil
 }
 
-// AdaptPeriodic toggles the phantom lock holder on and off every 150ms
+// adaptPeriodic toggles the phantom lock holder on and off every 150ms
 // (perturb scenario "periodic"), flipping the best INTERF policy with each
 // burst. The checks assert that the controller follows the oscillation —
 // re-adapting repeatedly, in both directions — and still beats the worst
@@ -328,15 +320,16 @@ func AdaptRamp(s *Suite) (*Report, error) {
 // oscillates at a period comparable to the production interval, every
 // cycle pays a full resample, which is exactly the trade-off §5's interval
 // analysis formalizes (the note records the measured gap).
-func AdaptPeriodic(s *Suite) (*Report, error) {
+func adaptPeriodic(s *Suite, r *Report) error {
 	_, results, secs, err := runScenario(s, "periodic")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &Report{ID: "adapt-periodic", Title: "Adaptivity: periodic contention bursts (Water INTERF, 8 procs)"}
 	r.Header = []string{"Policy", "Total (s)", "INTERF re-adaptations"}
 
+	totals := make([]simmach.Time, len(results))
 	for i, res := range results {
+		totals[i] = res.Time
 		r.Rows = append(r.Rows, []string{policyRows[i], fsec(res.Time),
 			fmt.Sprintf("%d", len(policyChanges(secs[i])))})
 	}
@@ -350,37 +343,28 @@ func AdaptPeriodic(s *Suite) (*Report, error) {
 	r.check("re-adaptation alternates between versions", len(versions) >= 2,
 		"switched onto %d distinct versions", len(versions))
 
-	worst, best := results[0].Time, results[0].Time
-	for i := 1; i < 3; i++ {
-		if results[i].Time > worst {
-			worst = results[i].Time
-		}
-		if results[i].Time < best {
-			best = results[i].Time
-		}
-	}
+	worst, best := slices.Max(totals[:3]), slices.Min(totals[:3])
 	r.check("dynamic beats the worst static policy", results[3].Time < worst,
 		"dynamic %.3fs vs worst static %.3fs", results[3].Time.Seconds(), worst.Seconds())
 	r.Notes = append(r.Notes, fmt.Sprintf(
 		"best static %.3fs vs dynamic %.3fs: oscillation near the production interval forces a resample per cycle (§5 trade-off)",
 		best.Seconds(), results[3].Time.Seconds()))
-	return r, nil
+	return nil
 }
 
-// AdaptSkew halves the speed of processors 4-7 at 150ms (perturb scenario
-// "skew", modelling stolen cycles). A uniform slowdown changes every
-// policy's absolute times but not their ranking, so the right behaviour is
-// stability: the controller must not churn. The checks assert every policy
-// stretches by a comparable factor, that the dynamic controller re-adapts
-// at most once, and that it stays within 20% of the best static policy
-// after the skew.
-func AdaptSkew(s *Suite) (*Report, error) {
+// adaptSkew slows processors 4-7 to one third of their speed at 150ms
+// (perturb scenario "skew", modelling stolen cycles). A uniform slowdown
+// changes every policy's absolute times but not their ranking, so the right
+// behaviour is stability: the controller must not churn. The checks assert
+// every policy stretches by a comparable factor, that the dynamic
+// controller re-adapts at most once, and that it stays within 20% of the
+// best static policy after the skew.
+func adaptSkew(s *Suite, r *Report) error {
 	sc, results, secs, err := runScenario(s, "skew")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	boundary := sc.sched.FirstChangeAt()
-	r := &Report{ID: "adapt-skew", Title: "Adaptivity: per-processor slowdown, stolen cycles (Barnes-Hut FORCES, 8 procs)"}
 	r.Header = []string{"Policy", "Pre-skew mean (ms)", "Post-skew mean (ms)", "Stretch", "Re-adaptations"}
 
 	meansB := make([]simmach.Time, len(results))
@@ -409,7 +393,7 @@ func AdaptSkew(s *Suite) (*Report, error) {
 	r.check("dynamic within 20% of the best static after the skew",
 		float64(meansB[3]) <= 1.2*float64(meansB[bestB]),
 		"dynamic %.2fms vs best %.2fms (%s)", msf(meansB[3]), msf(meansB[bestB]), policyRows[bestB])
-	return r, nil
+	return nil
 }
 
 // msf converts a duration to float milliseconds for check details.

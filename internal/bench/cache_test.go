@@ -118,9 +118,9 @@ func TestCacheVerifyDetectsPoisonedEntry(t *testing.T) {
 			func(s *Suite) error { _, err := s.Run(shared.App, shared.Opts); return err }},
 		{"ablation-flags flagged cell",
 			RunSpec{App: apps.NameWater, Prog: progFlagged, Opts: interp.Options{Procs: 8, Policy: "aggressive"}},
-			func(s *Suite) error { _, err := AblationFlagDispatch(s); return err }},
+			func(s *Suite) error { return ablationFlags(s, &Report{}) }},
 		{"ablation-span cell", spanningCells()[1],
-			func(s *Suite) error { _, err := AblationSpanning(s); return err }},
+			func(s *Suite) error { return ablationSpan(s, &Report{}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cache, err := simcache.New(simcache.Config{})

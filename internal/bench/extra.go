@@ -9,17 +9,16 @@ import (
 	"repro/theory"
 )
 
-// Figure3 reproduces the theory figure: the feasible region for the
+// figure3 reproduces the theory figure: the feasible region for the
 // production interval P under the eq. 7 performance bound, with the
 // paper's example values (S=1, N=2, λ=0.065, δ=0.5).
-func Figure3(s *Suite) (*Report, error) {
+func figure3(s *Suite, r *Report) error {
 	p := theory.Figure3Params
 	pts, err := p.Figure3Series(theory.Figure3Delta, 0, 30, 0.25)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &Report{ID: "figure3", Title: "Feasible Region for Production Interval P",
-		XLabel: "production interval P (s)", YLabel: "constraint value"}
+	r.XLabel, r.YLabel = "production interval P (s)", "constraint value"
 	lhs := Series{Name: "constraint LHS"}
 	rhs := Series{Name: "bound RHS"}
 	for _, pt := range pts {
@@ -31,71 +30,39 @@ func Figure3(s *Suite) (*Report, error) {
 	r.Series = append(r.Series, lhs, rhs)
 	lo, hi, err := p.FeasibleRegion(theory.Figure3Delta)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Notes = append(r.Notes, fmt.Sprintf("feasible region: [%.3f, %.3f] seconds", lo, hi))
 	r.check("region is bounded below and above", lo > 0 && hi > lo && hi < 30,
 		"[%.2f, %.2f]", lo, hi)
 	popt, err := p.POpt()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.check("P_opt inside the region", popt > lo && popt < hi, "P_opt %.3f", popt)
-	return r, nil
+	return nil
 }
 
-// Eq9 solves for the optimal production interval of the paper's example.
-func Eq9(s *Suite) (*Report, error) {
+// eq9 solves for the optimal production interval of the paper's example.
+func eq9(s *Suite, r *Report) error {
 	popt, err := theory.Figure3Params.POpt()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &Report{ID: "eq9", Title: "Optimal Production Interval (eq. 9)"}
 	r.Header = []string{"S", "N", "lambda", "P_opt"}
 	p := theory.Figure3Params
 	r.Rows = append(r.Rows, []string{
 		fmt.Sprintf("%.1f", p.S), fmt.Sprintf("%d", p.N),
 		fmt.Sprintf("%.3f", p.Lambda), fmt.Sprintf("%.3f", popt)})
 	r.check("P_opt ≈ 7.25 (paper's value)", popt > 7.0 && popt < 7.5, "P_opt = %.3f", popt)
-	return r, nil
+	return nil
 }
 
-// StringSuite reproduces the String application experiments at the level
-// the truncated §6.3 permits: execution times, speedups and locking
-// overhead, with the paper-wide claims checked.
-func StringSuite(s *Suite) (*Report, error) {
-	r, t, err := timesReport(s, "string", "Execution Times for String (virtual seconds)", apps.NameString)
-	if err != nil {
-		return nil, err
-	}
-	r.Notes = append(r.Notes,
-		"the paper's §6.3 text was unavailable in our source; these rows record our measurements and check only the paper-wide claims")
-	runs, err := policyRuns(s, apps.NameString, 8)
-	if err != nil {
-		return nil, err
-	}
-	origPairs, bndPairs := runs["original"].Counters.Acquires, runs["bounded"].Counters.Acquires
-	at8 := func(p string) float64 { return t.sec(p, 8) }
-	r.check("coalescing wins (bounded/aggressive beat original)",
-		at8("bounded") < at8("original"),
-		"bounded %.2f vs original %.2f", at8("bounded"), at8("original"))
-	r.check("dynamic comparable to best policy",
-		at8("dynamic") < 1.3*min(at8("original"), at8("bounded"), at8("aggressive")),
-		"dynamic %.2f", at8("dynamic"))
-	r.check("locking pairs halve under coalescing",
-		float64(origPairs) > 1.7*float64(bndPairs),
-		"original %d vs bounded %d", origPairs, bndPairs)
-	sp := t.speedup("bounded", 8)
-	r.check("application scales", sp > 4, "8-proc speedup %.1f", sp)
-	return r, nil
-}
-
-// AblationAsyncSwitch measures what §4.1 argues for synchronous switching:
+// ablationAsync measures what §4.1 argues for synchronous switching:
 // without the barrier, measurements mix versions. The check is that the
 // synchronous controller still picks the right POTENG production version,
 // and the report records whether the asynchronous one did.
-func AblationAsyncSwitch(s *Suite) (*Report, error) {
-	r := &Report{ID: "ablation-async", Title: "Synchronous vs Asynchronous Switching (Water, 8 procs)"}
+func ablationAsync(s *Suite, r *Report) error {
 	r.Header = []string{"Mode", "Time (s)", "POTENG production version"}
 	prodVersion := func(res *interp.Result) string {
 		sec := section(res, "POTENG")
@@ -119,7 +86,7 @@ func AblationAsyncSwitch(s *Suite) (*Report, error) {
 		{App: apps.NameWater, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic, AsyncSwitch: true}},
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sync, async := results[0], results[1]
 	sv, av := prodVersion(sync), prodVersion(async)
@@ -129,14 +96,13 @@ func AblationAsyncSwitch(s *Suite) (*Report, error) {
 	r.check("synchronous switching picks the correct POTENG version",
 		sv == "original/bounded", "chose %q", sv)
 	r.Notes = append(r.Notes, fmt.Sprintf("asynchronous mode chose %q; mixed-version measurements make its choice unreliable", av))
-	return r, nil
+	return nil
 }
 
-// AblationEarlyCutoff measures the §4.5 optimizations: with early cut-off
-// and history ordering, fewer sampling intervals run and performance does
-// not regress.
-func AblationEarlyCutoff(s *Suite) (*Report, error) {
-	r := &Report{ID: "ablation-cutoff", Title: "Early Cut-Off and Policy Ordering (Barnes-Hut, 8 procs)"}
+// ablationCutoff measures the §4.5 optimizations: with early cut-off and
+// history ordering, fewer sampling intervals run and performance does not
+// regress.
+func ablationCutoff(s *Suite, r *Report) error {
 	r.Header = []string{"Mode", "Time (s)", "Sampling intervals"}
 	countSampling := func(res *interp.Result) int {
 		n := 0
@@ -150,7 +116,7 @@ func AblationEarlyCutoff(s *Suite) (*Report, error) {
 		{App: apps.NameBarnesHut, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic, EarlyCutoff: true, OrderByHistory: true}},
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	base, cut := results[0], results[1]
 	nb, nc := countSampling(base), countSampling(cut)
@@ -160,10 +126,10 @@ func AblationEarlyCutoff(s *Suite) (*Report, error) {
 	r.check("fewer sampling intervals", nc < nb, "%d vs %d", nc, nb)
 	r.check("no performance regression", float64(cut.Time) < 1.05*float64(base.Time),
 		"%.3fs vs %.3fs", cut.Time.Seconds(), base.Time.Seconds())
-	return r, nil
+	return nil
 }
 
-// spanningCells are the two modes AblationSpanning compares: per-execution
+// spanningCells are the two modes ablationSpan compares: per-execution
 // sampling, then spanning intervals.
 func spanningCells() []RunSpec {
 	// Many passes over a small body set: the ADVANCEALL sections are much
@@ -179,14 +145,13 @@ func spanningCells() []RunSpec {
 	return []RunSpec{{App: apps.NameBarnesHut, Opts: opts}, {App: apps.NameBarnesHut, Opts: spanning}}
 }
 
-// AblationSpanning measures the §4.4 extension on a workload of many short
+// ablationSpan measures the §4.4 extension on a workload of many short
 // section executions, which cannot amortize a per-execution sampling phase.
-func AblationSpanning(s *Suite) (*Report, error) {
+func ablationSpan(s *Suite, r *Report) error {
 	results, err := s.Runs(spanningCells())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &Report{ID: "ablation-span", Title: "Intervals Spanning Section Executions (§4.4 extension)"}
 	r.Header = []string{"Mode", "Time (s)", "ADVANCEALL sampling intervals"}
 	countSampling := func(res *interp.Result) int {
 		if sec := section(res, "ADVANCEALL"); sec != nil {
@@ -201,15 +166,14 @@ func AblationSpanning(s *Suite) (*Report, error) {
 	r.check("spanning does not slow the program",
 		float64(span.Time) < 1.05*float64(base.Time),
 		"span %.3fs vs base %.3fs", span.Time.Seconds(), base.Time.Seconds())
-	return r, nil
+	return nil
 }
 
-// AblationFlagDispatch compares the paper's two code-generation strategies
+// ablationFlags compares the paper's two code-generation strategies
 // (§4.2): multi-version code (fast dispatch, code growth) versus a single
 // version with conditional acquire/release constructs (no code growth,
 // residual flag-check overhead).
-func AblationFlagDispatch(s *Suite) (*Report, error) {
-	r := &Report{ID: "ablation-flags", Title: "Multi-Version vs Flag-Dispatch Code Generation (§4.2)"}
+func ablationFlags(s *Suite, r *Report) error {
 	r.Header = []string{"Application", "Strategy", "Code (bytes)", "Aggressive time @8p (s)"}
 	// Two cells per application: the aggressive policy on the
 	// multi-version program and on the flag-dispatch program.
@@ -220,12 +184,12 @@ func AblationFlagDispatch(s *Suite) (*Report, error) {
 	}
 	results, err := s.Runs(specs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i, name := range apps.Names {
 		c, err := s.App(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		multiBytes, flagBytes := 0, 0
 		for _, f := range c.Parallel.Funcs {
@@ -244,16 +208,15 @@ func AblationFlagDispatch(s *Suite) (*Report, error) {
 			flag.Time >= multi.Time && float64(flag.Time) < 1.25*float64(multi.Time),
 			"flagged %.3fs vs multi %.3fs", flag.Time.Seconds(), multi.Time.Seconds())
 	}
-	return r, nil
+	return nil
 }
 
-// AblationAutoTune measures the run-time eq. 9 production-interval tuning
+// ablationAutoTune measures the run-time eq. 9 production-interval tuning
 // against the paper's fixed-interval configuration: on the steady
 // benchmark workloads it must match fixed intervals (the environment is
 // stable, so the recommendation is long), demonstrating that closing the
 // §5 loop costs nothing when it is not needed.
-func AblationAutoTune(s *Suite) (*Report, error) {
-	r := &Report{ID: "ablation-autotune", Title: "Auto-Tuned Production Intervals (§5 at run time)"}
+func ablationAutoTune(s *Suite, r *Report) error {
 	r.Header = []string{"Application", "Fixed (s)", "Auto-tuned (s)"}
 	names := []string{apps.NameBarnesHut, apps.NameWater}
 	var specs []RunSpec
@@ -264,7 +227,7 @@ func AblationAutoTune(s *Suite) (*Report, error) {
 	}
 	results, err := s.Runs(specs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i, name := range names {
 		fixed, tuned := results[2*i], results[2*i+1]
@@ -273,20 +236,19 @@ func AblationAutoTune(s *Suite) (*Report, error) {
 			float64(tuned.Time) < 1.05*float64(fixed.Time),
 			"tuned %.3fs vs fixed %.3fs", tuned.Time.Seconds(), fixed.Time.Seconds())
 	}
-	return r, nil
+	return nil
 }
 
-// AblationInstrumentation measures the §4.3 claim that the counter
-// instrumentation has little or no effect on performance.
-func AblationInstrumentation(s *Suite) (*Report, error) {
-	r := &Report{ID: "ablation-instr", Title: "Instrumentation Overhead (Barnes-Hut, 8 procs)"}
+// ablationInstr measures the §4.3 claim that the counter instrumentation
+// has little or no effect on performance.
+func ablationInstr(s *Suite, r *Report) error {
 	r.Header = []string{"Mode", "Time (s)"}
 	results, err := s.Runs([]RunSpec{
 		{App: apps.NameBarnesHut, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic}},
 		{App: apps.NameBarnesHut, Opts: interp.Options{Procs: 8, Policy: interp.PolicyDynamic, InstrumentationCost: 1}},
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	on, off := results[0], results[1]
 	r.Rows = append(r.Rows,
@@ -295,5 +257,5 @@ func AblationInstrumentation(s *Suite) (*Report, error) {
 	diff := (on.Time.Seconds() - off.Time.Seconds()) / off.Time.Seconds()
 	r.check("instrumentation overhead negligible", diff < 0.02 && diff > -0.02,
 		"difference %.3f%%", diff*100)
-	return r, nil
+	return nil
 }

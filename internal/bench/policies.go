@@ -29,9 +29,9 @@ import (
 // searchProcs is the processor count of the offline search runs and duels.
 const searchProcs = 8
 
-// PoliciesSearch runs the generated space on every bench application
+// policiesSearch runs the generated space on every bench application
 // (Quick-scaled like any suite cell) and prunes it to a representative set.
-func PoliciesSearch(s *Suite) (*Report, error) {
+func policiesSearch(s *Suite, r *Report) error {
 	names := polgen.Names(polgen.Space())
 	workloads := apps.Names
 	var cells []RunSpec
@@ -42,7 +42,7 @@ func PoliciesSearch(s *Suite) (*Report, error) {
 	}
 	results, err := s.Runs(cells)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	points := make([]polsearch.Point, len(names))
 	for i, n := range names {
@@ -53,11 +53,9 @@ func PoliciesSearch(s *Suite) (*Report, error) {
 	}
 	res, err := polsearch.Search(workloads, points, polsearch.Config{MaxRepresentatives: 5})
 	if err != nil {
-		return nil, fmt.Errorf("bench: policies-search: %w", err)
+		return fmt.Errorf("bench: representative-set search: %w", err)
 	}
 
-	r := &Report{ID: "policies-search",
-		Title: fmt.Sprintf("Generated policy space: representative-set search (%d procs)", searchProcs)}
 	r.Header = []string{"Workload", "Best", "Best (s)", "Kept", "Kept (s)", "Regret"}
 	for _, pw := range res.PerWorkload {
 		r.Rows = append(r.Rows, []string{pw.Workload, pw.Best, fmt.Sprintf("%.3f", pw.BestTime),
@@ -73,7 +71,7 @@ func PoliciesSearch(s *Suite) (*Report, error) {
 		res.Pruned >= 12 && len(res.Representatives) <= 5 && res.Regret <= 0.05,
 		"%d candidates -> %d representatives, %d pruned, regret %.2f%%, %d behaviour cluster(s)",
 		res.Candidates, len(res.Representatives), res.Pruned, res.Regret*100, len(res.Clusters))
-	return r, nil
+	return nil
 }
 
 // duelSide is one controller's outcome on a duel scenario.
@@ -98,10 +96,10 @@ func (d duelSide) perRound() float64 {
 	return float64(d.sampledIntervals) / float64(max(d.rounds, 1))
 }
 
-// PoliciesDuels runs every adaptivity scenario under both controllers over
+// policiesDuels runs every adaptivity scenario under both controllers over
 // the full generated policy space. The duel workloads are fixed like the
 // adaptivity experiments', so the claims do not depend on Quick.
-func PoliciesDuels(s *Suite) (*Report, error) {
+func policiesDuels(s *Suite, r *Report) error {
 	controllers := []string{core.KindRoundRobin, core.KindUCB}
 	var cells []RunSpec
 	for _, sc := range adaptScenarios {
@@ -111,11 +109,9 @@ func PoliciesDuels(s *Suite) (*Report, error) {
 	}
 	results, err := s.Runs(cells)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	r := &Report{ID: "policies-duels",
-		Title: fmt.Sprintf("Generated policy space: round-robin vs bandit controller duels (%d procs)", searchProcs)}
 	r.Header = []string{"Scenario", "Controller", "Total (s)", "Final version", "Sampled intervals",
 		"Rounds", "Intervals/round", "Re-adaptations", "Latency (ms)"}
 	var higherRate, fewer []string
@@ -123,7 +119,7 @@ func PoliciesDuels(s *Suite) (*Report, error) {
 		var sides [2]duelSide
 		for j, c := range controllers {
 			if sides[j], err = scoreDuelSide(sc, results[2*i+j]); err != nil {
-				return nil, err
+				return err
 			}
 			d := sides[j]
 			r.Rows = append(r.Rows, []string{sc.sched.Name, c, fsec(d.total), d.finalVersion,
@@ -148,14 +144,14 @@ func PoliciesDuels(s *Suite) (*Report, error) {
 		len(higherRate) == 0, "higher on: %v", higherRate)
 	r.check("the bandit samples strictly fewer intervals in total on at least one scenario",
 		len(fewer) > 0, "fewer on: %v", fewer)
-	return r, nil
+	return nil
 }
 
 // scoreDuelSide summarizes one controller's run of a scenario.
 func scoreDuelSide(sc adaptScenario, res *interp.Result) (duelSide, error) {
 	sec := section(res, sc.section)
 	if sec == nil {
-		return duelSide{}, fmt.Errorf("bench: policies-duels: %s: section %s missing", sc.sched.Name, sc.section)
+		return duelSide{}, fmt.Errorf("bench: %s duel: section %s missing", sc.sched.Name, sc.section)
 	}
 	side := duelSide{
 		total:            res.Time,

@@ -82,16 +82,14 @@ func samplingCells(quick bool) []samplingCell {
 	}
 }
 
-// Sampling runs the tier: every cell sampled and exhaustive, one row per
+// samplingTier runs the tier: every cell sampled and exhaustive, one row per
 // cell and metric, and per cell the checks that the ground truth lies
 // inside every interval, that sampling engaged, and — on the perturbed
 // cell — that the phase change was detected and rolled back rather than
 // extrapolated through. The cells run one at a time in one of the suite's
 // simulation slots, under the VM whatever the suite's engine (sampling
 // needs its snapshots).
-func Sampling(s *Suite) (*Report, error) {
-	r := &Report{ID: "sampling",
-		Title: fmt.Sprintf("Sampled simulation vs exhaustive ground truth (%s, %d procs, 95%% intervals)", samplingPolicy, samplingProcs)}
+func samplingTier(s *Suite, r *Report) error {
 	r.Header = []string{"Cell", "Metric", "Estimate", "Lo", "Hi", "Ground truth", "In"}
 	var skipped, detailed int64
 	var sampledWall, exhaustiveWall time.Duration
@@ -99,7 +97,7 @@ func Sampling(s *Suite) (*Report, error) {
 	for _, cell := range samplingCells(s.cfg.Quick) {
 		c, err := s.App(cell.app)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		spec := cell.spec
 		rep, err := simsample.Validate(c.Parallel, interp.Options{
@@ -107,7 +105,7 @@ func Sampling(s *Suite) (*Report, error) {
 			Params: cell.params, Perturb: cell.sched, Sample: &spec,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("bench: sampling cell %s: %w", cell.label, err)
+			return fmt.Errorf("bench: sampling cell %s: %w", cell.label, err)
 		}
 		est := rep.Estimate
 		var out []string
@@ -142,5 +140,5 @@ func Sampling(s *Suite) (*Report, error) {
 	r.Notes = append(r.Notes, fmt.Sprintf("tier: fast-forwarded %d of %d iterations", skipped, skipped+detailed))
 	r.HostNotes = append(r.HostNotes, fmt.Sprintf("sampling: tier: %v sampled vs %v exhaustive",
 		sampledWall.Round(time.Millisecond), exhaustiveWall.Round(time.Millisecond)))
-	return r, nil
+	return nil
 }

@@ -15,7 +15,8 @@ func TestSamplingValidationQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sampling tier runs full workloads")
 	}
-	rep, err := Sampling(NewSuite(SuiteConfig{Quick: true}))
+	e, _ := ExperimentByID("sampling")
+	rep, err := e.Run(NewSuite(SuiteConfig{Quick: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

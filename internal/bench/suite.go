@@ -5,14 +5,15 @@
 // claims hold (who wins, by roughly what factor, where the crossovers are),
 // since absolute numbers come from a scaled-down simulated substrate.
 //
-// cmd/dfbench prints the reports; bench_test.go at the repository root runs
-// one benchmark per experiment.
+// cmd/dfbench prints the reports; BenchmarkExperiments in bench_test.go at
+// the repository root runs each experiment as a sub-benchmark.
 package bench
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -403,6 +404,49 @@ func section(res *interp.Result, name string) *interp.SectionStats {
 	return nil
 }
 
+// cellGrid is one application's results under every policy at every
+// processor count of a policyGrid fan-out.
+type cellGrid map[string]map[int]*interp.Result
+
+// policyGrid simulates app under every policy at every processor count over
+// the base options, in one Runs fan-out behind the lead cells, policy-major.
+// It returns the lead cells' results and the grid.
+func (s *Suite) policyGrid(app string, base interp.Options, policies []string, procs []int, lead ...RunSpec) ([]*interp.Result, cellGrid, error) {
+	specs := slices.Clone(lead)
+	for _, policy := range policies {
+		for _, p := range procs {
+			opts := base
+			opts.Procs, opts.Policy = p, policy
+			specs = append(specs, RunSpec{App: app, Opts: opts})
+		}
+	}
+	results, err := s.Runs(specs)
+	if err != nil {
+		return nil, nil, err
+	}
+	cells := cellGrid{}
+	for i, policy := range policies {
+		cells[policy] = map[int]*interp.Result{}
+		for j, p := range procs {
+			cells[policy][p] = results[len(lead)+i*len(procs)+j]
+		}
+	}
+	return results[:len(lead)], cells, nil
+}
+
+// runSection resolves the cell of an application's parallel program and
+// returns one section's stats.
+func (s *Suite) runSection(app, name string, opts interp.Options) (*interp.SectionStats, error) {
+	res, err := s.Run(app, opts)
+	if err != nil {
+		return nil, err
+	}
+	if sec := section(res, name); sec != nil {
+		return sec, nil
+	}
+	return nil, fmt.Errorf("bench: no section %s", name)
+}
+
 // Experiment is one table or figure reproduction.
 type Experiment struct {
 	ID    string
@@ -410,42 +454,58 @@ type Experiment struct {
 	Run   func(s *Suite) (*Report, error)
 }
 
+// body fills the report an experiment is handed.
+type body func(s *Suite, r *Report) error
+
+// experiment is one registry entry, the one place an experiment's ID and
+// title are stated: its Run hands fill a report carrying both.
+func experiment(id, title string, fill body) Experiment {
+	return Experiment{ID: id, Title: title, Run: func(s *Suite) (*Report, error) {
+		r := &Report{ID: id, Title: title}
+		if err := fill(s, r); err != nil {
+			return nil, err
+		}
+		return r, nil
+	}}
+}
+
 // Experiments returns every experiment in paper order.
 func Experiments() []Experiment {
+	bh, water := apps.NameBarnesHut, apps.NameWater
 	return []Experiment{
-		{"table1", "Executable code sizes (bytes)", Table1},
-		{"table2", "Execution times for Barnes-Hut (virtual seconds)", Table2},
-		{"figure4", "Speedups for Barnes-Hut", Figure4},
-		{"table3", "Locking overhead for Barnes-Hut", Table3},
-		{"figure5", "Sampled overhead for the Barnes-Hut FORCES section (8 procs)", Figure5},
-		{"table4", "Statistics for the Barnes-Hut FORCES section", Table4},
-		{"table5", "Mean minimum effective sampling intervals, FORCES (8 procs)", Table5},
-		{"table6", "Mean times for varying intervals, FORCES (8 procs)", Table6},
-		{"table7", "Execution times for Water (virtual seconds)", Table7},
-		{"figure6", "Speedups for Water", Figure6},
-		{"table8", "Locking overhead for Water", Table8},
-		{"figure7", "Waiting proportion for Water", Figure7},
-		{"figure8", "Sampled overhead for the Water INTERF section (8 procs)", Figure8},
-		{"figure9", "Sampled overhead for the Water POTENG section (8 procs)", Figure9},
-		{"table9", "Statistics for the Water INTERF section", Table9},
-		{"table10", "Statistics for the Water POTENG section", Table10},
-		{"table11", "Mean minimum effective sampling intervals, INTERF (8 procs)", Table11},
-		{"table12", "Mean minimum effective sampling intervals, POTENG (8 procs)", Table12},
-		{"table13", "Mean times for varying intervals, INTERF (8 procs)", Table13},
-		{"table14", "Mean times for varying intervals, POTENG (8 procs)", Table14},
-		{"figure3", "Feasible region for the production interval (theory, §5)", Figure3},
-		{"eq9", "Optimal production interval P_opt (theory, §5)", Eq9},
-		{"string", "String application suite (§6.3; source text unavailable, structural reproduction)", StringSuite},
-		{"ablation-async", "Ablation: asynchronous vs synchronous switching", AblationAsyncSwitch},
-		{"ablation-cutoff", "Ablation: early cut-off and policy ordering (§4.5)", AblationEarlyCutoff},
-		{"ablation-span", "Ablation: intervals spanning section executions (§4.4)", AblationSpanning},
-		{"ablation-instr", "Ablation: instrumentation overhead (§4.3)", AblationInstrumentation},
-		{"ablation-flags", "Ablation: multi-version vs flag-dispatch codegen (§4.2)", AblationFlagDispatch},
-		{"ablation-autotune", "Ablation: run-time production-interval tuning (§5 closed loop)", AblationAutoTune},
-		{"adapt-crossover", "Adaptivity: best-policy crossover under background contention (perturb)", AdaptCrossover},
-		{"adapt-ramp", "Adaptivity: gradual lock-cost drift (perturb)", AdaptRamp},
-		{"adapt-periodic", "Adaptivity: periodic contention bursts (perturb)", AdaptPeriodic},
-		{"adapt-skew", "Adaptivity: per-processor slowdown, stolen cycles (perturb)", AdaptSkew},
+		experiment("table1", "Executable Code Sizes (bytes)", table1),
+		experiment("table2", "Execution Times for Barnes-Hut (virtual seconds)", timesTable(bh, table2)),
+		experiment("figure4", "Speedups for Barnes-Hut", speedupFigure(bh, figure4)),
+		experiment("table3", "Locking Overhead for Barnes-Hut", lockingTable(bh, table3)),
+		experiment("figure5", "Sampled Overhead for the Barnes-Hut FORCES Section on 8 Processors", overheadFigure(bh, "FORCES", figure5)),
+		experiment("table4", "Statistics for the Barnes-Hut FORCES Section", sectionTable(bh, "FORCES", "aggressive")),
+		experiment("table5", "Mean Minimum Effective Sampling Intervals for FORCES (8 processors)", minIntervalTable(bh, "FORCES", table5)),
+		experiment("table6", "Mean Execution Times for Varying Intervals, FORCES (8 processors, virtual seconds)", intervalGrid(bh, "FORCES", table6)),
+		experiment("table7", "Execution Times for Water (virtual seconds)", timesTable(water, table7)),
+		experiment("figure6", "Speedups for Water", speedupFigure(water, figure6)),
+		experiment("table8", "Locking Overhead for Water", lockingTable(water, table8)),
+		experiment("figure7", "Waiting Proportion for Water", figure7),
+		experiment("figure8", "Sampled Overhead for the Water INTERF Section on 8 Processors", overheadFigure(water, "INTERF", figure8)),
+		experiment("figure9", "Sampled Overhead for the Water POTENG Section on 8 Processors", overheadFigure(water, "POTENG", figure9)),
+		experiment("table9", "Statistics for the Water INTERF Section", sectionTable(water, "INTERF", "bounded")),
+		experiment("table10", "Statistics for the Water POTENG Section", sectionTable(water, "POTENG", "bounded")),
+		experiment("table11", "Mean Minimum Effective Sampling Intervals for INTERF (8 processors)", minIntervalTable(water, "INTERF", table11)),
+		experiment("table12", "Mean Minimum Effective Sampling Intervals for POTENG (8 processors)", minIntervalTable(water, "POTENG", table12)),
+		experiment("table13", "Mean Execution Times for Varying Intervals, INTERF (8 processors, virtual seconds)", intervalGrid(water, "INTERF", table13)),
+		experiment("table14", "Mean Execution Times for Varying Intervals, POTENG (8 processors, virtual seconds)", intervalGrid(water, "POTENG", table14)),
+		experiment("figure3", "Feasible Region for Production Interval P", figure3),
+		experiment("eq9", "Optimal Production Interval (eq. 9)", eq9),
+		experiment("string", "Execution Times for String (virtual seconds)", timesTable(apps.NameString, stringTimes)),
+		experiment("ablation-async", "Synchronous vs Asynchronous Switching (Water, 8 procs)", ablationAsync),
+		experiment("ablation-cutoff", "Early Cut-Off and Policy Ordering (Barnes-Hut, 8 procs)", ablationCutoff),
+		experiment("ablation-span", "Intervals Spanning Section Executions (§4.4 extension)", ablationSpan),
+		experiment("ablation-instr", "Instrumentation Overhead (Barnes-Hut, 8 procs)", ablationInstr),
+		experiment("ablation-flags", "Multi-Version vs Flag-Dispatch Code Generation (§4.2)", ablationFlags),
+		experiment("ablation-autotune", "Auto-Tuned Production Intervals (§5 at run time)", ablationAutoTune),
+		experiment("adapt-crossover", "Adaptivity: best-policy crossover under background contention (Water POTENG, 8 procs)", adaptCrossover),
+		experiment("adapt-ramp", "Adaptivity: gradual lock-cost drift (Water INTERF, 8 procs)", adaptRamp),
+		experiment("adapt-periodic", "Adaptivity: periodic contention bursts (Water INTERF, 8 procs)", adaptPeriodic),
+		experiment("adapt-skew", "Adaptivity: per-processor slowdown, stolen cycles (Barnes-Hut FORCES, 8 procs)", adaptSkew),
 	}
 }
 
@@ -456,9 +516,9 @@ func Experiments() []Experiment {
 // full-scale tiers are too slow to ride in it.
 func Tiers() []Experiment {
 	return []Experiment{
-		{"sampling", "Tier: sampled simulation vs exhaustive ground truth", Sampling},
-		{"policies-search", "Tier: generated policy space, representative-set search", PoliciesSearch},
-		{"policies-duels", "Tier: round-robin vs bandit controller over the generated policy space", PoliciesDuels},
+		experiment("sampling", fmt.Sprintf("Sampled simulation vs exhaustive ground truth (%s, %d procs, 95%% intervals)", samplingPolicy, samplingProcs), samplingTier),
+		experiment("policies-search", fmt.Sprintf("Generated policy space: representative-set search (%d procs)", searchProcs), policiesSearch),
+		experiment("policies-duels", fmt.Sprintf("Generated policy space: round-robin vs bandit controller duels (%d procs)", searchProcs), policiesDuels),
 	}
 }
 
