@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,14 +24,15 @@ type namedSource struct {
 // 0 when every program is clean (informational findings allowed), 1 when
 // any diagnostic of warning or error severity fired, 2 on usage or internal
 // errors.
-func runVet(args []string) int {
+func runVet(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("oblc vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	app := fs.String("app", "", "vet a bundled application (barneshut, water, string)")
 	all := fs.Bool("all", false, "vet the bundled apps, examples/*.obl, and the docs/obl.md listings")
 	asJSON := fs.Bool("json", false, "print diagnostics as JSON")
 	sarifOut := fs.String("sarif", "", "also write a SARIF 2.1.0 report to this file")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: oblc vet [-json] [-sarif report.sarif] file.obl... | -app name | -all")
+		fmt.Fprintln(stderr, "usage: oblc vet [-json] [-sarif report.sarif] file.obl... | -app name | -all")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -43,13 +45,13 @@ func runVet(args []string) int {
 		var err error
 		sources, err = collectAll(".")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "oblc vet:", err)
+			fmt.Fprintln(stderr, "oblc vet:", err)
 			return 2
 		}
 	case *app != "":
 		src, err := apps.Source(*app)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "oblc vet:", err)
+			fmt.Fprintln(stderr, "oblc vet:", err)
 			return 2
 		}
 		sources = append(sources, namedSource{Name: "app:" + *app, Src: src})
@@ -57,7 +59,7 @@ func runVet(args []string) int {
 		for _, path := range fs.Args() {
 			data, err := os.ReadFile(path)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "oblc vet:", err)
+				fmt.Fprintln(stderr, "oblc vet:", err)
 				return 2
 			}
 			sources = append(sources, namedSource{Name: path, Src: string(data)})
@@ -69,38 +71,38 @@ func runVet(args []string) int {
 
 	diags, err := vetSources(sources)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "oblc vet:", err)
+		fmt.Fprintln(stderr, "oblc vet:", err)
 		return 2
 	}
 
 	if *sarifOut != "" {
 		f, err := os.Create(*sarifOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "oblc vet:", err)
+			fmt.Fprintln(stderr, "oblc vet:", err)
 			return 2
 		}
 		if err := analysis.RenderSARIF(f, diags); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, "oblc vet:", err)
+			fmt.Fprintln(stderr, "oblc vet:", err)
 			return 2
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "oblc vet:", err)
+			fmt.Fprintln(stderr, "oblc vet:", err)
 			return 2
 		}
 	}
 	if *asJSON {
-		if err := analysis.RenderJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "oblc vet:", err)
+		if err := analysis.RenderJSON(stdout, diags); err != nil {
+			fmt.Fprintln(stderr, "oblc vet:", err)
 			return 2
 		}
 	} else {
-		if err := analysis.RenderText(os.Stdout, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "oblc vet:", err)
+		if err := analysis.RenderText(stdout, diags); err != nil {
+			fmt.Fprintln(stderr, "oblc vet:", err)
 			return 2
 		}
 		if analysis.MaxSeverity(diags) < analysis.Warning {
-			fmt.Printf("oblc vet: %d program(s) clean\n", len(sources))
+			fmt.Fprintf(stdout, "oblc vet: %d program(s) clean\n", len(sources))
 		}
 	}
 	if analysis.MaxSeverity(diags) >= analysis.Warning {

@@ -1,7 +1,8 @@
-// Package analysis is the static safety analyzer of the OBL compiler: a
-// reusable AST-level dataflow framework (per-method control-flow graphs and
-// a worklist fixed-point solver) with a lockset abstract domain, plus the
-// checkers built on top of it.
+// Package analysis is the static safety analyzer of the OBL compiler:
+// per-method control-flow graphs, a worklist solver for the must-lockset
+// dataflow over them, and the checkers that read its facts — one
+// interprocedural lock walk per policy view yields both the lock-coverage
+// and the lock-order findings — plus the lint and equivalence checkers.
 //
 // The centerpiece is translation validation of the synchronization
 // optimizer (internal/obl/syncopt): the compiler emits several
@@ -11,10 +12,11 @@
 // write (and conflicting read) of a shared object's field inside a
 // parallel section must be dominated by an acquire of that object's lock
 // (or the coarsened lock the policy substituted), every critical region
-// must release on every path, and every policy version must be
-// sync-stripped-equivalent to the Original. Lint checkers (dead fields and
-// functions via the call graph, unreachable statements, provably
-// thread-local regions) share the same framework and diagnostic model.
+// must release on every path, no version's acquires may admit a lock-order
+// cycle, and every policy version must be sync-stripped-equivalent to the
+// Original. Lint checkers (dead fields and functions via the call graph,
+// unreachable statements, provably thread-local regions) share the
+// diagnostic model.
 //
 // All checkers emit a unified Diagnostic model with stable codes, rendered
 // as text, JSON, or SARIF, and surfaced through the `oblc vet` subcommand.

@@ -41,29 +41,11 @@ func lintFields(info *sema.Info) []Diagnostic {
 			u.read = true
 		}
 	}
-	var walkExpr func(e ast.Expr)
-	walkExpr = func(e ast.Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *ast.FieldExpr:
-			record(e, false)
-			walkExpr(e.X)
-		case *ast.IndexExpr:
-			walkExpr(e.X)
-			walkExpr(e.Index)
-		case *ast.CallExpr:
-			walkExpr(e.Recv)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *ast.NewExpr:
-			walkExpr(e.Count)
-		case *ast.BinExpr:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *ast.UnExpr:
-			walkExpr(e.X)
+	read := func(e ast.Expr) bool {
+		if fe, ok := e.(*ast.FieldExpr); ok {
+			record(fe, false)
 		}
+		return true
 	}
 	for _, fi := range info.AllFuncs() {
 		ast.Inspect(fi.Decl.Body, func(s ast.Stmt) bool {
@@ -75,7 +57,7 @@ func lintFields(info *sema.Info) []Diagnostic {
 				}
 			}
 			for _, e := range exprs {
-				walkExpr(e)
+				ast.InspectExpr(e, read)
 			}
 			return true
 		})

@@ -11,138 +11,50 @@ import (
 	"repro/internal/obl/token"
 )
 
-// lockFact is the must-lockset abstract value: the set of locks held on
-// every path to a program point. Locks are identified by the canonical
-// source text of their object expression (ast.ExprString); each entry also
-// remembers the local variables its expression mentions, so assignments to
-// those variables kill the entry.
-type lockFact struct {
-	univ  bool // unreachable / uninitialized: holds every lock
-	held  map[string]bool
-	mVars map[string]map[string]bool // canon -> mentioned variable names
-}
-
-func (f lockFact) clone() lockFact {
-	out := lockFact{univ: f.univ, held: map[string]bool{}, mVars: map[string]map[string]bool{}}
-	for k := range f.held {
-		out.held[k] = true
-		out.mVars[k] = f.mVars[k]
-	}
-	return out
-}
-
-type locksLattice struct{}
-
-func (locksLattice) Top() lockFact { return lockFact{univ: true} }
-
-func (locksLattice) Meet(a, b lockFact) lockFact {
-	if a.univ {
-		return b
-	}
-	if b.univ {
-		return a
-	}
-	out := lockFact{held: map[string]bool{}, mVars: map[string]map[string]bool{}}
-	for k := range a.held {
-		if b.held[k] {
-			out.held[k] = true
-			out.mVars[k] = a.mVars[k]
-		}
-	}
-	return out
-}
-
-func (locksLattice) Equal(a, b lockFact) bool {
-	if a.univ != b.univ {
-		return false
-	}
-	if len(a.held) != len(b.held) {
-		return false
-	}
-	for k := range a.held {
-		if !b.held[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// kill removes entries whose expression mentions the assigned variable.
-func (f *lockFact) kill(name string) {
-	for k, vars := range f.mVars {
-		if vars[name] {
-			delete(f.held, k)
-			delete(f.mVars, k)
-		}
-	}
-}
-
-func exprVars(e ast.Expr) map[string]bool {
-	out := map[string]bool{}
-	var walk func(ast.Expr)
-	walk = func(e ast.Expr) {
-		switch e := e.(type) {
-		case *ast.Ident:
-			out[e.Name] = true
-		case *ast.ThisExpr:
-			out["this"] = true
-		case *ast.FieldExpr:
-			walk(e.X)
-		case *ast.IndexExpr:
-			walk(e.X)
-			walk(e.Index)
-		case *ast.BinExpr:
-			walk(e.L)
-			walk(e.R)
-		case *ast.UnExpr:
-			walk(e.X)
-		}
-	}
-	walk(e)
-	return out
-}
-
-// coverageChecker validates lock coverage for one parallel section of one
-// policy view of a program.
-type coverageChecker struct {
-	info    *sema.Info
-	cg      *callgraph.Graph
-	policy  string
-	section string
+// lockChecker walks the parallel sections of one policy view once, solving
+// the must-lockset dataflow of each body in each calling context, and
+// reads two kinds of finding off the solved facts: lock coverage
+// (OBL-E100–E102) as it goes, and lock-order edges for the cycle check
+// (OBL-E104, lockorder.go) at the end.
+type lockChecker struct {
+	info   *sema.Info
+	cg     *callgraph.Graph
+	policy string
 	// active reports whether a region acquires its lock under this view
 	// (always true for per-policy clones; flag-vector lookup for the
 	// flag-dispatch program).
 	active func(*ast.SyncBlock) bool
-	// written is the set of "Class.field" keys updated anywhere in the
-	// section's extent; reads of these fields conflict with the writes.
+	// Per parallel loop: its section, the "Class.field" keys updated
+	// anywhere in its extent (reads of these conflict with the writes),
+	// and the (callee, entry) contexts already walked.
+	section string
 	written map[string]bool
 	memo    map[string]bool
+	edges   map[[2]string]orderEdge // first example per (from, to) class pair
 	diags   []Diagnostic
 }
 
-// CheckCoverage runs lock-coverage translation validation over every
-// parallel section of a policy program: each shared field write (and each
-// read conflicting with a section write) must execute while the object's
-// lock — under the view's active regions — is held, and no path may leave a
-// function while still holding a lock. policy labels the diagnostics;
-// active selects the regions that really acquire under this view (nil
-// means all of them).
-func CheckCoverage(prog *ast.Program, info *sema.Info, policy string, active func(*ast.SyncBlock) bool) []Diagnostic {
+// checkLocks validates the locking of every parallel section of one policy
+// view: each shared field write (and each read conflicting with a section
+// write) must execute while the object's lock — under the view's active
+// regions — is held, no path may leave a function still holding a lock it
+// acquired, and the view's acquires must admit one global lock order.
+// policy labels the diagnostics; active selects the regions that really
+// acquire under this view (nil means all of them).
+func checkLocks(prog *ast.Program, info *sema.Info, policy string, active func(*ast.SyncBlock) bool) []Diagnostic {
 	if active == nil {
 		active = func(*ast.SyncBlock) bool { return true }
 	}
-	cg := callgraph.Build(info)
-	var diags []Diagnostic
+	c := &lockChecker{
+		info: info, cg: callgraph.Build(info), policy: policy, active: active,
+		edges: map[[2]string]orderEdge{},
+	}
 	forEachParallelLoop(prog, func(loop *ast.ForStmt) {
-		c := &coverageChecker{
-			info: info, cg: cg, policy: policy, section: loop.Section,
-			active: active, memo: map[string]bool{},
-		}
+		c.section, c.memo = loop.Section, map[string]bool{}
 		c.written = c.extentWrites(loop)
 		c.checkBody(loop.Body, nil, loop.Var)
-		diags = append(diags, c.diags...)
 	})
-	return diags
+	return append(c.diags, c.reportCycles()...)
 }
 
 // forEachParallelLoop visits every parallel loop of the program.
@@ -168,7 +80,7 @@ func forEachParallelLoop(prog *ast.Program, fn func(*ast.ForStmt)) {
 // extentWrites collects the "Class.field" keys written anywhere in the
 // section's extent: the loop body plus every function reachable from its
 // calls.
-func (c *coverageChecker) extentWrites(loop *ast.ForStmt) map[string]bool {
+func (c *lockChecker) extentWrites(loop *ast.ForStmt) map[string]bool {
 	out := map[string]bool{}
 	collect := func(s ast.Stmt) {
 		ast.Inspect(s, func(s ast.Stmt) bool {
@@ -199,60 +111,72 @@ func (c *coverageChecker) extentWrites(loop *ast.ForStmt) map[string]bool {
 
 // fieldKey returns "Class.field" for a field expression, or "" when the
 // base type is unknown.
-func (c *coverageChecker) fieldKey(e *ast.FieldExpr) string {
+func (c *lockChecker) fieldKey(e *ast.FieldExpr) string {
 	if cl, ok := c.info.ExprType[e.X].(sema.Class); ok {
 		return cl.Info.Name + "." + e.Name
 	}
 	return ""
 }
 
-// checkBody analyzes one body (the section loop body, or a callee body in
-// a calling context). entry lists the lock canons held on entry, already
-// expressed in the body's own terms; loopVar, when non-empty, is the
-// induction variable of the parallel loop (array element writes indexed by
-// it are per-iteration disjoint).
-func (c *coverageChecker) checkBody(body *ast.Block, entry []string, loopVar string) {
+// checkBody walks one body (the section loop body, or a callee body in a
+// calling context). entry lists the locks held on entry, named in the
+// body's own terms; loopVar, when non-empty, is the induction variable of
+// the parallel loop (array element writes indexed by it are per-iteration
+// disjoint).
+func (c *lockChecker) checkBody(body *ast.Block, entry []entryLock, loopVar string) {
 	g := BuildCFG(body)
 	fresh := freshLocals(body)
 
-	entryHeld := map[string]bool{}
-	for _, name := range entry {
-		entryHeld[name] = true
+	ent := lockFact{held: map[string]bool{}, mVars: map[string]map[string]bool{}}
+	classByCanon := map[string]string{}
+	for _, el := range entry {
+		ent.held[el.name] = true
+		ent.mVars[el.name] = map[string]bool{el.name: true}
+		classByCanon[el.name] = el.class
 	}
-	in := solveMustLocksets(g, entry, c.active)
+	// Held canons resolve to their class through the entry classes or, for
+	// locks this body acquires, the type of the lock expression.
+	for _, n := range g.Nodes {
+		if n.Kind == NodeAcquire {
+			canon := ast.ExprString(n.Sync.Lock)
+			if _, ok := classByCanon[canon]; !ok {
+				classByCanon[canon] = c.classOf(n.Sync.Lock)
+			}
+		}
+	}
+	in := solve(g, ent, c.active)
 
-	// Reporting pass over the solved facts.
 	for i, n := range g.Nodes {
 		fact := in[i]
 		if fact.univ {
 			continue // unreachable; the lint checker reports it
 		}
-		if n.Kind == NodeStmt {
-			if ret, ok := n.Stmt.(*ast.ReturnStmt); ok {
-				// Only locks acquired in this body leak on return: locks
-				// inherited from the calling context stay held across the
-				// call and release in the caller.
-				var leaked []string
-				for k := range fact.held {
-					if !entryHeld[k] {
-						leaked = append(leaked, k)
-					}
-				}
-				if len(leaked) > 0 {
-					sort.Strings(leaked)
-					c.report(ret.P, Error, CodeLockLeak, fmt.Sprintf(
-						"return while holding lock on %s: the critical region never releases on this path",
-						strings.Join(leaked, ", ")))
+		if n.Kind == NodeAcquire && c.active(n.Sync) {
+			c.orderAcquire(n.Sync, fact, classByCanon)
+		}
+		switch s := n.Stmt.(type) {
+		case *ast.ReturnStmt:
+			// Only locks acquired in this body leak on return: locks
+			// inherited from the calling context stay held across the call
+			// and release in the caller.
+			var leaked []string
+			for _, k := range heldNames(fact) {
+				if !ent.held[k] {
+					leaked = append(leaked, k)
 				}
 			}
-			if as, ok := n.Stmt.(*ast.AssignStmt); ok {
-				c.checkWrite(as, fact, fresh, loopVar)
+			if len(leaked) > 0 {
+				c.report(s.P, CodeLockLeak, fmt.Sprintf(
+					"return while holding lock on %s: the critical region never releases on this path",
+					strings.Join(leaked, ", ")))
 			}
+		case *ast.AssignStmt:
+			c.checkWrite(s, fact, fresh, loopVar)
 		}
 		for _, e := range nodeExprs(n) {
 			c.checkReads(e, writeTarget(n), fact, fresh)
 			callgraph.WalkExprCalls(e, func(call *ast.CallExpr) {
-				c.enterCall(call, fact)
+				c.enterCall(call, fact, classByCanon)
 			})
 		}
 	}
@@ -279,17 +203,16 @@ func nodeExprs(n *Node) []ast.Expr {
 }
 
 // checkWrite validates one assignment's target under the held lockset.
-func (c *coverageChecker) checkWrite(as *ast.AssignStmt, fact lockFact, fresh map[string]bool, loopVar string) {
+func (c *lockChecker) checkWrite(as *ast.AssignStmt, fact lockFact, fresh map[string]bool, loopVar string) {
 	switch lhs := as.LHS.(type) {
 	case *ast.FieldExpr:
 		canon := ast.ExprString(lhs.X)
 		if fresh[canon] || fact.held[canon] {
 			return
 		}
-		key := c.fieldKey(lhs)
-		c.report(as.P, Error, CodeUncoveredWrite, fmt.Sprintf(
+		c.report(as.P, CodeUncoveredWrite, fmt.Sprintf(
 			"write to %s (field %s) in parallel section %s is not covered by a lock on %s%s",
-			ast.ExprString(lhs), key, c.section, canon, heldSuffix(fact)))
+			ast.ExprString(lhs), c.fieldKey(lhs), c.section, canon, heldSuffix(fact)))
 	case *ast.IndexExpr:
 		canon := ast.ExprString(lhs.X)
 		if fresh[canon] {
@@ -298,10 +221,10 @@ func (c *coverageChecker) checkWrite(as *ast.AssignStmt, fact lockFact, fresh ma
 		// a[i] = e with i the parallel induction variable touches a distinct
 		// element per iteration; any other shared element write is a race no
 		// lock can cover (arrays carry no locks).
-		if loopVar != "" && exprVars(lhs.Index)[loopVar] {
+		if loopVar != "" && ast.Vars(lhs.Index)[loopVar] {
 			return
 		}
-		c.report(as.P, Error, CodeUncoveredWrite, fmt.Sprintf(
+		c.report(as.P, CodeUncoveredWrite, fmt.Sprintf(
 			"unsynchronized array element write to %s in parallel section %s (element index is not the section's induction variable)",
 			ast.ExprString(lhs), c.section))
 	}
@@ -309,71 +232,66 @@ func (c *coverageChecker) checkWrite(as *ast.AssignStmt, fact lockFact, fresh ma
 
 // checkReads reports reads of section-written fields performed without the
 // object's lock. skip is the statement's own write target.
-func (c *coverageChecker) checkReads(e ast.Expr, skip *ast.FieldExpr, fact lockFact, fresh map[string]bool) {
-	var walk func(ast.Expr)
-	walk = func(e ast.Expr) {
-		switch e := e.(type) {
-		case *ast.FieldExpr:
-			walk(e.X)
-			if e == skip {
-				return
-			}
-			key := c.fieldKey(e)
-			if key == "" || !c.written[key] {
-				return
-			}
-			canon := ast.ExprString(e.X)
-			if fresh[canon] || fact.held[canon] {
-				return
-			}
-			c.report(e.P, Error, CodeUncoveredRead, fmt.Sprintf(
-				"read of %s conflicts with writes of field %s in parallel section %s and is not covered by a lock on %s%s",
-				ast.ExprString(e), key, c.section, canon, heldSuffix(fact)))
-		case *ast.IndexExpr:
-			walk(e.X)
-			walk(e.Index)
-		case *ast.CallExpr:
-			if e.Recv != nil {
-				walk(e.Recv)
-			}
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *ast.NewExpr:
-			if e.Count != nil {
-				walk(e.Count)
-			}
-		case *ast.BinExpr:
-			walk(e.L)
-			walk(e.R)
-		case *ast.UnExpr:
-			walk(e.X)
+func (c *lockChecker) checkReads(e ast.Expr, skip *ast.FieldExpr, fact lockFact, fresh map[string]bool) {
+	ast.InspectExpr(e, func(e ast.Expr) bool {
+		fe, ok := e.(*ast.FieldExpr)
+		if !ok || fe == skip {
+			return true
 		}
-	}
-	walk(e)
+		key := c.fieldKey(fe)
+		canon := ast.ExprString(fe.X)
+		if key == "" || !c.written[key] || fresh[canon] || fact.held[canon] {
+			return true
+		}
+		c.report(fe.P, CodeUncoveredRead, fmt.Sprintf(
+			"read of %s conflicts with writes of field %s in parallel section %s and is not covered by a lock on %s%s",
+			ast.ExprString(fe), key, c.section, canon, heldSuffix(fact)))
+		return true
+	})
 }
 
-// enterCall analyzes a callee in the context of the caller's held locks:
-// each held lock whose canon names the receiver or an argument enters the
-// callee's lockset under the corresponding formal ("this" or the parameter
-// name). Analyses are memoized per (callee, entry lockset); recursion
-// terminates through the memo.
-func (c *coverageChecker) enterCall(call *ast.CallExpr, fact lockFact) {
+// enterCall walks a callee in the calling context of one call: each held
+// lock whose canon names the receiver or an argument enters the callee
+// under the corresponding formal ("this" or the parameter name), and the
+// rest stay held under a callerHeld name, so an acquire in the callee is
+// still ordered after them. Each entry lock keeps its class. Walks are
+// memoized per (callee, entry) within a section; recursion terminates
+// through the memo.
+func (c *lockChecker) enterCall(call *ast.CallExpr, fact lockFact, classByCanon map[string]string) {
 	target, ok := c.info.CallTarget[call]
 	if !ok {
 		return // extern or builtin: no body, no synchronization
 	}
-	var entry []string
-	if call.Recv != nil && fact.held[ast.ExprString(call.Recv)] {
-		entry = append(entry, "this")
-	}
-	for i, a := range call.Args {
-		if i < len(target.Decl.Params) && fact.held[ast.ExprString(a)] {
-			entry = append(entry, target.Decl.Params[i].Name)
+	var entry []entryLock
+	passed := map[string]bool{}
+	pass := func(e ast.Expr, formal string) {
+		if canon := ast.ExprString(e); fact.held[canon] {
+			entry = append(entry, entryLock{name: formal, class: classByCanon[canon]})
+			passed[canon] = true
 		}
 	}
-	sort.Strings(entry)
-	key := target.FullName() + "\x00" + strings.Join(entry, ",")
+	if call.Recv != nil {
+		pass(call.Recv, "this")
+	}
+	for i, a := range call.Args {
+		if i < len(target.Decl.Params) {
+			pass(a, target.Decl.Params[i].Name)
+		}
+	}
+	for canon := range fact.held {
+		if !passed[canon] {
+			name := callerHeld + strings.TrimPrefix(canon, callerHeld)
+			entry = append(entry, entryLock{name: name, class: classByCanon[canon]})
+		}
+	}
+	sort.Slice(entry, func(i, j int) bool {
+		return entry[i].name < entry[j].name || entry[i].name == entry[j].name && entry[i].class < entry[j].class
+	})
+	parts := make([]string, len(entry))
+	for i, el := range entry {
+		parts[i] = el.name + "=" + el.class
+	}
+	key := target.FullName() + "\x00" + strings.Join(parts, ",")
 	if c.memo[key] {
 		return
 	}
@@ -381,9 +299,9 @@ func (c *coverageChecker) enterCall(call *ast.CallExpr, fact lockFact) {
 	c.checkBody(target.Decl.Body, entry, "")
 }
 
-func (c *coverageChecker) report(pos token.Pos, sev Severity, code, msg string) {
+func (c *lockChecker) report(pos token.Pos, code, msg string) {
 	c.diags = append(c.diags, Diagnostic{
-		Pos: pos, Severity: sev, Code: code, Message: msg, Policy: c.policy,
+		Pos: pos, Severity: Error, Code: code, Message: msg, Policy: c.policy,
 	})
 }
 
@@ -397,11 +315,19 @@ func heldNames(f lockFact) []string {
 	return names
 }
 
+// heldSuffix lists the held locks a coverage message can point to: those
+// the body can name, not the ones its callers hold.
 func heldSuffix(f lockFact) string {
-	if len(f.held) == 0 {
+	var names []string
+	for _, k := range heldNames(f) {
+		if !strings.HasPrefix(k, callerHeld) {
+			names = append(names, k)
+		}
+	}
+	if len(names) == 0 {
 		return " (no locks held)"
 	}
-	return fmt.Sprintf(" (held: %s)", strings.Join(heldNames(f), ", "))
+	return fmt.Sprintf(" (held: %s)", strings.Join(names, ", "))
 }
 
 // freshLocals finds strictly thread-local variables of a body: declared
@@ -423,41 +349,25 @@ func freshLocals(body *ast.Block) map[string]bool {
 		return candidate
 	}
 
-	// use walks an expression: any bare identifier occurrence in value
-	// position escapes and disqualifies its candidate; identifiers that are
+	// use visits an expression: any bare identifier occurrence in value
+	// position escapes and disqualifies its candidate, receivers and
+	// arguments included (the callee may store them); identifiers that are
 	// only the base of a field or element access do not.
-	var use func(ast.Expr)
-	use = func(e ast.Expr) {
+	var use func(ast.Expr) bool
+	use = func(e ast.Expr) bool {
 		switch e := e.(type) {
 		case *ast.Ident:
 			delete(candidate, e.Name)
 		case *ast.FieldExpr:
-			if _, isIdent := e.X.(*ast.Ident); !isIdent {
-				use(e.X)
-			}
+			_, base := e.X.(*ast.Ident)
+			return !base
 		case *ast.IndexExpr:
-			if _, isIdent := e.X.(*ast.Ident); !isIdent {
-				use(e.X)
+			if _, base := e.X.(*ast.Ident); base {
+				ast.InspectExpr(e.Index, use)
+				return false
 			}
-			use(e.Index)
-		case *ast.CallExpr:
-			// Receivers and arguments escape: the callee may store them.
-			if e.Recv != nil {
-				use(e.Recv)
-			}
-			for _, a := range e.Args {
-				use(a)
-			}
-		case *ast.NewExpr:
-			if e.Count != nil {
-				use(e.Count)
-			}
-		case *ast.BinExpr:
-			use(e.L)
-			use(e.R)
-		case *ast.UnExpr:
-			use(e.X)
 		}
+		return true
 	}
 	ast.Inspect(body, func(s ast.Stmt) bool {
 		if _, ok := s.(*ast.SyncBlock); ok {
@@ -466,7 +376,7 @@ func freshLocals(body *ast.Block) map[string]bool {
 		// Assigning to a candidate uses it bare, which breaks
 		// single-assignment; its own initializer uses only the array length.
 		for _, e := range ast.Operands(s) {
-			use(e)
+			ast.InspectExpr(e, use)
 		}
 		return true
 	})

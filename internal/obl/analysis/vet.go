@@ -111,11 +111,10 @@ func BuildUnit(src string) (*Unit, []Diagnostic, error) {
 // Validate runs every checker over the unit and returns the sorted,
 // deduplicated findings:
 //
-//   - lock-coverage translation validation of each policy clone and of each
-//     policy's view of the flag-dispatch program (OBL-E100/E101/E102),
-//   - static deadlock analysis of the same views: per-version lock-order
-//     graphs from the must-lockset dataflow with cycle detection
-//     (OBL-E104),
+//   - one must-lockset walk of each policy clone and of each policy's view
+//     of the flag-dispatch program, yielding lock-coverage translation
+//     validation (OBL-E100/E101/E102) and static deadlock analysis:
+//     per-version lock-order graphs with cycle detection (OBL-E104),
 //   - sync-stripped equivalence of every variant against the base
 //     (OBL-E103),
 //   - the lint checkers on the base program (OBL-W200/W201/W202, OBL-I301),
@@ -133,8 +132,7 @@ func (u *Unit) Validate() []Diagnostic {
 			}
 			continue
 		}
-		diags = append(diags, CheckCoverage(pu.Prog, info, string(pu.Policy), nil)...)
-		diags = append(diags, CheckLockOrder(pu.Prog, info, string(pu.Policy), nil)...)
+		diags = append(diags, checkLocks(pu.Prog, info, string(pu.Policy), nil)...)
 		diags = append(diags, CheckEquivalence(pu.Prog, u.Base, string(pu.Policy))...)
 		if pu.Policy == syncopt.Original {
 			diags = append(diags, ReportOpportunities(pu.Prog)...)
@@ -152,8 +150,7 @@ func (u *Unit) Validate() []Diagnostic {
 			for _, policy := range syncopt.AllPolicies {
 				p := policy
 				active := func(sb *ast.SyncBlock) bool { return u.Flags.ActiveFor(sb.Site, p) }
-				diags = append(diags, CheckCoverage(u.Flagged, finfo, "flagged:"+string(p), active)...)
-				diags = append(diags, CheckLockOrder(u.Flagged, finfo, "flagged:"+string(p), active)...)
+				diags = append(diags, checkLocks(u.Flagged, finfo, "flagged:"+string(p), active)...)
 			}
 			diags = append(diags, CheckEquivalence(u.Flagged, u.Base, "flagged")...)
 		}

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -175,4 +177,38 @@ func TestVetFlagsMiscompiledGeneratedVersion(t *testing.T) {
 	if !found {
 		t.Fatalf("elided region in generated version %s not flagged OBL-E100", gen.Policy)
 	}
+}
+
+// FuzzVet feeds Vet what `oblc vet` reads from files, seeded with the
+// corpus: it must never panic, and two vets of one source must render the
+// same findings (or fail the same way). Run with -fuzz=FuzzVet to explore;
+// the seeds run as part of the regular test suite.
+func FuzzVet(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.obl"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("corpus not found: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		render := func() string {
+			diags, err := Vet(src)
+			if err != nil {
+				return "vet failed: " + err.Error()
+			}
+			var b strings.Builder
+			if err := RenderText(&b, diags); err != nil {
+				t.Fatal(err)
+			}
+			return b.String()
+		}
+		if first, second := render(), render(); first != second {
+			t.Errorf("two vets of one source differ:\n%s--- then\n%s", first, second)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 // Package ast defines the abstract syntax tree of OBL and utilities over
-// it (cloning for per-policy program variants, a read-only statement
-// walker, and a printer).
+// it (cloning for per-policy program variants, a printer, and the
+// read-only walkers: Inspect over statements, Operands for the expressions
+// a statement evaluates, InspectExpr over expressions, and Vars for the
+// variables an expression mentions).
 //
 // The tree also carries the results of the compiler's analyses and
 // transformations: sema attaches resolved types, the commutativity analysis

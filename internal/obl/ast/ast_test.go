@@ -2,6 +2,7 @@ package ast
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -192,6 +193,74 @@ func TestInspectAndOperandsReachEveryExpression(t *testing.T) {
 	for _, s := range []Stmt{&LetStmt{Name: "x"}, &ReturnStmt{}, &Block{}} {
 		if ops := Operands(s); len(ops) != 0 {
 			t.Errorf("Operands(%T) = %v, want none", s, ops)
+		}
+	}
+}
+
+// TestInspectExprVisitsEveryOperandInPreOrder: one expression of every kind,
+// with every operand position filled, is visited parent first and operands
+// left to right; returning false skips exactly the operands, and absent
+// operands visit nothing.
+func TestInspectExprVisitsEveryOperandInPreOrder(t *testing.T) {
+	e := &BinExpr{Op: token.Plus,
+		L: &CallExpr{Recv: &FieldExpr{X: &ThisExpr{}, Name: "o"}, Name: "m", Args: []Expr{
+			&IndexExpr{X: &Ident{Name: "a"}, Index: &IntLit{Val: 1}},
+			&NewExpr{Type: &PrimType{Name: "float"}, Count: &UnExpr{Op: token.Minus, X: &FloatLit{Val: 2}}},
+			&BoolLit{Val: true},
+		}},
+		R: &Ident{Name: "b"},
+	}
+	visit := func(stop string) string {
+		var kinds []string
+		InspectExpr(e, func(e Expr) bool {
+			kind := strings.TrimPrefix(fmt.Sprintf("%T", e), "*ast.")
+			kinds = append(kinds, kind)
+			return kind != stop
+		})
+		return strings.Join(kinds, " ")
+	}
+	want := "BinExpr CallExpr FieldExpr ThisExpr IndexExpr Ident IntLit NewExpr UnExpr FloatLit BoolLit Ident"
+	if got := visit(""); got != want {
+		t.Errorf("visit order:\n got %s\nwant %s", got, want)
+	}
+	if got := visit("CallExpr"); got != "BinExpr CallExpr Ident" {
+		t.Errorf("false did not skip the call's operands: %s", got)
+	}
+
+	count := func(e Expr) int {
+		n := 0
+		InspectExpr(e, func(Expr) bool { n++; return true })
+		return n
+	}
+	if n := count(nil); n != 0 {
+		t.Errorf("InspectExpr(nil) visited %d expressions", n)
+	}
+	for _, e := range []Expr{&CallExpr{Name: "g"}, &NewExpr{Type: &ClassType{Name: "C"}}} {
+		if n := count(e); n != 1 {
+			t.Errorf("InspectExpr(%s) visited %d expressions, want 1", ExprString(e), n)
+		}
+	}
+}
+
+// TestVars: the variables an expression mentions, not looking inside calls
+// or allocations.
+func TestVars(t *testing.T) {
+	for _, tc := range []struct {
+		e    Expr
+		want string
+	}{
+		{&FieldExpr{X: &IndexExpr{X: &Ident{Name: "a"},
+			Index: &CallExpr{Name: "f", Args: []Expr{&Ident{Name: "i"}}}}, Name: "g"}, "a"},
+		{&NewExpr{Type: &PrimType{Name: "int"}, Count: &Ident{Name: "k"}}, ""},
+		{&IndexExpr{X: &FieldExpr{X: &ThisExpr{}, Name: "f"}, Index: &Ident{Name: "j"}}, "j this"},
+	} {
+		var names []string
+		for name := range Vars(tc.e) {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		if got := strings.Join(names, " "); got != tc.want {
+			t.Errorf("Vars(%s) = {%s}, want {%s}", ExprString(tc.e), got, tc.want)
 		}
 	}
 }

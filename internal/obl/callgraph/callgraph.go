@@ -77,29 +77,15 @@ func WalkCalls(s ast.Stmt, f func(*ast.CallExpr)) {
 	})
 }
 
-// WalkExprCalls visits every call expression in an expression tree.
+// WalkExprCalls visits every call expression in an expression tree, in
+// pre-order.
 func WalkExprCalls(e ast.Expr, f func(*ast.CallExpr)) {
-	switch e := e.(type) {
-	case nil:
-	case *ast.FieldExpr:
-		WalkExprCalls(e.X, f)
-	case *ast.IndexExpr:
-		WalkExprCalls(e.X, f)
-		WalkExprCalls(e.Index, f)
-	case *ast.CallExpr:
-		f(e)
-		WalkExprCalls(e.Recv, f)
-		for _, a := range e.Args {
-			WalkExprCalls(a, f)
+	ast.InspectExpr(e, func(e ast.Expr) bool {
+		if call, ok := e.(*ast.CallExpr); ok {
+			f(call)
 		}
-	case *ast.NewExpr:
-		WalkExprCalls(e.Count, f)
-	case *ast.BinExpr:
-		WalkExprCalls(e.L, f)
-		WalkExprCalls(e.R, f)
-	case *ast.UnExpr:
-		WalkExprCalls(e.X, f)
-	}
+		return true
+	})
 }
 
 // Succs returns the direct callees of the named function, sorted.

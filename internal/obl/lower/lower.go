@@ -692,72 +692,25 @@ func (f *fn) parallelFor(s *ast.ForStmt) error {
 func (f *fn) freeVars(s *ast.ForStmt) []string {
 	declared := map[string]bool{s.Var: true}
 	used := map[string]bool{}
-	var walkStmt func(st ast.Stmt)
-	var walkExpr func(e ast.Expr)
-	walkExpr = func(e ast.Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *ast.Ident:
-			if f.info.RefKinds[e] == sema.RefLocal && !declared[e.Name] {
-				used[e.Name] = true
-			}
-		case *ast.FieldExpr:
-			walkExpr(e.X)
-		case *ast.IndexExpr:
-			walkExpr(e.X)
-			walkExpr(e.Index)
-		case *ast.CallExpr:
-			walkExpr(e.Recv)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *ast.NewExpr:
-			walkExpr(e.Count)
-		case *ast.BinExpr:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *ast.UnExpr:
-			walkExpr(e.X)
+	ast.Inspect(s.Body, func(st ast.Stmt) bool {
+		for _, e := range ast.Operands(st) {
+			ast.InspectExpr(e, func(e ast.Expr) bool {
+				if id, ok := e.(*ast.Ident); ok && f.info.RefKinds[id] == sema.RefLocal && !declared[id.Name] {
+					used[id.Name] = true
+				}
+				return true
+			})
 		}
-	}
-	walkStmt = func(st ast.Stmt) {
+		// A declaration takes effect after its own operands: a let after
+		// its initializer, a loop variable after the bounds.
 		switch st := st.(type) {
-		case *ast.Block:
-			for _, s2 := range st.Stmts {
-				walkStmt(s2)
-			}
 		case *ast.LetStmt:
-			walkExpr(st.Init)
 			declared[st.Name] = true
-		case *ast.AssignStmt:
-			walkExpr(st.LHS)
-			walkExpr(st.RHS)
-		case *ast.ExprStmt:
-			walkExpr(st.X)
-		case *ast.IfStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Then)
-			if st.Else != nil {
-				walkStmt(st.Else)
-			}
-		case *ast.WhileStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Body)
 		case *ast.ForStmt:
-			walkExpr(st.Lo)
-			walkExpr(st.Hi)
 			declared[st.Var] = true
-			walkStmt(st.Body)
-		case *ast.ReturnStmt:
-			walkExpr(st.X)
-		case *ast.PrintStmt:
-			walkExpr(st.X)
-		case *ast.SyncBlock:
-			walkExpr(st.Lock)
-			walkStmt(st.Body)
 		}
-	}
-	walkStmt(s.Body)
+		return true
+	})
 	names := make([]string, 0, len(used))
 	for n := range used {
 		names = append(names, n)

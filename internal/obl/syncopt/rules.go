@@ -310,7 +310,7 @@ func (r *rewriter) calleeLock(v *view, fi *sema.FuncInfo) *lockTarget {
 			}
 		}
 	}
-	if lt == nil || assignsAny(body, idents(lock)) || !r.callsSyncFreeOutside(v, body) {
+	if lt == nil || assignsAny(body, ast.Vars(lock)) || !r.callsSyncFreeOutside(v, body) {
 		return nil
 	}
 	return lt
@@ -325,7 +325,7 @@ func (r *rewriter) liftableLock(v *view, loop ast.Stmt) ast.Expr {
 		return nil
 	}
 	lock := sharedLock(v, loop)
-	if lock == nil || !pureExpr(lock) || assignsAny(loop, idents(lock)) || !r.callsSyncFreeOutside(v, loop) {
+	if lock == nil || !pureExpr(lock) || assignsAny(loop, ast.Vars(lock)) || !r.callsSyncFreeOutside(v, loop) {
 		return nil
 	}
 	if v.params.BoundedCycles && r.reachesCycle(loop) {
@@ -355,7 +355,7 @@ func (r *rewriter) nextRegion(v *view, stmts []ast.Stmt, from int, lock ast.Expr
 // region on lock: it must be transitively synchronization-free and must
 // not assign any variable the lock expression mentions.
 func (r *rewriter) absorbable(v *view, s ast.Stmt, lock ast.Expr) bool {
-	return r.syncFree(v, s) && !assignsAny(s, idents(lock))
+	return r.syncFree(v, s) && !assignsAny(s, ast.Vars(lock))
 }
 
 // syncFree reports whether s contains no v-active region and calls only
@@ -455,32 +455,6 @@ func pureExpr(e ast.Expr) bool {
 		return pureExpr(e.X)
 	default:
 		return false
-	}
-}
-
-// idents returns the variables a pure expression mentions.
-func idents(e ast.Expr) map[string]bool {
-	out := map[string]bool{}
-	collectIdents(e, out)
-	return out
-}
-
-func collectIdents(e ast.Expr, out map[string]bool) {
-	switch e := e.(type) {
-	case *ast.Ident:
-		out[e.Name] = true
-	case *ast.ThisExpr:
-		out["this"] = true
-	case *ast.FieldExpr:
-		collectIdents(e.X, out)
-	case *ast.IndexExpr:
-		collectIdents(e.X, out)
-		collectIdents(e.Index, out)
-	case *ast.BinExpr:
-		collectIdents(e.L, out)
-		collectIdents(e.R, out)
-	case *ast.UnExpr:
-		collectIdents(e.X, out)
 	}
 }
 

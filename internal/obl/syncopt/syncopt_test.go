@@ -163,15 +163,14 @@ func TestPureExpr(t *testing.T) {
 	}
 }
 
-func TestCollectIdentsAndAssignsAny(t *testing.T) {
+func TestVarsAndAssignsAny(t *testing.T) {
 	e := &ast.FieldExpr{X: &ast.IndexExpr{
 		X:     &ast.Ident{Name: "arr"},
 		Index: &ast.Ident{Name: "i"},
 	}, Name: "f"}
-	vars := map[string]bool{}
-	collectIdents(e, vars)
+	vars := ast.Vars(e)
 	if !vars["arr"] || !vars["i"] || len(vars) != 2 {
-		t.Errorf("collectIdents = %v", vars)
+		t.Errorf("ast.Vars = %v", vars)
 	}
 	body := &ast.Block{Stmts: []ast.Stmt{
 		&ast.AssignStmt{LHS: &ast.Ident{Name: "i"}, RHS: &ast.IntLit{Val: 0}},
