@@ -442,6 +442,25 @@ func BenchParams(name string) map[string]int64 {
 	}
 }
 
+// ParamBounds returns the largest value each of the application's
+// parameters takes from outside the process (dfserved's /run). The bounds
+// sit well above every preset and keep a run's allocations and virtual
+// time finite: the sizes bound the arrays main allocates, the counts bound
+// the loops and the recursion, and the work amounts bound the virtual
+// time each work call charges.
+func ParamBounds(name string) map[string]int64 {
+	switch name {
+	case NameBarnesHut:
+		return map[string]int64{"nbodies": 1 << 16, "listlen": 4096, "interwork": 1e7, "npasses": 64, "serialwork": 1e7}
+	case NameWater:
+		return map[string]int64{"nmol": 8192, "nsteps": 64, "energydepth": 64, "serialwork": 1e7}
+	case NameString:
+		return map[string]int64{"gridside": 1024, "nrays": 1 << 16, "pathlen": 4096, "nrounds": 64, "serialwork": 1e7}
+	default:
+		return nil
+	}
+}
+
 // SectionNames returns the application's parallel section names in
 // execution order.
 func SectionNames(name string) []string {

@@ -21,8 +21,35 @@ func TestSourceLookup(t *testing.T) {
 	if _, err := Compile("nope"); err == nil {
 		t.Error("Compile of unknown app accepted")
 	}
-	if TestParams("nope") != nil || BenchParams("nope") != nil || SectionNames("nope") != nil {
+	if TestParams("nope") != nil || BenchParams("nope") != nil || SectionNames("nope") != nil || ParamBounds("nope") != nil {
 		t.Error("unknown app returned presets")
+	}
+}
+
+// TestParamBoundsCoverPresets requires a bound for every parameter an
+// application declares, and every preset within its bounds.
+func TestParamBoundsCoverPresets(t *testing.T) {
+	for _, n := range Names {
+		c, err := Compile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds := ParamBounds(n)
+		if len(bounds) != len(c.Parallel.ParamNames) {
+			t.Errorf("%s: bounds for %d parameters, the program declares %v", n, len(bounds), c.Parallel.ParamNames)
+		}
+		for _, name := range c.Parallel.ParamNames {
+			if _, ok := bounds[name]; !ok {
+				t.Errorf("%s: no bound for parameter %q", n, name)
+			}
+		}
+		for _, preset := range []map[string]int64{TestParams(n), LargeParams(n), BenchParams(n), c.Parallel.Params} {
+			for k, v := range preset {
+				if v > bounds[k] {
+					t.Errorf("%s: preset %s = %d exceeds its bound %d", n, k, v, bounds[k])
+				}
+			}
+		}
 	}
 }
 

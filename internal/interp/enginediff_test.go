@@ -3,6 +3,7 @@ package interp_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/obl/syncopt"
 	"repro/internal/perturb"
 	"repro/internal/simcache"
+	"repro/internal/simmach"
 	"repro/oblc"
 )
 
@@ -65,7 +67,9 @@ func assertEngineParity(t *testing.T, label string, prog *ir.Program, opts inter
 
 // TestEngineByteIdenticalMatrix covers every application in both the
 // multi-version and flag-dispatch builds, under each static policy and
-// under dynamic feedback, with race detection on.
+// under dynamic feedback, with race detection on and off. With it off the
+// VM takes uncontended releases ahead of the schedule, and the oracle
+// still yields before each one.
 func TestEngineByteIdenticalMatrix(t *testing.T) {
 	for _, name := range apps.Names {
 		c, err := apps.Compile(name)
@@ -78,11 +82,13 @@ func TestEngineByteIdenticalMatrix(t *testing.T) {
 		}{{"parallel", c.Parallel}, {"flagged", c.Flagged}}
 		for _, policy := range []string{"original", "bounded", "aggressive", interp.PolicyDynamic} {
 			for _, build := range builds {
-				label := fmt.Sprintf("%s %s/%s", name, build.label, policy)
-				assertEngineParity(t, label, build.prog, interp.Options{
-					Procs: 8, Policy: policy, DetectRaces: true,
-					Params: engineDiffParams[name],
-				})
+				for _, races := range []bool{true, false} {
+					label := fmt.Sprintf("%s %s/%s races=%v", name, build.label, policy, races)
+					assertEngineParity(t, label, build.prog, interp.Options{
+						Procs: 8, Policy: policy, DetectRaces: races,
+						Params: engineDiffParams[name],
+					})
+				}
 			}
 		}
 	}
@@ -90,8 +96,8 @@ func TestEngineByteIdenticalMatrix(t *testing.T) {
 
 // TestEngineByteIdenticalUnderPerturbation reruns the dynamic-feedback
 // cell of every application under each built-in environment-perturbation
-// scenario. Parity must hold whether or not the schedule's changes land
-// within the shortened run.
+// scenario, switching synchronously and asynchronously. Parity must hold
+// whether or not the schedule's changes land within the shortened run.
 func TestEngineByteIdenticalUnderPerturbation(t *testing.T) {
 	for _, scenario := range perturb.ScenarioNames() {
 		sched, ok := perturb.Scenario(scenario)
@@ -103,11 +109,13 @@ func TestEngineByteIdenticalUnderPerturbation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := fmt.Sprintf("%s under %s", name, scenario)
-			assertEngineParity(t, label, c.Parallel, interp.Options{
-				Procs: 8, Policy: interp.PolicyDynamic, AsyncSwitch: true,
-				Perturb: sched, Params: engineDiffParams[name],
-			})
+			for _, async := range []bool{true, false} {
+				label := fmt.Sprintf("%s under %s async=%v", name, scenario, async)
+				assertEngineParity(t, label, c.Parallel, interp.Options{
+					Procs: 8, Policy: interp.PolicyDynamic, AsyncSwitch: async,
+					Perturb: sched, Params: engineDiffParams[name],
+				})
+			}
 		}
 	}
 }
@@ -158,6 +166,88 @@ func TestEngineByteIdenticalRaceFindings(t *testing.T) {
 		if len(res.Races) == 0 {
 			t.Errorf("%s: seeded mutant executed race-free", label)
 		}
+	}
+}
+
+// TestEngineParityBudgetAfterRelease runs a section whose iterations
+// release a lock and then compute for more than one dispatch's step
+// budget: a release taken ahead must restart the budget exactly where the
+// oracle's dispatch for that release starts it. The critical section is
+// longer than a trip of spin's loop, so a budget restarted anywhere else
+// moves some iteration's boundary across a trip and its step count.
+func TestEngineParityBudgetAfterRelease(t *testing.T) {
+	c, err := oblc.Compile(`
+class Acc {
+  sum: int;
+  method add(v: int) {
+    let t: int = v;
+    for q in 0..24 {
+      t = t + v % (q + 1);
+    }
+    this.sum = this.sum + t;
+  }
+}
+
+func spin(k: int): int {
+  let s: int = 0;
+  for j in 0..k {
+    s = s + j % 7;
+  }
+  return s;
+}
+
+func run(acc: Acc, n: int) {
+  for i in 0..n {
+    acc.add(i);
+    acc.add(spin(1000 + i));
+  }
+}
+
+func main() {
+  let acc: Acc = new Acc();
+  run(acc, 400);
+  print acc.sum;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Parallel.Sections) == 0 {
+		t.Fatal("no parallel section")
+	}
+	for _, procs := range []int{1, 3, 8} {
+		assertEngineParity(t, fmt.Sprintf("procs=%d", procs), c.Parallel, interp.Options{Procs: procs, Policy: "original"})
+	}
+}
+
+// TestEngineParityHostOrderReaders covers the runs that read other
+// processors' state between rendezvous, where the VM keeps yield-first
+// releases: a trace must list the oracle's events in the oracle's order,
+// and asynchronous switching with short intervals must measure the same
+// phases.
+func TestEngineParityHostOrderReaders(t *testing.T) {
+	for _, name := range apps.Names {
+		c, err := apps.Compile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var traces [2][]simmach.TraceEvent
+		for i, engine := range []string{interp.EngineInterp, interp.EngineVM} {
+			_, err := interp.Run(c.Parallel, interp.Options{
+				Procs: 8, Policy: "original", Params: engineDiffParams[name], Engine: engine,
+				Trace: func(ev simmach.TraceEvent) { traces[i] = append(traces[i], ev) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(traces[0], traces[1]) {
+			t.Errorf("%s: the vm engine's trace differs from the interpreter's", name)
+		}
+		assertEngineParity(t, name+" async", c.Parallel, interp.Options{
+			Procs: 8, Policy: interp.PolicyDynamic, AsyncSwitch: true,
+			TargetSampling: 20 * simmach.Microsecond, TargetProduction: 200 * simmach.Microsecond,
+			Params: engineDiffParams[name],
+		})
 	}
 }
 

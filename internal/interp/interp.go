@@ -332,6 +332,8 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 		controllers: map[int]*core.Controller{},
 		stats:       map[int]*SectionStats{},
 		hook:        opts.ckHook,
+		releaseAhead: !opts.AsyncSwitch && opts.Sample == nil && opts.Trace == nil &&
+			!opts.DetectRaces,
 	}
 	if opts.Sample != nil {
 		// Sampled runs produce estimates: reject every mode that needs the
@@ -504,6 +506,13 @@ type runtime struct {
 	race *raceDetector
 	// hook is the test-only checkpoint/restore hook (Options.ckHook).
 	hook *ckHook
+	// releaseAhead lets the VM take an uncontended release inside the
+	// dispatch that reached it (simmach.Proc.ReleaseAhead). It is off in
+	// every run that reads other processors' state between rendezvous in
+	// host order, where the skipped dispatch's place in the schedule shows:
+	// AsyncSwitch's single-processor transition, the sampler's window
+	// totals, the trace and the race detector.
+	releaseAhead bool
 	// sampSpec (defaulted) and sampAgg carry sampled-simulation state; nil
 	// for exhaustive runs. sampAgg accumulates per-section window stats
 	// across the section's executions, keyed by section ID.

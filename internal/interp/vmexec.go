@@ -14,8 +14,10 @@ import (
 // yield discipline: the step budget counts original instructions (fused
 // groups count their length and fall back to the per-slot plain overlay
 // when the remaining budget cannot admit the whole group), sync
-// instructions yield first whenever prior work exists in the dispatch,
-// and tail-call collapse replays the folded returns one charge at a time.
+// instructions yield first whenever prior work exists in the dispatch —
+// except a release no processor waits for, which it takes in place and
+// the machine counts as the dispatch it spares — and tail-call collapse
+// replays the folded returns one charge at a time.
 //
 // The loop is two-level so that the dispatch state stays in registers.
 // The outer loop runs once per activation: it loads the frame, its code
@@ -30,6 +32,7 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 	rt := t.rt
 	race := rt.race != nil && t.sr != nil
 	dyn := rt.opts.Policy == PolicyDynamic
+	ahead := rt.releaseAhead
 	executed := t.executed
 	acc := t.acc
 
@@ -88,6 +91,29 @@ frames:
 					}
 				}
 				if executed > 0 {
+					// A release with no waiter queued is taken here instead of
+					// at the start of the dispatch it would yield for, which
+					// the machine counts as skipped (Proc.ReleaseAhead). That
+					// dispatch would pass the step-budget check and begin with
+					// an empty budget.
+					if ahead && !isAcq && refs[in.A] != nil && rt.m.Steps() < rt.opts.MaxSteps {
+						if lock := refs[in.A].Lock(rt.m); !lock.Queued() {
+							t.acc = acc
+							t.flush(p)
+							acc = 0
+							at := p.Now()
+							if isCond {
+								p.Advance(ir.CostFlagTest)
+							}
+							if dyn {
+								p.Advance(rt.opts.InstrumentationCost)
+							}
+							p.ReleaseAhead(lock, at)
+							pc++
+							executed = 1
+							continue
+						}
+					}
 					fr.pc = pc
 					t.executed = executed
 					t.acc = acc

@@ -13,8 +13,9 @@ import (
 // a Result or a trace can observe: virtual times, machine counters,
 // scheduler step counts (so dispatch boundaries — the stepBudget
 // accounting, yield-first sync — are reproduced instruction for
-// instruction), program output, controller samples and switches, and
-// race-detector findings.
+// instruction, a release taken ahead counting as the dispatch it spares),
+// program output, controller samples and switches, and race-detector
+// findings.
 
 // vmModuleFor returns the program's module, compiled on first use.
 func vmModuleFor(p *ir.Program) (*vm.Module, error) {

@@ -648,6 +648,7 @@ func (s *Server) runApp(w http.ResponseWriter, r *http.Request, req runRequest) 
 	// Serve the fast test-scale inputs by default; clients override
 	// individual program parameters (integers) through params.
 	params := apps.TestParams(req.App)
+	bounds := apps.ParamBounds(req.App)
 	for key, val := range req.Params {
 		// interp.Run ignores an override the program does not declare, but
 		// CacheKey hashes it: a typo would run the default size, report
@@ -665,6 +666,13 @@ func (s *Server) runApp(w http.ResponseWriter, r *http.Request, req runRequest) 
 		if !ok || f != float64(int64(f)) || math.Abs(f) >= 1<<53 {
 			s.runsErr.Add(1)
 			writeError(w, http.StatusBadRequest, "parameter %q wants an integer, got %v", key, val)
+			return
+		}
+		// The program allocates and loops by its parameters: an absurd
+		// value would otherwise reach the VM's make or run for ever.
+		if v := int64(f); v > bounds[key] {
+			s.runsErr.Add(1)
+			writeError(w, http.StatusBadRequest, "parameter %q = %d exceeds its bound %d", key, v, bounds[key])
 			return
 		}
 		params[key] = int64(f)

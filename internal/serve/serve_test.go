@@ -326,6 +326,11 @@ func TestRunValidation(t *testing.T) {
 		// 2^53+1 and its negative: float64 reads them as ±2^53.
 		{`{"app":"water","params":{"nmol":9007199254740993}}`, http.StatusBadRequest, "wants an integer"},
 		{`{"app":"water","params":{"nmol":-9007199254740993}}`, http.StatusBadRequest, "wants an integer"},
+		// Finite but absurd sizes reached the VM's make, whose panic only
+		// net/http's recovery answered: the client saw its connection
+		// dropped with no status.
+		{`{"app":"water","params":{"nmol":1e15}}`, http.StatusBadRequest, "exceeds its bound 8192"},
+		{`{"app":"string","params":{"nrays":9007199254740991}}`, http.StatusBadRequest, "exceeds its bound 65536"},
 		// A parameter the program does not declare: Barnes-Hut's, and a typo.
 		{`{"app":"water","params":{"nbodies":64}}`, http.StatusBadRequest, "energydepth nmol nsteps serialwork"},
 		{`{"app":"water","params":{"nmoll":12}}`, http.StatusBadRequest, `"nmoll"`},

@@ -5,8 +5,8 @@ import "testing"
 // The micro-benchmarks pin the event engine's hot paths: dispatch through
 // the sorted run queue under the re-entry patterns that decide its cost
 // (the plans below; at 1 proc, the still-first redispatch that never
-// touches the queue), uncontended lock traffic, contended FIFO handoff,
-// and barrier rendezvous. Run with -benchmem: the steady state must stay
+// touches the queue), uncontended lock traffic with releases at their turn
+// and taken ahead of it, contended FIFO handoff, and barrier rendezvous. Run with -benchmem: the steady state must stay
 // allocation free (TestSteadyStateAllocsPerEvent asserts it).
 
 // A plan gives processor i of procs its step count and stride for a run of
@@ -159,6 +159,38 @@ func benchContendedHandoff(b *testing.B, procs int) {
 func BenchmarkContendedHandoff2(b *testing.B)  { benchContendedHandoff(b, 2) }
 func BenchmarkContendedHandoff16(b *testing.B) { benchContendedHandoff(b, 16) }
 
+// BenchmarkUncontendedPairAhead16 is the traffic ReleaseAhead serves: 16
+// processors, each with a lock of its own, and every dispatch an acquire,
+// a critical section, the release taken ahead and the work after it — one
+// dispatch a pair where yield-first releases take two.
+func BenchmarkUncontendedPairAhead16(b *testing.B) {
+	const procs = 16
+	m := New(Config{Procs: procs})
+	remaining := b.N
+	for i := 0; i < procs; i++ {
+		l := m.NewLock("l")
+		d := Time(i+1) * Microsecond
+		m.Start(i, ProcessFunc(func(p *Proc) Status {
+			if remaining <= 0 {
+				return Done
+			}
+			remaining--
+			if !p.Acquire(l) {
+				b.Fatal("uncontended acquire blocked")
+			}
+			p.Advance(d)
+			p.ReleaseAhead(l, p.Now())
+			p.Advance(d)
+			return Ready
+		}))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // benchBarrier measures full rendezvous: b.N epochs of procs arrivals.
 func benchBarrier(b *testing.B, procs int) {
 	m := New(Config{Procs: procs})
@@ -210,6 +242,7 @@ func TestSteadyStateAllocsPerEvent(t *testing.T) {
 		{"contended-handoff-16", func(b *testing.B) { benchContendedHandoff(b, 16) }},
 		{"barrier-rendezvous-16", func(b *testing.B) { benchBarrier(b, 16) }},
 		{"uncontended", BenchmarkUncontendedAcquireRelease},
+		{"uncontended-pair-ahead-16", BenchmarkUncontendedPairAhead16},
 	}
 	for _, c := range cases {
 		r := testing.Benchmark(c.bench)

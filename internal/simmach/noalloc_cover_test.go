@@ -24,12 +24,14 @@ func TestNoallocAnnotationCoverage(t *testing.T) {
 	// exercises it at runtime.
 	want := []string{
 		"Lock.enqueue",       // contended-handoff-16
+		"Lock.grant",         // contended-handoff-16
 		"Machine.Run",        // every case
 		"Machine.push",       // every case
 		"Machine.wake",       // contended-handoff-16, barrier-rendezvous-16
-		"Proc.Acquire",       // contended-handoff-16, uncontended
+		"Proc.Acquire",       // contended-handoff-16, uncontended, uncontended-pair-ahead-16
 		"Proc.BarrierArrive", // barrier-rendezvous-16
 		"Proc.Release",       // contended-handoff-16, uncontended
+		"Proc.ReleaseAhead",  // uncontended-pair-ahead-16
 		"Proc.TryAcquire",    // uncontended (policy fast paths)
 		"runQueue.fix",       // none: SetClock and SkipCharge on a queued processor, never per event (TestReadyQueueModel)
 		"runQueue.pop",       // every case

@@ -343,6 +343,10 @@ type Machine struct {
 	// Step reports Restored.
 	cur            *Proc
 	restorePending bool
+	// curAt is the clock cur's dispatch began at: with cur's ID, the key
+	// that orders the dispatch against a release taken ahead of its turn
+	// (ReleaseAhead).
+	curAt Time
 
 	// Trace, when set, receives every synchronization event as it occurs
 	// in virtual time. It must not call back into the machine.
@@ -379,7 +383,9 @@ func (m *Machine) Procs() int { return len(m.procs) }
 // Proc returns processor i.
 func (m *Machine) Proc(i int) *Proc { return m.procs[i] }
 
-// Steps returns the number of scheduler dispatches performed so far.
+// Steps returns the number of dispatches of the reference schedule so far:
+// every dispatch the scheduler performed, plus one for each release taken
+// ahead of its turn (ReleaseAhead), which stands for the dispatch it skipped.
 func (m *Machine) Steps() int64 { return m.steps }
 
 // MaxClock returns the largest processor clock.
@@ -458,6 +464,7 @@ func (m *Machine) Run() error {
 		// queue head — and otherwise trades places with the head.
 		for {
 			m.steps++
+			m.curAt = p.clock
 			st := p.process.Step(p)
 			if st == Ready {
 				p.status = Ready
@@ -594,12 +601,17 @@ func (q *runQueue) push(clock Time, id int32) {
 //
 //dfvet:noalloc
 func (q *runQueue) fix(p *Proc) {
+	q.remove(p)
+	q.push(p.clock, int32(p.id))
+}
+
+// remove deletes p's entry.
+func (q *runQueue) remove(p *Proc) {
 	i := q.head
 	for q.items[i].id != int32(p.id) {
 		i++
 	}
 	q.items = q.items[:i+copy(q.items[i:], q.items[i+1:])]
-	q.push(p.clock, int32(p.id))
 }
 
 // Lock is a spin lock with FIFO handoff. A processor that fails to acquire
@@ -617,6 +629,16 @@ func (q *runQueue) fix(p *Proc) {
 // flips the queue into a scan fallback until it drains. The backing array
 // is retained across rendezvous, so steady-state lock traffic allocates
 // nothing.
+//
+// A release taken ahead of its turn (ReleaseAhead) frees the lock at once
+// and leaves a timestamp: the key (aheadAt, aheadID) of the dispatch the
+// reference schedule would have released it in, and the time aheadEnd that
+// release ended. A processor whose dispatch precedes that key would have
+// found the lock still held, so Acquire grants it the lock as that release
+// would have (a late acquirer). late is the processor so granted, with the
+// time it asked and its counters before the grant: a later late acquirer
+// that precedes it in FIFO order takes the grant over, as the reference
+// handoff would have chosen it.
 type Lock struct {
 	m     *Machine
 	name  string
@@ -629,6 +651,12 @@ type Lock struct {
 	// invariant; Release then falls back to an O(n) scan for the FIFO
 	// winner until the queue drains.
 	unordered bool
+
+	aheadAt, aheadEnd Time
+	aheadID           int
+	late              *Proc
+	lateSince         Time
+	lateBefore        Counters
 }
 
 type lockWaiter struct {
@@ -641,7 +669,7 @@ func (l *Lock) waiting() int { return len(l.waiters) - l.whead }
 
 // NewLock creates a lock. The name appears in traces and deadlock reports.
 func (m *Machine) NewLock(name string) *Lock {
-	l := &Lock{m: m, name: name, owner: -1}
+	l := &Lock{m: m, name: name, owner: -1, aheadAt: -1}
 	m.locks = append(m.locks, l)
 	return l
 }
@@ -649,7 +677,8 @@ func (m *Machine) NewLock(name string) *Lock {
 // Name returns the lock's name.
 func (l *Lock) Name() string { return l.name }
 
-// Held reports whether the lock is currently owned.
+// Held reports whether the lock is currently owned. A lock released ahead
+// of its turn reads free at once, to every processor.
 func (l *Lock) Held() bool { return l.owner >= 0 }
 
 // Acquire attempts to take the lock for p. On success it charges the
@@ -659,12 +688,22 @@ func (l *Lock) Held() bool { return l.owner >= 0 }
 // execution continues after the Acquire call site. The caller's Step must
 // return Blocked when Acquire returns false.
 //
+// A free lock whose last release was taken ahead of a turn that follows p's
+// dispatch is held as far as p is concerned: p is charged as that release
+// would have granted it the lock — its wait, failed attempts and acquire at
+// the release's end time — and is woken at once, and Acquire still returns
+// false.
+//
 //dfvet:noalloc
 func (p *Proc) Acquire(l *Lock) bool {
 	if l.owner == p.id {
 		panic(fmt.Sprintf("simmach: proc %d re-acquiring lock %q", p.id, l.name))
 	}
 	if l.owner < 0 {
+		if l.releasedAfter(p) {
+			l.grantLate(p)
+			return false
+		}
 		cfg := &p.m.cfg
 		if e := p.activeEpoch(); e != nil {
 			cfg = &e.Cfg
@@ -694,10 +733,40 @@ func (p *Proc) Acquire(l *Lock) bool {
 		p.m.trace(TraceAcquire, p.id, p.clock, l.name)
 		return true
 	}
+	if q := l.late; q != nil && l.owner == q.id && l.releasedAfter(p) &&
+		(p.clock < l.lateSince || p.clock == l.lateSince && p.id < q.id) {
+		// The release taken ahead would have handed the lock to p, not to
+		// the late acquirer granted it so far, which has not run since: q
+		// goes back to waiting as it was, and p takes the grant.
+		p.m.ready.remove(q)
+		q.queued = false
+		q.status = Blocked
+		q.clock, q.Counters = l.lateSince, l.lateBefore
+		l.enqueue(q)
+		l.grantLate(p)
+		return false
+	}
 	l.enqueue(p)
 	p.status = Blocked
 	p.m.trace(TraceBlock, p.id, p.clock, l.name)
 	return false
+}
+
+// releasedAfter reports whether l's last release taken ahead of its turn
+// follows p's dispatch in the reference schedule, so that p, the
+// dispatching processor, would still have found l held.
+func (l *Lock) releasedAfter(p *Proc) bool {
+	at := p.m.curAt
+	return at < l.aheadAt || at == l.aheadAt && p.id < l.aheadID
+}
+
+// grantLate grants l to p, a late acquirer, at the end of the release taken
+// ahead, keeping what a later late acquirer needs to take the grant over.
+func (l *Lock) grantLate(p *Proc) {
+	l.late, l.lateSince, l.lateBefore = p, p.clock, p.Counters
+	p.status = Blocked
+	p.m.trace(TraceBlock, p.id, p.clock, l.name)
+	l.grant(p, p.clock, l.aheadEnd)
 }
 
 // enqueue appends p to the waiter queue, checking the FIFO-order
@@ -721,11 +790,12 @@ func (l *Lock) enqueue(p *Proc) {
 }
 
 // TryAcquire attempts to take the lock without blocking. On failure it
-// charges one failed spin attempt and returns false.
+// charges one failed spin attempt and returns false. A lock whose release
+// taken ahead follows p's dispatch counts as held.
 //
 //dfvet:noalloc
 func (p *Proc) TryAcquire(l *Lock) bool {
-	if l.owner < 0 {
+	if l.owner < 0 && !l.releasedAfter(p) {
 		return p.Acquire(l)
 	}
 	c := p.activeCfg().SpinCost
@@ -778,13 +848,20 @@ func (p *Proc) Release(l *Lock) {
 		l.whead = 0
 		l.unordered = false
 	}
-	l.owner = w.p.id
-	wp := w.p
-	waited := releaseTime - w.since
+	l.grant(w.p, w.since, releaseTime)
+}
+
+// grant hands l to wp, which has spun on it since since, when the release
+// at time at ends the spin, and wakes wp.
+//
+//dfvet:noalloc
+func (l *Lock) grant(wp *Proc, since, at Time) {
+	l.owner = wp.id
+	waited := at - since
 	if waited < 0 {
 		waited = 0
 	}
-	wp.clock = releaseTime
+	wp.clock = at
 	// The waiter's costs (spin granularity and the closing acquire) come
 	// from the epoch in effect at the handoff time — the moment the spin
 	// resolves — not at the possibly much earlier block time.
@@ -802,8 +879,38 @@ func (p *Proc) Release(l *Lock) {
 	wp.Counters.Busy += ac
 	wp.Counters.LockTime += ac
 	wp.Counters.Acquires++
-	p.m.trace(TraceGrant, wp.id, wp.clock, l.name)
-	p.m.wake(wp)
+	l.m.trace(TraceGrant, wp.id, wp.clock, l.name)
+	l.m.wake(wp)
+}
+
+// Queued reports whether a processor is waiting for the lock. A release
+// may be taken ahead of its turn only when none is.
+func (l *Lock) Queued() bool { return l.waiting() > 0 }
+
+// ReleaseAhead releases l from inside a dispatch that began earlier,
+// sparing the dispatch the reference schedule would have released it in:
+// one that begins at clock at on p — p's clock when it would have yielded
+// for the release, before any charge the release brings — and counted in
+// Machine.Steps all the same. It charges exactly what Release charges and
+// requires that no processor is queued on l (see Queued). l keeps the
+// skipped dispatch's key and the release's end time, so that a processor
+// dispatched before that key still finds l held (Acquire, TryAcquire).
+//
+// What p does after the release, until its dispatch ends, runs ahead of
+// the processors dispatched before the key. Lock state keeps the reference
+// order through the timestamp; anything else of p's they read — its
+// counters, trace events — they see in host order. A caller that needs
+// those in schedule order releases with Release at the start of a dispatch.
+//
+//dfvet:noalloc
+func (p *Proc) ReleaseAhead(l *Lock, at Time) {
+	if l.Queued() {
+		panic(fmt.Sprintf("simmach: proc %d releasing lock %q ahead with processors queued", p.id, l.name))
+	}
+	p.Release(l)
+	l.aheadAt, l.aheadID, l.aheadEnd = at, p.id, p.clock
+	l.late = nil
+	p.m.steps++
 }
 
 //dfvet:noalloc
