@@ -14,6 +14,7 @@ import (
 	"repro/internal/obl/lower"
 	"repro/internal/obl/sema"
 	"repro/internal/obl/syncopt"
+	"repro/internal/obl/vm"
 	"repro/internal/perturb"
 	"repro/internal/simcache"
 	"repro/internal/simmach"
@@ -139,33 +140,86 @@ func TestEngineByteIdenticalRaceFindings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, _, err := analysis.BuildUnit(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog := u.PolicyProg(syncopt.Original)
-		if err := analysis.ElideRegion(prog, m.region); err != nil {
-			t.Fatal(err)
-		}
-		info, err := sema.Check(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := lower.NewBuilder()
-		if err := b.AddPolicy(info, string(syncopt.Original)); err != nil {
-			t.Fatal(err)
-		}
-		mutIR, err := b.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := assertEngineParity(t, label, mutIR, interp.Options{
+		res := assertEngineParity(t, label, elided(t, src, m.region), interp.Options{
 			Procs: 8, Policy: "original", DetectRaces: true,
 			Params: engineDiffParams[m.app],
 		})
 		if len(res.Races) == 0 {
 			t.Errorf("%s: seeded mutant executed race-free", label)
 		}
+	}
+}
+
+// elided compiles src under the original policy with its n-th critical
+// region elided: a program that races.
+func elided(t *testing.T, src string, n int) *ir.Program {
+	t.Helper()
+	u, _, err := analysis.BuildUnit(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := u.PolicyProg(syncopt.Original)
+	if err := analysis.ElideRegion(prog, n); err != nil {
+		t.Fatal(err)
+	}
+	info, err := sema.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := lower.NewBuilder()
+	if err := b.AddPolicy(info, string(syncopt.Original)); err != nil {
+		t.Fatal(err)
+	}
+	mutIR, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mutIR
+}
+
+// TestEngineByteIdenticalRaceFindingsInFieldGroup elides the lock around
+// the second of two float field updates, each of which fuses into one
+// ldfld.f+add.f+stfld.f group: the group's read and write must reach the
+// race detector as the plain instructions' do. The first, locked update
+// leaves the field's candidate lockset non-empty, so the race is found at
+// the unlocked update's read, a report only that read can make.
+func TestEngineByteIdenticalRaceFindingsInFieldGroup(t *testing.T) {
+	prog := elided(t, `
+extern work(n: int) cost 0;
+class Acc { sum: float; }
+func add(a: Acc, cnt: int) {
+  for i in 0..cnt {
+    work(40);
+    let x: float = tofloat(i);
+    a.sum = a.sum + x;
+    let y: float = x * 0.5;
+    a.sum = a.sum + y;
+  }
+}
+func main() {
+  let a: Acc = new Acc();
+  add(a, 64);
+  print a.sum;
+}
+`, 1)
+	m, err := vm.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := 0
+	for _, fc := range m.Funcs {
+		for _, in := range fc.Code {
+			if in.Op == vm.OpAddFieldF {
+				groups++
+			}
+		}
+	}
+	if groups < 2 {
+		t.Fatalf("%d field updates fused, want 2", groups)
+	}
+	res := assertEngineParity(t, "racy field group", prog, interp.Options{Procs: 4, Policy: "original", DetectRaces: true})
+	if len(res.Races) == 0 || res.Races[0].Write {
+		t.Errorf("races %+v, want one found at a read", res.Races)
 	}
 }
 

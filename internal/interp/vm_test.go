@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -68,32 +69,352 @@ const (
 	no = ir.NoReg
 )
 
-// TestBudgetBoundaryInsideLen3Group places a compare-immediate-and-branch
-// group so that its head is reached with executed == stepBudget-2 and
-// stepBudget-1. The dispatch must end inside the group, on the plain
-// slots, where the interpreter's per-instruction count ends it: the
-// program is sized (one instruction past two full budgets) so that running
-// the whole group past the budget would save a scheduler step.
-func TestBudgetBoundaryInsideLen3Group(t *testing.T) {
-	for _, before := range []int{stepBudget - 2, stepBudget - 1} {
-		code := []ir.Instr{irIns(ir.OpConstInt, 0, no, no, 5)}
-		for len(code) < before {
-			code = append(code, irIns(ir.OpNop, no, no, no, 0))
-		}
-		head := len(code)
-		code = append(code,
+// groupCase is one superinstruction group as hand-built IR, placed in a
+// function f(n) that main calls with n = arg (1 when zero), so that the
+// tail-call group has a recursion to make. f begins with the prelude
+// `if n == 0 { return n }` (four slots, the base case), zeroes its other
+// int, bool and float registers (a jump into a group skips writes, and an
+// unwritten register prints differently under the two engines), and then
+// runs init, the group's slots and one print of each register in show
+// before it returns n. In group, a brfalse target (Imm) counts from the slot after
+// the group's last one. rest is the number of instructions executed from
+// the group's head to f's return; zero means every slot of group, the
+// prints and the return run once.
+type groupCase struct {
+	name  string
+	op    vm.Op
+	kinds []ir.ElemKind // f's registers; r0 is n, and two prelude registers follow
+	arg   int64
+	init  []ir.Instr
+	group []ir.Instr
+	show  []ir.Reg
+	rest  int
+}
+
+const (
+	rF = ir.ElemFloat
+	rR = ir.ElemRef
+)
+
+// groupCases are the census groups, their aliasing shapes and one older
+// group (lt.ik+br). a = 7 and b = 5 unless init says otherwise; the
+// negative numerators check Go's truncated division against the oracle.
+var groupCases = []groupCase{
+	{name: "lt.ik+br", op: vm.OpLtIKBr, kinds: []ir.ElemKind{rI, rI, rB},
+		group: []ir.Instr{
 			irIns(ir.OpConstInt, 1, no, no, 9),
 			irIns(ir.OpLtI, 2, 0, 1, 0),
-			irIns(ir.OpBrFalse, no, 2, no, int64(head+3)),
-		)
-		for len(code) < 2*stepBudget {
-			code = append(code, irIns(ir.OpNop, no, no, no, 0))
+			irIns(ir.OpBrFalse, no, 2, no, 0),
+		}, show: []ir.Reg{1, 2}},
+	{name: "sub.i+le.ik+br", op: vm.OpSubLeIKBr, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rB},
+		init: consts(1, 7, 2, 5),
+		group: []ir.Instr{
+			irIns(ir.OpSubI, 3, 1, 2, 0),
+			irIns(ir.OpConstInt, 4, no, no, 1),
+			irIns(ir.OpLeI, 5, 3, 4, 0),
+			irIns(ir.OpBrFalse, no, 5, no, 0),
+			irIns(ir.OpPrint, no, 4, no, 0), // skipped: 2 <= 1 is false
+		}, show: []ir.Reg{3, 4, 5}, rest: 4 + 3 + 1},
+	{name: "sub.i+le.ik+br/const slot is the difference", op: vm.OpSubLeIKBr, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rB},
+		init: consts(1, 7, 2, 5),
+		group: []ir.Instr{
+			irIns(ir.OpSubI, 3, 1, 2, 0),
+			irIns(ir.OpConstInt, 3, no, no, 1),
+			irIns(ir.OpLeI, 5, 3, 3, 0), // 1 <= 1, not 2 <= 1
+			irIns(ir.OpBrFalse, no, 5, no, 0),
+		}, show: []ir.Reg{3, 5}},
+	{name: "add.i+div.ik+mov.i/negative", op: vm.OpAddDivIKMov, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rI, rI},
+		init: consts(1, -7, 2, -2),
+		group: []ir.Instr{
+			irIns(ir.OpAddI, 3, 1, 2, 0),
+			irIns(ir.OpConstInt, 4, no, no, 2),
+			irIns(ir.OpDivI, 5, 3, 4, 0),
+			irIns(ir.OpMov, 6, 5, no, 0),
+		}, show: []ir.Reg{3, 4, 5, 6}},
+	{name: "add.i+div.ik+mov.i/const slot is the sum", op: vm.OpAddDivIKMov, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rI, rI},
+		init: consts(1, 7, 2, 5),
+		group: []ir.Instr{
+			irIns(ir.OpAddI, 3, 1, 2, 0),
+			irIns(ir.OpConstInt, 3, no, no, -2),
+			irIns(ir.OpDivI, 5, 3, 3, 0), // -2 / -2
+			irIns(ir.OpMov, 3, 5, no, 0),
+		}, show: []ir.Reg{3, 5}},
+	{name: "mod.ik+eq.ik+br/negative", op: vm.OpModIKEqIKBr, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rI, rB},
+		init: consts(1, -7),
+		group: []ir.Instr{
+			irIns(ir.OpConstInt, 2, no, no, 2),
+			irIns(ir.OpModI, 3, 1, 2, 0), // -1
+			irIns(ir.OpConstInt, 4, no, no, 0),
+			irIns(ir.OpEq, 6, 3, 4, 0),
+			irIns(ir.OpBrFalse, no, 6, no, 0),
+			irIns(ir.OpPrint, no, 2, no, 0), // skipped
+		}, show: []ir.Reg{2, 3, 4, 6}, rest: 5 + 4 + 1},
+	{name: "mod.ik+ne.ik+br/negative", op: vm.OpModIKNeIKBr, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rI, rB},
+		init: consts(1, -8),
+		group: []ir.Instr{
+			irIns(ir.OpConstInt, 2, no, no, -3),
+			irIns(ir.OpModI, 3, 1, 2, 0), // -2
+			irIns(ir.OpConstInt, 4, no, no, -2),
+			irIns(ir.OpNe, 6, 3, 4, 0),
+			irIns(ir.OpBrFalse, no, 6, no, 0),
+			irIns(ir.OpPrint, no, 2, no, 0), // skipped
+		}, show: []ir.Reg{2, 3, 4, 6}, rest: 5 + 4 + 1},
+	{name: "mod.ik+eq.ik+br/const slots alias", op: vm.OpModIKEqIKBr, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rI, rB},
+		init: consts(1, 9),
+		group: []ir.Instr{
+			irIns(ir.OpConstInt, 1, no, no, 4),
+			irIns(ir.OpModI, 3, 1, 1, 0), // 4 % 4
+			irIns(ir.OpConstInt, 3, no, no, 5),
+			irIns(ir.OpEq, 6, 3, 3, 0), // 5 == 5
+			irIns(ir.OpBrFalse, no, 6, no, 0),
+		}, show: []ir.Reg{1, 3, 6}},
+	{name: "sub.ik+tailcall", op: vm.OpIKTailCall, kinds: []ir.ElemKind{rI, rI, rI, rI},
+		group: []ir.Instr{
+			irIns(ir.OpConstInt, 1, no, no, 1),
+			irIns(ir.OpSubI, 2, 0, 1, 0),
+			irIns(ir.OpCall, 3, no, no, 1, 2),
+			irIns(ir.OpRet, no, 3, no, 0),
+		}, rest: 8}, // the group, f(0)'s prelude and return, the replayed return
+	{name: "div.ik+tailcall/negative", op: vm.OpIKTailCall, kinds: []ir.ElemKind{rI, rI, rI, rI}, arg: -1,
+		group: []ir.Instr{
+			irIns(ir.OpConstInt, 1, no, no, 2),
+			irIns(ir.OpDivI, 2, 0, 1, 0), // -1 / 2 is 0
+			irIns(ir.OpCall, 3, no, no, 1, 2),
+			irIns(ir.OpRet, no, 3, no, 0),
+		}, rest: 8},
+	{name: "sub.ik+tailcall/const slot is the difference", op: vm.OpIKTailCall, kinds: []ir.ElemKind{rI, rI, rI, rI},
+		group: []ir.Instr{
+			irIns(ir.OpConstInt, 1, no, no, 1),
+			irIns(ir.OpSubI, 1, 0, 1, 0),
+			irIns(ir.OpCall, 3, no, no, 1, 1),
+			irIns(ir.OpRet, no, 3, no, 0),
+		}, rest: 8},
+	{name: "ldfld.f+add.f+stfld.f", op: vm.OpAddFieldF, kinds: []ir.ElemKind{rI, rR, rF, rF, rF},
+		init: fieldInit,
+		group: []ir.Instr{
+			irIns(ir.OpLoadField, 2, 1, no, 0),
+			irIns(ir.OpAddF, 4, 3, 2, 0), // B is the loaded register
+			irIns(ir.OpStoreField, no, 1, 4, 0),
+		}, show: []ir.Reg{2, 4}},
+	{name: "ldfld.f+add.f+stfld.f/sum into the loaded register", op: vm.OpAddFieldF, kinds: []ir.ElemKind{rI, rR, rF, rF, rF},
+		init: fieldInit,
+		group: []ir.Instr{
+			irIns(ir.OpLoadField, 2, 1, no, 0),
+			irIns(ir.OpAddF, 2, 2, 2, 0),
+			irIns(ir.OpStoreField, no, 1, 2, 0),
+		}, show: []ir.Reg{2}},
+}
+
+// fieldInit makes r1 a fresh object of class 0 and writes 1.5 to r3 and
+// to its float field.
+var fieldInit = []ir.Instr{
+	irIns(ir.OpNew, 1, no, no, 0),
+	{Op: ir.OpConstFloat, Dst: 3, A: no, B: no, C: no, F: 1.5},
+	irIns(ir.OpStoreField, no, 1, 3, 0),
+}
+
+// consts writes integer constants: consts(r, v, ...) sets each register r
+// to the value after it.
+func consts(rv ...int64) []ir.Instr {
+	var out []ir.Instr
+	for i := 0; i < len(rv); i += 2 {
+		out = append(out, irIns(ir.OpConstInt, ir.Reg(rv[i]), no, no, rv[i+1]))
+	}
+	return out
+}
+
+// program builds the case with pad (at least one, so that init cannot
+// fuse with the head) no-ops between init and the group and tail no-ops
+// in main after the call. With into > 0 f jumps from before the no-ops to
+// the group's slot into instead of falling into its head. It returns the
+// program, the group's head in f and, without the jump, the executed
+// count at which the head is reached.
+func (c groupCase) program(pad, tail, into int) (p *ir.Program, head, at int) {
+	n := ir.Reg(len(c.kinds))
+	kinds := append(slices.Clone(c.kinds), rI, rB)
+	code := []ir.Instr{
+		irIns(ir.OpConstInt, n, no, no, 0),
+		irIns(ir.OpEq, n+1, 0, n, 0),
+		irIns(ir.OpBrFalse, no, n+1, no, 4),
+		irIns(ir.OpRet, no, 0, no, 0),
+	}
+	for r, k := range c.kinds[1:] {
+		switch k {
+		case rI:
+			code = append(code, irIns(ir.OpConstInt, ir.Reg(r+1), no, no, 0))
+		case rB:
+			code = append(code, irIns(ir.OpConstBool, ir.Reg(r+1), no, no, 0))
+		case rF:
+			code = append(code, ir.Instr{Op: ir.OpConstFloat, Dst: ir.Reg(r + 1), A: no, B: no, C: no})
 		}
-		code = append(code, irIns(ir.OpRet, no, no, no, 0))
-		p := irProgram(&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI, rB}, Code: code})
-		groupAt(t, moduleOf(t, p), head, vm.OpLtIKBr, 3)
-		if _, err := runBoth(t, fmt.Sprintf("head at executed=%d", before), p); err != nil {
-			t.Fatal(err)
+	}
+	code = append(code, c.init...)
+	at = 2 + len(code) - 1 // main's const and call; f's taken branch skips its return
+	jump := len(code)
+	if into > 0 {
+		code = append(code, ir.Instr{})
+	}
+	for range pad {
+		code = append(code, irIns(ir.OpNop, no, no, no, 0))
+	}
+	at += pad
+	head = len(code)
+	if into > 0 {
+		code[jump] = irIns(ir.OpJump, no, no, no, int64(head+into))
+	}
+	for _, in := range c.group {
+		if in.Op == ir.OpBrFalse {
+			in.Imm += int64(head + len(c.group))
+		}
+		code = append(code, in)
+	}
+	for _, r := range c.show {
+		code = append(code, irIns(ir.OpPrint, no, r, no, 0))
+	}
+	code = append(code, irIns(ir.OpRet, no, 0, no, 0))
+
+	arg := c.arg
+	if arg == 0 {
+		arg = 1
+	}
+	mainCode := []ir.Instr{
+		irIns(ir.OpConstInt, 0, no, no, arg),
+		irIns(ir.OpCall, 1, no, no, 1, 0),
+	}
+	for range tail {
+		mainCode = append(mainCode, irIns(ir.OpNop, no, no, no, 0))
+	}
+	mainCode = append(mainCode, irIns(ir.OpPrint, no, 1, no, 0), irIns(ir.OpRet, no, no, no, 0))
+	p = irProgram(
+		&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI}, Code: mainCode},
+		&ir.Func{Name: "f", NParams: 1, RegKinds: kinds, Code: code},
+	)
+	p.Classes = []*ir.Class{{Name: "Cell", Fields: []string{"v"}, FieldKinds: []ir.ElemKind{rF}}}
+	return p, head, at
+}
+
+// groupLen requires f's slot head to be the case's group and returns the
+// group's length.
+func (c groupCase) groupLen(t *testing.T, p *ir.Program, head int) int {
+	t.Helper()
+	in := moduleOf(t, p).Funcs[1].Code[head]
+	if in.Op != c.op {
+		t.Fatalf("%s: head slot %d is %v, want %v", c.name, head, in.Op, c.op)
+	}
+	return int(in.Len)
+}
+
+// TestBudgetBoundaryInsideGroups reaches each group's head with every
+// executed count from stepBudget-Len (the group just fits) to
+// stepBudget-1. Where it does not fit, the dispatch must end inside the
+// group, on the plain slots, where the interpreter's per-instruction count
+// ends it: the program is sized (one instruction past two full budgets) so
+// that running the whole group past the budget would save a scheduler step.
+func TestBudgetBoundaryInsideGroups(t *testing.T) {
+	for _, c := range groupCases {
+		p, head, before := c.program(1, 0, 0)
+		l := c.groupLen(t, p, head)
+		rest := c.rest
+		if rest == 0 {
+			rest = len(c.group) + len(c.show) + 1
+		}
+		for at := stepBudget - l; at < stepBudget; at++ {
+			// One instruction fewer is two dispatches: the program's
+			// length is as sized.
+			tail := 2*stepBudget + 1 - (at + rest + 2) // main prints and returns after the call
+			for _, steps := range []int64{3, 2} {
+				p, head, _ := c.program(1+at-before, tail+int(steps)-3, 0)
+				c.groupLen(t, p, head)
+				res, err := runBoth(t, fmt.Sprintf("%s: head at executed=%d", c.name, at), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Steps != steps {
+					t.Fatalf("%s: head at executed=%d: %d scheduler steps, want %d", c.name, at, res.Steps, steps)
+				}
+			}
+		}
+	}
+}
+
+// TestJumpIntoGroupMiddles enters every group at each slot after its
+// head: the slots before the target must not run, and the rest must run
+// as the plain instructions.
+func TestJumpIntoGroupMiddles(t *testing.T) {
+	for _, c := range groupCases {
+		p, head, _ := c.program(1, 0, 0)
+		l := c.groupLen(t, p, head)
+		for into := 1; into < l; into++ {
+			p, head, _ := c.program(1, 0, into)
+			c.groupLen(t, p, head)
+			// A skipped constant can leave a zero divisor: the plain slot
+			// must then fault as the interpreter does.
+			runBoth(t, fmt.Sprintf("%s: jump to slot %d", c.name, into), p)
+		}
+	}
+}
+
+// TestFaultsNameTheSourceInstruction: a fault reports the function and
+// pc the faulting instruction came from, read from FuncCode.Src, also when
+// inline expansion moved the instruction into its caller and when it is
+// the head of a fused group.
+func TestFaultsNameTheSourceInstruction(t *testing.T) {
+	leaf := func(code ...ir.Instr) *ir.Func {
+		return &ir.Func{Name: "leaf", NParams: 1, RegKinds: []ir.ElemKind{rR, rF, rF, rI, rI}, Code: code}
+	}
+	cases := []struct {
+		name, want string
+		main       []ir.Instr
+		leaf       *ir.Func
+	}{
+		{"field group in an inlined leaf", "interp: leaf: pc 2: nil dereference",
+			[]ir.Instr{irIns(ir.OpConstNil, 0, no, no, 0), irIns(ir.OpCall, no, no, no, 1, 0)},
+			leaf(
+				irIns(ir.OpNop, no, no, no, 0),
+				irIns(ir.OpLoadField, 1, 0, no, 0),
+				irIns(ir.OpAddF, 2, 1, 1, 0),
+				irIns(ir.OpStoreField, no, 0, 2, 0),
+				irIns(ir.OpRet, no, no, no, 0),
+			)},
+		{"division in an inlined leaf", "interp: leaf: integer division by zero",
+			[]ir.Instr{irIns(ir.OpConstNil, 0, no, no, 0), irIns(ir.OpCall, no, no, no, 1, 0)},
+			leaf(
+				irIns(ir.OpConstInt, 3, no, no, 4),
+				irIns(ir.OpDivI, 4, 3, 4, 0),
+				irIns(ir.OpRet, no, no, no, 0),
+			)},
+		{"index in an inlined leaf", "interp: leaf: index 0 out of range [0,0)",
+			[]ir.Instr{
+				irIns(ir.OpConstInt, 1, no, no, 0),
+				irIns(ir.OpNewArr, 0, 1, no, int64(ir.ElemInt)),
+				irIns(ir.OpCall, no, no, no, 1, 0),
+			},
+			leaf(
+				irIns(ir.OpConstInt, 3, no, no, 0),
+				irIns(ir.OpLoadIndex, 4, 0, 3, 0),
+				irIns(ir.OpRet, no, no, no, 0),
+			)},
+		{"acquire", "interp: main: pc 1: nil dereference",
+			[]ir.Instr{irIns(ir.OpConstNil, 0, no, no, 0), irIns(ir.OpAcquire, no, 0, no, 0)},
+			leaf(irIns(ir.OpRet, no, no, no, 0))},
+		{"conditional sync", "interp: main: pc 1: conditional sync without flag context",
+			[]ir.Instr{irIns(ir.OpNew, 0, no, no, 0), irIns(ir.OpAcquireIf, no, 0, no, 0)},
+			leaf(irIns(ir.OpRet, no, no, no, 0))},
+	}
+	for i, c := range cases {
+		main := &ir.Func{Name: "main", RegKinds: []ir.ElemKind{rR, rI},
+			Code: append(c.main, irIns(ir.OpRet, no, no, no, 0))}
+		p := irProgram(main, c.leaf)
+		p.Classes = []*ir.Class{{Name: "Cell", Fields: []string{"v"}, FieldKinds: []ir.ElemKind{rF}}}
+		p.NumFlagSites = 1
+		if i == 0 { // the fault comes from the head of a fused group
+			if op := moduleOf(t, p).Funcs[0].Code[3].Op; op != vm.OpAddFieldF {
+				t.Errorf("the leaf's field update compiled to %v in main, want %v", op, vm.OpAddFieldF)
+			}
+		}
+		_, err := runBoth(t, c.name, p)
+		if fmt.Sprint(err) != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, fmt.Sprint(err), c.want)
 		}
 	}
 }
@@ -202,7 +523,6 @@ func TestConstantDivisorGroups(t *testing.T) {
 // frame gives it — after a sibling call left other values in the same
 // arena words, inlined and out of line alike.
 func TestUnwrittenLocalReadsZero(t *testing.T) {
-	rF, rR := ir.ElemFloat, ir.ElemRef
 	dirty := &ir.Func{Name: "dirty", NParams: 1, RegKinds: []ir.ElemKind{rI, rI, rF, rR, rI}, Code: []ir.Instr{
 		irIns(ir.OpAddI, 1, 0, 0, 0),
 		irIns(ir.OpIntToFloat, 2, 1, no, 0),

@@ -131,7 +131,7 @@ func fusionCoverage(tb testing.TB, prog *ir.Program, name string) (covered, tota
 			continue
 		}
 		for pc := range fc.Code {
-			if int(fc.Plain[pc].SrcFn) != fc.ID {
+			if int(fc.Src[pc].Fn) != fc.ID {
 				continue
 			}
 			total++
@@ -156,11 +156,11 @@ func TestFusionCoverageBarnesHut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if covered, total, _ := fusionCoverage(t, c.Parallel, "Body::walk@original"); covered != 14 || total != 23 {
-		t.Errorf("Body::walk: %d of %d slots inside fused groups, want 14 of 23", covered, total)
+	if covered, total, _ := fusionCoverage(t, c.Parallel, "Body::walk@original"); covered != 19 || total != 23 {
+		t.Errorf("Body::walk: %d of %d slots inside fused groups, want 19 of 23", covered, total)
 	}
-	if _, total, saved := fusionCoverage(t, c.Parallel, ""); saved != 39 || total != 265 {
-		t.Errorf("module: groups remove %d of %d dispatches, want 39 of 265", saved, total)
+	if _, total, saved := fusionCoverage(t, c.Parallel, ""); saved != 49 || total != 265 {
+		t.Errorf("module: groups remove %d of %d dispatches, want 49 of 265", saved, total)
 	}
 }
 

@@ -81,7 +81,7 @@ frames:
 						flags = rt.baseFlags
 					}
 					if flags == nil || int(in.Imm) >= len(flags) {
-						rt.fail("%s: pc %d: conditional sync without flag context", t.fname(in), in.OrigPC)
+						rt.fail("%s: pc %d: conditional sync without flag context", t.fname(fr.fc, pc), fr.fc.Src[pc].PC)
 					}
 					if !flags[in.Imm] {
 						acc += ir.CostFlagTest
@@ -122,7 +122,7 @@ frames:
 				}
 				obj := refs[in.A]
 				if obj == nil {
-					rt.fail("%s: pc %d: nil dereference", t.fname(in), in.OrigPC)
+					rt.fail("%s: pc %d: nil dereference", t.fname(fr.fc, pc), fr.fc.Src[pc].PC)
 				}
 				lock := obj.Lock(rt.m)
 				t.acc = acc
@@ -184,12 +184,12 @@ frames:
 				ints[in.Dst] = ints[in.A] * ints[in.B]
 			case vm.OpDivI:
 				if ints[in.B] == 0 {
-					rt.fail("%s: integer division by zero", t.fname(in))
+					rt.fail("%s: integer division by zero", t.fname(fr.fc, pc-1))
 				}
 				ints[in.Dst] = ints[in.A] / ints[in.B]
 			case vm.OpModI:
 				if ints[in.B] == 0 {
-					rt.fail("%s: integer modulo by zero", t.fname(in))
+					rt.fail("%s: integer modulo by zero", t.fname(fr.fc, pc-1))
 				}
 				ints[in.Dst] = ints[in.A] % ints[in.B]
 			case vm.OpNegI:
@@ -268,6 +268,23 @@ frames:
 				}
 				continue frames
 
+			case vm.OpIKTailCall:
+				ints[in.B] = in.Imm
+				x := ints[in.A]
+				switch vm.Op(in.C) {
+				case vm.OpAddI:
+					x += in.Imm
+				case vm.OpSubI:
+					x -= in.Imm
+				case vm.OpMulI:
+					x *= in.Imm
+				case vm.OpDivI: // Imm != 0, as for OpDivIK
+					x /= in.Imm
+				default:
+					x %= in.Imm
+				}
+				ints[in.Dst] = x
+				fallthrough
 			case vm.OpTailCall:
 				if len(t.frames)+int(t.collapsed) > 10000 {
 					rt.fail("%s: call stack overflow", fr.fc.Name)
@@ -374,7 +391,7 @@ frames:
 			case vm.OpNewArr:
 				n := ints[in.A]
 				if n < 0 {
-					rt.fail("%s: negative array length %d", t.fname(in), n)
+					rt.fail("%s: negative array length %d", t.fname(fr.fc, pc-1), n)
 				}
 				acc += simmach.Time(n) * ir.CostPerElem
 				elems := make([]Value, n) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
@@ -386,25 +403,25 @@ frames:
 				refs[in.Dst] = &Object{Elems: elems} //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
 
 			case vm.OpLoadFieldI:
-				obj := t.vref(in, refs)
+				obj := t.vref(in, refs, fr.fc, pc-1)
 				if race {
 					rt.race.access(t.held, p, obj, int(in.Imm), false, false)
 				}
 				ints[in.Dst] = obj.Fields[in.Imm].I
 			case vm.OpLoadFieldF:
-				obj := t.vref(in, refs)
+				obj := t.vref(in, refs, fr.fc, pc-1)
 				if race {
 					rt.race.access(t.held, p, obj, int(in.Imm), false, false)
 				}
 				floats[in.Dst] = obj.Fields[in.Imm].F
 			case vm.OpLoadFieldR:
-				obj := t.vref(in, refs)
+				obj := t.vref(in, refs, fr.fc, pc-1)
 				if race {
 					rt.race.access(t.held, p, obj, int(in.Imm), false, false)
 				}
 				refs[in.Dst] = obj.Fields[in.Imm].Ref
 			case vm.OpStoreFieldI, vm.OpStoreFieldB, vm.OpStoreFieldF, vm.OpStoreFieldR:
-				obj := t.vref(in, refs)
+				obj := t.vref(in, refs, fr.fc, pc-1)
 				if race {
 					rt.race.access(t.held, p, obj, int(in.Imm), false, true)
 				}
@@ -424,10 +441,10 @@ frames:
 				}
 
 			case vm.OpLoadIndexI, vm.OpLoadIndexF, vm.OpLoadIndexR:
-				obj := t.vref(in, refs)
+				obj := t.vref(in, refs, fr.fc, pc-1)
 				i := ints[in.B]
 				if i < 0 || i >= int64(len(obj.Elems)) {
-					rt.fail("%s: index %d out of range [0,%d)", t.fname(in), i, len(obj.Elems))
+					rt.fail("%s: index %d out of range [0,%d)", t.fname(fr.fc, pc-1), i, len(obj.Elems))
 				}
 				if race {
 					rt.race.access(t.held, p, obj, int(i), true, false)
@@ -441,10 +458,10 @@ frames:
 					refs[in.Dst] = obj.Elems[i].Ref
 				}
 			case vm.OpStoreIndexI, vm.OpStoreIndexB, vm.OpStoreIndexF, vm.OpStoreIndexR:
-				obj := t.vref(in, refs)
+				obj := t.vref(in, refs, fr.fc, pc-1)
 				i := ints[in.B]
 				if i < 0 || i >= int64(len(obj.Elems)) {
-					rt.fail("%s: index %d out of range [0,%d)", t.fname(in), i, len(obj.Elems))
+					rt.fail("%s: index %d out of range [0,%d)", t.fname(fr.fc, pc-1), i, len(obj.Elems))
 				}
 				if race {
 					rt.race.access(t.held, p, obj, int(i), true, true)
@@ -464,7 +481,7 @@ frames:
 					}
 				}
 			case vm.OpLen:
-				obj := t.vref(in, refs)
+				obj := t.vref(in, refs, fr.fc, pc-1)
 				ints[in.Dst] = int64(len(obj.Elems))
 
 			case vm.OpPrintI:
@@ -661,6 +678,9 @@ frames:
 				if !c {
 					pc = int(in.C)
 				}
+			case vm.OpSubLeIKBr:
+				ints[in.A] = ints[in.D] - ints[in.E]
+				fallthrough
 			case vm.OpLeIKBr:
 				ints[in.B] = in.Imm
 				c := ints[in.A] <= in.Imm
@@ -683,6 +703,37 @@ frames:
 					pc = int(in.C)
 				}
 
+			case vm.OpAddDivIKMov: // Imm != 0
+				ints[in.Dst] = ints[in.A] + ints[in.B]
+				ints[in.C] = in.Imm
+				ints[in.D] = ints[in.Dst] / in.Imm
+				ints[in.E] = ints[in.D]
+			case vm.OpModIKEqIKBr, vm.OpModIKNeIKBr: // K1 != 0
+				k1, k2 := in.Imm>>32, int64(int32(in.Imm))
+				ints[in.E] = k1
+				ints[in.A] = ints[in.D] % k1
+				ints[in.B] = k2
+				c := ints[in.A] == k2
+				if in.Op == vm.OpModIKNeIKBr {
+					c = !c
+				}
+				ints[in.Dst] = b2w(c)
+				if !c {
+					pc = int(in.C)
+				}
+			case vm.OpAddFieldF:
+				// A nil object faults as the group's head, the ldfld.f, does.
+				obj := t.vref(in, refs, fr.fc, pc-3)
+				if race {
+					rt.race.access(t.held, p, obj, int(in.Imm), false, false)
+				}
+				floats[in.D] = obj.Fields[in.Imm].F
+				floats[in.Dst] = floats[in.B] + floats[in.C]
+				if race {
+					rt.race.access(t.held, p, obj, int(in.Imm), false, true)
+				}
+				obj.Fields[in.Imm] = Value{Kind: KindFloat, F: floats[in.Dst]}
+
 			default:
 				rt.fail("%s: bad opcode %v", fr.fc.Name, in.Op)
 			}
@@ -695,21 +746,28 @@ frames:
 	}
 }
 
-// vref fetches a non-nil object from the instruction's A ref slot. The
-// interpreter reports nil dereferences with the already-incremented pc,
-// so the message pc is the instruction's original pc plus one.
-func (t *vmTask) vref(in *vm.Instr, refs []*Object) *Object {
+// vref fetches a non-nil object from the instruction's A ref slot; at is
+// the instruction's slot in fc (a fused group's head). It is small enough
+// to inline, so the fault path is the only call.
+func (t *vmTask) vref(in *vm.Instr, refs []*Object, fc *vm.FuncCode, at int) *Object {
 	o := refs[in.A]
 	if o == nil {
-		t.rt.fail("%s: pc %d: nil dereference", t.fname(in), in.OrigPC+1)
+		t.nilDeref(fc, at)
 	}
 	return o
 }
 
-// fname is the function an instruction came from, for fault messages:
+// nilDeref faults a field or element access through a nil reference. The
+// interpreter reports it with the already-incremented pc, so the message
+// pc is the instruction's original pc plus one.
+func (t *vmTask) nilDeref(fc *vm.FuncCode, at int) {
+	t.rt.fail("%s: pc %d: nil dereference", t.fname(fc, at), fc.Src[at].PC+1)
+}
+
+// fname is the function slot at of fc came from, for fault messages:
 // after inline expansion this can differ from the frame's function.
-func (t *vmTask) fname(in *vm.Instr) string {
-	return t.mod.Funcs[in.SrcFn].Name
+func (t *vmTask) fname(fc *vm.FuncCode, at int) string {
+	return t.mod.Funcs[fc.Src[at].Fn].Name
 }
 
 func b2w(b bool) int64 {

@@ -30,11 +30,10 @@ type ArgMove struct {
 // instructions it covers: 1 for plain instructions, more for fused
 // superinstructions. Cost is the folded virtual cost of everything the
 // instruction covers (zero for sync instructions, whose charges the
-// runtime applies along its own paths). OrigPC and SrcFn locate the
-// first covered instruction in the source program — after inline
-// expansion the containing FuncCode is the caller, but faults must
-// still report the function the instruction came from, exactly as the
-// interpreter's frame would.
+// runtime applies along its own paths). Dst and A–C are a plain
+// instruction's operands (opRegs); D and E are further operands only the
+// widest fused groups use. Where an instruction came from lives in
+// FuncCode.Src, not here: only fault paths read it.
 //
 // The struct is exactly 64 bytes — one cache line — which the dispatch
 // loop is sensitive to: float constants travel as bits in Imm (SetF/F)
@@ -42,16 +41,23 @@ type ArgMove struct {
 // folded costs are small; array-allocation per-element charges scale at
 // run time).
 type Instr struct {
-	Op     Op
-	Len    uint8
-	Cost   int32
-	Dst    int32
-	A, B   int32
-	C      int32
-	OrigPC int32
-	SrcFn  int32
-	Imm    int64
-	Args   []ArgMove
+	Op   Op
+	Len  uint8
+	Cost int32
+	Dst  int32
+	A, B int32
+	C    int32
+	D, E int32
+	Imm  int64
+	Args []ArgMove
+}
+
+// SrcPos locates an instruction in the source program: the function it
+// came from and its pc there. After inline expansion the containing
+// FuncCode is the caller, but faults must still report the function the
+// instruction came from, exactly as the interpreter's frame would.
+type SrcPos struct {
+	Fn, PC int32
 }
 
 // F reads a float constant stored in Imm.
@@ -96,6 +102,9 @@ type FuncCode struct {
 	// budget cannot admit the whole group.
 	Code  []Instr
 	Plain []Instr
+	// Src locates every slot's Plain instruction in the source program; a
+	// fused group's faults come from its head slot or its plain slots.
+	Src []SrcPos
 }
 
 // Module is a compiled program.
@@ -128,6 +137,9 @@ func (fc *FuncCode) Disasm() string {
 			fmt.Fprintf(&b, "  %4d: %-12s dst=%d f=%g", pc, in.Op, in.Dst, in.F())
 		} else {
 			fmt.Fprintf(&b, "  %4d: %-12s dst=%d a=%d b=%d c=%d imm=%d", pc, in.Op, in.Dst, in.A, in.B, in.C, in.Imm)
+		}
+		if in.D != 0 || in.E != 0 {
+			fmt.Fprintf(&b, " d=%d e=%d", in.D, in.E)
 		}
 		if in.Len > 1 {
 			fmt.Fprintf(&b, " len=%d", in.Len)

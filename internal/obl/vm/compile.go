@@ -163,11 +163,11 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 	}
 
 	out := make([]Instr, len(f.Code))
+	fc.Src = make([]SrcPos, len(f.Code))
 	for pc, in := range f.Code {
 		o := &out[pc]
 		o.Len = 1
-		o.OrigPC = int32(pc)
-		o.SrcFn = int32(fc.ID)
+		fc.Src[pc] = SrcPos{Fn: int32(fc.ID), PC: int32(pc)}
 		o.Cost = int32(in.Cost())
 		switch in.Op {
 		case ir.OpNop:

@@ -25,7 +25,8 @@
 // code wherever their patterns match: inline expansion of small leaf
 // callees, and superinstructions for compare+branch, constant-operand
 // (const.i K folded into the integer op or compare+branch that consumes
-// it) and loop-increment sequences.
+// it) and loop-increment sequences, and for the longer sequences a
+// dispatch census of the benchmark workloads found hottest.
 //
 // The contract with the execution engine (interp's vm task) is strict
 // bit-for-bit equivalence with the interpreter: identical virtual times,
@@ -193,6 +194,33 @@ const (
 	OpGtIKBr
 	OpGeIKBr
 
+	// Census groups: the sequences a dispatch census of the benchmark
+	// workloads found hottest, each one dispatch in place of four or five
+	// (see fuseAt). Operands D and E carry what the narrower groups lack
+	// room for; every write of the covered slots is kept.
+	//
+	// OpSubLeIKBr is sub.i feeding le.ik+br: ints[A] = ints[D] - ints[E],
+	// then the le.ik+br group on the same fields (Len 4).
+	OpSubLeIKBr
+	// OpAddDivIKMov is add.i, div.ik on its result, mov.i of the quotient:
+	// ints[Dst] = ints[A] + ints[B]; ints[C] = Imm; ints[D] = ints[Dst] /
+	// Imm; ints[E] = ints[D] (Len 4, Imm != 0).
+	OpAddDivIKMov
+	// OpModIKEqIKBr/OpModIKNeIKBr are mod.ik feeding eq/ne.ik+br, the
+	// parity test of a binary descent (Len 5). Imm packs both constants as
+	// int32 halves, K1<<32 | K2: ints[E] = K1; ints[A] = ints[D] % K1;
+	// then the eq/ne.ik+br group with K2 (K1 != 0).
+	OpModIKEqIKBr
+	OpModIKNeIKBr
+	// OpIKTailCall is an immediate-operand group (add/sub/mul/div/mod.ik,
+	// the plain arithmetic opcode in C) followed by a self tail call: the
+	// arithmetic, then OpTailCall with Args (Len 3).
+	OpIKTailCall
+	// OpAddFieldF is a float field read-modify-write on one object and
+	// field: floats[D] = refs[A].Fields[Imm].F; floats[Dst] = floats[B] +
+	// floats[C]; refs[A].Fields[Imm] = floats[Dst] (Len 3).
+	OpAddFieldF
+
 	// Synchronization and section entry. These are kept in one contiguous
 	// range so the dispatch loop recognizes the yield-first instructions
 	// with a single compare (see opSyncStart).
@@ -246,6 +274,9 @@ var opNames = [...]string{
 	OpAddIK: "add.ik", OpSubIK: "sub.ik", OpMulIK: "mul.ik", OpDivIK: "div.ik", OpModIK: "mod.ik",
 	OpEqIKBr: "eq.ik+br", OpNeIKBr: "ne.ik+br",
 	OpLtIKBr: "lt.ik+br", OpLeIKBr: "le.ik+br", OpGtIKBr: "gt.ik+br", OpGeIKBr: "ge.ik+br",
+	OpSubLeIKBr: "sub.i+le.ik+br", OpAddDivIKMov: "add.i+div.ik+mov.i",
+	OpModIKEqIKBr: "mod.ik+eq.ik+br", OpModIKNeIKBr: "mod.ik+ne.ik+br",
+	OpIKTailCall: "arith.ik+tailcall", OpAddFieldF: "ldfld.f+add.f+stfld.f",
 	OpAcquire: "acquire", OpRelease: "release",
 	OpAcquireEn: "acquire.en", OpReleaseEn: "release.en",
 	OpAcquireIf: "acquire.if", OpReleaseIf: "release.if",

@@ -13,10 +13,11 @@ package vm
 //     boundaries do not move.
 //   - Superinstruction fusion: compare+branch pairs, integer constants
 //     folded into the arithmetic or compare+branch that consumes them,
-//     and the three-instruction serial-loop latch (const 1; add; jump)
-//     collapse into single dispatches. The per-slot Plain stream keeps the
-//     unfused instructions so jumps into a group and step-budget
-//     boundaries behave exactly as unfused code.
+//     the three-instruction serial-loop latch (const 1; add; jump) and
+//     the census groups (censusGroup) collapse into single dispatches.
+//     The per-slot Plain stream keeps the unfused instructions so jumps
+//     into a group and step-budget boundaries behave exactly as unfused
+//     code.
 //
 // Neither changes observable behaviour; they only reduce dispatches and
 // memory traffic per simulated instruction.
@@ -86,10 +87,12 @@ func (m *Module) inlineExpand(fc *FuncCode) {
 
 	newPC := make([]int32, len(src)+1)
 	out := make([]Instr, 0, len(src)+grow)
-	var fixups []int // out indices of caller jumps whose targets need remapping
+	pos := make([]SrcPos, 0, len(src)+grow) // out's fc.Src
+	var fixups []int                        // out indices of caller jumps whose targets need remapping
 	for pc := range src {
 		newPC[pc] = int32(len(out))
 		in := src[pc]
+		pos = append(pos, fc.Src[pc])
 		callee, ok := splice[pc]
 		if !ok {
 			if in.Op == OpJump || in.Op == OpBrFalse {
@@ -122,7 +125,7 @@ func (m *Module) inlineExpand(fc *FuncCode) {
 			zr = callee.NRefs
 		}
 		out = append(out, Instr{
-			Op: OpCallEnter, Len: 1, Cost: in.Cost, OrigPC: in.OrigPC, SrcFn: in.SrcFn,
+			Op: OpCallEnter, Len: 1, Cost: in.Cost,
 			A: ib, B: ib + zi, C: fb, Dst: fb + zf,
 			Imm:  int64(rb)<<32 | int64(rb+zr),
 			Args: moves,
@@ -130,12 +133,13 @@ func (m *Module) inlineExpand(fc *FuncCode) {
 
 		bodyStart := int32(len(out))
 		end := int64(bodyStart) + int64(len(callee.Plain))
+		pos = append(pos, callee.Src...)
 		for _, cin := range callee.Plain {
 			switch cin.Op {
 			case OpRetI, OpRetF, OpRetR:
 				// OpIRetI/F/R are declared in the order of OpRetI/F/R.
-				o := Instr{Op: OpIRetI + cin.Op - OpRetI, Len: 1, Cost: cin.Cost, OrigPC: cin.OrigPC,
-					SrcFn: cin.SrcFn, A: cin.A + base[opRegs[cin.Op].a], Imm: end}
+				o := Instr{Op: OpIRetI + cin.Op - OpRetI, Len: 1, Cost: cin.Cost,
+					A: cin.A + base[opRegs[cin.Op].a], Imm: end}
 				if in.Dst < 0 {
 					// Result discarded at the call site.
 					o.Op, o.Dst = OpIRetVoid, -1
@@ -145,7 +149,7 @@ func (m *Module) inlineExpand(fc *FuncCode) {
 				out = append(out, o)
 			case OpRetVoid:
 				out = append(out, Instr{
-					Op: OpIRetVoid, Len: 1, Cost: cin.Cost, OrigPC: cin.OrigPC, SrcFn: cin.SrcFn,
+					Op: OpIRetVoid, Len: 1, Cost: cin.Cost,
 					Dst: in.Dst, B: in.C, Imm: end,
 				})
 			default:
@@ -168,7 +172,7 @@ func (m *Module) inlineExpand(fc *FuncCode) {
 	for _, i := range fixups {
 		out[i].Imm = int64(newPC[out[i].Imm])
 	}
-	fc.Plain = out
+	fc.Plain, fc.Src = out, pos
 }
 
 // remapSlots adds a splice's bank bases (indexed by bank+1; base[0] is 0)
@@ -221,8 +225,87 @@ var (
 // plain stream (at least two slots long). Every group performs all the
 // register writes of the slots it covers and sums their costs.
 func fuseAt(p []Instr) (Instr, bool) {
+	g, ok := censusGroup(p)
+	if !ok {
+		g, ok = pairGroup(p)
+	}
+	if !ok {
+		return g, false
+	}
+	for i := 0; i < int(g.Len); i++ {
+		g.Cost += p[i].Cost
+	}
+	return g, true
+}
+
+// censusGroup matches the census groups: the four sequences one level of
+// Barnes-Hut's tree descent runs as nine dispatches, and the float field
+// update of every workload's accumulators. Each extends a pairGroup match
+// by the instruction before or after it, or joins two of them. Only the
+// variants the census found are fused, and ne beside eq, which shares its
+// case; the others of each shape (add feeding a compare, compares other
+// than le, add feeding mod) occur in no program here.
+func censusGroup(p []Instr) (Instr, bool) {
+	in := &p[0]
+	if len(p) < 3 {
+		return Instr{}, false
+	}
+	switch in.Op {
+	case OpSubI: // sub.i t,a,b; le.ik+br on t
+		if g, ok := pairGroup(p[1:]); ok && g.Op == OpLeIKBr && g.A == in.Dst {
+			g.Op, g.Len, g.D, g.E = OpSubLeIKBr, 4, in.A, in.B
+			return g, true
+		}
+	case OpAddI: // add.i t,a,b; div.ik q,t,K; mov.i m,q
+		if g, ok := pairGroup(p[1:]); ok && g.Op == OpDivIK && g.A == in.Dst &&
+			len(p) > 3 && p[3].Op == OpMovI && p[3].A == g.Dst {
+			return Instr{Op: OpAddDivIKMov, Len: 4, Dst: in.Dst, A: in.A, B: in.B,
+				C: g.B, D: g.Dst, E: p[3].Dst, Imm: g.Imm}, true
+		}
+	case OpConstI:
+		g, ok := pairGroup(p)
+		if !ok || g.Len != 2 {
+			break
+		}
+		if p[2].Op == OpTailCall { // *.ik; tailcall
+			return Instr{Op: OpIKTailCall, Len: 3, Dst: g.Dst, A: g.A, B: g.B,
+				C: int32(p[1].Op), Imm: g.Imm, Args: p[2].Args}, true
+		}
+		if g.Op != OpModIK || len(p) < 5 {
+			break
+		}
+		// mod.ik r,x,K1; eq/ne.ik+br on r. Both constants must fit the
+		// halves of Imm.
+		c, ok := pairGroup(p[2:])
+		if !ok || c.A != g.Dst || int64(int32(g.Imm)) != g.Imm || int64(int32(c.Imm)) != c.Imm {
+			break
+		}
+		switch c.Op {
+		case OpEqIKBr:
+			c.Op = OpModIKEqIKBr
+		case OpNeIKBr:
+			c.Op = OpModIKNeIKBr
+		default:
+			return Instr{}, false
+		}
+		c.Len, c.D, c.E, c.Imm = 5, g.A, g.B, g.Imm<<32|int64(uint32(c.Imm))
+		return c, true
+	case OpLoadFieldF: // ldfld.f d,o,f; add.f s,x,y; stfld.f o,s,f
+		add, st := &p[1], &p[2]
+		if add.Op == OpAddF && st.Op == OpStoreFieldF && st.A == in.A && st.Imm == in.Imm && st.B == add.Dst {
+			return Instr{Op: OpAddFieldF, Len: 3, Dst: add.Dst, A: in.A, B: add.A, C: add.B,
+				D: in.Dst, Imm: in.Imm}, true
+		}
+	}
+	return Instr{}, false
+}
+
+// pairGroup matches the groups of one instruction and its consumer:
+// compare+branch, the constant operand of an integer op or compare+branch,
+// and the serial-loop latch. Costs are left to fuseAt.
+func pairGroup(p []Instr) (Instr, bool) {
 	in, next := &p[0], &p[1]
-	g := Instr{Dst: next.Dst, A: next.A, B: next.B, OrigPC: in.OrigPC, SrcFn: in.SrcFn}
+	g := Instr{Dst: next.Dst, A: next.A, B: next.B}
 	isBr := func(i int, cond int32) bool {
 		return i < len(p) && p[i].Op == OpBrFalse && p[i].A == cond
 	}
@@ -239,13 +322,9 @@ func fuseAt(p []Instr) (Instr, bool) {
 		}
 		g.Op, g.Len, g.Imm = arithK[next.Op], 2, in.Imm
 	case cmpBr[in.Op] != 0 && isBr(1, in.Dst):
-		g = Instr{Op: cmpBr[in.Op], Len: 2, Dst: in.Dst, A: in.A, B: in.B, Imm: next.Imm,
-			OrigPC: in.OrigPC, SrcFn: in.SrcFn}
+		g = Instr{Op: cmpBr[in.Op], Len: 2, Dst: in.Dst, A: in.A, B: in.B, Imm: next.Imm}
 	default:
 		return g, false
-	}
-	for i := 0; i < int(g.Len); i++ {
-		g.Cost += p[i].Cost
 	}
 	return g, true
 }

@@ -15,9 +15,12 @@ import (
 // policy space: every slot where fuseAt matches outside the preceding
 // group is that group's head and every other Code slot is its plain
 // instruction verbatim (so group tails stay executable for jumps into the
-// middle), Plain holds single instructions only, and no call to a small
-// leaf callee is left out of line while the function had room to grow.
+// middle), Plain holds single instructions only, Src locates every slot,
+// and no call to a small leaf callee is left out of line while the
+// function had room to grow. Each census group occurs in these programs,
+// except mod.ik+ne.ik+br, which none of them contains.
 func TestCompileSpecializesEverySite(t *testing.T) {
+	census := map[Op]int{OpSubLeIKBr: 0, OpAddDivIKMov: 0, OpModIKEqIKBr: 0, OpIKTailCall: 0, OpAddFieldF: 0}
 	check := func(label string, p *ir.Program) {
 		m, err := Compile(p)
 		if err != nil {
@@ -25,8 +28,8 @@ func TestCompileSpecializesEverySite(t *testing.T) {
 		}
 		groups, splices := 0, 0
 		for _, fc := range m.Funcs {
-			if len(fc.Code) != len(fc.Plain) {
-				t.Fatalf("%s/%s: Code %d slots, Plain %d", label, fc.Name, len(fc.Code), len(fc.Plain))
+			if len(fc.Code) != len(fc.Plain) || len(fc.Src) != len(fc.Plain) {
+				t.Fatalf("%s/%s: Code %d slots, Src %d, Plain %d", label, fc.Name, len(fc.Code), len(fc.Src), len(fc.Plain))
 			}
 			tail := 0 // slots left in the group whose head was just passed
 			for pc := range fc.Plain {
@@ -52,6 +55,9 @@ func TestCompileSpecializesEverySite(t *testing.T) {
 					if g, ok := fuseAt(fc.Plain[pc:]); ok {
 						want, tail = g, int(g.Len)-1
 						groups++
+						if _, ok := census[g.Op]; ok {
+							census[g.Op]++
+						}
 					}
 				}
 				if !reflect.DeepEqual(co, want) {
@@ -77,5 +83,10 @@ func TestCompileSpecializesEverySite(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(name+"/generated", g.Parallel)
+	}
+	for op, n := range census {
+		if n == 0 {
+			t.Errorf("no %v group in any program", op)
+		}
 	}
 }

@@ -58,12 +58,12 @@ func TestCompileTranslatesOneToOne(t *testing.T) {
 		for _, fc := range m.Funcs {
 			next := 0
 			for pc := range fc.Plain {
-				in := &fc.Plain[pc]
-				if int(in.SrcFn) != fc.ID {
+				at := fc.Src[pc]
+				if int(at.Fn) != fc.ID {
 					continue
 				}
-				if int(in.OrigPC) != next {
-					t.Errorf("%s/%s: slot %d has OrigPC %d, want %d", name, fc.Name, pc, in.OrigPC, next)
+				if int(at.PC) != next {
+					t.Errorf("%s/%s: slot %d has source pc %d, want %d", name, fc.Name, pc, at.PC, next)
 				}
 				next++
 			}

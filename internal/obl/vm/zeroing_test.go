@@ -143,9 +143,9 @@ func TestZeroingKeptWhenParametersNotCovered(t *testing.T) {
 func liveAtEntryZeroing(f *ir.Func, fc *vm.FuncCode) (zero [3]bool) {
 	n := len(f.Code)
 	tailCall := make([]bool, n) // by source pc: inline expansion shifts slots
-	for _, in := range fc.Plain {
+	for pc, in := range fc.Plain {
 		if in.Op == vm.OpTailCall {
-			tailCall[in.OrigPC] = true
+			tailCall[fc.Src[pc].PC] = true
 		}
 	}
 	live := make([][]bool, n+1) // live-in per pc; row n (off the end) stays empty
