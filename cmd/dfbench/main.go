@@ -13,9 +13,7 @@
 //
 // -run selects what runs, by ID (-list shows them): experiment IDs, `all`
 // (every experiment, the default) and the validation tiers
-// (internal/bench.Tiers), which are experiments `all` leaves out. `sampling`
-// simulates each large-workload cell sampled and exhaustively and checks
-// the extrapolated metrics' confidence intervals against the ground truth;
+// (internal/bench.Tiers), which are experiments `all` leaves out:
 // `policies-search` prunes the generated policy space to a representative
 // set and `policies-duels` duels the bandit controller against round-robin
 // on every adaptivity scenario. Every claim is a shape check, and failed
@@ -27,9 +25,8 @@
 // populate DIR, so a warm run simulates nothing. -cache-verify follows the
 // run with a second, warm pass that re-simulates every hit and
 // byte-compares it against the cached record (against a memory-only cache
-// when no -cache is given). Cache traffic and the sampling tier's
-// wall-clocks are summarized on stderr; stdout carries the rendered reports
-// only.
+// when no -cache is given). Cache traffic is summarized on stderr; stdout
+// carries the rendered reports only.
 //
 // -procs lists the processor counts of the execution-time tables and
 // figures. It must be strictly increasing and include 1 and 8, the counts
@@ -150,9 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, rep := range doc.Experiments {
 		fmt.Fprintln(stdout, rep.Format())
-		for _, note := range rep.HostNotes {
-			fmt.Fprintln(stderr, note)
-		}
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, rep); err != nil {
 				return fail(1, "csv: %v", err)

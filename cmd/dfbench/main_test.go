@@ -36,9 +36,6 @@ func TestDocumentIsAPureFunctionOfTheSelection(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("-p %s: exit %d: %s", p, code, stderr)
 		}
-		if !strings.Contains(stderr, "sampled vs") {
-			t.Errorf("-p %s: the sampling tier's wall-clocks are not on stderr: %q", p, stderr)
-		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +78,7 @@ func TestBadUsageExits2(t *testing.T) {
 		{"-speedup"}, {"-cache-timing"}, {"-engine-timing"}, {"-scaling", "1,2"}, {"-cpuprofile", "p.out"},
 		{"-perturb", "all"}, {"-cache-mem", "8"},
 		{"-sample"}, {"-sample-validate"}, {"-policies"}, {"-policies-validate"},
-		{"-run", "none"}, {"-run", "table1,nope"}, {"-run", "policies"},
+		{"-run", "none"}, {"-run", "table1,nope"}, {"-run", "policies"}, {"-run", "sampling"},
 		{"-procs", "0"}, {"-procs", "4,16"}, {"-procs", "16,8"}, {"-procs", "1,8,8"},
 		{"-controller", "greedy"},
 	} {
@@ -91,18 +88,18 @@ func TestBadUsageExits2(t *testing.T) {
 	}
 }
 
-// TestFailedTierGatesAfterWritingTheDocument forces the sampling tier to
-// miss a claim: dfbench must exit 1 through failed_checks, and only after
+// TestFailedTierGatesAfterWritingTheDocument forces the policies-search
+// tier to miss a claim: dfbench must exit 1 through failed_checks, and only after
 // the JSON document recording the miss is on disk.
 func TestFailedTierGatesAfterWritingTheDocument(t *testing.T) {
 	defer func(orig func(string) (bench.Experiment, bool)) { experimentByID = orig }(experimentByID)
 	experimentByID = func(id string) (bench.Experiment, bool) {
 		return bench.Experiment{ID: id, Run: func(*bench.Suite) (*bench.Report, error) {
-			return &bench.Report{ID: id, Checks: []bench.ShapeCheck{{Name: "ground truth inside its interval"}}}, nil
+			return &bench.Report{ID: id, Checks: []bench.ShapeCheck{{Name: "representative set covers every scenario"}}}, nil
 		}}, true
 	}
 	path := filepath.Join(t.TempDir(), "suite.json")
-	code, _, stderr := dfbench("-quick", "-run", "sampling", "-json", path)
+	code, _, stderr := dfbench("-quick", "-run", "policies-search", "-json", path)
 	if code != 1 || !strings.Contains(stderr, "1 shape check(s) failed") {
 		t.Errorf("exit %d, stderr %q; want exit 1 counting the failed check", code, stderr)
 	}
@@ -119,7 +116,7 @@ func TestFailedTierGatesAfterWritingTheDocument(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.FailedChecks != 1 || len(doc.Experiments) != 1 || doc.Experiments[0].ID != "sampling" {
+	if doc.FailedChecks != 1 || len(doc.Experiments) != 1 || doc.Experiments[0].ID != "policies-search" {
 		t.Errorf("document does not record the failed tier: %s", data)
 	}
 }
@@ -129,7 +126,7 @@ func TestListShowsExperimentsAndTiers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	for _, id := range []string{"table1", "adapt-skew", "sampling", "policies-search", "policies-duels"} {
+	for _, id := range []string{"table1", "adapt-skew", "policies-search", "policies-duels"} {
 		if !regexp.MustCompile(`(?m)^` + id + `\s`).MatchString(stdout) {
 			t.Errorf("-list does not show %q:\n%s", id, stdout)
 		}

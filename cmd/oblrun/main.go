@@ -11,13 +11,20 @@
 //
 //	oblrun -app water -procs 8 -policy dynamic -sampling 10ms -production 10s
 //	oblrun -app barneshut -procs 16 -policy aggressive -param nbodies=4096
+//
+// Exit codes, as oblc's: 0 success; 1 a compile error, a run that fails
+// (a runtime error in the program) or a trace that cannot be written; 2
+// bad usage, which an unknown -app or -policy and an unreadable source
+// file are, reported before anything is compiled.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -45,21 +52,40 @@ func (p paramList) Set(v string) error {
 	return nil
 }
 
-func main() {
-	app := flag.String("app", "", "run a bundled application (barneshut, water, string)")
-	procs := flag.Int("procs", 8, "number of simulated processors (exercised up to 256; see simmach.Config.Procs)")
-	policy := flag.String("policy", "dynamic", "original, bounded, aggressive, dynamic, or serial")
-	flagged := flag.Bool("flagged", false, "run the flag-dispatch single-version build (§4.2) instead of the multi-version build")
-	sampling := flag.Duration("sampling", 10*time.Millisecond, "target sampling interval (virtual)")
-	production := flag.Duration("production", 100*time.Second, "target production interval (virtual)")
-	cutoff := flag.Bool("cutoff", false, "enable early cut-off and policy ordering (§4.5)")
-	span := flag.Bool("span", false, "let intervals span section executions (§4.4)")
-	verbose := flag.Bool("v", false, "print per-section samples")
-	tracePath := flag.String("trace", "", "write every synchronization event as CSV to this file")
-	compare := flag.Bool("compare", false, "run serial, every policy, dynamic feedback and the flagged build; print a comparison table")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters. It returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("oblrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	app := fs.String("app", "", "run a bundled application (barneshut, water, string)")
+	procs := fs.Int("procs", 8, "number of simulated processors (exercised up to 256; see simmach.Config.Procs)")
+	policy := fs.String("policy", "dynamic", "original, bounded, aggressive, dynamic, or serial")
+	flagged := fs.Bool("flagged", false, "run the flag-dispatch single-version build (§4.2) instead of the multi-version build")
+	sampling := fs.Duration("sampling", 10*time.Millisecond, "target sampling interval (virtual)")
+	production := fs.Duration("production", 100*time.Second, "target production interval (virtual)")
+	cutoff := fs.Bool("cutoff", false, "enable early cut-off and policy ordering (§4.5)")
+	span := fs.Bool("span", false, "let intervals span section executions (§4.4)")
+	verbose := fs.Bool("v", false, "print per-section samples")
+	tracePath := fs.String("trace", "", "write every synchronization event as CSV to this file")
+	compare := fs.Bool("compare", false, "run serial, every policy, dynamic feedback and the flagged build; print a comparison table")
 	params := paramList{}
-	flag.Var(params, "param", "override a program parameter, name=value (repeatable)")
-	flag.Parse()
+	fs.Var(params, "param", "override a program parameter, name=value (repeatable)")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: oblrun [flags] file.obl | oblrun [flags] -app name")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "oblrun:", err)
+		return code
+	}
+	if p := *policy; p != interp.PolicyDynamic && p != "serial" && !slices.Contains(oblc.Policies(), p) {
+		return fail(2, fmt.Errorf("unknown policy %q (want original, bounded, aggressive, dynamic or serial)", p))
+	}
 
 	var src string
 	switch {
@@ -67,26 +93,27 @@ func main() {
 		var err error
 		src, err = apps.Source(*app)
 		if err != nil {
-			fatal(err)
+			return fail(2, err)
 		}
-	case flag.NArg() == 1:
-		data, err := os.ReadFile(flag.Arg(0))
+	case fs.NArg() == 1:
+		data, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return fail(2, err)
 		}
 		src = string(data)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: oblrun [flags] file.obl | oblrun [flags] -app name")
-		flag.PrintDefaults()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 	c, err := oblc.Compile(src)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	if *compare {
-		runComparison(c, *procs, params, simmach.Time(*sampling), simmach.Time(*production))
-		return
+		if err := runComparison(stdout, c, *procs, params, simmach.Time(*sampling), simmach.Time(*production)); err != nil {
+			return fail(1, err)
+		}
+		return 0
 	}
 	prog := c.Parallel
 	if *flagged {
@@ -108,79 +135,90 @@ func main() {
 		opts.Procs = 1
 	}
 	var traceFile *os.File
+	var trace *bufio.Writer
 	if *tracePath != "" {
-		var err error
-		traceFile, err = os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
+		if traceFile, err = os.Create(*tracePath); err != nil {
+			return fail(1, err)
 		}
-		defer traceFile.Close()
-		w := bufio.NewWriter(traceFile)
-		defer w.Flush()
-		fmt.Fprintln(w, "time_ns,proc,event,lock")
+		trace = bufio.NewWriter(traceFile)
+		fmt.Fprintln(trace, "time_ns,proc,event,lock")
 		opts.Trace = func(ev simmach.TraceEvent) {
-			fmt.Fprintf(w, "%d,%d,%s,%s\n", int64(ev.Time), ev.Proc, ev.Kind, ev.Lock)
+			fmt.Fprintf(trace, "%d,%d,%s,%s\n", int64(ev.Time), ev.Proc, ev.Kind, ev.Lock)
 		}
 	}
 	res, err := interp.Run(prog, opts)
+	if traceFile != nil {
+		// The bufio.Writer keeps its first write error and returns it from
+		// Flush, so a failed event write is reported here too.
+		terr := trace.Flush()
+		if cerr := traceFile.Close(); terr == nil {
+			terr = cerr
+		}
+		if err == nil && terr != nil {
+			err = fmt.Errorf("trace: %w", terr)
+		}
+	}
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	for _, line := range res.Output {
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
-	fmt.Printf("-- execution time: %v (virtual), %d scheduler steps\n", res.Time, res.Steps)
-	fmt.Printf("-- acquire/release pairs: %d, failed acquires: %d\n",
+	fmt.Fprintf(stdout, "-- execution time: %v (virtual), %d scheduler steps\n", res.Time, res.Steps)
+	fmt.Fprintf(stdout, "-- acquire/release pairs: %d, failed acquires: %d\n",
 		res.Counters.Acquires, res.Counters.FailedAcquires)
-	fmt.Printf("-- locking overhead: %v, waiting overhead: %v\n",
+	fmt.Fprintf(stdout, "-- locking overhead: %v, waiting overhead: %v\n",
 		res.Counters.LockTime, res.Counters.WaitTime)
 	for _, sec := range res.Sections {
-		fmt.Printf("-- section %s: %d executions, %d iterations, versions %v\n",
+		fmt.Fprintf(stdout, "-- section %s: %d executions, %d iterations, versions %v\n",
 			sec.Name, len(sec.Executions), sec.Iterations, sec.VersionLabels)
 		if *verbose {
 			for _, smp := range sec.Samples {
-				fmt.Printf("   %-10s %-22s [%v .. %v] overhead %.4f (lock %.4f, wait %.4f)\n",
+				fmt.Fprintf(stdout, "   %-10s %-22s [%v .. %v] overhead %.4f (lock %.4f, wait %.4f)\n",
 					smp.Kind, smp.Label, smp.Start, smp.End, smp.Overhead, smp.LockOver, smp.WaitOver)
 			}
 		}
 	}
+	return 0
 }
 
 // runComparison executes every build and policy at the given processor
 // count and prints one row per configuration.
-func runComparison(c *oblc.Compiled, procs int, params map[string]int64, sampling, production simmach.Time) {
-	fmt.Printf("%-22s %-12s %-14s %-14s %-12s\n", "configuration", "time", "acquire pairs", "waiting", "result[0]")
-	row := func(name string, prog *ir.Program, opts interp.Options) {
+func runComparison(stdout io.Writer, c *oblc.Compiled, procs int, params map[string]int64, sampling, production simmach.Time) error {
+	fmt.Fprintf(stdout, "%-22s %-12s %-14s %-14s %-12s\n", "configuration", "time", "acquire pairs", "waiting", "result[0]")
+	row := func(name string, prog *ir.Program, opts interp.Options) error {
 		opts.Params = params
 		res, err := interp.Run(prog, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		out := ""
 		if len(res.Output) > 0 {
 			out = res.Output[0]
 		}
-		fmt.Printf("%-22s %-12v %-14d %-14v %-12s\n",
+		fmt.Fprintf(stdout, "%-22s %-12v %-14d %-14v %-12s\n",
 			name, res.Time, res.Counters.Acquires, res.Counters.WaitTime, out)
+		return nil
 	}
-	row("serial", c.Serial, interp.Options{Procs: 1})
-	for _, policy := range oblc.Policies() {
-		row(policy, c.Parallel, interp.Options{Procs: procs, Policy: policy})
-	}
-	row("dynamic", c.Parallel, interp.Options{
+	dynamic := interp.Options{
 		Procs: procs, Policy: interp.PolicyDynamic,
 		TargetSampling: sampling, TargetProduction: production,
-	})
-	for _, policy := range oblc.Policies() {
-		row("flagged/"+policy, c.Flagged, interp.Options{Procs: procs, Policy: policy})
 	}
-	row("flagged/dynamic", c.Flagged, interp.Options{
-		Procs: procs, Policy: interp.PolicyDynamic,
-		TargetSampling: sampling, TargetProduction: production,
-	})
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "oblrun:", err)
-	os.Exit(1)
+	if err := row("serial", c.Serial, interp.Options{Procs: 1}); err != nil {
+		return err
+	}
+	for _, build := range []struct {
+		prefix string
+		prog   *ir.Program
+	}{{"", c.Parallel}, {"flagged/", c.Flagged}} {
+		for _, policy := range oblc.Policies() {
+			if err := row(build.prefix+policy, build.prog, interp.Options{Procs: procs, Policy: policy}); err != nil {
+				return err
+			}
+		}
+		if err := row(build.prefix+"dynamic", build.prog, dynamic); err != nil {
+			return err
+		}
+	}
+	return nil
 }

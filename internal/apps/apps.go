@@ -409,24 +409,6 @@ func TestParams(name string) map[string]int64 {
 	}
 }
 
-// LargeParams returns the sampled-simulation tier presets: parallel
-// sections an order of magnitude longer than BenchParams, sized so
-// exhaustive simulation is expensive enough that interval sampling's
-// wall-clock savings are measurable, while section trip counts comfortably
-// exceed the sampler's warm-up (windows plus gap).
-func LargeParams(name string) map[string]int64 {
-	switch name {
-	case NameBarnesHut:
-		return map[string]int64{"nbodies": 8192, "listlen": 24, "interwork": 20000, "npasses": 1, "serialwork": 10000}
-	case NameWater:
-		return map[string]int64{"nmol": 1024, "nsteps": 1, "energydepth": 2, "serialwork": 10000}
-	case NameString:
-		return map[string]int64{"gridside": 40, "nrays": 4096, "pathlen": 48, "nrounds": 1, "serialwork": 10000}
-	default:
-		return nil
-	}
-}
-
 // BenchParams returns the evaluation-scale presets used to regenerate the
 // paper's tables and figures.
 func BenchParams(name string) map[string]int64 {

@@ -43,7 +43,7 @@ func TestParamBoundsCoverPresets(t *testing.T) {
 				t.Errorf("%s: no bound for parameter %q", n, name)
 			}
 		}
-		for _, preset := range []map[string]int64{TestParams(n), LargeParams(n), BenchParams(n), c.Parallel.Params} {
+		for _, preset := range []map[string]int64{TestParams(n), BenchParams(n), c.Parallel.Params} {
 			for k, v := range preset {
 				if v > bounds[k] {
 					t.Errorf("%s: preset %s = %d exceeds its bound %d", n, k, v, bounds[k])

@@ -99,9 +99,6 @@ type Report struct {
 	Series []Series     `json:"series,omitempty"`
 	Notes  []string     `json:"notes,omitempty"`
 	Checks []ShapeCheck `json:"checks,omitempty"`
-	// HostNotes are remarks about the host (wall-clocks). They are in
-	// neither the JSON form nor Format: dfbench prints them on stderr.
-	HostNotes []string `json:"-"`
 }
 
 // Failed returns the names of failed shape checks.
@@ -324,9 +321,8 @@ func (s *Suite) resolve(sp RunSpec) (*ir.Program, interp.Options, string, error)
 	return prog, opts, key, nil
 }
 
-// cell resolves one cell. Every exact simulation in the package goes
-// through it (the sampling tier's estimates are not cells: interp.CacheKey
-// refuses them): the memo single-flights on the cell's content address, a
+// cell resolves one cell. Every simulation in the package goes through
+// it: the memo single-flights on the cell's content address, a
 // memo miss consults the simulation cache, and a cache miss simulates. It
 // is safe for concurrent use; identical cells are simulated exactly once.
 func (s *Suite) cell(sp RunSpec) (*interp.Result, error) {
@@ -376,22 +372,16 @@ func (s *Suite) simulate(prog *ir.Program, opts interp.Options, key string) (*in
 }
 
 // execute simulates under the suite's engine with up to Parallelism
-// simulations in flight.
+// simulations in flight. A serial suite has nothing in flight to bound, so
+// it skips the semaphore rather than paying a channel round-trip per
+// simulation.
 func (s *Suite) execute(prog *ir.Program, opts interp.Options) (*interp.Result, error) {
-	defer s.slot()()
+	if cap(s.sem) > 1 {
+		s.sem <- struct{}{}
+		defer func() { <-s.sem }()
+	}
 	opts.Engine = s.cfg.Engine
 	return interp.Run(prog, opts)
-}
-
-// slot takes one of the suite's Parallelism simulation slots and returns
-// its release. A serial suite has nothing in flight to bound, so it skips
-// the semaphore rather than paying a channel round-trip per simulation.
-func (s *Suite) slot() (release func()) {
-	if cap(s.sem) <= 1 {
-		return func() {}
-	}
-	s.sem <- struct{}{}
-	return func() { <-s.sem }
 }
 
 // section finds a section's stats in a result.
@@ -509,14 +499,13 @@ func Experiments() []Experiment {
 	}
 }
 
-// Tiers returns the validation tiers of the two later subsystems, sampled
-// simulation and the generated policy space. They are experiments like any
-// other, selected by ID, but not part of Experiments: the golden, the root
-// benchmarks and the dfperf suite workload enumerate that list, and the
-// full-scale tiers are too slow to ride in it.
+// Tiers returns the validation tiers of the generated policy space. They
+// are experiments like any other, selected by ID, but not part of
+// Experiments: the golden, the root benchmarks and the dfperf suite
+// workload enumerate that list, and the full-scale tiers are too slow to
+// ride in it.
 func Tiers() []Experiment {
 	return []Experiment{
-		experiment("sampling", fmt.Sprintf("Sampled simulation vs exhaustive ground truth (%s, %d procs, 95%% intervals)", samplingPolicy, samplingProcs), samplingTier),
 		experiment("policies-search", fmt.Sprintf("Generated policy space: representative-set search (%d procs)", searchProcs), policiesSearch),
 		experiment("policies-duels", fmt.Sprintf("Generated policy space: round-robin vs bandit controller duels (%d procs)", searchProcs), policiesDuels),
 	}

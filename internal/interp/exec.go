@@ -218,8 +218,8 @@ func (t *task) exec(p *simmach.Proc) (simmach.Status, bool) {
 			regs[in.Dst] = RefVal(&Object{Class: cls, Fields: fields}) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
 		case ir.OpNewArr:
 			n := regs[in.A].I
-			if n < 0 {
-				rt.fail("%s: negative array length %d", fr.fn.Name, n)
+			if uint64(n) > maxArrayLen {
+				rt.badArrayLen(fr.fn.Name, n)
 			}
 			t.acc += simmach.Time(n) * ir.CostPerElem
 			elems := make([]Value, n) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate

@@ -180,10 +180,9 @@ func CacheKey(p *ir.Program, opts Options) (key string, ok bool) {
 	if opts.Trace != nil {
 		return "", false
 	}
-	if opts.Sample != nil || opts.ckHook != nil {
-		// Sampled runs are estimates, not ground truth; checkpoint-hooked
-		// runs are test scaffolding. Neither may masquerade as (or be
-		// served from) an exact cached result.
+	if opts.ckHook != nil {
+		// Checkpoint-hooked runs are test scaffolding: they may neither
+		// masquerade as nor be served from a cached result.
 		return "", false
 	}
 	opts = opts.withDefaults()

@@ -88,23 +88,12 @@ type Options struct {
 	// allocates tracking state and is meant for the differential testing
 	// harness, not for measurement runs.
 	DetectRaces bool
-	// Sample, when non-nil, enables sampled simulation (see sample.go):
-	// long parallel sections alternate detailed windows with fast-forward
-	// gaps charged at window-extrapolated rates over machine checkpoints,
-	// so the Result becomes a confidence-bounded estimate instead of an
-	// exact simulation. Sampled runs require a static policy (the dynamic
-	// feedback controller must observe real per-iteration timer polls),
-	// reject race detection and tracing, and are never cached (CacheKey
-	// returns ok=false). Use internal/simsample to attach confidence
-	// intervals and validate estimates against exhaustive ground truth.
-	Sample *SampleSpec
 	// Engine selects the instruction executor. EngineVM (the default) is the
 	// production engine: the program is compiled once to specialized
 	// register bytecode, and a program vm.Compile rejects is an error.
 	// EngineInterp is the reference oracle the differential tests and the
-	// benchmark compare against: the direct IR interpreter, for exhaustive
-	// runs only (it rejects Sample). Both produce byte-identical Results, so
-	// the choice never appears in cache keys.
+	// benchmark compare against: the direct IR interpreter. Both produce
+	// byte-identical Results, so the choice never appears in cache keys.
 	Engine string
 	// Trace, when set, receives every synchronization event of the
 	// simulated machine (lock acquires, blocks, grants, releases, barrier
@@ -223,11 +212,6 @@ type Result struct {
 	// Races holds the dynamic race detector's findings (only when
 	// Options.DetectRaces was set).
 	Races []RaceReport
-	// Sampling describes the sampled-simulation run that produced this
-	// (estimated) result: per-section detailed-window statistics, skipped
-	// iteration counts and rollbacks. Nil for exhaustive runs, so cached
-	// exhaustive results encode identically to before the field existed.
-	Sampling *SamplingInfo `json:"Sampling,omitempty"`
 }
 
 // runtimeErr aborts execution through the scheduler.
@@ -305,8 +289,8 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	if opts.Engine != EngineVM && opts.Engine != EngineInterp {
 		return nil, fmt.Errorf("interp: unknown engine %q", opts.Engine)
 	}
-	if opts.Engine == EngineInterp && (opts.Sample != nil || opts.ckHook != nil) {
-		return nil, fmt.Errorf("interp: engine %q is the exhaustive-run oracle and keeps no snapshot state; sample and checkpoint under %q", EngineInterp, EngineVM)
+	if opts.Engine == EngineInterp && opts.ckHook != nil {
+		return nil, fmt.Errorf("interp: engine %q is the reference oracle and keeps no snapshot state; checkpoint under %q", EngineInterp, EngineVM)
 	}
 	if opts.Policy != PolicyDynamic {
 		for _, sec := range p.Sections {
@@ -325,38 +309,14 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	}
 	mcfg := simmach.DefaultConfig(opts.Procs)
 	rt := &runtime{
-		prog:        p,
-		prep:        prepare(p),
-		opts:        opts,
-		m:           simmach.New(mcfg),
-		controllers: map[int]*core.Controller{},
-		stats:       map[int]*SectionStats{},
-		hook:        opts.ckHook,
-		releaseAhead: !opts.AsyncSwitch && opts.Sample == nil && opts.Trace == nil &&
-			!opts.DetectRaces,
-	}
-	if opts.Sample != nil {
-		// Sampled runs produce estimates: reject every mode that needs the
-		// exact event stream. The dynamic controller polls the timer per
-		// iteration (skipped bodies skip the polls), the race detector needs
-		// every access, and traces cannot be rewound across rollbacks.
-		if opts.Policy == PolicyDynamic {
-			return nil, fmt.Errorf("interp: sampled simulation requires a static policy (the dynamic feedback controller must observe every iteration)")
-		}
-		if opts.DetectRaces {
-			return nil, fmt.Errorf("interp: sampled simulation cannot detect races (skipped iterations skip their accesses); run exhaustively")
-		}
-		if opts.Trace != nil {
-			return nil, fmt.Errorf("interp: sampled simulation cannot be traced (rollbacks would replay events); run exhaustively")
-		}
-		for _, sec := range p.Sections {
-			if vi, ok := sec.PolicyVersion[opts.Policy]; ok && sec.Versions[vi].Chunk > 1 {
-				return nil, fmt.Errorf("interp: sampled simulation cannot run chunk-scheduled version %q of section %s (the sampler's fast-forward manipulates the shared claim counter); run exhaustively", opts.Policy, sec.Name)
-			}
-		}
-		spec := opts.Sample.withDefaults()
-		rt.sampSpec = &spec
-		rt.sampAgg = map[int]*SectionSampling{}
+		prog:         p,
+		prep:         prepare(p),
+		opts:         opts,
+		m:            simmach.New(mcfg),
+		controllers:  map[int]*core.Controller{},
+		stats:        map[int]*SectionStats{},
+		hook:         opts.ckHook,
+		releaseAhead: !opts.AsyncSwitch && opts.Trace == nil && !opts.DetectRaces,
 	}
 	if opts.DetectRaces {
 		rt.race = newRaceDetector()
@@ -436,20 +396,6 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	if rt.race != nil {
 		res.Races = rt.race.reports
 	}
-	if rt.sampSpec != nil {
-		info := &SamplingInfo{Spec: *rt.sampSpec}
-		for _, sec := range p.Sections {
-			sa, ok := rt.sampAgg[sec.ID]
-			if !ok {
-				continue
-			}
-			info.Sections = append(info.Sections, sa)
-			info.DetailedIters += sa.DetailedIters
-			info.SkippedIters += sa.SkippedIters
-			info.Rollbacks += sa.Rollbacks
-		}
-		res.Sampling = info
-	}
 	for _, sec := range p.Sections {
 		st, ok := rt.stats[sec.ID]
 		if !ok {
@@ -510,18 +456,28 @@ type runtime struct {
 	// dispatch that reached it (simmach.Proc.ReleaseAhead). It is off in
 	// every run that reads other processors' state between rendezvous in
 	// host order, where the skipped dispatch's place in the schedule shows:
-	// AsyncSwitch's single-processor transition, the sampler's window
-	// totals, the trace and the race detector.
+	// AsyncSwitch's single-processor transition, the trace and the race
+	// detector.
 	releaseAhead bool
-	// sampSpec (defaulted) and sampAgg carry sampled-simulation state; nil
-	// for exhaustive runs. sampAgg accumulates per-section window stats
-	// across the section's executions, keyed by section ID.
-	sampSpec *SampleSpec
-	sampAgg  map[int]*SectionSampling
 }
 
 func (rt *runtime) fail(format string, args ...any) {
 	panic(runtimeErr{msg: fmt.Sprintf(format, args...)})
+}
+
+// maxArrayLen bounds the length of an array the simulated program makes:
+// 16 times the largest array a bundled application makes at its parameter
+// bounds (String's gridside², 2^20), so an oversized parameter fails the
+// run instead of the host's allocator.
+const maxArrayLen = 1 << 24
+
+// badArrayLen fails the run on a new-array length outside [0, maxArrayLen];
+// both engines' OpNewArr call it, so they fail with one message.
+func (rt *runtime) badArrayLen(fn string, n int64) {
+	if n < 0 {
+		rt.fail("%s: negative array length %d", fn, n)
+	}
+	rt.fail("%s: array length %d exceeds the limit of %d elements", fn, n, maxArrayLen)
 }
 
 func (rt *runtime) sectionStats(sec *ir.Section) *SectionStats {
@@ -596,9 +552,6 @@ type sectionRun struct {
 	// the shared counter (and without paying the claim cost).
 	chunkNext []int64
 	chunkRem  []int64
-	// samp drives sampled simulation over this section execution, nil when
-	// the run is exhaustive or the section is too short to sample.
-	samp *sampler
 }
 
 // claimIter claims the next iteration for processor p under the active
@@ -683,9 +636,6 @@ func (sr *sectionRun) onBarrierComplete(last simmach.Time) {
 		// The section's iterations are exhausted: it ends here.
 		if sr.dynamic {
 			sr.ctl.EndExecution(core.Nanos(last), sr.measure())
-		}
-		if sr.samp != nil {
-			sr.samp.finishExec()
 		}
 		sr.finished = true
 		st := sr.stats
@@ -942,11 +892,6 @@ func (w *worker) sectionStep(p *simmach.Proc) (simmach.Status, bool) {
 				return st, false
 			}
 		}
-		if sp := sr.samp; sp != nil {
-			if st, handled := sp.atClaim(p); handled {
-				return st, false
-			}
-		}
 		iter, ok := sr.claimIter(p)
 		if !ok {
 			p.BarrierArrive(rt.barrier)
@@ -1020,9 +965,6 @@ func (w *worker) fork(p *simmach.Proc, sec *ir.Section, lo, hi int64, args []Val
 	sr.stats.ChosenVersion = sr.versionIdx
 	if rt.race != nil {
 		rt.race.enterSection(sec.Name)
-	}
-	if rt.sampSpec != nil && hi-lo >= rt.sampSpec.MinSectionIters {
-		sr.samp = newSampler(rt, sr)
 	}
 	rt.barrier.OnComplete = sr.onBarrierComplete
 	for i := 1; i < rt.opts.Procs; i++ {

@@ -447,19 +447,27 @@ func main() { print mystery(1.0); }
 }
 
 func TestRuntimeErrors(t *testing.T) {
-	cases := []struct{ name, src, want string }{
-		{"div0", `func main() { let a: int = 0; print 1 / a; }`, "division by zero"},
-		{"mod0", `func main() { let a: int = 0; print 1 % a; }`, "modulo by zero"},
-		{"nil", `class C { v: int; } func main() { let c: C; print c.v; }`, "nil dereference"},
-		{"oob", `func main() { let a: int[] = new int[2]; print a[5]; }`, "out of range"},
-		{"neglen", `func main() { let n: int = 0 - 3; let a: int[] = new int[n]; print len(a); }`, "negative array length"},
+	cases := []struct {
+		name, src string
+		params    map[string]int64
+		want      string
+	}{
+		{"div0", `func main() { let a: int = 0; print 1 / a; }`, nil, "division by zero"},
+		{"mod0", `func main() { let a: int = 0; print 1 % a; }`, nil, "modulo by zero"},
+		{"nil", `class C { v: int; } func main() { let c: C; print c.v; }`, nil, "nil dereference"},
+		{"oob", `func main() { let a: int[] = new int[2]; print a[5]; }`, nil, "out of range"},
+		{"neglen", `func main() { let n: int = 0 - 3; let a: int[] = new int[n]; print len(a); }`, nil, "negative array length"},
+		{"hugelen", `param n: int = 4; func main() { let a: int[] = new int[n]; print len(a); }`,
+			map[string]int64{"n": 1e15}, "array length 1000000000000000 exceeds the limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := compile(t, tc.src)
-			_, err := Run(c.Serial, Options{})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("err = %v, want %q", err, tc.want)
+			for _, engine := range []string{EngineVM, EngineInterp} {
+				_, err := Run(c.Serial, Options{Engine: engine, Params: tc.params})
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: err = %v, want %q", engine, err, tc.want)
+				}
 			}
 		})
 	}

@@ -11,32 +11,29 @@ import (
 // is a copy: one clone of every piece of client state the simulated machine
 // cannot see — the VM workers (call stacks, register banks, lock nests), the
 // reachable heap objects, the active section run, every section's
-// statistics and sampling aggregate, the race detector and the sampler —
-// next to the machine's own simmach.Checkpoint and the length of the
-// program output. Each clone copies its struct whole and deep-copies only
-// the slices and maps it names, so a field added to any of these types is
-// in every snapshot without further code (TestCloneCoversEveryField holds
-// each clone to its struct). Restore writes a fresh clone back through the
+// statistics and the race detector — next to the machine's own
+// simmach.Checkpoint and the length of the program output. Each clone
+// copies its struct whole and deep-copies only the slices and maps it
+// names, so a field added to any of these types is in every snapshot
+// without further code (TestCloneCoversEveryField holds each clone to its
+// struct). Restore writes a fresh clone back through the
 // live pointer, so pointer identity survives (workers hold the *sectionRun,
 // the machine's barrier its OnComplete, objects their *simmach.Lock) and a
 // snapshot is never aliased by the state it was restored into. Together
-// with simmach.Checkpoint this gives the byte-identity guarantee sampled
-// simulation relies on: restore-then-continue is indistinguishable from
-// uninterrupted execution.
+// with simmach.Checkpoint this gives the byte-identity guarantee:
+// restore-then-continue is indistinguishable from uninterrupted execution.
 //
-// Deliberately not rewound: a section aggregate's Rollbacks (a rollback
-// must outlive its own restore; the sampler also re-arms forcedUntil after
-// it), each worker's executed and acc (a claim point begins a dispatch with
-// nothing executed or charged), and what simmach.Checkpoint documents (the
-// run queue, the step count, locks and barriers created later).
+// Deliberately not rewound: each worker's executed and acc (a claim point
+// begins a dispatch with nothing executed or charged), and what
+// simmach.Checkpoint documents (the run queue, the step count, locks and
+// barriers created later).
 //
 // Snapshots are only taken at iteration-claim points (the checkpoint
 // protocol's anchor), only under the VM engine (the step interpreter is
-// the exhaustive-run oracle and keeps no snapshot state; Run rejects the
-// combination), and only for static-policy runs: the dynamic
-// feedback controller (core.Controller and, inside it, its selector's arm
-// statistics) is not yet cloned, and sampled runs reject dynamic policies
-// anyway.
+// the reference oracle and keeps no snapshot state; Run rejects the
+// combination), and only for static-policy runs: the dynamic feedback
+// controller (core.Controller and, inside it, its selector's arm
+// statistics) is not yet cloned.
 
 // runSnapshot is a restorable snapshot of a run: the machine checkpoint
 // plus a clone of the interpreter-level client state.
@@ -44,13 +41,11 @@ type runSnapshot struct {
 	mck       *simmach.Checkpoint
 	outputLen int
 	stats     map[int]SectionStats
-	sampAgg   map[int]SectionSampling
 	sr        *sectionRun
 	run       sectionRun
 	tasks     []vmTask // by processor
 	objects   map[*Object]Object
 	race      *raceDetector
-	samp      *sampler
 }
 
 // clone copies the section run with its argument and per-processor slices.
@@ -72,17 +67,6 @@ func (st *SectionStats) clone() SectionStats {
 	c.Switches = slices.Clone(st.Switches)
 	return c
 }
-
-// clone copies the aggregate with its window list.
-func (a *SectionSampling) clone() SectionSampling {
-	c := *a
-	c.Windows = slices.Clone(a.Windows)
-	return c
-}
-
-// clone copies the sampler, which holds no slice or map; its aggregate is
-// the runtime's and is cloned with the rest of sampAgg.
-func (sp *sampler) clone() sampler { return *sp }
 
 // clone copies the task, its embedded worker included: the frame stack,
 // the three register arenas and the lock nest. The copied frames' windows
@@ -135,16 +119,12 @@ func (rt *runtime) snapshot() *runSnapshot {
 		mck:       rt.m.Checkpoint(),
 		outputLen: len(rt.output),
 		stats:     make(map[int]SectionStats, len(rt.stats)),
-		sampAgg:   make(map[int]SectionSampling, len(rt.sampAgg)),
 		sr:        sr,
 		run:       sr.clone(),
 		objects:   map[*Object]Object{},
 	}
 	for id, st := range rt.stats {
 		s.stats[id] = st.clone()
-	}
-	for id, a := range rt.sampAgg {
-		s.sampAgg[id] = a.clone()
 	}
 
 	// Heap traversal roots: every live register of every task plus the
@@ -169,7 +149,7 @@ func (rt *runtime) snapshot() *runSnapshot {
 		}
 	}
 	for _, w := range rt.pool {
-		t := w.ex.(*vmTask) // Run admits Sample and ckHook under EngineVM only
+		t := w.ex.(*vmTask) // Run admits ckHook under EngineVM only
 		s.tasks = append(s.tasks, t.clone())
 		for _, o := range t.refStack {
 			addObj(o)
@@ -187,10 +167,6 @@ func (rt *runtime) snapshot() *runSnapshot {
 		d := rt.race.clone()
 		s.race = &d
 	}
-	if sr.samp != nil {
-		sp := sr.samp.clone()
-		s.samp = &sp
-	}
 	return s
 }
 
@@ -206,16 +182,6 @@ func (rt *runtime) restoreSnapshot(s *runSnapshot) {
 			delete(rt.stats, id)
 		}
 	}
-	for id, a := range rt.sampAgg {
-		saved, ok := s.sampAgg[id]
-		if !ok {
-			delete(rt.sampAgg, id)
-			continue
-		}
-		rollbacks := a.Rollbacks
-		*a = saved.clone()
-		a.Rollbacks = rollbacks // counts restores like this one: never rewound
-	}
 	*s.sr = s.run.clone()
 	for i, w := range rt.pool {
 		t := w.ex.(*vmTask)
@@ -230,16 +196,13 @@ func (rt *runtime) restoreSnapshot(s *runSnapshot) {
 	if s.race != nil {
 		*rt.race = s.race.clone()
 	}
-	if s.samp != nil {
-		*s.sr.samp = s.samp.clone()
-	}
 }
 
 // ckHook is the test-only checkpoint/restore driver: at claim number ckAt
 // (counted across all processors and sections) it snapshots the run; at
 // claim restoreAt it restores and lets execution replay. Used by the
 // byte-identity tests to prove restore-then-continue equals uninterrupted
-// execution at arbitrary claim points, mid-window included.
+// execution at arbitrary claim points.
 type ckHook struct {
 	ckAt      int64
 	restoreAt int64

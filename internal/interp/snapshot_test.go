@@ -2,6 +2,8 @@ package interp
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/clonecheck"
 	"repro/internal/obl/ir"
 	"repro/internal/obl/polgen"
+	"repro/internal/perturb"
 )
 
 // sharedByDesign lists the slice and map fields a clone may share with
@@ -31,8 +34,6 @@ func TestCloneCoversEveryField(t *testing.T) {
 	got := slices.Concat(
 		clonecheck.Shared((*sectionRun).clone),
 		clonecheck.Shared((*SectionStats).clone),
-		clonecheck.Shared((*SectionSampling).clone),
-		clonecheck.Shared((*sampler).clone),
 		clonecheck.Shared((*vmTask).clone),
 		clonecheck.Shared((*Object).clone),
 		clonecheck.Shared((*raceDetector).clone),
@@ -160,5 +161,85 @@ func TestCheckpointAnywhere(t *testing.T) {
 				t.Errorf("no checkpoint fell inside a processor's chunk (points %v)", pts)
 			}
 		})
+	}
+}
+
+func encodeRes(t *testing.T, res *Result) []byte {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCheckpointHookByteIdentical drives the full-runtime checkpoint:
+// snapshot at one claim point, keep executing, restore, and require the
+// final Result to encode identically to an uninterrupted run — with and
+// without environment perturbation, with the race detector's state
+// included in the snapshot.
+func TestCheckpointHookByteIdentical(t *testing.T) {
+	scenarios := perturb.ScenarioNames()
+	if len(scenarios) == 0 {
+		t.Fatal("no perturbation scenarios registered")
+	}
+	sched, ok := perturb.Scenario(scenarios[0])
+	if !ok {
+		t.Fatal("scenario lookup failed")
+	}
+	c, err := apps.Compile(apps.NameBarnesHut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, perturbed := range []bool{false, true} {
+		opts := Options{
+			Procs: 4, Policy: "original", DetectRaces: true,
+			Params: apps.TestParams(apps.NameBarnesHut),
+		}
+		if perturbed {
+			opts.Perturb = sched
+		}
+		want, err := Run(c.Parallel, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes := encodeRes(t, want)
+		// 10→60 stays inside the first section; 60→130 crosses into a
+		// later section execution before restoring.
+		for _, pts := range [][2]int64{{10, 60}, {60, 130}} {
+			label := fmt.Sprintf("perturbed=%v/ck=%d,restore=%d", perturbed, pts[0], pts[1])
+			hooked := opts
+			hooked.ckHook = &ckHook{ckAt: pts[0], restoreAt: pts[1]}
+			got, err := Run(c.Parallel, hooked)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !hooked.ckHook.restored {
+				t.Fatalf("%s: restore point never reached", label)
+			}
+			if !bytes.Equal(wantBytes, encodeRes(t, got)) {
+				t.Fatalf("%s: restored run result differs from uninterrupted run", label)
+			}
+		}
+	}
+}
+
+// TestCheckpointHookRefusals pins the two places a checkpoint-hooked run
+// is turned away: the step interpreter keeps no snapshot state, and a
+// hooked run never gets a cache key.
+func TestCheckpointHookRefusals(t *testing.T) {
+	c, err := apps.Compile(apps.NameWater)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := Options{Procs: 4, Policy: "bounded", Engine: EngineInterp, ckHook: &ckHook{}}
+	if _, err := Run(c.Parallel, oracle); err == nil {
+		t.Error("checkpoint-hooked run under the interp engine accepted")
+	}
+	if _, ok := CacheKey(c.Parallel, Options{Procs: 4, Policy: "bounded", ckHook: &ckHook{}}); ok {
+		t.Error("checkpoint-hooked run got a cache key")
+	}
+	if _, ok := CacheKey(c.Parallel, Options{Procs: 4, Policy: "bounded"}); !ok {
+		t.Error("plain run lost its cache key")
 	}
 }

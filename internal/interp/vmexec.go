@@ -390,8 +390,8 @@ frames:
 				refs[in.Dst] = &Object{Class: cls, Fields: fields} //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
 			case vm.OpNewArr:
 				n := ints[in.A]
-				if n < 0 {
-					rt.fail("%s: negative array length %d", t.fname(fr.fc, pc-1), n)
+				if uint64(n) > maxArrayLen {
+					rt.badArrayLen(t.fname(fr.fc, pc-1), n)
 				}
 				acc += simmach.Time(n) * ir.CostPerElem
 				elems := make([]Value, n) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate

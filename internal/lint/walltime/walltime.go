@@ -9,8 +9,8 @@
 // sound. A single time.Now or math/rand call breaks that silently, so in
 // those packages every wall-clock site is a finding.
 //
-// The serving tier (serve, fleet, simsample) legitimately reads the wall
-// clock — live uptime, request pacing, wall-vs-virtual comparisons — but
+// The serving tier (serve, fleet) legitimately reads the wall clock — live
+// uptime, request pacing — but
 // each site must say so with //dfvet:allow walltime <reason>, so a stray
 // wall-clock dependency cannot creep into a measurement path unannounced.
 package walltime
@@ -41,9 +41,8 @@ var deterministic = map[string]bool{
 }
 
 var justified = map[string]bool{
-	"serve":     true,
-	"fleet":     true,
-	"simsample": true,
+	"serve": true,
+	"fleet": true,
 }
 
 // forbiddenTime lists the wall-clock functions of package time. Everything

@@ -202,7 +202,7 @@ func ptr[T any](c *codec, p **T, elem func(*T)) {
 // interp.Result reaches, each stated once, in the order it is stored.
 // Changing it is a format change: bump SchemaVersion.
 //
-//dfvet:fingerprint interp.Result interp.SectionStats interp.ExecutionStat interp.SampleStat interp.SwitchStat interp.RaceReport interp.SamplingInfo interp.SampleSpec interp.SectionSampling interp.WindowStat simmach.Counters
+//dfvet:fingerprint interp.Result interp.SectionStats interp.ExecutionStat interp.SampleStat interp.SwitchStat interp.RaceReport simmach.Counters
 func (c *codec) result(r *interp.Result) {
 	c.time(&r.Time)
 	c.counters(&r.Counters)
@@ -210,7 +210,6 @@ func (c *codec) result(r *interp.Result) {
 	slice(c, &r.Sections, c.sectionPtr)
 	c.i64(&r.Steps)
 	slice(c, &r.Races, c.race)
-	ptr(c, &r.Sampling, c.sampling)
 }
 
 func (c *codec) counters(n *simmach.Counters) {
@@ -268,37 +267,4 @@ func (c *codec) race(r *interp.RaceReport) {
 	c.time(&r.Time)
 	c.int(&r.Proc)
 	c.boolean(&r.Write)
-}
-
-func (c *codec) sampling(s *interp.SamplingInfo) {
-	c.i64(&s.Spec.WindowIters)
-	c.i64(&s.Spec.GapIters)
-	c.i64(&s.Spec.MinSectionIters)
-	slice(c, &s.Sections, c.sectionSamplingPtr)
-	c.i64(&s.DetailedIters)
-	c.i64(&s.SkippedIters)
-	c.int(&s.Rollbacks)
-}
-
-func (c *codec) sectionSamplingPtr(p **interp.SectionSampling) { ptr(c, p, c.sectionSampling) }
-
-func (c *codec) sectionSampling(s *interp.SectionSampling) {
-	c.str(&s.Name)
-	slice(c, &s.Windows, c.window)
-	c.i64(&s.DetailedIters)
-	c.i64(&s.SkippedIters)
-	c.int(&s.Gaps)
-	c.int(&s.Rollbacks)
-	c.int(&s.Execs)
-}
-
-func (c *codec) window(w *interp.WindowStat) {
-	c.int(&w.Exec)
-	c.i64(&w.Start)
-	c.i64(&w.Iters)
-	c.time(&w.Busy)
-	c.time(&w.LockTime)
-	c.time(&w.WaitTime)
-	c.i64(&w.Acquires)
-	c.i64(&w.FailedAcquires)
 }

@@ -181,8 +181,8 @@ func firstDiff(got, want reflect.Value, path string) string {
 }
 
 // realResults simulates a spread of cells: each app under a static policy,
-// a dynamic run that switches, a perturbed one, a sampled one, and a
-// lock-elision mutant the race detector reports on.
+// a dynamic run that switches, a perturbed one, a dynamic run of a second
+// app, and a lock-elision mutant the race detector reports on.
 func realResults(t testing.TB) map[string]*interp.Result {
 	t.Helper()
 	out := map[string]*interp.Result{}
@@ -215,12 +215,8 @@ func realResults(t testing.TB) map[string]*interp.Result {
 	}
 	run("water/dynamic/ramp", apps.NameWater, interp.Options{Procs: 8, Policy: interp.PolicyDynamic,
 		TargetSampling: simmach.Millisecond, TargetProduction: 20 * simmach.Millisecond, Perturb: perturb.Ramp()})
-	sampled := run("water/sampled", apps.NameWater, interp.Options{Procs: 4, Policy: "original",
-		Params: apps.BenchParams(apps.NameWater),
-		Sample: &interp.SampleSpec{WindowIters: 16, GapIters: 64, MinSectionIters: 64}})
-	if sampled.Sampling == nil || len(sampled.Sampling.Sections) == 0 {
-		t.Fatal("the sampled run carries no sampling record")
-	}
+	run("barneshut/dynamic", apps.NameBarnesHut, interp.Options{Procs: 4, Policy: interp.PolicyDynamic,
+		TargetSampling: simmach.Millisecond, TargetProduction: 20 * simmach.Millisecond})
 
 	// Water with its first critical region elided races in INTERF.
 	src, err := apps.Source(apps.NameWater)

@@ -49,8 +49,9 @@ import (
 
 // SchemaVersion is the on-disk entry schema. Bump it when the entry form
 // or the Result record shape changes; old files then read as misses.
-// 1 was a JSON envelope, 2 is the binary form of codec.go.
-const SchemaVersion = 2
+// 1 was a JSON envelope, 2 the binary form of codec.go with a sampled-run
+// record after the race reports, 3 is 2 without that record.
+const SchemaVersion = 3
 
 // DefaultMemEntries is the in-memory tier's default capacity.
 const DefaultMemEntries = 1024

@@ -13,9 +13,7 @@ import (
 // copies the struct whole and deep-copies only its slices, so a field added
 // to Proc, Lock or Barrier is in every checkpoint without further code.
 // Restoring a checkpoint and continuing is byte-identical to never having
-// left it, which is what lets a sampled simulation fast-forward through a
-// gap and roll back when the gap's extrapolation basis turns out to have
-// been a phase boundary (see internal/simsample).
+// left it.
 //
 // Restore writes the clones back through the live pointers, so every
 // *Proc, *Lock and *Barrier a client holds stays valid, and a barrier's
@@ -149,30 +147,6 @@ func (m *Machine) Restore(ck *Checkpoint) {
 	m.barriers = m.barriers[:len(ck.bars)]
 	for i, b := range m.barriers {
 		*b = ck.bars[i].clone()
-	}
-}
-
-// SkipCharge advances p's clock and instrumentation counters by
-// pre-measured aggregates without simulating the underlying events. busy is
-// the total clock advance; lockTime and waitTime are its locking and
-// waiting components (machine semantics: both are included in Busy, exactly
-// as Acquire and Release charge them). The charge deliberately bypasses the
-// parameter table's slowdown scaling — the aggregates were measured on this
-// machine, under whatever table was active, so they are already scaled —
-// and emits no trace events. Sampled simulation uses it to charge
-// fast-forwarded iterations at rates measured in detailed windows.
-func (p *Proc) SkipCharge(busy, lockTime, waitTime Time, acquires, failedAcquires int64) {
-	if busy < 0 || lockTime < 0 || waitTime < 0 || acquires < 0 || failedAcquires < 0 {
-		panic("simmach: negative skip charge")
-	}
-	p.clock += busy
-	p.Counters.Busy += busy
-	p.Counters.LockTime += lockTime
-	p.Counters.WaitTime += waitTime
-	p.Counters.Acquires += acquires
-	p.Counters.FailedAcquires += failedAcquires
-	if p.queued {
-		p.m.ready.fix(p)
 	}
 }
 

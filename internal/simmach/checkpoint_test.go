@@ -196,36 +196,6 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSkipCharge verifies the synthetic-charge accounting: clock and
-// counters advance exactly by the given aggregates, bypassing slowdown
-// scaling and the phantom holder.
-func TestSkipCharge(t *testing.T) {
-	m := New(Config{Procs: 1})
-	if err := m.SetParamTable(ckPerturbTable(1)); err != nil {
-		t.Fatal(err)
-	}
-	done := false
-	m.Start(0, ProcessFunc(func(p *Proc) Status {
-		if done {
-			return Done
-		}
-		done = true
-		p.SkipCharge(1000, 300, 200, 7, 11)
-		return Ready
-	}))
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	c := m.Proc(0).Counters
-	want := Counters{Acquires: 7, FailedAcquires: 11, LockTime: 300, WaitTime: 200, Busy: 1000}
-	if c != want {
-		t.Fatalf("counters = %+v, want %+v", c, want)
-	}
-	if m.Proc(0).Now() != 1000 {
-		t.Fatalf("clock = %v, want 1000", m.Proc(0).Now())
-	}
-}
-
 // TestRestoreDiscardsLateLocks verifies that locks created after the
 // checkpoint are discarded by Restore.
 func TestRestoreDiscardsLateLocks(t *testing.T) {

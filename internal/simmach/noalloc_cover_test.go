@@ -33,7 +33,7 @@ func TestNoallocAnnotationCoverage(t *testing.T) {
 		"Proc.Release",       // contended-handoff-16, uncontended
 		"Proc.ReleaseAhead",  // uncontended-pair-ahead-16
 		"Proc.TryAcquire",    // uncontended (policy fast paths)
-		"runQueue.fix",       // none: SetClock and SkipCharge on a queued processor, never per event (TestReadyQueueModel)
+		"runQueue.fix",       // none: SetClock on a queued processor, never per event (TestReadyQueueModel)
 		"runQueue.pop",       // every case
 		"runQueue.push",      // every case
 	}

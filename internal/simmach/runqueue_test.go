@@ -87,7 +87,7 @@ func (q *queueModel) apply(ops []byte) {
 	for i := 0; i+1 < len(ops); i += 2 {
 		arg := int(ops[i+1])
 		clock := Time(arg % 4)
-		switch op := ops[i] % 5; op {
+		switch op := ops[i] % 4; op {
 		case 0: // a woken or started processor enters
 			if p := q.idle(arg); p != nil {
 				q.push(p, clock)
@@ -98,21 +98,14 @@ func (q *queueModel) apply(ops []byte) {
 				q.pop()
 			}
 			q.check("pop")
-		case 2: // SetClock on any processor: fix when it is queued
+		case 2: // SetClock on any processor: the one route into fix
 			p := q.m.procs[arg%n]
 			q.m.SetClock(p.id, clock)
 			if p.queued {
 				q.ref[p.id] = clock
 			}
 			q.check("SetClock")
-		case 3: // SkipCharge: the other route into fix
-			p := q.m.procs[arg%n]
-			p.SkipCharge(clock, 0, 0, 0, 0)
-			if p.queued {
-				q.ref[p.id] = p.clock
-			}
-			q.check("SkipCharge")
-		case 4: // Run's exchange: the stepped processor no longer precedes the head
+		case 3: // Run's exchange: the stepped processor no longer precedes the head
 			p := q.idle(arg)
 			if p == nil || len(q.ref) == 0 {
 				continue

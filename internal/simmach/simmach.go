@@ -543,7 +543,7 @@ func (m *Machine) stateString() string {
 // usually advanced past most of the others. Entries carry the key by value
 // and hold no pointers, so comparing them dereferences nothing and moving
 // them needs no GC write barrier. A queued processor's clock changes only
-// through SetClock and SkipCharge, which re-key its entry with fix.
+// through SetClock, which re-keys its entry with fix.
 type runQueue struct {
 	items []runEntry
 	head  int
