@@ -1,0 +1,13 @@
+//go:build !census
+
+package interp
+
+import "repro/internal/obl/vm"
+
+// censusOn guards the dispatch census (census.go): without the census build
+// tag it is false, and the guarded calls in vmTask.exec compile away.
+const censusOn = false
+
+func censusEntry()   {}
+func censusOp(vm.Op) {}
+func censusLevel()   {}

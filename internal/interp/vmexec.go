@@ -35,6 +35,9 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 	ahead := rt.releaseAhead
 	executed := t.executed
 	acc := t.acc
+	if censusOn {
+		censusEntry()
+	}
 
 frames:
 	for {
@@ -53,6 +56,9 @@ frames:
 				// plain instructions so the dispatch boundary lands exactly
 				// where the interpreter's per-instruction count puts it.
 				in = &fr.fc.Plain[pc]
+			}
+			if censusOn {
+				censusOp(in.Op)
 			}
 
 			if in.Op >= vm.OpSyncStart {
