@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/obl/ir"
+	"repro/internal/obl/vm"
 )
 
 // Engine micro-benchmarks: each small OBL program is compiled once and
@@ -150,11 +151,17 @@ func fusionCoverage(tb testing.TB, prog *ir.Program, name string) (covered, tota
 // TestFusionCoverageBarnesHut pins what the superinstruction overlay covers
 // on the workload it was shaped on, as exact static slot counts: the share
 // of the tree descent that sits inside fused groups, and the dispatches the
-// groups remove from one straight-line pass over the module.
+// groups remove from one straight-line pass over the module. The tree
+// descent's head is the descent loop.
 func TestFusionCoverageBarnesHut(t *testing.T) {
 	c, err := apps.Compile(apps.NameBarnesHut)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, fc := range moduleOf(t, c.Parallel).Funcs {
+		if fc.Name == "Body::walk@original" && (fc.Code[0].Op != vm.OpDescend || fc.Code[0].Len != 4) {
+			t.Errorf("Body::walk: head is %v len %d, want %v len 4", fc.Code[0].Op, fc.Code[0].Len, vm.OpDescend)
+		}
 	}
 	if covered, total, _ := fusionCoverage(t, c.Parallel, "Body::walk@original"); covered != 19 || total != 23 {
 		t.Errorf("Body::walk: %d of %d slots inside fused groups, want 19 of 23", covered, total)

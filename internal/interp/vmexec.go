@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/obl/ir"
@@ -342,11 +343,16 @@ frames:
 
 			case vm.OpRetI, vm.OpRetF, vm.OpRetR, vm.OpRetVoid:
 				if fr.collapsed > 0 {
-					// Replay one collapsed tail-call return: the interpreter
+					// Replay collapsed tail-call returns: the interpreter
 					// unwinds these as separate instructions, so each charge
-					// is its own budget step.
-					fr.collapsed--
-					t.collapsed--
+					// is its own budget step. This dispatch took the first;
+					// it takes as many more as the budget admits, short of
+					// the frame's real return.
+					n := min(fr.collapsed-1, int64(stepBudget-executed))
+					executed += int(n)
+					acc += simmach.Time(n) * simmach.Time(in.Cost)
+					fr.collapsed -= n + 1
+					t.collapsed -= n + 1
 					pc--
 					continue
 				}
@@ -740,6 +746,94 @@ frames:
 				}
 				obj.Fields[in.Imm] = Value{Kind: KindFloat, F: floats[in.Dst]}
 
+			case vm.OpDescend:
+				// The head group is charged; each group after it runs, as its
+				// own handler would, only when the budget admits it whole.
+				// Otherwise the loop leaves with pc on that group and the
+				// ordinary dispatch takes over, plain overlay included.
+				g := in
+				for {
+					// sub.i+le.ik+br: the base case leaves through the
+					// fallthrough pc the head's charge set.
+					ints[g.A] = ints[g.D] - ints[g.E]
+					ints[g.B] = g.Imm
+					c := ints[g.A] <= g.Imm
+					ints[g.Dst] = b2w(c)
+					if c {
+						break
+					}
+					pc = int(g.C)
+					// add.i+div.ik+mov.i, the divisor a power of two.
+					if g = &code[pc]; executed > stepBudget-int(g.Len) {
+						break
+					}
+					acc += simmach.Time(g.Cost)
+					executed += int(g.Len)
+					pc += int(g.Len)
+					ints[g.Dst] = ints[g.A] + ints[g.B]
+					ints[g.C] = g.Imm
+					ints[g.D] = divPow2(ints[g.Dst], g.Imm)
+					ints[g.E] = ints[g.D]
+					// mod.ik+eq/ne.ik+br. Both arms are the same group shape,
+					// so the arm is chosen by mask instead of a host branch:
+					// the not-taken pc C when the condition word is 0.
+					if g = &code[pc]; executed > stepBudget-int(g.Len) {
+						break
+					}
+					acc += simmach.Time(g.Cost)
+					executed += int(g.Len)
+					pc += int(g.Len)
+					k1, k2 := g.Imm>>32, int64(int32(g.Imm))
+					ints[g.E] = k1
+					ints[g.A] = modPow2(ints[g.D], k1)
+					ints[g.B] = k2
+					cw := b2w(ints[g.A] == k2)
+					if g.Op == vm.OpModIKNeIKBr {
+						cw ^= 1
+					}
+					ints[g.Dst] = cw
+					pc += (int(g.C) - pc) & (int(cw) - 1)
+					// arith.ik+tailcall dividing by a power of two.
+					if g = &code[pc]; executed > stepBudget-int(g.Len) {
+						break
+					}
+					acc += simmach.Time(g.Cost)
+					executed += int(g.Len)
+					ints[g.B] = g.Imm
+					ints[g.Dst] = divPow2(ints[g.A], g.Imm)
+					if len(t.frames)+int(t.collapsed) > 10000 {
+						rt.fail("%s: call stack overflow", fr.fc.Name)
+					}
+					for _, mv := range g.Args {
+						switch mv.Bank {
+						case vm.BankFloat:
+							floats[mv.Dst] = floats[mv.Src]
+						case vm.BankRef:
+							refs[mv.Dst] = refs[mv.Src]
+						default:
+							ints[mv.Dst] = ints[mv.Src]
+						}
+					}
+					if fc := fr.fc; fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs {
+						clear(ints[fc.PInts:fc.NInts])
+						clear(floats[fc.PFloats:fc.NFloats])
+						clear(refs[fc.PRefs:fc.NRefs])
+					}
+					fr.collapsed++
+					t.collapsed++
+					pc = 0
+					if censusOn {
+						censusLevel()
+					}
+					// The head again.
+					if g = &code[0]; executed > stepBudget-int(g.Len) {
+						break
+					}
+					acc += simmach.Time(g.Cost)
+					executed += int(g.Len)
+					pc = int(g.Len)
+				}
+
 			default:
 				rt.fail("%s: bad opcode %v", fr.fc.Name, in.Op)
 			}
@@ -774,6 +868,20 @@ func (t *vmTask) nilDeref(fc *vm.FuncCode, at int) {
 // after inline expansion this can differ from the frame's function.
 func (t *vmTask) fname(fc *vm.FuncCode, at int) string {
 	return t.mod.Funcs[fc.Src[at].Fn].Name
+}
+
+// divPow2 is x / k for a positive power of two k, as Go's truncating
+// division: an arithmetic shift of x biased by k-1 when x is negative.
+func divPow2(x, k int64) int64 {
+	s := bits.TrailingZeros64(uint64(k)) & 63
+	return (x + x>>63&(k-1)) >> s
+}
+
+// modPow2 is x % k for a positive power of two k, as Go's remainder: it
+// takes the sign of x.
+func modPow2(x, k int64) int64 {
+	bias := x >> 63 & (k - 1)
+	return (x+bias)&(k-1) - bias
 }
 
 func b2w(b bool) int64 {

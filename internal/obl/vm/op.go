@@ -221,6 +221,16 @@ const (
 	// floats[C]; refs[A].Fields[Imm] = floats[Dst] (Len 3).
 	OpAddFieldF
 
+	// OpDescend is the loop superinstruction of a binary descent: the
+	// head of a function whose pc-0 OpSubLeIKBr group, when its branch is
+	// not taken, leads through OpAddDivIKMov, OpModIKEqIKBr or
+	// OpModIKNeIKBr, and one of two OpIKTailCall div arms back to pc 0,
+	// with every divisor a power of two (markDescent). Its fields and Len
+	// are the head group's; the other groups keep their own slots, and the
+	// handler reads each group's operands there, running level after level
+	// in one dispatch while the budget admits each next group whole.
+	OpDescend
+
 	// Synchronization and section entry. These are kept in one contiguous
 	// range so the dispatch loop recognizes the yield-first instructions
 	// with a single compare (see opSyncStart).
@@ -277,6 +287,7 @@ var opNames = [...]string{
 	OpSubLeIKBr: "sub.i+le.ik+br", OpAddDivIKMov: "add.i+div.ik+mov.i",
 	OpModIKEqIKBr: "mod.ik+eq.ik+br", OpModIKNeIKBr: "mod.ik+ne.ik+br",
 	OpIKTailCall: "arith.ik+tailcall", OpAddFieldF: "ldfld.f+add.f+stfld.f",
+	OpDescend: "descend",
 	OpAcquire: "acquire", OpRelease: "release",
 	OpAcquireEn: "acquire.en", OpReleaseEn: "release.en",
 	OpAcquireIf: "acquire.if", OpReleaseIf: "release.if",

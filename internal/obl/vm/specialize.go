@@ -17,7 +17,10 @@ package vm
 //     the census groups (censusGroup) collapse into single dispatches.
 //     The per-slot Plain stream keeps the unfused instructions so jumps
 //     into a group and step-budget boundaries behave exactly as unfused
-//     code.
+//     code. A function that is one level of a binary descent closed by a
+//     self tail call (descentHead) then gets the loop superinstruction
+//     OpDescend at its head: one dispatch runs its groups level after
+//     level while the step budget admits each next group whole.
 //
 // Neither changes observable behaviour; they only reduce dispatches and
 // memory traffic per simulated instruction.
@@ -202,7 +205,47 @@ func (fc *FuncCode) fuse() {
 		}
 	}
 	fc.Code = code
+	if descentHead(fc) {
+		code[0].Op = OpDescend
+	}
 }
+
+// descentHead reports whether fc's fused code is one level of a binary
+// descent closed by a self tail call, the shape OpDescend runs as a loop:
+// the pc-0 sub.i+le.ik+br group, whose not-taken target is
+// add.i+div.ik+mov.i, then mod.ik+eq.ik+br (or ne), whose two arms are
+// both arith.ik+tailcall groups dividing by a constant, every divisor a
+// power of two (the loop halves by shift and tests parity by mask).
+func descentHead(fc *FuncCode) bool {
+	c := fc.Code
+	if len(c) == 0 || c[0].Op != OpSubLeIKBr {
+		return false
+	}
+	ad := int(c[0].C)
+	if ad < 0 || ad >= len(c) || c[ad].Op != OpAddDivIKMov || !pow2(c[ad].Imm) {
+		return false
+	}
+	md := ad + int(c[ad].Len)
+	if md >= len(c) {
+		return false
+	}
+	if op := c[md].Op; op != OpModIKEqIKBr && op != OpModIKNeIKBr || !pow2(c[md].Imm>>32) {
+		return false
+	}
+	for _, arm := range [2]int{md + int(c[md].Len), int(c[md].C)} {
+		if arm < 0 || arm >= len(c) {
+			return false
+		}
+		g := &c[arm]
+		if g.Op != OpIKTailCall || Op(g.C) != OpDivI || !pow2(g.Imm) || int(fc.Plain[arm+2].Imm) != fc.ID {
+			return false
+		}
+	}
+	return true
+}
+
+// pow2 reports whether k is a positive power of two.
+func pow2(k int64) bool { return k > 0 && k&(k-1) == 0 }
 
 var (
 	cmpBr = map[Op]Op{

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -18,9 +19,11 @@ import (
 // middle), Plain holds single instructions only, Src locates every slot,
 // and no call to a small leaf callee is left out of line while the
 // function had room to grow. Each census group occurs in these programs,
-// except mod.ik+ne.ik+br, which none of them contains.
+// except mod.ik+ne.ik+br, which none of them contains. The descent loop
+// head (descentHead) sits at pc 0 of every Barnes-Hut tree descent and of
+// no other function.
 func TestCompileSpecializesEverySite(t *testing.T) {
-	census := map[Op]int{OpSubLeIKBr: 0, OpAddDivIKMov: 0, OpModIKEqIKBr: 0, OpIKTailCall: 0, OpAddFieldF: 0}
+	census := map[Op]int{OpSubLeIKBr: 0, OpAddDivIKMov: 0, OpModIKEqIKBr: 0, OpIKTailCall: 0, OpAddFieldF: 0, OpDescend: 0}
 	check := func(label string, p *ir.Program) {
 		m, err := Compile(p)
 		if err != nil {
@@ -31,9 +34,10 @@ func TestCompileSpecializesEverySite(t *testing.T) {
 			if len(fc.Code) != len(fc.Plain) || len(fc.Src) != len(fc.Plain) {
 				t.Fatalf("%s/%s: Code %d slots, Src %d, Plain %d", label, fc.Name, len(fc.Code), len(fc.Src), len(fc.Plain))
 			}
-			tail := 0 // slots left in the group whose head was just passed
+			want := make([]Instr, len(fc.Plain)) // the Code the definitions give
+			tail := 0                            // slots left in the group whose head was just passed
 			for pc := range fc.Plain {
-				pl, co := fc.Plain[pc], fc.Code[pc]
+				pl := fc.Plain[pc]
 				if pl.Len != 1 {
 					t.Errorf("%s/%s: Plain slot %d has Len %d", label, fc.Name, pc, pl.Len)
 				}
@@ -48,21 +52,35 @@ func TestCompileSpecializesEverySite(t *testing.T) {
 							label, fc.Name, pc, callee.Name, len(callee.Plain))
 					}
 				}
-				want := pl
+				want[pc] = pl
 				if tail > 0 {
 					tail--
 				} else if pc+1 < len(fc.Plain) {
 					if g, ok := fuseAt(fc.Plain[pc:]); ok {
-						want, tail = g, int(g.Len)-1
+						want[pc], tail = g, int(g.Len)-1
 						groups++
 						if _, ok := census[g.Op]; ok {
 							census[g.Op]++
 						}
 					}
 				}
-				if !reflect.DeepEqual(co, want) {
+			}
+			fused := *fc
+			fused.Code = want
+			isWalk := strings.HasPrefix(fc.Name, "Body::walk@")
+			if descentHead(&fused) {
+				want[0].Op = OpDescend
+				census[OpDescend]++
+				if !isWalk {
+					t.Errorf("%s/%s: descent loop head outside Barnes-Hut's tree descent", label, fc.Name)
+				}
+			} else if isWalk {
+				t.Errorf("%s/%s: tree descent has no descent loop head", label, fc.Name)
+			}
+			for pc := range fc.Code {
+				if co := fc.Code[pc]; !reflect.DeepEqual(co, want[pc]) {
 					t.Errorf("%s/%s: Code slot %d is %v len %d, want %v len %d",
-						label, fc.Name, pc, co.Op, co.Len, want.Op, want.Len)
+						label, fc.Name, pc, co.Op, co.Len, want[pc].Op, want[pc].Len)
 				}
 			}
 		}
