@@ -25,7 +25,8 @@
 //
 // Exit codes, for both modes: 0 success (vet: no warning-or-worse
 // diagnostics), 1 diagnostics found (compile errors, or vet findings at
-// warning or error severity), 2 usage or internal errors. An unknown
+// warning or error severity) or output that could not be written, 2
+// usage or internal errors. An unknown
 // -policy or -app, or a source file that cannot be read, is bad usage.
 package main
 
@@ -48,11 +49,42 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its inputs and outputs as parameters. It returns the
-// exit code: 0, 1 for compile errors (vet: findings), 2 for bad usage.
+// exit code: 0, 1 for compile errors (vet: findings) or output that could
+// not be written, 2 for bad usage.
 func run(args []string, stdout, stderr io.Writer) int {
+	out := &errWriter{w: stdout}
+	var code int
 	if len(args) > 0 && args[0] == "vet" {
-		return runVet(args[1:], stdout, stderr)
+		code = runVet(args[1:], out, stderr)
+	} else {
+		code = runCompile(args, out, stderr)
 	}
+	if out.err != nil && code == 0 {
+		// A mode that failed has reported its own error already.
+		fmt.Fprintln(stderr, "oblc: write output:", out.err)
+		return 1
+	}
+	return code
+}
+
+// errWriter remembers the first error of the writer it wraps and fails
+// every write after it, so that output lost on any path is caught.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
+}
+
+// runCompile is the compile mode of run.
+func runCompile(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("oblc", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	app := fs.String("app", "", "compile a bundled application (barneshut, water, string)")

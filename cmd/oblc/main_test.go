@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,6 +49,32 @@ func TestPolicyPrintsTheTransformedProgram(t *testing.T) {
 		code, stdout, _ := runOBLC("-policy", policy, "-app", "water")
 		if want := "== program under the " + policy + " policy =="; code != 0 || !strings.Contains(stdout, want) {
 			t.Errorf("oblc -policy %s -app water: exit %d, want 0 and %q", policy, code, want)
+		}
+	}
+}
+
+// failWriter fails every write, as a full disk does.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+// TestLostOutputExits1: output that cannot be written is an error in every
+// mode that prints, reported once on stderr.
+func TestLostOutputExits1(t *testing.T) {
+	for _, args := range [][]string{
+		{"-app", "water"},
+		{"-app", "water", "-sections"},
+		{"-app", "water", "-policy", "bounded"},
+		{"-app", "water", "-analysis"},
+		{"-app", "water", "-ir"},
+		{"-app", "water", "-sizes"},
+		{"-app", "water", "-effects"},
+		{"vet", "-app", "water"},
+	} {
+		var errOut strings.Builder
+		code := run(args, failWriter{}, &errOut)
+		if code != 1 || strings.Count(errOut.String(), "oblc: write output:") != 1 {
+			t.Errorf("oblc %v to a failing writer: exit %d, stderr %q; want exit 1 and one write error", args, code, errOut.String())
 		}
 	}
 }

@@ -18,7 +18,9 @@ import (
 // instructions yield first whenever prior work exists in the dispatch —
 // except a release no processor waits for, which it takes in place and
 // the machine counts as the dispatch it spares — and tail-call collapse
-// replays the folded returns one charge at a time.
+// replays the folded returns as one budget step each, as many in one
+// dispatch as the budget admits. OpDescend runs the groups of a binary
+// descent level after level under the same per-group budget rule.
 //
 // The loop is two-level so that the dispatch state stays in registers.
 // The outer loop runs once per activation: it loads the frame, its code
@@ -801,6 +803,10 @@ frames:
 					executed += int(g.Len)
 					ints[g.B] = g.Imm
 					ints[g.Dst] = divPow2(ints[g.A], g.Imm)
+					// The self tail call, as OpTailCall runs it. It stays
+					// inline: shared with OpTailCall as a method, too large
+					// for Go to inline, it took the sim-compute cells from
+					// 0.72 to 0.81 of the parent's time.
 					if len(t.frames)+int(t.collapsed) > 10000 {
 						rt.fail("%s: call stack overflow", fr.fc.Name)
 					}

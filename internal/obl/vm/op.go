@@ -26,7 +26,10 @@
 // callees, and superinstructions for compare+branch, constant-operand
 // (const.i K folded into the integer op or compare+branch that consumes
 // it) and loop-increment sequences, and for the longer sequences a
-// dispatch census of the benchmark workloads found hottest.
+// dispatch census of the benchmark workloads found hottest. A function
+// that is one level of a binary descent closed by a self tail call gets
+// the loop superinstruction OpDescend at its head, which the engine runs
+// as level after level of those groups in one dispatch.
 //
 // The contract with the execution engine (interp's vm task) is strict
 // bit-for-bit equivalence with the interpreter: identical virtual times,
@@ -35,7 +38,9 @@
 // exactly the effects of the instructions they cover — including dead
 // register writes — and fused instructions only execute when the step
 // budget admits the whole group (the per-slot plain overlay runs
-// otherwise), so dispatch boundaries never move.
+// otherwise), so dispatch boundaries never move. OpDescend keeps the same
+// rule group by group: it runs a next group only when the budget admits it
+// whole and otherwise leaves the pc on it.
 package vm
 
 // Op is a bytecode opcode. Kind-specialized where the IR is generic.
@@ -138,9 +143,9 @@ const (
 	// reused (Args is a sequenced move plan, run as in-order copies within
 	// the frame; locals are re-zeroed only if the function needs zeroed
 	// registers) and a collapse counter is incremented so the eventual
-	// OpRet replays the intermediate returns' charges one instruction at
-	// a time — dispatch boundaries land exactly where the interpreter's
-	// unwind puts them.
+	// OpRet replays the intermediate returns' charges, each one
+	// instruction of the step budget — dispatch boundaries land exactly
+	// where the interpreter's unwind puts them.
 	OpTailCall
 
 	// Inline expansion. OpCallEnter opens an inlined callee: it charges
