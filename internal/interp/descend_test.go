@@ -50,7 +50,7 @@ func main() {
 `
 
 // descentDepth is the levels walk descends over [0, 2^descentDepth).
-const descentDepth = 12
+const descentDepth = 8
 
 // descentProgram is main running pre nops, then walk(0, 2^descentDepth, k),
 // then post nops before it prints the result. walk runs 17 instructions a
@@ -86,9 +86,13 @@ const descentLen = 17*descentDepth + 5
 // once one instruction later, so a dispatch that ran one instruction too
 // many or too few would change the scheduler step count. Results,
 // step counts included, must be identical under the two engines, for
-// both parity tests and dividends of both signs.
+// both parity tests (one under -short) and dividends of both signs.
 func TestDescentLoopMatchesInterpreter(t *testing.T) {
-	for _, parity := range []string{"k % 2 == 0", "k % 2 != 0"} {
+	parities := []string{"k % 2 == 0", "k % 2 != 0"}
+	if testing.Short() {
+		parities = parities[:1]
+	}
+	for _, parity := range parities {
 		c := compile(t, fmt.Sprintf(descentSrc, parity))
 		id := c.Serial.FuncID("walk")
 		walk := *c.Serial.Funcs[id]
@@ -102,7 +106,7 @@ func TestDescentLoopMatchesInterpreter(t *testing.T) {
 			t.Fatalf("%s: walk's head is %v, want %v", parity, head.Op, vm.OpDescend)
 		}
 		for pre := stepBudget - descentLen - 24; pre <= stepBudget+8; pre++ {
-			for _, k := range []int64{0x5a3, -0x5a3} {
+			for _, k := range []int64{0xa5, -0xa5} {
 				for _, steps := range []int64{2, 3} {
 					post := 2*stepBudget + int(steps) - 2 - (pre + descentLen + 6)
 					label := fmt.Sprintf("%s: k=%d, %d nops before, %d after", parity, k, pre, post)

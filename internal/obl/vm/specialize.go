@@ -222,7 +222,7 @@ func descentHead(fc *FuncCode) bool {
 		return false
 	}
 	ad := int(c[0].C)
-	if ad < 0 || ad >= len(c) || c[ad].Op != OpAddDivIKMov || !pow2(c[ad].Imm) {
+	if ad >= len(c) || c[ad].Op != OpAddDivIKMov || !pow2(c[ad].Imm) {
 		return false
 	}
 	md := ad + int(c[ad].Len)
@@ -233,7 +233,7 @@ func descentHead(fc *FuncCode) bool {
 		return false
 	}
 	for _, arm := range [2]int{md + int(c[md].Len), int(c[md].C)} {
-		if arm < 0 || arm >= len(c) {
+		if arm >= len(c) {
 			return false
 		}
 		g := &c[arm]
