@@ -25,9 +25,9 @@
 //
 // Exit codes, for both modes: 0 success (vet: no warning-or-worse
 // diagnostics), 1 diagnostics found (compile errors, or vet findings at
-// warning or error severity) or output that could not be written, 2
-// usage or internal errors. An unknown
-// -policy or -app, or a source file that cannot be read, is bad usage.
+// warning or error severity) or output that could not be written, 2 usage
+// or internal errors. An unknown -policy or -app, or a source file that
+// cannot be read, is bad usage.
 package main
 
 import (
