@@ -26,8 +26,8 @@ type Census struct {
 	Ops [256]uint64
 	// Pairs counts adjacent dispatches within one exec call, [prev][next].
 	Pairs [256][256]uint64
-	// Levels counts the descent levels OpDescend ran inside its one
-	// dispatch.
+	// Levels counts the whole descent levels OpDescend ran in registers
+	// inside its dispatches.
 	Levels uint64
 }
 
@@ -67,4 +67,4 @@ func censusOp(op vm.Op) {
 	censusPrev = int(op)
 }
 
-func censusLevel() { census.Levels++ }
+func censusLevels(n int) { census.Levels += uint64(n) }

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"math/bits"
 	"strconv"
 
 	"repro/internal/obl/ir"
@@ -692,6 +691,59 @@ frames:
 				if !c {
 					pc = int(in.C)
 				}
+			case vm.OpDescend:
+				// The head is charged. Whole levels (g2, g3, an arm with its
+				// self tail call, and the next head) run here with lo, hi and
+				// k in locals: while the budget admits a level whole, the
+				// depth check admits its tail call and the head's base case
+				// does not hold. The bank is written back once, each arm's
+				// two registers as of the last level that took that arm.
+				// Then the head runs as its own group on the final lo and hi,
+				// so a descent that goes on leaves pc on g2 and the ordinary
+				// groups take over.
+				d := fr.fc.Descent
+				depth := 10001 - len(t.frames) - int(t.collapsed)
+				lo, hi, k := ints[d.Lo], ints[d.Hi], ints[d.K]
+				g3 := &code[d.G3]
+				k2, ne := int64(int32(g3.Imm)), b2w(g3.Op == vm.OpModIKNeIKBr)
+				var sum, r, took int64 // took has bit w set once arm w ran
+				var q [2]int64         // arm w's quotient as of its last level
+				levels := 0
+				for ; levels < depth && executed <= stepBudget-d.Len && hi-lo > in.Imm; levels++ {
+					executed += d.Len
+					sum = lo + hi
+					mid := divPow2(sum, d.MidShift)
+					r = modPow2(k, d.ParityShift)
+					w := b2w(r == k2) ^ ne // the parity word, which picks the arm
+					k = divPow2(k, d.KShift)
+					q[w&1] = k
+					took |= w + 1
+					m := -(w ^ d.LoWord) // all ones when mid moves into hi
+					hi ^= (hi ^ mid) & m
+					lo ^= (lo ^ mid) &^ m
+				}
+				if levels > 0 {
+					acc += simmach.Time(levels) * simmach.Time(d.Cost)
+					fr.collapsed += int64(levels)
+					t.collapsed += int64(levels)
+					if censusOn {
+						censusLevels(levels)
+					}
+					g2 := &code[d.G2]
+					ints[d.Lo], ints[d.Hi], ints[d.K] = lo, hi, k
+					ints[g2.Dst], ints[g2.C] = sum, g2.Imm
+					ints[g2.D] = divPow2(sum, d.MidShift)
+					ints[g2.E] = ints[g2.D]
+					ints[g3.E], ints[g3.A], ints[g3.B] = g3.Imm>>32, r, k2
+					ints[g3.Dst] = b2w(r == k2) ^ ne
+					for w, at := range d.Arms {
+						if took>>w&1 != 0 {
+							a := &code[at]
+							ints[a.B], ints[a.Dst] = a.Imm, q[w]
+						}
+					}
+				}
+				fallthrough
 			case vm.OpSubLeIKBr:
 				ints[in.A] = ints[in.D] - ints[in.E]
 				fallthrough
@@ -748,98 +800,6 @@ frames:
 				}
 				obj.Fields[in.Imm] = Value{Kind: KindFloat, F: floats[in.Dst]}
 
-			case vm.OpDescend:
-				// The head group is charged; each group after it runs, as its
-				// own handler would, only when the budget admits it whole.
-				// Otherwise the loop leaves with pc on that group and the
-				// ordinary dispatch takes over, plain overlay included.
-				g := in
-				for {
-					// sub.i+le.ik+br: the base case leaves through the
-					// fallthrough pc the head's charge set.
-					ints[g.A] = ints[g.D] - ints[g.E]
-					ints[g.B] = g.Imm
-					c := ints[g.A] <= g.Imm
-					ints[g.Dst] = b2w(c)
-					if c {
-						break
-					}
-					pc = int(g.C)
-					// add.i+div.ik+mov.i, the divisor a power of two.
-					if g = &code[pc]; executed > stepBudget-int(g.Len) {
-						break
-					}
-					acc += simmach.Time(g.Cost)
-					executed += int(g.Len)
-					pc += int(g.Len)
-					ints[g.Dst] = ints[g.A] + ints[g.B]
-					ints[g.C] = g.Imm
-					ints[g.D] = divPow2(ints[g.Dst], g.Imm)
-					ints[g.E] = ints[g.D]
-					// mod.ik+eq/ne.ik+br. Both arms are the same group shape,
-					// so the arm is chosen by mask instead of a host branch:
-					// the not-taken pc C when the condition word is 0.
-					if g = &code[pc]; executed > stepBudget-int(g.Len) {
-						break
-					}
-					acc += simmach.Time(g.Cost)
-					executed += int(g.Len)
-					pc += int(g.Len)
-					k1, k2 := g.Imm>>32, int64(int32(g.Imm))
-					ints[g.E] = k1
-					ints[g.A] = modPow2(ints[g.D], k1)
-					ints[g.B] = k2
-					cw := b2w(ints[g.A] == k2)
-					if g.Op == vm.OpModIKNeIKBr {
-						cw ^= 1
-					}
-					ints[g.Dst] = cw
-					pc += (int(g.C) - pc) & (int(cw) - 1)
-					// arith.ik+tailcall dividing by a power of two.
-					if g = &code[pc]; executed > stepBudget-int(g.Len) {
-						break
-					}
-					acc += simmach.Time(g.Cost)
-					executed += int(g.Len)
-					ints[g.B] = g.Imm
-					ints[g.Dst] = divPow2(ints[g.A], g.Imm)
-					// The self tail call, as OpTailCall runs it. It stays
-					// inline: shared with OpTailCall as a method, too large
-					// for Go to inline, it took the sim-compute cells from
-					// 0.72 to 0.81 of the parent's time.
-					if len(t.frames)+int(t.collapsed) > 10000 {
-						rt.fail("%s: call stack overflow", fr.fc.Name)
-					}
-					for _, mv := range g.Args {
-						switch mv.Bank {
-						case vm.BankFloat:
-							floats[mv.Dst] = floats[mv.Src]
-						case vm.BankRef:
-							refs[mv.Dst] = refs[mv.Src]
-						default:
-							ints[mv.Dst] = ints[mv.Src]
-						}
-					}
-					if fc := fr.fc; fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs {
-						clear(ints[fc.PInts:fc.NInts])
-						clear(floats[fc.PFloats:fc.NFloats])
-						clear(refs[fc.PRefs:fc.NRefs])
-					}
-					fr.collapsed++
-					t.collapsed++
-					pc = 0
-					if censusOn {
-						censusLevel()
-					}
-					// The head again.
-					if g = &code[0]; executed > stepBudget-int(g.Len) {
-						break
-					}
-					acc += simmach.Time(g.Cost)
-					executed += int(g.Len)
-					pc = int(g.Len)
-				}
-
 			default:
 				rt.fail("%s: bad opcode %v", fr.fc.Name, in.Op)
 			}
@@ -876,18 +836,17 @@ func (t *vmTask) fname(fc *vm.FuncCode, at int) string {
 	return t.mod.Funcs[fc.Src[at].Fn].Name
 }
 
-// divPow2 is x / k for a positive power of two k, as Go's truncating
-// division: an arithmetic shift of x biased by k-1 when x is negative.
-func divPow2(x, k int64) int64 {
-	s := bits.TrailingZeros64(uint64(k)) & 63
-	return (x + x>>63&(k-1)) >> s
+// divPow2 is x / 2^s for s < 63, as Go's truncating division: an
+// arithmetic shift of x biased by 2^s-1 when x is negative.
+func divPow2(x int64, s uint8) int64 {
+	return (x + x>>63&(1<<(s&63)-1)) >> (s & 63)
 }
 
-// modPow2 is x % k for a positive power of two k, as Go's remainder: it
-// takes the sign of x.
-func modPow2(x, k int64) int64 {
-	bias := x >> 63 & (k - 1)
-	return (x+bias)&(k-1) - bias
+// modPow2 is x % 2^s for s < 63, as Go's remainder: it takes the sign of x.
+func modPow2(x int64, s uint8) int64 {
+	m := int64(1)<<(s&63) - 1
+	bias := x >> 63 & m
+	return (x+bias)&m - bias
 }
 
 func b2w(b bool) int64 {

@@ -105,6 +105,9 @@ type FuncCode struct {
 	// Src locates every slot's Plain instruction in the source program; a
 	// fused group's faults come from its head slot or its plain slots.
 	Src []SrcPos
+	// Descent is the register plan of OpDescend at pc 0, nil for every
+	// function without that head.
+	Descent *Descent
 }
 
 // Module is a compiled program.

@@ -28,8 +28,9 @@
 // it) and loop-increment sequences, and for the longer sequences a
 // dispatch census of the benchmark workloads found hottest. A function
 // that is one level of a binary descent closed by a self tail call gets
-// the loop superinstruction OpDescend at its head, which the engine runs
-// as level after level of those groups in one dispatch.
+// the loop superinstruction OpDescend at its head and a register plan
+// (Descent), with which the engine runs whole levels of those groups in
+// one dispatch, lo, hi and k in host registers.
 //
 // The contract with the execution engine (interp's vm task) is strict
 // bit-for-bit equivalence with the interpreter: identical virtual times,
@@ -39,8 +40,8 @@
 // register writes — and fused instructions only execute when the step
 // budget admits the whole group (the per-slot plain overlay runs
 // otherwise), so dispatch boundaries never move. OpDescend keeps the same
-// rule group by group: it runs a next group only when the budget admits it
-// whole and otherwise leaves the pc on it.
+// rule level by level: it runs a level in registers only when the budget
+// admits all of its groups whole, and otherwise leaves the level to them.
 package vm
 
 // Op is a bytecode opcode. Kind-specialized where the IR is generic.
@@ -230,10 +231,13 @@ const (
 	// head of a function whose pc-0 OpSubLeIKBr group, when its branch is
 	// not taken, leads through OpAddDivIKMov, OpModIKEqIKBr or
 	// OpModIKNeIKBr, and one of two OpIKTailCall div arms back to pc 0,
-	// with every divisor a power of two (markDescent). Its fields and Len
-	// are the head group's; the other groups keep their own slots, and the
-	// handler reads each group's operands there, running level after level
-	// in one dispatch while the budget admits each next group whole.
+	// every divisor a power of two, with the dataflow FuncCode.Descent
+	// records (descentPlan). Its fields and Len are the head group's; the
+	// other groups keep their own slots. The handler runs whole levels
+	// with lo, hi and k in host registers, as many as the budget admits
+	// whole and the call-depth check admits, writes the bank back once,
+	// and then runs the head group itself on the final lo and hi: a level
+	// the budget cannot admit whole runs as the ordinary groups.
 	OpDescend
 
 	// Synchronization and section entry. These are kept in one contiguous

@@ -18,12 +18,19 @@ package vm
 //     The per-slot Plain stream keeps the unfused instructions so jumps
 //     into a group and step-budget boundaries behave exactly as unfused
 //     code. A function that is one level of a binary descent closed by a
-//     self tail call (descentHead) then gets the loop superinstruction
-//     OpDescend at its head: one dispatch runs its groups level after
-//     level while the step budget admits each next group whole.
+//     self tail call then gets the loop superinstruction OpDescend at its
+//     head and a register plan (descentPlan): one dispatch runs as many
+//     whole levels as the step budget admits with lo, hi and k in host
+//     registers, and a level the budget cannot admit whole runs as the
+//     ordinary groups.
 //
 // Neither changes observable behaviour; they only reduce dispatches and
 // memory traffic per simulated instruction.
+
+import (
+	"math/bits"
+	"slices"
+)
 
 const (
 	// maxInlineLen bounds the callee size for inline expansion.
@@ -205,43 +212,118 @@ func (fc *FuncCode) fuse() {
 		}
 	}
 	fc.Code = code
-	if descentHead(fc) {
+	if d := descentPlan(fc); d != nil {
 		code[0].Op = OpDescend
+		fc.Descent = d
 	}
 }
 
-// descentHead reports whether fc's fused code is one level of a binary
-// descent closed by a self tail call, the shape OpDescend runs as a loop:
-// the pc-0 sub.i+le.ik+br group, whose not-taken target is
-// add.i+div.ik+mov.i, then mod.ik+eq.ik+br (or ne), whose two arms are
-// both arith.ik+tailcall groups dividing by a constant, every divisor a
-// power of two (the loop halves by shift and tests parity by mask).
-func descentHead(fc *FuncCode) bool {
+// Descent is OpDescend's register plan, built once per function by
+// descentPlan: what the engine needs to run whole levels of a binary
+// descent with lo, hi and k in host registers. The other registers a level
+// writes are read from the groups' own slots when the bank is written
+// back.
+type Descent struct {
+	// Lo, Hi and K are the int parameter slots of lo, hi and k.
+	Lo, Hi, K int32
+	// G2 and G3 are the pcs of the add.i+div.ik+mov.i group and of the
+	// parity group; Arms[w] is the pc of the arm parity word w selects
+	// (Arms[1] is the fallthrough arm).
+	G2, G3 int32
+	Arms   [2]int32
+	// LoWord is the parity word whose arm moves mid into Lo; the other
+	// arm moves it into Hi.
+	LoWord int64
+	// MidShift, ParityShift and KShift are log2 of g2's divisor, of the
+	// parity modulus and of the arms' divisor.
+	MidShift, ParityShift, KShift uint8
+	// Len and Cost are one level's instructions and virtual cost: g2, g3,
+	// an arm and the next head.
+	Len  int
+	Cost int64
+}
+
+// descentPlan returns the register plan of fc when its fused code is one
+// level of a binary descent closed by a self tail call, and nil otherwise.
+// The shape: the pc-0 sub.i+le.ik+br group computing hi - lo, whose
+// not-taken target is add.i+div.ik+mov.i on lo and hi, then
+// mod.ik+eq.ik+br (or ne) on k, whose two arms are arith.ik+tailcall
+// groups of one Len, Cost and divisor dividing k, each moving its
+// quotient into k and g2's mid into a different one of lo and hi. Every
+// divisor is a power of two, the frame zeroes no bank, and the slots the
+// level writes are distinct, so the engine may keep lo, hi and k in
+// locals and write every other register once, when it leaves.
+func descentPlan(fc *FuncCode) *Descent {
 	c := fc.Code
-	if len(c) == 0 || c[0].Op != OpSubLeIKBr {
-		return false
+	if len(c) == 0 || c[0].Op != OpSubLeIKBr || fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs {
+		return nil
 	}
-	ad := int(c[0].C)
-	if ad >= len(c) || c[ad].Op != OpAddDivIKMov || !pow2(c[ad].Imm) {
-		return false
+	head := &c[0]
+	d := &Descent{Lo: head.E, Hi: head.D, G2: head.C}
+	if int(d.G2) >= len(c) {
+		return nil
 	}
-	md := ad + int(c[ad].Len)
-	if md >= len(c) {
-		return false
+	g2 := &c[d.G2]
+	if g2.Op != OpAddDivIKMov || !pow2(g2.Imm) || !(g2.A == d.Lo && g2.B == d.Hi || g2.A == d.Hi && g2.B == d.Lo) {
+		return nil
 	}
-	if op := c[md].Op; op != OpModIKEqIKBr && op != OpModIKNeIKBr || !pow2(c[md].Imm>>32) {
-		return false
+	d.G3 = d.G2 + int32(g2.Len)
+	if int(d.G3) >= len(c) {
+		return nil
 	}
-	for _, arm := range [2]int{md + int(c[md].Len), int(c[md].C)} {
-		if arm >= len(c) {
-			return false
+	g3 := &c[d.G3]
+	if op := g3.Op; op != OpModIKEqIKBr && op != OpModIKNeIKBr || !pow2(g3.Imm>>32) {
+		return nil
+	}
+	d.K = g3.D
+	d.Arms = [2]int32{g3.C, d.G3 + int32(g3.Len)}
+	written := []int32{d.Lo, d.Hi, d.K, head.A, head.B, head.Dst,
+		g2.Dst, g2.C, g2.D, g2.E, g3.E, g3.A, g3.B, g3.Dst}
+	var into [2]int32
+	for w, pc := range d.Arms {
+		if int(pc) >= len(c) {
+			return nil
 		}
-		g := &c[arm]
-		if g.Op != OpIKTailCall || Op(g.C) != OpDivI || !pow2(g.Imm) || int(fc.Plain[arm+2].Imm) != fc.ID {
-			return false
+		a := &c[pc]
+		if a.Op != OpIKTailCall || Op(a.C) != OpDivI || !pow2(a.Imm) || a.A != d.K ||
+			int(fc.Plain[pc+2].Imm) != fc.ID || len(a.Args) != 2 {
+			return nil
+		}
+		if b := &c[d.Arms[0]]; a.Len != b.Len || a.Cost != b.Cost || a.Imm != b.Imm {
+			return nil
+		}
+		for _, mv := range a.Args {
+			switch {
+			case mv.Bank != BankInt:
+				return nil
+			case mv.Dst == d.K && mv.Src == a.Dst:
+			case (mv.Dst == d.Lo || mv.Dst == d.Hi) && (mv.Src == g2.D || mv.Src == g2.E):
+				into[w] = mv.Dst
+			default:
+				return nil
+			}
+		}
+		written = append(written, a.B, a.Dst)
+	}
+	if into[0] == into[1] || into[0] != d.Lo && into[0] != d.Hi || into[1] != d.Lo && into[1] != d.Hi ||
+		max(d.Lo, d.Hi, d.K) >= fc.PInts {
+		return nil
+	}
+	for i, s := range written {
+		if slices.Contains(written[i+1:], s) {
+			return nil
 		}
 	}
-	return true
+	if into[1] == d.Lo {
+		d.LoWord = 1
+	}
+	a := &c[d.Arms[0]]
+	d.MidShift = uint8(bits.TrailingZeros64(uint64(g2.Imm)))
+	d.ParityShift = uint8(bits.TrailingZeros64(uint64(g3.Imm >> 32)))
+	d.KShift = uint8(bits.TrailingZeros64(uint64(a.Imm)))
+	d.Len = int(g2.Len) + int(g3.Len) + int(a.Len) + int(head.Len)
+	d.Cost = int64(g2.Cost) + int64(g3.Cost) + int64(a.Cost) + int64(head.Cost)
+	return d
 }
 
 // pow2 reports whether k is a positive power of two.

@@ -20,8 +20,8 @@ import (
 // and no call to a small leaf callee is left out of line while the
 // function had room to grow. Each census group occurs in these programs,
 // except mod.ik+ne.ik+br, which none of them contains. The descent loop
-// head (descentHead) sits at pc 0 of every Barnes-Hut tree descent and of
-// no other function.
+// head and its register plan (descentPlan) sit at pc 0 of every
+// Barnes-Hut tree descent and of no other function.
 func TestCompileSpecializesEverySite(t *testing.T) {
 	census := map[Op]int{OpSubLeIKBr: 0, OpAddDivIKMov: 0, OpModIKEqIKBr: 0, OpIKTailCall: 0, OpAddFieldF: 0, OpDescend: 0}
 	check := func(label string, p *ir.Program) {
@@ -68,14 +68,18 @@ func TestCompileSpecializesEverySite(t *testing.T) {
 			fused := *fc
 			fused.Code = want
 			isWalk := strings.HasPrefix(fc.Name, "Body::walk@")
-			if descentHead(&fused) {
+			plan := descentPlan(&fused)
+			if plan != nil {
 				want[0].Op = OpDescend
 				census[OpDescend]++
 				if !isWalk {
-					t.Errorf("%s/%s: descent loop head outside Barnes-Hut's tree descent", label, fc.Name)
+					t.Errorf("%s/%s: descent plan outside Barnes-Hut's tree descent", label, fc.Name)
 				}
 			} else if isWalk {
-				t.Errorf("%s/%s: tree descent has no descent loop head", label, fc.Name)
+				t.Errorf("%s/%s: tree descent has no descent plan", label, fc.Name)
+			}
+			if !reflect.DeepEqual(fc.Descent, plan) {
+				t.Errorf("%s/%s: descent plan %+v, want %+v", label, fc.Name, fc.Descent, plan)
 			}
 			for pc := range fc.Code {
 				if co := fc.Code[pc]; !reflect.DeepEqual(co, want[pc]) {
