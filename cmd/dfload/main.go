@@ -19,6 +19,13 @@
 //
 //	dfload -target http://host:8080 [-section sort] [-iters N]
 //	       [-qps 50] [-duration 10s]
+//
+// Exit codes: 0 success; 1 when a driven request failed, a demo assertion
+// failed or the report cannot be written; 2 for bad usage, reported before
+// any hub, replica or load starts: an unknown flag, a positional argument,
+// an unknown -log format, -qps not finite or outside (0, 1e9], -duration,
+// -sampling or -production not positive, -replicas below 2, -workers
+// below 1 or -iters below 0.
 package main
 
 import (
@@ -26,6 +33,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"time"
 
@@ -33,29 +42,60 @@ import (
 	"repro/internal/fleet"
 )
 
-func main() {
-	target := flag.String("target", "", "drive an existing replica instead of orchestrating a fleet")
-	replicas := flag.Int("replicas", 3, "fleet size (demo mode)")
-	section := flag.String("section", "sort", "native section to drive")
-	iters := flag.Int("iters", 0, "iterations per request (0 = section default)")
-	qps := flag.Float64("qps", 50, "sustained request rate")
-	duration := flag.Duration("duration", 10*time.Second, "load duration (per phase in demo mode)")
-	tenant := flag.String("tenant", "demo", "fleet tenant namespace (demo mode)")
-	workers := flag.Int("workers", 2, "workers per section (demo mode)")
-	sampling := flag.Duration("sampling", 2*time.Millisecond, "target sampling interval (demo mode)")
-	production := flag.Duration("production", 500*time.Millisecond, "target production interval (demo mode)")
-	metricsOut := flag.String("metrics-out", "", "directory for final /metrics scrapes (demo mode)")
-	logFormat := flag.String("log", "text", "log format: text or json")
-	showVersion := flag.Bool("version", false, "print the build version and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *showVersion {
-		fmt.Printf("dfload %s (%s)\n", buildinfo.Version(), buildinfo.Runtime())
-		return
+// run is main with its inputs and outputs as parameters. It returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dfload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	target := fs.String("target", "", "drive an existing replica instead of orchestrating a fleet")
+	replicas := fs.Int("replicas", 3, "fleet size (demo mode)")
+	section := fs.String("section", "sort", "native section to drive")
+	iters := fs.Int("iters", 0, "iterations per request (0 = section default)")
+	qps := fs.Float64("qps", 50, "sustained request rate")
+	duration := fs.Duration("duration", 10*time.Second, "load duration (per phase in demo mode)")
+	tenant := fs.String("tenant", "demo", "fleet tenant namespace (demo mode)")
+	workers := fs.Int("workers", 2, "workers per section (demo mode)")
+	sampling := fs.Duration("sampling", 2*time.Millisecond, "target sampling interval (demo mode)")
+	production := fs.Duration("production", 500*time.Millisecond, "target production interval (demo mode)")
+	metricsOut := fs.String("metrics-out", "", "directory for final /metrics scrapes (demo mode)")
+	logFormat := fs.String("log", "text", "log format: text or json")
+	showVersion := fs.Bool("version", false, "print the build version and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	logger, err := fleet.NewLogger(*logFormat)
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "dfload:", err)
+		return code
+	}
+	if *showVersion {
+		if _, err := fmt.Fprintf(stdout, "dfload %s (%s)\n", buildinfo.Version(), buildinfo.Runtime()); err != nil {
+			return fail(1, fmt.Errorf("write output: %w", err))
+		}
+		return 0
+	}
+	var bad error
+	switch {
+	case fs.NArg() > 0:
+		bad = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case math.IsNaN(*qps) || *qps <= 0 || *qps > 1e9: // excludes ±Inf too
+		bad = fmt.Errorf("-qps %g: want a rate in (0, 1e9]", *qps)
+	case *duration <= 0, *sampling <= 0, *production <= 0:
+		bad = fmt.Errorf("-duration, -sampling and -production must be positive (got %v, %v, %v)", *duration, *sampling, *production)
+	case *replicas < 2:
+		bad = fmt.Errorf("-replicas %d: a fleet needs at least 2", *replicas)
+	case *workers < 1:
+		bad = fmt.Errorf("-workers %d: want at least 1", *workers)
+	case *iters < 0:
+		bad = fmt.Errorf("-iters %d: want 0 (the section default) or more", *iters)
+	}
+	if bad != nil {
+		return fail(2, bad)
+	}
+	logger, err := fleet.NewLogger(stderr, *logFormat)
 	if err != nil {
-		fatal(err)
+		return fail(2, err)
 	}
 	ctx := context.Background()
 
@@ -65,11 +105,13 @@ func main() {
 		})
 		logger.Info("drive complete", "target", *target,
 			"requests", rep.Requests, "errors", rep.Errors, "elapsed", rep.Elapsed)
-		printJSON(rep)
-		if rep.Errors > 0 {
-			os.Exit(1)
+		if err := writeJSON(stdout, rep); err != nil {
+			return fail(1, err)
 		}
-		return
+		if rep.Errors > 0 {
+			return 1
+		}
+		return 0
 	}
 
 	report, err := fleet.RunDemo(ctx, fleet.DemoConfig{
@@ -86,23 +128,25 @@ func main() {
 		Logger:     logger,
 	})
 	if report != nil {
-		printJSON(report)
+		if werr := writeJSON(stdout, report); werr != nil {
+			return fail(1, werr)
+		}
 	}
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	logger.Info("fleet demo passed",
 		"winner", report.Replicas[0].Winner,
 		"cold_sampled_intervals", report.Replicas[0].SampledAtWinner)
+	return 0
 }
 
-func printJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
+// writeJSON writes v to w as indented JSON.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dfload:", err)
-	os.Exit(1)
+	if err := enc.Encode(v); err != nil {
+		return fmt.Errorf("write report: %w", err)
+	}
+	return nil
 }

@@ -47,7 +47,7 @@ func main() {
 		fmt.Printf("dfstored %s (%s)\n", buildinfo.Version(), buildinfo.Runtime())
 		return
 	}
-	logger, err := fleet.NewLogger(*logFormat)
+	logger, err := fleet.NewLogger(os.Stderr, *logFormat)
 	if err != nil {
 		fatal(err)
 	}

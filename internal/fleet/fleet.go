@@ -17,7 +17,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,14 +32,14 @@ import (
 // force-closes the connections still open.
 const DrainTimeout = 10 * time.Second
 
-// NewLogger returns a structured logger writing to standard error in
-// format "text" or "json".
-func NewLogger(format string) (*slog.Logger, error) {
+// NewLogger returns a structured logger writing to w in format "text" or
+// "json".
+func NewLogger(w io.Writer, format string) (*slog.Logger, error) {
 	switch format {
 	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
+		return slog.New(slog.NewTextHandler(w, nil)), nil
 	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
+		return slog.New(slog.NewJSONHandler(w, nil)), nil
 	}
 	return nil, fmt.Errorf("unknown log format %q (want text or json)", format)
 }
@@ -269,12 +268,15 @@ type LoadReport struct {
 // Drive sends sustained POST /run traffic at cfg.QPS until the duration
 // elapses, the context is canceled, or cfg.Until reports done.
 func Drive(ctx context.Context, baseURL string, cfg LoadConfig) LoadReport {
-	if cfg.QPS <= 0 {
+	if !(cfg.QPS > 0) { // NaN too
 		cfg.QPS = 50
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 5 * time.Second
 	}
+	// One tick per request, 1 ns apart at the fastest; a rate slower than
+	// one request per drive ticks once per Duration, after the deadline.
+	interval := max(time.Duration(min(float64(time.Second)/cfg.QPS, float64(cfg.Duration))), 1)
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 4
 	}
@@ -287,8 +289,8 @@ func Drive(ctx context.Context, baseURL string, cfg LoadConfig) LoadReport {
 		wg      sync.WaitGroup
 		done    atomic.Bool
 		slots   = make(chan struct{}, cfg.Concurrency)
-		tick    = time.NewTicker(time.Duration(float64(time.Second) / cfg.QPS)) //dfvet:allow walltime paces the live request load at the configured QPS
-		started = time.Now()                                                    //dfvet:allow walltime wall-clock start of the load run for the report
+		tick    = time.NewTicker(interval) //dfvet:allow walltime paces the live request load at the configured QPS
+		started = time.Now()               //dfvet:allow walltime wall-clock start of the load run for the report
 	)
 	defer tick.Stop()
 	for !done.Load() {

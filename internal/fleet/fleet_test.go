@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -228,5 +229,18 @@ func TestDriveAgainstReplica(t *testing.T) {
 	}
 	if p.Sections["sort"].Winner == "" {
 		t.Error("no winner after sustained load")
+	}
+}
+
+// TestDriveRateBounds: any rate, even one no ticker interval represents,
+// drives until the deadline without a panic: the interval is 1 ns at the
+// fastest, and a rate slower than one request per drive sends none. The
+// target refuses connections, so nothing is served.
+func TestDriveRateBounds(t *testing.T) {
+	for _, qps := range []float64{math.NaN(), math.Inf(1), 1e12, 1e-12} {
+		rep := Drive(context.Background(), "http://127.0.0.1:1", LoadConfig{QPS: qps, Duration: 5 * time.Millisecond, Concurrency: 1})
+		if qps == 1e-12 && rep.Requests != 0 {
+			t.Errorf("qps %g: %d requests in a 5 ms drive, want 0", qps, rep.Requests)
+		}
 	}
 }
