@@ -14,6 +14,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/interp"
 	"repro/internal/obl/vm"
+	"repro/internal/simmach"
 )
 
 var updateCensus = flag.Bool("update", false, "rewrite testdata/census.golden")
@@ -59,9 +60,24 @@ func censusSyncCells() []censusCell {
 	}
 }
 
-func runCensusCells(t *testing.T, cells []censusCell) *interp.Census {
-	t.Helper()
+// censusCounts is one workload's census: the VM's and the machine's.
+type censusCounts struct {
+	vm  *interp.Census
+	sim *simmach.Census
+}
+
+func censusReset() {
 	interp.CensusReset()
+	simmach.CensusReset()
+}
+
+func censusSnapshot() censusCounts {
+	return censusCounts{interp.CensusSnapshot(), simmach.CensusSnapshot()}
+}
+
+func runCensusCells(t *testing.T, cells []censusCell) censusCounts {
+	t.Helper()
+	censusReset()
 	for _, c := range cells {
 		cc, err := apps.Compile(c.app)
 		if err != nil {
@@ -75,13 +91,13 @@ func runCensusCells(t *testing.T, cells []censusCell) *interp.Census {
 			t.Fatalf("%s %+v: %v", c.app, c.opts, err)
 		}
 	}
-	return interp.CensusSnapshot()
+	return censusSnapshot()
 }
 
 // runCensusSuite runs one cold Quick pass of the experiments dfperf's suite
 // workload runs (suiteSkipped in benchmark/suitewl.go leaves the others
 // out), serially on a fresh bench.Suite at processor counts 1 and 8.
-func runCensusSuite(t *testing.T) *interp.Census {
+func runCensusSuite(t *testing.T) censusCounts {
 	t.Helper()
 	skipped := map[string]bool{
 		"table2": true, "figure4": true, "table3": true,
@@ -90,7 +106,7 @@ func runCensusSuite(t *testing.T) *interp.Census {
 		"ablation-cutoff": true, "ablation-autotune": true,
 		"ablation-flags": true, "ablation-span": true,
 	}
-	interp.CensusReset()
+	censusReset()
 	s := bench.NewSuite(bench.SuiteConfig{Quick: true, Procs: []int{1, 8}, Parallelism: 1})
 	for _, e := range bench.Experiments() {
 		if skipped[e.ID] {
@@ -100,20 +116,33 @@ func runCensusSuite(t *testing.T) *interp.Census {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
 	}
-	return interp.CensusSnapshot()
+	return censusSnapshot()
 }
 
 // censusTopPairs bounds the adjacent pairs each workload lists.
 const censusTopPairs = 24
 
-// renderCensus writes one workload's counters under its title: the
-// totals, every opcode dispatched, and the most frequent adjacent pairs,
-// each list by count and then by name.
-func renderCensus(b *strings.Builder, title string, c *interp.Census) {
+// renderCensus writes one workload's counters under its title: the VM's
+// and the machine's totals, every opcode dispatched, and the most frequent
+// adjacent pairs, each list by count and then by name.
+func renderCensus(b *strings.Builder, title string, cc censusCounts) {
+	c, m := cc.vm, cc.sim
 	fmt.Fprintf(b, "== %s\n", title)
 	fmt.Fprintf(b, "exec entries   %12d\n", c.Entries)
 	fmt.Fprintf(b, "vm dispatches  %12d\n", c.Dispatches())
 	fmt.Fprintf(b, "descent levels %12d\n", c.Levels)
+	for _, r := range []struct {
+		name string
+		n    uint64
+	}{
+		{"dispatches", m.Dispatches}, {"still first", m.StillFirst},
+		{"queue inserts", m.Inserts}, {"queue moved", m.Moved},
+		{"lock grants", m.Grants}, {"released ahead", m.Ahead},
+		{"late grants", m.LateGrants}, {"takeovers", m.Takeovers},
+		{"barriers", m.Barriers},
+	} {
+		fmt.Fprintf(b, "simmach %-14s %12d\n", r.name, r.n)
+	}
 	type row struct {
 		name string
 		n    uint64
@@ -152,8 +181,9 @@ func renderCensus(b *strings.Builder, title string, c *interp.Census) {
 }
 
 // TestCensusGolden pins the dispatch census of dfperf's sim-compute and
-// sim-sync cells and of one cold Quick suite pass. The counts are exact:
-// a change that moves the VM's work shows in the golden's diff. Rewrite
+// sim-sync cells and of one cold Quick suite pass, the VM's and the
+// machine's. The counts are exact: a change that moves the VM's or the
+// scheduler's work shows in the golden's diff. Rewrite
 // the golden with
 //
 //	go test -tags census -run TestCensusGolden ./internal/interp -update

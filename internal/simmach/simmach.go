@@ -465,6 +465,9 @@ func (m *Machine) Run() error {
 		for {
 			m.steps++
 			m.curAt = p.clock
+			if censusOn {
+				censusDispatch()
+			}
 			st := p.process.Step(p)
 			if st == Ready {
 				p.status = Ready
@@ -472,6 +475,9 @@ func (m *Machine) Run() error {
 					break // woken during its own step: its queue entry stands
 				}
 				if m.ready.len() == 0 || m.ready.follows(p.clock, int32(p.id)) {
+					if censusOn {
+						censusStillFirst()
+					}
 					continue
 				}
 				next := m.procs[m.ready.pop()]
@@ -595,6 +601,9 @@ func (q *runQueue) push(clock Time, id int32) {
 		copy(q.items[lo+1:], q.items[lo:n])
 	}
 	q.items[lo] = runEntry{clock, id}
+	if censusOn {
+		censusInsert(n - lo)
+	}
 }
 
 // fix re-keys p's entry after its clock changed in place.
@@ -743,6 +752,9 @@ func (p *Proc) Acquire(l *Lock) bool {
 		q.status = Blocked
 		q.clock, q.Counters = l.lateSince, l.lateBefore
 		l.enqueue(q)
+		if censusOn {
+			censusTakeover()
+		}
 		l.grantLate(p)
 		return false
 	}
@@ -764,6 +776,9 @@ func (l *Lock) releasedAfter(p *Proc) bool {
 // ahead, keeping what a later late acquirer needs to take the grant over.
 func (l *Lock) grantLate(p *Proc) {
 	l.late, l.lateSince, l.lateBefore = p, p.clock, p.Counters
+	if censusOn {
+		censusLateGrant()
+	}
 	p.status = Blocked
 	p.m.trace(TraceBlock, p.id, p.clock, l.name)
 	l.grant(p, p.clock, l.aheadEnd)
@@ -880,6 +895,9 @@ func (l *Lock) grant(wp *Proc, since, at Time) {
 	wp.Counters.LockTime += ac
 	wp.Counters.Acquires++
 	l.m.trace(TraceGrant, wp.id, wp.clock, l.name)
+	if censusOn {
+		censusGrant()
+	}
 	l.m.wake(wp)
 }
 
@@ -911,6 +929,9 @@ func (p *Proc) ReleaseAhead(l *Lock, at Time) {
 	l.aheadAt, l.aheadID, l.aheadEnd = at, p.id, p.clock
 	l.late = nil
 	p.m.steps++
+	if censusOn {
+		censusAhead()
+	}
 }
 
 //dfvet:noalloc
@@ -1023,5 +1044,8 @@ func (p *Proc) BarrierArrive(b *Barrier) {
 	}
 	b.count = 0
 	b.epochs++
+	if censusOn {
+		censusBarrier()
+	}
 	b.m.trace(TraceBarrierRelease, p.id, release, "")
 }
