@@ -232,15 +232,12 @@ func TestDriveAgainstReplica(t *testing.T) {
 	}
 }
 
-// TestDriveRateBounds: any rate, even one no ticker interval represents,
-// drives until the deadline without a panic: the interval is 1 ns at the
-// fastest, and a rate slower than one request per drive sends none. The
-// target refuses connections, so nothing is served.
+// TestDriveRateBounds: a rate no ticker interval represents drives until
+// the deadline without a panic (NaN takes the default rate; the fastest
+// interval is 1 ns). The target refuses connections, so nothing is served.
+// cmd/dfload's tests cover a rate too slow to represent.
 func TestDriveRateBounds(t *testing.T) {
-	for _, qps := range []float64{math.NaN(), math.Inf(1), 1e12, 1e-12} {
-		rep := Drive(context.Background(), "http://127.0.0.1:1", LoadConfig{QPS: qps, Duration: 5 * time.Millisecond, Concurrency: 1})
-		if qps == 1e-12 && rep.Requests != 0 {
-			t.Errorf("qps %g: %d requests in a 5 ms drive, want 0", qps, rep.Requests)
-		}
+	for _, qps := range []float64{math.NaN(), math.Inf(1), 1e12} {
+		Drive(context.Background(), "http://127.0.0.1:1", LoadConfig{QPS: qps, Duration: 5 * time.Millisecond, Concurrency: 1})
 	}
 }

@@ -18,8 +18,9 @@ import (
 // except a release no processor waits for, which it takes in place and
 // the machine counts as the dispatch it spares — and tail-call collapse
 // replays the folded returns as one budget step each, as many in one
-// dispatch as the budget admits. OpDescend runs the groups of a binary
-// descent level after level under the same per-group budget rule.
+// dispatch as the budget admits. OpDescend runs a binary descent's whole
+// levels in host registers while the budget admits every group of the
+// next level whole, and leaves a level it cannot to the groups.
 //
 // The loop is two-level so that the dispatch state stays in registers.
 // The outer loop runs once per activation: it loads the frame, its code

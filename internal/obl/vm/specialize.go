@@ -277,9 +277,11 @@ func descentPlan(fc *FuncCode) *Descent {
 	}
 	d.K = g3.D
 	d.Arms = [2]int32{g3.C, d.G3 + int32(g3.Len)}
+	// Every slot a level writes; the engine's write-back needs them
+	// distinct.
 	written := []int32{d.Lo, d.Hi, d.K, head.A, head.B, head.Dst,
 		g2.Dst, g2.C, g2.D, g2.E, g3.E, g3.A, g3.B, g3.Dst}
-	var into [2]int32
+	into := [2]int32{-1, -1} // the slot each arm moves mid into
 	for w, pc := range d.Arms {
 		if int(pc) >= len(c) {
 			return nil
@@ -292,12 +294,14 @@ func descentPlan(fc *FuncCode) *Descent {
 		if b := &c[d.Arms[0]]; a.Len != b.Len || a.Cost != b.Cost || a.Imm != b.Imm {
 			return nil
 		}
+		toK := false
 		for _, mv := range a.Args {
 			switch {
 			case mv.Bank != BankInt:
 				return nil
-			case mv.Dst == d.K && mv.Src == a.Dst:
-			case (mv.Dst == d.Lo || mv.Dst == d.Hi) && (mv.Src == g2.D || mv.Src == g2.E):
+			case mv.Dst == d.K && mv.Src == a.Dst && !toK:
+				toK = true
+			case (mv.Dst == d.Lo || mv.Dst == d.Hi) && (mv.Src == g2.D || mv.Src == g2.E) && into[w] < 0:
 				into[w] = mv.Dst
 			default:
 				return nil
@@ -305,8 +309,7 @@ func descentPlan(fc *FuncCode) *Descent {
 		}
 		written = append(written, a.B, a.Dst)
 	}
-	if into[0] == into[1] || into[0] != d.Lo && into[0] != d.Hi || into[1] != d.Lo && into[1] != d.Hi ||
-		max(d.Lo, d.Hi, d.K) >= fc.PInts {
+	if into[0] == into[1] {
 		return nil
 	}
 	for i, s := range written {
