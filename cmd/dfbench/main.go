@@ -29,8 +29,10 @@
 // carries the rendered reports only.
 //
 // -procs lists the processor counts of the execution-time tables and
-// figures. It must be strictly increasing and include 1 and 8, the counts
-// the tables' claims are read at; anything else is bad usage.
+// figures. It must be strictly increasing, at most 256 (the largest
+// machine simmach is exercised at), and include 1 and 8, the counts the
+// tables' claims are read at; anything else is bad usage, and so is a
+// negative -p.
 //
 // -controller selects the dynamic feedback controller for the suite's
 // dynamic runs (roundrobin, the paper's, or ucb, the confidence-bound
@@ -60,6 +62,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/parexec"
 	"repro/internal/simcache"
+	"repro/internal/simmach"
 )
 
 // experimentByID resolves one -run ID; a variable so a test can select an
@@ -97,6 +100,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+	if *par < 0 {
+		return fail(2, "-p %d is negative", *par)
+	}
 	if !core.ValidKind(*controller) {
 		return fail(2, "unknown controller %q (want %s or %s)", *controller, core.KindRoundRobin, core.KindUCB)
 	}
@@ -104,8 +110,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *procsFlag != "" {
 		for _, part := range strings.Split(*procsFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				return fail(2, "bad -procs entry %q", part)
+			if err != nil || n <= 0 || n > simmach.MaxExercisedProcs {
+				return fail(2, "bad -procs entry %q (want 1 to %d)", part, simmach.MaxExercisedProcs)
 			}
 			if len(cfg.Procs) > 0 && n <= cfg.Procs[len(cfg.Procs)-1] {
 				return fail(2, "-procs %s is not strictly increasing", *procsFlag)

@@ -79,7 +79,8 @@ func TestBadUsageExits2(t *testing.T) {
 		{"-perturb", "all"}, {"-cache-mem", "8"},
 		{"-sample"}, {"-sample-validate"}, {"-policies"}, {"-policies-validate"},
 		{"-run", "none"}, {"-run", "table1,nope"}, {"-run", "policies"}, {"-run", "sampling"},
-		{"-procs", "0"}, {"-procs", "4,16"}, {"-procs", "16,8"}, {"-procs", "1,8,8"},
+		{"-procs", "0"}, {"-procs", "4,16"}, {"-procs", "16,8"}, {"-procs", "1,8,8"}, {"-procs", "1,8,100000"},
+		{"-p", "-3"},
 		{"-controller", "greedy"},
 	} {
 		if code, stdout, _ := dfbench(args...); code != 2 || stdout != "" {

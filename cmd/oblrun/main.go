@@ -14,8 +14,9 @@
 //
 // Exit codes, as oblc's: 0 success; 1 a compile error, a run that fails
 // (a runtime error in the program) or a trace that cannot be written; 2
-// bad usage, which an unknown -app or -policy and an unreadable source
-// file are, reported before anything is compiled.
+// bad usage, which an unknown -app or -policy, a -procs outside [1, 256],
+// a -sampling or -production that is not positive and an unreadable
+// source file are, reported before anything is compiled.
 package main
 
 import (
@@ -60,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("oblrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	app := fs.String("app", "", "run a bundled application (barneshut, water, string)")
-	procs := fs.Int("procs", 8, "number of simulated processors (exercised up to 256; see simmach.Config.Procs)")
+	procs := fs.Int("procs", 8, "number of simulated processors, 1 to 256 (see simmach.Config.Procs)")
 	policy := fs.String("policy", "dynamic", "original, bounded, aggressive, dynamic, or serial")
 	flagged := fs.Bool("flagged", false, "run the flag-dispatch single-version build (§4.2) instead of the multi-version build")
 	sampling := fs.Duration("sampling", 10*time.Millisecond, "target sampling interval (virtual)")
@@ -85,6 +86,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if p := *policy; p != interp.PolicyDynamic && p != "serial" && !slices.Contains(oblc.Policies(), p) {
 		return fail(2, fmt.Errorf("unknown policy %q (want original, bounded, aggressive, dynamic or serial)", p))
+	}
+	if *procs < 1 || *procs > simmach.MaxExercisedProcs {
+		return fail(2, fmt.Errorf("-procs %d outside [1, %d]", *procs, simmach.MaxExercisedProcs))
+	}
+	if *sampling <= 0 || *production <= 0 {
+		return fail(2, fmt.Errorf("-sampling %v and -production %v must be positive", *sampling, *production))
 	}
 
 	var src string

@@ -18,7 +18,8 @@ func runOBLRun(args ...string) (code int, stdout, stderr string) {
 // small keeps the Water runs quick.
 var small = []string{"-app", "water", "-procs", "4", "-param", "nmol=16"}
 
-// TestBadUsageExits2: an unknown application or policy and a source file
+// TestBadUsageExits2: an unknown application or policy, a processor count
+// outside [1, 256], an interval that is not positive and a source file
 // that cannot be read are bad usage, reported before anything is compiled
 // or printed.
 func TestBadUsageExits2(t *testing.T) {
@@ -28,6 +29,11 @@ func TestBadUsageExits2(t *testing.T) {
 		{"-policy", "bogus", filepath.Join(t.TempDir(), "nonexistent.obl")},
 		{filepath.Join(t.TempDir(), "nonexistent.obl")},
 		{"-param", "nmol"},
+		{"-app", "water", "-procs", "0"},
+		{"-app", "water", "-procs", "-4"},
+		{"-app", "water", "-procs", "257"},
+		{"-app", "water", "-sampling", "-1s"},
+		{"-app", "water", "-production", "0s"},
 		{},
 	} {
 		if code, stdout, _ := runOBLRun(args...); code != 2 || stdout != "" {

@@ -304,9 +304,6 @@ func (c *Controller) CurrentPolicy() int { return c.current }
 // PolicyName returns the name of policy i.
 func (c *Controller) PolicyName(i int) string { return c.cfg.Policies[i].Name }
 
-// NumPolicies returns the number of versions.
-func (c *Controller) NumPolicies() int { return len(c.cfg.Policies) }
-
 // Rounds returns the number of completed sampling rounds.
 func (c *Controller) Rounds() int { return c.round }
 
@@ -535,7 +532,7 @@ type Seed struct {
 	// OrderByHistory acceptability test compares against it.
 	WinnerOverhead float64
 	// Stats optionally restores the per-policy aggregates. When non-nil it
-	// must have exactly NumPolicies entries, in policy order.
+	// must have exactly one entry per policy, in policy order.
 	Stats []PolicyStats
 }
 

@@ -119,6 +119,30 @@ func runCensusSuite(t *testing.T) censusCounts {
 	return censusSnapshot()
 }
 
+// censusSection is one workload's census under its golden title.
+type censusSection struct {
+	title  string
+	counts censusCounts
+}
+
+// censusMemo holds the three sections once run: the golden and the fused
+// opcode guard read the same counts.
+var censusMemo []censusSection
+
+// censusSections runs the three census workloads, once per test binary.
+func censusSections(t *testing.T) []censusSection {
+	t.Helper()
+	if censusMemo == nil {
+		compute, sync := censusComputeCells(), censusSyncCells()
+		censusMemo = []censusSection{
+			{fmt.Sprintf("sim-compute: %d cells", len(compute)), runCensusCells(t, compute)},
+			{fmt.Sprintf("sim-sync: %d cells", len(sync)), runCensusCells(t, sync)},
+			{"suite: one cold Quick pass at procs 1,8", runCensusSuite(t)},
+		}
+	}
+	return censusMemo
+}
+
 // censusTopPairs bounds the adjacent pairs each workload lists.
 const censusTopPairs = 24
 
@@ -189,10 +213,9 @@ func renderCensus(b *strings.Builder, title string, cc censusCounts) {
 //	go test -tags census -run TestCensusGolden ./internal/interp -update
 func TestCensusGolden(t *testing.T) {
 	var b strings.Builder
-	compute, sync := censusComputeCells(), censusSyncCells()
-	renderCensus(&b, fmt.Sprintf("sim-compute: %d cells", len(compute)), runCensusCells(t, compute))
-	renderCensus(&b, fmt.Sprintf("sim-sync: %d cells", len(sync)), runCensusCells(t, sync))
-	renderCensus(&b, "suite: one cold Quick pass at procs 1,8", runCensusSuite(t))
+	for _, s := range censusSections(t) {
+		renderCensus(&b, s.title, s.counts)
+	}
 	got := b.String()
 	if *updateCensus {
 		if err := os.WriteFile(censusGolden, []byte(got), 0o644); err != nil {
@@ -212,5 +235,28 @@ func TestCensusGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("census moved: golden has %d lines, got %d", len(wl), len(gl))
+	}
+}
+
+// TestCensusDispatchesEveryFusedOp holds the superinstruction set to the
+// census: every opcode of vm.Op's fused block (after the inline-expansion
+// opcodes, before the sync opcodes) must be dispatched in at least one of
+// the three sections. A fused group is a second copy of the plain slots it
+// covers, so one that no workload runs is deleted, and a new one lands
+// only with the traffic that dispatches it.
+func TestCensusDispatchesEveryFusedOp(t *testing.T) {
+	var unused []string
+	for op := vm.OpIRetVoid + 1; op < vm.OpSyncStart; op++ {
+		var n uint64
+		for _, s := range censusSections(t) {
+			n += s.counts.vm.Ops[op]
+		}
+		if n == 0 {
+			unused = append(unused, op.String())
+		}
+	}
+	if len(unused) > 0 {
+		t.Errorf("%d fused opcodes are dispatched in no census section: %s",
+			len(unused), strings.Join(unused, ", "))
 	}
 }

@@ -96,33 +96,32 @@ const (
 	rR = ir.ElemRef
 )
 
-// groupCases are the census groups, their aliasing shapes and one older
-// group (lt.ik+br). a = 7 and b = 5 unless init says otherwise; the
-// negative numerators check Go's truncated division against the oracle.
+// groupCases are the census groups, their aliasing shapes and
+// le.ik+br, a narrower group, in both branch directions. a = 7 and b = 5
+// unless init says otherwise; the negative numerators check Go's truncated
+// division against the oracle.
 var groupCases = []groupCase{
-	{name: "lt.ik+br", op: vm.OpLtIKBr, kinds: []ir.ElemKind{rI, rI, rB},
+	{name: "le.ik+br", op: vm.OpLeIKBr, kinds: []ir.ElemKind{rI, rI, rB},
 		group: []ir.Instr{
 			irIns(ir.OpConstInt, 1, no, no, 9),
-			irIns(ir.OpLtI, 2, 0, 1, 0),
+			irIns(ir.OpLeI, 2, 0, 1, 0),
 			irIns(ir.OpBrFalse, no, 2, no, 0),
 		}, show: []ir.Reg{1, 2}},
-	{name: "sub.i+le.ik+br", op: vm.OpSubLeIKBr, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rB},
-		init: consts(1, 7, 2, 5),
+	{name: "le.ik+br/taken", op: vm.OpLeIKBr, kinds: []ir.ElemKind{rI, rI, rI, rB},
+		init: consts(1, 7),
 		group: []ir.Instr{
-			irIns(ir.OpSubI, 3, 1, 2, 0),
-			irIns(ir.OpConstInt, 4, no, no, 1),
-			irIns(ir.OpLeI, 5, 3, 4, 0),
-			irIns(ir.OpBrFalse, no, 5, no, 0),
-			irIns(ir.OpPrint, no, 4, no, 0), // skipped: 2 <= 1 is false
-		}, show: []ir.Reg{3, 4, 5}, rest: 4 + 3 + 1},
-	{name: "sub.i+le.ik+br/const slot is the difference", op: vm.OpSubLeIKBr, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rB},
-		init: consts(1, 7, 2, 5),
+			irIns(ir.OpConstInt, 2, no, no, 1),
+			irIns(ir.OpLeI, 3, 1, 2, 0),
+			irIns(ir.OpBrFalse, no, 3, no, 0),
+			irIns(ir.OpPrint, no, 2, no, 0), // skipped: 7 <= 1 is false
+		}, show: []ir.Reg{2, 3}, rest: 3 + 2 + 1},
+	{name: "le.ik+br/const slot is the compared register", op: vm.OpLeIKBr, kinds: []ir.ElemKind{rI, rI, rI, rB},
+		init: consts(1, 7),
 		group: []ir.Instr{
-			irIns(ir.OpSubI, 3, 1, 2, 0),
-			irIns(ir.OpConstInt, 3, no, no, 1),
-			irIns(ir.OpLeI, 5, 3, 3, 0), // 1 <= 1, not 2 <= 1
-			irIns(ir.OpBrFalse, no, 5, no, 0),
-		}, show: []ir.Reg{3, 5}},
+			irIns(ir.OpConstInt, 1, no, no, 1),
+			irIns(ir.OpLeI, 3, 1, 1, 0), // 1 <= 1, not 7 <= 1
+			irIns(ir.OpBrFalse, no, 3, no, 0),
+		}, show: []ir.Reg{1, 3}},
 	{name: "add.i+div.ik+mov.i/negative", op: vm.OpAddDivIKMov, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rI, rI},
 		init: consts(1, -7, 2, -2),
 		group: []ir.Instr{
@@ -149,16 +148,16 @@ var groupCases = []groupCase{
 			irIns(ir.OpBrFalse, no, 6, no, 0),
 			irIns(ir.OpPrint, no, 2, no, 0), // skipped
 		}, show: []ir.Reg{2, 3, 4, 6}, rest: 5 + 4 + 1},
-	{name: "mod.ik+ne.ik+br/negative", op: vm.OpModIKNeIKBr, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rI, rB},
+	{name: "mod.ik+eq.ik+br/negative constants", op: vm.OpModIKEqIKBr, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rI, rB},
 		init: consts(1, -8),
 		group: []ir.Instr{
 			irIns(ir.OpConstInt, 2, no, no, -3),
 			irIns(ir.OpModI, 3, 1, 2, 0), // -2
 			irIns(ir.OpConstInt, 4, no, no, -2),
-			irIns(ir.OpNe, 6, 3, 4, 0),
+			irIns(ir.OpEq, 6, 3, 4, 0),
 			irIns(ir.OpBrFalse, no, 6, no, 0),
-			irIns(ir.OpPrint, no, 2, no, 0), // skipped
-		}, show: []ir.Reg{2, 3, 4, 6}, rest: 5 + 4 + 1},
+			irIns(ir.OpPrint, no, 2, no, 0), // runs: -2 == -2
+		}, show: []ir.Reg{2, 3, 4, 6}},
 	{name: "mod.ik+eq.ik+br/const slots alias", op: vm.OpModIKEqIKBr, kinds: []ir.ElemKind{rI, rI, rI, rI, rI, rI, rB},
 		init: consts(1, 9),
 		group: []ir.Instr{
@@ -429,13 +428,13 @@ func TestJumpIntoGroupRunsPlainSlots(t *testing.T) {
 		irIns(ir.OpConstBool, 2, no, no, 0),  // 2
 		irIns(ir.OpJump, no, no, no, 5),      // 3: into the second slot
 		irIns(ir.OpConstInt, 1, no, no, 3),   // 4: group head (skipped)
-		irIns(ir.OpLtI, 2, 0, 1, 0),          // 5: 5 < 100, not 5 < 3
+		irIns(ir.OpLeI, 2, 0, 1, 0),          // 5: 5 <= 100, not 5 <= 3
 		irIns(ir.OpBrFalse, no, 2, no, 14),   // 6
 		irIns(ir.OpPrint, no, 1, no, 0),      // 7: prints 100
 		irIns(ir.OpConstBool, 2, no, no, 0),  // 8
 		irIns(ir.OpJump, no, no, no, 12),     // 9: into the third slot
 		irIns(ir.OpConstInt, 1, no, no, 7),   // 10: group head (skipped)
-		irIns(ir.OpGtI, 2, 0, 1, 0),          // 11 (skipped)
+		irIns(ir.OpLeI, 2, 0, 1, 0),          // 11 (skipped)
 		irIns(ir.OpBrFalse, no, 2, no, 14),   // 12: r2 is false: taken
 		irIns(ir.OpPrint, no, 0, no, 0),      // 13 (not reached)
 		irIns(ir.OpPrint, no, 1, no, 0),      // 14: still 100
@@ -450,8 +449,8 @@ func TestJumpIntoGroupRunsPlainSlots(t *testing.T) {
 	}
 	p := irProgram(&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI, rB}, Code: code})
 	m := moduleOf(t, p)
-	groupAt(t, m, 4, vm.OpLtIKBr, 3)
-	groupAt(t, m, 10, vm.OpGtIKBr, 3)
+	groupAt(t, m, 4, vm.OpLeIKBr, 3)
+	groupAt(t, m, 10, vm.OpLeIKBr, 3)
 	groupAt(t, m, 15, vm.OpMulIK, 2)
 	res, err := runBoth(t, "jump into groups", p)
 	if err != nil {
@@ -463,48 +462,76 @@ func TestJumpIntoGroupRunsPlainSlots(t *testing.T) {
 }
 
 // TestLiteralZeroDivisorNotFused: x / 0 and x % 0 with a constant zero
-// stay plain instructions and fault with the interpreter's message.
+// stay plain instructions in the groups that fold a constant divisor, and
+// fault with the interpreter's message.
 func TestLiteralZeroDivisorNotFused(t *testing.T) {
-	for _, op := range []ir.Op{ir.OpDivI, ir.OpModI} {
-		p := irProgram(&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI, rI}, Code: []ir.Instr{
-			irIns(ir.OpConstInt, 0, no, no, 7),
+	for _, c := range []struct {
+		name string
+		code []ir.Instr
+	}{
+		{"add.i+div.ik+mov.i", []ir.Instr{
+			irIns(ir.OpAddI, 2, 0, 0, 0),
 			irIns(ir.OpConstInt, 1, no, no, 0),
-			irIns(op, 2, 0, 1, 0),
-			irIns(ir.OpPrint, no, 2, no, 0),
-			irIns(ir.OpRet, no, no, no, 0),
-		}})
-		if in := moduleOf(t, p).Funcs[0].Code[1]; in.Len != 1 {
-			t.Errorf("%v by constant zero fused into %v", op, in.Op)
+			irIns(ir.OpDivI, 2, 2, 1, 0),
+			irIns(ir.OpMov, 3, 2, no, 0),
+		}},
+		{"mod.ik+eq.ik+br", []ir.Instr{
+			irIns(ir.OpConstInt, 1, no, no, 0),
+			irIns(ir.OpModI, 2, 0, 1, 0),
+			irIns(ir.OpConstInt, 3, no, no, 0),
+			irIns(ir.OpEq, 4, 2, 3, 0),
+			irIns(ir.OpBrFalse, no, 4, no, 7),
+		}},
+	} {
+		code := append([]ir.Instr{irIns(ir.OpConstInt, 0, no, no, 7), irIns(ir.OpNop, no, no, no, 0)}, c.code...)
+		code = append(code, irIns(ir.OpPrint, no, 2, no, 0), irIns(ir.OpRet, no, no, no, 0))
+		p := irProgram(&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI, rI, rI, rB}, Code: code})
+		if in := moduleOf(t, p).Funcs[0].Code[2]; in.Len != 1 {
+			t.Errorf("%s by constant zero fused into %v", c.name, in.Op)
 		}
-		if _, err := runBoth(t, op.String()+" by zero", p); err == nil {
-			t.Errorf("%v by zero did not fault", op)
+		if _, err := runBoth(t, c.name+" by zero", p); err == nil {
+			t.Errorf("%s by zero did not fault", c.name)
 		}
 	}
 }
 
-// TestConstantDivisorGroups runs div/mod groups over dividends of both
-// signs and the extremes, with divisors that are powers of two, 1,
-// negative, and the overflowing -1.
+// TestConstantDivisorGroups runs the groups that fold a constant divisor,
+// add.i+div.ik+mov.i and mod.ik+eq.ik+br, over dividends of both signs and
+// the extremes, with divisors that are powers of two, 1, negative, and the
+// overflowing -1. A divisor beyond int32 does not fit mod.ik+eq.ik+br's
+// Imm half and stays plain.
 func TestConstantDivisorGroups(t *testing.T) {
 	dividends := []int64{-7, 7, -8, 0, -1, 1, math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
 	for _, k := range []int64{2, 1, -2, 4, 1 << 62, 3, -1, math.MinInt64} {
-		var code []ir.Instr
+		code := []ir.Instr{irIns(ir.OpConstInt, 3, no, no, 0)}
 		for _, a := range dividends {
+			at := len(code)
 			code = append(code,
 				irIns(ir.OpConstInt, 0, no, no, a),
+				irIns(ir.OpAddI, 4, 0, 3, 0), // a + 0
 				irIns(ir.OpConstInt, 1, no, no, k),
-				irIns(ir.OpDivI, 2, 0, 1, 0),
-				irIns(ir.OpPrint, no, 2, no, 0),
+				irIns(ir.OpDivI, 2, 4, 1, 0),
+				irIns(ir.OpMov, 5, 2, no, 0),
+				irIns(ir.OpPrint, no, 5, no, 0),
 				irIns(ir.OpConstInt, 1, no, no, k),
 				irIns(ir.OpModI, 2, 0, 1, 0),
+				irIns(ir.OpConstInt, 6, no, no, 0),
+				irIns(ir.OpEq, 7, 2, 6, 0),
+				irIns(ir.OpBrFalse, no, 7, no, int64(at+11)),
 				irIns(ir.OpPrint, no, 2, no, 0),
 			)
 		}
 		code = append(code, irIns(ir.OpRet, no, no, no, 0))
-		p := irProgram(&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI, rI}, Code: code})
+		p := irProgram(&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI, rI, rI, rI, rI, rI, rB}, Code: code})
 		m := moduleOf(t, p)
-		groupAt(t, m, 1, vm.OpDivIK, 2)
-		groupAt(t, m, 4, vm.OpModIK, 2)
+		for i := range dividends {
+			groupAt(t, m, 12*i+2, vm.OpAddDivIKMov, 4)
+			if int64(int32(k)) == k {
+				groupAt(t, m, 12*i+7, vm.OpModIKEqIKBr, 5)
+			} else {
+				groupAt(t, m, 12*i+7, vm.OpConstI, 1)
+			}
+		}
 		res, err := runBoth(t, fmt.Sprintf("divisor %d", k), p)
 		if err != nil {
 			t.Fatal(err)

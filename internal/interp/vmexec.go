@@ -287,7 +287,7 @@ frames:
 					x -= in.Imm
 				case vm.OpMulI:
 					x *= in.Imm
-				case vm.OpDivI: // Imm != 0, as for OpDivIK
+				case vm.OpDivI: // Imm != 0: fuse never folds a zero divisor
 					x /= in.Imm
 				default:
 					x %= in.Imm
@@ -560,93 +560,8 @@ frames:
 				}
 				pc = int(in.Imm)
 
-			case vm.OpEqIBr:
-				c := ints[in.A] == ints[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpNeIBr:
-				c := ints[in.A] != ints[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpEqFBr:
-				c := floats[in.A] == floats[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpNeFBr:
-				c := floats[in.A] != floats[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpEqRBr:
-				c := refs[in.A] == refs[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpNeRBr:
-				c := refs[in.A] != refs[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
 			case vm.OpLtIBr:
 				c := ints[in.A] < ints[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpLeIBr:
-				c := ints[in.A] <= ints[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpGtIBr:
-				c := ints[in.A] > ints[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpGeIBr:
-				c := ints[in.A] >= ints[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpLtFBr:
-				c := floats[in.A] < floats[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpLeFBr:
-				c := floats[in.A] <= floats[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpGtFBr:
-				c := floats[in.A] > floats[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpGeFBr:
-				c := floats[in.A] >= floats[in.B]
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.Imm)
-				}
-			case vm.OpNotBr:
-				// not Dst, A; brfalse Dst: branch taken when A is true.
-				c := ints[in.A] == 0
 				ints[in.Dst] = b2w(c)
 				if !c {
 					pc = int(in.Imm)
@@ -665,33 +580,6 @@ frames:
 			case vm.OpMulIK:
 				ints[in.B] = in.Imm
 				ints[in.Dst] = ints[in.A] * in.Imm
-			case vm.OpDivIK: // Imm != 0: fuse never folds a zero divisor
-				ints[in.B] = in.Imm
-				ints[in.Dst] = ints[in.A] / in.Imm
-			case vm.OpModIK:
-				ints[in.B] = in.Imm
-				ints[in.Dst] = ints[in.A] % in.Imm
-			case vm.OpEqIKBr:
-				ints[in.B] = in.Imm
-				c := ints[in.A] == in.Imm
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.C)
-				}
-			case vm.OpNeIKBr:
-				ints[in.B] = in.Imm
-				c := ints[in.A] != in.Imm
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.C)
-				}
-			case vm.OpLtIKBr:
-				ints[in.B] = in.Imm
-				c := ints[in.A] < in.Imm
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.C)
-				}
 			case vm.OpDescend:
 				// The head is charged. Whole levels (g2, g3, an arm with its
 				// self tail call, and the next head) run here with lo, hi and
@@ -706,7 +594,7 @@ frames:
 				depth := 10001 - len(t.frames) - int(t.collapsed)
 				lo, hi, k := ints[d.Lo], ints[d.Hi], ints[d.K]
 				g3 := &code[d.G3]
-				k2, ne := int64(int32(g3.Imm)), b2w(g3.Op == vm.OpModIKNeIKBr)
+				k2 := int64(int32(g3.Imm))
 				var sum, r, took int64 // took has bit w set once arm w ran
 				var q [2]int64         // arm w's quotient as of its last level
 				levels := 0
@@ -715,7 +603,7 @@ frames:
 					sum = lo + hi
 					mid := divPow2(sum, d.MidShift)
 					r = modPow2(k, d.ParityShift)
-					w := b2w(r == k2) ^ ne // the parity word, which picks the arm
+					w := b2w(r == k2) // the parity word, which picks the arm
 					k = divPow2(k, d.KShift)
 					q[w&1] = k
 					took |= w + 1
@@ -736,7 +624,7 @@ frames:
 					ints[g2.D] = divPow2(sum, d.MidShift)
 					ints[g2.E] = ints[g2.D]
 					ints[g3.E], ints[g3.A], ints[g3.B] = g3.Imm>>32, r, k2
-					ints[g3.Dst] = b2w(r == k2) ^ ne
+					ints[g3.Dst] = b2w(r == k2)
 					for w, at := range d.Arms {
 						if took>>w&1 != 0 {
 							a := &code[at]
@@ -744,27 +632,11 @@ frames:
 						}
 					}
 				}
-				fallthrough
-			case vm.OpSubLeIKBr:
 				ints[in.A] = ints[in.D] - ints[in.E]
 				fallthrough
 			case vm.OpLeIKBr:
 				ints[in.B] = in.Imm
 				c := ints[in.A] <= in.Imm
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.C)
-				}
-			case vm.OpGtIKBr:
-				ints[in.B] = in.Imm
-				c := ints[in.A] > in.Imm
-				ints[in.Dst] = b2w(c)
-				if !c {
-					pc = int(in.C)
-				}
-			case vm.OpGeIKBr:
-				ints[in.B] = in.Imm
-				c := ints[in.A] >= in.Imm
 				ints[in.Dst] = b2w(c)
 				if !c {
 					pc = int(in.C)
@@ -775,15 +647,12 @@ frames:
 				ints[in.C] = in.Imm
 				ints[in.D] = ints[in.Dst] / in.Imm
 				ints[in.E] = ints[in.D]
-			case vm.OpModIKEqIKBr, vm.OpModIKNeIKBr: // K1 != 0
+			case vm.OpModIKEqIKBr: // K1 != 0
 				k1, k2 := in.Imm>>32, int64(int32(in.Imm))
 				ints[in.E] = k1
 				ints[in.A] = ints[in.D] % k1
 				ints[in.B] = k2
 				c := ints[in.A] == k2
-				if in.Op == vm.OpModIKNeIKBr {
-					c = !c
-				}
 				ints[in.Dst] = b2w(c)
 				if !c {
 					pc = int(in.C)

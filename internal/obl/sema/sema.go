@@ -132,9 +132,6 @@ const (
 // between numerics; len returns an array's length.
 var builtins = map[string]bool{"tofloat": true, "toint": true, "len": true}
 
-// IsBuiltin reports whether name is a language builtin function.
-func IsBuiltin(name string) bool { return builtins[name] }
-
 // Info is the result of checking a program.
 type Info struct {
 	Program *ast.Program

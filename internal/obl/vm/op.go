@@ -23,14 +23,15 @@
 //
 // Two further compile passes (specialize.go) then rewrite the translated
 // code wherever their patterns match: inline expansion of small leaf
-// callees, and superinstructions for compare+branch, constant-operand
-// (const.i K folded into the integer op or compare+branch that consumes
-// it) and loop-increment sequences, and for the longer sequences a
-// dispatch census of the benchmark workloads found hottest. A function
-// that is one level of a binary descent closed by a self tail call gets
-// the loop superinstruction OpDescend at its head and a register plan
-// (Descent), with which the engine runs whole levels of those groups in
-// one dispatch, lo, hi and k in host registers.
+// callees, and superinstructions. The superinstruction set is the one the
+// dispatch census of the benchmark workloads dispatches (internal/interp's
+// census build): lt.i+br, the serial-loop latch, const.i K folded into
+// add/sub/mul and into le.i+brfalse, and the longer census groups. A
+// group no census section runs is deleted, and the census test fails if
+// one is added. A function that is one level of a binary descent closed
+// by a self tail call gets the loop superinstruction OpDescend at its
+// head and a register plan (Descent), with which the engine runs whole
+// levels of those groups in one dispatch, lo, hi and k in host registers.
 //
 // The contract with the execution engine (interp's vm task) is strict
 // bit-for-bit equivalence with the interpreter: identical virtual times,
@@ -161,66 +162,44 @@ const (
 	OpIRetR
 	OpIRetVoid // zero caller slot Dst in bank B; pc = Imm
 
-	// Fused superinstructions (Len > 1): compare+branch pairs write the
-	// condition register and branch in one dispatch, and OpInc1Jump is
-	// the three-instruction serial-loop latch (const 1, add, jump back).
-	OpEqIBr
-	OpNeIBr
-	OpEqFBr
-	OpNeFBr
-	OpEqRBr
-	OpNeRBr
+	// Fused superinstructions (Len > 1): only the groups the dispatch
+	// census of the benchmark workloads dispatches (fuseAt). OpLtIBr is
+	// lt.i and the brfalse on its result: ints[Dst] = ints[A] < ints[B];
+	// if false pc = Imm. OpInc1Jump is the three-instruction serial-loop
+	// latch (const 1, add, jump back).
 	OpLtIBr
-	OpLeIBr
-	OpGtIBr
-	OpGeIBr
-	OpLtFBr
-	OpLeFBr
-	OpGtFBr
-	OpGeFBr
-	OpNotBr
 	OpInc1Jump // ints[Dst] = 1; ints[A] += 1; pc = Imm
 
 	// Immediate-operand groups: a const.i K feeding the integer op that
 	// consumes it as its B operand. The dead constant write is kept
 	// (ints[B] = Imm) so the register file matches the unfused stream.
-	// Arithmetic groups are Len 2; OpDivIK/OpModIK are only emitted for
-	// K != 0, so the plain instruction reports a zero divisor.
+	// Arithmetic groups are Len 2.
 	OpAddIK // ints[B] = Imm; ints[Dst] = ints[A] + Imm
 	OpSubIK
 	OpMulIK
-	OpDivIK
-	OpModIK
-	// Compare-immediate-and-branch groups are Len 3 (const, compare,
-	// brfalse): ints[B] = Imm; ints[Dst] = ints[A] <op> Imm; if false pc = C.
-	OpEqIKBr
-	OpNeIKBr
-	OpLtIKBr
+	// OpLeIKBr is Len 3 (const, le.i, brfalse): ints[B] = Imm; ints[Dst] =
+	// ints[A] <= Imm; if false pc = C.
 	OpLeIKBr
-	OpGtIKBr
-	OpGeIKBr
 
-	// Census groups: the sequences a dispatch census of the benchmark
-	// workloads found hottest, each one dispatch in place of four or five
-	// (see fuseAt). Operands D and E carry what the narrower groups lack
-	// room for; every write of the covered slots is kept.
+	// Census groups: the sequences the census found hottest, each one
+	// dispatch in place of three to five (see censusGroup). Operands D and
+	// E carry what the narrower groups lack room for; every write of the
+	// covered slots is kept.
 	//
-	// OpSubLeIKBr is sub.i feeding le.ik+br: ints[A] = ints[D] - ints[E],
-	// then the le.ik+br group on the same fields (Len 4).
-	OpSubLeIKBr
-	// OpAddDivIKMov is add.i, div.ik on its result, mov.i of the quotient:
-	// ints[Dst] = ints[A] + ints[B]; ints[C] = Imm; ints[D] = ints[Dst] /
-	// Imm; ints[E] = ints[D] (Len 4, Imm != 0).
+	// OpAddDivIKMov is add.i, div.i of its result by a const.i K, mov.i
+	// of the quotient: ints[Dst] = ints[A] + ints[B]; ints[C] = Imm;
+	// ints[D] = ints[Dst] / Imm; ints[E] = ints[D] (Len 4, Imm != 0).
 	OpAddDivIKMov
-	// OpModIKEqIKBr/OpModIKNeIKBr are mod.ik feeding eq/ne.ik+br, the
-	// parity test of a binary descent (Len 5). Imm packs both constants as
-	// int32 halves, K1<<32 | K2: ints[E] = K1; ints[A] = ints[D] % K1;
-	// then the eq/ne.ik+br group with K2 (K1 != 0).
+	// OpModIKEqIKBr is mod.i by a const.i K1 feeding eq.i with a const.i
+	// K2 and its brfalse, the parity test of a binary descent (Len 5). Imm
+	// packs both constants as int32 halves, K1<<32 | K2: ints[E] = K1;
+	// ints[A] = ints[D] % K1; ints[B] = K2; ints[Dst] = ints[A] == K2; if
+	// false pc = C (K1 != 0).
 	OpModIKEqIKBr
-	OpModIKNeIKBr
-	// OpIKTailCall is an immediate-operand group (add/sub/mul/div/mod.ik,
-	// the plain arithmetic opcode in C) followed by a self tail call: the
-	// arithmetic, then OpTailCall with Args (Len 3).
+	// OpIKTailCall is a const.i K feeding add/sub/mul/div/mod (the plain
+	// arithmetic opcode in C) followed by a self tail call: ints[B] = Imm;
+	// ints[Dst] = ints[A] <op> Imm; then OpTailCall with Args (Len 3; Imm
+	// != 0 for div and mod).
 	OpIKTailCall
 	// OpAddFieldF is a float field read-modify-write on one object and
 	// field: floats[D] = refs[A].Fields[Imm].F; floats[Dst] = floats[B] +
@@ -228,16 +207,18 @@ const (
 	OpAddFieldF
 
 	// OpDescend is the loop superinstruction of a binary descent: the
-	// head of a function whose pc-0 OpSubLeIKBr group, when its branch is
-	// not taken, leads through OpAddDivIKMov, OpModIKEqIKBr or
-	// OpModIKNeIKBr, and one of two OpIKTailCall div arms back to pc 0,
-	// every divisor a power of two, with the dataflow FuncCode.Descent
-	// records (descentPlan). Its fields and Len are the head group's; the
-	// other groups keep their own slots. The handler runs whole levels
-	// with lo, hi and k in host registers, as many as the budget admits
-	// whole and the call-depth check admits, writes the bank back once,
-	// and then runs the head group itself on the final lo and hi: a level
-	// the budget cannot admit whole runs as the ordinary groups.
+	// head of a function whose pc-0 slots sub.i, const.i K, le.i, brfalse
+	// test hi - lo <= K and, when the branch is not taken, lead through
+	// OpAddDivIKMov, OpModIKEqIKBr and one of two OpIKTailCall div arms
+	// back to pc 0, every divisor a power of two, with the dataflow
+	// FuncCode.Descent records (descentPlan). Its Len is 4, it carries the
+	// head's fields (ints[A] = ints[D] - ints[E], then those of OpLeIKBr),
+	// and the slots after it stay plain; the other groups keep their own
+	// slots. The handler runs whole levels with lo, hi and k in host
+	// registers, as many as the budget admits whole and the call-depth
+	// check admits, writes the bank back once, and then runs the head
+	// itself on the final lo and hi: a level the budget cannot admit whole
+	// runs as the ordinary groups.
 	OpDescend
 
 	// Synchronization and section entry. These are kept in one contiguous
@@ -285,16 +266,9 @@ var opNames = [...]string{
 	OpFlagSkip: "flagskip", OpTailCall: "tailcall",
 	OpCallEnter: "callenter",
 	OpIRetI:     "iret.i", OpIRetF: "iret.f", OpIRetR: "iret.r", OpIRetVoid: "iret",
-	OpEqIBr: "eq.i+br", OpNeIBr: "ne.i+br", OpEqFBr: "eq.f+br", OpNeFBr: "ne.f+br",
-	OpEqRBr: "eq.r+br", OpNeRBr: "ne.r+br",
-	OpLtIBr: "lt.i+br", OpLeIBr: "le.i+br", OpGtIBr: "gt.i+br", OpGeIBr: "ge.i+br",
-	OpLtFBr: "lt.f+br", OpLeFBr: "le.f+br", OpGtFBr: "gt.f+br", OpGeFBr: "ge.f+br",
-	OpNotBr: "not+br", OpInc1Jump: "inc1+jump",
-	OpAddIK: "add.ik", OpSubIK: "sub.ik", OpMulIK: "mul.ik", OpDivIK: "div.ik", OpModIK: "mod.ik",
-	OpEqIKBr: "eq.ik+br", OpNeIKBr: "ne.ik+br",
-	OpLtIKBr: "lt.ik+br", OpLeIKBr: "le.ik+br", OpGtIKBr: "gt.ik+br", OpGeIKBr: "ge.ik+br",
-	OpSubLeIKBr: "sub.i+le.ik+br", OpAddDivIKMov: "add.i+div.ik+mov.i",
-	OpModIKEqIKBr: "mod.ik+eq.ik+br", OpModIKNeIKBr: "mod.ik+ne.ik+br",
+	OpLtIBr: "lt.i+br", OpInc1Jump: "inc1+jump",
+	OpAddIK: "add.ik", OpSubIK: "sub.ik", OpMulIK: "mul.ik", OpLeIKBr: "le.ik+br",
+	OpAddDivIKMov: "add.i+div.ik+mov.i", OpModIKEqIKBr: "mod.ik+eq.ik+br",
 	OpIKTailCall: "arith.ik+tailcall", OpAddFieldF: "ldfld.f+add.f+stfld.f",
 	OpDescend: "descend",
 	OpAcquire: "acquire", OpRelease: "release",

@@ -11,18 +11,18 @@ package vm
 //     (OpCallEnter charges what OpCall did and zeroes the ranges the push
 //     would have zeroed; OpIRet* charge what OpRet did), so dispatch
 //     boundaries do not move.
-//   - Superinstruction fusion: compare+branch pairs, integer constants
-//     folded into the arithmetic or compare+branch that consumes them,
-//     the three-instruction serial-loop latch (const 1; add; jump) and
-//     the census groups (censusGroup) collapse into single dispatches.
-//     The per-slot Plain stream keeps the unfused instructions so jumps
-//     into a group and step-budget boundaries behave exactly as unfused
-//     code. A function that is one level of a binary descent closed by a
-//     self tail call then gets the loop superinstruction OpDescend at its
-//     head and a register plan (descentPlan): one dispatch runs as many
-//     whole levels as the step budget admits with lo, hi and k in host
-//     registers, and a level the budget cannot admit whole runs as the
-//     ordinary groups.
+//   - Superinstruction fusion: the groups the dispatch census of the
+//     benchmark workloads dispatches, and no others, collapse into single
+//     dispatches: lt.i+br, the three-instruction serial-loop latch
+//     (const 1; add; jump), integer constants folded into add, sub, mul
+//     and le.i+brfalse, and the census groups (censusGroup). The per-slot
+//     Plain stream keeps the unfused instructions so jumps into a group
+//     and step-budget boundaries behave exactly as unfused code. A
+//     function that is one level of a binary descent closed by a self tail
+//     call then gets the loop superinstruction OpDescend at its head and a
+//     register plan (descentPlan): one dispatch runs as many whole levels
+//     as the step budget admits with lo, hi and k in host registers, and
+//     a level the budget cannot admit whole runs as the ordinary groups.
 //
 // Neither changes observable behaviour; they only reduce dispatches and
 // memory traffic per simulated instruction.
@@ -201,7 +201,9 @@ func remapSlots(o *Instr, base *[4]int32) {
 // fuse builds fc.Code from the plain stream: every slot where a
 // superinstruction pattern starts outside the group before it becomes the
 // group's head. Group tails keep their plain copies in Code too, so jumps
-// that land inside a group execute unfused.
+// that land inside a group execute unfused. When descentPlan accepts the
+// function, its four head slots become one OpDescend and stay plain
+// behind it.
 func (fc *FuncCode) fuse() {
 	code := make([]Instr, len(fc.Plain))
 	copy(code, fc.Plain)
@@ -212,9 +214,9 @@ func (fc *FuncCode) fuse() {
 		}
 	}
 	fc.Code = code
-	if d := descentPlan(fc); d != nil {
-		code[0].Op = OpDescend
-		fc.Descent = d
+	if head, d := descentPlan(fc); d != nil {
+		copy(code[1:head.Len], fc.Plain[1:])
+		code[0], fc.Descent = head, d
 	}
 }
 
@@ -243,37 +245,42 @@ type Descent struct {
 	Cost int64
 }
 
-// descentPlan returns the register plan of fc when its fused code is one
-// level of a binary descent closed by a self tail call, and nil otherwise.
-// The shape: the pc-0 sub.i+le.ik+br group computing hi - lo, whose
-// not-taken target is add.i+div.ik+mov.i on lo and hi, then
-// mod.ik+eq.ik+br (or ne) on k, whose two arms are arith.ik+tailcall
-// groups of one Len, Cost and divisor dividing k, each moving its
-// quotient into k and g2's mid into a different one of lo and hi. Every
-// divisor is a power of two, the frame zeroes no bank, and the slots the
-// level writes are distinct, so the engine may keep lo, hi and k in
-// locals and write every other register once, when it leaves.
-func descentPlan(fc *FuncCode) *Descent {
-	c := fc.Code
-	if len(c) == 0 || c[0].Op != OpSubLeIKBr || fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs {
-		return nil
+// descentPlan returns the OpDescend head and the register plan of fc when
+// its code is one level of a binary descent closed by a self tail call,
+// and a nil plan otherwise. The shape: the pc-0 slots sub.i t,hi,lo;
+// const.i K; le.i on t and K; brfalse, whose not-taken target is
+// add.i+div.ik+mov.i on lo and hi, then mod.ik+eq.ik+br on k, whose two
+// arms are arith.ik+tailcall groups of one Len, Cost and divisor dividing
+// k, each moving its quotient into k and g2's mid into a different one of
+// lo and hi. Every divisor is a power of two, the frame zeroes no bank,
+// and the slots the level writes are distinct, so the engine may keep lo,
+// hi and k in locals and write every other register once, when it leaves.
+func descentPlan(fc *FuncCode) (Instr, *Descent) {
+	p, c := fc.Plain, fc.Code
+	if len(p) < 4 || p[0].Op != OpSubI || !cmpConstBr(p[1:], OpLeI) || p[2].A != p[0].Dst ||
+		fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs {
+		return Instr{}, nil
 	}
-	head := &c[0]
+	head := Instr{Op: OpDescend, Len: 4, Dst: p[2].Dst, A: p[2].A, B: p[2].B,
+		C: int32(p[3].Imm), D: p[0].A, E: p[0].B, Imm: p[1].Imm}
+	for _, in := range p[:4] {
+		head.Cost += in.Cost
+	}
 	d := &Descent{Lo: head.E, Hi: head.D, G2: head.C}
 	if int(d.G2) >= len(c) {
-		return nil
+		return Instr{}, nil
 	}
 	g2 := &c[d.G2]
 	if g2.Op != OpAddDivIKMov || !pow2(g2.Imm) || !(g2.A == d.Lo && g2.B == d.Hi || g2.A == d.Hi && g2.B == d.Lo) {
-		return nil
+		return Instr{}, nil
 	}
 	d.G3 = d.G2 + int32(g2.Len)
 	if int(d.G3) >= len(c) {
-		return nil
+		return Instr{}, nil
 	}
 	g3 := &c[d.G3]
-	if op := g3.Op; op != OpModIKEqIKBr && op != OpModIKNeIKBr || !pow2(g3.Imm>>32) {
-		return nil
+	if g3.Op != OpModIKEqIKBr || !pow2(g3.Imm>>32) {
+		return Instr{}, nil
 	}
 	d.K = g3.D
 	d.Arms = [2]int32{g3.C, d.G3 + int32(g3.Len)}
@@ -284,37 +291,37 @@ func descentPlan(fc *FuncCode) *Descent {
 	into := [2]int32{-1, -1} // the slot each arm moves mid into
 	for w, pc := range d.Arms {
 		if int(pc) >= len(c) {
-			return nil
+			return Instr{}, nil
 		}
 		a := &c[pc]
 		if a.Op != OpIKTailCall || Op(a.C) != OpDivI || !pow2(a.Imm) || a.A != d.K ||
 			int(fc.Plain[pc+2].Imm) != fc.ID || len(a.Args) != 2 {
-			return nil
+			return Instr{}, nil
 		}
 		if b := &c[d.Arms[0]]; a.Len != b.Len || a.Cost != b.Cost || a.Imm != b.Imm {
-			return nil
+			return Instr{}, nil
 		}
 		toK := false
 		for _, mv := range a.Args {
 			switch {
 			case mv.Bank != BankInt:
-				return nil
+				return Instr{}, nil
 			case mv.Dst == d.K && mv.Src == a.Dst && !toK:
 				toK = true
 			case (mv.Dst == d.Lo || mv.Dst == d.Hi) && (mv.Src == g2.D || mv.Src == g2.E) && into[w] < 0:
 				into[w] = mv.Dst
 			default:
-				return nil
+				return Instr{}, nil
 			}
 		}
 		written = append(written, a.B, a.Dst)
 	}
 	if into[0] == into[1] {
-		return nil
+		return Instr{}, nil
 	}
 	for i, s := range written {
 		if slices.Contains(written[i+1:], s) {
-			return nil
+			return Instr{}, nil
 		}
 	}
 	if into[1] == d.Lo {
@@ -326,28 +333,11 @@ func descentPlan(fc *FuncCode) *Descent {
 	d.KShift = uint8(bits.TrailingZeros64(uint64(a.Imm)))
 	d.Len = int(g2.Len) + int(g3.Len) + int(a.Len) + int(head.Len)
 	d.Cost = int64(g2.Cost) + int64(g3.Cost) + int64(a.Cost) + int64(head.Cost)
-	return d
+	return head, d
 }
 
 // pow2 reports whether k is a positive power of two.
 func pow2(k int64) bool { return k > 0 && k&(k-1) == 0 }
-
-var (
-	cmpBr = map[Op]Op{
-		OpEqI: OpEqIBr, OpNeI: OpNeIBr, OpEqF: OpEqFBr, OpNeF: OpNeFBr,
-		OpEqR: OpEqRBr, OpNeR: OpNeRBr,
-		OpLtI: OpLtIBr, OpLeI: OpLeIBr, OpGtI: OpGtIBr, OpGeI: OpGeIBr,
-		OpLtF: OpLtFBr, OpLeF: OpLeFBr, OpGtF: OpGtFBr, OpGeF: OpGeFBr,
-		OpNot: OpNotBr,
-	}
-	cmpKBr = map[Op]Op{
-		OpEqI: OpEqIKBr, OpNeI: OpNeIKBr,
-		OpLtI: OpLtIKBr, OpLeI: OpLeIKBr, OpGtI: OpGtIKBr, OpGeI: OpGeIKBr,
-	}
-	arithK = map[Op]Op{
-		OpAddI: OpAddIK, OpSubI: OpSubIK, OpMulI: OpMulIK, OpDivI: OpDivIK, OpModI: OpModIK,
-	}
-)
 
 // fuseAt matches the longest superinstruction pattern at the head of a
 // plain stream (at least two slots long). Every group performs all the
@@ -366,58 +356,61 @@ func fuseAt(p []Instr) (Instr, bool) {
 	return g, true
 }
 
-// censusGroup matches the census groups: the four sequences one level of
-// Barnes-Hut's tree descent runs as nine dispatches, and the float field
-// update of every workload's accumulators. Each extends a pairGroup match
-// by the instruction before or after it, or joins two of them. Only the
-// variants the census found are fused, and ne beside eq, which shares its
-// case; the others of each shape (add feeding a compare, compares other
-// than le, add feeding mod) occur in no program here.
+// constOperand reports whether p opens with a const.i feeding the integer
+// add, sub, mul, div or mod after it as its B operand. A zero divisor
+// never matches: the fault must come from the plain instruction.
+func constOperand(p []Instr) bool {
+	if len(p) < 2 || p[0].Op != OpConstI || p[1].B != p[0].Dst {
+		return false
+	}
+	switch p[1].Op {
+	case OpAddI, OpSubI, OpMulI:
+		return true
+	case OpDivI, OpModI:
+		return p[0].Imm != 0
+	}
+	return false
+}
+
+// cmpConstBr reports whether p opens with a const.i, the compare op taking
+// it as its B operand, and the brfalse on the compare's result.
+func cmpConstBr(p []Instr, op Op) bool {
+	return len(p) > 2 && p[0].Op == OpConstI && p[1].Op == op && p[1].B == p[0].Dst &&
+		p[2].Op == OpBrFalse && p[2].A == p[1].Dst
+}
+
+// censusGroup matches the census groups: the sequences one level of
+// Barnes-Hut's tree descent runs below its head, and the float field
+// update of every workload's accumulators. Only the shapes the census
+// dispatches are fused; each is matched on its raw slots.
 func censusGroup(p []Instr) (Instr, bool) {
 	in := &p[0]
 	if len(p) < 3 {
 		return Instr{}, false
 	}
 	switch in.Op {
-	case OpSubI: // sub.i t,a,b; le.ik+br on t
-		if g, ok := pairGroup(p[1:]); ok && g.Op == OpLeIKBr && g.A == in.Dst {
-			g.Op, g.Len, g.D, g.E = OpSubLeIKBr, 4, in.A, in.B
-			return g, true
-		}
-	case OpAddI: // add.i t,a,b; div.ik q,t,K; mov.i m,q
-		if g, ok := pairGroup(p[1:]); ok && g.Op == OpDivIK && g.A == in.Dst &&
-			len(p) > 3 && p[3].Op == OpMovI && p[3].A == g.Dst {
+	case OpAddI: // add.i t,a,b; const.i c,K; div.i q,t,c; mov.i m,q
+		if len(p) > 3 && constOperand(p[1:]) && p[2].Op == OpDivI && p[2].A == in.Dst &&
+			p[3].Op == OpMovI && p[3].A == p[2].Dst {
 			return Instr{Op: OpAddDivIKMov, Len: 4, Dst: in.Dst, A: in.A, B: in.B,
-				C: g.B, D: g.Dst, E: p[3].Dst, Imm: g.Imm}, true
+				C: p[1].Dst, D: p[2].Dst, E: p[3].Dst, Imm: p[1].Imm}, true
 		}
 	case OpConstI:
-		g, ok := pairGroup(p)
-		if !ok || g.Len != 2 {
+		if !constOperand(p) {
 			break
 		}
 		if p[2].Op == OpTailCall { // *.ik; tailcall
-			return Instr{Op: OpIKTailCall, Len: 3, Dst: g.Dst, A: g.A, B: g.B,
-				C: int32(p[1].Op), Imm: g.Imm, Args: p[2].Args}, true
+			return Instr{Op: OpIKTailCall, Len: 3, Dst: p[1].Dst, A: p[1].A, B: p[1].B,
+				C: int32(p[1].Op), Imm: in.Imm, Args: p[2].Args}, true
 		}
-		if g.Op != OpModIK || len(p) < 5 {
+		// const.i c1,K1; mod.i r,x,c1; const.i c2,K2; eq.i d,r,c2;
+		// brfalse d. Both constants must fit the halves of Imm.
+		if p[1].Op != OpModI || !cmpConstBr(p[2:], OpEqI) || p[3].A != p[1].Dst ||
+			int64(int32(in.Imm)) != in.Imm || int64(int32(p[2].Imm)) != p[2].Imm {
 			break
 		}
-		// mod.ik r,x,K1; eq/ne.ik+br on r. Both constants must fit the
-		// halves of Imm.
-		c, ok := pairGroup(p[2:])
-		if !ok || c.A != g.Dst || int64(int32(g.Imm)) != g.Imm || int64(int32(c.Imm)) != c.Imm {
-			break
-		}
-		switch c.Op {
-		case OpEqIKBr:
-			c.Op = OpModIKEqIKBr
-		case OpNeIKBr:
-			c.Op = OpModIKNeIKBr
-		default:
-			return Instr{}, false
-		}
-		c.Len, c.D, c.E, c.Imm = 5, g.A, g.B, g.Imm<<32|int64(uint32(c.Imm))
-		return c, true
+		return Instr{Op: OpModIKEqIKBr, Len: 5, Dst: p[3].Dst, A: p[3].A, B: p[3].B,
+			C: int32(p[4].Imm), D: p[1].A, E: p[1].B, Imm: in.Imm<<32 | int64(uint32(p[2].Imm))}, true
 	case OpLoadFieldF: // ldfld.f d,o,f; add.f s,x,y; stfld.f o,s,f
 		add, st := &p[1], &p[2]
 		if add.Op == OpAddF && st.Op == OpStoreFieldF && st.A == in.A && st.Imm == in.Imm && st.B == add.Dst {
@@ -428,31 +421,28 @@ func censusGroup(p []Instr) (Instr, bool) {
 	return Instr{}, false
 }
 
-// pairGroup matches the groups of one instruction and its consumer:
-// compare+branch, the constant operand of an integer op or compare+branch,
-// and the serial-loop latch. Costs are left to fuseAt.
+// pairGroup matches the narrower groups: lt.i+br, the constant operand of
+// an add, sub or mul, const.i feeding le.i and its brfalse, and the
+// serial-loop latch. Costs are left to fuseAt.
 func pairGroup(p []Instr) (Instr, bool) {
 	in, next := &p[0], &p[1]
 	g := Instr{Dst: next.Dst, A: next.A, B: next.B}
-	isBr := func(i int, cond int32) bool {
-		return i < len(p) && p[i].Op == OpBrFalse && p[i].A == cond
-	}
 	switch {
 	case in.Op == OpConstI && in.Imm == 1 && next.Op == OpAddI && len(p) > 2 && p[2].Op == OpJump &&
 		next.Dst == next.A && next.B == in.Dst && next.Dst != in.Dst:
 		// Serial-loop latch: const.i c,1 ; add.i a,a,c ; jump t.
 		g.Op, g.Len, g.Dst, g.Imm = OpInc1Jump, 3, in.Dst, p[2].Imm
-	case in.Op == OpConstI && next.B == in.Dst && cmpKBr[next.Op] != 0 && isBr(2, next.Dst):
-		g.Op, g.Len, g.Imm, g.C = cmpKBr[next.Op], 3, in.Imm, int32(p[2].Imm)
-	case in.Op == OpConstI && next.B == in.Dst && arithK[next.Op] != 0:
-		if (next.Op == OpDivI || next.Op == OpModI) && in.Imm == 0 {
-			return g, false // the fault must come from the plain instruction
-		}
+	case cmpConstBr(p, OpLeI):
+		g.Op, g.Len, g.Imm, g.C = OpLeIKBr, 3, in.Imm, int32(p[2].Imm)
+	case constOperand(p) && arithK[next.Op] != 0:
 		g.Op, g.Len, g.Imm = arithK[next.Op], 2, in.Imm
-	case cmpBr[in.Op] != 0 && isBr(1, in.Dst):
-		g = Instr{Op: cmpBr[in.Op], Len: 2, Dst: in.Dst, A: in.A, B: in.B, Imm: next.Imm}
+	case in.Op == OpLtI && next.Op == OpBrFalse && next.A == in.Dst:
+		g = Instr{Op: OpLtIBr, Len: 2, Dst: in.Dst, A: in.A, B: in.B, Imm: next.Imm}
 	default:
 		return g, false
 	}
 	return g, true
 }
+
+// arithK maps the integer ops with an immediate-operand group to it.
+var arithK = map[Op]Op{OpAddI: OpAddIK, OpSubI: OpSubIK, OpMulI: OpMulIK}

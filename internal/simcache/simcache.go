@@ -222,7 +222,7 @@ func (c *Cache) insertLocked(key string, res *interp.Result) {
 // entryPath keeps the ".json" suffix schema 1 gave it, though the entry is
 // no longer JSON: benchmark/probes.go stats that name for
 // simcache.entry_bytes, and renaming it belongs to the PR that may edit
-// benchmark/ (ROADMAP item 8(a)).
+// benchmark/ (ROADMAP "Smaller cuts").
 func (c *Cache) entryPath(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }

@@ -102,6 +102,9 @@ type ProcessFunc func(p *Proc) Status
 // Step calls f(p).
 func (f ProcessFunc) Step(p *Proc) Status { return f(p) }
 
+// MaxExercisedProcs is the largest machine measured (BenchmarkDispatch256).
+const MaxExercisedProcs = 256
+
 // Config carries the machine's cost model. Zero values are replaced by the
 // defaults below, which are calibrated to the hardware the paper reports.
 type Config struct {
@@ -109,7 +112,8 @@ type Config struct {
 	// upper limit; what is supported is what is exercised: the experiments
 	// run 1–16 as the paper does, dfserved accepts 1–64, the run queue's
 	// model test covers 64, and BenchmarkDispatch256 is the largest machine
-	// measured (a dispatch there costs about twice one at 16).
+	// measured (a dispatch there costs about twice one at 16), so the
+	// command-line tools refuse more than MaxExercisedProcs.
 	Procs int
 	// TimerReadCost is charged for each ReadTimer call (paper: ~9µs on DASH).
 	TimerReadCost Time
