@@ -14,9 +14,10 @@
 //
 // Exit codes, as oblc's: 0 success; 1 a compile error, a run that fails
 // (a runtime error in the program) or a trace that cannot be written; 2
-// bad usage, which an unknown -app or -policy, a -procs outside [1, 256],
-// a -sampling or -production that is not positive and an unreadable
-// source file are, reported before anything is compiled.
+// bad usage, reported before anything runs: an unknown -app or -policy, a
+// -procs outside [1, 256], a -sampling or -production that is not
+// positive and an unreadable source file before anything is compiled, and
+// a -param naming a parameter the program does not declare right after.
 package main
 
 import (
@@ -115,6 +116,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	c, err := oblc.Compile(src)
 	if err != nil {
 		return fail(1, err)
+	}
+	// interp.Run ignores an override the program does not declare: a typo
+	// would run the default size and exit 0.
+	names := make([]string, 0, len(params))
+	for name := range params {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		if _, ok := c.Parallel.Params[name]; !ok {
+			return fail(2, fmt.Errorf("-param %s: the program declares no such parameter (have %v)", name, c.Parallel.ParamNames))
+		}
 	}
 	if *compare {
 		if err := runComparison(stdout, c, *procs, params, simmach.Time(*sampling), simmach.Time(*production)); err != nil {

@@ -21,7 +21,8 @@ var small = []string{"-app", "water", "-procs", "4", "-param", "nmol=16"}
 // TestBadUsageExits2: an unknown application or policy, a processor count
 // outside [1, 256], an interval that is not positive and a source file
 // that cannot be read are bad usage, reported before anything is compiled
-// or printed.
+// or printed; so is a parameter the program does not declare, reported
+// before anything runs.
 func TestBadUsageExits2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-app", "bogus"},
@@ -34,6 +35,8 @@ func TestBadUsageExits2(t *testing.T) {
 		{"-app", "water", "-procs", "257"},
 		{"-app", "water", "-sampling", "-1s"},
 		{"-app", "water", "-production", "0s"},
+		{"-app", "water", "-param", "typo=5"},
+		{"-app", "water", "-compare", "-param", "nmol=16", "-param", "typo=5"},
 		{},
 	} {
 		if code, stdout, _ := runOBLRun(args...); code != 2 || stdout != "" {

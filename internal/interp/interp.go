@@ -86,7 +86,9 @@ type Options struct {
 	// field and element accesses inside parallel sections (see race.go);
 	// findings are returned in Result.Races. Off by default: detection
 	// allocates tracking state and is meant for the differential testing
-	// harness, not for measurement runs.
+	// harness, not for measurement runs. Only the reference oracle has the
+	// detector, so a race-detecting run is an oracle run: EngineVM (the
+	// default) becomes EngineInterp, whose Result is byte-identical.
 	DetectRaces bool
 	// Engine selects the instruction executor. EngineVM (the default) is the
 	// production engine: the program is compiled once to specialized
@@ -127,6 +129,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Engine == "" {
 		o.Engine = EngineVM
+	}
+	if o.DetectRaces && o.Engine == EngineVM {
+		o.Engine = EngineInterp
 	}
 	return o
 }
@@ -316,7 +321,7 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 		controllers:  map[int]*core.Controller{},
 		stats:        map[int]*SectionStats{},
 		hook:         opts.ckHook,
-		releaseAhead: !opts.AsyncSwitch && opts.Trace == nil && !opts.DetectRaces,
+		releaseAhead: !opts.AsyncSwitch && opts.Trace == nil,
 	}
 	if opts.DetectRaces {
 		rt.race = newRaceDetector()
@@ -448,7 +453,8 @@ type runtime struct {
 	// parallel section so frame and operand storage is allocated once per
 	// run instead of once per section.
 	pool []*worker
-	// race is the dynamic race detector, nil unless Options.DetectRaces.
+	// race is the dynamic race detector, nil unless Options.DetectRaces
+	// (which makes the run an oracle run: only task.exec reports to it).
 	race *raceDetector
 	// hook is the test-only checkpoint/restore hook (Options.ckHook).
 	hook *ckHook
@@ -456,8 +462,9 @@ type runtime struct {
 	// dispatch that reached it (simmach.Proc.ReleaseAhead). It is off in
 	// every run that reads other processors' state between rendezvous in
 	// host order, where the skipped dispatch's place in the schedule shows:
-	// AsyncSwitch's single-processor transition, the trace and the race
-	// detector.
+	// AsyncSwitch's single-processor transition and the trace. The race
+	// detector is such a reader too, but it runs only on the oracle, which
+	// never releases ahead.
 	releaseAhead bool
 }
 
@@ -679,6 +686,11 @@ type task struct {
 	frames []frame
 	// regStack is the shared register arena backing every frame's window.
 	regStack []Value
+	// held is the task's current lock nest, maintained only when the race
+	// detector is enabled. A lock is recorded before a (possibly blocking)
+	// Acquire: a blocked processor executes nothing until it wakes already
+	// owning the lock, so the early entry is never observed unheld.
+	held []*simmach.Lock
 }
 
 // pushCall opens a zeroed activation record for funcID and returns its
@@ -720,6 +732,17 @@ func (t *task) depth() int { return len(t.frames) }
 func (t *task) dropFrames() {
 	t.frames = t.frames[:0]
 	t.regStack = t.regStack[:0]
+	t.held = t.held[:0]
+}
+
+// unhold removes the most recent occurrence of l from the lock nest.
+func (t *task) unhold(l *simmach.Lock) {
+	for i := len(t.held) - 1; i >= 0; i-- {
+		if t.held[i] == l {
+			t.held = append(t.held[:i], t.held[i+1:]...)
+			return
+		}
+	}
 }
 
 func (t *task) openBody(funcID int, args []Value, iter int64) {
@@ -757,7 +780,8 @@ type executor interface {
 	// openBody opens an activation of a section body function: args fill
 	// the leading parameters, iter the one after them.
 	openBody(funcID int, args []Value, iter int64)
-	// dropFrames empties the call stack, keeping its storage.
+	// dropFrames empties the call stack (and the step interpreter's lock
+	// nest), keeping its storage.
 	dropFrames()
 }
 
@@ -790,27 +814,12 @@ type worker struct {
 	// extArgs is scratch storage for extern-call arguments, reused across
 	// calls (intrinsics never retain their argument slice).
 	extArgs []Value
-	// held is the worker's current lock nest, maintained only when the race
-	// detector is enabled. A lock is recorded before a (possibly blocking)
-	// Acquire: a blocked processor executes nothing until it wakes already
-	// owning the lock, so the early entry is never observed unheld.
-	held []*simmach.Lock
 }
 
 func (w *worker) flush(p *simmach.Proc) {
 	if w.acc > 0 {
 		p.Advance(w.acc)
 		w.acc = 0
-	}
-}
-
-// unhold removes the most recent occurrence of l from the lock nest.
-func (w *worker) unhold(l *simmach.Lock) {
-	for i := len(w.held) - 1; i >= 0; i-- {
-		if w.held[i] == l {
-			w.held = append(w.held[:i], w.held[i+1:]...)
-			return
-		}
 	}
 }
 
@@ -824,7 +833,6 @@ func (w *worker) reset(sr *sectionRun) {
 	w.atBase = true
 	w.wphase = wClaim
 	w.executed = 0
-	w.held = w.held[:0]
 }
 
 // Step implements simmach.Process.

@@ -16,7 +16,11 @@ import (
 //
 // Detection is entirely optional: with Options.DetectRaces unset the
 // runtime field stays nil and the hooks reduce to one pointer test, keeping
-// the zero-allocation steady state of the plain interpreter.
+// the zero-allocation steady state of the plain interpreter. The hooks are
+// the step interpreter's only (exec.go): the detector is the differential
+// harness's dynamic check, not part of the generated code, so a
+// race-detecting run is always an oracle run and the bytecode VM carries
+// no copy of it.
 
 // RaceReport describes one data race observed during a run: an access to a
 // shared location whose candidate lockset became empty after the location

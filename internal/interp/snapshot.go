@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"maps"
 	"slices"
 
 	"repro/internal/simmach"
@@ -9,12 +8,12 @@ import (
 
 // This file implements the runtime side of checkpoint/restore. A snapshot
 // is a copy: one clone of every piece of client state the simulated machine
-// cannot see — the VM workers (call stacks, register banks, lock nests), the
-// reachable heap objects, the active section run, every section's
-// statistics and the race detector — next to the machine's own
-// simmach.Checkpoint and the length of the program output. Each clone
-// copies its struct whole and deep-copies only the slices and maps it
-// names, so a field added to any of these types is in every snapshot
+// cannot see — the VM workers (call stacks and register banks), the
+// reachable heap objects, the active section run and every section's
+// statistics — next to the machine's own simmach.Checkpoint and the
+// length of the program output. Each clone copies its struct whole and
+// deep-copies only the slices and maps it names, so a field added to any
+// of these types is in every snapshot
 // without further code (TestCloneCoversEveryField holds each clone to its
 // struct). Restore writes a fresh clone back through the
 // live pointer, so pointer identity survives (workers hold the *sectionRun,
@@ -31,8 +30,9 @@ import (
 // Snapshots are only taken at iteration-claim points (the checkpoint
 // protocol's anchor), only under the VM engine (the step interpreter is
 // the reference oracle and keeps no snapshot state; Run rejects the
-// combination), and only for static-policy runs: the dynamic feedback
-// controller (core.Controller and, inside it, its selector's arm
+// combination, which covers race detection too: the race detector runs
+// only on the oracle), and only for static-policy runs: the dynamic
+// feedback controller (core.Controller and, inside it, its selector's arm
 // statistics) is not yet cloned.
 
 // runSnapshot is a restorable snapshot of a run: the machine checkpoint
@@ -45,7 +45,6 @@ type runSnapshot struct {
 	run       sectionRun
 	tasks     []vmTask // by processor
 	objects   map[*Object]Object
-	race      *raceDetector
 }
 
 // clone copies the section run with its argument and per-processor slices.
@@ -68,8 +67,8 @@ func (st *SectionStats) clone() SectionStats {
 	return c
 }
 
-// clone copies the task, its embedded worker included: the frame stack,
-// the three register arenas and the lock nest. The copied frames' windows
+// clone copies the task, its embedded worker included: the frame stack
+// and the three register arenas. The copied frames' windows
 // still point into t's arenas until repoint. The flag vector (a version's,
 // immutable) and the extern-argument scratch are shared.
 func (t *vmTask) clone() vmTask {
@@ -78,7 +77,6 @@ func (t *vmTask) clone() vmTask {
 	c.intStack = slices.Clone(t.intStack)
 	c.floatStack = slices.Clone(t.floatStack)
 	c.refStack = slices.Clone(t.refStack)
-	c.held = slices.Clone(t.held)
 	return c
 }
 
@@ -87,20 +85,6 @@ func (o *Object) clone() Object {
 	c := *o
 	c.Fields = slices.Clone(o.Fields)
 	c.Elems = slices.Clone(o.Elems)
-	return c
-}
-
-// clone copies the detector with a fresh state per location.
-func (d *raceDetector) clone() raceDetector {
-	c := *d
-	c.states = make(map[accessKey]*raceState, len(d.states))
-	for k, s := range d.states {
-		cs := *s
-		cs.lockset = slices.Clone(s.lockset)
-		c.states[k] = &cs
-	}
-	c.reports = slices.Clone(d.reports)
-	c.seen = maps.Clone(d.seen)
 	return c
 }
 
@@ -162,11 +146,6 @@ func (rt *runtime) snapshot() *runSnapshot {
 		addVals(o.Fields)
 		addVals(o.Elems)
 	}
-
-	if rt.race != nil {
-		d := rt.race.clone()
-		s.race = &d
-	}
 	return s
 }
 
@@ -192,9 +171,6 @@ func (rt *runtime) restoreSnapshot(s *runSnapshot) {
 	}
 	for o, saved := range s.objects {
 		*o = saved.clone()
-	}
-	if s.race != nil {
-		*rt.race = s.race.clone()
 	}
 }
 

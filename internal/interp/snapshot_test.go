@@ -36,7 +36,6 @@ func TestCloneCoversEveryField(t *testing.T) {
 		clonecheck.Shared((*SectionStats).clone),
 		clonecheck.Shared((*vmTask).clone),
 		clonecheck.Shared((*Object).clone),
-		clonecheck.Shared((*raceDetector).clone),
 	)
 	for _, path := range got {
 		if _, ok := sharedByDesign[path]; !ok {
@@ -55,9 +54,10 @@ func TestCloneCoversEveryField(t *testing.T) {
 // for a chunked version in the middle of a processor's chunk — and
 // requires every restored run to encode byte-identically to the
 // uninterrupted one. The programs cover the three applications under two
-// policies, multi-version and flag-dispatched, at 4 processors with the
-// race detector on, plus one generated version that claims iterations in
-// chunks of 4. -short keeps one application and a coarser grid.
+// policies, multi-version and flag-dispatched, at 4 processors, plus one
+// generated version that claims iterations in chunks of 4. The runs take
+// uncontended releases ahead, as production runs do. -short keeps one
+// application and a coarser grid.
 func TestCheckpointAnywhere(t *testing.T) {
 	type prog struct {
 		name   string
@@ -98,7 +98,7 @@ func TestCheckpointAnywhere(t *testing.T) {
 	}
 	for _, pg := range progs {
 		t.Run(pg.name, func(t *testing.T) {
-			opts := Options{Procs: 4, Policy: pg.policy, DetectRaces: true, Params: pg.params}
+			opts := Options{Procs: 4, Policy: pg.policy, Params: pg.params}
 			run := func(h *ckHook) []byte {
 				t.Helper()
 				o := opts
@@ -176,8 +176,7 @@ func encodeRes(t *testing.T, res *Result) []byte {
 // TestCheckpointHookByteIdentical drives the full-runtime checkpoint:
 // snapshot at one claim point, keep executing, restore, and require the
 // final Result to encode identically to an uninterrupted run — with and
-// without environment perturbation, with the race detector's state
-// included in the snapshot.
+// without environment perturbation.
 func TestCheckpointHookByteIdentical(t *testing.T) {
 	scenarios := perturb.ScenarioNames()
 	if len(scenarios) == 0 {
@@ -193,7 +192,7 @@ func TestCheckpointHookByteIdentical(t *testing.T) {
 	}
 	for _, perturbed := range []bool{false, true} {
 		opts := Options{
-			Procs: 4, Policy: "original", DetectRaces: true,
+			Procs: 4, Policy: "original",
 			Params: apps.TestParams(apps.NameBarnesHut),
 		}
 		if perturbed {

@@ -33,7 +33,6 @@ import (
 //dfvet:noalloc
 func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 	rt := t.rt
-	race := rt.race != nil && t.sr != nil
 	dyn := rt.opts.Policy == PolicyDynamic
 	ahead := rt.releaseAhead
 	executed := t.executed
@@ -146,14 +145,8 @@ frames:
 				pc++
 				executed++
 				if !isAcq {
-					if rt.race != nil {
-						t.unhold(lock)
-					}
 					p.Release(lock)
 					continue
-				}
-				if rt.race != nil {
-					t.held = append(t.held, lock) //dfvet:allow noalloc race-detection mode only; detection is documented to allocate tracking state
 				}
 				if !p.Acquire(lock) {
 					fr.pc = pc
@@ -418,27 +411,15 @@ frames:
 
 			case vm.OpLoadFieldI:
 				obj := t.vref(in, refs, fr.fc, pc-1)
-				if race {
-					rt.race.access(t.held, p, obj, int(in.Imm), false, false)
-				}
 				ints[in.Dst] = obj.Fields[in.Imm].I
 			case vm.OpLoadFieldF:
 				obj := t.vref(in, refs, fr.fc, pc-1)
-				if race {
-					rt.race.access(t.held, p, obj, int(in.Imm), false, false)
-				}
 				floats[in.Dst] = obj.Fields[in.Imm].F
 			case vm.OpLoadFieldR:
 				obj := t.vref(in, refs, fr.fc, pc-1)
-				if race {
-					rt.race.access(t.held, p, obj, int(in.Imm), false, false)
-				}
 				refs[in.Dst] = obj.Fields[in.Imm].Ref
 			case vm.OpStoreFieldI, vm.OpStoreFieldB, vm.OpStoreFieldF, vm.OpStoreFieldR:
 				obj := t.vref(in, refs, fr.fc, pc-1)
-				if race {
-					rt.race.access(t.held, p, obj, int(in.Imm), false, true)
-				}
 				switch in.Op {
 				case vm.OpStoreFieldI:
 					obj.Fields[in.Imm] = Value{Kind: KindInt, I: ints[in.B]}
@@ -460,9 +441,6 @@ frames:
 				if i < 0 || i >= int64(len(obj.Elems)) {
 					rt.fail("%s: index %d out of range [0,%d)", t.fname(fr.fc, pc-1), i, len(obj.Elems))
 				}
-				if race {
-					rt.race.access(t.held, p, obj, int(i), true, false)
-				}
 				switch in.Op {
 				case vm.OpLoadIndexI:
 					ints[in.Dst] = obj.Elems[i].I
@@ -476,9 +454,6 @@ frames:
 				i := ints[in.B]
 				if i < 0 || i >= int64(len(obj.Elems)) {
 					rt.fail("%s: index %d out of range [0,%d)", t.fname(fr.fc, pc-1), i, len(obj.Elems))
-				}
-				if race {
-					rt.race.access(t.held, p, obj, int(i), true, true)
 				}
 				switch in.Op {
 				case vm.OpStoreIndexI:
@@ -660,14 +635,8 @@ frames:
 			case vm.OpAddFieldF:
 				// A nil object faults as the group's head, the ldfld.f, does.
 				obj := t.vref(in, refs, fr.fc, pc-3)
-				if race {
-					rt.race.access(t.held, p, obj, int(in.Imm), false, false)
-				}
 				floats[in.D] = obj.Fields[in.Imm].F
 				floats[in.Dst] = floats[in.B] + floats[in.C]
-				if race {
-					rt.race.access(t.held, p, obj, int(in.Imm), false, true)
-				}
 				obj.Fields[in.Imm] = Value{Kind: KindFloat, F: floats[in.Dst]}
 
 			default:

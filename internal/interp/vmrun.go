@@ -14,8 +14,9 @@ import (
 // scheduler step counts (so dispatch boundaries — the stepBudget
 // accounting, yield-first sync — are reproduced instruction for
 // instruction, a release taken ahead counting as the dispatch it spares),
-// program output, controller samples and switches, and race-detector
-// findings.
+// program output, and controller samples and switches. Race detection is
+// not part of it: a race-detecting run is an oracle run
+// (Options.DetectRaces).
 
 // vmModuleFor returns the program's module, compiled on first use.
 func vmModuleFor(p *ir.Program) (*vm.Module, error) {

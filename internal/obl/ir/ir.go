@@ -466,12 +466,3 @@ func (p *Program) Verify() error {
 	}
 	return nil
 }
-
-// TotalCodeBytes sums the executable size of a set of functions by ID.
-func (p *Program) TotalCodeBytes(ids []int) int {
-	n := 0
-	for _, id := range ids {
-		n += p.Funcs[id].CodeBytes()
-	}
-	return n
-}

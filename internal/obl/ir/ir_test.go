@@ -170,14 +170,6 @@ func TestVersionLabel(t *testing.T) {
 	}
 }
 
-func TestTotalCodeBytes(t *testing.T) {
-	p := tinyProgram()
-	want := p.Funcs[0].CodeBytes() + p.Funcs[1].CodeBytes()
-	if got := p.TotalCodeBytes([]int{0, 1}); got != want {
-		t.Errorf("TotalCodeBytes = %d, want %d", got, want)
-	}
-}
-
 func TestFuncID(t *testing.T) {
 	p := tinyProgram()
 	if p.FuncID("helper") != 1 || p.FuncID("nope") != -1 {

@@ -35,14 +35,16 @@
 //
 // The contract with the execution engine (interp's vm task) is strict
 // bit-for-bit equivalence with the interpreter: identical virtual times,
-// counters, scheduler step counts, outputs, controller decisions, and
-// race-detector findings. Specialized instructions therefore perform
-// exactly the effects of the instructions they cover — including dead
-// register writes — and fused instructions only execute when the step
-// budget admits the whole group (the per-slot plain overlay runs
-// otherwise), so dispatch boundaries never move. OpDescend keeps the same
-// rule level by level: it runs a level in registers only when the budget
-// admits all of its groups whole, and otherwise leaves the level to them.
+// counters, scheduler step counts, outputs and controller decisions.
+// Specialized instructions therefore perform exactly the effects of the
+// instructions they cover — including dead register writes — and fused
+// instructions only execute when the step budget admits the whole group
+// (the per-slot plain overlay runs otherwise), so dispatch boundaries
+// never move. OpDescend keeps the same rule level by level: it runs a
+// level in registers only when the budget admits all of its groups whole,
+// and otherwise leaves the level to them. Race-detector findings are not
+// part of the contract: a race-detecting run is an oracle run, so neither
+// a group nor OpDescend owes the detector an order of accesses.
 package vm
 
 // Op is a bytecode opcode. Kind-specialized where the IR is generic.

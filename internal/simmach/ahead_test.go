@@ -258,49 +258,6 @@ func TestReleaseAheadMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTryAcquireBeforeReleaseAhead: a TryAcquire dispatched before a
-// release taken ahead fails and is charged as it would have been against
-// the still-held lock.
-func TestTryAcquireBeforeReleaseAhead(t *testing.T) {
-	run := func(ahead bool) ([]bool, Counters) {
-		m := New(Config{Procs: 2})
-		l := m.NewLock("l")
-		holding := false
-		m.Start(0, ProcessFunc(func(p *Proc) Status {
-			if holding {
-				p.Release(l)
-				return Done
-			}
-			p.Acquire(l)
-			p.Advance(10 * Microsecond)
-			if ahead {
-				p.ReleaseAhead(l, p.Now())
-				return Done
-			}
-			holding = true
-			return Ready
-		}))
-		var got []bool
-		m.Start(1, ProcessFunc(func(p *Proc) Status {
-			if p.Now() == 0 {
-				p.Advance(5 * Microsecond)
-				return Ready
-			}
-			got = append(got, p.TryAcquire(l))
-			return Done
-		}))
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return got, m.Proc(1).Counters
-	}
-	wantGot, want := run(false)
-	got, c := run(true)
-	if !reflect.DeepEqual(got, []bool{false}) || !reflect.DeepEqual(wantGot, got) || c != want {
-		t.Fatalf("TryAcquire = %v, counters %+v; reference %v, %+v", got, c, wantGot, want)
-	}
-}
-
 // TestCheckpointBetweenAheadAndLateAcquirer checkpoints at the start of a
 // dispatch that precedes a release already taken ahead, lets that
 // dispatch's acquire take the late grant, restores, and requires the run

@@ -32,7 +32,6 @@ func TestNoallocAnnotationCoverage(t *testing.T) {
 		"Proc.BarrierArrive", // barrier-rendezvous-16
 		"Proc.Release",       // contended-handoff-16, uncontended
 		"Proc.ReleaseAhead",  // uncontended-pair-ahead-16
-		"Proc.TryAcquire",    // uncontended (policy fast paths)
 		"runQueue.fix",       // none: SetClock on a queued processor, never per event (TestReadyQueueModel)
 		"runQueue.pop",       // every case
 		"runQueue.push",      // every case

@@ -808,23 +808,6 @@ func (l *Lock) enqueue(p *Proc) {
 	l.waiters = append(l.waiters, lockWaiter{p: p, since: p.clock}) //dfvet:allow noalloc amortized: enqueue reuses the drained waiter array
 }
 
-// TryAcquire attempts to take the lock without blocking. On failure it
-// charges one failed spin attempt and returns false. A lock whose release
-// taken ahead follows p's dispatch counts as held.
-//
-//dfvet:noalloc
-func (p *Proc) TryAcquire(l *Lock) bool {
-	if l.owner < 0 && !l.releasedAfter(p) {
-		return p.Acquire(l)
-	}
-	c := p.activeCfg().SpinCost
-	p.clock += c
-	p.Counters.Busy += c
-	p.Counters.WaitTime += c
-	p.Counters.FailedAcquires++
-	return false
-}
-
 // Release releases the lock, charging the release cost, and hands the lock
 // to the longest-waiting processor, if any.
 //
@@ -916,7 +899,7 @@ func (l *Lock) Queued() bool { return l.waiting() > 0 }
 // Machine.Steps all the same. It charges exactly what Release charges and
 // requires that no processor is queued on l (see Queued). l keeps the
 // skipped dispatch's key and the release's end time, so that a processor
-// dispatched before that key still finds l held (Acquire, TryAcquire).
+// dispatched before that key still finds l held (Acquire).
 //
 // What p does after the release, until its dispatch ends, runs ahead of
 // the processors dispatched before the key. Lock state keeps the reference

@@ -286,37 +286,6 @@ func TestLockFIFOHandoff(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	m := New(Config{Procs: 2})
-	l := m.NewLock("l")
-	var got []bool
-	m.Start(0, &scriptProc{steps: []func(*Proc) Status{
-		acquire(l), compute(10 * Millisecond), release(l),
-	}})
-	m.Start(1, &scriptProc{steps: []func(*Proc) Status{
-		compute(Millisecond),
-		func(p *Proc) Status {
-			got = append(got, p.TryAcquire(l)) // held: false
-			return Ready
-		},
-		compute(20 * Millisecond),
-		func(p *Proc) Status {
-			got = append(got, p.TryAcquire(l)) // free by now: true
-			return Ready
-		},
-		release(l),
-	}})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] || !got[1] {
-		t.Errorf("TryAcquire results = %v, want [false true]", got)
-	}
-	if m.Proc(1).Counters.FailedAcquires != 1 {
-		t.Errorf("FailedAcquires = %d, want 1", m.Proc(1).Counters.FailedAcquires)
-	}
-}
-
 func TestBarrierSynchronizes(t *testing.T) {
 	m := New(Config{Procs: 4})
 	b := m.NewBarrier(4)
