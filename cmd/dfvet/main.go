@@ -7,7 +7,9 @@
 //	dfvet [-format text|json|sarif] [-o file] [packages...]
 //
 // Exit status follows the `oblc vet` convention: 0 when the tree is clean,
-// 1 when findings were reported, 2 on usage or load errors.
+// 1 when findings were reported, 2 on usage, load or write errors. Usage
+// (an unknown flag or -format) is checked before any package is loaded
+// or the -o file is created.
 package main
 
 import (
@@ -47,6 +49,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *format != "text" && *format != "json" && *format != "sarif" {
+		fmt.Fprintf(stderr, "dfvet: unknown format %q\n", *format)
+		return 2
+	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -64,13 +70,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	w := stdout
+	var f *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if f, err = os.Create(*out); err != nil {
 			fmt.Fprintln(stderr, "dfvet:", err)
 			return 2
 		}
-		defer f.Close()
 		w = f
 	}
 	cwd, _ := os.Getwd()
@@ -79,11 +84,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = lint.WriteText(w, findings)
 	case "json":
 		err = lint.WriteJSON(w, findings)
-	case "sarif":
+	default: // sarif
 		err = lint.WriteSARIF(w, findings, suite, cwd)
-	default:
-		fmt.Fprintf(stderr, "dfvet: unknown format %q\n", *format)
-		return 2
+	}
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "dfvet:", err)

@@ -65,33 +65,44 @@ func assertEngineParity(t *testing.T, label string, prog *ir.Program, opts inter
 	}
 }
 
-// TestEngineByteIdenticalMatrix covers every application in both the
-// multi-version and flag-dispatch builds, under each static policy and
-// under dynamic feedback, with a trace set and unset. Untraced, the VM
-// takes uncontended releases ahead of the schedule, and the oracle still
-// yields before each one; traced (the sink discards every event), the VM
-// keeps its yield-first releases.
+// TestEngineByteIdenticalMatrix covers every application's multi-version
+// build under each static policy and under dynamic feedback, with a trace
+// set and unset. Untraced, the VM takes uncontended releases ahead of the
+// schedule, and the oracle still yields before each one; traced (the sink
+// discards every event), the VM keeps its yield-first releases. The
+// flag-dispatch build has no VM side (TestFlaggedRunsOnTheOracle).
 func TestEngineByteIdenticalMatrix(t *testing.T) {
 	for _, name := range apps.Names {
 		c, err := apps.Compile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		builds := []struct {
-			label string
-			prog  *ir.Program
-		}{{"parallel", c.Parallel}, {"flagged", c.Flagged}}
 		for _, policy := range []string{"original", "bounded", "aggressive", interp.PolicyDynamic} {
-			for _, build := range builds {
-				for _, traced := range []bool{true, false} {
-					label := fmt.Sprintf("%s %s/%s traced=%v", name, build.label, policy, traced)
-					opts := interp.Options{Procs: 8, Policy: policy, Params: engineDiffParams[name]}
-					if traced {
-						opts.Trace = func(simmach.TraceEvent) {}
-					}
-					assertEngineParity(t, label, build.prog, opts)
+			for _, traced := range []bool{true, false} {
+				label := fmt.Sprintf("%s parallel/%s traced=%v", name, policy, traced)
+				opts := interp.Options{Procs: 8, Policy: policy, Params: engineDiffParams[name]}
+				if traced {
+					opts.Trace = func(simmach.TraceEvent) {}
 				}
+				assertEngineParity(t, label, c.Parallel, opts)
 			}
+		}
+	}
+}
+
+// TestFlaggedRunsOnTheOracle pins where flag dispatch (§4.2) runs: vm.Compile
+// rejects every application's flag-dispatch build, yet a run of it under
+// EngineVM succeeds and returns the oracle's Result byte for byte, because
+// Run makes it an oracle run.
+func TestFlaggedRunsOnTheOracle(t *testing.T) {
+	for _, name := range apps.Names {
+		c, err := apps.Compile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, policy := range []string{"aggressive", interp.PolicyDynamic} {
+			assertEngineParity(t, fmt.Sprintf("%s flagged/%s", name, policy), c.Flagged,
+				interp.Options{Procs: 8, Policy: policy, Params: engineDiffParams[name]})
 		}
 	}
 }

@@ -96,6 +96,9 @@ type Options struct {
 	// EngineInterp is the reference oracle the differential tests and the
 	// benchmark compare against: the direct IR interpreter. Both produce
 	// byte-identical Results, so the choice never appears in cache keys.
+	// Only the oracle runs flag dispatch (§4.2), so Run makes every
+	// program with conditional sync sites (ir.Program.NumFlagSites > 0) an
+	// oracle run: EngineVM becomes EngineInterp.
 	Engine string
 	// Trace, when set, receives every synchronization event of the
 	// simulated machine (lock acquires, blocks, grants, releases, barrier
@@ -291,11 +294,14 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	if err := CheckExterns(p); err != nil {
 		return nil, err
 	}
+	if p.NumFlagSites > 0 && opts.Engine == EngineVM {
+		opts.Engine = EngineInterp
+	}
 	if opts.Engine != EngineVM && opts.Engine != EngineInterp {
 		return nil, fmt.Errorf("interp: unknown engine %q", opts.Engine)
 	}
 	if opts.Engine == EngineInterp && opts.ckHook != nil {
-		return nil, fmt.Errorf("interp: engine %q is the reference oracle and keeps no snapshot state; checkpoint under %q", EngineInterp, EngineVM)
+		return nil, fmt.Errorf("interp: the reference oracle keeps no snapshot state, and runs with engine %q, race detection or conditional sync sites are oracle runs; checkpoint a VM run", EngineInterp)
 	}
 	if opts.Policy != PolicyDynamic {
 		for _, sec := range p.Sections {

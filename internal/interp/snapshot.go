@@ -30,8 +30,8 @@ import (
 // Snapshots are only taken at iteration-claim points (the checkpoint
 // protocol's anchor), only under the VM engine (the step interpreter is
 // the reference oracle and keeps no snapshot state; Run rejects the
-// combination, which covers race detection too: the race detector runs
-// only on the oracle), and only for static-policy runs: the dynamic
+// combination, which covers race detection and flag dispatch too: both
+// run only on the oracle), and only for static-policy runs: the dynamic
 // feedback controller (core.Controller and, inside it, its selector's arm
 // statistics) is not yet cloned.
 

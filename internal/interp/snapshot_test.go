@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -53,11 +54,13 @@ func TestCloneCoversEveryField(t *testing.T) {
 // spread over whole runs — early to late, across section executions, and
 // for a chunked version in the middle of a processor's chunk — and
 // requires every restored run to encode byte-identically to the
-// uninterrupted one. The programs cover the three applications under two
-// policies, multi-version and flag-dispatched, at 4 processors, plus one
+// uninterrupted one. The programs cover the three applications'
+// multi-version builds under two policies at 4 processors, plus one
 // generated version that claims iterations in chunks of 4. The runs take
-// uncontended releases ahead, as production runs do. -short keeps one
-// application and a coarser grid.
+// uncontended releases ahead, as production runs do. A flag-dispatched
+// build runs on the reference oracle, which keeps no snapshot state: its
+// rows check that a checkpoint hook is refused and the plain run is not.
+// -short keeps one application and a coarser grid.
 func TestCheckpointAnywhere(t *testing.T) {
 	type prog struct {
 		name   string
@@ -110,6 +113,14 @@ func TestCheckpointAnywhere(t *testing.T) {
 				return encodeRes(t, res)
 			}
 			want := run(nil)
+			if pg.p.NumFlagSites > 0 {
+				o := opts
+				o.ckHook = &ckHook{}
+				if _, err := Run(pg.p, o); err == nil || !strings.Contains(err.Error(), "no snapshot state") {
+					t.Fatalf("checkpoint hook on a flag-dispatch program: got %v, want the oracle's refusal", err)
+				}
+				return
+			}
 			count := &ckHook{}
 			if !bytes.Equal(run(count), want) {
 				t.Fatal("an idle checkpoint hook changed the result")

@@ -20,7 +20,9 @@ import (
 // replays the folded returns as one budget step each, as many in one
 // dispatch as the budget admits. OpDescend runs a binary descent's whole
 // levels in host registers while the budget admits every group of the
-// next level whole, and leaves a level it cannot to the groups.
+// next level whole, and leaves a level it cannot to the groups. Its sync
+// instructions are the unconditional acquire and release: vm.Compile
+// rejects conditional sites, whose programs Run hands to the oracle.
 //
 // The loop is two-level so that the dispatch state stays in registers.
 // The outer loop runs once per activation: it loads the frame, its code
@@ -80,24 +82,7 @@ frames:
 					return simmach.Ready, false
 				}
 				// Acquire/release family.
-				isAcq := in.Op == vm.OpAcquire || in.Op == vm.OpAcquireEn || in.Op == vm.OpAcquireIf
-				isCond := in.Op == vm.OpAcquireEn || in.Op == vm.OpReleaseEn ||
-					in.Op == vm.OpAcquireIf || in.Op == vm.OpReleaseIf
-				if in.Op == vm.OpAcquireIf || in.Op == vm.OpReleaseIf {
-					flags := t.flags
-					if flags == nil {
-						flags = rt.baseFlags
-					}
-					if flags == nil || int(in.Imm) >= len(flags) {
-						rt.fail("%s: pc %d: conditional sync without flag context", t.fname(fr.fc, pc), fr.fc.Src[pc].PC)
-					}
-					if !flags[in.Imm] {
-						acc += ir.CostFlagTest
-						executed++
-						pc++
-						continue
-					}
-				}
+				isAcq := in.Op == vm.OpAcquire
 				if executed > 0 {
 					// A release with no waiter queued is taken here instead of
 					// at the start of the dispatch it would yield for, which
@@ -110,9 +95,6 @@ frames:
 							t.flush(p)
 							acc = 0
 							at := p.Now()
-							if isCond {
-								p.Advance(ir.CostFlagTest)
-							}
 							if dyn {
 								p.Advance(rt.opts.InstrumentationCost)
 							}
@@ -136,9 +118,6 @@ frames:
 				t.acc = acc
 				t.flush(p)
 				acc = 0
-				if isCond {
-					p.Advance(ir.CostFlagTest)
-				}
 				if dyn {
 					p.Advance(rt.opts.InstrumentationCost)
 				}
@@ -489,9 +468,6 @@ frames:
 				default:
 					rt.output = append(rt.output, fmt.Sprintf("array[%d]", len(r.Elems))) //dfvet:allow noalloc program output accumulation, once per print statement
 				}
-
-			case vm.OpFlagSkip:
-				// All cost (the residual flag test) is in in.Cost; nothing to do.
 
 			case vm.OpCallEnter:
 				// Open an inlined callee: zero its register ranges, then run

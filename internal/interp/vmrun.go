@@ -14,9 +14,10 @@ import (
 // scheduler step counts (so dispatch boundaries — the stepBudget
 // accounting, yield-first sync — are reproduced instruction for
 // instruction, a release taken ahead counting as the dispatch it spares),
-// program output, and controller samples and switches. Race detection is
-// not part of it: a race-detecting run is an oracle run
-// (Options.DetectRaces).
+// program output, and controller samples and switches. Race detection and
+// flag dispatch (§4.2) are not part of it: a race-detecting run and a run
+// of a program with conditional sync sites are oracle runs
+// (Options.DetectRaces, Options.Engine).
 
 // vmModuleFor returns the program's module, compiled on first use.
 func vmModuleFor(p *ir.Program) (*vm.Module, error) {

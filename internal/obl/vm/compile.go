@@ -10,8 +10,10 @@ import (
 // translation, tail-call marking, the frame-zeroing decision, inline
 // expansion and superinstruction fusion, every pass a function of the
 // program alone. It returns an error when a function lacks the
-// register-kind metadata lowering records (hand-built programs) or when
-// the metadata is inconsistent with how the code uses registers.
+// register-kind metadata lowering records (hand-built programs), when
+// the metadata is inconsistent with how the code uses registers, and for
+// a conditional sync site (ir.OpAcquireIf, ir.OpReleaseIf): flag dispatch
+// runs only on the reference oracle.
 // Compilation never changes observable behaviour: every returned module
 // executes bit-identically to the interpreter.
 func Compile(p *ir.Program) (*Module, error) {
@@ -25,9 +27,8 @@ func Compile(p *ir.Program) (*Module, error) {
 		}
 		m.Funcs[id] = fc
 	}
-	fs := flagStatics(p)
 	for id, f := range p.Funcs {
-		if err := m.translate(f, m.Funcs[id], fs); err != nil {
+		if err := m.translate(f, m.Funcs[id]); err != nil {
 			return nil, err
 		}
 	}
@@ -77,58 +78,6 @@ func layout(f *ir.Func, id int) (*FuncCode, error) {
 	return fc, nil
 }
 
-// flagStatics resolves conditional-sync sites whose flag is the same in
-// every vector the runtime can consult (the per-policy vectors and every
-// section version's): +1 always enabled, -1 always disabled, 0 mixed.
-// It returns nil — no static resolution — whenever a run could reach a
-// conditional site without a well-formed flag vector, because the
-// interpreter faults there and the VM must fault identically.
-func flagStatics(p *ir.Program) []int8 {
-	if p.FlagPolicies == nil || p.NumFlagSites == 0 {
-		return nil
-	}
-	if _, ok := p.FlagPolicies["original"]; !ok {
-		// Dynamic runs use the "original" vector outside sections; without
-		// it baseFlags would be nil and conditional sites would fault.
-		return nil
-	}
-	vecs := make([][]bool, 0, len(p.FlagPolicies))
-	//dfvet:allow detorder per-site agreement over all vectors; the fold is order-insensitive
-	for _, vec := range p.FlagPolicies {
-		vecs = append(vecs, vec)
-	}
-	for _, sec := range p.Sections {
-		for _, v := range sec.Versions {
-			if v.Flags != nil {
-				vecs = append(vecs, v.Flags)
-			}
-		}
-	}
-	for _, vec := range vecs {
-		if len(vec) < p.NumFlagSites {
-			return nil
-		}
-	}
-	st := make([]int8, p.NumFlagSites)
-	for site := range st {
-		enabled, disabled := true, true
-		for _, vec := range vecs {
-			if vec[site] {
-				disabled = false
-			} else {
-				enabled = false
-			}
-		}
-		switch {
-		case enabled:
-			st[site] = 1
-		case disabled:
-			st[site] = -1
-		}
-	}
-	return st
-}
-
 // binaryOps maps the IR's kind-specific binary opcodes to their bytecode
 // counterparts.
 var binaryOps = map[ir.Op]Op{
@@ -140,7 +89,7 @@ var binaryOps = map[ir.Op]Op{
 
 // translate compiles one function body 1:1 (bytecode pcs equal IR pcs
 // until inline expansion splices callees in).
-func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
+func (m *Module) translate(f *ir.Func, fc *FuncCode) error {
 	p := m.Prog
 	kind := func(r ir.Reg) ir.ElemKind { return f.RegKinds[r] }
 	slot := func(r ir.Reg) int32 { return fc.RegSlot[r] }
@@ -498,29 +447,7 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 				return err
 			}
 		case ir.OpAcquireIf, ir.OpReleaseIf:
-			acq := in.Op == ir.OpAcquireIf
-			o.A, o.Imm = slot(in.A), in.Imm
-			o.Cost = 0
-			if err := want(pc, in.A, ir.ElemRef); err != nil {
-				return err
-			}
-			switch {
-			case fs != nil && fs[in.Imm] == 1:
-				if acq {
-					o.Op = OpAcquireEn
-				} else {
-					o.Op = OpReleaseEn
-				}
-			case fs != nil && fs[in.Imm] == -1:
-				o.Op = OpFlagSkip
-				o.Cost = ir.CostFlagTest
-			default:
-				if acq {
-					o.Op = OpAcquireIf
-				} else {
-					o.Op = OpReleaseIf
-				}
-			}
+			return errf(pc, "conditional sync site: flag dispatch runs on the reference oracle")
 
 		case ir.OpParallel:
 			moves := make([]ArgMove, len(in.Args))

@@ -44,7 +44,10 @@
 // level in registers only when the budget admits all of its groups whole,
 // and otherwise leaves the level to them. Race-detector findings are not
 // part of the contract: a race-detecting run is an oracle run, so neither
-// a group nor OpDescend owes the detector an order of accesses.
+// a group nor OpDescend owes the detector an order of accesses. Nor is
+// flag dispatch (§4.2): the VM's sync opcodes are the unconditional
+// acquire and release, Compile rejects a conditional sync site, and Run
+// hands such programs to the oracle.
 package vm
 
 // Op is a bytecode opcode. Kind-specialized where the IR is generic.
@@ -139,10 +142,6 @@ const (
 	// Specialized instructions (emitted by compile-time resolution, inline
 	// expansion and fusion).
 
-	// OpFlagSkip replaces a conditional sync site that every policy's
-	// flag vector disables: only the residual flag test is charged.
-	OpFlagSkip
-
 	// OpTailCall is a self-recursive call in tail position: the frame is
 	// reused (Args is a sequenced move plan, run as in-order copies within
 	// the frame; locals are re-zeroed only if the function needs zeroed
@@ -226,12 +225,8 @@ const (
 	// Synchronization and section entry. These are kept in one contiguous
 	// range so the dispatch loop recognizes the yield-first instructions
 	// with a single compare (see opSyncStart).
-	OpAcquire   // acquire refs[A].lock
-	OpRelease   // release refs[A].lock
-	OpAcquireEn // conditional site every flag vector enables: no lookup
-	OpReleaseEn
-	OpAcquireIf // conditional site, flag vector consulted at run time
-	OpReleaseIf
+	OpAcquire  // acquire refs[A].lock
+	OpRelease  // release refs[A].lock
 	OpParallel // enter Sections[Imm] over [ints[A], ints[B]) with Args
 
 	opCount
@@ -265,7 +260,7 @@ var opNames = [...]string{
 	OpStoreIndexI: "stidx.i", OpStoreIndexB: "stidx.b", OpStoreIndexF: "stidx.f",
 	OpStoreIndexR: "stidx.r", OpLen: "len",
 	OpPrintI: "print.i", OpPrintB: "print.b", OpPrintF: "print.f", OpPrintR: "print.r",
-	OpFlagSkip: "flagskip", OpTailCall: "tailcall",
+	OpTailCall:  "tailcall",
 	OpCallEnter: "callenter",
 	OpIRetI:     "iret.i", OpIRetF: "iret.f", OpIRetR: "iret.r", OpIRetVoid: "iret",
 	OpLtIBr: "lt.i+br", OpInc1Jump: "inc1+jump",
@@ -273,14 +268,11 @@ var opNames = [...]string{
 	OpAddDivIKMov: "add.i+div.ik+mov.i", OpModIKEqIKBr: "mod.ik+eq.ik+br",
 	OpIKTailCall: "arith.ik+tailcall", OpAddFieldF: "ldfld.f+add.f+stfld.f",
 	OpDescend: "descend",
-	OpAcquire: "acquire", OpRelease: "release",
-	OpAcquireEn: "acquire.en", OpReleaseEn: "release.en",
-	OpAcquireIf: "acquire.if", OpReleaseIf: "release.if",
-	OpParallel: "parallel",
+	OpAcquire: "acquire", OpRelease: "release", OpParallel: "parallel",
 }
 
 // Operand banks of an opcode's register fields: bank+1, with 0 for a field
-// that is not a register slot (immediates, jump targets, site indices).
+// that is not a register slot (immediates, jump targets, section indices).
 const (
 	xI = BankInt + 1
 	xF = BankFloat + 1
@@ -318,8 +310,7 @@ var opRegs = [opCount]struct{ dst, a, b, c uint8 }{
 	OpStoreIndexF: {0, xR, xI, xF}, OpStoreIndexR: {0, xR, xI, xR},
 	OpLen:    {xI, xR, 0, 0},
 	OpPrintI: {a: xI}, OpPrintB: {a: xI}, OpPrintF: {a: xF}, OpPrintR: {a: xR},
-	OpAcquire: {a: xR}, OpRelease: {a: xR}, OpAcquireEn: {a: xR}, OpReleaseEn: {a: xR},
-	OpAcquireIf: {a: xR}, OpReleaseIf: {a: xR},
+	OpAcquire: {a: xR}, OpRelease: {a: xR},
 	OpParallel: {a: xI, b: xI},
 }
 

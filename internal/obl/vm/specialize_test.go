@@ -100,7 +100,6 @@ func TestCompileSpecializesEverySite(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(name+"/parallel", c.Parallel)
-		check(name+"/flagged", c.Flagged)
 		g, err := apps.CompileWithSpecs(name, polgen.Space())
 		if err != nil {
 			t.Fatal(err)

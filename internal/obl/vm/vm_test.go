@@ -74,6 +74,25 @@ func TestCompileTranslatesOneToOne(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsConditionalSync: flag dispatch (§4.2) runs only on the
+// reference oracle, so every application's flag-dispatch build is refused
+// with an error naming its first conditional site.
+func TestCompileRejectsConditionalSync(t *testing.T) {
+	for _, name := range apps.Names {
+		c, err := apps.Compile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Flagged.NumFlagSites == 0 {
+			t.Fatalf("%s: flag-dispatch build has no conditional sites", name)
+		}
+		_, err = vm.Compile(c.Flagged)
+		if err == nil || !strings.Contains(err.Error(), "conditional sync site") {
+			t.Errorf("%s: vm.Compile of the flag-dispatch build: got %v, want the conditional-site error", name, err)
+		}
+	}
+}
+
 func TestCompileInlinesLeafCall(t *testing.T) {
 	c, err := oblc.Compile(`
 func add1(x: int): int {

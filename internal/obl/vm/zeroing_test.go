@@ -227,7 +227,6 @@ func TestZeroingMatchesOracleOnCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(name+"/parallel", c.Parallel)
-		check(name+"/flagged", c.Flagged)
 		check(name+"/serial", c.Serial)
 		g, err := apps.CompileWithSpecs(name, polgen.Space())
 		if err != nil {

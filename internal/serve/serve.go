@@ -450,11 +450,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // runRequest is the body of POST /run. Exactly one of Section and App
-// must be set.
+// must be set, and a field of the other kind (Iters for an app; Procs,
+// Policy, Perturb or Schedule for a section) is refused unless it holds
+// its zero value.
 type runRequest struct {
 	// Section runs a registered native adaptive section.
 	Section string `json:"section,omitempty"`
-	// Iters overrides the section's default iteration count.
+	// Iters overrides the section's default iteration count (native
+	// sections only).
 	Iters int `json:"iters,omitempty"`
 	// App runs a bundled OBL application on the simulated machine.
 	App string `json:"app,omitempty"`
@@ -529,6 +532,11 @@ func (s *Server) runSection(w http.ResponseWriter, r *http.Request, req runReque
 		writeError(w, http.StatusBadRequest, "perturbation applies to simulated OBL runs only, not native sections")
 		return
 	}
+	if req.Procs != 0 || req.Policy != "" {
+		s.runsErr.Add(1)
+		writeError(w, http.StatusBadRequest, "\"procs\" and \"policy\" apply to OBL app runs only, not native sections")
+		return
+	}
 	iters := req.Iters
 	if iters == 0 {
 		iters = reg.w.defaultIters
@@ -596,6 +604,11 @@ func (s *Server) runApp(w http.ResponseWriter, r *http.Request, req runRequest) 
 	if err != nil {
 		s.runsErr.Add(1)
 		writeError(w, http.StatusNotFound, "%v", err)
+		return
+	}
+	if req.Iters != 0 {
+		s.runsErr.Add(1)
+		writeError(w, http.StatusBadRequest, "\"iters\" applies to native sections only, not OBL app runs")
 		return
 	}
 	procs := req.Procs

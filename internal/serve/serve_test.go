@@ -336,6 +336,10 @@ func TestRunValidation(t *testing.T) {
 		{`{"app":"water","params":{"nmoll":12}}`, http.StatusBadRequest, `"nmoll"`},
 		{`{"unknown_field":1}`, http.StatusBadRequest, ""},
 		{`{"section":"sort","perturb":"crossover"}`, http.StatusBadRequest, ""},
+		// A field of the other request kind is refused, not ignored.
+		{`{"section":"sort","policy":"heapsort"}`, http.StatusBadRequest, "OBL app runs only"},
+		{`{"section":"sort","procs":4}`, http.StatusBadRequest, "OBL app runs only"},
+		{`{"app":"water","iters":1000}`, http.StatusBadRequest, "native sections only"},
 		{`{"app":"water","perturb":"nope"}`, http.StatusBadRequest, ""},
 		{`{"app":"water","perturb":"crossover","schedule":{"changes":[]}}`, http.StatusBadRequest, ""},
 		{`{"app":"water","schedule":{"changes":[{"at_ns":0,"acquire_milli":2000}]}}`, http.StatusBadRequest, ""},
