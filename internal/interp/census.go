@@ -2,7 +2,11 @@
 
 package interp
 
-import "repro/internal/obl/vm"
+import (
+	"strings"
+
+	"repro/internal/obl/vm"
+)
 
 // The dispatch census: exact counts of the work the bytecode VM's dispatch
 // loop does, compiled in only under the census build tag
@@ -29,6 +33,17 @@ type Census struct {
 	// Levels counts the whole descent levels OpDescend ran in registers
 	// inside its dispatches.
 	Levels uint64
+	// Funcs is the call ledger by source function, its version suffixes
+	// dropped (Body::walk for Body::walk@original).
+	Funcs map[string]FuncCount
+}
+
+// FuncCount is one source function's calls and what they cost in
+// dispatches. Calls counts its entries, a frame push (call) or a splice's
+// entry (callenter, callenter+descend); Dispatches counts those entries
+// and every dispatch of a slot that came from its code.
+type FuncCount struct {
+	Calls, Dispatches uint64
 }
 
 // Dispatches is the total of VM dispatches.
@@ -41,16 +56,26 @@ func (c *Census) Dispatches() uint64 {
 }
 
 var (
-	census     Census
-	censusPrev = -1 // the opcode dispatched last in this exec call, -1 none
+	census      Census
+	censusPrev  = -1 // the opcode dispatched last in this exec call, -1 none
+	censusFuncs = map[*vm.FuncCode]*FuncCount{}
 )
 
 // CensusReset zeroes the counters.
-func CensusReset() { census, censusPrev = Census{}, -1 }
+func CensusReset() { census, censusPrev, censusFuncs = Census{}, -1, map[*vm.FuncCode]*FuncCount{} }
 
 // CensusSnapshot returns a copy of the counters.
 func CensusSnapshot() *Census {
 	c := census
+	c.Funcs = map[string]FuncCount{}
+	for fc, n := range censusFuncs {
+		name, _, _ := strings.Cut(fc.Name, "@")
+		name, _, _ = strings.Cut(name, "__")
+		f := c.Funcs[name]
+		f.Calls += n.Calls
+		f.Dispatches += n.Dispatches
+		c.Funcs[name] = f
+	}
 	return &c
 }
 
@@ -59,12 +84,32 @@ func censusEntry() {
 	censusPrev = -1
 }
 
-func censusOp(op vm.Op) {
+// censusOp counts the dispatch of in, slot pc of fc in module mod.
+func censusOp(mod *vm.Module, fc *vm.FuncCode, pc int, in *vm.Instr) {
+	op := in.Op
 	census.Ops[op]++
 	if censusPrev >= 0 {
 		census.Pairs[censusPrev][op]++
 	}
 	censusPrev = int(op)
+	src, entry := mod.Funcs[fc.Src[pc].Fn], true
+	switch op {
+	case vm.OpCall:
+		src = mod.Funcs[in.Imm]
+	case vm.OpCallEnter, vm.OpEnterDescend:
+		src = mod.Funcs[fc.Src[pc+1].Fn] // the body's first slot
+	default:
+		entry = false
+	}
+	n := censusFuncs[src]
+	if n == nil {
+		n = new(FuncCount)
+		censusFuncs[src] = n
+	}
+	if entry {
+		n.Calls++
+	}
+	n.Dispatches++
 }
 
 func censusLevels(n int) { census.Levels += uint64(n) }

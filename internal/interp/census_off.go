@@ -8,6 +8,6 @@ import "repro/internal/obl/vm"
 // tag it is false, and the guarded calls in vmTask.exec compile away.
 const censusOn = false
 
-func censusEntry()     {}
-func censusOp(vm.Op)   {}
-func censusLevels(int) {}
+func censusEntry()                                      {}
+func censusOp(*vm.Module, *vm.FuncCode, int, *vm.Instr) {}
+func censusLevels(int)                                  {}

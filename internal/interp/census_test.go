@@ -143,12 +143,18 @@ func censusSections(t *testing.T) []censusSection {
 	return censusMemo
 }
 
-// censusTopPairs bounds the adjacent pairs each workload lists.
-const censusTopPairs = 24
+// censusTopPairs bounds the adjacent pairs each workload lists, and
+// censusTopFuncs the called functions.
+const (
+	censusTopPairs = 24
+	censusTopFuncs = 8
+)
 
 // renderCensus writes one workload's counters under its title: the VM's
-// and the machine's totals, every opcode dispatched, and the most frequent
-// adjacent pairs, each list by count and then by name.
+// and the machine's totals, every opcode dispatched, the most frequent
+// adjacent pairs, and the call ledger of the most called functions (its
+// calls, and the dispatches a call takes: its entry and its body's), each
+// list by count and then by name.
 func renderCensus(b *strings.Builder, title string, cc censusCounts) {
 	c, m := cc.vm, cc.sim
 	fmt.Fprintf(b, "== %s\n", title)
@@ -201,6 +207,19 @@ func renderCensus(b *strings.Builder, title string, cc censusCounts) {
 			break
 		}
 		fmt.Fprintf(b, "  %-40s %12d\n", r.name, r.n)
+	}
+	var calls []row
+	for name, f := range c.Funcs {
+		if f.Calls > 0 {
+			calls = append(calls, row{name, f.Calls})
+		}
+	}
+	fmt.Fprintf(b, "top %d called functions: calls, dispatches per call:\n", censusTopFuncs)
+	for i, r := range sorted(calls) {
+		if i == censusTopFuncs {
+			break
+		}
+		fmt.Fprintf(b, "  %-40s %12d %8.2f\n", r.name, r.n, float64(c.Funcs[r.name].Dispatches)/float64(r.n))
 	}
 }
 

@@ -86,6 +86,15 @@ func zeroingWalk(walk *ir.Func) *ir.Func {
 	return &z
 }
 
+// framedWalk is walk with an unreachable call to main after its last
+// return: no longer a leaf, it is never spliced, and every call of it
+// pushes a frame whose pc-0 head runs the descent.
+func framedWalk(walk *ir.Func) *ir.Func {
+	f := *walk
+	f.Code = append(slices.Clone(walk.Code), irIns(ir.OpCall, no, no, no, 0), irIns(ir.OpRet, no, no, no, 0))
+	return &f
+}
+
 // descentDepth is the levels walk descends over [0, 2^descentDepth).
 const descentDepth = 8
 
@@ -148,41 +157,61 @@ const descentLen = 17*descentDepth + 5
 // counts included, must be identical under the two engines, for both
 // parity tests (the != walk has no plan: its parity test is no fused
 // group), both arm orders and a walk whose frame must be zeroed (no plan;
-// the plain head), and for dividends of both signs. Under -short
-// only the first walk runs.
+// the plain head, and a frame of its own: a callee that zeroes registers
+// is not spliced), for dividends of both signs, and with each walk spliced
+// into its caller (the head fused with the splice's entry) and called in
+// a frame of its own. Under -short only the first walk runs.
 func TestDescentLoopMatchesInterpreter(t *testing.T) {
 	walks := []struct {
 		label string
 		walk  *ir.Func
 		extra int // instructions beyond descentLen
 		plan  bool
+		frame bool // never spliced
 	}{
-		{"k % 2 == 0", descentWalk(t, "==", false), 0, true},
-		{"k % 2 != 0", descentWalk(t, "!=", false), 0, false},
-		{"k % 2 == 0, arms swapped", descentWalk(t, "==", true), 0, true},
-		{"k % 2 == 0, zeroed frame", zeroingWalk(descentWalk(t, "==", false)), 2, false},
+		{"k % 2 == 0", descentWalk(t, "==", false), 0, true, false},
+		{"k % 2 != 0", descentWalk(t, "!=", false), 0, false, false},
+		{"k % 2 == 0, arms swapped", descentWalk(t, "==", true), 0, true, false},
+		{"k % 2 == 0, zeroed frame", zeroingWalk(descentWalk(t, "==", false)), 2, false, true},
 	}
 	if testing.Short() {
 		walks = walks[:1]
 	}
 	for _, w := range walks {
-		fc := moduleOf(t, descentProgram(t, w.walk, 0, 0, 0, 0, 1, 1)).Funcs[1]
-		if head := fc.Code[0].Op; (head == vm.OpDescend) != w.plan || (fc.Descent != nil) != w.plan {
-			t.Fatalf("%s: walk's head is %v with plan %v; want a plan: %v", w.label, head, fc.Descent != nil, w.plan)
+		if w.frame {
+			descentSweep(t, w.label, w.walk, descentLen+w.extra, w.plan, true)
+			continue
 		}
-		n := descentLen + w.extra
-		for pre := stepBudget - n - 24; pre <= stepBudget+8; pre++ {
-			for _, k := range []int64{0xa5, -0xa5} {
-				for _, steps := range []int64{2, 3} {
-					post := 2*stepBudget + int(steps) - 2 - (pre + n + 6)
-					label := fmt.Sprintf("%s: k=%d, %d nops before, %d after", w.label, k, pre, post)
-					res, err := runBoth(t, label, descentProgram(t, w.walk, pre, post, 0, 0, 1<<descentDepth, k))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Steps != steps {
-						t.Fatalf("%s: %d scheduler steps, want %d", label, res.Steps, steps)
-					}
+		descentSweep(t, w.label+", spliced", w.walk, descentLen+w.extra, w.plan, false)
+		descentSweep(t, w.label+", framed", framedWalk(w.walk), descentLen+w.extra, w.plan, true)
+	}
+}
+
+// descentSweep runs TestDescentLoopMatchesInterpreter's sweep for one walk
+// of n instructions, after checking where its plan sits: at walk's pc 0
+// when plan, and at the call site in main, fused with the splice's entry,
+// unless framed.
+func descentSweep(t *testing.T, label string, walk *ir.Func, n int, plan, framed bool) {
+	m := moduleOf(t, descentProgram(t, walk, 0, 0, 0, 0, 1, 1))
+	fc := m.Funcs[1]
+	if head := fc.Code[0].Op; (head == vm.OpDescend) != plan || (len(fc.Descents) > 0) != plan {
+		t.Fatalf("%s: walk's head is %v with plan %v; want a plan: %v", label, head, len(fc.Descents) > 0, plan)
+	}
+	main := m.Funcs[0]
+	if enter := main.Code[3].Op; (enter == vm.OpEnterDescend) != (plan && !framed) || (enter == vm.OpCall) != framed {
+		t.Fatalf("%s: main's call of walk is %v", label, enter)
+	}
+	for pre := stepBudget - n - 24; pre <= stepBudget+8; pre++ {
+		for _, k := range []int64{0xa5, -0xa5} {
+			for _, steps := range []int64{2, 3} {
+				post := 2*stepBudget + int(steps) - 2 - (pre + n + 6)
+				label := fmt.Sprintf("%s: k=%d, %d nops before, %d after", label, k, pre, post)
+				res, err := runBoth(t, label, descentProgram(t, walk, pre, post, 0, 0, 1<<descentDepth, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Steps != steps {
+					t.Fatalf("%s: %d scheduler steps, want %d", label, res.Steps, steps)
 				}
 			}
 		}
@@ -193,26 +222,31 @@ func TestDescentLoopMatchesInterpreter(t *testing.T) {
 // walks: lo, hi and k of either sign (sums and differences may wrap), a
 // prelude that moves the budget's end across the descent, depth nested
 // frames before the walk (the call-depth check then cuts it), and both
-// parity tests and arm orders. The VM's Result, scheduler steps included,
-// or its error must equal the interpreter's.
+// parity tests and arm orders, the walk spliced into its caller or in a
+// frame of its own. The VM's Result, scheduler steps included, or its
+// error must equal the interpreter's.
 func FuzzDescent(f *testing.F) {
-	f.Add(int64(0), int64(1)<<20, int64(0x5a5a5), uint16(4000), uint16(0), false, false)
-	f.Add(int64(-1000), int64(3000), int64(-77), uint16(4090), uint16(3), true, false)
-	f.Add(int64(math.MinInt64/2), int64(math.MaxInt64/2), int64(-1), uint16(100), uint16(0), false, true)
-	f.Add(int64(5), int64(-5), int64(3), uint16(0), uint16(1), true, true)
+	f.Add(int64(0), int64(1)<<20, int64(0x5a5a5), uint16(4000), uint16(0), false, false, false)
+	f.Add(int64(-1000), int64(3000), int64(-77), uint16(4090), uint16(3), true, false, true)
+	f.Add(int64(math.MinInt64/2), int64(math.MaxInt64/2), int64(-1), uint16(100), uint16(0), false, true, false)
+	f.Add(int64(5), int64(-5), int64(3), uint16(0), uint16(1), true, true, true)
 	// The walk starts ten frames short of the call-depth limit: main, 9990
 	// down frames and walk, whose tenth and last tail call over [0, 2^10)
-	// is the first the check refuses.
-	f.Add(int64(0), int64(1)<<10, int64(12345), uint16(50), uint16(9990), false, false)
-	var walks [2][2]*ir.Func
+	// is the first the check refuses, spliced into the innermost down
+	// frame and in a frame of its own.
+	f.Add(int64(0), int64(1)<<10, int64(12345), uint16(50), uint16(9990), false, false, false)
+	f.Add(int64(0), int64(1)<<10, int64(12345), uint16(50), uint16(9990), false, false, true)
+	var walks [2][2][2]*ir.Func
 	for i, parity := range []string{"==", "!="} {
 		for j := range 2 {
-			walks[i][j] = descentWalk(f, parity, j == 1)
+			walks[i][j][0] = descentWalk(f, parity, j == 1)
+			walks[i][j][1] = framedWalk(walks[i][j][0])
 		}
 	}
-	f.Fuzz(func(t *testing.T, lo, hi, k int64, pre, depth uint16, ne, swapped bool) {
-		walk := walks[b2w(ne)][b2w(swapped)]
+	f.Fuzz(func(t *testing.T, lo, hi, k int64, pre, depth uint16, ne, swapped, framed bool) {
+		walk := walks[b2w(ne)][b2w(swapped)][b2w(framed)]
 		p := descentProgram(t, walk, int(pre)%(2*stepBudget), 0, int(depth)%10010, lo, hi, k)
-		runBoth(t, fmt.Sprintf("lo=%d hi=%d k=%d pre=%d depth=%d ne=%v swapped=%v", lo, hi, k, pre, depth, ne, swapped), p)
+		runBoth(t, fmt.Sprintf("lo=%d hi=%d k=%d pre=%d depth=%d ne=%v swapped=%v framed=%v",
+			lo, hi, k, pre, depth, ne, swapped, framed), p)
 	})
 }

@@ -233,8 +233,8 @@ type runtimeErr struct{ msg string }
 // Run (the parallel experiment engine executes many runs of the same
 // program at once).
 type prep struct {
-	// extFns[i] is the implementation of Externs[i].
-	extFns []intrinsic
+	// extFns[i] is the boxed adapter of Externs[i]'s implementation.
+	extFns []func(args []Value) (Value, simmach.Time)
 	// costs[funcID][pc] is the instruction's static virtual cost; for
 	// OpCallExtern the extern's declared cost is folded in, so the runtime
 	// only adds the dynamically-priced extra.
@@ -268,11 +268,16 @@ func prepare(p *ir.Program) *prep {
 
 func newPrep(p *ir.Program) *prep {
 	pr := &prep{
-		extFns: make([]intrinsic, len(p.Externs)),
+		extFns: make([]func([]Value) (Value, simmach.Time), len(p.Externs)),
 		costs:  make([][]simmach.Time, len(p.Funcs)),
 	}
 	for i, e := range p.Externs {
-		pr.extFns[i] = intrinsics[e.Name]
+		x, ok := vm.Intrinsics[e.Name]
+		if !ok {
+			// Run rejects such a program first (CheckExterns).
+			panic(fmt.Sprintf("interp: extern %q has no implementation", e.Name))
+		}
+		pr.extFns[i] = boxed(x)
 	}
 	for fi, fn := range p.Funcs {
 		costs := make([]simmach.Time, len(fn.Code))

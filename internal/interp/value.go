@@ -2,10 +2,10 @@ package interp
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"repro/internal/obl/ir"
+	"repro/internal/obl/vm"
 	"repro/internal/simmach"
 )
 
@@ -116,73 +116,30 @@ func (o *Object) Lock(m *simmach.Machine) *simmach.Lock {
 	return o.lock
 }
 
-// intrinsic is the host implementation of an extern. Args arrive in
-// declaration order; the extra cost (beyond the declared static cost) is
-// returned for dynamically-priced externs like work.
-type intrinsic func(args []Value) (Value, simmach.Time)
-
-// intrinsics is the registry of extern implementations available to OBL
-// programs. Every extern an OBL program declares must appear here; they
-// are pure, deterministic functions. work(n) is special: it performs no
-// computation but costs n virtual nanoseconds, modelling the expensive
-// numeric kernels that the miniature applications elide (documented as a
-// substitution in DESIGN.md).
-var intrinsics = map[string]intrinsic{
-	"sqrt": func(a []Value) (Value, simmach.Time) {
-		return FloatVal(math.Sqrt(a[0].F)), 0
-	},
-	"sin": func(a []Value) (Value, simmach.Time) {
-		return FloatVal(math.Sin(a[0].F)), 0
-	},
-	"cos": func(a []Value) (Value, simmach.Time) {
-		return FloatVal(math.Cos(a[0].F)), 0
-	},
-	"exp": func(a []Value) (Value, simmach.Time) {
-		return FloatVal(math.Exp(a[0].F)), 0
-	},
-	"log": func(a []Value) (Value, simmach.Time) {
-		return FloatVal(math.Log(a[0].F)), 0
-	},
-	"pow": func(a []Value) (Value, simmach.Time) {
-		return FloatVal(math.Pow(a[0].F, a[1].F)), 0
-	},
-	"floor": func(a []Value) (Value, simmach.Time) {
-		return FloatVal(math.Floor(a[0].F)), 0
-	},
-	"fabs": func(a []Value) (Value, simmach.Time) {
-		return FloatVal(math.Abs(a[0].F)), 0
-	},
-	"iabs": func(a []Value) (Value, simmach.Time) {
-		if a[0].I < 0 {
-			return IntVal(-a[0].I), 0
-		}
-		return IntVal(a[0].I), 0
-	},
-	// work(n) costs n virtual nanoseconds and returns nothing.
-	"work": func(a []Value) (Value, simmach.Time) {
-		n := a[0].I
-		if n < 0 {
-			n = 0
-		}
-		return Value{}, simmach.Time(n)
-	},
-	// noise(i) is a deterministic hash of i in [0, 1).
-	"noise": func(a []Value) (Value, simmach.Time) {
-		return FloatVal(hash01(uint64(a[0].I))), 0
-	},
-	// Smooth deterministic binary kernels for the applications' physics.
-	"interact": func(a []Value) (Value, simmach.Time) {
-		x, y := a[0].F, a[1].F
-		return FloatVal(x * y / (1 + math.Abs(x-y))), 0
-	},
-	"force": func(a []Value) (Value, simmach.Time) {
-		d := a[0].F - a[1].F
-		return FloatVal(d / (1 + d*d)), 0
-	},
-	"term": func(a []Value) (Value, simmach.Time) {
-		return FloatVal(math.Cos(a[0].F) * math.Sin(a[1].F)), 0
-	},
+// boxed adapts an extern's typed host implementation (vm.Intrinsics) to
+// boxed arguments in declaration order, for the step interpreter and the
+// VM's boxed calls: it returns the value and the extra cost beyond the
+// extern's declared static cost (work's charge). An argument of another
+// kind reads as its F or I field does, zero. An intrinsic with no form
+// has no adapter.
+func boxed(x vm.Intrinsic) func(args []Value) (Value, simmach.Time) {
+	switch x.Form() {
+	case vm.ExtFF:
+		return func(a []Value) (Value, simmach.Time) { return FloatVal(x.FF(a[0].F)), 0 }
+	case vm.ExtFFF:
+		return func(a []Value) (Value, simmach.Time) { return FloatVal(x.FFF(a[0].F, a[1].F)), 0 }
+	case vm.ExtIF:
+		return func(a []Value) (Value, simmach.Time) { return FloatVal(x.IF(a[0].I)), 0 }
+	case vm.ExtII:
+		return func(a []Value) (Value, simmach.Time) { return IntVal(x.II(a[0].I)), 0 }
+	case vm.ExtWork:
+		return func(a []Value) (Value, simmach.Time) { return Value{}, workCharge(a[0].I) }
+	}
+	return nil
 }
+
+// workCharge is work(n)'s cost: n virtual nanoseconds, floored at zero.
+func workCharge(n int64) simmach.Time { return simmach.Time(max(n, 0)) }
 
 // zeroOf returns the zero value for an element kind (nil for references).
 func zeroOf(k ir.ElemKind) Value {
@@ -198,20 +155,11 @@ func zeroOf(k ir.ElemKind) Value {
 	}
 }
 
-// hash01 maps a 64-bit integer to [0,1) deterministically (splitmix64).
-func hash01(x uint64) float64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
-}
-
 // CheckExterns verifies that every extern in the program has an
 // implementation.
 func CheckExterns(p *ir.Program) error {
 	for _, e := range p.Externs {
-		if _, ok := intrinsics[e.Name]; !ok {
+		if _, ok := vm.Intrinsics[e.Name]; !ok {
 			return fmt.Errorf("interp: extern %q has no implementation; available: sqrt sin cos exp log pow floor fabs iabs work noise interact force term", e.Name)
 		}
 	}

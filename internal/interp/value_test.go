@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/obl/ir"
+	"repro/internal/obl/vm"
 )
 
 func TestValueStrings(t *testing.T) {
@@ -65,7 +66,15 @@ func TestIntrinsicsDeterministicAndTotal(t *testing.T) {
 		"pow": args2, "interact": args2, "force": args2, "term": args2,
 		"iabs": args1i, "work": args1i, "noise": args1i,
 	}
-	for name, fn := range intrinsics {
+	if f := (vm.Intrinsic{}).Form(); f != vm.ExtBoxed || boxed(vm.Intrinsic{}) != nil {
+		t.Errorf("an intrinsic with no field set has form %d and an adapter", f)
+	}
+	for name, x := range vm.Intrinsics {
+		fn := boxed(x)
+		if fn == nil {
+			t.Errorf("intrinsic %q has no typed form", name)
+			continue
+		}
 		args, ok := argsOf[name]
 		if !ok {
 			t.Errorf("intrinsic %q has no test arguments", name)
@@ -81,15 +90,15 @@ func TestIntrinsicsDeterministicAndTotal(t *testing.T) {
 		}
 	}
 	// work's dynamic cost equals its argument, floored at zero.
-	if _, c := intrinsics["work"]([]Value{IntVal(123)}); c != 123 {
+	if _, c := boxed(vm.Intrinsics["work"])([]Value{IntVal(123)}); c != 123 {
 		t.Errorf("work cost = %d", c)
 	}
-	if _, c := intrinsics["work"]([]Value{IntVal(-5)}); c != 0 {
+	if _, c := boxed(vm.Intrinsics["work"])([]Value{IntVal(-5)}); c != 0 {
 		t.Errorf("negative work cost = %d", c)
 	}
 	// noise stays in [0,1).
 	for i := int64(0); i < 1000; i++ {
-		v, _ := intrinsics["noise"]([]Value{IntVal(i)})
+		v, _ := boxed(vm.Intrinsics["noise"])([]Value{IntVal(i)})
 		if v.F < 0 || v.F >= 1 {
 			t.Fatalf("noise(%d) = %v out of range", i, v.F)
 		}

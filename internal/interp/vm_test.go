@@ -45,8 +45,16 @@ func moduleOf(tb testing.TB, p *ir.Program) *vm.Module {
 // identical results, or identical errors.
 func runBoth(t *testing.T, label string, p *ir.Program) (*Result, error) {
 	t.Helper()
-	ref, refErr := Run(p, Options{Procs: 1, Engine: EngineInterp})
-	got, gotErr := Run(p, Options{Procs: 1, Engine: EngineVM})
+	return runBothWith(t, label, p, Options{Procs: 1})
+}
+
+// runBothWith is runBoth under opts, whose Engine it sets.
+func runBothWith(t *testing.T, label string, p *ir.Program, opts Options) (*Result, error) {
+	t.Helper()
+	opts.Engine = EngineInterp
+	ref, refErr := Run(p, opts)
+	opts.Engine = EngineVM
+	got, gotErr := Run(p, opts)
 	if fmt.Sprint(refErr) != fmt.Sprint(gotErr) {
 		t.Fatalf("%s: vm error %q, interpreter error %q", label, fmt.Sprint(gotErr), fmt.Sprint(refErr))
 	}
@@ -628,6 +636,47 @@ func TestUnwrittenLocalReadsZero(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Output, want) {
 		t.Errorf("out of line: output %v, want %v", res.Output, want)
+	}
+}
+
+// TestTailCallRestartRezeroes: a self tail call that restarts a frame
+// whose function reads a local before writing it re-zeroes that local, as
+// the interpreter's fresh frame for the call does. f(n) adds n into an
+// unwritten local and tail-calls f(n-1); its base case returns the local,
+// which every activation sees as zero.
+func TestTailCallRestartRezeroes(t *testing.T) {
+	f := &ir.Func{Name: "f", NParams: 1, RegKinds: []ir.ElemKind{rI, rI, rB, rI, rI, rI}, Code: []ir.Instr{
+		irIns(ir.OpConstInt, 3, no, no, 0),
+		irIns(ir.OpLeI, 2, 0, 3, 0),
+		irIns(ir.OpBrFalse, no, 2, no, 5),
+		irIns(ir.OpAddI, 5, 1, 3, 0), // the local, unwritten in this activation
+		irIns(ir.OpRet, no, 5, no, 0),
+		irIns(ir.OpAddI, 1, 1, 0, 0),
+		irIns(ir.OpConstInt, 3, no, no, 1),
+		irIns(ir.OpSubI, 4, 0, 3, 0),
+		irIns(ir.OpCall, 5, no, no, 1, 4),
+		irIns(ir.OpRet, no, 5, no, 0),
+	}}
+	main := &ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI}, Code: []ir.Instr{
+		irIns(ir.OpConstInt, 0, no, no, 5),
+		irIns(ir.OpCall, 1, no, no, 1, 0),
+		irIns(ir.OpPrint, no, 1, no, 0),
+		irIns(ir.OpRet, no, no, no, 0),
+	}}
+	p := irProgram(main, f)
+	m := moduleOf(t, p)
+	if fc := m.Funcs[1]; !fc.ZeroInts || fc.Plain[8].Op != vm.OpTailCall {
+		t.Fatalf("f: zeroes ints %v, pc 8 is %v; want a zeroing frame with a tail call", fc.ZeroInts, fc.Plain[8].Op)
+	}
+	if op := m.Funcs[0].Plain[1].Op; op != vm.OpCall {
+		t.Fatalf("f(5) compiled to %v, want a frame", op)
+	}
+	res, err := runBoth(t, "tail call over an unwritten local", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Output, []string{"0"}) {
+		t.Errorf("output %v, want [0]", res.Output)
 	}
 }
 

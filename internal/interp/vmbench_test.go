@@ -152,22 +152,37 @@ func fusionCoverage(tb testing.TB, prog *ir.Program, name string) (covered, tota
 // on the workload it was shaped on, as exact static slot counts: the share
 // of the tree descent that sits inside fused groups, and the dispatches the
 // groups remove from one straight-line pass over the module. The tree
-// descent's head is the descent loop.
+// descent's head is the descent loop, in its own function and in every
+// splice of it, whose entry is fused with the head.
 func TestFusionCoverageBarnesHut(t *testing.T) {
 	c, err := apps.Compile(apps.NameBarnesHut)
 	if err != nil {
 		t.Fatal(err)
 	}
+	splices := 0
 	for _, fc := range moduleOf(t, c.Parallel).Funcs {
 		if fc.Name == "Body::walk@original" && (fc.Code[0].Op != vm.OpDescend || fc.Code[0].Len != 4) {
 			t.Errorf("Body::walk: head is %v len %d, want %v len 4", fc.Code[0].Op, fc.Code[0].Len, vm.OpDescend)
 		}
+		for pc, in := range fc.Code {
+			if in.Op != vm.OpEnterDescend {
+				continue
+			}
+			splices++
+			if in.Len != 5 || fc.Code[pc+1].Op != vm.OpDescend || fc.Plain[pc].Op != vm.OpCallEnter {
+				t.Errorf("%s: pc %d: entry %v len %d before %v", fc.Name, pc, in.Op, in.Len, fc.Code[pc+1].Op)
+			}
+		}
+	}
+	// One walk call site in each of the three versions of interactions.
+	if splices != 3 {
+		t.Errorf("%d splices of the tree descent open with its head, want 3", splices)
 	}
 	if covered, total, _ := fusionCoverage(t, c.Parallel, "Body::walk@original"); covered != 19 || total != 23 {
 		t.Errorf("Body::walk: %d of %d slots inside fused groups, want 19 of 23", covered, total)
 	}
-	if _, total, saved := fusionCoverage(t, c.Parallel, ""); saved != 49 || total != 265 {
-		t.Errorf("module: groups remove %d of %d dispatches, want 49 of 265", saved, total)
+	if _, total, saved := fusionCoverage(t, c.Parallel, ""); saved != 63 || total != 265 {
+		t.Errorf("module: groups remove %d of %d dispatches, want 63 of 265", saved, total)
 	}
 }
 

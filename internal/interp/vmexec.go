@@ -62,7 +62,7 @@ frames:
 				in = &fr.fc.Plain[pc]
 			}
 			if censusOn {
-				censusOp(in.Op)
+				censusOp(t.mod, fr.fc, pc, in)
 			}
 
 			if in.Op >= vm.OpSyncStart {
@@ -268,7 +268,7 @@ frames:
 				fallthrough
 			case vm.OpTailCall:
 				if len(t.frames)+int(t.collapsed) > 10000 {
-					rt.fail("%s: call stack overflow", fr.fc.Name)
+					rt.fail("%s: call stack overflow", t.fname(fr.fc, pc-1))
 				}
 				// The argument plan is sequenced at compile time
 				// (vm.sequenceMoves): in-order copies within the frame.
@@ -282,14 +282,17 @@ frames:
 						ints[mv.Dst] = ints[mv.Src]
 					}
 				}
-				if fc := fr.fc; fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs {
+				// A restart at pc 0 re-enters the frame's function, whose
+				// push zeroes what it reads first; a splice's callee zeroes
+				// nothing.
+				if fc := fr.fc; in.E == 0 && (fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs) {
 					clear(ints[fc.PInts:fc.NInts])
 					clear(floats[fc.PFloats:fc.NFloats])
 					clear(refs[fc.PRefs:fc.NRefs])
 				}
-				fr.collapsed++
+				ints[in.D]++
 				t.collapsed++
-				pc = 0
+				pc = int(in.E)
 
 			case vm.OpCallExtI, vm.OpCallExtF:
 				fn := rt.prep.extFns[in.Imm]
@@ -314,20 +317,46 @@ frames:
 						ints[in.Dst] = v.I
 					}
 				}
+			case vm.OpCallFFF:
+				floats[in.Dst] = t.mod.Ext[in.Imm].FFF(floats[in.A], floats[in.B])
+			case vm.OpCallIF:
+				floats[in.Dst] = t.mod.Ext[in.Imm].IF(ints[in.A])
+			case vm.OpCallWork:
+				n := ints[in.A]
+				ints[in.Dst] = 0
+				acc += workCharge(n)
+			case vm.OpWorkParam:
+				n := rt.paramVals[in.Imm]
+				ints[in.Dst] = n
+				ints[in.B] = 0
+				acc += workCharge(n)
 
-			case vm.OpRetI, vm.OpRetF, vm.OpRetR, vm.OpRetVoid:
-				if fr.collapsed > 0 {
-					// Replay collapsed tail-call returns: the interpreter
-					// unwinds these as separate instructions, so each charge
-					// is its own budget step. This dispatch took the first;
-					// it takes as many more as the budget admits, short of
-					// the frame's real return.
-					n := min(fr.collapsed-1, int64(stepBudget-executed))
+			case vm.OpRetI, vm.OpRetF, vm.OpRetR, vm.OpRetVoid, vm.OpIRetN:
+				if n := ints[in.C]; n > 0 {
+					// Replay the collapsed tail calls' returns (ints[C]
+					// counts them): the interpreter unwinds these as separate
+					// instructions, so each charge is its own budget step.
+					// This dispatch took the first; the return itself takes
+					// one step more. A replay the budget cannot finish
+					// resumes here in the next dispatch.
+					if left := int64(stepBudget - executed); n > left {
+						executed = stepBudget
+						acc += simmach.Time(left) * simmach.Time(in.Cost)
+						ints[in.C] = n - 1 - left
+						t.collapsed -= 1 + left
+						pc--
+						continue
+					}
 					executed += int(n)
 					acc += simmach.Time(n) * simmach.Time(in.Cost)
-					fr.collapsed -= n + 1
-					t.collapsed -= n + 1
-					pc--
+					ints[in.C] = 0
+					t.collapsed -= n
+				}
+				if in.Op == vm.OpIRetN {
+					// A self-tail-recursive splice returns.
+					t.collapsed-- // the callee's frame the splice stands for
+					iretN(in, ints, floats, refs)
+					pc = int(in.Imm)
 					continue
 				}
 				// Deliver the value through the caller's frame, then re-enter
@@ -470,25 +499,14 @@ frames:
 				}
 
 			case vm.OpCallEnter:
-				// Open an inlined callee: zero its register ranges, then run
-				// the argument moves. The linkage charge is in in.Cost. The
-				// depth check mirrors the call this splice replaced.
-				if len(t.frames)+int(t.collapsed) > 10000 {
-					rt.fail("%s: call stack overflow", fr.fc.Name)
-				}
+				// Open an inlined callee: zero its register ranges, then the
+				// call-depth check and the argument moves (enter). The
+				// linkage charge is in in.Cost.
 				clear(ints[in.A:in.B])
 				clear(floats[in.C:in.Dst])
 				clear(refs[in.Imm>>32 : in.Imm&0xffffffff])
-				for _, mv := range in.Args {
-					switch mv.Bank {
-					case vm.BankFloat:
-						floats[mv.Dst] = floats[mv.Src]
-					case vm.BankRef:
-						refs[mv.Dst] = refs[mv.Src]
-					default:
-						ints[mv.Dst] = ints[mv.Src]
-					}
-				}
+				t.enter(fr.fc, in.Args, ints, floats, refs)
+				t.collapsed += int64(in.D)
 			case vm.OpIRetI:
 				ints[in.Dst] = ints[in.A]
 				pc = int(in.Imm)
@@ -531,6 +549,14 @@ frames:
 			case vm.OpMulIK:
 				ints[in.B] = in.Imm
 				ints[in.Dst] = ints[in.A] * in.Imm
+			case vm.OpEnterDescend:
+				// A self-tail-recursive splice opens, and its body's descent
+				// head runs: the entry's moves ride in Args, and the one
+				// register it zeroes is the plan's collapse counter.
+				ints[fr.fc.Descents[in.D].Count] = 0
+				t.enter(fr.fc, in.Args, ints, floats, refs)
+				t.collapsed++
+				fallthrough
 			case vm.OpDescend:
 				// The head is charged. Whole levels (g2, g3, an arm with its
 				// self tail call, and the next head) run here with lo, hi and
@@ -541,7 +567,7 @@ frames:
 				// Then the head runs as its own group on the final lo and hi,
 				// so a descent that goes on leaves pc on g2 and the ordinary
 				// groups take over.
-				d := fr.fc.Descent
+				d := &fr.fc.Descents[in.D]
 				depth := 10001 - len(t.frames) - int(t.collapsed)
 				lo, hi, k := ints[d.Lo], ints[d.Hi], ints[d.K]
 				g3 := &code[d.G3]
@@ -564,7 +590,7 @@ frames:
 				}
 				if levels > 0 {
 					acc += simmach.Time(levels) * simmach.Time(d.Cost)
-					fr.collapsed += int64(levels)
+					ints[d.Count] += int64(levels)
 					t.collapsed += int64(levels)
 					if censusOn {
 						censusLevels(levels)
@@ -583,7 +609,7 @@ frames:
 						}
 					}
 				}
-				ints[in.A] = ints[in.D] - ints[in.E]
+				ints[in.A] = ints[d.Hi] - ints[d.Lo]
 				fallthrough
 			case vm.OpLeIKBr:
 				ints[in.B] = in.Imm
@@ -624,6 +650,52 @@ frames:
 		t.acc = acc
 		t.flush(p)
 		return simmach.Ready, false
+	}
+}
+
+// enter opens an inlined callee in a frame of fc: the call-depth check of
+// the call the splice replaced, then the argument moves. A
+// self-tail-recursive callee's splice then stands for its frame in the
+// task's collapse total until its OpIRetN.
+func (t *vmTask) enter(fc *vm.FuncCode, moves []vm.ArgMove, ints []int64, floats []float64, refs []*Object) {
+	if len(t.frames)+int(t.collapsed) > 10000 {
+		t.rt.fail("%s: call stack overflow", fc.Name)
+	}
+	for _, mv := range moves {
+		switch mv.Bank {
+		case vm.BankFloat:
+			floats[mv.Dst] = floats[mv.Src]
+		case vm.BankRef:
+			refs[mv.Dst] = refs[mv.Src]
+		default:
+			ints[mv.Dst] = ints[mv.Src]
+		}
+	}
+}
+
+// iretN delivers an OpIRetN's value to the caller's slot. A void return
+// writes the zero of the destination's bank, as a frame's return does.
+func iretN(in *vm.Instr, ints []int64, floats []float64, refs []*Object) {
+	if in.Dst < 0 {
+		return
+	}
+	// The value's slot is the callee's, never the caller's Dst.
+	switch in.B {
+	case vm.BankFloat:
+		floats[in.Dst] = 0
+		if in.A >= 0 {
+			floats[in.Dst] = floats[in.A]
+		}
+	case vm.BankRef:
+		refs[in.Dst] = nil
+		if in.A >= 0 {
+			refs[in.Dst] = refs[in.A]
+		}
+	default:
+		ints[in.Dst] = 0
+		if in.A >= 0 {
+			ints[in.Dst] = ints[in.A]
+		}
 	}
 }
 

@@ -27,8 +27,9 @@ func vmModuleFor(p *ir.Program) (*vm.Module, error) {
 }
 
 // vmFrame is one activation record over the three banks. The windows are
-// re-pointed whenever a bank arena grows. collapsed counts tail calls
-// that reused this frame; the eventual return replays their charges.
+// re-pointed whenever a bank arena grows. The count of tail calls that
+// reused the frame, whose charges the eventual return replays, is its int
+// slot fc.NInts (vm.FuncCode).
 type vmFrame struct {
 	fc                  *vm.FuncCode
 	pc                  int
@@ -38,7 +39,6 @@ type vmFrame struct {
 	refs                []*Object
 	retSlot             int32
 	retBank             uint8
-	collapsed           int64
 }
 
 // vmTask is the bytecode executor: typed register banks over a compiled
@@ -51,8 +51,10 @@ type vmTask struct {
 	intStack   []int64
 	floatStack []float64
 	refStack   []*Object
-	// collapsed sums the collapsed counters of every live frame, so the
-	// call-depth check sees the same stack height the interpreter would.
+	// collapsed sums the collapse counters of every live frame and of
+	// every open self-tail-recursive splice, plus one for each such splice
+	// (the frame it stands for), so the call-depth check sees the same
+	// stack height the interpreter would.
 	collapsed int64
 }
 
@@ -128,6 +130,7 @@ func (t *vmTask) push(funcID int, retSlot int32, retBank uint8) {
 	if fc.ZeroRefs {
 		clear(refs[:fc.NRefs])
 	}
+	ints[fc.NInts] = 0 // the collapse counter
 	t.frames = append(t.frames, vmFrame{
 		fc: fc, ibase: ib, fbase: fb, rbase: rb,
 		ints: ints, floats: floats, refs: refs,

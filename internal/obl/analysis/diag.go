@@ -222,17 +222,6 @@ func MaxSeverity(diags []Diagnostic) Severity {
 	return max
 }
 
-// Filter returns the diagnostics at or above the given severity.
-func Filter(diags []Diagnostic, min Severity) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range diags {
-		if d.Severity >= min {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // RenderText writes one line per diagnostic.
 func RenderText(w io.Writer, diags []Diagnostic) error {
 	for _, d := range diags {

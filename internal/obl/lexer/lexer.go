@@ -215,17 +215,3 @@ func (l *Lexer) number(p token.Pos) token.Token {
 	}
 	return token.Token{Kind: token.Int, Lit: lit, Pos: p}
 }
-
-// All scans the entire input and returns every token up to and including
-// EOF. It is a convenience for tests and tools.
-func All(src string) []token.Token {
-	l := New(src)
-	var out []token.Token
-	for {
-		t := l.Next()
-		out = append(out, t)
-		if t.Kind == token.EOF {
-			return out
-		}
-	}
-}

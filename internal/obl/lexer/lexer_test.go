@@ -6,8 +6,22 @@ import (
 	"repro/internal/obl/token"
 )
 
+// all scans the entire input and returns every token up to and including
+// EOF.
+func all(src string) []token.Token {
+	l := New(src)
+	var out []token.Token
+	for {
+		t := l.Next()
+		out = append(out, t)
+		if t.Kind == token.EOF {
+			return out
+		}
+	}
+}
+
 func kinds(src string) []token.Kind {
-	toks := All(src)
+	toks := all(src)
 	out := make([]token.Kind, len(toks))
 	for i, t := range toks {
 		out[i] = t.Kind
@@ -47,7 +61,7 @@ func TestOperators(t *testing.T) {
 }
 
 func TestNumbers(t *testing.T) {
-	toks := All("42 3.5 1e6 2.5e-3 0..10")
+	toks := all("42 3.5 1e6 2.5e-3 0..10")
 	wantKinds := []token.Kind{token.Int, token.Float, token.Float, token.Float, token.Int, token.DotDot, token.Int, token.EOF}
 	wantLits := []string{"42", "3.5", "1e6", "2.5e-3", "0", "", "10", ""}
 	for i, k := range wantKinds {
@@ -61,7 +75,7 @@ func TestNumbers(t *testing.T) {
 }
 
 func TestRangeAfterNumberIsNotFloat(t *testing.T) {
-	toks := All("for i in 0..n")
+	toks := all("for i in 0..n")
 	// 0 must lex as Int, then DotDot.
 	if toks[3].Kind != token.Int || toks[4].Kind != token.DotDot {
 		t.Fatalf("got %v %v, want Int DotDot", toks[3], toks[4])
@@ -79,7 +93,7 @@ func TestComments(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	toks := All("a\n  bb")
+	toks := all("a\n  bb")
 	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
 		t.Errorf("a at %v, want 1:1", toks[0].Pos)
 	}
@@ -103,7 +117,7 @@ func TestIllegal(t *testing.T) {
 
 func TestKeywordsAll(t *testing.T) {
 	for word, kind := range token.Keywords {
-		toks := All(word)
+		toks := all(word)
 		if toks[0].Kind != kind {
 			t.Errorf("%q lexed as %v, want %v", word, toks[0].Kind, kind)
 		}

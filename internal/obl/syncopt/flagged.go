@@ -36,17 +36,6 @@ func (fi *FlaggedInfo) ActiveFor(site int, p Policy) bool {
 	return vec[site-1]
 }
 
-// ActiveSites returns the number of sites a policy enables.
-func (fi *FlaggedInfo) ActiveSites(p Policy) int {
-	n := 0
-	for _, on := range fi.Enabled[p] {
-		if on {
-			n++
-		}
-	}
-	return n
-}
-
 // flagDispatch is the generator of §4.2's single-version code: every
 // region is a conditional site, and a policy is the set of sites it
 // enables. Coalescing and lifting create enclosing sites enabled for the

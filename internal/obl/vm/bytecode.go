@@ -72,9 +72,11 @@ type FuncCode struct {
 	ID   int
 
 	// Frame geometry. NInts/NFloats/NRefs are the bank sizes the original
-	// registers occupy — the region zeroed on frame push. FrameInts etc.
-	// include ranges appended by inline expansion, which OpCallEnter
-	// zeroes lazily instead.
+	// registers occupy — the region zeroed on frame push. Int slot NInts is
+	// the frame's collapse counter, which every push zeroes: the self tail
+	// calls that reused the frame, whose returns the eventual OpRet*
+	// replays. FrameInts etc. include it and the ranges appended by inline
+	// expansion, which OpCallEnter zeroes lazily instead.
 	NInts, NFloats, NRefs             int32
 	FrameInts, FrameFloats, FrameRefs int32
 	// ZeroInts/ZeroFloats/ZeroRefs say whether a fresh activation must
@@ -105,15 +107,18 @@ type FuncCode struct {
 	// Src locates every slot's Plain instruction in the source program; a
 	// fused group's faults come from its head slot or its plain slots.
 	Src []SrcPos
-	// Descent is the register plan of OpDescend at pc 0, nil for every
-	// function without that head.
-	Descent *Descent
+	// Descents holds the register plan of every OpDescend head, in pc
+	// order; a head's D indexes it.
+	Descents []Descent
 }
 
 // Module is a compiled program.
 type Module struct {
 	Prog  *ir.Program
 	Funcs []*FuncCode
+	// Ext[i] is the host implementation of Prog.Externs[i] (Intrinsics),
+	// the zero Intrinsic for a name that has none.
+	Ext []Intrinsic
 }
 
 // bankOf maps a register kind to its bank.

@@ -9,15 +9,20 @@ import (
 // Compile builds the one module a program ever has: frame layout, the 1:1
 // translation, tail-call marking, the frame-zeroing decision, inline
 // expansion and superinstruction fusion, every pass a function of the
-// program alone. It returns an error when a function lacks the
-// register-kind metadata lowering records (hand-built programs), when
-// the metadata is inconsistent with how the code uses registers, and for
-// a conditional sync site (ir.OpAcquireIf, ir.OpReleaseIf): flag dispatch
-// runs only on the reference oracle.
+// program alone. A call to an extern whose host implementation
+// (Intrinsics) has an unboxed opcode compiles to that opcode when its
+// operands have the form's kinds. It returns an error when a function
+// lacks the register-kind metadata lowering records (hand-built
+// programs), when the metadata is inconsistent with how the code uses
+// registers, and for a conditional sync site (ir.OpAcquireIf,
+// ir.OpReleaseIf): flag dispatch runs only on the reference oracle.
 // Compilation never changes observable behaviour: every returned module
 // executes bit-identically to the interpreter.
 func Compile(p *ir.Program) (*Module, error) {
-	m := &Module{Prog: p, Funcs: make([]*FuncCode, len(p.Funcs))}
+	m := &Module{Prog: p, Funcs: make([]*FuncCode, len(p.Funcs)), Ext: make([]Intrinsic, len(p.Externs))}
+	for i, e := range p.Externs {
+		m.Ext[i] = Intrinsics[e.Name]
+	}
 	// Frame geometry first: call translation needs every callee's
 	// parameter slots regardless of definition order.
 	for id, f := range p.Funcs {
@@ -74,7 +79,8 @@ func layout(f *ir.Func, id int) (*FuncCode, error) {
 		}
 	}
 	fc.NInts, fc.NFloats, fc.NRefs = counts[0], counts[1], counts[2]
-	fc.FrameInts, fc.FrameFloats, fc.FrameRefs = counts[0], counts[1], counts[2]
+	// The int slot after the registers is the frame's collapse counter.
+	fc.FrameInts, fc.FrameFloats, fc.FrameRefs = counts[0]+1, counts[1], counts[2]
 	return fc, nil
 }
 
@@ -304,12 +310,16 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode) error {
 				}
 			}
 		case ir.OpCallExtern:
+			o.Imm = in.Imm
+			o.Cost = int32(ir.Instr{Op: ir.OpCallExtern}.Cost() + p.Externs[in.Imm].Cost)
+			if unboxed(o, m.Ext[in.Imm].Form(), in, fc, f.RegKinds) {
+				break
+			}
 			moves := make([]ArgMove, len(in.Args))
 			for i, r := range in.Args {
 				moves[i] = ArgMove{Bank: fc.RegBank[r], Src: slot(r), Dst: int32(i)}
 			}
-			o.Imm, o.Args = in.Imm, moves
-			o.Cost = int32(ir.Instr{Op: ir.OpCallExtern}.Cost() + p.Externs[in.Imm].Cost)
+			o.Args = moves
 			o.Dst = -1
 			o.Op = OpCallExtI
 			if in.Dst != ir.NoReg {
@@ -324,6 +334,7 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode) error {
 				}
 			}
 		case ir.OpRet:
+			o.C = fc.NInts // the frame's collapse counter
 			if in.A == ir.NoReg {
 				o.Op = OpRetVoid
 				break
@@ -480,8 +491,48 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode) error {
 	return nil
 }
 
+// externSigs gives a typed form its unboxed opcode and the operand kinds a
+// call must have to use it (bool arguments count as int words, as boxing
+// makes them). Lowering gives every call a result register, work's an int
+// one. Only the forms the census workloads call have an opcode; the
+// others stay boxed.
+var externSigs = [...]struct {
+	op   Op
+	args []ir.ElemKind
+	res  ir.ElemKind
+}{
+	ExtFFF:  {OpCallFFF, []ir.ElemKind{ir.ElemFloat, ir.ElemFloat}, ir.ElemFloat},
+	ExtIF:   {OpCallIF, []ir.ElemKind{ir.ElemInt}, ir.ElemFloat},
+	ExtWork: {OpCallWork, []ir.ElemKind{ir.ElemInt}, ir.ElemInt},
+}
+
+// unboxed compiles an extern call to the unboxed opcode of its extern's
+// form when the call's operands have the form's kinds, and reports whether
+// it did. A call without a result register, or whose operands do not fit,
+// stays boxed.
+func unboxed(o *Instr, form ExternForm, in ir.Instr, fc *FuncCode, kinds []ir.ElemKind) bool {
+	if int(form) >= len(externSigs) || externSigs[form].op == 0 {
+		return false
+	}
+	sig := externSigs[form]
+	if in.Dst == ir.NoReg || kinds[in.Dst] != sig.res || len(in.Args) != len(sig.args) {
+		return false
+	}
+	for i, r := range in.Args {
+		if k := kinds[r]; k != sig.args[i] && (k != ir.ElemBool || sig.args[i] != ir.ElemInt) {
+			return false
+		}
+	}
+	o.Op, o.Dst, o.A = sig.op, fc.RegSlot[in.Dst], fc.RegSlot[in.Args[0]]
+	if len(in.Args) > 1 {
+		o.B = fc.RegSlot[in.Args[1]]
+	}
+	return true
+}
+
 // markTailCalls rewrites self-recursive calls in tail position into
-// OpTailCall.
+// OpTailCall, restarting at pc 0 on the frame's collapse counter (int slot
+// NInts), which every return of the function replays.
 //
 // Soundness: the eventual return replays its own instruction once per
 // collapsed frame, reading the innermost activation's registers. A
@@ -527,7 +578,7 @@ func markTailCalls(fc *FuncCode) {
 			continue
 		}
 		if seq, ok := sequenceMoves(fc, in.Args); ok {
-			in.Op, in.Args = OpTailCall, seq
+			in.Op, in.Args, in.D, in.E = OpTailCall, seq, fc.NInts, 0
 		}
 	}
 }

@@ -17,21 +17,26 @@
 //     include the extern's declared cost), call sites carry resolved
 //     argument-move plans, and self tail calls reuse the frame through a
 //     move plan sequenced here into plain in-order copies.
+//   - An extern call whose host implementation (Intrinsics) has a typed
+//     form with an unboxed opcode passes its operands unboxed: no []Value
+//     is built.
 //   - Each function records which register banks a fresh frame must zero
 //     (FuncCode.ZeroInts etc.): only those in which a register can be
 //     read before it is written, which lowered code never does.
 //
 // Two further compile passes (specialize.go) then rewrite the translated
 // code wherever their patterns match: inline expansion of small leaf
-// callees, and superinstructions. The superinstruction set is the one the
-// dispatch census of the benchmark workloads dispatches (internal/interp's
-// census build): lt.i+br, the serial-loop latch, const.i K folded into
-// add/sub/mul and into le.i+brfalse, and the longer census groups. A
+// callees, self-tail-recursive ones included, and superinstructions. The
+// superinstruction set is the one the dispatch census of the benchmark
+// workloads dispatches (internal/interp's census build): lt.i+br, the
+// serial-loop latch, const.i K folded into add/sub/mul and into
+// le.i+brfalse, loadparam feeding work, and the longer census groups. A
 // group no census section runs is deleted, and the census test fails if
 // one is added. A function that is one level of a binary descent closed
 // by a self tail call gets the loop superinstruction OpDescend at its
-// head and a register plan (Descent), with which the engine runs whole
-// levels of those groups in one dispatch, lo, hi and k in host registers.
+// head, and so does every splice of it, and a register plan (Descent),
+// with which the engine runs whole levels of those groups in one
+// dispatch, lo, hi and k in host registers.
 //
 // The contract with the execution engine (interp's vm task) is strict
 // bit-for-bit equivalence with the interpreter: identical virtual times,
@@ -109,7 +114,14 @@ const (
 	OpCall
 	OpCallExtI // ints[Dst] = extern(...).I
 	OpCallExtF // floats[Dst] = extern(...).F
-	OpRetI     // return ints[A]
+	// Unboxed extern calls, one per ExternForm the census workloads call:
+	// Imm is the extern, the arguments are A and B, and no []Value is built.
+	OpCallFFF  // floats[Dst] = extern(floats[A], floats[B])
+	OpCallIF   // floats[Dst] = extern(ints[A])
+	OpCallWork // ints[Dst] = 0; charge ints[A] virtual ns, floored at zero (work)
+	// Returns. ints[C] is the frame's collapse counter: the returns of the
+	// self tail calls that reused the frame are replayed first (OpTailCall).
+	OpRetI // return ints[A]
 	OpRetF
 	OpRetR
 	OpRetVoid
@@ -144,20 +156,31 @@ const (
 
 	// OpTailCall is a self-recursive call in tail position: the frame is
 	// reused (Args is a sequenced move plan, run as in-order copies within
-	// the frame; locals are re-zeroed only if the function needs zeroed
-	// registers) and a collapse counter is incremented so the eventual
-	// OpRet replays the intermediate returns' charges, each one
-	// instruction of the step budget — dispatch boundaries land exactly
-	// where the interpreter's unwind puts them.
+	// the frame) and the collapse counter ints[D] is incremented so the
+	// eventual return (OpRet*, OpIRetN) replays the intermediate returns'
+	// charges, each one instruction of the step budget — dispatch
+	// boundaries land exactly where the interpreter's unwind puts them.
+	// The call restarts at pc E: pc 0 of a frame, whose locals are
+	// re-zeroed only if the function needs zeroed registers, or the body
+	// head of a splice, whose callee zeroes nothing.
 	OpTailCall
 
 	// Inline expansion. OpCallEnter opens an inlined callee: it charges
 	// the call linkage cost and zeroes the callee's register ranges
 	// (A..B ints, C..Dst floats, Imm packs the ref range; empty for a bank
-	// the callee needs no zeroing of) before the argument moves. OpIRet*
-	// are the callee's returns: they write the caller's result slot (Dst;
-	// bank implied) and jump to the splice end.
+	// the callee needs no zeroing of) before the argument moves. D is 1
+	// when the callee is self-tail-recursive: the splice then stands for a
+	// frame the call-depth checks count, and its int range is the splice's
+	// collapse counter (such a callee zeroes nothing). OpIRet* are the
+	// callee's returns: they write the caller's result slot (Dst; bank
+	// implied) and jump to the splice end.
 	OpCallEnter
+	// OpIRetN is a self-tail-recursive callee's return: ints[C] counts the
+	// tail calls the splice collapsed, and their returns are replayed as
+	// one budget step each, by OpRet*'s code; then caller slot
+	// Dst (-1 none) of bank B = the value in slot A of bank B (A -1: a void
+	// return, the bank's zero); pc = Imm.
+	OpIRetN
 	OpIRetI // caller slot Dst = ints[A]; pc = Imm
 	OpIRetF
 	OpIRetR
@@ -199,8 +222,8 @@ const (
 	OpModIKEqIKBr
 	// OpIKTailCall is a const.i K feeding add/sub/mul/div/mod (the plain
 	// arithmetic opcode in C) followed by a self tail call: ints[B] = Imm;
-	// ints[Dst] = ints[A] <op> Imm; then OpTailCall with Args (Len 3; Imm
-	// != 0 for div and mod).
+	// ints[Dst] = ints[A] <op> Imm; then OpTailCall with Args, D and E
+	// (Len 3; Imm != 0 for div and mod).
 	OpIKTailCall
 	// OpAddFieldF is a float field read-modify-write on one object and
 	// field: floats[D] = refs[A].Fields[Imm].F; floats[Dst] = floats[B] +
@@ -208,19 +231,28 @@ const (
 	OpAddFieldF
 
 	// OpDescend is the loop superinstruction of a binary descent: the
-	// head of a function whose pc-0 slots sub.i, const.i K, le.i, brfalse
-	// test hi - lo <= K and, when the branch is not taken, lead through
+	// head of a function (pc 0) or of a self-tail-recursive splice (its
+	// body's first slot) whose slots sub.i, const.i K, le.i, brfalse test
+	// hi - lo <= K and, when the branch is not taken, lead through
 	// OpAddDivIKMov, OpModIKEqIKBr and one of two OpIKTailCall div arms
-	// back to pc 0, every divisor a power of two, with the dataflow
-	// FuncCode.Descent records (descentPlan). Its Len is 4, it carries the
-	// head's fields (ints[A] = ints[D] - ints[E], then those of OpLeIKBr),
-	// and the slots after it stay plain; the other groups keep their own
+	// back to the head, every divisor a power of two, with the dataflow
+	// FuncCode.Descents[D] records (descentPlan). Its Len is 4, it carries
+	// the head's fields (ints[A] = hi - lo, then those of OpLeIKBr), and
+	// the slots after it stay plain; the other groups keep their own
 	// slots. The handler runs whole levels with lo, hi and k in host
 	// registers, as many as the budget admits whole and the call-depth
 	// check admits, writes the bank back once, and then runs the head
 	// itself on the final lo and hi: a level the budget cannot admit whole
 	// runs as the ordinary groups.
 	OpDescend
+	// OpEnterDescend is a self-tail-recursive splice's OpCallEnter and the
+	// OpDescend head of its body as one group (Len 5): the fields are the
+	// head's, Args is the entry's, and the one register the entry zeroes
+	// is the plan's collapse counter.
+	OpEnterDescend
+	// OpWorkParam is loadparam feeding work: ints[Dst] = Params[Imm],
+	// ints[B] = 0, and Params[Imm] charged as OpCallWork charges it (Len 2).
+	OpWorkParam
 
 	// Synchronization and section entry. These are kept in one contiguous
 	// range so the dispatch loop recognizes the yield-first instructions
@@ -251,6 +283,7 @@ var opNames = [...]string{
 	OpNot:  "not",
 	OpJump: "jump", OpBrFalse: "brfalse",
 	OpCall: "call", OpCallExtI: "callext.i", OpCallExtF: "callext.f",
+	OpCallFFF: "callext.fff", OpCallIF: "callext.if", OpCallWork: "callext.work",
 	OpRetI: "ret.i", OpRetF: "ret.f", OpRetR: "ret.r", OpRetVoid: "ret",
 	OpNew: "new", OpNewArr: "newarr",
 	OpLoadFieldI: "ldfld.i", OpLoadFieldF: "ldfld.f", OpLoadFieldR: "ldfld.r",
@@ -261,13 +294,13 @@ var opNames = [...]string{
 	OpStoreIndexR: "stidx.r", OpLen: "len",
 	OpPrintI: "print.i", OpPrintB: "print.b", OpPrintF: "print.f", OpPrintR: "print.r",
 	OpTailCall:  "tailcall",
-	OpCallEnter: "callenter",
-	OpIRetI:     "iret.i", OpIRetF: "iret.f", OpIRetR: "iret.r", OpIRetVoid: "iret",
+	OpCallEnter: "callenter", OpIRetN: "iret.n",
+	OpIRetI: "iret.i", OpIRetF: "iret.f", OpIRetR: "iret.r", OpIRetVoid: "iret",
 	OpLtIBr: "lt.i+br", OpInc1Jump: "inc1+jump",
 	OpAddIK: "add.ik", OpSubIK: "sub.ik", OpMulIK: "mul.ik", OpLeIKBr: "le.ik+br",
 	OpAddDivIKMov: "add.i+div.ik+mov.i", OpModIKEqIKBr: "mod.ik+eq.ik+br",
 	OpIKTailCall: "arith.ik+tailcall", OpAddFieldF: "ldfld.f+add.f+stfld.f",
-	OpDescend: "descend",
+	OpDescend: "descend", OpEnterDescend: "callenter+descend", OpWorkParam: "loadparam+work",
 	OpAcquire: "acquire", OpRelease: "release", OpParallel: "parallel",
 }
 
@@ -300,6 +333,7 @@ var opRegs = [opCount]struct{ dst, a, b, c uint8 }{
 	OpI2F: {xF, xI, 0, 0}, OpF2I: {xI, xF, 0, 0},
 	OpBrFalse:  {a: xI},
 	OpCallExtI: {dst: xI}, OpCallExtF: {dst: xF},
+	OpCallFFF: {xF, xF, xF, 0}, OpCallIF: {xF, xI, 0, 0}, OpCallWork: {xI, xI, 0, 0},
 	OpRetI: {a: xI}, OpRetF: {a: xF}, OpRetR: {a: xR},
 	OpNew: {dst: xR}, OpNewArr: {xR, xI, 0, 0},
 	OpLoadFieldI: {xI, xR, 0, 0}, OpLoadFieldF: {xF, xR, 0, 0}, OpLoadFieldR: {xR, xR, 0, 0},

@@ -10,7 +10,10 @@ package vm
 //     Charges and instruction counts are preserved one-for-one
 //     (OpCallEnter charges what OpCall did and zeroes the ranges the push
 //     would have zeroed; OpIRet* charge what OpRet did), so dispatch
-//     boundaries do not move.
+//     boundaries do not move. A leaf whose only calls are self tail calls
+//     is spliced too: its tail calls jump back to the splice's body on a
+//     collapse counter in the caller's frame, and its OpIRetN returns
+//     replay the counted returns as OpRet* replays a frame's.
 //   - Superinstruction fusion: the groups the dispatch census of the
 //     benchmark workloads dispatches, and no others, collapse into single
 //     dispatches: lt.i+br, the three-instruction serial-loop latch
@@ -20,9 +23,11 @@ package vm
 //     and step-budget boundaries behave exactly as unfused code. A
 //     function that is one level of a binary descent closed by a self tail
 //     call then gets the loop superinstruction OpDescend at its head and a
-//     register plan (descentPlan): one dispatch runs as many whole levels
-//     as the step budget admits with lo, hi and k in host registers, and
-//     a level the budget cannot admit whole runs as the ordinary groups.
+//     register plan (descentPlan), and so does the body head of every
+//     splice of it, fused with the splice's entry: one dispatch runs as
+//     many whole levels as the step budget admits with lo, hi and k in
+//     host registers, and a level the budget cannot admit whole runs as
+//     the ordinary groups.
 //
 // Neither changes observable behaviour; they only reduce dispatches and
 // memory traffic per simulated instruction.
@@ -40,41 +45,61 @@ const (
 )
 
 // inlinable reports whether a function body can be spliced into a
-// caller: no calls of any kind, no section entry, and no way for the pc
-// to run off the end of the body (so execution always leaves the splice
-// through a return, never by falling into the caller's next instruction).
-func inlinable(fc *FuncCode) bool {
+// caller, and whether it is self-tail-recursive: no calls of any kind but
+// self tail calls, no section entry, and no way for the pc to run off the
+// end of the body (so execution always leaves the splice through a
+// return, never by falling into the caller's next instruction). A
+// self-tail-recursive body must also zero no bank, since its tail calls
+// restart the splice over the registers they leave.
+func inlinable(fc *FuncCode) (ok, tail bool) {
 	n := len(fc.Plain)
 	if n == 0 {
-		return false
+		return false, false
 	}
 	switch fc.Plain[n-1].Op {
 	case OpRetI, OpRetF, OpRetR, OpRetVoid, OpJump:
 	default:
-		return false
+		return false, false
 	}
 	for pc := range fc.Plain {
 		in := &fc.Plain[pc]
 		switch in.Op {
-		case OpCall, OpTailCall, OpCallEnter, OpParallel,
-			OpIRetI, OpIRetF, OpIRetR, OpIRetVoid:
-			return false
+		case OpTailCall:
+			tail = true
+		case OpCall, OpCallEnter, OpParallel,
+			OpIRetN, OpIRetI, OpIRetF, OpIRetR, OpIRetVoid:
+			return false, false
 		case OpJump, OpBrFalse:
 			if int(in.Imm) >= n {
-				return false
+				return false, false
 			}
 		}
 	}
-	return true
+	if tail && (fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs) {
+		return false, false
+	}
+	return true, tail
 }
 
 // inlineExpand splices every small leaf callee into fc's plain stream,
 // growing fc's frame by each splice's register ranges. Leaf callees hold
-// no calls, so their own streams are never expanded: the pass reads the
-// same callee code whichever function it visits first.
+// no calls but self tail calls, so their own streams are never expanded:
+// the pass reads the same callee code whichever function it visits first.
+//
+// A splice's int range holds the callee's collapse counter too, which
+// OpCallEnter zeroes for a self-tail-recursive callee. Inside the splice a
+// tail call is the in-frame argument moves, a count and a jump back to the
+// body's first slot, and every return is an OpIRetN that replays the
+// counted returns. The splice stands for the callee's frame: OpCallEnter
+// counts it in the task's collapse total, which every call-depth check
+// reads, and OpIRetN takes it out again.
 func (m *Module) inlineExpand(fc *FuncCode) {
+	type site struct {
+		callee *FuncCode
+		tail   bool // self-tail-recursive
+	}
 	src := fc.Plain
-	splice := make(map[int]*FuncCode)
+	splice := make(map[int]site)
 	grow := 0
 	for pc := range src {
 		in := &src[pc]
@@ -82,13 +107,14 @@ func (m *Module) inlineExpand(fc *FuncCode) {
 			continue
 		}
 		callee := m.Funcs[in.Imm]
-		if len(callee.Plain) > maxInlineLen || !inlinable(callee) {
+		ok, tail := inlinable(callee)
+		if !ok || len(callee.Plain) > maxInlineLen {
 			continue
 		}
 		if len(src)+grow+len(callee.Plain) > maxFuncGrowth {
 			break
 		}
-		splice[pc] = callee
+		splice[pc] = site{callee, tail}
 		grow += len(callee.Plain)
 	}
 	if len(splice) == 0 {
@@ -103,7 +129,7 @@ func (m *Module) inlineExpand(fc *FuncCode) {
 		newPC[pc] = int32(len(out))
 		in := src[pc]
 		pos = append(pos, fc.Src[pc])
-		callee, ok := splice[pc]
+		sp, ok := splice[pc]
 		if !ok {
 			if in.Op == OpJump || in.Op == OpBrFalse {
 				fixups = append(fixups, len(out))
@@ -112,9 +138,11 @@ func (m *Module) inlineExpand(fc *FuncCode) {
 			continue
 		}
 
-		// Fresh register ranges for this splice.
+		// Fresh register ranges for this splice, the callee's collapse
+		// counter included (a leaf's frame holds nothing else).
+		callee := sp.callee
 		ib, fb, rb := fc.FrameInts, fc.FrameFloats, fc.FrameRefs
-		fc.FrameInts += callee.NInts
+		fc.FrameInts += callee.FrameInts
 		fc.FrameFloats += callee.NFloats
 		fc.FrameRefs += callee.NRefs
 		base := [4]int32{0, ib, fb, rb} // indexed by bank+1, as opRegs is
@@ -134,34 +162,32 @@ func (m *Module) inlineExpand(fc *FuncCode) {
 		if callee.ZeroRefs {
 			zr = callee.NRefs
 		}
-		out = append(out, Instr{
+		enter := Instr{
 			Op: OpCallEnter, Len: 1, Cost: in.Cost,
 			A: ib, B: ib + zi, C: fb, Dst: fb + zf,
 			Imm:  int64(rb)<<32 | int64(rb+zr),
 			Args: moves,
-		})
+		}
+		if sp.tail {
+			// The callee zeroes nothing: the int range is its counter.
+			enter.A, enter.B, enter.D = ib+callee.NInts, ib+callee.NInts+1, 1
+		}
+		out = append(out, enter)
 
 		bodyStart := int32(len(out))
 		end := int64(bodyStart) + int64(len(callee.Plain))
 		pos = append(pos, callee.Src...)
 		for _, cin := range callee.Plain {
 			switch cin.Op {
-			case OpRetI, OpRetF, OpRetR:
-				// OpIRetI/F/R are declared in the order of OpRetI/F/R.
-				o := Instr{Op: OpIRetI + cin.Op - OpRetI, Len: 1, Cost: cin.Cost,
-					A: cin.A + base[opRegs[cin.Op].a], Imm: end}
-				if in.Dst < 0 {
-					// Result discarded at the call site.
-					o.Op, o.Dst = OpIRetVoid, -1
-				} else {
-					o.Dst = in.Dst
+			case OpRetI, OpRetF, OpRetR, OpRetVoid:
+				out = append(out, iret(cin, in, &base, sp.tail, end))
+			case OpTailCall:
+				amoves := make([]ArgMove, len(cin.Args))
+				for i, mv := range cin.Args {
+					amoves[i] = ArgMove{Bank: mv.Bank, Src: mv.Src + base[mv.Bank+1], Dst: mv.Dst + base[mv.Bank+1]}
 				}
-				out = append(out, o)
-			case OpRetVoid:
-				out = append(out, Instr{
-					Op: OpIRetVoid, Len: 1, Cost: cin.Cost,
-					Dst: in.Dst, B: in.C, Imm: end,
-				})
+				cin.Args, cin.D, cin.E = amoves, cin.D+ib, bodyStart
+				out = append(out, cin)
 			default:
 				remapSlots(&cin, &base)
 				if cin.Op == OpJump || cin.Op == OpBrFalse {
@@ -185,6 +211,30 @@ func (m *Module) inlineExpand(fc *FuncCode) {
 	fc.Plain, fc.Src = out, pos
 }
 
+// iret is a spliced callee's return ret for the call site call: it writes
+// the caller's result slot and jumps to end. A self-tail-recursive
+// callee's return replays the splice's collapse counter first.
+func iret(ret, call Instr, base *[4]int32, tail bool, end int64) Instr {
+	o := Instr{Len: 1, Cost: ret.Cost, Dst: call.Dst, Imm: end}
+	if tail {
+		o.Op, o.A, o.B, o.C = OpIRetN, -1, call.C, ret.C+base[BankInt+1]
+		if ret.Op != OpRetVoid {
+			o.A = ret.A + base[opRegs[ret.Op].a]
+		}
+		return o
+	}
+	switch {
+	case ret.Op == OpRetVoid:
+		o.Op, o.B = OpIRetVoid, call.C
+	case call.Dst < 0: // result discarded at the call site
+		o.Op = OpIRetVoid
+	default:
+		// OpIRetI/F/R are declared in the order of OpRetI/F/R.
+		o.Op, o.A = OpIRetI+ret.Op-OpRetI, ret.A+base[opRegs[ret.Op].a]
+	}
+	return o
+}
+
 // remapSlots adds a splice's bank bases (indexed by bank+1; base[0] is 0)
 // to every register-slot field of an inlined instruction, as opRegs
 // describes them.
@@ -201,33 +251,53 @@ func remapSlots(o *Instr, base *[4]int32) {
 // fuse builds fc.Code from the plain stream: every slot where a
 // superinstruction pattern starts outside the group before it becomes the
 // group's head. Group tails keep their plain copies in Code too, so jumps
-// that land inside a group execute unfused. When descentPlan accepts the
-// function, its four head slots become one OpDescend and stay plain
-// behind it.
+// that land inside a group execute unfused. Where descentPlan accepts a
+// head — pc 0, or the first body slot of a self-tail-recursive splice —
+// its four slots become one OpDescend and stay plain behind it, and a
+// splice's OpCallEnter fuses with the head into OpEnterDescend.
 func (fc *FuncCode) fuse() {
 	code := make([]Instr, len(fc.Plain))
 	copy(code, fc.Plain)
+	heads := []int32{0}
 	for pc := 0; pc+1 < len(code); pc++ {
+		if in := &fc.Plain[pc]; in.Op == OpCallEnter && in.D != 0 {
+			heads = append(heads, int32(pc+1))
+		}
 		if g, ok := fuseAt(fc.Plain[pc:]); ok {
 			code[pc] = g
 			pc += int(g.Len) - 1
 		}
 	}
 	fc.Code = code
-	if head, d := descentPlan(fc); d != nil {
-		copy(code[1:head.Len], fc.Plain[1:])
-		code[0], fc.Descent = head, d
+	for _, h := range heads {
+		head, d := descentPlan(fc, h)
+		if d == nil {
+			continue
+		}
+		head.D = int32(len(fc.Descents))
+		fc.Descents = append(fc.Descents, *d)
+		copy(code[h+1:h+int32(head.Len)], fc.Plain[h+1:])
+		code[h] = head
+		if h > 0 {
+			g := head
+			enter := &fc.Plain[h-1]
+			g.Op, g.Len, g.Cost, g.Args = OpEnterDescend, head.Len+1, head.Cost+enter.Cost, enter.Args
+			code[h-1] = g
+		}
 	}
 }
 
-// Descent is OpDescend's register plan, built once per function by
+// Descent is OpDescend's register plan, built once per head by
 // descentPlan: what the engine needs to run whole levels of a binary
 // descent with lo, hi and k in host registers. The other registers a level
 // writes are read from the groups' own slots when the bank is written
 // back.
 type Descent struct {
-	// Lo, Hi and K are the int parameter slots of lo, hi and k.
+	// Lo, Hi and K are the int slots of lo, hi and k.
 	Lo, Hi, K int32
+	// Count is the int slot of the collapse counter the levels add to:
+	// the frame's for a head at pc 0, the splice's for a splice head.
+	Count int32
 	// G2 and G3 are the pcs of the add.i+div.ik+mov.i group and of the
 	// parity group; Arms[w] is the pc of the arm parity word w selects
 	// (Arms[1] is the fallthrough arm).
@@ -245,28 +315,30 @@ type Descent struct {
 	Cost int64
 }
 
-// descentPlan returns the OpDescend head and the register plan of fc when
-// its code is one level of a binary descent closed by a self tail call,
-// and a nil plan otherwise. The shape: the pc-0 slots sub.i t,hi,lo;
-// const.i K; le.i on t and K; brfalse, whose not-taken target is
-// add.i+div.ik+mov.i on lo and hi, then mod.ik+eq.ik+br on k, whose two
-// arms are arith.ik+tailcall groups of one Len, Cost and divisor dividing
-// k, each moving its quotient into k and g2's mid into a different one of
-// lo and hi. Every divisor is a power of two, the frame zeroes no bank,
-// and the slots the level writes are distinct, so the engine may keep lo,
-// hi and k in locals and write every other register once, when it leaves.
-func descentPlan(fc *FuncCode) (Instr, *Descent) {
+// descentPlan returns the OpDescend head at pc h and its register plan
+// when the code from h is one level of a binary descent closed by a self
+// tail call back to h, and a nil plan otherwise. The shape: the slots at
+// h sub.i t,hi,lo; const.i K; le.i on t and K; brfalse, whose not-taken
+// target is add.i+div.ik+mov.i on lo and hi, then mod.ik+eq.ik+br on k,
+// whose two arms are arith.ik+tailcall groups of one Len, Cost, divisor
+// dividing k and collapse counter, each moving its quotient into k and
+// g2's mid into a different one of lo and hi. Every divisor is a power of
+// two, the descent re-zeroes no bank (a frame's tail calls re-zero the
+// banks the function zeroes; a splice's callee zeroes none), and the
+// slots the level writes are distinct, so the engine may keep lo, hi and k
+// in locals and write every other register once, when it leaves. The
+// head's D is left for fuse, which numbers the plans.
+func descentPlan(fc *FuncCode, h int32) (Instr, *Descent) {
 	p, c := fc.Plain, fc.Code
-	if len(p) < 4 || p[0].Op != OpSubI || !cmpConstBr(p[1:], OpLeI) || p[2].A != p[0].Dst ||
-		fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs {
+	if len(p) < int(h)+4 || p[h].Op != OpSubI || !cmpConstBr(p[h+1:], OpLeI) || p[h+2].A != p[h].Dst {
 		return Instr{}, nil
 	}
-	head := Instr{Op: OpDescend, Len: 4, Dst: p[2].Dst, A: p[2].A, B: p[2].B,
-		C: int32(p[3].Imm), D: p[0].A, E: p[0].B, Imm: p[1].Imm}
-	for _, in := range p[:4] {
+	head := Instr{Op: OpDescend, Len: 4, Dst: p[h+2].Dst, A: p[h+2].A, B: p[h+2].B,
+		C: int32(p[h+3].Imm), Imm: p[h+1].Imm}
+	for _, in := range p[h : h+4] {
 		head.Cost += in.Cost
 	}
-	d := &Descent{Lo: head.E, Hi: head.D, G2: head.C}
+	d := &Descent{Lo: p[h].B, Hi: p[h].A, G2: head.C}
 	if int(d.G2) >= len(c) {
 		return Instr{}, nil
 	}
@@ -294,11 +366,10 @@ func descentPlan(fc *FuncCode) (Instr, *Descent) {
 			return Instr{}, nil
 		}
 		a := &c[pc]
-		if a.Op != OpIKTailCall || Op(a.C) != OpDivI || !pow2(a.Imm) || a.A != d.K ||
-			int(fc.Plain[pc+2].Imm) != fc.ID || len(a.Args) != 2 {
+		if a.Op != OpIKTailCall || Op(a.C) != OpDivI || !pow2(a.Imm) || a.A != d.K || a.E != h || len(a.Args) != 2 {
 			return Instr{}, nil
 		}
-		if b := &c[d.Arms[0]]; a.Len != b.Len || a.Cost != b.Cost || a.Imm != b.Imm {
+		if b := &c[d.Arms[0]]; a.Len != b.Len || a.Cost != b.Cost || a.Imm != b.Imm || a.D != b.D {
 			return Instr{}, nil
 		}
 		toK := false
@@ -316,7 +387,8 @@ func descentPlan(fc *FuncCode) (Instr, *Descent) {
 		}
 		written = append(written, a.B, a.Dst)
 	}
-	if into[0] == into[1] {
+	d.Count = c[d.Arms[0]].D
+	if into[0] == into[1] || h == 0 && (fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs) {
 		return Instr{}, nil
 	}
 	for i, s := range written {
@@ -401,7 +473,7 @@ func censusGroup(p []Instr) (Instr, bool) {
 		}
 		if p[2].Op == OpTailCall { // *.ik; tailcall
 			return Instr{Op: OpIKTailCall, Len: 3, Dst: p[1].Dst, A: p[1].A, B: p[1].B,
-				C: int32(p[1].Op), Imm: in.Imm, Args: p[2].Args}, true
+				C: int32(p[1].Op), D: p[2].D, E: p[2].E, Imm: in.Imm, Args: p[2].Args}, true
 		}
 		// const.i c1,K1; mod.i r,x,c1; const.i c2,K2; eq.i d,r,c2;
 		// brfalse d. Both constants must fit the halves of Imm.
@@ -422,8 +494,8 @@ func censusGroup(p []Instr) (Instr, bool) {
 }
 
 // pairGroup matches the narrower groups: lt.i+br, the constant operand of
-// an add, sub or mul, const.i feeding le.i and its brfalse, and the
-// serial-loop latch. Costs are left to fuseAt.
+// an add, sub or mul, const.i feeding le.i and its brfalse, the
+// serial-loop latch, and loadparam feeding work. Costs are left to fuseAt.
 func pairGroup(p []Instr) (Instr, bool) {
 	in, next := &p[0], &p[1]
 	g := Instr{Dst: next.Dst, A: next.A, B: next.B}
@@ -436,6 +508,8 @@ func pairGroup(p []Instr) (Instr, bool) {
 		g.Op, g.Len, g.Imm, g.C = OpLeIKBr, 3, in.Imm, int32(p[2].Imm)
 	case constOperand(p) && arithK[next.Op] != 0:
 		g.Op, g.Len, g.Imm = arithK[next.Op], 2, in.Imm
+	case in.Op == OpLoadParam && next.Op == OpCallWork && next.A == in.Dst:
+		g = Instr{Op: OpWorkParam, Len: 2, Dst: in.Dst, B: next.Dst, Imm: in.Imm}
 	case in.Op == OpLtI && next.Op == OpBrFalse && next.A == in.Dst:
 		g = Instr{Op: OpLtIBr, Len: 2, Dst: in.Dst, A: in.A, B: in.B, Imm: next.Imm}
 	default:
