@@ -16,8 +16,13 @@
 // (a runtime error in the program) or a trace that cannot be written; 2
 // bad usage, reported before anything runs: an unknown -app or -policy, a
 // -procs outside [1, 256], a -sampling or -production that is not
-// positive and an unreadable source file before anything is compiled, and
-// a -param naming a parameter the program does not declare right after.
+// positive, a flag -compare would ignore (-flagged, -policy, -cutoff,
+// -span, -v or -trace) and an unreadable source file before anything is
+// compiled, and a -param naming a parameter the program does not declare
+// right after.
+//
+// A run with -trace executes on the reference interpreter, which writes
+// the same events as the bytecode VM would, more slowly.
 package main
 
 import (
@@ -93,6 +98,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *sampling <= 0 || *production <= 0 {
 		return fail(2, fmt.Errorf("-sampling %v and -production %v must be positive", *sampling, *production))
+	}
+	if *compare {
+		// -compare runs its own fixed configurations: a flag that shapes
+		// the single run would be dropped without a word.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "flagged", "policy", "cutoff", "span", "v", "trace":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fail(2, fmt.Errorf("-compare ignores %s", strings.Join(ignored, ", ")))
+		}
 	}
 
 	var src string

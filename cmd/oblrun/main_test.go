@@ -19,10 +19,10 @@ func runOBLRun(args ...string) (code int, stdout, stderr string) {
 var small = []string{"-app", "water", "-procs", "4", "-param", "nmol=16"}
 
 // TestBadUsageExits2: an unknown application or policy, a processor count
-// outside [1, 256], an interval that is not positive and a source file
-// that cannot be read are bad usage, reported before anything is compiled
-// or printed; so is a parameter the program does not declare, reported
-// before anything runs.
+// outside [1, 256], an interval that is not positive, a flag -compare
+// would ignore and a source file that cannot be read are bad usage,
+// reported before anything is compiled or printed; so is a parameter the
+// program does not declare, reported before anything runs.
 func TestBadUsageExits2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-app", "bogus"},
@@ -37,6 +37,12 @@ func TestBadUsageExits2(t *testing.T) {
 		{"-app", "water", "-production", "0s"},
 		{"-app", "water", "-param", "typo=5"},
 		{"-app", "water", "-compare", "-param", "nmol=16", "-param", "typo=5"},
+		{"-app", "water", "-param", "nmol=16", "-compare", "-trace", filepath.Join(t.TempDir(), "t.csv")},
+		{"-app", "water", "-param", "nmol=16", "-compare", "-flagged"},
+		{"-app", "water", "-param", "nmol=16", "-compare", "-policy", "dynamic"},
+		{"-app", "water", "-param", "nmol=16", "-compare", "-cutoff"},
+		{"-app", "water", "-param", "nmol=16", "-compare", "-span"},
+		{"-app", "water", "-param", "nmol=16", "-compare", "-v"},
 		{},
 	} {
 		if code, stdout, _ := runOBLRun(args...); code != 2 || stdout != "" {

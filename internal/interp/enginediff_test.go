@@ -3,7 +3,6 @@ package interp_test
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -66,11 +65,11 @@ func assertEngineParity(t *testing.T, label string, prog *ir.Program, opts inter
 }
 
 // TestEngineByteIdenticalMatrix covers every application's multi-version
-// build under each static policy and under dynamic feedback, with a trace
-// set and unset. Untraced, the VM takes uncontended releases ahead of the
-// schedule, and the oracle still yields before each one; traced (the sink
-// discards every event), the VM keeps its yield-first releases. The
-// flag-dispatch build has no VM side (TestFlaggedRunsOnTheOracle).
+// build under each static policy and under dynamic feedback: the VM takes
+// uncontended releases ahead of the schedule, and the oracle still yields
+// before each one. The flag-dispatch build has no VM side
+// (TestFlaggedRunsOnTheOracle), and neither has a traced run
+// (TestUncompilableProgramRejected).
 func TestEngineByteIdenticalMatrix(t *testing.T) {
 	for _, name := range apps.Names {
 		c, err := apps.Compile(name)
@@ -78,14 +77,8 @@ func TestEngineByteIdenticalMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, policy := range []string{"original", "bounded", "aggressive", interp.PolicyDynamic} {
-			for _, traced := range []bool{true, false} {
-				label := fmt.Sprintf("%s parallel/%s traced=%v", name, policy, traced)
-				opts := interp.Options{Procs: 8, Policy: policy, Params: engineDiffParams[name]}
-				if traced {
-					opts.Trace = func(simmach.TraceEvent) {}
-				}
-				assertEngineParity(t, label, c.Parallel, opts)
-			}
+			label := fmt.Sprintf("%s parallel/%s", name, policy)
+			assertEngineParity(t, label, c.Parallel, interp.Options{Procs: 8, Policy: policy, Params: engineDiffParams[name]})
 		}
 	}
 }
@@ -109,8 +102,9 @@ func TestFlaggedRunsOnTheOracle(t *testing.T) {
 
 // TestEngineByteIdenticalUnderPerturbation reruns the dynamic-feedback
 // cell of every application under each built-in environment-perturbation
-// scenario, switching synchronously and asynchronously. Parity must hold
-// whether or not the schedule's changes land within the shortened run.
+// scenario. Parity must hold whether or not the schedule's changes land
+// within the shortened run. Asynchronous switching has no VM side
+// (TestUncompilableProgramRejected).
 func TestEngineByteIdenticalUnderPerturbation(t *testing.T) {
 	for _, scenario := range perturb.ScenarioNames() {
 		sched, ok := perturb.Scenario(scenario)
@@ -122,13 +116,9 @@ func TestEngineByteIdenticalUnderPerturbation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, async := range []bool{true, false} {
-				label := fmt.Sprintf("%s under %s async=%v", name, scenario, async)
-				assertEngineParity(t, label, c.Parallel, interp.Options{
-					Procs: 8, Policy: interp.PolicyDynamic, AsyncSwitch: async,
-					Perturb: sched, Params: engineDiffParams[name],
-				})
-			}
+			assertEngineParity(t, fmt.Sprintf("%s under %s", name, scenario), c.Parallel, interp.Options{
+				Procs: 8, Policy: interp.PolicyDynamic, Perturb: sched, Params: engineDiffParams[name],
+			})
 		}
 	}
 }
@@ -252,43 +242,12 @@ func main() {
 	}
 }
 
-// TestEngineParityHostOrderReaders covers the runs that read other
-// processors' state between rendezvous, where the VM keeps yield-first
-// releases: a trace must list the oracle's events in the oracle's order,
-// and asynchronous switching with short intervals must measure the same
-// phases.
-func TestEngineParityHostOrderReaders(t *testing.T) {
-	for _, name := range apps.Names {
-		c, err := apps.Compile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var traces [2][]simmach.TraceEvent
-		for i, engine := range []string{interp.EngineInterp, interp.EngineVM} {
-			_, err := interp.Run(c.Parallel, interp.Options{
-				Procs: 8, Policy: "original", Params: engineDiffParams[name], Engine: engine,
-				Trace: func(ev simmach.TraceEvent) { traces[i] = append(traces[i], ev) },
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !slices.Equal(traces[0], traces[1]) {
-			t.Errorf("%s: the vm engine's trace differs from the interpreter's", name)
-		}
-		assertEngineParity(t, name+" async", c.Parallel, interp.Options{
-			Procs: 8, Policy: interp.PolicyDynamic, AsyncSwitch: true,
-			TargetSampling: 20 * simmach.Microsecond, TargetProduction: 200 * simmach.Microsecond,
-			Params: engineDiffParams[name],
-		})
-	}
-}
-
 // TestUncompilableProgramRejected runs a program the bytecode compiler
 // must reject (no register-kind annotations): the default engine returns
 // the compile error, naming the function, instead of running it some other
-// way; the oracle, which needs no register kinds, still executes it, and
-// so does a race-detecting run under the VM engine, which the oracle runs.
+// way. The oracle, which needs no register kinds, still executes it, and
+// so does every run Run routes to the oracle under the VM engine: one that
+// detects races, switches asynchronously or installs a trace.
 func TestUncompilableProgramRejected(t *testing.T) {
 	c, err := oblc.Compile(`
 func main() {
@@ -309,16 +268,20 @@ func main() {
 	if err == nil || !strings.Contains(err.Error(), "main: no register kinds") {
 		t.Fatalf("default engine on a program without register kinds: got %v, want vm.Compile's error", err)
 	}
-	for _, opts := range []interp.Options{
-		{Procs: 1, Policy: "original", Engine: interp.EngineInterp},
-		{Procs: 1, Policy: "original", Engine: interp.EngineVM, DetectRaces: true},
+	for _, row := range []struct {
+		name string
+		opts interp.Options
+	}{
+		{"oracle", interp.Options{Procs: 1, Policy: "original", Engine: interp.EngineInterp}},
+		{"races", interp.Options{Procs: 1, Policy: "original", Engine: interp.EngineVM, DetectRaces: true}},
+		{"async", interp.Options{Procs: 1, Policy: interp.PolicyDynamic, Engine: interp.EngineVM, AsyncSwitch: true}},
+		{"traced", interp.Options{Procs: 1, Policy: "original", Engine: interp.EngineVM, Trace: func(simmach.TraceEvent) {}}},
 	} {
-		ref, err := interp.Run(stripped, opts)
+		ref, err := interp.Run(stripped, row.opts)
 		if err != nil {
-			t.Fatalf("engine %q, races %v: %v", opts.Engine, opts.DetectRaces, err)
-		}
-		if len(ref.Output) != 1 || ref.Output[0] != "45" {
-			t.Fatalf("engine %q, races %v: output %q, want [45]", opts.Engine, opts.DetectRaces, ref.Output)
+			t.Errorf("%s: %v", row.name, err)
+		} else if len(ref.Output) != 1 || ref.Output[0] != "45" {
+			t.Errorf("%s: output %q, want [45]", row.name, ref.Output)
 		}
 	}
 }

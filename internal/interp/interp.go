@@ -86,9 +86,7 @@ type Options struct {
 	// field and element accesses inside parallel sections (see race.go);
 	// findings are returned in Result.Races. Off by default: detection
 	// allocates tracking state and is meant for the differential testing
-	// harness, not for measurement runs. Only the reference oracle has the
-	// detector, so a race-detecting run is an oracle run: EngineVM (the
-	// default) becomes EngineInterp, whose Result is byte-identical.
+	// harness, not for measurement runs.
 	DetectRaces bool
 	// Engine selects the instruction executor. EngineVM (the default) is the
 	// production engine: the program is compiled once to specialized
@@ -96,9 +94,8 @@ type Options struct {
 	// EngineInterp is the reference oracle the differential tests and the
 	// benchmark compare against: the direct IR interpreter. Both produce
 	// byte-identical Results, so the choice never appears in cache keys.
-	// Only the oracle runs flag dispatch (§4.2), so Run makes every
-	// program with conditional sync sites (ir.Program.NumFlagSites > 0) an
-	// oracle run: EngineVM becomes EngineInterp.
+	// Run makes an oracle run of every run the VM cannot take, and names
+	// why (oracleReason): races, flags, AsyncSwitch or a Trace.
 	Engine string
 	// Trace, when set, receives every synchronization event of the
 	// simulated machine (lock acquires, blocks, grants, releases, barrier
@@ -133,10 +130,27 @@ func (o Options) withDefaults() Options {
 	if o.Engine == "" {
 		o.Engine = EngineVM
 	}
-	if o.DetectRaces && o.Engine == EngineVM {
-		o.Engine = EngineInterp
-	}
 	return o
+}
+
+// oracleReason names what makes a run an oracle run, or returns "" for a
+// VM run. Only the oracle has the race detector and flag dispatch (§4.2),
+// and only it yields before every release, as the runs that read other
+// processors' state in host order need (AsyncSwitch's transition, Trace).
+func oracleReason(p *ir.Program, o Options) string {
+	switch {
+	case o.Engine == EngineInterp:
+		return "engine " + EngineInterp
+	case o.DetectRaces:
+		return "race detection"
+	case p.NumFlagSites > 0:
+		return "conditional sync sites"
+	case o.AsyncSwitch:
+		return "asynchronous switching"
+	case o.Trace != nil:
+		return "a trace"
+	}
+	return ""
 }
 
 // The section runtime's own costs, beside the machine's cost model
@@ -299,14 +313,14 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	if err := CheckExterns(p); err != nil {
 		return nil, err
 	}
-	if p.NumFlagSites > 0 && opts.Engine == EngineVM {
-		opts.Engine = EngineInterp
-	}
 	if opts.Engine != EngineVM && opts.Engine != EngineInterp {
 		return nil, fmt.Errorf("interp: unknown engine %q", opts.Engine)
 	}
-	if opts.Engine == EngineInterp && opts.ckHook != nil {
-		return nil, fmt.Errorf("interp: the reference oracle keeps no snapshot state, and runs with engine %q, race detection or conditional sync sites are oracle runs; checkpoint a VM run", EngineInterp)
+	if why := oracleReason(p, opts); why != "" {
+		if opts.ckHook != nil {
+			return nil, fmt.Errorf("interp: a run with %s is an oracle run, and the reference oracle keeps no snapshot state; checkpoint a VM run", why)
+		}
+		opts.Engine = EngineInterp
 	}
 	if opts.Policy != PolicyDynamic {
 		for _, sec := range p.Sections {
@@ -325,14 +339,13 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	}
 	mcfg := simmach.DefaultConfig(opts.Procs)
 	rt := &runtime{
-		prog:         p,
-		prep:         prepare(p),
-		opts:         opts,
-		m:            simmach.New(mcfg),
-		controllers:  map[int]*core.Controller{},
-		stats:        map[int]*SectionStats{},
-		hook:         opts.ckHook,
-		releaseAhead: !opts.AsyncSwitch && opts.Trace == nil,
+		prog:        p,
+		prep:        prepare(p),
+		opts:        opts,
+		m:           simmach.New(mcfg),
+		controllers: map[int]*core.Controller{},
+		stats:       map[int]*SectionStats{},
+		hook:        opts.ckHook,
 	}
 	if opts.DetectRaces {
 		rt.race = newRaceDetector()
@@ -469,14 +482,6 @@ type runtime struct {
 	race *raceDetector
 	// hook is the test-only checkpoint/restore hook (Options.ckHook).
 	hook *ckHook
-	// releaseAhead lets the VM take an uncontended release inside the
-	// dispatch that reached it (simmach.Proc.ReleaseAhead). It is off in
-	// every run that reads other processors' state between rendezvous in
-	// host order, where the skipped dispatch's place in the schedule shows:
-	// AsyncSwitch's single-processor transition and the trace. The race
-	// detector is such a reader too, but it runs only on the oracle, which
-	// never releases ahead.
-	releaseAhead bool
 }
 
 func (rt *runtime) fail(format string, args ...any) {

@@ -235,16 +235,26 @@ func TestCheckpointHookByteIdentical(t *testing.T) {
 }
 
 // TestCheckpointHookRefusals pins the two places a checkpoint-hooked run
-// is turned away: the step interpreter keeps no snapshot state, and a
-// hooked run never gets a cache key.
+// is turned away: the step interpreter keeps no snapshot state, so an
+// oracle run is refused with the reason it is one, and a hooked run never
+// gets a cache key.
 func TestCheckpointHookRefusals(t *testing.T) {
 	c, err := apps.Compile(apps.NameWater)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := Options{Procs: 4, Policy: "bounded", Engine: EngineInterp, ckHook: &ckHook{}}
-	if _, err := Run(c.Parallel, oracle); err == nil {
-		t.Error("checkpoint-hooked run under the interp engine accepted")
+	for _, row := range []struct {
+		opts   Options
+		reason string
+	}{
+		{Options{Policy: "bounded", Engine: EngineInterp}, "engine interp"},
+		{Options{Policy: PolicyDynamic, AsyncSwitch: true}, "asynchronous switching"},
+	} {
+		o := row.opts
+		o.Procs, o.ckHook = 4, &ckHook{}
+		if _, err := Run(c.Parallel, o); err == nil || !strings.Contains(err.Error(), row.reason) {
+			t.Errorf("checkpoint-hooked run with %s: got %v, want the oracle's refusal naming it", row.reason, err)
+		}
 	}
 	if _, ok := CacheKey(c.Parallel, Options{Procs: 4, Policy: "bounded", ckHook: &ckHook{}}); ok {
 		t.Error("checkpoint-hooked run got a cache key")

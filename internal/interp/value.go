@@ -47,9 +47,6 @@ func BoolVal(b bool) Value {
 // RefVal makes a reference value.
 func RefVal(o *Object) Value { return Value{Kind: KindRef, Ref: o} }
 
-// Bool reports the truth of a boolean value.
-func (v Value) Bool() bool { return v.I != 0 }
-
 // String formats the value as the print statement shows it.
 func (v Value) String() string {
 	switch v.Kind {

@@ -36,7 +36,6 @@ import (
 func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 	rt := t.rt
 	dyn := rt.opts.Policy == PolicyDynamic
-	ahead := rt.releaseAhead
 	executed := t.executed
 	acc := t.acc
 	if censusOn {
@@ -89,7 +88,7 @@ frames:
 					// the machine counts as skipped (Proc.ReleaseAhead). That
 					// dispatch would pass the step-budget check and begin with
 					// an empty budget.
-					if ahead && !isAcq && refs[in.A] != nil && rt.m.Steps() < rt.opts.MaxSteps {
+					if !isAcq && refs[in.A] != nil && rt.m.Steps() < rt.opts.MaxSteps {
 						if lock := refs[in.A].Lock(rt.m); !lock.Queued() {
 							t.acc = acc
 							t.flush(p)

@@ -10,14 +10,12 @@ import (
 // EngineVM): the per-program module, and the frame and register-bank
 // storage vmTask plugs into the worker state machine of interp.go.
 // Equivalence with the step interpreter is bit-exact and covers everything
-// a Result or a trace can observe: virtual times, machine counters,
-// scheduler step counts (so dispatch boundaries — the stepBudget
-// accounting, yield-first sync — are reproduced instruction for
-// instruction, a release taken ahead counting as the dispatch it spares),
-// program output, and controller samples and switches. Race detection and
-// flag dispatch (§4.2) are not part of it: a race-detecting run and a run
-// of a program with conditional sync sites are oracle runs
-// (Options.DetectRaces, Options.Engine).
+// a Result can observe: virtual times, machine counters, scheduler step
+// counts (so dispatch boundaries — the stepBudget accounting, yield-first
+// sync — are reproduced instruction for instruction, a release taken ahead
+// counting as the dispatch it spares), program output, and controller
+// samples and switches. Races, flags, AsyncSwitch and the trace are not
+// part of it: Run makes an oracle run of each (oracleReason).
 
 // vmModuleFor returns the program's module, compiled on first use.
 func vmModuleFor(p *ir.Program) (*vm.Module, error) {

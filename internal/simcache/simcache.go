@@ -120,9 +120,6 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-// Dir returns the disk tier directory ("" when disabled).
-func (c *Cache) Dir() string { return c.dir }
-
 // Len returns the number of in-memory entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()

@@ -133,9 +133,6 @@ func (m *Machine) SetParamTable(t *ParamTable) error {
 	return nil
 }
 
-// ParamTable returns the installed parameter table, or nil.
-func (m *Machine) ParamTable() *ParamTable { return m.table }
-
 // PerturbState describes the parameter-table epoch in effect at the
 // machine's current maximum clock, for deadlock and step-budget failure
 // reports. It returns "" when no table is installed.
