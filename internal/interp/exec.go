@@ -219,7 +219,7 @@ func (t *task) exec(p *simmach.Proc) (simmach.Status, bool) {
 		case ir.OpNewArr:
 			n := regs[in.A].I
 			if uint64(n) > maxArrayLen {
-				rt.badArrayLen(fr.fn.Name, n)
+				panic(arrayLenErr(fr.fn.Name, n))
 			}
 			t.acc += simmach.Time(n) * ir.CostPerElem
 			elems := make([]Value, n) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate

@@ -485,7 +485,14 @@ type runtime struct {
 }
 
 func (rt *runtime) fail(format string, args ...any) {
-	panic(runtimeErr{msg: fmt.Sprintf(format, args...)})
+	panic(failure(format, args...))
+}
+
+// failure is the runtimeErr rt.fail panics with. The VM's dispatch loop
+// panics with it at the fault site instead of calling rt.fail, so the
+// compiler sees that the path ends there (vmTask.exec).
+func failure(format string, args ...any) runtimeErr {
+	return runtimeErr{msg: fmt.Sprintf(format, args...)}
 }
 
 // maxArrayLen bounds the length of an array the simulated program makes:
@@ -494,13 +501,14 @@ func (rt *runtime) fail(format string, args ...any) {
 // run instead of the host's allocator.
 const maxArrayLen = 1 << 24
 
-// badArrayLen fails the run on a new-array length outside [0, maxArrayLen];
-// both engines' OpNewArr call it, so they fail with one message.
-func (rt *runtime) badArrayLen(fn string, n int64) {
+// arrayLenErr is the fault of a new-array length outside [0, maxArrayLen]
+// in function fn; both engines' OpNewArr panic with it, so they fail with
+// one message.
+func arrayLenErr(fn string, n int64) runtimeErr {
 	if n < 0 {
-		rt.fail("%s: negative array length %d", fn, n)
+		return failure("%s: negative array length %d", fn, n)
 	}
-	rt.fail("%s: array length %d exceeds the limit of %d elements", fn, n, maxArrayLen)
+	return failure("%s: array length %d exceeds the limit of %d elements", fn, n, maxArrayLen)
 }
 
 func (rt *runtime) sectionStats(sec *ir.Section) *SectionStats {
@@ -718,7 +726,7 @@ func (t *task) pushCall(funcID int, retDst ir.Reg) []Value {
 	base := len(t.regStack)
 	top := base + fn.NRegs
 	grown := top > cap(t.regStack)
-	t.regStack = grow(t.regStack, top)
+	t.regStack = grow(t.regStack, top, top)
 	if grown {
 		// The arena moved: re-point every live frame's window at it.
 		for i := range t.frames {

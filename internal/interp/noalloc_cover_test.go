@@ -13,16 +13,29 @@ import (
 // allocation-gate bridge (see internal/simmach/noalloc_cover_test.go):
 // the //dfvet:noalloc annotations here must stay in lockstep with the
 // runtime assertion below, which drives every annotated function — the
-// worker state machine and one dispatch loop per execution engine —
-// through a dispatch-heavy loop and a parallel section.
+// worker state machine, one dispatch loop per execution engine and the
+// VM loop's out-of-line handlers — through a dispatch-heavy loop, a loop
+// of calls and a parallel section.
 func TestNoallocAnnotationCoverage(t *testing.T) {
 	got, err := lint.NoallocFuncs(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
+		"iretN",              // an inlined callee's return (vmexec.go)
+		"moveWithin",         // a tail call's or an inlined callee's argument moves (vmexec.go)
 		"task.exec",          // EngineInterp dispatch loop (exec.go)
+		"vmTask.callExt",     // EngineVM's boxed extern call (vmexec.go)
+		"vmTask.descend",     // its descent loop (vmexec.go)
+		"vmTask.enter",       // its inlined-callee entry (vmexec.go)
 		"vmTask.exec",        // EngineVM dispatch loop (vmexec.go)
+		"vmTask.newArray",    // its newarr (vmexec.go)
+		"vmTask.newObject",   // its new (vmexec.go)
+		"vmTask.print",       // its print (vmexec.go)
+		"vmTask.replay",      // its replay of collapsed tail calls' returns (vmexec.go)
+		"vmTask.sync",        // its acquire, release and section entry (vmexec.go)
+		"vmTask.tailCall",    // its self tail call (vmexec.go)
+		"vmTask.vref",        // its field and element receivers (vmexec.go)
 		"worker.Step",        // the one simmach.Process (interp.go)
 		"worker.sectionStep", // claim / body / after-barrier phases (interp.go)
 	}
@@ -33,15 +46,17 @@ func TestNoallocAnnotationCoverage(t *testing.T) {
 }
 
 // TestSteadyStateAllocsPerStep is the runtime half of the //dfvet:noalloc
-// claim on the two dispatch loops and on the worker state machine they
-// plug into. A Run has a fixed allocation budget (machine, procs, prep
-// tables), so the per-step claim is checked by scaling: 100x more
-// instructions in a serial loop, and 100x more iterations of a parallel
-// section on 4 processors under a static and under the dynamic policy
-// (claims, lock traffic, timer polls), must not allocate meaningfully
-// more. If an annotated function allocated per instruction or per
-// iteration, the long run would show tens of thousands of extra
-// allocations; the bound admits only scheduler-level noise.
+// claim on the two dispatch loops, the VM loop's out-of-line handlers and
+// the worker state machine they plug into. A Run has a fixed allocation
+// budget (machine, procs, prep tables), so the per-step claim is checked
+// by scaling: 100x more instructions in a serial loop, 100x more
+// iterations of a serial loop of calls, and 100x more iterations of a
+// parallel section on 4 processors under a static and under the dynamic
+// policy (claims, lock traffic, timer polls), must not allocate
+// meaningfully more than the program's own new and newarr ask for. If an
+// annotated function allocated per instruction or per iteration, the long
+// run would show tens of thousands of extra allocations; the bound admits
+// only scheduler-level noise.
 func TestSteadyStateAllocsPerStep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs repeated full executions; run without -short")
@@ -54,6 +69,39 @@ func main() {
     if i % 2 == 0 { s = s + i * 3; } else { s = s - i; }
   }
   print s;
+}
+`)
+	// Each iteration makes a self tail call (count: tailCall, moveWithin,
+	// replay), a spliced bisection descent (walk: enter, descend, iretN), a
+	// boxed extern call (sqrt), a new and a newarr; the last two allocate
+	// what the program asks for and nothing more.
+	calls := compile(t, `
+extern sqrt(x: float): float cost 10;
+param n: int = 200;
+class Box { v: float; }
+func count(i: int, s: int): int {
+  if i <= 0 { return s; }
+  return count(i - 1, s + i);
+}
+func walk(lo: int, hi: int, k: int): int {
+  if hi - lo <= 1 { return lo; }
+  let mid: int = (lo + hi) / 2;
+  if k % 2 == 0 { return walk(lo, mid, k / 2); }
+  return walk(mid, hi, k / 2);
+}
+func main() {
+  let s: int = 0;
+  let f: float = 0.0;
+  for i in 0..n {
+    s = s + count(20, 0) + walk(0, 256, i);
+    f = f + sqrt(2.0);
+    let b: Box = new Box();
+    let a: int[] = new int[2];
+    s = s + a[1];
+    b.v = f;
+  }
+  print s;
+  print f;
 }
 `)
 	section := compile(t, `
@@ -76,12 +124,15 @@ func main() {
 		label string
 		prog  *ir.Program
 		opts  Options
+		own   float64 // the program's own allocations per iteration
 	}{
-		{"serial loop", loop.Serial, Options{Procs: 1}},
-		{"section/original", section.Parallel, Options{Procs: 4, Policy: "original"}},
+		{"serial loop", loop.Serial, Options{Procs: 1}, 0},
+		// An object and an array, each a header and its Value slice.
+		{"serial calls", calls.Serial, Options{Procs: 1}, 4},
+		{"section/original", section.Parallel, Options{Procs: 4, Policy: "original"}, 0},
 		// One sampling interval longer than either run: both lengths see the
 		// same number of controller phases, so only per-iteration work scales.
-		{"section/dynamic", section.Parallel, Options{Procs: 4, Policy: PolicyDynamic, TargetSampling: simmach.Second}},
+		{"section/dynamic", section.Parallel, Options{Procs: 4, Policy: PolicyDynamic, TargetSampling: simmach.Second}, 0},
 	}
 	for _, engine := range []string{EngineInterp, EngineVM} {
 		t.Run(engine, func(t *testing.T) {
@@ -102,7 +153,7 @@ func main() {
 					})
 				}
 				shortAllocs, longAllocs := measure(200), measure(20000)
-				if extra := longAllocs - shortAllocs; extra > 16 {
+				if extra := longAllocs - shortAllocs - tc.own*(20000-200); extra > 16 {
 					t.Errorf("%s, %s: 100x more work cost %.0f extra allocs (short %.0f, long %.0f); "+
 						"an annotated step function is allocating per instruction or iteration",
 						engine, tc.label, extra, shortAllocs, longAllocs)

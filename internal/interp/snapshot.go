@@ -74,10 +74,17 @@ func (st *SectionStats) clone() SectionStats {
 func (t *vmTask) clone() vmTask {
 	c := *t
 	c.frames = slices.Clone(t.frames)
-	c.intStack = slices.Clone(t.intStack)
-	c.floatStack = slices.Clone(t.floatStack)
-	c.refStack = slices.Clone(t.refStack)
+	c.intStack = cloneArena(t.intStack)
+	c.floatStack = cloneArena(t.floatStack)
+	c.refStack = cloneArena(t.refStack)
 	return c
+}
+
+// cloneArena copies a register arena with its capacity: a frame's window
+// can reach past the arena's length (vmFrame), and repoint reslices it
+// there.
+func cloneArena[T any](s []T) []T {
+	return append(make([]T, 0, cap(s)), s...)
 }
 
 // clone copies the object's slots; the class and the lock are shared.

@@ -210,6 +210,40 @@ var groupCases = []groupCase{
 			irIns(ir.OpAddF, 2, 2, 2, 0),
 			irIns(ir.OpStoreField, no, 1, 2, 0),
 		}, show: []ir.Reg{2}},
+	{name: "ldfld.f+add.fk+stfld.f", op: vm.OpAddFieldFK, kinds: []ir.ElemKind{rI, rR, rF, rF, rF},
+		init: fieldInit,
+		group: []ir.Instr{
+			irIns(ir.OpLoadField, 2, 1, no, 0),
+			constF(4, 0.25),
+			irIns(ir.OpAddF, 3, 2, 4, 0),
+			irIns(ir.OpStoreField, no, 1, 3, 0),
+			irIns(ir.OpLoadField, 2, 1, no, 0), // the stored sum
+		}, show: []ir.Reg{2, 3, 4}},
+	{name: "ldfld.f+add.fk+stfld.f/sum into the constant's register", op: vm.OpAddFieldFK, kinds: []ir.ElemKind{rI, rR, rF, rF, rF},
+		init: fieldInit,
+		group: []ir.Instr{
+			irIns(ir.OpLoadField, 2, 1, no, 0),
+			constF(4, -3),
+			irIns(ir.OpAddF, 4, 3, 4, 0), // r3, not the loaded register
+			irIns(ir.OpStoreField, no, 1, 4, 0),
+		}, show: []ir.Reg{2, 4}},
+	{name: "mul.fk", op: vm.OpMulFK, kinds: []ir.ElemKind{rI, rF, rF, rF},
+		init: []ir.Instr{constF(1, 1.5)},
+		group: []ir.Instr{
+			constF(2, 0.1),
+			irIns(ir.OpMulF, 3, 1, 2, 0),
+		}, show: []ir.Reg{2, 3}},
+	{name: "mul.fk/constant on both sides", op: vm.OpMulFK, kinds: []ir.ElemKind{rI, rF, rF, rF},
+		init: []ir.Instr{constF(1, 1.5)},
+		group: []ir.Instr{
+			constF(2, 3),
+			irIns(ir.OpMulF, 2, 2, 2, 0), // 3 * 3, into the constant's register
+		}, show: []ir.Reg{1, 2}},
+}
+
+// constF writes the float constant f to register r.
+func constF(r ir.Reg, f float64) ir.Instr {
+	return ir.Instr{Op: ir.OpConstFloat, Dst: r, A: no, B: no, C: no, F: f}
 }
 
 // fieldInit makes r1 a fresh object of class 0 and writes 1.5 to r3 and
@@ -383,6 +417,16 @@ func TestFaultsNameTheSourceInstruction(t *testing.T) {
 				irIns(ir.OpStoreField, no, 0, 2, 0),
 				irIns(ir.OpRet, no, no, no, 0),
 			)},
+		{"field constant group in an inlined leaf", "interp: leaf: pc 2: nil dereference",
+			[]ir.Instr{irIns(ir.OpConstNil, 0, no, no, 0), irIns(ir.OpCall, no, no, no, 1, 0)},
+			leaf(
+				irIns(ir.OpNop, no, no, no, 0),
+				irIns(ir.OpLoadField, 1, 0, no, 0),
+				constF(2, 1),
+				irIns(ir.OpAddF, 2, 1, 2, 0),
+				irIns(ir.OpStoreField, no, 0, 2, 0),
+				irIns(ir.OpRet, no, no, no, 0),
+			)},
 		{"division in an inlined leaf", "interp: leaf: integer division by zero",
 			[]ir.Instr{irIns(ir.OpConstNil, 0, no, no, 0), irIns(ir.OpCall, no, no, no, 1, 0)},
 			leaf(
@@ -418,9 +462,10 @@ func TestFaultsNameTheSourceInstruction(t *testing.T) {
 			// engine; the other rows keep the VM side.
 			p.NumFlagSites = 1
 		}
-		if i == 0 { // the fault comes from the head of a fused group
-			if op := moduleOf(t, p).Funcs[0].Code[3].Op; op != vm.OpAddFieldF {
-				t.Errorf("the leaf's field update compiled to %v in main, want %v", op, vm.OpAddFieldF)
+		if i < 2 { // the fault comes from the head of a fused group
+			want := [...]vm.Op{vm.OpAddFieldF, vm.OpAddFieldFK}[i]
+			if op := moduleOf(t, p).Funcs[0].Code[3].Op; op != want {
+				t.Errorf("%s: the leaf's field update compiled to %v in main, want %v", c.name, op, want)
 			}
 		}
 		_, err := runBoth(t, c.name, p)
@@ -469,6 +514,82 @@ func TestJumpIntoGroupRunsPlainSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := []string{"100", "100", "20", "2000"}; !reflect.DeepEqual(res.Output, want) {
+		t.Errorf("output %v, want %v", res.Output, want)
+	}
+}
+
+// TestJumpIntoFloatGroupsRunsPlainSlots enters the float constant groups
+// after their constant: the constant write must not happen, and the
+// arithmetic and the field store must run as the plain instructions on the
+// register's old value.
+func TestJumpIntoFloatGroupsRunsPlainSlots(t *testing.T) {
+	code := []ir.Instr{
+		constF(0, 2),                        // 0
+		constF(1, 100),                      // 1
+		irIns(ir.OpJump, no, no, no, 4),     // 2: into the second slot
+		constF(1, 0.5),                      // 3: group head (skipped)
+		irIns(ir.OpMulF, 2, 0, 1, 0),        // 4: 2 * 100
+		irIns(ir.OpPrint, no, 2, no, 0),     // 5
+		irIns(ir.OpPrint, no, 1, no, 0),     // 6: still 100
+		irIns(ir.OpNew, 3, no, no, 0),       // 7
+		irIns(ir.OpStoreField, no, 3, 0, 0), // 8: the field holds 2
+		irIns(ir.OpJump, no, no, no, 12),    // 9: into the third slot
+		irIns(ir.OpLoadField, 4, 3, no, 0),  // 10: group head (skipped)
+		constF(1, 0.25),                     // 11 (skipped)
+		irIns(ir.OpAddF, 5, 0, 1, 0),        // 12: 2 + 100
+		irIns(ir.OpStoreField, no, 3, 5, 0), // 13
+		irIns(ir.OpLoadField, 4, 3, no, 0),  // 14
+		irIns(ir.OpPrint, no, 4, no, 0),     // 15: 102
+		irIns(ir.OpPrint, no, 1, no, 0),     // 16: still 100
+		irIns(ir.OpRet, no, no, no, 0),      // 17
+	}
+	p := irProgram(&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rF, rF, rF, rR, rF, rF}, Code: code})
+	p.Classes = []*ir.Class{{Name: "Cell", Fields: []string{"v"}, FieldKinds: []ir.ElemKind{rF}}}
+	m := moduleOf(t, p)
+	groupAt(t, m, 3, vm.OpMulFK, 2)
+	groupAt(t, m, 10, vm.OpAddFieldFK, 4)
+	res, err := runBoth(t, "jump into float groups", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"200", "100", "102", "100"}; !reflect.DeepEqual(res.Output, want) {
+		t.Errorf("output %v, want %v", res.Output, want)
+	}
+}
+
+// TestFloatGroupsWriteTheConstant reads the constant's register after
+// each float constant group: the groups fold the constant into the
+// arithmetic, but the register write it made in the unfused stream stays.
+func TestFloatGroupsWriteTheConstant(t *testing.T) {
+	code := []ir.Instr{
+		constF(0, 1.5),                      // 0
+		irIns(ir.OpNop, no, no, no, 0),      // 1
+		constF(1, 0.5),                      // 2: mul.fk
+		irIns(ir.OpMulF, 2, 0, 1, 0),        // 3
+		irIns(ir.OpPrint, no, 1, no, 0),     // 4: the constant
+		irIns(ir.OpPrint, no, 2, no, 0),     // 5: 0.75
+		irIns(ir.OpNew, 3, no, no, 0),       // 6
+		irIns(ir.OpStoreField, no, 3, 0, 0), // 7: the field holds 1.5
+		irIns(ir.OpLoadField, 4, 3, no, 0),  // 8: ldfld.f+add.fk+stfld.f
+		constF(5, 0.25),                     // 9
+		irIns(ir.OpAddF, 2, 4, 5, 0),        // 10
+		irIns(ir.OpStoreField, no, 3, 2, 0), // 11
+		irIns(ir.OpPrint, no, 5, no, 0),     // 12: the constant
+		irIns(ir.OpPrint, no, 4, no, 0),     // 13: the loaded 1.5
+		irIns(ir.OpLoadField, 4, 3, no, 0),  // 14
+		irIns(ir.OpPrint, no, 4, no, 0),     // 15: the stored 1.75
+		irIns(ir.OpRet, no, no, no, 0),      // 16
+	}
+	p := irProgram(&ir.Func{Name: "main", RegKinds: []ir.ElemKind{rF, rF, rF, rR, rF, rF}, Code: code})
+	p.Classes = []*ir.Class{{Name: "Cell", Fields: []string{"v"}, FieldKinds: []ir.ElemKind{rF}}}
+	m := moduleOf(t, p)
+	groupAt(t, m, 2, vm.OpMulFK, 2)
+	groupAt(t, m, 8, vm.OpAddFieldFK, 4)
+	res, err := runBoth(t, "float constant groups", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"0.5", "0.75", "0.25", "1.5", "1.75"}; !reflect.DeepEqual(res.Output, want) {
 		t.Errorf("output %v, want %v", res.Output, want)
 	}
 }

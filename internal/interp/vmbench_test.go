@@ -181,8 +181,8 @@ func TestFusionCoverageBarnesHut(t *testing.T) {
 	if covered, total, _ := fusionCoverage(t, c.Parallel, "Body::walk@original"); covered != 19 || total != 23 {
 		t.Errorf("Body::walk: %d of %d slots inside fused groups, want 19 of 23", covered, total)
 	}
-	if _, total, saved := fusionCoverage(t, c.Parallel, ""); saved != 63 || total != 265 {
-		t.Errorf("module: groups remove %d of %d dispatches, want 63 of 265", saved, total)
+	if _, total, saved := fusionCoverage(t, c.Parallel, ""); saved != 75 || total != 265 {
+		t.Errorf("module: groups remove %d of %d dispatches, want 75 of 265", saved, total)
 	}
 }
 

@@ -24,114 +24,77 @@ import (
 // instructions are the unconditional acquire and release: vm.Compile
 // rejects conditional sites, whose programs Run hands to the oracle.
 //
-// The loop is two-level so that the dispatch state stays in registers.
-// The outer loop runs once per activation: it loads the frame, its code
-// and its three bank windows. Inside the inner loop those are invariant
-// and only pc, executed and acc are carried from one dispatch to the
-// next; anything that changes the current frame (call, return) writes its
-// state back and continues the outer loop instead of reassigning them.
-// Every exit path writes pc/executed/acc back before returning.
+// The loop is two-level. The outer loop runs once per activation: it
+// loads the frame, its code, its three bank windows and the dispatch state
+// (pc from the frame, executed and acc from the task). Inside the inner
+// loop the frame's values are invariant and only pc, executed, acc and the
+// current instruction in change from one dispatch to the next.
+//
+// The register rule keeps that state in registers. Go's register
+// allocator spills a value where it is defined as soon as any path
+// reloads it, so one handler that needs pc back from the stack makes every
+// dispatch store it. No handler may therefore keep the state live across
+// a call, nor run a loop or a register-hungry sequence with it live. A
+// handler that calls or loops does one of three things:
+//   - it writes the state back (fr.pc, t.executed, t.acc), runs the work
+//     in a helper that reads the frame and the task, and reloads the state
+//     (sync, the externs, new, print, the inline entries, the descent
+//     loop, tail calls, the return replay). What it needs of in after the
+//     call it reads into locals first, or rereads from code;
+//   - it writes the state back and leaves the inner loop (continue frames
+//     reloads it, or exec returns): a call and a return;
+//   - it faults with a panic at the call site, so the path visibly ends
+//     there. The fault helpers (failure, vmFault, nilDeref, indexFault)
+//     build the error, and they take the pc after the advance rather than
+//     exec computing pc-1: the compiler would rebuild that from the pc
+//     before the advance and keep it alive.
+//
+// A new handler that calls must take one of these shapes, and a helper it
+// calls carries its own //dfvet:noalloc (the analyzer checks an annotated
+// function's body, not its callees) and a row in
+// TestNoallocAnnotationCoverage. The "Dispatch-path stack stores and loads" CI step counts what the compiler
+// puts on the dispatch path and fails when either count grows.
 //
 //dfvet:noalloc
 func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
-	rt := t.rt
-	dyn := rt.opts.Policy == PolicyDynamic
-	executed := t.executed
-	acc := t.acc
 	if censusOn {
 		censusEntry()
 	}
 
 frames:
 	for {
-		fr := &t.frames[len(t.frames)-1]
+		fr := t.top() // out of line: inlined, fr would take two registers
 		code := fr.fc.Code
-		pc := fr.pc
-		ints, floats, refs := fr.ints, fr.floats, fr.refs
+		pc, executed, acc := fr.pc, t.executed, t.acc
+		// The windows have one length (vmFrame): reslicing the other two
+		// to the ints window's length lets one register bound all three.
+		ints := fr.ints
+		floats, refs := fr.floats[:len(ints)], fr.refs[:len(ints)]
 
 		for executed < stepBudget {
 			if uint(pc) >= uint(len(code)) {
-				rt.fail("%s: fell off end of code", fr.fc.Name)
+				panic(failure("%s: fell off end of code", fr.fc.Name))
 			}
-			in := &code[pc]
+			// The index is a copy of pc, which the address arithmetic may
+			// overwrite: indexed by pc itself, the compiler spills pc first.
+			in := &code[uint32(pc)]
 			if in.Len > 1 && executed > stepBudget-int(in.Len) {
 				// Not enough budget for the whole fused group: execute the
 				// plain instructions so the dispatch boundary lands exactly
 				// where the interpreter's per-instruction count puts it.
-				in = &fr.fc.Plain[pc]
+				// Plain is as long as code, so the check above bounds pc.
+				in = &fr.fc.Plain[:len(code)][pc]
 			}
 			if censusOn {
 				censusOp(t.mod, fr.fc, pc, in)
 			}
 
 			if in.Op >= vm.OpSyncStart {
-				if in.Op == vm.OpParallel {
-					if !t.isMain || t.sr != nil {
-						rt.fail("%s: nested parallel section", fr.fc.Name)
-					}
-					t.acc = acc
-					t.executed = executed
-					t.flush(p)
-					if executed > 0 {
-						fr.pc = pc
-						return simmach.Ready, false
-					}
-					fr.pc = pc + 1
-					t.enterSection(p, fr, in)
-					return simmach.Ready, false
+				fr.pc, t.executed, t.acc = pc, executed, acc
+				if st, stay := t.sync(p, fr, in); !stay {
+					return st, false
 				}
-				// Acquire/release family.
-				isAcq := in.Op == vm.OpAcquire
-				if executed > 0 {
-					// A release with no waiter queued is taken here instead of
-					// at the start of the dispatch it would yield for, which
-					// the machine counts as skipped (Proc.ReleaseAhead). That
-					// dispatch would pass the step-budget check and begin with
-					// an empty budget.
-					if !isAcq && refs[in.A] != nil && rt.m.Steps() < rt.opts.MaxSteps {
-						if lock := refs[in.A].Lock(rt.m); !lock.Queued() {
-							t.acc = acc
-							t.flush(p)
-							acc = 0
-							at := p.Now()
-							if dyn {
-								p.Advance(rt.opts.InstrumentationCost)
-							}
-							p.ReleaseAhead(lock, at)
-							pc++
-							executed = 1
-							continue
-						}
-					}
-					fr.pc = pc
-					t.executed = executed
-					t.acc = acc
-					t.flush(p)
-					return simmach.Ready, false
-				}
-				obj := refs[in.A]
-				if obj == nil {
-					rt.fail("%s: pc %d: nil dereference", t.fname(fr.fc, pc), fr.fc.Src[pc].PC)
-				}
-				lock := obj.Lock(rt.m)
-				t.acc = acc
-				t.flush(p)
-				acc = 0
-				if dyn {
-					p.Advance(rt.opts.InstrumentationCost)
-				}
-				pc++
-				executed++
-				if !isAcq {
-					p.Release(lock)
-					continue
-				}
-				if !p.Acquire(lock) {
-					fr.pc = pc
-					t.executed = executed
-					t.acc = acc
-					return simmach.Blocked, false
-				}
+				pc, executed, acc = fr.pc, t.executed, t.acc
 				continue
 			}
 
@@ -154,7 +117,7 @@ frames:
 			case vm.OpMovR:
 				refs[in.Dst] = refs[in.A]
 			case vm.OpLoadParam:
-				ints[in.Dst] = rt.paramVals[in.Imm]
+				ints[in.Dst] = t.rt.paramVals[in.Imm]
 
 			case vm.OpAddI:
 				ints[in.Dst] = ints[in.A] + ints[in.B]
@@ -164,12 +127,12 @@ frames:
 				ints[in.Dst] = ints[in.A] * ints[in.B]
 			case vm.OpDivI:
 				if ints[in.B] == 0 {
-					rt.fail("%s: integer division by zero", t.fname(fr.fc, pc-1))
+					panic(t.vmFault(fr.fc, pc, "integer division by zero"))
 				}
 				ints[in.Dst] = ints[in.A] / ints[in.B]
 			case vm.OpModI:
 				if ints[in.B] == 0 {
-					rt.fail("%s: integer modulo by zero", t.fname(fr.fc, pc-1))
+					panic(t.vmFault(fr.fc, pc, "integer modulo by zero"))
 				}
 				ints[in.Dst] = ints[in.A] % ints[in.B]
 			case vm.OpNegI:
@@ -229,14 +192,15 @@ frames:
 
 			case vm.OpCall:
 				if len(t.frames)+int(t.collapsed) > 10000 {
-					rt.fail("%s: call stack overflow", fr.fc.Name)
+					panic(failure("%s: call stack overflow", fr.fc.Name))
 				}
 				// Caller windows stay valid across the push (arena growth
 				// copies), but fr does not: the frames slice may reallocate.
-				fr.pc = pc
+				args := in.Args
+				fr.pc, t.executed, t.acc = pc, executed, acc
 				t.push(int(in.Imm), in.Dst, uint8(in.C))
 				nf := &t.frames[len(t.frames)-1]
-				for _, mv := range in.Args {
+				for _, mv := range args {
 					switch mv.Bank {
 					case vm.BankFloat:
 						nf.floats[mv.Dst] = floats[mv.Src]
@@ -248,108 +212,50 @@ frames:
 				}
 				continue frames
 
-			case vm.OpIKTailCall:
-				ints[in.B] = in.Imm
-				x := ints[in.A]
-				switch vm.Op(in.C) {
-				case vm.OpAddI:
-					x += in.Imm
-				case vm.OpSubI:
-					x -= in.Imm
-				case vm.OpMulI:
-					x *= in.Imm
-				case vm.OpDivI: // Imm != 0: fuse never folds a zero divisor
-					x /= in.Imm
-				default:
-					x %= in.Imm
-				}
-				ints[in.Dst] = x
-				fallthrough
-			case vm.OpTailCall:
-				if len(t.frames)+int(t.collapsed) > 10000 {
-					rt.fail("%s: call stack overflow", t.fname(fr.fc, pc-1))
-				}
-				// The argument plan is sequenced at compile time
-				// (vm.sequenceMoves): in-order copies within the frame.
-				for _, mv := range in.Args {
-					switch mv.Bank {
-					case vm.BankFloat:
-						floats[mv.Dst] = floats[mv.Src]
-					case vm.BankRef:
-						refs[mv.Dst] = refs[mv.Src]
-					default:
-						ints[mv.Dst] = ints[mv.Src]
-					}
-				}
-				// A restart at pc 0 re-enters the frame's function, whose
-				// push zeroes what it reads first; a splice's callee zeroes
-				// nothing.
-				if fc := fr.fc; in.E == 0 && (fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs) {
-					clear(ints[fc.PInts:fc.NInts])
-					clear(floats[fc.PFloats:fc.NFloats])
-					clear(refs[fc.PRefs:fc.NRefs])
-				}
-				ints[in.D]++
-				t.collapsed++
-				pc = int(in.E)
+			case vm.OpTailCall, vm.OpIKTailCall:
+				fr.pc, t.executed, t.acc = pc, executed, acc
+				t.tailCall(fr, in)
+				pc, executed, acc = fr.pc, t.executed, t.acc
 
 			case vm.OpCallExtI, vm.OpCallExtF:
-				fn := rt.prep.extFns[in.Imm]
-				args := t.extArgs[:0]
-				for _, mv := range in.Args {
-					switch mv.Bank {
-					case vm.BankFloat:
-						args = append(args, Value{Kind: KindFloat, F: floats[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
-					case vm.BankRef:
-						args = append(args, Value{Kind: KindRef, Ref: refs[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
-					default:
-						args = append(args, Value{Kind: KindInt, I: ints[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
-					}
-				}
-				t.extArgs = args[:0]
-				v, extra := fn(args)
-				acc += extra
-				if in.Dst >= 0 {
-					if in.Op == vm.OpCallExtF {
-						floats[in.Dst] = v.F
-					} else {
-						ints[in.Dst] = v.I
-					}
-				}
+				fr.pc, t.executed, t.acc = pc, executed, acc
+				t.callExt(fr, in)
+				pc, executed, acc = fr.pc, t.executed, t.acc
 			case vm.OpCallFFF:
-				floats[in.Dst] = t.mod.Ext[in.Imm].FFF(floats[in.A], floats[in.B])
+				f, x, y, dst := t.mod.Ext[in.Imm].FFF, floats[in.A], floats[in.B], in.Dst
+				fr.pc, t.executed, t.acc = pc, executed, acc
+				v := f(x, y)
+				pc, executed, acc = fr.pc, t.executed, t.acc
+				floats[dst] = v
 			case vm.OpCallIF:
-				floats[in.Dst] = t.mod.Ext[in.Imm].IF(ints[in.A])
+				f, x, dst := t.mod.Ext[in.Imm].IF, ints[in.A], in.Dst
+				fr.pc, t.executed, t.acc = pc, executed, acc
+				v := f(x)
+				pc, executed, acc = fr.pc, t.executed, t.acc
+				floats[dst] = v
 			case vm.OpCallWork:
 				n := ints[in.A]
 				ints[in.Dst] = 0
 				acc += workCharge(n)
 			case vm.OpWorkParam:
-				n := rt.paramVals[in.Imm]
+				n := t.rt.paramVals[in.Imm]
 				ints[in.Dst] = n
 				ints[in.B] = 0
 				acc += workCharge(n)
 
 			case vm.OpRetI, vm.OpRetF, vm.OpRetR, vm.OpRetVoid, vm.OpIRetN:
-				if n := ints[in.C]; n > 0 {
-					// Replay the collapsed tail calls' returns (ints[C]
-					// counts them): the interpreter unwinds these as separate
-					// instructions, so each charge is its own budget step.
-					// This dispatch took the first; the return itself takes
-					// one step more. A replay the budget cannot finish
-					// resumes here in the next dispatch.
-					if left := int64(stepBudget - executed); n > left {
-						executed = stepBudget
-						acc += simmach.Time(left) * simmach.Time(in.Cost)
-						ints[in.C] = n - 1 - left
-						t.collapsed -= 1 + left
-						pc--
+				if ints[in.C] > 0 {
+					// The collapsed tail calls' returns replay first. A replay
+					// the budget cannot finish ends the dispatch on the
+					// return. in is reread: the register rule keeps it out
+					// of the call.
+					fr.pc, t.executed, t.acc = pc, executed, acc
+					done := t.replay(fr, in)
+					pc, executed, acc = fr.pc, t.executed, t.acc
+					if !done {
 						continue
 					}
-					executed += int(n)
-					acc += simmach.Time(n) * simmach.Time(in.Cost)
-					ints[in.C] = 0
-					t.collapsed -= n
+					in = &code[pc-1]
 				}
 				if in.Op == vm.OpIRetN {
 					// A self-tail-recursive splice returns.
@@ -360,6 +266,7 @@ frames:
 				}
 				// Deliver the value through the caller's frame, then re-enter
 				// the outer loop on it.
+				t.executed, t.acc = executed, acc
 				retSlot, retBank := fr.retSlot, fr.retBank
 				var vI int64
 				var vF float64
@@ -374,8 +281,6 @@ frames:
 				}
 				t.popFrame()
 				if len(t.frames) == t.baseFrames {
-					t.executed = executed
-					t.acc = acc
 					t.flush(p)
 					return 0, true
 				}
@@ -396,37 +301,25 @@ frames:
 				continue frames
 
 			case vm.OpNew:
-				cls := rt.prog.Classes[in.Imm]
-				fields := make([]Value, len(cls.Fields)) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
-				for i, k := range cls.FieldKinds {
-					fields[i] = zeroOf(k)
-				}
-				refs[in.Dst] = &Object{Class: cls, Fields: fields} //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
+				fr.pc, t.executed, t.acc = pc, executed, acc
+				t.newObject(fr, in)
+				pc, executed, acc = fr.pc, t.executed, t.acc
 			case vm.OpNewArr:
-				n := ints[in.A]
-				if uint64(n) > maxArrayLen {
-					rt.badArrayLen(t.fname(fr.fc, pc-1), n)
-				}
-				acc += simmach.Time(n) * ir.CostPerElem
-				elems := make([]Value, n) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
-				if z := zeroOf(ir.ElemKind(in.Imm)); z.Kind != KindNil {
-					for i := range elems {
-						elems[i] = z
-					}
-				}
-				refs[in.Dst] = &Object{Elems: elems} //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
+				fr.pc, t.executed, t.acc = pc, executed, acc
+				t.newArray(fr, in)
+				pc, executed, acc = fr.pc, t.executed, t.acc
 
 			case vm.OpLoadFieldI:
-				obj := t.vref(in, refs, fr.fc, pc-1)
+				obj := t.vref(in, refs, fr.fc, pc, 1)
 				ints[in.Dst] = obj.Fields[in.Imm].I
 			case vm.OpLoadFieldF:
-				obj := t.vref(in, refs, fr.fc, pc-1)
+				obj := t.vref(in, refs, fr.fc, pc, 1)
 				floats[in.Dst] = obj.Fields[in.Imm].F
 			case vm.OpLoadFieldR:
-				obj := t.vref(in, refs, fr.fc, pc-1)
+				obj := t.vref(in, refs, fr.fc, pc, 1)
 				refs[in.Dst] = obj.Fields[in.Imm].Ref
 			case vm.OpStoreFieldI, vm.OpStoreFieldB, vm.OpStoreFieldF, vm.OpStoreFieldR:
-				obj := t.vref(in, refs, fr.fc, pc-1)
+				obj := t.vref(in, refs, fr.fc, pc, 1)
 				switch in.Op {
 				case vm.OpStoreFieldI:
 					obj.Fields[in.Imm] = Value{Kind: KindInt, I: ints[in.B]}
@@ -443,10 +336,10 @@ frames:
 				}
 
 			case vm.OpLoadIndexI, vm.OpLoadIndexF, vm.OpLoadIndexR:
-				obj := t.vref(in, refs, fr.fc, pc-1)
+				obj := t.vref(in, refs, fr.fc, pc, 1)
 				i := ints[in.B]
 				if i < 0 || i >= int64(len(obj.Elems)) {
-					rt.fail("%s: index %d out of range [0,%d)", t.fname(fr.fc, pc-1), i, len(obj.Elems))
+					panic(t.indexFault(fr.fc, pc, i, len(obj.Elems)))
 				}
 				switch in.Op {
 				case vm.OpLoadIndexI:
@@ -457,10 +350,10 @@ frames:
 					refs[in.Dst] = obj.Elems[i].Ref
 				}
 			case vm.OpStoreIndexI, vm.OpStoreIndexB, vm.OpStoreIndexF, vm.OpStoreIndexR:
-				obj := t.vref(in, refs, fr.fc, pc-1)
+				obj := t.vref(in, refs, fr.fc, pc, 1)
 				i := ints[in.B]
 				if i < 0 || i >= int64(len(obj.Elems)) {
-					rt.fail("%s: index %d out of range [0,%d)", t.fname(fr.fc, pc-1), i, len(obj.Elems))
+					panic(t.indexFault(fr.fc, pc, i, len(obj.Elems)))
 				}
 				switch in.Op {
 				case vm.OpStoreIndexI:
@@ -477,35 +370,18 @@ frames:
 					}
 				}
 			case vm.OpLen:
-				obj := t.vref(in, refs, fr.fc, pc-1)
+				obj := t.vref(in, refs, fr.fc, pc, 1)
 				ints[in.Dst] = int64(len(obj.Elems))
 
-			case vm.OpPrintI:
-				rt.output = append(rt.output, strconv.FormatInt(ints[in.A], 10)) //dfvet:allow noalloc program output accumulation, once per print statement
-			case vm.OpPrintB:
-				rt.output = append(rt.output, strconv.FormatBool(ints[in.A] != 0)) //dfvet:allow noalloc program output accumulation, once per print statement
-			case vm.OpPrintF:
-				rt.output = append(rt.output, strconv.FormatFloat(floats[in.A], 'g', -1, 64)) //dfvet:allow noalloc program output accumulation, once per print statement
-			case vm.OpPrintR:
-				r := refs[in.A]
-				switch {
-				case r == nil:
-					rt.output = append(rt.output, "nil") //dfvet:allow noalloc program output accumulation, once per print statement
-				case r.Class != nil:
-					rt.output = append(rt.output, fmt.Sprintf("%s@%p", r.Class.Name, r)) //dfvet:allow noalloc program output accumulation, once per print statement
-				default:
-					rt.output = append(rt.output, fmt.Sprintf("array[%d]", len(r.Elems))) //dfvet:allow noalloc program output accumulation, once per print statement
-				}
+			case vm.OpPrintI, vm.OpPrintB, vm.OpPrintF, vm.OpPrintR:
+				fr.pc, t.executed, t.acc = pc, executed, acc
+				t.print(fr, in)
+				pc, executed, acc = fr.pc, t.executed, t.acc
 
-			case vm.OpCallEnter:
-				// Open an inlined callee: zero its register ranges, then the
-				// call-depth check and the argument moves (enter). The
-				// linkage charge is in in.Cost.
-				clear(ints[in.A:in.B])
-				clear(floats[in.C:in.Dst])
-				clear(refs[in.Imm>>32 : in.Imm&0xffffffff])
-				t.enter(fr.fc, in.Args, ints, floats, refs)
-				t.collapsed += int64(in.D)
+			case vm.OpCallEnter, vm.OpEnterDescend:
+				fr.pc, t.executed, t.acc = pc, executed, acc
+				t.enter(fr, in)
+				pc, executed, acc = fr.pc, t.executed, t.acc
 			case vm.OpIRetI:
 				ints[in.Dst] = ints[in.A]
 				pc = int(in.Imm)
@@ -548,68 +424,14 @@ frames:
 			case vm.OpMulIK:
 				ints[in.B] = in.Imm
 				ints[in.Dst] = ints[in.A] * in.Imm
-			case vm.OpEnterDescend:
-				// A self-tail-recursive splice opens, and its body's descent
-				// head runs: the entry's moves ride in Args, and the one
-				// register it zeroes is the plan's collapse counter.
-				ints[fr.fc.Descents[in.D].Count] = 0
-				t.enter(fr.fc, in.Args, ints, floats, refs)
-				t.collapsed++
-				fallthrough
+			case vm.OpMulFK:
+				k := in.F()
+				floats[in.B] = k
+				floats[in.Dst] = floats[in.A] * k
 			case vm.OpDescend:
-				// The head is charged. Whole levels (g2, g3, an arm with its
-				// self tail call, and the next head) run here with lo, hi and
-				// k in locals: while the budget admits a level whole, the
-				// depth check admits its tail call and the head's base case
-				// does not hold. The bank is written back once, each arm's
-				// two registers as of the last level that took that arm.
-				// Then the head runs as its own group on the final lo and hi,
-				// so a descent that goes on leaves pc on g2 and the ordinary
-				// groups take over.
-				d := &fr.fc.Descents[in.D]
-				depth := 10001 - len(t.frames) - int(t.collapsed)
-				lo, hi, k := ints[d.Lo], ints[d.Hi], ints[d.K]
-				g3 := &code[d.G3]
-				k2 := int64(int32(g3.Imm))
-				var sum, r, took int64 // took has bit w set once arm w ran
-				var q [2]int64         // arm w's quotient as of its last level
-				levels := 0
-				for ; levels < depth && executed <= stepBudget-d.Len && hi-lo > in.Imm; levels++ {
-					executed += d.Len
-					sum = lo + hi
-					mid := divPow2(sum, d.MidShift)
-					r = modPow2(k, d.ParityShift)
-					w := b2w(r == k2) // the parity word, which picks the arm
-					k = divPow2(k, d.KShift)
-					q[w&1] = k
-					took |= w + 1
-					m := -(w ^ d.LoWord) // all ones when mid moves into hi
-					hi ^= (hi ^ mid) & m
-					lo ^= (lo ^ mid) &^ m
-				}
-				if levels > 0 {
-					acc += simmach.Time(levels) * simmach.Time(d.Cost)
-					ints[d.Count] += int64(levels)
-					t.collapsed += int64(levels)
-					if censusOn {
-						censusLevels(levels)
-					}
-					g2 := &code[d.G2]
-					ints[d.Lo], ints[d.Hi], ints[d.K] = lo, hi, k
-					ints[g2.Dst], ints[g2.C] = sum, g2.Imm
-					ints[g2.D] = divPow2(sum, d.MidShift)
-					ints[g2.E] = ints[g2.D]
-					ints[g3.E], ints[g3.A], ints[g3.B] = g3.Imm>>32, r, k2
-					ints[g3.Dst] = b2w(r == k2)
-					for w, at := range d.Arms {
-						if took>>w&1 != 0 {
-							a := &code[at]
-							ints[a.B], ints[a.Dst] = a.Imm, q[w]
-						}
-					}
-				}
-				ints[in.A] = ints[d.Hi] - ints[d.Lo]
-				fallthrough
+				fr.pc, t.executed, t.acc = pc, executed, acc
+				t.descend(fr, in)
+				pc, executed, acc = fr.pc, t.executed, t.acc
 			case vm.OpLeIKBr:
 				ints[in.B] = in.Imm
 				c := ints[in.A] <= in.Imm
@@ -635,31 +457,366 @@ frames:
 				}
 			case vm.OpAddFieldF:
 				// A nil object faults as the group's head, the ldfld.f, does.
-				obj := t.vref(in, refs, fr.fc, pc-3)
+				obj := t.vref(in, refs, fr.fc, pc, 3)
 				floats[in.D] = obj.Fields[in.Imm].F
 				floats[in.Dst] = floats[in.B] + floats[in.C]
 				obj.Fields[in.Imm] = Value{Kind: KindFloat, F: floats[in.Dst]}
+			case vm.OpAddFieldFK:
+				// The field is E: the constant takes Imm. A nil object faults
+				// as the group's head, the ldfld.f, does.
+				obj := t.vref(in, refs, fr.fc, pc, 4)
+				k := in.F()
+				floats[in.D] = obj.Fields[in.E].F
+				floats[in.C] = k
+				floats[in.Dst] = floats[in.B] + k
+				obj.Fields[in.E] = Value{Kind: KindFloat, F: floats[in.Dst]}
 
 			default:
-				rt.fail("%s: bad opcode %v", fr.fc.Name, in.Op)
+				panic(failure("%s: bad opcode %v", fr.fc.Name, in.Op))
 			}
 		}
-		fr.pc = pc
-		t.executed = executed
-		t.acc = acc
+		fr.pc, t.executed, t.acc = pc, executed, acc
 		t.flush(p)
 		return simmach.Ready, false
 	}
 }
 
-// enter opens an inlined callee in a frame of fc: the call-depth check of
-// the call the splice replaced, then the argument moves. A
-// self-tail-recursive callee's splice then stands for its frame in the
-// task's collapse total until its OpIRetN.
-func (t *vmTask) enter(fc *vm.FuncCode, moves []vm.ArgMove, ints []int64, floats []float64, refs []*Object) {
-	if len(t.frames)+int(t.collapsed) > 10000 {
-		t.rt.fail("%s: call stack overflow", fc.Name)
+// sync runs the sync instruction in at the start of exec's dispatch loop
+// iteration. exec has written its state back (fr.pc is in's slot) and
+// reloads it from there when the dispatch stays: the instruction then ran
+// and the task's pc, step count and unflushed cost are past it. Otherwise
+// st is the status exec returns. A sync instruction yields first when the
+// dispatch has done work, except a release no processor waits for: that
+// is taken here instead of at the start of the dispatch it would yield
+// for, which the machine counts as skipped (Proc.ReleaseAhead). That
+// dispatch would pass the step-budget check and begin with an empty
+// budget.
+//
+//dfvet:noalloc
+func (t *vmTask) sync(p *simmach.Proc, fr *vmFrame, in *vm.Instr) (st simmach.Status, stay bool) {
+	rt := t.rt
+	dyn := rt.opts.Policy == PolicyDynamic
+	if in.Op == vm.OpParallel {
+		if !t.isMain || t.sr != nil {
+			rt.fail("%s: nested parallel section", fr.fc.Name)
+		}
+		t.flush(p)
+		if t.executed > 0 {
+			return simmach.Ready, false
+		}
+		fr.pc++
+		t.enterSection(p, fr, in)
+		return simmach.Ready, false
 	}
+	// Acquire/release family.
+	isAcq := in.Op == vm.OpAcquire
+	obj := fr.refs[in.A]
+	if t.executed > 0 {
+		if !isAcq && obj != nil && rt.m.Steps() < rt.opts.MaxSteps {
+			if lock := obj.Lock(rt.m); !lock.Queued() {
+				t.flush(p)
+				t.acc = 0
+				at := p.Now()
+				if dyn {
+					p.Advance(rt.opts.InstrumentationCost)
+				}
+				p.ReleaseAhead(lock, at)
+				fr.pc++
+				t.executed = 1
+				return 0, true
+			}
+		}
+		t.flush(p)
+		return simmach.Ready, false
+	}
+	if obj == nil {
+		rt.fail("%s: pc %d: nil dereference", t.fname(fr.fc, fr.pc), fr.fc.Src[fr.pc].PC)
+	}
+	lock := obj.Lock(rt.m)
+	t.flush(p)
+	t.acc = 0
+	if dyn {
+		p.Advance(rt.opts.InstrumentationCost)
+	}
+	fr.pc++
+	t.executed++
+	if !isAcq {
+		p.Release(lock)
+		return 0, true
+	}
+	if !p.Acquire(lock) {
+		return simmach.Blocked, false
+	}
+	return 0, true
+}
+
+// callExt runs a boxed extern call: the arguments go through t.extArgs as
+// Values, and the extern's extra charge joins t.acc.
+//
+//dfvet:noalloc
+func (t *vmTask) callExt(fr *vmFrame, in *vm.Instr) {
+	ints, floats, refs := fr.ints, fr.floats, fr.refs
+	fn := t.rt.prep.extFns[in.Imm]
+	args := t.extArgs[:0]
+	for _, mv := range in.Args {
+		switch mv.Bank {
+		case vm.BankFloat:
+			args = append(args, Value{Kind: KindFloat, F: floats[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
+		case vm.BankRef:
+			args = append(args, Value{Kind: KindRef, Ref: refs[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
+		default:
+			args = append(args, Value{Kind: KindInt, I: ints[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
+		}
+	}
+	t.extArgs = args[:0]
+	v, extra := fn(args)
+	t.acc += extra
+	if in.Dst >= 0 {
+		if in.Op == vm.OpCallExtF {
+			floats[in.Dst] = v.F
+		} else {
+			ints[in.Dst] = v.I
+		}
+	}
+}
+
+// print appends a print instruction's line to the program output.
+//
+//dfvet:noalloc
+func (t *vmTask) print(fr *vmFrame, in *vm.Instr) {
+	ints, floats, refs := fr.ints, fr.floats, fr.refs
+	rt := t.rt
+	switch in.Op {
+	case vm.OpPrintI:
+		rt.output = append(rt.output, strconv.FormatInt(ints[in.A], 10)) //dfvet:allow noalloc program output accumulation, once per print statement
+	case vm.OpPrintB:
+		rt.output = append(rt.output, strconv.FormatBool(ints[in.A] != 0)) //dfvet:allow noalloc program output accumulation, once per print statement
+	case vm.OpPrintF:
+		rt.output = append(rt.output, strconv.FormatFloat(floats[in.A], 'g', -1, 64)) //dfvet:allow noalloc program output accumulation, once per print statement
+	default:
+		r := refs[in.A]
+		switch {
+		case r == nil:
+			rt.output = append(rt.output, "nil") //dfvet:allow noalloc program output accumulation, once per print statement
+		case r.Class != nil:
+			rt.output = append(rt.output, fmt.Sprintf("%s@%p", r.Class.Name, r)) //dfvet:allow noalloc program output accumulation, once per print statement
+		default:
+			rt.output = append(rt.output, fmt.Sprintf("array[%d]", len(r.Elems))) //dfvet:allow noalloc program output accumulation, once per print statement
+		}
+	}
+}
+
+// newObject runs OpNew: refs[Dst] = a new object of class Imm, every field
+// its kind's zero.
+//
+//dfvet:noalloc
+func (t *vmTask) newObject(fr *vmFrame, in *vm.Instr) {
+	cls := t.rt.prog.Classes[in.Imm]
+	fields := make([]Value, len(cls.Fields)) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
+	for i, k := range cls.FieldKinds {
+		fields[i] = zeroOf(k)
+	}
+	fr.refs[in.Dst] = &Object{Class: cls, Fields: fields} //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
+}
+
+// newArray runs OpNewArr: refs[Dst] = a new array of ints[A] elements of
+// kind Imm, each its kind's zero, and the per-element charge. fr.pc is past
+// the instruction.
+//
+//dfvet:noalloc
+func (t *vmTask) newArray(fr *vmFrame, in *vm.Instr) {
+	n := fr.ints[in.A]
+	if uint64(n) > maxArrayLen {
+		panic(arrayLenErr(t.fname(fr.fc, fr.pc-1), n))
+	}
+	t.acc += simmach.Time(n) * ir.CostPerElem
+	elems := make([]Value, n) //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
+	if z := zeroOf(ir.ElemKind(in.Imm)); z.Kind != KindNil {
+		for i := range elems {
+			elems[i] = z
+		}
+	}
+	fr.refs[in.Dst] = &Object{Elems: elems} //dfvet:allow noalloc the simulated program's own new: an OBL allocation must allocate
+}
+
+// enter opens an inlined callee at in, an OpCallEnter or OpEnterDescend,
+// for exec, which has written its state back. An OpCallEnter zeroes the
+// callee's register ranges; an OpEnterDescend's one zeroed register is its
+// descent plan's collapse counter. Then come the call-depth check of the
+// call the splice replaced and the argument moves, and a
+// self-tail-recursive callee's splice (an OpCallEnter's D 1, every
+// OpEnterDescend) stands for its frame in the task's collapse total until
+// its OpIRetN. An OpEnterDescend then runs its descent head (descend).
+//
+//dfvet:noalloc
+func (t *vmTask) enter(fr *vmFrame, in *vm.Instr) {
+	ints, floats, refs := fr.ints, fr.floats, fr.refs
+	descent := in.Op == vm.OpEnterDescend
+	if descent {
+		ints[fr.fc.Descents[in.D].Count] = 0
+	} else {
+		clear(ints[in.A:in.B])
+		clear(floats[in.C:in.Dst])
+		clear(refs[in.Imm>>32 : in.Imm&0xffffffff])
+	}
+	if len(t.frames)+int(t.collapsed) > 10000 {
+		t.rt.fail("%s: call stack overflow", fr.fc.Name)
+	}
+	moveWithin(in.Args, ints, floats, refs)
+	if !descent {
+		t.collapsed += int64(in.D)
+		return
+	}
+	t.collapsed++
+	t.descend(fr, in)
+}
+
+// tailCall runs a self tail call at in for exec, which has written its
+// state back: an OpIKTailCall's folded arithmetic first, then the
+// call-depth check, the sequenced argument moves (vm.sequenceMoves), the
+// counts, and the restart at E. A restart at pc 0 re-enters the frame's
+// function, whose push zeroes what it reads first (the counter, slot
+// NInts, is not among it); a splice's callee zeroes nothing.
+//
+//dfvet:noalloc
+func (t *vmTask) tailCall(fr *vmFrame, in *vm.Instr) {
+	ints, floats, refs := fr.ints, fr.floats, fr.refs
+	if in.Op == vm.OpIKTailCall {
+		ints[in.B] = in.Imm
+		x := ints[in.A]
+		switch vm.Op(in.C) {
+		case vm.OpAddI:
+			x += in.Imm
+		case vm.OpSubI:
+			x -= in.Imm
+		case vm.OpMulI:
+			x *= in.Imm
+		case vm.OpDivI: // Imm != 0: fuse never folds a zero divisor
+			x /= in.Imm
+		default:
+			x %= in.Imm
+		}
+		ints[in.Dst] = x
+	}
+	if len(t.frames)+int(t.collapsed) > 10000 {
+		t.rt.fail("%s: call stack overflow", t.fname(fr.fc, fr.pc-1))
+	}
+	moveWithin(in.Args, ints, floats, refs)
+	if fc := fr.fc; in.E == 0 && (fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs) {
+		clear(ints[fc.PInts:fc.NInts])
+		clear(floats[fc.PFloats:fc.NFloats])
+		clear(refs[fc.PRefs:fc.NRefs])
+	}
+	ints[in.D]++
+	t.collapsed++
+	fr.pc = int(in.E)
+}
+
+// replay runs the replay of a return at in for exec, which has written its
+// state back: the returns of the collapsed tail calls, ints[C] of them, as
+// the interpreter unwinds them, each charge its own budget step. The
+// dispatch took the first; the return itself takes one step more. A replay
+// the budget cannot finish leaves fr.pc on the return, to resume there in
+// the next dispatch, and reports false.
+//
+//dfvet:noalloc
+func (t *vmTask) replay(fr *vmFrame, in *vm.Instr) bool {
+	ints := fr.ints
+	n := ints[in.C]
+	if left := int64(stepBudget - t.executed); n > left {
+		t.executed = stepBudget
+		t.acc += simmach.Time(left) * simmach.Time(in.Cost)
+		ints[in.C] = n - 1 - left
+		t.collapsed -= 1 + left
+		fr.pc--
+		return false
+	}
+	t.executed += int(n)
+	t.acc += simmach.Time(n) * simmach.Time(in.Cost)
+	ints[in.C] = 0
+	t.collapsed -= n
+	return true
+}
+
+// descend runs an OpDescend head for exec, which has written its state
+// back (fr.pc is past the head's group) and reloads it after. The head is
+// charged. Whole levels (g2, g3, an arm with its self tail call, and the
+// next head) run here with lo, hi and k in locals: while the budget admits
+// a level whole, the depth check admits its tail call and the head's base
+// case does not hold. The bank is written back once, each arm's two
+// registers as of the last level that took that arm. Then the head runs
+// as its own group (OpLeIKBr's code) on the final lo and hi, so a descent
+// that goes on leaves fr.pc on g2 and the ordinary groups take over.
+//
+//dfvet:noalloc
+func (t *vmTask) descend(fr *vmFrame, in *vm.Instr) {
+	code, ints := fr.fc.Code, fr.ints
+	executed := t.executed
+	d := &fr.fc.Descents[in.D]
+	depth := 10001 - len(t.frames) - int(t.collapsed)
+	lo, hi, k := ints[d.Lo], ints[d.Hi], ints[d.K]
+	g3 := &code[d.G3]
+	k2 := int64(int32(g3.Imm))
+	var sum, r, took int64 // took has bit w set once arm w ran
+	var q [2]int64         // arm w's quotient as of its last level
+	levels := 0
+	for ; levels < depth && executed <= stepBudget-d.Len && hi-lo > in.Imm; levels++ {
+		executed += d.Len
+		sum = lo + hi
+		mid := divPow2(sum, d.MidShift)
+		r = modPow2(k, d.ParityShift)
+		w := b2w(r == k2) // the parity word, which picks the arm
+		k = divPow2(k, d.KShift)
+		q[w&1] = k
+		took |= w + 1
+		m := -(w ^ d.LoWord) // all ones when mid moves into hi
+		hi ^= (hi ^ mid) & m
+		lo ^= (lo ^ mid) &^ m
+	}
+	if levels > 0 {
+		t.acc += simmach.Time(levels) * simmach.Time(d.Cost)
+		ints[d.Count] += int64(levels)
+		t.collapsed += int64(levels)
+		if censusOn {
+			censusLevels(levels)
+		}
+		g2 := &code[d.G2]
+		ints[d.Lo], ints[d.Hi], ints[d.K] = lo, hi, k
+		ints[g2.Dst], ints[g2.C] = sum, g2.Imm
+		ints[g2.D] = divPow2(sum, d.MidShift)
+		ints[g2.E] = ints[g2.D]
+		ints[g3.E], ints[g3.A], ints[g3.B] = g3.Imm>>32, r, k2
+		ints[g3.Dst] = b2w(r == k2)
+		for w, at := range d.Arms {
+			if took>>w&1 != 0 {
+				a := &code[at]
+				ints[a.B], ints[a.Dst] = a.Imm, q[w]
+			}
+		}
+	}
+	t.executed = executed
+	ints[in.A] = ints[d.Hi] - ints[d.Lo]
+	ints[in.B] = in.Imm
+	c := ints[in.A] <= in.Imm
+	ints[in.Dst] = b2w(c)
+	if !c {
+		fr.pc = int(in.C)
+	}
+}
+
+// top is the current frame. exec calls it out of line: inlined, the
+// compiler keeps the frames' base and the frame's offset in two registers
+// for every access through fr.
+//
+//go:noinline
+func (t *vmTask) top() *vmFrame { return &t.frames[len(t.frames)-1] }
+
+// moveWithin runs a move plan whose sources and destinations are slots of
+// one frame, in order: a tail call's sequenced plan (vm.sequenceMoves), or
+// an inlined callee's entry.
+//
+//dfvet:noalloc
+func moveWithin(moves []vm.ArgMove, ints []int64, floats []float64, refs []*Object) {
 	for _, mv := range moves {
 		switch mv.Bank {
 		case vm.BankFloat:
@@ -674,6 +831,8 @@ func (t *vmTask) enter(fc *vm.FuncCode, moves []vm.ArgMove, ints []int64, floats
 
 // iretN delivers an OpIRetN's value to the caller's slot. A void return
 // writes the zero of the destination's bank, as a frame's return does.
+//
+//dfvet:noalloc
 func iretN(in *vm.Instr, ints []int64, floats []float64, refs []*Object) {
 	if in.Dst < 0 {
 		return
@@ -698,22 +857,52 @@ func iretN(in *vm.Instr, ints []int64, floats []float64, refs []*Object) {
 	}
 }
 
-// vref fetches a non-nil object from the instruction's A ref slot; at is
-// the instruction's slot in fc (a fused group's head). It is small enough
-// to inline, so the fault path is the only call.
-func (t *vmTask) vref(in *vm.Instr, refs []*Object, fc *vm.FuncCode, at int) *Object {
+// vref fetches a non-nil object from the instruction's A ref slot. It is
+// small enough to inline, and its fault panics in place (exec's register
+// rule): the access is the group of length back that ends before slot next
+// of fc, and the group's head faults.
+//
+//dfvet:noalloc
+func (t *vmTask) vref(in *vm.Instr, refs []*Object, fc *vm.FuncCode, next, back int) *Object {
 	o := refs[in.A]
 	if o == nil {
-		t.nilDeref(fc, at)
+		panic(t.nilDeref(fc, next, back))
 	}
 	return o
 }
 
-// nilDeref faults a field or element access through a nil reference. The
-// interpreter reports it with the already-incremented pc, so the message
-// pc is the instruction's original pc plus one.
-func (t *vmTask) nilDeref(fc *vm.FuncCode, at int) {
-	t.rt.fail("%s: pc %d: nil dereference", t.fname(fc, at), fc.Src[at].PC+1)
+// The fault helpers below build the error of a fault in exec, which panics
+// with it at the fault site. Each takes exec's pc after the advance (next)
+// and finds the faulting slot itself: exec computing next-1 would have the
+// compiler rebuild it from the dispatch's pc before the advance, keeping
+// that alive in a register or a stack slot. They stay out of line for the
+// same reason.
+
+// nilDeref is the fault of a field or element access through a nil
+// reference by the group of length back before slot next. The interpreter
+// reports it with the already-incremented pc, so the message pc is the
+// group head's original pc plus one.
+//
+//go:noinline
+func (t *vmTask) nilDeref(fc *vm.FuncCode, next, back int) runtimeErr {
+	at := next - back
+	return failure("%s: pc %d: nil dereference", t.fname(fc, at), fc.Src[at].PC+1)
+}
+
+// vmFault is the fault what of the instruction before slot next of fc,
+// named for the function the instruction came from.
+//
+//go:noinline
+func (t *vmTask) vmFault(fc *vm.FuncCode, next int, what string) runtimeErr {
+	return failure("%s: %s", t.fname(fc, next-1), what)
+}
+
+// indexFault is the fault of an element access at index i of an array of
+// n elements by the instruction before slot next of fc.
+//
+//go:noinline
+func (t *vmTask) indexFault(fc *vm.FuncCode, next int, i int64, n int) runtimeErr {
+	return failure("%s: index %d out of range [0,%d)", t.fname(fc, next-1), i, n)
 }
 
 // fname is the function slot at of fc came from, for fault messages:

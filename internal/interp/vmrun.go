@@ -25,9 +25,14 @@ func vmModuleFor(p *ir.Program) (*vm.Module, error) {
 }
 
 // vmFrame is one activation record over the three banks. The windows are
-// re-pointed whenever a bank arena grows. The count of tail calls that
-// reused the frame, whose charges the eventual return replays, is its int
-// slot fc.NInts (vm.FuncCode).
+// re-pointed whenever a bank arena grows. The three have one length, the
+// largest of the function's bank sizes (windowLen), so exec bounds all
+// three banks with one register. A window's slots past its bank's size are
+// never read or written: the arena's length advances by the bank's size
+// only, and the padding reaches into the next frame's slots or the arena's
+// spare capacity. The count of tail calls that reused the
+// frame, whose charges the eventual return replays, is its int slot
+// fc.NInts (vm.FuncCode).
 type vmFrame struct {
 	fc                  *vm.FuncCode
 	pc                  int
@@ -108,17 +113,18 @@ func (t *vmTask) enterSection(p *simmach.Proc, fr *vmFrame, in *vm.Instr) {
 func (t *vmTask) push(funcID int, retSlot int32, retBank uint8) {
 	fc := t.mod.Funcs[funcID]
 	ib, fb, rb := len(t.intStack), len(t.floatStack), len(t.refStack)
-	ti, tf, tr := ib+int(fc.FrameInts), fb+int(fc.FrameFloats), rb+int(fc.FrameRefs)
-	grown := ti > cap(t.intStack) || tf > cap(t.floatStack) || tr > cap(t.refStack)
-	t.intStack = grow(t.intStack, ti)
-	t.floatStack = grow(t.floatStack, tf)
-	t.refStack = grow(t.refStack, tr)
+	n := windowLen(fc)
+	ie, fe, re := ib+n, fb+n, rb+n
+	grown := ie > cap(t.intStack) || fe > cap(t.floatStack) || re > cap(t.refStack)
+	t.intStack = grow(t.intStack, ib+int(fc.FrameInts), ie)
+	t.floatStack = grow(t.floatStack, fb+int(fc.FrameFloats), fe)
+	t.refStack = grow(t.refStack, rb+int(fc.FrameRefs), re)
 	if grown {
 		t.repoint()
 	}
-	ints := t.intStack[ib:ti:ti]
-	floats := t.floatStack[fb:tf:tf]
-	refs := t.refStack[rb:tr:tr]
+	ints := t.intStack[ib:ie:ie]
+	floats := t.floatStack[fb:fe:fe]
+	refs := t.refStack[rb:re:re]
 	if fc.ZeroInts {
 		clear(ints[:fc.NInts])
 	}
@@ -136,14 +142,15 @@ func (t *vmTask) push(funcID int, retSlot int32, retBank uint8) {
 	})
 }
 
-// grow returns s resliced to length top, moved to a larger backing array
-// (doubling, at least 64) when top exceeds its capacity. A register arena
-// that moved needs its frames' windows re-pointed.
-func grow[T any](s []T, top int) []T {
-	if top <= cap(s) {
+// grow returns s resliced to length top with a capacity of at least end,
+// moved to a larger backing array (doubling, at least 64) when end exceeds
+// its capacity. A register arena that moved needs its frames' windows
+// re-pointed.
+func grow[T any](s []T, top, end int) []T {
+	if end <= cap(s) {
 		return s[:top]
 	}
-	g := make([]T, top, max(2*cap(s), top, 64))
+	g := make([]T, top, max(2*cap(s), end, 64))
 	copy(g, s)
 	return g
 }
@@ -153,13 +160,18 @@ func grow[T any](s []T, top int) []T {
 func (t *vmTask) repoint() {
 	for i := range t.frames {
 		f := &t.frames[i]
-		ie := f.ibase + int(f.fc.FrameInts)
-		fe := f.fbase + int(f.fc.FrameFloats)
-		re := f.rbase + int(f.fc.FrameRefs)
+		n := windowLen(f.fc)
+		ie, fe, re := f.ibase+n, f.fbase+n, f.rbase+n
 		f.ints = t.intStack[f.ibase:ie:ie]
 		f.floats = t.floatStack[f.fbase:fe:fe]
 		f.refs = t.refStack[f.rbase:re:re]
 	}
+}
+
+// windowLen is the length of each of a frame's three bank windows: the
+// largest of fc's bank sizes.
+func windowLen(fc *vm.FuncCode) int {
+	return int(max(fc.FrameInts, fc.FrameFloats, fc.FrameRefs))
 }
 
 func (t *vmTask) popFrame() {

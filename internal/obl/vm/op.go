@@ -30,13 +30,13 @@
 // superinstruction set is the one the dispatch census of the benchmark
 // workloads dispatches (internal/interp's census build): lt.i+br, the
 // serial-loop latch, const.i K folded into add/sub/mul and into
-// le.i+brfalse, loadparam feeding work, and the longer census groups. A
-// group no census section runs is deleted, and the census test fails if
-// one is added. A function that is one level of a binary descent closed
-// by a self tail call gets the loop superinstruction OpDescend at its
-// head, and so does every splice of it, and a register plan (Descent),
-// with which the engine runs whole levels of those groups in one
-// dispatch, lo, hi and k in host registers.
+// le.i+brfalse, const.f K folded into mul.f, loadparam feeding work,
+// and the longer census groups. A group no census section runs is
+// deleted, and the census test fails if one is added. A function that is
+// one level of a binary descent closed by a self tail call gets the loop
+// superinstruction OpDescend at its head, and so does every splice of it,
+// and a register plan (Descent), with which the engine runs whole levels
+// of those groups in one dispatch, lo, hi and k in host registers.
 //
 // The contract with the execution engine (interp's vm task) is strict
 // bit-for-bit equivalence with the interpreter: identical virtual times,
@@ -201,6 +201,11 @@ const (
 	OpAddIK // ints[B] = Imm; ints[Dst] = ints[A] + Imm
 	OpSubIK
 	OpMulIK
+	// OpMulFK is a const.f K feeding mul.f as its B operand (Len 2), K's
+	// bits in Imm as OpConstF carries them: floats[B] = K; floats[Dst] =
+	// floats[A] * K, in the operands' order. (A const.f feeding add.f is
+	// fused only inside OpAddFieldFK: no census section runs one outside.)
+	OpMulFK
 	// OpLeIKBr is Len 3 (const, le.i, brfalse): ints[B] = Imm; ints[Dst] =
 	// ints[A] <= Imm; if false pc = C.
 	OpLeIKBr
@@ -229,6 +234,12 @@ const (
 	// field: floats[D] = refs[A].Fields[Imm].F; floats[Dst] = floats[B] +
 	// floats[C]; refs[A].Fields[Imm] = floats[Dst] (Len 3).
 	OpAddFieldF
+	// OpAddFieldFK is OpAddFieldF with a const.f K as the add's B operand:
+	// ldfld.f, const.f, add.f, stfld.f on one object and field (Len 4).
+	// The field is E, since K takes Imm: floats[D] = refs[A].Fields[E].F;
+	// floats[C] = K; floats[Dst] = floats[B] + K; refs[A].Fields[E] =
+	// floats[Dst].
+	OpAddFieldFK
 
 	// OpDescend is the loop superinstruction of a binary descent: the
 	// head of a function (pc 0) or of a self-tail-recursive splice (its
@@ -297,10 +308,11 @@ var opNames = [...]string{
 	OpCallEnter: "callenter", OpIRetN: "iret.n",
 	OpIRetI: "iret.i", OpIRetF: "iret.f", OpIRetR: "iret.r", OpIRetVoid: "iret",
 	OpLtIBr: "lt.i+br", OpInc1Jump: "inc1+jump",
-	OpAddIK: "add.ik", OpSubIK: "sub.ik", OpMulIK: "mul.ik", OpLeIKBr: "le.ik+br",
+	OpAddIK: "add.ik", OpSubIK: "sub.ik", OpMulIK: "mul.ik", OpLeIKBr: "le.ik+br", OpMulFK: "mul.fk",
 	OpAddDivIKMov: "add.i+div.ik+mov.i", OpModIKEqIKBr: "mod.ik+eq.ik+br",
 	OpIKTailCall: "arith.ik+tailcall", OpAddFieldF: "ldfld.f+add.f+stfld.f",
-	OpDescend: "descend", OpEnterDescend: "callenter+descend", OpWorkParam: "loadparam+work",
+	OpAddFieldFK: "ldfld.f+add.fk+stfld.f", OpDescend: "descend",
+	OpEnterDescend: "callenter+descend", OpWorkParam: "loadparam+work",
 	OpAcquire: "acquire", OpRelease: "release", OpParallel: "parallel",
 }
 

@@ -444,6 +444,18 @@ func constOperand(p []Instr) bool {
 	return false
 }
 
+// constFOperand reports whether p opens with a const.f feeding the float
+// op after it as its B operand.
+func constFOperand(p []Instr, op Op) bool {
+	return len(p) > 1 && p[0].Op == OpConstF && p[1].Op == op && p[1].B == p[0].Dst
+}
+
+// fieldStore reports whether st is a stfld.f of add's result into the
+// field ld loads, on the object ld loads it from.
+func fieldStore(ld, add, st *Instr) bool {
+	return st.Op == OpStoreFieldF && st.A == ld.A && st.Imm == ld.Imm && st.B == add.Dst
+}
+
 // cmpConstBr reports whether p opens with a const.i, the compare op taking
 // it as its B operand, and the brfalse on the compare's result.
 func cmpConstBr(p []Instr, op Op) bool {
@@ -483,9 +495,18 @@ func censusGroup(p []Instr) (Instr, bool) {
 		}
 		return Instr{Op: OpModIKEqIKBr, Len: 5, Dst: p[3].Dst, A: p[3].A, B: p[3].B,
 			C: int32(p[4].Imm), D: p[1].A, E: p[1].B, Imm: in.Imm<<32 | int64(uint32(p[2].Imm))}, true
-	case OpLoadFieldF: // ldfld.f d,o,f; add.f s,x,y; stfld.f o,s,f
-		add, st := &p[1], &p[2]
-		if add.Op == OpAddF && st.Op == OpStoreFieldF && st.A == in.A && st.Imm == in.Imm && st.B == add.Dst {
+	case OpLoadFieldF:
+		// ldfld.f d,o,f; const.f c,K; add.f s,x,c; stfld.f o,s,f. The
+		// field moves to E, K takes Imm: a field that does not fit E
+		// stays unfused.
+		if len(p) > 3 && constFOperand(p[1:], OpAddF) && fieldStore(in, &p[2], &p[3]) &&
+			int64(int32(in.Imm)) == in.Imm {
+			add := &p[2]
+			return Instr{Op: OpAddFieldFK, Len: 4, Dst: add.Dst, A: in.A, B: add.A, C: add.B,
+				D: in.Dst, E: int32(in.Imm), Imm: p[1].Imm}, true
+		}
+		// ldfld.f d,o,f; add.f s,x,y; stfld.f o,s,f
+		if add := &p[1]; add.Op == OpAddF && fieldStore(in, add, &p[2]) {
 			return Instr{Op: OpAddFieldF, Len: 3, Dst: add.Dst, A: in.A, B: add.A, C: add.B,
 				D: in.Dst, Imm: in.Imm}, true
 		}
@@ -508,6 +529,8 @@ func pairGroup(p []Instr) (Instr, bool) {
 		g.Op, g.Len, g.Imm, g.C = OpLeIKBr, 3, in.Imm, int32(p[2].Imm)
 	case constOperand(p) && arithK[next.Op] != 0:
 		g.Op, g.Len, g.Imm = arithK[next.Op], 2, in.Imm
+	case constFOperand(p, OpMulF):
+		g.Op, g.Len, g.Imm = OpMulFK, 2, in.Imm
 	case in.Op == OpLoadParam && next.Op == OpCallWork && next.A == in.Dst:
 		g = Instr{Op: OpWorkParam, Len: 2, Dst: in.Dst, B: next.Dst, Imm: in.Imm}
 	case in.Op == OpLtI && next.Op == OpBrFalse && next.A == in.Dst:

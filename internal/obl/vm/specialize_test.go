@@ -28,7 +28,7 @@ import (
 // a frame's tail calls restart at pc 0 on the frame's counter.
 func TestCompileSpecializesEverySite(t *testing.T) {
 	census := map[Op]int{OpAddDivIKMov: 0, OpModIKEqIKBr: 0, OpIKTailCall: 0, OpAddFieldF: 0,
-		OpDescend: 0, OpEnterDescend: 0, OpWorkParam: 0}
+		OpAddFieldFK: 0, OpMulFK: 0, OpDescend: 0, OpEnterDescend: 0, OpWorkParam: 0}
 	isWalk := func(m *Module, fn int32) bool { return strings.HasPrefix(m.Funcs[fn].Name, "Body::walk@") }
 	check := func(label string, p *ir.Program) (tailSplices int) {
 		m, err := Compile(p)
