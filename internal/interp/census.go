@@ -39,9 +39,10 @@ type Census struct {
 }
 
 // FuncCount is one source function's calls and what they cost in
-// dispatches. Calls counts its entries, a frame push (call) or a splice's
-// entry (callenter, callenter+descend); Dispatches counts those entries
-// and every dispatch of a slot that came from its code.
+// dispatches. Calls counts its entries, a call (call, call.linear, which
+// may stand for a whole recursion) or a splice's entry (callenter,
+// callenter+descend); Dispatches counts those entries and every dispatch
+// of a slot that came from its code.
 type FuncCount struct {
 	Calls, Dispatches uint64
 }
@@ -56,27 +57,32 @@ func (c *Census) Dispatches() uint64 {
 }
 
 var (
-	census      Census
-	censusPrev  = -1 // the opcode dispatched last in this exec call, -1 none
-	censusFuncs = map[*vm.FuncCode]*FuncCount{}
+	census     Census
+	censusPrev = -1 // the opcode dispatched last in this exec call, -1 none
+	// censusFuncs is the call ledger, keyed by source function name: a
+	// key that held a module would keep every compiled program reachable.
+	censusFuncs = map[string]*FuncCount{}
 )
 
 // CensusReset zeroes the counters.
-func CensusReset() { census, censusPrev, censusFuncs = Census{}, -1, map[*vm.FuncCode]*FuncCount{} }
+func CensusReset() { census, censusPrev, censusFuncs = Census{}, -1, map[string]*FuncCount{} }
 
 // CensusSnapshot returns a copy of the counters.
 func CensusSnapshot() *Census {
 	c := census
 	c.Funcs = map[string]FuncCount{}
-	for fc, n := range censusFuncs {
-		name, _, _ := strings.Cut(fc.Name, "@")
-		name, _, _ = strings.Cut(name, "__")
-		f := c.Funcs[name]
-		f.Calls += n.Calls
-		f.Dispatches += n.Dispatches
-		c.Funcs[name] = f
+	for name, n := range censusFuncs {
+		c.Funcs[name] = *n
 	}
 	return &c
+}
+
+// censusName is a compiled function's source function name, its version
+// suffixes dropped.
+func censusName(fc *vm.FuncCode) string {
+	name, _, _ := strings.Cut(fc.Name, "@")
+	name, _, _ = strings.Cut(name, "__")
+	return name
 }
 
 func censusEntry() {
@@ -94,17 +100,18 @@ func censusOp(mod *vm.Module, fc *vm.FuncCode, pc int, in *vm.Instr) {
 	censusPrev = int(op)
 	src, entry := mod.Funcs[fc.Src[pc].Fn], true
 	switch op {
-	case vm.OpCall:
+	case vm.OpCall, vm.OpCallLinear:
 		src = mod.Funcs[in.Imm]
 	case vm.OpCallEnter, vm.OpEnterDescend:
 		src = mod.Funcs[fc.Src[pc+1].Fn] // the body's first slot
 	default:
 		entry = false
 	}
-	n := censusFuncs[src]
+	name := censusName(src)
+	n := censusFuncs[name]
 	if n == nil {
 		n = new(FuncCount)
-		censusFuncs[src] = n
+		censusFuncs[name] = n
 	}
 	if entry {
 		n.Calls++

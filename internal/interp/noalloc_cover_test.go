@@ -15,7 +15,7 @@ import (
 // runtime assertion below, which drives every annotated function — the
 // worker state machine, one dispatch loop per execution engine and the
 // VM loop's out-of-line handlers — through a dispatch-heavy loop, a loop
-// of calls and a parallel section.
+// of calls, a loop of linear recursions and a parallel section.
 func TestNoallocAnnotationCoverage(t *testing.T) {
 	got, err := lint.NoallocFuncs(".")
 	if err != nil {
@@ -23,11 +23,15 @@ func TestNoallocAnnotationCoverage(t *testing.T) {
 	}
 	want := []string{
 		"iretN",              // an inlined callee's return (vmexec.go)
+		"moveArgs",           // a call's argument moves (vmexec.go)
 		"moveWithin",         // a tail call's or an inlined callee's argument moves (vmexec.go)
 		"task.exec",          // EngineInterp dispatch loop (exec.go)
-		"vmTask.callExt",     // EngineVM's boxed extern call (vmexec.go)
+		"vmTask.call",        // EngineVM's frame call (vmexec.go)
+		"vmTask.callExt",     // its boxed extern call (vmexec.go)
+		"vmTask.callLinear",  // its linear recursion in one dispatch (vmexec.go)
 		"vmTask.descend",     // its descent loop (vmexec.go)
 		"vmTask.enter",       // its inlined-callee entry (vmexec.go)
+		"vmTask.evalArm",     // a linear recursion's arms (vmexec.go)
 		"vmTask.exec",        // EngineVM dispatch loop (vmexec.go)
 		"vmTask.newArray",    // its newarr (vmexec.go)
 		"vmTask.newObject",   // its new (vmexec.go)
@@ -50,13 +54,13 @@ func TestNoallocAnnotationCoverage(t *testing.T) {
 // the worker state machine they plug into. A Run has a fixed allocation
 // budget (machine, procs, prep tables), so the per-step claim is checked
 // by scaling: 100x more instructions in a serial loop, 100x more
-// iterations of a serial loop of calls, and 100x more iterations of a
-// parallel section on 4 processors under a static and under the dynamic
-// policy (claims, lock traffic, timer polls), must not allocate
-// meaningfully more than the program's own new and newarr ask for. If an
-// annotated function allocated per instruction or per iteration, the long
-// run would show tens of thousands of extra allocations; the bound admits
-// only scheduler-level noise.
+// iterations of a serial loop of calls and of one of linear recursions,
+// and 100x more iterations of a parallel section on 4 processors under a
+// static and under the dynamic policy (claims, lock traffic, timer
+// polls), must not allocate meaningfully more than the program's own new
+// and newarr ask for. If an annotated function allocated per instruction
+// or per iteration, the long run would show tens of thousands of extra
+// allocations; the bound admits only scheduler-level noise.
 func TestSteadyStateAllocsPerStep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs repeated full executions; run without -short")
@@ -104,6 +108,29 @@ func main() {
   print f;
 }
 `)
+	// Each iteration makes a linear recursion three levels deep in one
+	// dispatch (callLinear, evalArm: an unboxed term and a boxed sqrt in
+	// each arm), and one of 40 levels whose dispatch cannot admit it all
+	// at once: it runs in frames (call), and their inner calls take the
+	// rest in one dispatch when it fits.
+	linear := compile(t, `
+extern term(a: float, b: float): float cost 20;
+extern sqrt(x: float): float cost 10;
+param n: int = 200;
+func energy(a: float, b: float, k: int): float {
+  if k <= 0 {
+    return term(a, b) + sqrt(b);
+  }
+  return term(a, b) * 0.5 + sqrt(a) + energy(a, b, k - 1);
+}
+func main() {
+  let f: float = 0.0;
+  for i in 0..n {
+    f = f + energy(1.5, 0.25, 3) + energy(0.5, 2.0, 400);
+  }
+  print f;
+}
+`)
 	section := compile(t, `
 extern work(n: int) cost 0;
 param n: int = 200;
@@ -129,6 +156,7 @@ func main() {
 		{"serial loop", loop.Serial, Options{Procs: 1}, 0},
 		// An object and an array, each a header and its Value slice.
 		{"serial calls", calls.Serial, Options{Procs: 1}, 4},
+		{"serial linear recursion", linear.Serial, Options{Procs: 1}, 0},
 		{"section/original", section.Parallel, Options{Procs: 4, Policy: "original"}, 0},
 		// One sampling interval longer than either run: both lengths see the
 		// same number of controller phases, so only per-iteration work scales.

@@ -20,9 +20,12 @@ import (
 // replays the folded returns as one budget step each, as many in one
 // dispatch as the budget admits. OpDescend runs a binary descent's whole
 // levels in host registers while the budget admits every group of the
-// next level whole, and leaves a level it cannot to the groups. Its sync
-// instructions are the unconditional acquire and release: vm.Compile
-// rejects conditional sites, whose programs Run hands to the oracle.
+// next level whole, and leaves a level it cannot to the groups.
+// OpCallLinear runs a planned linear recursion whole in one dispatch when
+// the budget and the call-depth check admit all of it, and is an OpCall
+// otherwise. Its sync instructions are the unconditional acquire and
+// release: vm.Compile rejects conditional sites, whose programs Run hands
+// to the oracle.
 //
 // The loop is two-level. The outer loop runs once per activation: it
 // loads the frame, its code, its three bank windows and the dispatch state
@@ -39,10 +42,12 @@ import (
 //   - it writes the state back (fr.pc, t.executed, t.acc), runs the work
 //     in a helper that reads the frame and the task, and reloads the state
 //     (sync, the externs, new, print, the inline entries, the descent
-//     loop, tail calls, the return replay). What it needs of in after the
-//     call it reads into locals first, or rereads from code;
+//     loop, tail calls, the return replay, a linear recursion). What it
+//     needs of in after the call it reads into locals first, or rereads
+//     from code;
 //   - it writes the state back and leaves the inner loop (continue frames
-//     reloads it, or exec returns): a call and a return;
+//     reloads it, or exec returns): a call, a linear recursion run in
+//     frames, and a return;
 //   - it faults with a panic at the call site, so the path visibly ends
 //     there. The fault helpers (failure, vmFault, nilDeref, indexFault)
 //     build the error, and they take the pc after the advance rather than
@@ -191,26 +196,15 @@ frames:
 				}
 
 			case vm.OpCall:
-				if len(t.frames)+int(t.collapsed) > 10000 {
-					panic(failure("%s: call stack overflow", fr.fc.Name))
-				}
-				// Caller windows stay valid across the push (arena growth
-				// copies), but fr does not: the frames slice may reallocate.
-				args := in.Args
 				fr.pc, t.executed, t.acc = pc, executed, acc
-				t.push(int(in.Imm), in.Dst, uint8(in.C))
-				nf := &t.frames[len(t.frames)-1]
-				for _, mv := range args {
-					switch mv.Bank {
-					case vm.BankFloat:
-						nf.floats[mv.Dst] = floats[mv.Src]
-					case vm.BankRef:
-						nf.refs[mv.Dst] = refs[mv.Src]
-					default:
-						nf.ints[mv.Dst] = ints[mv.Src]
-					}
-				}
+				t.call(fr, in)
 				continue frames
+			case vm.OpCallLinear:
+				fr.pc, t.executed, t.acc = pc, executed, acc
+				if !t.callLinear(fr, in) {
+					continue frames // it pushed the callee's frame
+				}
+				pc, executed, acc = fr.pc, t.executed, t.acc
 
 			case vm.OpTailCall, vm.OpIKTailCall:
 				fr.pc, t.executed, t.acc = pc, executed, acc
@@ -418,9 +412,6 @@ frames:
 			case vm.OpAddIK:
 				ints[in.B] = in.Imm
 				ints[in.Dst] = ints[in.A] + in.Imm
-			case vm.OpSubIK:
-				ints[in.B] = in.Imm
-				ints[in.Dst] = ints[in.A] - in.Imm
 			case vm.OpMulIK:
 				ints[in.B] = in.Imm
 				ints[in.Dst] = ints[in.A] * in.Imm
@@ -669,6 +660,140 @@ func (t *vmTask) enter(fr *vmFrame, in *vm.Instr) {
 	}
 	t.collapsed++
 	t.descend(fr, in)
+}
+
+// call runs an OpCall at in for exec, which has written its state back:
+// the call-depth check, the callee's frame and the argument moves. fr is
+// stale after it (the frames slice may reallocate), and exec re-enters its
+// outer loop on the callee.
+//
+//dfvet:noalloc
+func (t *vmTask) call(fr *vmFrame, in *vm.Instr) {
+	if len(t.frames)+int(t.collapsed) > 10000 {
+		t.rt.fail("%s: call stack overflow", fr.fc.Name)
+	}
+	// The caller's windows stay valid across the push (arena growth
+	// copies), but fr does not.
+	caller := vmFrame{ints: fr.ints, floats: fr.floats, refs: fr.refs}
+	t.push(int(in.Imm), in.Dst, uint8(in.C))
+	moveArgs(in.Args, &t.frames[len(t.frames)-1], &caller)
+}
+
+// moveArgs runs a call's argument moves from the caller's windows into the
+// callee's.
+//
+//dfvet:noalloc
+func moveArgs(moves []vm.ArgMove, callee, caller *vmFrame) {
+	for _, mv := range moves {
+		switch mv.Bank {
+		case vm.BankFloat:
+			callee.floats[mv.Dst] = caller.floats[mv.Src]
+		case vm.BankRef:
+			callee.refs[mv.Dst] = caller.refs[mv.Src]
+		default:
+			callee.ints[mv.Dst] = caller.ints[mv.Src]
+		}
+	}
+}
+
+// callLinear runs an OpCallLinear at in for exec, which has written its
+// state back (fr.pc is past the call, which is charged), and reports
+// whether it ran the whole recursion here. It does when the call-depth
+// check admits the call and every level below it, the step budget admits
+// every instruction of the levels and the base, and the register arenas
+// have room above the top frame for the callee's registers. The arms then
+// run once each in that room, where the callee's frame would have been
+// (evalArm): the base arm, and the recursive arm when there is a level.
+// Then come the n pending additions in the code's operand order, the
+// charges of every level's instructions, and the caller's result slot.
+// Otherwise it is an OpCall (call): the frames then fault or yield where
+// they do, so no recursion is ever left half run across dispatches.
+//
+//dfvet:noalloc
+func (t *vmTask) callLinear(fr *vmFrame, in *vm.Instr) bool {
+	fc := t.mod.Funcs[in.Imm]
+	l := fc.Linear
+	n, ok := l.Levels(fr.ints[in.Args[l.KParam].Src], 10000-len(t.frames)-int(t.collapsed))
+	ib, fb, rb := len(t.intStack), len(t.floatStack), len(t.refStack)
+	ie, fe, re := ib+int(fc.NInts), fb+int(fc.NFloats), rb+int(fc.NRefs)
+	if !ok || t.executed > stepBudget-l.BaseLen-n*l.LevelLen ||
+		ie > cap(t.intStack) || fe > cap(t.floatStack) || re > cap(t.refStack) {
+		t.call(fr, in)
+		return false
+	}
+	callee := vmFrame{ints: t.intStack[ib:ie], floats: t.floatStack[fb:fe], refs: t.refStack[rb:re]}
+	moveArgs(in.Args, &callee, fr)
+	t.evalArm(&callee, l.Base)
+	v := callee.floats[l.BaseVal]
+	if n > 0 {
+		t.evalArm(&callee, l.Arm)
+		x := callee.floats[l.X]
+		if l.XFirst {
+			for range n {
+				v = x + v
+			}
+		} else {
+			for range n {
+				v += x
+			}
+		}
+	}
+	t.executed += l.BaseLen + n*l.LevelLen
+	t.acc += simmach.Time(l.BaseCost) + simmach.Time(n)*simmach.Time(l.LevelCost)
+	if in.Dst >= 0 {
+		fr.floats[in.Dst] = v
+	}
+	return true
+}
+
+// evalArm runs one arm of a linear-recursion plan (vm.Linear) over the
+// registers of fr: straight-line arithmetic, moves and pure extern calls,
+// which vm.Compile admitted because none of them can fault.
+//
+//dfvet:noalloc
+func (t *vmTask) evalArm(fr *vmFrame, arm []vm.Instr) {
+	ints, floats := fr.ints, fr.floats
+	for i := range arm {
+		in := &arm[i]
+		switch in.Op {
+		case vm.OpConstI:
+			ints[in.Dst] = in.Imm
+		case vm.OpConstF:
+			floats[in.Dst] = in.F()
+		case vm.OpMovI:
+			ints[in.Dst] = ints[in.A]
+		case vm.OpMovF:
+			floats[in.Dst] = floats[in.A]
+		case vm.OpAddI:
+			ints[in.Dst] = ints[in.A] + ints[in.B]
+		case vm.OpSubI:
+			ints[in.Dst] = ints[in.A] - ints[in.B]
+		case vm.OpMulI:
+			ints[in.Dst] = ints[in.A] * ints[in.B]
+		case vm.OpNegI:
+			ints[in.Dst] = -ints[in.A]
+		case vm.OpAddF:
+			floats[in.Dst] = floats[in.A] + floats[in.B]
+		case vm.OpSubF:
+			floats[in.Dst] = floats[in.A] - floats[in.B]
+		case vm.OpMulF:
+			floats[in.Dst] = floats[in.A] * floats[in.B]
+		case vm.OpDivF:
+			floats[in.Dst] = floats[in.A] / floats[in.B]
+		case vm.OpNegF:
+			floats[in.Dst] = -floats[in.A]
+		case vm.OpI2F:
+			floats[in.Dst] = float64(ints[in.A])
+		case vm.OpCallFFF:
+			floats[in.Dst] = t.mod.Ext[in.Imm].FFF(floats[in.A], floats[in.B])
+		case vm.OpCallIF:
+			floats[in.Dst] = t.mod.Ext[in.Imm].IF(ints[in.A])
+		case vm.OpCallExtI, vm.OpCallExtF:
+			t.callExt(fr, in)
+		default:
+			panic(failure("bad opcode %v in a linear arm", in.Op))
+		}
+	}
 }
 
 // tailCall runs a self tail call at in for exec, which has written its

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"slices"
+
 	"repro/internal/obl/ir"
 	"repro/internal/obl/vm"
 	"repro/internal/simmach"
@@ -109,37 +111,50 @@ func (t *vmTask) enterSection(p *simmach.Proc, fr *vmFrame, in *vm.Instr) {
 // bank is cleared only when the function can read one of its registers
 // before writing it (vm.FuncCode.ZeroInts etc.); the caller then writes
 // every parameter slot. Ranges appended by inline expansion are zeroed
-// lazily by OpCallEnter before use.
+// lazily by OpCallEnter before use. The record is written in place in
+// t.frames, and an arena's slice header is rewritten whole only when the
+// arena moves: otherwise its length is all that changes.
 func (t *vmTask) push(funcID int, retSlot int32, retBank uint8) {
 	fc := t.mod.Funcs[funcID]
 	ib, fb, rb := len(t.intStack), len(t.floatStack), len(t.refStack)
 	n := windowLen(fc)
 	ie, fe, re := ib+n, fb+n, rb+n
-	grown := ie > cap(t.intStack) || fe > cap(t.floatStack) || re > cap(t.refStack)
-	t.intStack = grow(t.intStack, ib+int(fc.FrameInts), ie)
-	t.floatStack = grow(t.floatStack, fb+int(fc.FrameFloats), fe)
-	t.refStack = grow(t.refStack, rb+int(fc.FrameRefs), re)
-	if grown {
-		t.repoint()
+	if ie > cap(t.intStack) || fe > cap(t.floatStack) || re > cap(t.refStack) {
+		t.growArenas(ie, fe, re)
 	}
-	ints := t.intStack[ib:ie:ie]
-	floats := t.floatStack[fb:fe:fe]
-	refs := t.refStack[rb:re:re]
+	t.intStack = t.intStack[:ib+int(fc.FrameInts)]
+	t.floatStack = t.floatStack[:fb+int(fc.FrameFloats)]
+	t.refStack = t.refStack[:rb+int(fc.FrameRefs)]
+	if len(t.frames) == cap(t.frames) {
+		t.frames = slices.Grow(t.frames, 1)
+	}
+	t.frames = t.frames[:len(t.frames)+1]
+	fr := &t.frames[len(t.frames)-1]
+	fr.fc, fr.pc = fc, 0
+	fr.ibase, fr.fbase, fr.rbase = ib, fb, rb
+	fr.ints = t.intStack[ib:ie:ie]
+	fr.floats = t.floatStack[fb:fe:fe]
+	fr.refs = t.refStack[rb:re:re]
+	fr.retSlot, fr.retBank = retSlot, retBank
 	if fc.ZeroInts {
-		clear(ints[:fc.NInts])
+		clear(fr.ints[:fc.NInts])
 	}
 	if fc.ZeroFloats {
-		clear(floats[:fc.NFloats])
+		clear(fr.floats[:fc.NFloats])
 	}
 	if fc.ZeroRefs {
-		clear(refs[:fc.NRefs])
+		clear(fr.refs[:fc.NRefs])
 	}
-	ints[fc.NInts] = 0 // the collapse counter
-	t.frames = append(t.frames, vmFrame{
-		fc: fc, ibase: ib, fbase: fb, rbase: rb,
-		ints: ints, floats: floats, refs: refs,
-		retSlot: retSlot, retBank: retBank,
-	})
+	fr.ints[fc.NInts] = 0 // the collapse counter
+}
+
+// growArenas moves each register arena whose capacity is below its end
+// (ie, fe, re) to a larger backing array and re-points the frames' windows.
+func (t *vmTask) growArenas(ie, fe, re int) {
+	t.intStack = grow(t.intStack, len(t.intStack), ie)
+	t.floatStack = grow(t.floatStack, len(t.floatStack), fe)
+	t.refStack = grow(t.refStack, len(t.refStack), re)
+	t.repoint()
 }
 
 // grow returns s resliced to length top with a capacity of at least end,

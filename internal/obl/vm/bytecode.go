@@ -110,6 +110,9 @@ type FuncCode struct {
 	// Descents holds the register plan of every OpDescend head, in pc
 	// order; a head's D indexes it.
 	Descents []Descent
+	// Linear is the function's linear-recursion plan, nil for a function
+	// without one; every call of a planned function is an OpCallLinear.
+	Linear *Linear
 }
 
 // Module is a compiled program.

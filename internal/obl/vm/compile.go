@@ -8,13 +8,13 @@ import (
 
 // Compile builds the one module a program ever has: frame layout, the 1:1
 // translation, tail-call marking, the frame-zeroing decision, inline
-// expansion and superinstruction fusion, every pass a function of the
-// program alone. A call to an extern whose host implementation
-// (Intrinsics) has an unboxed opcode compiles to that opcode when its
-// operands have the form's kinds. It returns an error when a function
-// lacks the register-kind metadata lowering records (hand-built
-// programs), when the metadata is inconsistent with how the code uses
-// registers, and for a conditional sync site (ir.OpAcquireIf,
+// expansion, superinstruction fusion and the linear-recursion plans, every
+// pass a function of the program alone. A call to an extern whose host
+// implementation (Intrinsics) has an unboxed opcode compiles to that
+// opcode when its operands have the form's kinds. It returns an error
+// when a function lacks the register-kind metadata lowering records
+// (hand-built programs), when the metadata is inconsistent with how the
+// code uses registers, and for a conditional sync site (ir.OpAcquireIf,
 // ir.OpReleaseIf): flag dispatch runs only on the reference oracle.
 // Compilation never changes observable behaviour: every returned module
 // executes bit-identically to the interpreter.
@@ -49,6 +49,7 @@ func Compile(p *ir.Program) (*Module, error) {
 		m.inlineExpand(fc)
 		fc.fuse()
 	}
+	m.markLinearCalls()
 	return m, nil
 }
 

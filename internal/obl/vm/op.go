@@ -29,14 +29,21 @@
 // callees, self-tail-recursive ones included, and superinstructions. The
 // superinstruction set is the one the dispatch census of the benchmark
 // workloads dispatches (internal/interp's census build): lt.i+br, the
-// serial-loop latch, const.i K folded into add/sub/mul and into
+// serial-loop latch, const.i K folded into add and mul and into
 // le.i+brfalse, const.f K folded into mul.f, loadparam feeding work,
 // and the longer census groups. A group no census section runs is
 // deleted, and the census test fails if one is added. A function that is
 // one level of a binary descent closed by a self tail call gets the loop
 // superinstruction OpDescend at its head, and so does every splice of it,
 // and a register plan (Descent), with which the engine runs whole levels
-// of those groups in one dispatch, lo, hi and k in host registers.
+// of those groups in one dispatch, lo, hi and k in host registers. A
+// function that is a linear non-tail recursion whose pending value and
+// base value do not depend on its counter (Water's energy) gets a
+// linear-recursion plan (Linear, linear.go), and every call of it becomes
+// OpCallLinear, which runs the whole recursion in one dispatch without a
+// frame when the budget and the call-depth check admit all of it: the
+// frames it skips are popped before anything reads them, so only the
+// caller's result slot is written.
 //
 // The contract with the execution engine (interp's vm task) is strict
 // bit-for-bit equivalence with the interpreter: identical virtual times,
@@ -199,7 +206,6 @@ const (
 	// (ints[B] = Imm) so the register file matches the unfused stream.
 	// Arithmetic groups are Len 2.
 	OpAddIK // ints[B] = Imm; ints[Dst] = ints[A] + Imm
-	OpSubIK
 	OpMulIK
 	// OpMulFK is a const.f K feeding mul.f as its B operand (Len 2), K's
 	// bits in Imm as OpConstF carries them: floats[B] = K; floats[Dst] =
@@ -264,6 +270,13 @@ const (
 	// OpWorkParam is loadparam feeding work: ints[Dst] = Params[Imm],
 	// ints[B] = 0, and Params[Imm] charged as OpCallWork charges it (Len 2).
 	OpWorkParam
+	// OpCallLinear is an OpCall of a function with a linear-recursion plan
+	// (FuncCode.Linear), with OpCall's operands. When the step budget
+	// admits the whole recursion and the call-depth check admits every
+	// frame of it, the engine runs it in this one dispatch: each arm's pure
+	// externs once, the pending additions in the code's order, and the
+	// charges of every level. Otherwise it is OpCall.
+	OpCallLinear
 
 	// Synchronization and section entry. These are kept in one contiguous
 	// range so the dispatch loop recognizes the yield-first instructions
@@ -308,11 +321,11 @@ var opNames = [...]string{
 	OpCallEnter: "callenter", OpIRetN: "iret.n",
 	OpIRetI: "iret.i", OpIRetF: "iret.f", OpIRetR: "iret.r", OpIRetVoid: "iret",
 	OpLtIBr: "lt.i+br", OpInc1Jump: "inc1+jump",
-	OpAddIK: "add.ik", OpSubIK: "sub.ik", OpMulIK: "mul.ik", OpLeIKBr: "le.ik+br", OpMulFK: "mul.fk",
+	OpAddIK: "add.ik", OpMulIK: "mul.ik", OpLeIKBr: "le.ik+br", OpMulFK: "mul.fk",
 	OpAddDivIKMov: "add.i+div.ik+mov.i", OpModIKEqIKBr: "mod.ik+eq.ik+br",
 	OpIKTailCall: "arith.ik+tailcall", OpAddFieldF: "ldfld.f+add.f+stfld.f",
 	OpAddFieldFK: "ldfld.f+add.fk+stfld.f", OpDescend: "descend",
-	OpEnterDescend: "callenter+descend", OpWorkParam: "loadparam+work",
+	OpEnterDescend: "callenter+descend", OpWorkParam: "loadparam+work", OpCallLinear: "call.linear",
 	OpAcquire: "acquire", OpRelease: "release", OpParallel: "parallel",
 }
 

@@ -17,7 +17,7 @@ package vm
 //   - Superinstruction fusion: the groups the dispatch census of the
 //     benchmark workloads dispatches, and no others, collapse into single
 //     dispatches: lt.i+br, the three-instruction serial-loop latch
-//     (const 1; add; jump), integer constants folded into add, sub, mul
+//     (const 1; add; jump), integer constants folded into add, mul
 //     and le.i+brfalse, and the census groups (censusGroup). The per-slot
 //     Plain stream keeps the unfused instructions so jumps into a group
 //     and step-budget boundaries behave exactly as unfused code. A
@@ -66,7 +66,7 @@ func inlinable(fc *FuncCode) (ok, tail bool) {
 		switch in.Op {
 		case OpTailCall:
 			tail = true
-		case OpCall, OpCallEnter, OpParallel,
+		case OpCall, OpCallLinear, OpCallEnter, OpParallel,
 			OpIRetN, OpIRetI, OpIRetF, OpIRetR, OpIRetVoid:
 			return false, false
 		case OpJump, OpBrFalse:
@@ -515,7 +515,7 @@ func censusGroup(p []Instr) (Instr, bool) {
 }
 
 // pairGroup matches the narrower groups: lt.i+br, the constant operand of
-// an add, sub or mul, const.i feeding le.i and its brfalse, the
+// an add or mul, const.i feeding le.i and its brfalse, the
 // serial-loop latch, and loadparam feeding work. Costs are left to fuseAt.
 func pairGroup(p []Instr) (Instr, bool) {
 	in, next := &p[0], &p[1]
@@ -542,4 +542,4 @@ func pairGroup(p []Instr) (Instr, bool) {
 }
 
 // arithK maps the integer ops with an immediate-operand group to it.
-var arithK = map[Op]Op{OpAddI: OpAddIK, OpSubI: OpSubIK, OpMulI: OpMulIK}
+var arithK = map[Op]Op{OpAddI: OpAddIK, OpMulI: OpMulIK}
