@@ -22,7 +22,10 @@
 // right after.
 //
 // A run with -trace executes on the reference interpreter, which writes
-// the same events as the bytecode VM would, more slowly.
+// the same events as the bytecode VM would, more slowly; so does a run of
+// the -flagged build and of a program that declares an extern the VM has
+// no unboxed call for (docs/obl.md). -v names the engine that ran, and
+// why the oracle did.
 package main
 
 import (
@@ -74,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	production := fs.Duration("production", 100*time.Second, "target production interval (virtual)")
 	cutoff := fs.Bool("cutoff", false, "enable early cut-off and policy ordering (§4.5)")
 	span := fs.Bool("span", false, "let intervals span section executions (§4.4)")
-	verbose := fs.Bool("v", false, "print per-section samples")
+	verbose := fs.Bool("v", false, "print the engine that ran the program and per-section samples")
 	tracePath := fs.String("trace", "", "write every synchronization event as CSV to this file")
 	compare := fs.Bool("compare", false, "run serial, every policy, dynamic feedback and the flagged build; print a comparison table")
 	params := paramList{}
@@ -202,6 +205,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, line := range res.Output {
 		fmt.Fprintln(stdout, line)
+	}
+	if *verbose {
+		engine := interp.EngineVM
+		if why := interp.OracleReason(prog, opts); why != "" {
+			engine = "oracle (" + why + ")"
+		}
+		fmt.Fprintln(stdout, "-- engine:", engine)
 	}
 	fmt.Fprintf(stdout, "-- execution time: %v (virtual), %d scheduler steps\n", res.Time, res.Steps)
 	fmt.Fprintf(stdout, "-- acquire/release pairs: %d, failed acquires: %d\n",

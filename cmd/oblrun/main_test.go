@@ -118,3 +118,27 @@ func TestCompareRunsEveryConfiguration(t *testing.T) {
 		}
 	}
 }
+
+// TestVerboseNamesTheEngine: -v says which engine ran the program, and why
+// the reference oracle did: a program calling sqrt, which has no unboxed
+// call, runs there.
+func TestVerboseNamesTheEngine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sqrt.obl")
+	src := "extern sqrt(x: float): float cost 80;\nfunc main() { print sqrt(16.0); }\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		args []string
+		want string
+	}{
+		{append(small, "-policy", "bounded", "-v"), "-- engine: vm\n"},
+		{[]string{"-procs", "1", "-v", path}, "-- engine: oracle (boxed extern sqrt)\n"},
+		{append(small, "-policy", "bounded", "-flagged", "-v"), "-- engine: oracle (conditional sync sites)\n"},
+	} {
+		code, stdout, stderr := runOBLRun(row.args...)
+		if code != 0 || !strings.Contains(stdout, row.want) {
+			t.Errorf("oblrun %v: exit %d, stderr %q, stdout:\n%s\nwant the line %q", row.args, code, stderr, stdout, row.want)
+		}
+	}
+}

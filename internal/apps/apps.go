@@ -409,21 +409,6 @@ func TestParams(name string) map[string]int64 {
 	}
 }
 
-// BenchParams returns the evaluation-scale presets used to regenerate the
-// paper's tables and figures.
-func BenchParams(name string) map[string]int64 {
-	switch name {
-	case NameBarnesHut:
-		return map[string]int64{"nbodies": 2048, "listlen": 64, "interwork": 20000, "npasses": 2, "serialwork": 50000}
-	case NameWater:
-		return map[string]int64{"nmol": 384, "nsteps": 2, "serialwork": 30000}
-	case NameString:
-		return map[string]int64{"gridside": 40, "nrays": 1024, "pathlen": 64, "nrounds": 2, "serialwork": 30000}
-	default:
-		return nil
-	}
-}
-
 // ParamBounds returns the largest value each of the application's
 // parameters takes from outside the process (dfserved's /run). The bounds
 // sit well above every preset and keep a run's allocations and virtual

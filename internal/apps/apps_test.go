@@ -21,7 +21,7 @@ func TestSourceLookup(t *testing.T) {
 	if _, err := Compile("nope"); err == nil {
 		t.Error("Compile of unknown app accepted")
 	}
-	if TestParams("nope") != nil || BenchParams("nope") != nil || SectionNames("nope") != nil || ParamBounds("nope") != nil {
+	if TestParams("nope") != nil || SectionNames("nope") != nil || ParamBounds("nope") != nil {
 		t.Error("unknown app returned presets")
 	}
 }
@@ -43,7 +43,7 @@ func TestParamBoundsCoverPresets(t *testing.T) {
 				t.Errorf("%s: no bound for parameter %q", n, name)
 			}
 		}
-		for _, preset := range []map[string]int64{TestParams(n), BenchParams(n), c.Parallel.Params} {
+		for _, preset := range []map[string]int64{TestParams(n), c.Parallel.Params} {
 			for k, v := range preset {
 				if v > bounds[k] {
 					t.Errorf("%s: preset %s = %d exceeds its bound %d", n, k, v, bounds[k])

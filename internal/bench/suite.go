@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -213,16 +214,17 @@ func (s *Suite) App(name string) (*oblc.Compiled, error) {
 	})
 }
 
-// Params returns the experiment input parameters for an application,
-// shrunk in Quick mode.
+// Params returns the experiment input parameters for an application: a
+// copy of the defaults its source declares, shrunk in Quick mode. It is
+// nil for an application that does not compile.
 func (s *Suite) Params(name string) map[string]int64 {
-	p := apps.BenchParams(name)
-	if !s.cfg.Quick {
-		return p
+	c, err := s.App(name)
+	if err != nil {
+		return nil
 	}
-	out := make(map[string]int64, len(p))
-	for k, v := range p {
-		out[k] = v
+	out := maps.Clone(c.Parallel.Params)
+	if !s.cfg.Quick {
+		return out
 	}
 	// Shrink the iteration counts but keep the per-iteration structure
 	// (interaction list and path lengths), so locking-to-computation

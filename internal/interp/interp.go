@@ -95,7 +95,8 @@ type Options struct {
 	// benchmark compare against: the direct IR interpreter. Both produce
 	// byte-identical Results, so the choice never appears in cache keys.
 	// Run makes an oracle run of every run the VM cannot take, and names
-	// why (oracleReason): races, flags, AsyncSwitch or a Trace.
+	// why (OracleReason): races, flags, a boxed extern, AsyncSwitch or a
+	// Trace.
 	Engine string
 	// Trace, when set, receives every synchronization event of the
 	// simulated machine (lock acquires, blocks, grants, releases, barrier
@@ -133,11 +134,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// oracleReason names what makes a run an oracle run, or returns "" for a
-// VM run. Only the oracle has the race detector and flag dispatch (§4.2),
-// and only it yields before every release, as the runs that read other
-// processors' state in host order need (AsyncSwitch's transition, Trace).
-func oracleReason(p *ir.Program, o Options) string {
+// OracleReason names what makes a run of p under o an oracle run, or
+// returns "" for a VM run. Only the oracle has the race detector, flag
+// dispatch (§4.2) and boxed extern calls (an extern whose form has no
+// unboxed opcode, vm.ExternForm.Unboxed), and only it yields before every
+// release, as the runs that read other processors' state in host order
+// need (AsyncSwitch's transition, Trace).
+func OracleReason(p *ir.Program, o Options) string {
 	switch {
 	case o.Engine == EngineInterp:
 		return "engine " + EngineInterp
@@ -149,6 +152,11 @@ func oracleReason(p *ir.Program, o Options) string {
 		return "asynchronous switching"
 	case o.Trace != nil:
 		return "a trace"
+	}
+	for _, e := range p.Externs {
+		if !vm.Intrinsics[e.Name].Form().Unboxed() {
+			return "boxed extern " + e.Name
+		}
 	}
 	return ""
 }
@@ -239,13 +247,13 @@ type Result struct {
 // runtimeErr aborts execution through the scheduler.
 type runtimeErr struct{ msg string }
 
-// prep is the per-Program state resolved once at load time: extern
-// implementations and per-instruction virtual-cost tables. The hot loop
-// then indexes slices instead of hashing maps or re-deriving costs from
-// the opcode switch. Programs are immutable after compilation, so the
-// prepared form is built once per program and shared by every concurrent
-// Run (the parallel experiment engine executes many runs of the same
-// program at once).
+// prep is the step interpreter's per-Program state, resolved once at load
+// time: extern implementations and per-instruction virtual-cost tables.
+// Its hot loop then indexes slices instead of hashing maps or re-deriving
+// costs from the opcode switch. Programs are immutable after compilation,
+// so the prepared form is built once per program, on its first oracle run,
+// and shared by every concurrent one (the parallel experiment engine
+// executes many runs of the same program at once).
 type prep struct {
 	// extFns[i] is the boxed adapter of Externs[i]'s implementation.
 	extFns []func(args []Value) (Value, simmach.Time)
@@ -256,9 +264,10 @@ type prep struct {
 }
 
 // loadState is everything this package derives from a program once, each
-// part on first use: the load-time tables, the content fingerprint, and the
-// VM's compiled module (or the error compiling it returned). It lives in
-// the program's Loaded slot, so dropping the program drops all of it.
+// part on first use: the oracle's load-time tables, the content
+// fingerprint, and the VM's compiled module (or the error compiling it
+// returned). It lives in the program's Loaded slot, so dropping the
+// program drops all of it.
 type loadState struct {
 	prepOnce sync.Once
 	prep     *prep
@@ -273,7 +282,7 @@ func loadStateOf(p *ir.Program) *loadState {
 	return p.Loaded(func() any { return new(loadState) }).(*loadState)
 }
 
-// prepare resolves a program's load-time tables.
+// prepare resolves a program's load-time tables for the oracle.
 func prepare(p *ir.Program) *prep {
 	s := loadStateOf(p)
 	s.prepOnce.Do(func() { s.prep = newPrep(p) })
@@ -316,7 +325,7 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	if opts.Engine != EngineVM && opts.Engine != EngineInterp {
 		return nil, fmt.Errorf("interp: unknown engine %q", opts.Engine)
 	}
-	if why := oracleReason(p, opts); why != "" {
+	if why := OracleReason(p, opts); why != "" {
 		if opts.ckHook != nil {
 			return nil, fmt.Errorf("interp: a run with %s is an oracle run, and the reference oracle keeps no snapshot state; checkpoint a VM run", why)
 		}
@@ -340,7 +349,6 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	mcfg := simmach.DefaultConfig(opts.Procs)
 	rt := &runtime{
 		prog:        p,
-		prep:        prepare(p),
 		opts:        opts,
 		m:           simmach.New(mcfg),
 		controllers: map[int]*core.Controller{},
@@ -403,6 +411,7 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 			}
 		}
 	} else {
+		rt.prep = prepare(p)
 		for i := range rt.pool {
 			t := &task{}
 			t.worker = worker{rt: rt, ex: t, isMain: i == 0}
@@ -461,7 +470,7 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 
 type runtime struct {
 	prog        *ir.Program
-	prep        *prep
+	prep        *prep // the oracle's load-time tables, nil in a VM run
 	opts        Options
 	m           *simmach.Machine
 	paramVals   []int64
@@ -715,6 +724,9 @@ type task struct {
 	// Acquire: a blocked processor executes nothing until it wakes already
 	// owning the lock, so the early entry is never observed unheld.
 	held []*simmach.Lock
+	// extArgs is scratch storage for extern-call arguments, reused across
+	// calls (intrinsics never retain their argument slice).
+	extArgs []Value
 }
 
 // pushCall opens a zeroed activation record for funcID and returns its
@@ -835,9 +847,6 @@ type worker struct {
 	// occur in exact virtual-time order.
 	executed int
 	acc      simmach.Time // unflushed compute cost
-	// extArgs is scratch storage for extern-call arguments, reused across
-	// calls (intrinsics never retain their argument slice).
-	extArgs []Value
 }
 
 func (w *worker) flush(p *simmach.Proc) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obl/vm"
 	"repro/internal/simmach"
 	"repro/oblc"
 )
@@ -441,8 +442,35 @@ func TestUnknownExternRejected(t *testing.T) {
 extern mystery(x: float): float cost 10;
 func main() { print mystery(1.0); }
 `)
-	if _, err := Run(c.Serial, Options{}); err == nil {
-		t.Error("unknown extern accepted")
+	_, err := Run(c.Serial, Options{})
+	if err == nil {
+		t.Fatal("unknown extern accepted")
+	}
+	for name := range vm.Intrinsics {
+		if !strings.Contains(err.Error(), " "+name) {
+			t.Errorf("the error does not list intrinsic %q: %v", name, err)
+		}
+	}
+}
+
+// TestMisdeclaredExternRejected: a call of an extern declared with another
+// signature than its implementation's form is refused by both engines
+// before anything runs. The oracle read a float argument declared int as
+// zero, and a missing argument panicked the host.
+func TestMisdeclaredExternRejected(t *testing.T) {
+	for _, decl := range []string{
+		"extern sqrt(x: int): float cost 10;\nfunc main() { print sqrt(16); }",
+		"extern pow(x: float): float cost 10;\nfunc main() { print pow(2.0); }",
+		"extern noise(i: int): int cost 10;\nfunc main() { print noise(3); }",
+		"extern work(n: float) cost 0;\nfunc main() { work(3.0); }",
+	} {
+		c := compile(t, decl)
+		for _, engine := range []string{EngineInterp, EngineVM} {
+			_, err := Run(c.Serial, Options{Engine: engine})
+			if err == nil || !strings.Contains(err.Error(), "does not match its implementation's signature") {
+				t.Errorf("%s, engine %s: got %v, want the signature error", decl, engine, err)
+			}
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // bodies call.
 const linearSrc = `
 extern term(a: float, b: float): float cost 200;
-extern sqrt(x: float): float cost 10;
+extern force(a: float, b: float): float cost 10;
 extern noise(i: int): float cost 60;
 extern work(n: int) cost 0;
 func f(a: float, b: float, k: int): float {
@@ -27,7 +27,7 @@ func main() {
 
 // linearVariants are the bodies of f: two shapes a linear-recursion plan
 // accepts (Water's energy, and a pending value added after the result
-// with a step of 3, another limit and a boxed extern in the base arm),
+// with a step of 3, another limit and another extern in the base arm),
 // and near-misses it refuses: a pending value that depends on k, a
 // parameter other than k that changes, a step that is not constant, a
 // work call in the recursive arm, and a step away from the limit (which
@@ -38,7 +38,7 @@ var linearVariants = []struct {
 }{
 	{"energy", `  if k <= 0 { return term(a, b); }
   return term(a, b) * 0.5 + f(a, b, k - 1);`, true},
-	{"r + x, step 3", `  if k <= 2 { return sqrt(a) - b; }
+	{"r + x, step 3", `  if k <= 2 { return force(a, a) - b; }
   let x: float = term(b, a) / 3.0;
   return f(a, b, k - 3) + x;`, true},
 	{"x depends on k", `  if k <= 0 { return term(a, b); }

@@ -27,7 +27,6 @@ func TestNoallocAnnotationCoverage(t *testing.T) {
 		"moveWithin",         // a tail call's or an inlined callee's argument moves (vmexec.go)
 		"task.exec",          // EngineInterp dispatch loop (exec.go)
 		"vmTask.call",        // EngineVM's frame call (vmexec.go)
-		"vmTask.callExt",     // its boxed extern call (vmexec.go)
 		"vmTask.callLinear",  // its linear recursion in one dispatch (vmexec.go)
 		"vmTask.descend",     // its descent loop (vmexec.go)
 		"vmTask.enter",       // its inlined-callee entry (vmexec.go)
@@ -76,11 +75,11 @@ func main() {
 }
 `)
 	// Each iteration makes a self tail call (count: tailCall, moveWithin,
-	// replay), a spliced bisection descent (walk: enter, descend, iretN), a
-	// boxed extern call (sqrt), a new and a newarr; the last two allocate
-	// what the program asks for and nothing more.
+	// replay), a spliced bisection descent (walk: enter, descend, iretN), an
+	// extern call (force), a new and a newarr; the last two allocate what
+	// the program asks for and nothing more.
 	calls := compile(t, `
-extern sqrt(x: float): float cost 10;
+extern force(a: float, b: float): float cost 10;
 param n: int = 200;
 class Box { v: float; }
 func count(i: int, s: int): int {
@@ -98,7 +97,7 @@ func main() {
   let f: float = 0.0;
   for i in 0..n {
     s = s + count(20, 0) + walk(0, 256, i);
-    f = f + sqrt(2.0);
+    f = f + force(2.0, 0.5);
     let b: Box = new Box();
     let a: int[] = new int[2];
     s = s + a[1];
@@ -109,19 +108,19 @@ func main() {
 }
 `)
 	// Each iteration makes a linear recursion three levels deep in one
-	// dispatch (callLinear, evalArm: an unboxed term and a boxed sqrt in
-	// each arm), and one of 40 levels whose dispatch cannot admit it all
-	// at once: it runs in frames (call), and their inner calls take the
-	// rest in one dispatch when it fits.
+	// dispatch (callLinear, evalArm: term and force in each arm), and one
+	// of 40 levels whose dispatch cannot admit it all at once: it runs in
+	// frames (call), and their inner calls take the rest in one dispatch
+	// when it fits.
 	linear := compile(t, `
 extern term(a: float, b: float): float cost 20;
-extern sqrt(x: float): float cost 10;
+extern force(a: float, b: float): float cost 10;
 param n: int = 200;
 func energy(a: float, b: float, k: int): float {
   if k <= 0 {
-    return term(a, b) + sqrt(b);
+    return term(a, b) + force(b, a);
   }
-  return term(a, b) * 0.5 + sqrt(a) + energy(a, b, k - 1);
+  return term(a, b) * 0.5 + force(a, b) + energy(a, b, k - 1);
 }
 func main() {
   let f: float = 0.0;

@@ -23,7 +23,6 @@ import (
 var sharedByDesign = map[string]string{
 	"SectionStats.VersionLabels": "set once when the section's stats are created, never written again",
 	"vmTask.worker.flags":        "a version's flag vector (or the run's base flags): immutable program data",
-	"vmTask.worker.extArgs":      "extern-call argument scratch, dead between dispatches",
 }
 
 // TestCloneCoversEveryField holds each checkpointed type's clone to its
@@ -236,23 +235,26 @@ func TestCheckpointHookByteIdentical(t *testing.T) {
 
 // TestCheckpointHookRefusals pins the two places a checkpoint-hooked run
 // is turned away: the step interpreter keeps no snapshot state, so an
-// oracle run is refused with the reason it is one, and a hooked run never
-// gets a cache key.
+// oracle run is refused with the reason it is one, default engine or not,
+// and a hooked run never gets a cache key.
 func TestCheckpointHookRefusals(t *testing.T) {
 	c, err := apps.Compile(apps.NameWater)
 	if err != nil {
 		t.Fatal(err)
 	}
+	calc := compile(t, calcSrc).Serial // calls sqrt, which has no unboxed form
 	for _, row := range []struct {
+		prog   *ir.Program
 		opts   Options
 		reason string
 	}{
-		{Options{Policy: "bounded", Engine: EngineInterp}, "engine interp"},
-		{Options{Policy: PolicyDynamic, AsyncSwitch: true}, "asynchronous switching"},
+		{c.Parallel, Options{Policy: "bounded", Engine: EngineInterp}, "engine interp"},
+		{c.Parallel, Options{Policy: PolicyDynamic, AsyncSwitch: true}, "asynchronous switching"},
+		{calc, Options{}, "boxed extern sqrt"},
 	} {
 		o := row.opts
 		o.Procs, o.ckHook = 4, &ckHook{}
-		if _, err := Run(c.Parallel, o); err == nil || !strings.Contains(err.Error(), row.reason) {
+		if _, err := Run(row.prog, o); err == nil || !strings.Contains(err.Error(), row.reason) {
 			t.Errorf("checkpoint-hooked run with %s: got %v, want the oracle's refusal naming it", row.reason, err)
 		}
 	}

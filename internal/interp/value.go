@@ -2,7 +2,9 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/obl/ir"
 	"repro/internal/obl/vm"
@@ -114,11 +116,11 @@ func (o *Object) Lock(m *simmach.Machine) *simmach.Lock {
 }
 
 // boxed adapts an extern's typed host implementation (vm.Intrinsics) to
-// boxed arguments in declaration order, for the step interpreter and the
-// VM's boxed calls: it returns the value and the extra cost beyond the
-// extern's declared static cost (work's charge). An argument of another
-// kind reads as its F or I field does, zero. An intrinsic with no form
-// has no adapter.
+// boxed arguments in declaration order, for the step interpreter: it
+// returns the value and the extra cost beyond the extern's declared static
+// cost (work's charge). CheckExterns holds every call in a function with
+// register kinds to the form's kinds. An intrinsic with no form has no
+// adapter.
 func boxed(x vm.Intrinsic) func(args []Value) (Value, simmach.Time) {
 	switch x.Form() {
 	case vm.ExtFF:
@@ -153,11 +155,30 @@ func zeroOf(k ir.ElemKind) Value {
 }
 
 // CheckExterns verifies that every extern in the program has an
-// implementation.
+// implementation (vm.Intrinsics), and that every call of one fits its
+// implementation's form (vm.ExternForm.Fits). A function without register
+// kinds is left to the engine: the VM refuses it, and the oracle reads an
+// argument of another kind as zero.
 func CheckExterns(p *ir.Program) error {
 	for _, e := range p.Externs {
 		if _, ok := vm.Intrinsics[e.Name]; !ok {
-			return fmt.Errorf("interp: extern %q has no implementation; available: sqrt sin cos exp log pow floor fabs iabs work noise interact force term", e.Name)
+			names := make([]string, 0, len(vm.Intrinsics))
+			for name := range vm.Intrinsics {
+				names = append(names, name)
+			}
+			slices.Sort(names)
+			return fmt.Errorf("interp: extern %q has no implementation; available: %s", e.Name, strings.Join(names, " "))
+		}
+	}
+	for _, f := range p.Funcs {
+		if f.RegKinds == nil {
+			continue
+		}
+		for pc, in := range f.Code {
+			if in.Op == ir.OpCallExtern && !vm.Intrinsics[p.Externs[in.Imm].Name].Form().Fits(in, f.RegKinds) {
+				return fmt.Errorf("interp: %s: pc %d: the call of extern %q does not match its implementation's signature",
+					f.Name, pc, p.Externs[in.Imm].Name)
+			}
 		}
 	}
 	return nil

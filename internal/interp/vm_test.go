@@ -681,24 +681,27 @@ func TestConstantDivisorGroups(t *testing.T) {
 // TestUnwrittenLocalReadsZero: a function that reads a local it never
 // wrote must see zero in every activation, as the interpreter's fresh
 // frame gives it — after a sibling call left other values in the same
-// arena words, inlined and out of line alike.
+// arena words, inlined and out of line alike. Both callees return a float,
+// the valued return inline expansion splices.
 func TestUnwrittenLocalReadsZero(t *testing.T) {
-	dirty := &ir.Func{Name: "dirty", NParams: 1, RegKinds: []ir.ElemKind{rI, rI, rF, rR, rI}, Code: []ir.Instr{
+	dirty := &ir.Func{Name: "dirty", NParams: 1, RegKinds: []ir.ElemKind{rI, rI, rF, rR, rI, rF}, Code: []ir.Instr{
 		irIns(ir.OpAddI, 1, 0, 0, 0),
 		irIns(ir.OpIntToFloat, 2, 1, no, 0),
 		irIns(ir.OpNewArr, 3, 0, no, int64(ir.ElemInt)),
 		irIns(ir.OpMulI, 4, 1, 1, 0),
-		irIns(ir.OpRet, no, 4, no, 0),
+		irIns(ir.OpIntToFloat, 5, 4, no, 0),
+		irIns(ir.OpRet, no, 5, no, 0),
 	}}
-	leaky := &ir.Func{Name: "leaky", NParams: 1, RegKinds: []ir.ElemKind{rI, rI, rF, rR, rI, rB}, Code: []ir.Instr{
+	leaky := &ir.Func{Name: "leaky", NParams: 1, RegKinds: []ir.ElemKind{rI, rI, rF, rR, rI, rB, rF}, Code: []ir.Instr{
 		irIns(ir.OpAddF, 2, 2, 2, 0), // unwritten float
 		irIns(ir.OpPrint, no, 2, no, 0),
 		irIns(ir.OpPrint, no, 3, no, 0),     // unwritten ref
 		irIns(ir.OpAddI, 4, 0, 1, 0),        // unwritten int
 		irIns(ir.OpConstInt, 1, no, no, 77), // written after the read
-		irIns(ir.OpRet, no, 4, no, 0),
+		irIns(ir.OpIntToFloat, 6, 4, no, 0),
+		irIns(ir.OpRet, no, 6, no, 0),
 	}}
-	main := &ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI, rB, rI, rI}, Code: []ir.Instr{
+	main := &ir.Func{Name: "main", RegKinds: []ir.ElemKind{rI, rI, rB, rF, rF}, Code: []ir.Instr{
 		irIns(ir.OpConstInt, 0, no, no, 3), // 0: i
 		irIns(ir.OpConstInt, 1, no, no, 6), // 1: loop head
 		irIns(ir.OpLtI, 2, 0, 1, 0),
@@ -840,5 +843,27 @@ func TestModuleIndependentOfRunOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestVMRunBuildsNoOracleTables: the step interpreter's load-time tables
+// (prepare) are built by the first oracle run of a program, and never by a
+// VM run.
+func TestVMRunBuildsNoOracleTables(t *testing.T) {
+	c := compile(t, `
+extern force(a: float, b: float): float cost 10;
+func main() { print force(2.0, 0.5); }
+`)
+	if _, err := Run(c.Serial, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if loadStateOf(c.Serial).prep != nil {
+		t.Fatal("a VM run built the oracle's load-time tables")
+	}
+	if _, err := Run(c.Serial, Options{Engine: EngineInterp}); err != nil {
+		t.Fatal(err)
+	}
+	if loadStateOf(c.Serial).prep == nil {
+		t.Fatal("an oracle run left the load-time tables unbuilt")
 	}
 }

@@ -50,11 +50,11 @@ func main() {
 // benchExternSrc stresses OpCallExtern: the table-indexed intrinsic
 // lookup and the folded static extern cost.
 const benchExternSrc = `
-extern sqrt(x: float): float cost 80;
+extern force(a: float, b: float): float cost 80;
 func main() {
   let s: float = 0.0;
   for i in 0..10000 {
-    s = s + sqrt(tofloat(i));
+    s = s + force(tofloat(i), 0.5);
   }
   print s;
 }

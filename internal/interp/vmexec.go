@@ -211,10 +211,6 @@ frames:
 				t.tailCall(fr, in)
 				pc, executed, acc = fr.pc, t.executed, t.acc
 
-			case vm.OpCallExtI, vm.OpCallExtF:
-				fr.pc, t.executed, t.acc = pc, executed, acc
-				t.callExt(fr, in)
-				pc, executed, acc = fr.pc, t.executed, t.acc
 			case vm.OpCallFFF:
 				f, x, y, dst := t.mod.Ext[in.Imm].FFF, floats[in.A], floats[in.B], in.Dst
 				fr.pc, t.executed, t.acc = pc, executed, acc
@@ -376,14 +372,8 @@ frames:
 				fr.pc, t.executed, t.acc = pc, executed, acc
 				t.enter(fr, in)
 				pc, executed, acc = fr.pc, t.executed, t.acc
-			case vm.OpIRetI:
-				ints[in.Dst] = ints[in.A]
-				pc = int(in.Imm)
 			case vm.OpIRetF:
 				floats[in.Dst] = floats[in.A]
-				pc = int(in.Imm)
-			case vm.OpIRetR:
-				refs[in.Dst] = refs[in.A]
 				pc = int(in.Imm)
 			case vm.OpIRetVoid:
 				if in.Dst >= 0 {
@@ -539,36 +529,6 @@ func (t *vmTask) sync(p *simmach.Proc, fr *vmFrame, in *vm.Instr) (st simmach.St
 		return simmach.Blocked, false
 	}
 	return 0, true
-}
-
-// callExt runs a boxed extern call: the arguments go through t.extArgs as
-// Values, and the extern's extra charge joins t.acc.
-//
-//dfvet:noalloc
-func (t *vmTask) callExt(fr *vmFrame, in *vm.Instr) {
-	ints, floats, refs := fr.ints, fr.floats, fr.refs
-	fn := t.rt.prep.extFns[in.Imm]
-	args := t.extArgs[:0]
-	for _, mv := range in.Args {
-		switch mv.Bank {
-		case vm.BankFloat:
-			args = append(args, Value{Kind: KindFloat, F: floats[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
-		case vm.BankRef:
-			args = append(args, Value{Kind: KindRef, Ref: refs[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
-		default:
-			args = append(args, Value{Kind: KindInt, I: ints[mv.Src]}) //dfvet:allow noalloc amortized: reuses the t.extArgs backing array at steady state
-		}
-	}
-	t.extArgs = args[:0]
-	v, extra := fn(args)
-	t.acc += extra
-	if in.Dst >= 0 {
-		if in.Op == vm.OpCallExtF {
-			floats[in.Dst] = v.F
-		} else {
-			ints[in.Dst] = v.I
-		}
-	}
 }
 
 // print appends a print instruction's line to the program output.
@@ -788,8 +748,6 @@ func (t *vmTask) evalArm(fr *vmFrame, arm []vm.Instr) {
 			floats[in.Dst] = t.mod.Ext[in.Imm].FFF(floats[in.A], floats[in.B])
 		case vm.OpCallIF:
 			floats[in.Dst] = t.mod.Ext[in.Imm].IF(ints[in.A])
-		case vm.OpCallExtI, vm.OpCallExtF:
-			t.callExt(fr, in)
 		default:
 			panic(failure("bad opcode %v in a linear arm", in.Op))
 		}

@@ -16,8 +16,8 @@ import (
 // counts (so dispatch boundaries — the stepBudget accounting, yield-first
 // sync — are reproduced instruction for instruction, a release taken ahead
 // counting as the dispatch it spares), program output, and controller
-// samples and switches. Races, flags, AsyncSwitch and the trace are not
-// part of it: Run makes an oracle run of each (oracleReason).
+// samples and switches. Races, flags, boxed externs, AsyncSwitch and the
+// trace are not part of it: Run makes an oracle run of each (OracleReason).
 
 // vmModuleFor returns the program's module, compiled on first use.
 func vmModuleFor(p *ir.Program) (*vm.Module, error) {

@@ -15,11 +15,11 @@ const (
 	BankRef
 )
 
-// ArgMove copies one value as part of a call, tail call, extern call, or
+// ArgMove copies one value as part of a call, tail call or
 // parallel-section entry. Src is a bank-local slot in the caller's frame;
 // Dst is the destination's meaning per opcode: the callee's bank-local
-// parameter slot (OpCall/OpTailCall/OpCallEnter), the extern argument
-// index (OpCallExt*), or the captured-argument index (OpParallel).
+// parameter slot (OpCall/OpTailCall/OpCallEnter), or the captured-argument
+// index (OpParallel).
 type ArgMove struct {
 	Bank uint8
 	Src  int32

@@ -9,13 +9,14 @@ import (
 // Compile builds the one module a program ever has: frame layout, the 1:1
 // translation, tail-call marking, the frame-zeroing decision, inline
 // expansion, superinstruction fusion and the linear-recursion plans, every
-// pass a function of the program alone. A call to an extern whose host
-// implementation (Intrinsics) has an unboxed opcode compiles to that
-// opcode when its operands have the form's kinds. It returns an error
-// when a function lacks the register-kind metadata lowering records
-// (hand-built programs), when the metadata is inconsistent with how the
-// code uses registers, and for a conditional sync site (ir.OpAcquireIf,
-// ir.OpReleaseIf): flag dispatch runs only on the reference oracle.
+// pass a function of the program alone. A call of an extern compiles to
+// the unboxed opcode of its host implementation's form (Intrinsics,
+// ExternForm.Unboxed). It returns an error when a function lacks the
+// register-kind metadata lowering records (hand-built programs), when the
+// metadata is inconsistent with how the code uses registers, for an extern
+// call no unboxed opcode fits, and for a conditional sync site
+// (ir.OpAcquireIf, ir.OpReleaseIf): boxed externs and flag dispatch run
+// only on the reference oracle.
 // Compilation never changes observable behaviour: every returned module
 // executes bit-identically to the interpreter.
 func Compile(p *ir.Program) (*Module, error) {
@@ -311,29 +312,15 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode) error {
 				}
 			}
 		case ir.OpCallExtern:
-			o.Imm = in.Imm
+			form := m.Ext[in.Imm].Form()
+			if !form.Unboxed() || !form.Fits(in, f.RegKinds) {
+				return errf(pc, "extern %s: no unboxed call fits", p.Externs[in.Imm].Name)
+			}
+			o.Op, o.Dst, o.A, o.Imm = externSigs[form].op, slot(in.Dst), slot(in.Args[0]), in.Imm
+			if len(in.Args) > 1 {
+				o.B = slot(in.Args[1])
+			}
 			o.Cost = int32(ir.Instr{Op: ir.OpCallExtern}.Cost() + p.Externs[in.Imm].Cost)
-			if unboxed(o, m.Ext[in.Imm].Form(), in, fc, f.RegKinds) {
-				break
-			}
-			moves := make([]ArgMove, len(in.Args))
-			for i, r := range in.Args {
-				moves[i] = ArgMove{Bank: fc.RegBank[r], Src: slot(r), Dst: int32(i)}
-			}
-			o.Args = moves
-			o.Dst = -1
-			o.Op = OpCallExtI
-			if in.Dst != ir.NoReg {
-				o.Dst = slot(in.Dst)
-				switch kind(in.Dst) {
-				case ir.ElemFloat:
-					o.Op = OpCallExtF
-				case ir.ElemInt:
-					o.Op = OpCallExtI
-				default:
-					return errf(pc, "extern result into kind %d register", kind(in.Dst))
-				}
-			}
 		case ir.OpRet:
 			o.C = fc.NInts // the frame's collapse counter
 			if in.A == ir.NoReg {
@@ -490,45 +477,6 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode) error {
 	fc.Code = out
 	fc.Plain = out // alias until fuse builds Code
 	return nil
-}
-
-// externSigs gives a typed form its unboxed opcode and the operand kinds a
-// call must have to use it (bool arguments count as int words, as boxing
-// makes them). Lowering gives every call a result register, work's an int
-// one. Only the forms the census workloads call have an opcode; the
-// others stay boxed.
-var externSigs = [...]struct {
-	op   Op
-	args []ir.ElemKind
-	res  ir.ElemKind
-}{
-	ExtFFF:  {OpCallFFF, []ir.ElemKind{ir.ElemFloat, ir.ElemFloat}, ir.ElemFloat},
-	ExtIF:   {OpCallIF, []ir.ElemKind{ir.ElemInt}, ir.ElemFloat},
-	ExtWork: {OpCallWork, []ir.ElemKind{ir.ElemInt}, ir.ElemInt},
-}
-
-// unboxed compiles an extern call to the unboxed opcode of its extern's
-// form when the call's operands have the form's kinds, and reports whether
-// it did. A call without a result register, or whose operands do not fit,
-// stays boxed.
-func unboxed(o *Instr, form ExternForm, in ir.Instr, fc *FuncCode, kinds []ir.ElemKind) bool {
-	if int(form) >= len(externSigs) || externSigs[form].op == 0 {
-		return false
-	}
-	sig := externSigs[form]
-	if in.Dst == ir.NoReg || kinds[in.Dst] != sig.res || len(in.Args) != len(sig.args) {
-		return false
-	}
-	for i, r := range in.Args {
-		if k := kinds[r]; k != sig.args[i] && (k != ir.ElemBool || sig.args[i] != ir.ElemInt) {
-			return false
-		}
-	}
-	o.Op, o.Dst, o.A = sig.op, fc.RegSlot[in.Dst], fc.RegSlot[in.Args[0]]
-	if len(in.Args) > 1 {
-		o.B = fc.RegSlot[in.Args[1]]
-	}
-	return true
 }
 
 // markTailCalls rewrites self-recursive calls in tail position into

@@ -1,6 +1,10 @@
 package vm
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/obl/ir"
+)
 
 // ExternForm is the typed form of an extern's host implementation: what
 // a call passes it and gets back.
@@ -18,10 +22,11 @@ const (
 )
 
 // Intrinsic is the host implementation of an extern, defined once in its
-// typed form: exactly one field is set. Both engines run it: the VM calls
-// the forms with an unboxed opcode (externSigs) directly, and
-// internal/interp derives the boxed adapter the step interpreter and the
-// VM's boxed calls use from the same form.
+// typed form: exactly one field is set. The VM calls the forms with an
+// unboxed opcode (externSigs) directly, and internal/interp derives the
+// boxed adapter the step interpreter uses from the same form. A program
+// that declares an extern of a form without one makes an oracle run: only
+// the step interpreter calls it.
 type Intrinsic struct {
 	FF   func(float64) float64
 	FFF  func(float64, float64) float64
@@ -45,6 +50,48 @@ func (x Intrinsic) Form() ExternForm {
 		return ExtWork
 	}
 	return ExtBoxed
+}
+
+// externSigs gives each typed form the operand kinds a call passes and
+// the kind of register it writes (ExternForm.Fits), and its unboxed
+// opcode. Lowering gives every call a result register, a void extern's
+// (work's) an int one. Only the forms the census workloads call have an
+// opcode; a program that declares an extern of another form makes an
+// oracle run.
+var externSigs = [...]struct {
+	op   Op
+	args []ir.ElemKind
+	res  ir.ElemKind
+}{
+	ExtFF:   {0, []ir.ElemKind{ir.ElemFloat}, ir.ElemFloat},
+	ExtFFF:  {OpCallFFF, []ir.ElemKind{ir.ElemFloat, ir.ElemFloat}, ir.ElemFloat},
+	ExtIF:   {OpCallIF, []ir.ElemKind{ir.ElemInt}, ir.ElemFloat},
+	ExtII:   {0, []ir.ElemKind{ir.ElemInt}, ir.ElemInt},
+	ExtWork: {OpCallWork, []ir.ElemKind{ir.ElemInt}, ir.ElemInt},
+}
+
+// Unboxed reports whether the VM calls externs of form f: whether f has an
+// unboxed opcode.
+func (f ExternForm) Unboxed() bool { return externSigs[f].op != 0 }
+
+// Fits reports whether the extern call in, in a function whose registers
+// have kinds, fits form f: it has a result register, and its argument and
+// result registers have the form's kinds (bool arguments count as int
+// words, as boxing makes them).
+func (f ExternForm) Fits(in ir.Instr, kinds []ir.ElemKind) bool {
+	if f == ExtBoxed || in.Dst == ir.NoReg {
+		return false
+	}
+	sig := externSigs[f]
+	if kinds[in.Dst] != sig.res || len(in.Args) != len(sig.args) {
+		return false
+	}
+	for i, r := range in.Args {
+		if k := kinds[r]; k != sig.args[i] && (k != ir.ElemBool || sig.args[i] != ir.ElemInt) {
+			return false
+		}
+	}
+	return true
 }
 
 // Intrinsics is the registry of extern implementations available to OBL

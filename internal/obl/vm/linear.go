@@ -71,9 +71,9 @@ func (l *Linear) Levels(k int64, max int) (int, bool) {
 	return int(n), true
 }
 
-// linearOps are the instructions a planned arm may hold besides its boxed
-// extern calls: arithmetic and moves that cannot fault and read no
-// object, and the unboxed calls of pure externs.
+// linearOps are the instructions a planned arm may hold: arithmetic and
+// moves that cannot fault and read no object, and the calls of pure
+// externs.
 var linearOps = map[Op]bool{
 	OpConstI: true, OpConstF: true, OpMovI: true, OpMovF: true,
 	OpAddI: true, OpSubI: true, OpMulI: true, OpNegI: true,
@@ -88,7 +88,7 @@ var linearOps = map[Op]bool{
 // head run writes a parameter, an arm reads no register the head wrote,
 // and k's only reader in the arms is the add or sub of a constant that
 // becomes the self call's k.
-func (m *Module) linearPlan(fc *FuncCode) *Linear {
+func linearPlan(fc *FuncCode) *Linear {
 	p := fc.Plain
 	if len(p) < 3 || !cmpConstBr(p, OpLeI) {
 		return nil
@@ -104,7 +104,7 @@ func (m *Module) linearPlan(fc *FuncCode) *Linear {
 	}
 	headCost := int64(p[0].Cost) + int64(p[1].Cost) + int64(p[2].Cost)
 
-	base, end := m.linearArm(fc, 3, l.K)
+	base, end := linearArm(fc, 3, l.K)
 	if base == nil || end >= len(p) || p[end].Op != OpRetF || !base.pure(BankFloat, p[end].A) {
 		return nil
 	}
@@ -112,7 +112,7 @@ func (m *Module) linearPlan(fc *FuncCode) *Linear {
 	l.BaseLen, l.BaseCost = len(l.Base)+4, headCost+base.cost+int64(p[end].Cost)
 
 	start := int(p[2].Imm)
-	arm, c := m.linearArm(fc, start, l.K)
+	arm, c := linearArm(fc, start, l.K)
 	if arm == nil || c+2 >= len(p) {
 		return nil
 	}
@@ -167,11 +167,7 @@ func shareExterns(fc *FuncCode, k int32, base, arm []Instr) []Instr {
 			if !sameParamCall(fc, k, b, in) || writes(base[j+1:], b) || writes(out[:i], b) {
 				continue
 			}
-			mov := OpMovF
-			if in.Op == OpCallExtI {
-				mov = OpMovI
-			}
-			*in = Instr{Op: mov, Len: 1, Cost: in.Cost, Dst: in.Dst, A: b.Dst}
+			*in = Instr{Op: OpMovF, Len: 1, Cost: in.Cost, Dst: in.Dst, A: b.Dst}
 			break
 		}
 	}
@@ -182,7 +178,7 @@ func shareExterns(fc *FuncCode, k int32, base, arm []Instr) []Instr {
 // one form, on the same parameters other than k.
 func sameParamCall(fc *FuncCode, k int32, a, b *Instr) bool {
 	switch a.Op {
-	case OpCallFFF, OpCallIF, OpCallExtF, OpCallExtI:
+	case OpCallFFF, OpCallIF:
 	default:
 		return false
 	}
@@ -201,9 +197,9 @@ func sameParamCall(fc *FuncCode, k int32, a, b *Instr) bool {
 // writes reports whether an instruction of code writes the slot call
 // writes its result to, in its bank.
 func writes(code []Instr, call *Instr) bool {
-	bank := armDst(call)
+	bank := opRegs[call.Op].dst
 	for i := range code {
-		if armDst(&code[i]) == bank && code[i].Dst == call.Dst {
+		if opRegs[code[i].Op].dst == bank && code[i].Dst == call.Dst {
 			return true
 		}
 	}
@@ -213,9 +209,6 @@ func writes(code []Instr, call *Instr) bool {
 // armReads is the registers an arm instruction reads, {bank, slot} as
 // Bank and Src.
 func armReads(in *Instr) []ArgMove {
-	if in.Op == OpCallExtF || in.Op == OpCallExtI {
-		return in.Args
-	}
 	var reads []ArgMove
 	r := opRegs[in.Op]
 	for _, x := range [3]struct {
@@ -227,17 +220,6 @@ func armReads(in *Instr) []ArgMove {
 		}
 	}
 	return reads
-}
-
-// armDst is the bank+1 an arm instruction writes, 0 for none.
-func armDst(in *Instr) uint8 {
-	switch in.Op {
-	case OpCallExtF:
-		return BankFloat + 1
-	case OpCallExtI:
-		return BankInt + 1
-	}
-	return opRegs[in.Op].dst
 }
 
 // isParam reports whether slot of bank holds a parameter: parameters are
@@ -265,11 +247,11 @@ func (s *armState) pure(bank uint8, slot int32) bool {
 }
 
 // linearArm walks fc's plain stream from pc start over the instructions a
-// planned arm may hold (linearOps and pure extern calls), and returns what
-// they leave and the pc of the first other instruction. It returns nil
-// when one of them reads a register neither a parameter nor written
-// before it in the arm, reads a ref, or writes a parameter.
-func (m *Module) linearArm(fc *FuncCode, start int, k int32) (*armState, int) {
+// planned arm may hold (linearOps), and returns what they leave and the pc
+// of the first other instruction. It returns nil when one of them reads a
+// register neither a parameter nor written before it in the arm, reads a
+// ref, or writes a parameter.
+func linearArm(fc *FuncCode, start int, k int32) (*armState, int) {
 	s := &armState{def: map[[2]int32]bool{}, taint: map[[2]int32]bool{},
 		konst: map[int32]int64{}, kStep: map[int32]int64{}}
 	for i := range fc.NParams {
@@ -279,12 +261,10 @@ func (m *Module) linearArm(fc *FuncCode, start int, k int32) (*armState, int) {
 	pc := start
 	for ; pc >= 0 && pc < len(fc.Plain); pc++ {
 		in := &fc.Plain[pc]
-		boxed := (in.Op == OpCallExtF || in.Op == OpCallExtI) && in.Dst >= 0 &&
-			m.Ext[in.Imm].Form() != ExtBoxed && m.Ext[in.Imm].Form() != ExtWork
-		if !linearOps[in.Op] && !boxed {
+		if !linearOps[in.Op] {
 			return s, pc
 		}
-		dst := armDst(in) // the written bank + 1, 0 for none
+		dst := opRegs[in.Op].dst // the written bank + 1, 0 for none
 		tainted := false
 		for _, rd := range armReads(in) {
 			r := [2]int32{int32(rd.Bank), rd.Src}
@@ -325,7 +305,7 @@ func (m *Module) linearArm(fc *FuncCode, start int, k int32) (*armState, int) {
 // group, so its Code slot is its Plain one.
 func (m *Module) markLinearCalls() {
 	for _, fc := range m.Funcs {
-		fc.Linear = m.linearPlan(fc)
+		fc.Linear = linearPlan(fc)
 	}
 	for _, fc := range m.Funcs {
 		for pc := range fc.Plain {

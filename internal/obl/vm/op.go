@@ -17,9 +17,10 @@
 //     include the extern's declared cost), call sites carry resolved
 //     argument-move plans, and self tail calls reuse the frame through a
 //     move plan sequenced here into plain in-order copies.
-//   - An extern call whose host implementation (Intrinsics) has a typed
-//     form with an unboxed opcode passes its operands unboxed: no []Value
-//     is built.
+//   - Every extern call passes its operands unboxed: no []Value is
+//     built. Compile admits only the typed forms with an unboxed opcode
+//     (ExternForm.Unboxed); a program that declares an extern of another
+//     form is an oracle run (internal/interp's OracleReason).
 //   - Each function records which register banks a fresh frame must zero
 //     (FuncCode.ZeroInts etc.): only those in which a register can be
 //     read before it is written, which lowered code never does.
@@ -119,10 +120,8 @@ const (
 	// argument-move plan; Dst is the caller's bank-local result slot
 	// (-1 none) and C its bank.
 	OpCall
-	OpCallExtI // ints[Dst] = extern(...).I
-	OpCallExtF // floats[Dst] = extern(...).F
-	// Unboxed extern calls, one per ExternForm the census workloads call:
-	// Imm is the extern, the arguments are A and B, and no []Value is built.
+	// Extern calls, one per ExternForm the census workloads call: Imm is
+	// the extern, the arguments are A and B, and no []Value is built.
 	OpCallFFF  // floats[Dst] = extern(floats[A], floats[B])
 	OpCallIF   // floats[Dst] = extern(ints[A])
 	OpCallWork // ints[Dst] = 0; charge ints[A] virtual ns, floored at zero (work)
@@ -178,9 +177,11 @@ const (
 	// the callee needs no zeroing of) before the argument moves. D is 1
 	// when the callee is self-tail-recursive: the splice then stands for a
 	// frame the call-depth checks count, and its int range is the splice's
-	// collapse counter (such a callee zeroes nothing). OpIRet* are the
-	// callee's returns: they write the caller's result slot (Dst; bank
-	// implied) and jump to the splice end.
+	// collapse counter (such a callee zeroes nothing). OpIRetF and
+	// OpIRetVoid are the returns of a callee that is not: they write the
+	// caller's result slot (Dst; bank implied) and jump to the splice end.
+	// A callee that returns an int or a ref is not spliced (inlinable): no
+	// census section runs one.
 	OpCallEnter
 	// OpIRetN is a self-tail-recursive callee's return: ints[C] counts the
 	// tail calls the splice collapsed, and their returns are replayed as
@@ -188,9 +189,7 @@ const (
 	// Dst (-1 none) of bank B = the value in slot A of bank B (A -1: a void
 	// return, the bank's zero); pc = Imm.
 	OpIRetN
-	OpIRetI // caller slot Dst = ints[A]; pc = Imm
-	OpIRetF
-	OpIRetR
+	OpIRetF    // caller slot Dst = floats[A]; pc = Imm
 	OpIRetVoid // zero caller slot Dst in bank B; pc = Imm
 
 	// Fused superinstructions (Len > 1): only the groups the dispatch
@@ -306,8 +305,7 @@ var opNames = [...]string{
 	OpLtF: "lt.f", OpLeF: "le.f", OpGtF: "gt.f", OpGeF: "ge.f",
 	OpNot:  "not",
 	OpJump: "jump", OpBrFalse: "brfalse",
-	OpCall: "call", OpCallExtI: "callext.i", OpCallExtF: "callext.f",
-	OpCallFFF: "callext.fff", OpCallIF: "callext.if", OpCallWork: "callext.work",
+	OpCall: "call", OpCallFFF: "callext.fff", OpCallIF: "callext.if", OpCallWork: "callext.work",
 	OpRetI: "ret.i", OpRetF: "ret.f", OpRetR: "ret.r", OpRetVoid: "ret",
 	OpNew: "new", OpNewArr: "newarr",
 	OpLoadFieldI: "ldfld.i", OpLoadFieldF: "ldfld.f", OpLoadFieldR: "ldfld.r",
@@ -319,7 +317,7 @@ var opNames = [...]string{
 	OpPrintI: "print.i", OpPrintB: "print.b", OpPrintF: "print.f", OpPrintR: "print.r",
 	OpTailCall:  "tailcall",
 	OpCallEnter: "callenter", OpIRetN: "iret.n",
-	OpIRetI: "iret.i", OpIRetF: "iret.f", OpIRetR: "iret.r", OpIRetVoid: "iret",
+	OpIRetF: "iret.f", OpIRetVoid: "iret",
 	OpLtIBr: "lt.i+br", OpInc1Jump: "inc1+jump",
 	OpAddIK: "add.ik", OpMulIK: "mul.ik", OpLeIKBr: "le.ik+br", OpMulFK: "mul.fk",
 	OpAddDivIKMov: "add.i+div.ik+mov.i", OpModIKEqIKBr: "mod.ik+eq.ik+br",
@@ -356,8 +354,7 @@ var opRegs = [opCount]struct{ dst, a, b, c uint8 }{
 	OpLtF: {xI, xF, xF, 0}, OpLeF: {xI, xF, xF, 0}, OpGtF: {xI, xF, xF, 0}, OpGeF: {xI, xF, xF, 0},
 	OpEqR: {xI, xR, xR, 0}, OpNeR: {xI, xR, xR, 0},
 	OpI2F: {xF, xI, 0, 0}, OpF2I: {xI, xF, 0, 0},
-	OpBrFalse:  {a: xI},
-	OpCallExtI: {dst: xI}, OpCallExtF: {dst: xF},
+	OpBrFalse: {a: xI},
 	OpCallFFF: {xF, xF, xF, 0}, OpCallIF: {xF, xI, 0, 0}, OpCallWork: {xI, xI, 0, 0},
 	OpRetI: {a: xI}, OpRetF: {a: xF}, OpRetR: {a: xR},
 	OpNew: {dst: xR}, OpNewArr: {xR, xI, 0, 0},

@@ -50,7 +50,10 @@ const (
 // end of the body (so execution always leaves the splice through a
 // return, never by falling into the caller's next instruction). A
 // self-tail-recursive body must also zero no bank, since its tail calls
-// restart the splice over the registers they leave.
+// restart the splice over the registers they leave. Any other body must
+// return a float or nothing: no census section calls a leaf that returns
+// an int or a ref, so such a leaf stays a call rather than have an inline
+// return of its own.
 func inlinable(fc *FuncCode) (ok, tail bool) {
 	n := len(fc.Plain)
 	if n == 0 {
@@ -61,13 +64,16 @@ func inlinable(fc *FuncCode) (ok, tail bool) {
 	default:
 		return false, false
 	}
+	valued := false // an int or ref return
 	for pc := range fc.Plain {
 		in := &fc.Plain[pc]
 		switch in.Op {
 		case OpTailCall:
 			tail = true
+		case OpRetI, OpRetR:
+			valued = true
 		case OpCall, OpCallLinear, OpCallEnter, OpParallel,
-			OpIRetN, OpIRetI, OpIRetF, OpIRetR, OpIRetVoid:
+			OpIRetN, OpIRetF, OpIRetVoid:
 			return false, false
 		case OpJump, OpBrFalse:
 			if int(in.Imm) >= n {
@@ -75,7 +81,7 @@ func inlinable(fc *FuncCode) (ok, tail bool) {
 			}
 		}
 	}
-	if tail && (fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs) {
+	if tail && (fc.ZeroInts || fc.ZeroFloats || fc.ZeroRefs) || !tail && valued {
 		return false, false
 	}
 	return true, tail
@@ -228,9 +234,8 @@ func iret(ret, call Instr, base *[4]int32, tail bool, end int64) Instr {
 		o.Op, o.B = OpIRetVoid, call.C
 	case call.Dst < 0: // result discarded at the call site
 		o.Op = OpIRetVoid
-	default:
-		// OpIRetI/F/R are declared in the order of OpRetI/F/R.
-		o.Op, o.A = OpIRetI+ret.Op-OpRetI, ret.A+base[opRegs[ret.Op].a]
+	default: // an OpRetF: inlinable splices no other valued return
+		o.Op, o.A = OpIRetF, ret.A+base[BankFloat+1]
 	}
 	return o
 }
@@ -240,9 +245,7 @@ func iret(ret, call Instr, base *[4]int32, tail bool, end int64) Instr {
 // describes them.
 func remapSlots(o *Instr, base *[4]int32) {
 	r := opRegs[o.Op]
-	if o.Dst >= 0 { // extern results may be discarded (-1)
-		o.Dst += base[r.dst]
-	}
+	o.Dst += base[r.dst]
 	o.A += base[r.a]
 	o.B += base[r.b]
 	o.C += base[r.c]

@@ -95,11 +95,11 @@ func TestCompileRejectsConditionalSync(t *testing.T) {
 
 func TestCompileInlinesLeafCall(t *testing.T) {
 	c, err := oblc.Compile(`
-func add1(x: int): int {
-  return x + 1;
+func add1(x: float): float {
+  return x + 1.0;
 }
 func main() {
-  let s: int = 0;
+  let s: float = 0.0;
   for i in 0..100 {
     s = add1(s);
   }
@@ -118,13 +118,43 @@ func main() {
 			switch fc.Plain[pc].Op {
 			case vm.OpCallEnter:
 				enters++
-			case vm.OpIRetI, vm.OpIRetF, vm.OpIRetR, vm.OpIRetVoid:
+			case vm.OpIRetF, vm.OpIRetVoid:
 				irets++
 			}
 		}
 	}
 	if enters != 1 || irets == 0 {
 		t.Fatalf("leaf call not inlined once: %d enters, %d inline returns", enters, irets)
+	}
+}
+
+// TestIntLeafStaysACall: a leaf that returns an int is not spliced, since
+// no inline return writes an int (no census section calls such a leaf).
+func TestIntLeafStaysACall(t *testing.T) {
+	c, err := oblc.Compile(`
+func add1(x: int): int {
+  return x + 1;
+}
+func main() {
+  let s: int = 0;
+  for i in 0..100 {
+    s = add1(s);
+  }
+  print s;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vm.Compile(c.Serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[vm.Op]int{}
+	for _, in := range m.Funcs[c.Serial.MainID].Plain {
+		ops[in.Op]++
+	}
+	if ops[vm.OpCallEnter] != 0 || ops[vm.OpCall] != 1 {
+		t.Fatalf("main has %d splices and %d calls, want 0 and 1", ops[vm.OpCallEnter], ops[vm.OpCall])
 	}
 }
 

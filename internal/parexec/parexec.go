@@ -1,8 +1,8 @@
 // Package parexec is the parallel experiment engine: a bounded fan-out
 // runner plus a concurrency-safe single-flight memo cache. It exists so
 // that the many independent, deterministic simulations behind the paper's
-// tables and figures (internal/bench) and behind dfserved's /run endpoint
-// can saturate the host's cores without changing any simulated result.
+// tables and figures (internal/bench, cmd/dfbench) can saturate the host's
+// cores without changing any simulated result.
 //
 // The determinism contract is the load-bearing invariant: every job
 // submitted here must be a pure function of its inputs (the simulator in
@@ -123,28 +123,4 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	f.val, f.err = fn()
 	close(f.done)
 	return f.val, f.err
-}
-
-// Cached returns the completed result for key, if any. It does not block
-// on an in-flight computation.
-func (g *Group[K, V]) Cached(key K) (V, bool) {
-	g.mu.Lock()
-	f, ok := g.m[key]
-	g.mu.Unlock()
-	if !ok {
-		return *new(V), false
-	}
-	select {
-	case <-f.done:
-		return f.val, true
-	default:
-		return *new(V), false
-	}
-}
-
-// Len reports how many keys have been requested (including in-flight ones).
-func (g *Group[K, V]) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
 }

@@ -99,9 +99,6 @@ func TestGroupSingleFlight(t *testing.T) {
 			t.Fatalf("caller %d got %d, want 42", c, v)
 		}
 	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
-	}
 }
 
 func TestGroupMemoizesErrors(t *testing.T) {
@@ -118,18 +115,6 @@ func TestGroupMemoizesErrors(t *testing.T) {
 	}
 	if computes != 1 {
 		t.Fatalf("computed %d times, want 1", computes)
-	}
-}
-
-func TestGroupCached(t *testing.T) {
-	var g Group[string, int]
-	if _, ok := g.Cached("missing"); ok {
-		t.Fatal("Cached on empty group")
-	}
-	g.Do("k", func() (int, error) { return 9, nil })
-	v, ok := g.Cached("k")
-	if !ok || v != 9 {
-		t.Fatalf("Cached = %d, %v; want 9, true", v, ok)
 	}
 }
 
