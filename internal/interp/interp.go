@@ -22,6 +22,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -732,7 +733,8 @@ type task struct {
 // pushCall opens a zeroed activation record for funcID and returns its
 // register window; the caller fills in the arguments. The window lives in
 // the task's register arena, so no per-call allocation occurs once the
-// arena and frame stack have reached their high-water marks.
+// arena and frame stack have reached their high-water marks, and the
+// record is written in place in t.frames.
 func (t *task) pushCall(funcID int, retDst ir.Reg) []Value {
 	fn := t.rt.prog.Funcs[funcID]
 	base := len(t.regStack)
@@ -749,10 +751,13 @@ func (t *task) pushCall(funcID int, retDst ir.Reg) []Value {
 	}
 	regs := t.regStack[base:top:top]
 	clear(regs)
-	t.frames = append(t.frames, frame{
-		fn: fn, costs: t.rt.prep.costs[funcID],
-		base: base, regs: regs, retDst: retDst,
-	})
+	if len(t.frames) == cap(t.frames) {
+		t.frames = slices.Grow(t.frames, 1)
+	}
+	t.frames = t.frames[:len(t.frames)+1]
+	fr := &t.frames[len(t.frames)-1]
+	fr.fn, fr.costs, fr.pc = fn, t.rt.prep.costs[funcID], 0
+	fr.base, fr.regs, fr.retDst = base, regs, retDst
 	return regs
 }
 
@@ -788,7 +793,7 @@ func (t *task) openBody(funcID int, args []Value, iter int64) {
 }
 
 // enterSection handles OpParallel on the main task.
-func (t *task) enterSection(p *simmach.Proc, fr *frame, in ir.Instr) {
+func (t *task) enterSection(p *simmach.Proc, fr *frame, in *ir.Instr) {
 	args := make([]Value, len(in.Args))
 	for i, r := range in.Args {
 		args[i] = fr.regs[r]

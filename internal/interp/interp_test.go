@@ -474,26 +474,37 @@ func TestMisdeclaredExternRejected(t *testing.T) {
 	}
 }
 
+// TestRuntimeErrors pins each runtime fault's whole message, which both
+// engines must give word for word: the function, and for a nil receiver
+// the pc of the instruction after it, are where the oracle's dispatch
+// loop reports the fault from.
 func TestRuntimeErrors(t *testing.T) {
 	cases := []struct {
 		name, src string
 		params    map[string]int64
 		want      string
 	}{
-		{"div0", `func main() { let a: int = 0; print 1 / a; }`, nil, "division by zero"},
-		{"mod0", `func main() { let a: int = 0; print 1 % a; }`, nil, "modulo by zero"},
-		{"nil", `class C { v: int; } func main() { let c: C; print c.v; }`, nil, "nil dereference"},
-		{"oob", `func main() { let a: int[] = new int[2]; print a[5]; }`, nil, "out of range"},
-		{"neglen", `func main() { let n: int = 0 - 3; let a: int[] = new int[n]; print len(a); }`, nil, "negative array length"},
+		{"div0", `func main() { let a: int = 0; print 1 / a; }`, nil, "interp: main: integer division by zero"},
+		{"mod0", `func main() { let a: int = 0; print 1 % a; }`, nil, "interp: main: integer modulo by zero"},
+		{"nil", `class C { v: int; } func main() { let c: C; print c.v; }`, nil, "interp: main: pc 2: nil dereference"},
+		{"nil store", `class C { v: int; } func main() { let c: C; c.v = 1; }`, nil, "interp: main: pc 3: nil dereference"},
+		{"oob", `func main() { let a: int[] = new int[2]; print a[5]; }`, nil, "interp: main: index 5 out of range [0,2)"},
+		{"oob store", `func main() { let a: int[] = new int[2]; a[2] = 7; }`, nil, "interp: main: index 2 out of range [0,2)"},
+		{"neglen", `func main() { let n: int = 0 - 3; let a: int[] = new int[n]; print len(a); }`, nil,
+			"interp: main: negative array length -3"},
 		{"hugelen", `param n: int = 4; func main() { let a: int[] = new int[n]; print len(a); }`,
-			map[string]int64{"n": 1e15}, "array length 1000000000000000 exceeds the limit"},
+			map[string]int64{"n": 1e15}, "interp: main: array length 1000000000000000 exceeds the limit of 16777216 elements"},
+		{"overflow", `func f(n: int): int { return f(n + 1) + 1; } func main() { print f(0); }`, nil,
+			"interp: f: call stack overflow"},
+		{"tail overflow", `func f(n: int): int { if n < 0 { return 0; } return f(n + 1); } func main() { print f(0); }`, nil,
+			"interp: f: call stack overflow"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := compile(t, tc.src)
 			for _, engine := range []string{EngineVM, EngineInterp} {
 				_, err := Run(c.Serial, Options{Engine: engine, Params: tc.params})
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
+				if err == nil || err.Error() != tc.want {
 					t.Errorf("%s: err = %v, want %q", engine, err, tc.want)
 				}
 			}

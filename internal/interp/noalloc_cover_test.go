@@ -26,6 +26,8 @@ func TestNoallocAnnotationCoverage(t *testing.T) {
 		"moveArgs",           // a call's argument moves (vmexec.go)
 		"moveWithin",         // a tail call's or an inlined callee's argument moves (vmexec.go)
 		"task.exec",          // EngineInterp dispatch loop (exec.go)
+		"task.hostOp",        // its extern calls, new, newarr and print (exec.go)
+		"task.sync",          // its acquire, release and section entry (exec.go)
 		"vmTask.call",        // EngineVM's frame call (vmexec.go)
 		"vmTask.callLinear",  // its linear recursion in one dispatch (vmexec.go)
 		"vmTask.descend",     // its descent loop (vmexec.go)

@@ -119,6 +119,35 @@ func BenchmarkEngineLock(b *testing.B) {
 	benchEngines(b, c.Parallel, opts)
 }
 
+// BenchmarkEngineApps runs four of dfperf's cells (benchmark/simwl.go, at
+// their unjittered parameters) under both engines: the Barnes-Hut cells of
+// sim-compute, where dispatch is nearly all the host work, and a Water and
+// a String cell of sim-sync, where the machine's lock traffic is most of
+// it. Every dfperf set-up runs its cells on the oracle for the reference
+// digests, so the interp rows are what that set-up pays per cell.
+func BenchmarkEngineApps(b *testing.B) {
+	bh := map[string]int64{"nbodies": 224, "listlen": 64, "interwork": 20000, "npasses": 1, "serialwork": 50000}
+	water := map[string]int64{"nmol": 144, "nsteps": 1, "serialwork": 30000}
+	str := map[string]int64{"gridside": 40, "nrays": 320, "pathlen": 64, "nrounds": 1, "serialwork": 30000}
+	for _, cell := range []struct {
+		name, app string
+		opts      Options
+	}{
+		{"barneshut-aggressive-p8", apps.NameBarnesHut, Options{Procs: 8, Policy: "aggressive", Params: bh}},
+		{"barneshut-bounded-p16", apps.NameBarnesHut, Options{Procs: 16, Policy: "bounded", Params: bh}},
+		{"water-original-p16", apps.NameWater, Options{Procs: 16, Policy: "original", Params: water}},
+		{"string-original-p8", apps.NameString, Options{Procs: 8, Policy: "original", Params: str}},
+	} {
+		b.Run(cell.name, func(b *testing.B) {
+			c, err := apps.Compile(cell.app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchEngines(b, c.Parallel, cell.opts)
+		})
+	}
+}
+
 // fusionCoverage counts the slots of a program's module. total is the
 // number of source instructions in the functions name selects (all when
 // empty), covered the part of them inside fused groups, and saved the

@@ -26,19 +26,20 @@ type Linear struct {
 	// Step is what each recursive call adds to k.
 	Limit, Step int64
 	// Base and Arm are the plain instructions of the base arm before its
-	// ret.f and of the recursive arm before its self call. Each reads only
-	// the parameters other than k, constants and its own writes, except
-	// where shareExterns made Arm read what Base left: Arm runs after Base,
-	// over the same registers.
+	// ret.f and of the recursive arm before its self call whose results
+	// reach BaseVal, X or a call of Base that Arm shares (prune): k's step
+	// is not among them. Each reads only the parameters other than k,
+	// constants and its own writes, except where shareExterns made Arm read
+	// what Base left: Arm runs after Base, over the same registers.
 	Base, Arm []Instr
 	// BaseVal is the float slot the base arm returns, X the pending value.
 	BaseVal, X int32
 	// XFirst says the addition reads x as its first operand (x + r).
 	XFirst bool
 	// LevelLen and LevelCost are a recursive level's instructions and
-	// virtual cost: the head, the arm, the self call, the addition and
-	// the return. BaseLen and BaseCost are the base level's: the head, the
-	// base arm and its return.
+	// virtual cost: the head, the whole arm (pruned instructions too), the
+	// self call, the addition and the return. BaseLen and BaseCost are the
+	// base level's: the head, the whole base arm and its return.
 	LevelLen, BaseLen   int
 	LevelCost, BaseCost int64
 }
@@ -145,10 +146,45 @@ func linearPlan(fc *FuncCode) *Linear {
 	if !arm.pure(BankFloat, l.X) {
 		return nil
 	}
-	l.Arm = shareExterns(fc, l.K, l.Base, p[start:c])
-	l.LevelLen = len(l.Arm) + 6
+	shared := shareExterns(fc, l.K, l.Base, p[start:c])
+	l.LevelLen = len(shared) + 6
 	l.LevelCost = headCost + arm.cost + int64(call.Cost) + int64(add.Cost) + int64(ret.Cost)
+	// The engine reads only X after the arm and BaseVal after the base, so
+	// each keeps what reaches them: the arm drops k's step, and the base
+	// keeps the calls the arm shares.
+	live := map[[2]int32]bool{{BankFloat, l.X}: true}
+	l.Arm = prune(shared, live)
+	live[[2]int32{BankFloat, l.BaseVal}] = true
+	l.Base = prune(l.Base, live)
 	return l
+}
+
+// prune returns the instructions of code whose results reach a register
+// of live, the {bank, slot} set read after code, and leaves in live the
+// registers the kept instructions read before code writes them. Every
+// instruction an arm holds writes one register and cannot fault, so one
+// whose result is never read is dead.
+func prune(code []Instr, live map[[2]int32]bool) []Instr {
+	keep := make([]bool, len(code))
+	for i := len(code) - 1; i >= 0; i-- {
+		in := &code[i]
+		w := [2]int32{int32(opRegs[in.Op].dst) - 1, in.Dst}
+		if !live[w] {
+			continue
+		}
+		keep[i] = true
+		delete(live, w)
+		for _, r := range armReads(in) {
+			live[[2]int32{int32(r.Bank), r.Src}] = true
+		}
+	}
+	var out []Instr
+	for i := range code {
+		if keep[i] {
+			out = append(out, code[i])
+		}
+	}
+	return out
 }
 
 // shareExterns returns arm with every pure extern call that repeats a call

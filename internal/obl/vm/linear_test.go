@@ -94,9 +94,16 @@ func TestWaterEnergyHasLinearPlan(t *testing.T) {
 		}
 		// energy(a, b, k): if k <= 0 { return term(a, b) } return term(a, b) * 0.5 + energy(a, b, k - 1)
 		// The arm's term(a, b) repeats the base arm's: a move of its result.
-		if l.KParam != 2 || l.Limit != 0 || l.Step != -1 || !l.XFirst || len(l.Base) != 1 || len(l.Arm) != 5 ||
+		// k - 1 feeds only the self call, so the arm keeps the move, 0.5 and
+		// the product; a level still counts all five of its instructions.
+		if l.KParam != 2 || l.Limit != 0 || l.Step != -1 || !l.XFirst || len(l.Base) != 1 || len(l.Arm) != 3 ||
 			l.Arm[0].Op != vm.OpMovF || l.Arm[0].A != l.Base[0].Dst || l.LevelLen != 11 || l.BaseLen != 5 {
 			t.Errorf("energy's plan: %+v", *l)
+		}
+		for _, in := range l.Arm {
+			if in.Op == vm.OpConstI || in.Op == vm.OpSubI {
+				t.Errorf("energy's arm keeps %v, which only k's step reads", in.Op)
+			}
 		}
 	}
 	if calls == 0 {
