@@ -409,23 +409,28 @@ func TestParams(name string) map[string]int64 {
 	}
 }
 
-// ParamBounds returns the largest value each of the application's
-// parameters takes from outside the process (dfserved's /run). The bounds
-// sit well above every preset and keep a run's allocations and virtual
-// time finite: the sizes bound the arrays main allocates, the counts bound
-// the loops and the recursion, and the work amounts bound the virtual
-// time each work call charges.
-func ParamBounds(name string) map[string]int64 {
-	switch name {
-	case NameBarnesHut:
-		return map[string]int64{"nbodies": 1 << 16, "listlen": 4096, "interwork": 1e7, "npasses": 64, "serialwork": 1e7}
-	case NameWater:
-		return map[string]int64{"nmol": 8192, "nsteps": 64, "energydepth": 64, "serialwork": 1e7}
-	case NameString:
-		return map[string]int64{"gridside": 1024, "nrays": 1 << 16, "pathlen": 4096, "nrounds": 64, "serialwork": 1e7}
-	default:
-		return nil
-	}
+// ParamRange is the range of values, bounds included, a program parameter
+// takes from outside the process (dfserved's /run).
+type ParamRange struct{ Min, Max int64 }
+
+// ParamBounds returns the range of each of the application's parameters.
+// The upper bounds sit well above every preset and keep a run's
+// allocations and virtual time finite: the sizes bound the arrays main
+// allocates, the counts bound the loops and the recursion, and the work
+// amounts bound the virtual time each work call charges. The lower bounds
+// are what the program needs: a size is at least 1 (a negative one is a
+// negative array length, and String takes a cell index modulo gridside
+// squared), a count or a work amount at least 0 (a negative one runs as 0
+// would, under a cache entry of its own). The map is shared: callers must
+// not modify it.
+func ParamBounds(name string) map[string]ParamRange {
+	return paramBounds[name]
+}
+
+var paramBounds = map[string]map[string]ParamRange{
+	NameBarnesHut: {"nbodies": {1, 1 << 16}, "listlen": {0, 4096}, "interwork": {0, 1e7}, "npasses": {0, 64}, "serialwork": {0, 1e7}},
+	NameWater:     {"nmol": {1, 8192}, "nsteps": {0, 64}, "energydepth": {0, 64}, "serialwork": {0, 1e7}},
+	NameString:    {"gridside": {1, 1024}, "nrays": {1, 1 << 16}, "pathlen": {0, 4096}, "nrounds": {0, 64}, "serialwork": {0, 1e7}},
 }
 
 // SectionNames returns the application's parallel section names in

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obl/ir"
@@ -28,138 +28,145 @@ func Fingerprint(p *ir.Program) string {
 	return s.fp
 }
 
-// fpWriter streams canonical primitives into a hash. Every value is
-// length- or tag-delimited, so distinct programs cannot collide by
-// concatenation ambiguity.
-type fpWriter struct {
-	h   interface{ Write([]byte) (int, error) }
-	buf [10]byte
-}
+// The canonical encoding appends primitives to a byte slice, which is
+// then hashed. Every value is length- or tag-delimited, so distinct
+// programs cannot collide by concatenation ambiguity.
+func fpU64(b []byte, v uint64) []byte  { return binary.LittleEndian.AppendUint64(b, v) }
+func fpI64(b []byte, v int64) []byte   { return fpU64(b, uint64(v)) }
+func fpF64(b []byte, v float64) []byte { return fpU64(b, math.Float64bits(v)) }
 
-func (w *fpWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.h.Write(w.buf[:8])
-}
-
-func (w *fpWriter) i64(v int64)   { w.u64(uint64(v)) }
-func (w *fpWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-
-func (w *fpWriter) boolean(v bool) {
+func fpBool(b []byte, v bool) []byte {
 	if v {
-		w.u64(1)
-	} else {
-		w.u64(0)
+		return fpU64(b, 1)
 	}
+	return fpU64(b, 0)
 }
 
-func (w *fpWriter) str(s string) {
-	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
+func fpStr(b []byte, s string) []byte {
+	b = fpU64(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// fpHex renders a SHA-256 sum in hex.
+func fpHex(sum []byte) string {
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum)
+	return string(out[:])
 }
 
 func computeFingerprint(p *ir.Program) string {
+	// A program's encoding runs to tens of kilobytes: it is hashed a
+	// buffer at a time, after each instruction that fills the buffer.
 	h := sha256.New()
-	w := &fpWriter{h: h}
+	b := make([]byte, 0, 4096)
+	spill := func() {
+		if len(b) > cap(b)-256 {
+			h.Write(b)
+			b = b[:0]
+		}
+	}
 	// v2: adds Version.Chunk (iteration-scheduling granularity).
-	w.str("obl-program-v2")
+	b = fpStr(b, "obl-program-v2")
 
-	w.u64(uint64(len(p.ParamNames)))
+	b = fpU64(b, uint64(len(p.ParamNames)))
 	for _, name := range p.ParamNames {
-		w.str(name)
-		w.i64(p.Params[name])
+		b = fpStr(b, name)
+		b = fpI64(b, p.Params[name])
 	}
 	// The full Params map is encoded again in sorted order, so defaults
 	// not reachable through ParamNames still distinguish programs.
-	w.u64(uint64(len(p.Params)))
-	for _, name := range sortedFPKeys(p.Params) {
-		w.str(name)
-		w.i64(p.Params[name])
+	b = fpU64(b, uint64(len(p.Params)))
+	for _, name := range sortedKeys(nil, p.Params) {
+		b = fpStr(b, name)
+		b = fpI64(b, p.Params[name])
 	}
 
-	w.u64(uint64(len(p.Externs)))
+	b = fpU64(b, uint64(len(p.Externs)))
 	for _, e := range p.Externs {
-		w.str(e.Name)
-		w.i64(int64(e.NArgs))
-		w.i64(e.Cost)
+		b = fpStr(b, e.Name)
+		b = fpI64(b, int64(e.NArgs))
+		b = fpI64(b, e.Cost)
 	}
 
-	w.u64(uint64(len(p.Classes)))
+	b = fpU64(b, uint64(len(p.Classes)))
 	for _, c := range p.Classes {
-		w.str(c.Name)
-		w.u64(uint64(len(c.Fields)))
+		b = fpStr(b, c.Name)
+		b = fpU64(b, uint64(len(c.Fields)))
 		for i, f := range c.Fields {
-			w.str(f)
-			w.i64(int64(c.FieldKinds[i]))
+			b = fpStr(b, f)
+			b = fpI64(b, int64(c.FieldKinds[i]))
 		}
 	}
 
-	w.u64(uint64(len(p.Funcs)))
+	b = fpU64(b, uint64(len(p.Funcs)))
 	for _, f := range p.Funcs {
-		w.str(f.Name)
-		w.str(f.Source)
-		w.i64(int64(f.NParams))
-		w.i64(int64(f.NRegs))
-		w.u64(uint64(len(f.Code)))
+		b = fpStr(b, f.Name)
+		b = fpStr(b, f.Source)
+		b = fpI64(b, int64(f.NParams))
+		b = fpI64(b, int64(f.NRegs))
+		b = fpU64(b, uint64(len(f.Code)))
 		for _, in := range f.Code {
-			w.u64(uint64(in.Op))
-			w.i64(int64(in.Dst))
-			w.i64(int64(in.A))
-			w.i64(int64(in.B))
-			w.i64(int64(in.C))
-			w.i64(in.Imm)
-			w.f64(in.F)
-			w.u64(uint64(len(in.Args)))
+			b = fpU64(b, uint64(in.Op))
+			b = fpI64(b, int64(in.Dst))
+			b = fpI64(b, int64(in.A))
+			b = fpI64(b, int64(in.B))
+			b = fpI64(b, int64(in.C))
+			b = fpI64(b, in.Imm)
+			b = fpF64(b, in.F)
+			b = fpU64(b, uint64(len(in.Args)))
 			for _, r := range in.Args {
-				w.i64(int64(r))
+				b = fpI64(b, int64(r))
 			}
+			spill()
 		}
 	}
 
-	w.u64(uint64(len(p.Sections)))
+	b = fpU64(b, uint64(len(p.Sections)))
 	for _, s := range p.Sections {
-		w.i64(int64(s.ID))
-		w.str(s.Name)
-		w.i64(int64(s.NCaptured))
-		w.u64(uint64(len(s.Versions)))
+		b = fpI64(b, int64(s.ID))
+		b = fpStr(b, s.Name)
+		b = fpI64(b, int64(s.NCaptured))
+		b = fpU64(b, uint64(len(s.Versions)))
 		for _, v := range s.Versions {
-			w.u64(uint64(len(v.Policies)))
+			b = fpU64(b, uint64(len(v.Policies)))
 			for _, pol := range v.Policies {
-				w.str(pol)
+				b = fpStr(b, pol)
 			}
-			w.i64(int64(v.FuncID))
-			w.u64(uint64(len(v.Flags)))
+			b = fpI64(b, int64(v.FuncID))
+			b = fpU64(b, uint64(len(v.Flags)))
 			for _, fl := range v.Flags {
-				w.boolean(fl)
+				b = fpBool(b, fl)
 			}
-			w.i64(int64(v.Chunk))
+			b = fpI64(b, int64(v.Chunk))
 		}
-		for _, pol := range sortedFPKeys(s.PolicyVersion) {
-			w.str(pol)
-			w.i64(int64(s.PolicyVersion[pol]))
+		for _, pol := range sortedKeys(nil, s.PolicyVersion) {
+			b = fpStr(b, pol)
+			b = fpI64(b, int64(s.PolicyVersion[pol]))
 		}
 	}
 
-	w.u64(uint64(len(p.FlagPolicies)))
-	for _, pol := range sortedFPKeys(p.FlagPolicies) {
-		w.str(pol)
+	b = fpU64(b, uint64(len(p.FlagPolicies)))
+	for _, pol := range sortedKeys(nil, p.FlagPolicies) {
+		b = fpStr(b, pol)
 		flags := p.FlagPolicies[pol]
-		w.u64(uint64(len(flags)))
+		b = fpU64(b, uint64(len(flags)))
 		for _, fl := range flags {
-			w.boolean(fl)
+			b = fpBool(b, fl)
 		}
 	}
-	w.i64(int64(p.NumFlagSites))
-	w.i64(int64(p.MainID))
-
-	return hex.EncodeToString(h.Sum(nil))
+	b = fpI64(b, int64(p.NumFlagSites))
+	b = fpI64(b, int64(p.MainID))
+	h.Write(b)
+	return fpHex(h.Sum(nil))
 }
 
-func sortedFPKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys appends m's keys to keys[:0] in sorted order.
+func sortedKeys[V any](keys []string, m map[string]V) []string {
+	keys = keys[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
 
@@ -187,8 +194,6 @@ func CacheKey(p *ir.Program, opts Options) (key string, ok bool) {
 	}
 	opts = opts.withDefaults()
 
-	h := sha256.New()
-	w := &fpWriter{h: h}
 	// v2: adds the perturbation-schedule encoding. The version bump also
 	// retires v1 entries, whose cached results predate SectionStats.Switches.
 	// v3: adds the controller kind (normalized, so "" and "roundrobin"
@@ -198,27 +203,34 @@ func CacheKey(p *ir.Program, opts Options) (key string, ok bool) {
 	// (found by the dfvet fingerprint analyzer).
 	// v5: drops the machine cost model and the claim, dispatch and fork
 	// costs, which stopped being options.
-	w.str("obl-run-v5")
-	w.str(Fingerprint(p))
-	w.i64(int64(opts.Procs))
-	w.str(opts.Policy)
-	w.str(core.NormalizeKind(opts.Controller))
-	w.i64(int64(opts.TargetSampling))
-	w.i64(int64(opts.TargetProduction))
-	w.boolean(opts.EarlyCutoff)
-	w.boolean(opts.OrderByHistory)
-	w.boolean(opts.SpanExecutions)
-	w.boolean(opts.AutoTuneProduction)
-	w.boolean(opts.AsyncSwitch)
-	w.boolean(opts.DetectRaces)
-	for _, name := range sortedFPKeys(opts.Params) {
-		w.str(name)
-		w.i64(opts.Params[name])
+	//
+	// A request's encoding fits the stack buffer, and its parameter names
+	// the stack array, unless it carries a long schedule or many overrides.
+	var buf [512]byte
+	b := fpStr(buf[:0], "obl-run-v5")
+	b = fpStr(b, Fingerprint(p))
+	b = fpI64(b, int64(opts.Procs))
+	b = fpStr(b, opts.Policy)
+	b = fpStr(b, core.NormalizeKind(opts.Controller))
+	b = fpI64(b, int64(opts.TargetSampling))
+	b = fpI64(b, int64(opts.TargetProduction))
+	b = fpBool(b, opts.EarlyCutoff)
+	b = fpBool(b, opts.OrderByHistory)
+	b = fpBool(b, opts.SpanExecutions)
+	b = fpBool(b, opts.AutoTuneProduction)
+	b = fpBool(b, opts.AsyncSwitch)
+	b = fpBool(b, opts.DetectRaces)
+	var names [16]string
+	for _, name := range sortedKeys(names[:], opts.Params) {
+		b = fpStr(b, name)
+		b = fpI64(b, opts.Params[name])
 	}
-	w.i64(int64(opts.InstrumentationCost))
-	w.i64(opts.MaxSteps)
-	sched := opts.Perturb.AppendCanonical(nil)
-	w.u64(uint64(len(sched)))
-	h.Write(sched)
-	return hex.EncodeToString(h.Sum(nil)), true
+	b = fpI64(b, int64(opts.InstrumentationCost))
+	b = fpI64(b, opts.MaxSteps)
+	// The schedule's encoding is preceded by its length, patched in after.
+	at := len(b)
+	b = opts.Perturb.AppendCanonical(fpU64(b, 0))
+	binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+	sum := sha256.Sum256(b)
+	return fpHex(sum[:]), true
 }

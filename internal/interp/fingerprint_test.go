@@ -3,6 +3,8 @@ package interp
 import (
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/obl/ir"
 	"repro/internal/perturb"
 	"repro/internal/simmach"
 	"repro/oblc"
@@ -157,5 +159,70 @@ func TestCacheKeyIncludesPerturbSchedule(t *testing.T) {
 	renamed.Perturb = &perturb.Schedule{Name: "other", Changes: perturbed.Perturb.Changes}
 	if kr, _ := CacheKey(c.Serial, renamed); kr != kp {
 		t.Error("cosmetic schedule Name changed the cache key")
+	}
+}
+
+// TestContentAddressGolden pins the exact fingerprint and cache key of two
+// cells: the addresses of results already stored in -simcache directories.
+// An encoder change that moves either orphans every stored entry, so it
+// must be deliberate (bump the version string and update these values).
+func TestContentAddressGolden(t *testing.T) {
+	water, err := apps.Compile(apps.NameWater)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bh, err := apps.Compile(apps.NameBarnesHut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossover, ok := perturb.Scenario("crossover")
+	if !ok {
+		t.Fatal("no crossover scenario")
+	}
+	for _, c := range []struct {
+		name    string
+		prog    *ir.Program
+		opts    Options
+		fp, key string
+	}{
+		{"water original p8 unperturbed", water.Parallel,
+			Options{Procs: 8, Policy: "original", Params: apps.TestParams(apps.NameWater)},
+			"63437a8b4a2308a349d7085bdd38bd686f0186623280cb383ff082a3fc295887",
+			"a8ea7dfa131766aa16c5e4f7fab279c07ce7fd3936f40618a910600f1321af7e"},
+		{"barneshut dynamic p16 crossover ucb early-cutoff", bh.Parallel,
+			Options{Procs: 16, Policy: PolicyDynamic, Controller: "ucb", EarlyCutoff: true,
+				TargetSampling: 2 * simmach.Millisecond, Perturb: crossover,
+				Params: map[string]int64{"nbodies": 96, "serialwork": 2345}},
+			"d6e0631733cf80bf1c8ded9bbcb386566b82c157c2f737af79b5352c0c2ffc35",
+			"de9e2f8ce9acd435cd017bf90c27ab2a084667dc3e41971eb22be4755018fc8c"},
+	} {
+		if fp := Fingerprint(c.prog); fp != c.fp {
+			t.Errorf("%s: Fingerprint = %s, want %s", c.name, fp, c.fp)
+		}
+		if key, ok := CacheKey(c.prog, c.opts); !ok || key != c.key {
+			t.Errorf("%s: CacheKey = %s (ok %v), want %s", c.name, key, ok, c.key)
+		}
+	}
+}
+
+// BenchmarkCacheKey is the content address of a dfperf serve cell: a
+// Water dynamic run over TestParams with two overrides, as dfserved derives
+// it on every cached /run.
+func BenchmarkCacheKey(b *testing.B) {
+	water, err := apps.Compile(apps.NameWater)
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := apps.TestParams(apps.NameWater)
+	params["nmol"], params["serialwork"] = 12, 2345
+	opts := Options{Procs: 8, Policy: PolicyDynamic, Params: params,
+		TargetSampling: 5 * simmach.Millisecond, TargetProduction: 2 * simmach.Second}
+	Fingerprint(water.Parallel)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := CacheKey(water.Parallel, opts); !ok {
+			b.Fatal("not cacheable")
+		}
 	}
 }

@@ -32,9 +32,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -352,8 +352,12 @@ func (s *Server) SectionNames() []string {
 	return names
 }
 
+// jsonContentType is the Content-Type header value of every JSON reply,
+// shared so that setting it allocates nothing; net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -478,19 +482,20 @@ type runRequest struct {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRunBody))
 	var req runRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	var err error
+	if readErr != nil || !decodeRunRequest(buf.Bytes(), &req) {
+		req, err = decodeRunRequestJSON(buf.Bytes(), readErr)
+	}
+	if buf.Cap() <= maxPooledBody {
+		bodyBufs.Put(buf)
+	}
+	if err != nil {
 		s.runsErr.Add(1)
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	// Only white space may follow the object. (dec.More would let a stray
-	// closing brace or bracket through.)
-	if _, err := dec.Token(); err != io.EOF {
-		s.runsErr.Add(1)
-		writeError(w, http.StatusBadRequest, "bad request body: data after the request object")
 		return
 	}
 	switch {
@@ -682,10 +687,17 @@ func (s *Server) runApp(w http.ResponseWriter, r *http.Request, req runRequest) 
 			return
 		}
 		// The program allocates and loops by its parameters: an absurd
-		// value would otherwise reach the VM's make or run for ever.
-		if v := int64(f); v > bounds[key] {
+		// value would otherwise reach the VM's make or run for ever, and
+		// one below what the program needs would fault or run as a
+		// smaller value would, under a cache entry of its own.
+		switch v, b := int64(f), bounds[key]; {
+		case v > b.Max:
 			s.runsErr.Add(1)
-			writeError(w, http.StatusBadRequest, "parameter %q = %d exceeds its bound %d", key, v, bounds[key])
+			writeError(w, http.StatusBadRequest, "parameter %q = %d exceeds its bound %d", key, v, b.Max)
+			return
+		case v < b.Min:
+			s.runsErr.Add(1)
+			writeError(w, http.StatusBadRequest, "parameter %q = %d is below its bound %d", key, v, b.Min)
 			return
 		}
 		params[key] = int64(f)
@@ -750,7 +762,7 @@ func (s *Server) runApp(w http.ResponseWriter, r *http.Request, req runRequest) 
 
 	buf := replyBufs.Get().(*[]byte)
 	*buf = appendRunReply((*buf)[:0], reply, res)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	w.Write(*buf)
 	if cap(*buf) <= maxPooledReply {

@@ -331,6 +331,18 @@ func TestRunValidation(t *testing.T) {
 		// dropped with no status.
 		{`{"app":"water","params":{"nmol":1e15}}`, http.StatusBadRequest, "exceeds its bound 8192"},
 		{`{"app":"string","params":{"nrays":9007199254740991}}`, http.StatusBadRequest, "exceeds its bound 65536"},
+		// Below what the program needs: a negative size was a 500 "negative
+		// array length", a zero grid side a 500 "integer modulo by zero", and
+		// a negative count or work amount ran as 0 would under a cache entry
+		// of its own.
+		{`{"app":"water","params":{"nmol":-5}}`, http.StatusBadRequest, `"nmol" = -5 is below its bound 1`},
+		{`{"app":"barneshut","params":{"nbodies":-1}}`, http.StatusBadRequest, `"nbodies" = -1 is below its bound 1`},
+		{`{"app":"string","params":{"gridside":0}}`, http.StatusBadRequest, `"gridside" = 0 is below its bound 1`},
+		{`{"app":"string","params":{"gridside":-3}}`, http.StatusBadRequest, `"gridside" = -3 is below its bound 1`},
+		{`{"app":"water","params":{"nsteps":-100000}}`, http.StatusBadRequest, `"nsteps" = -100000 is below its bound 0`},
+		{`{"app":"barneshut","params":{"interwork":-1e7}}`, http.StatusBadRequest, `"interwork" = -10000000 is below its bound 0`},
+		// Both bounds are inclusive.
+		{`{"app":"water","procs":2,"params":{"nmol":1,"nsteps":0}}`, http.StatusOK, ""},
 		// A parameter the program does not declare: Barnes-Hut's, and a typo.
 		{`{"app":"water","params":{"nbodies":64}}`, http.StatusBadRequest, "energydepth nmol nsteps serialwork"},
 		{`{"app":"water","params":{"nmoll":12}}`, http.StatusBadRequest, `"nmoll"`},
